@@ -7,8 +7,9 @@ Two concerns live here:
 
 * exact mod-1 argument reduction for phases theta*u with integer u, via the
   dyadic representation of the double theta (low-64-bit wraparound products
-  keep the residue exact), which keeps trigonometric sums accurate when
-  theta*u is far above 2**53.
+  keep the residue exact) or, for a rational theta, a vectorized integer
+  mulmod, which keeps trigonometric sums accurate when theta*u is far
+  above 2**53.
 """
 
 from __future__ import annotations
@@ -166,16 +167,74 @@ def frac_poly(coeffs, k: np.ndarray) -> np.ndarray:
     return np.mod(total, 1.0)
 
 
+# largest modulus for mulmod: remainders off by one den then stay in
+# [-den, 2*den), which int64 holds
+MULMOD_MAX_DEN = 1 << 62
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _estimated_remainder(x: np.ndarray, c: int, den: int) -> np.ndarray:
+    """x*c - q*den as int64 for an int64 array 0 <= x < 2**32 and Python
+    ints 0 <= c < den <= 2**62, with q = floor(x * (c/den)) in doubles.
+
+    x is exact in a double and x*c/den < 2**32, so the two roundings of
+    relative size 2**-53 leave an error below 2**-20 before the floor: q
+    is off by at most one, the true remainder lies in [-den, 2*den), and
+    the wraparound int64 arithmetic therefore gives it exactly.
+    """
+    q = np.floor(x.astype(np.float64) * (c / den)).astype(np.int64)
+    return x * c - q * den
+
+
+def _fold(r: np.ndarray, den: int) -> np.ndarray:
+    """Bring r in [-den, 2*den) into [0, den) in place; the arithmetic
+    shift spreads the sign bit into the mask that selects each fixup."""
+    r += (r >> 63) & den
+    r -= ((den - 1 - r) >> 63) & den
+    return r
+
+
+def mulmod(u: np.ndarray, c: int, den: int) -> np.ndarray:
+    """(u * c) % den as int64, exact, for a nonnegative integer array u
+    and Python ints 0 <= c < den <= MULMOD_MAX_DEN.
+
+    u = h * 2**32 + l is reduced as l*c + h*(c * 2**32 % den), each half
+    by a float-estimated quotient with +-den fixups (the MulMod of NTL).
+    """
+    x = np.asarray(u).reshape(-1).astype(np.uint64)
+    lo = (x & _LOW32).view(np.int64)
+    hi = (x >> _U64(32)).view(np.int64)
+    r = _fold(_estimated_remainder(lo, c, den), den)
+    r += _fold(_estimated_remainder(hi, (c << 32) % den, den), den)
+    return _fold(r, den).reshape(np.shape(u))
+
+
+def _nonnegative_ints(u: np.ndarray) -> bool:
+    return u.dtype.kind == "u" or (
+        u.dtype.kind == "i" and (u.size == 0 or int(u.min()) >= 0))
+
+
 def frac_ratio(num: int, den: int, u: np.ndarray) -> np.ndarray:
-    """frac(u * num/den) for integer u, exact rational reduction."""
+    """frac(u * num/den) for integer u, exact rational reduction.
+
+    The residue (u * num) % den is exact and is then rounded as
+    float(rem) / float(den). It comes from the vectorized mulmod when
+    den <= 2**62 (every SystemModel angle) and u is a nonnegative integer
+    array; anything else, such as a Fraction theta with a larger
+    denominator passed to eval_sum, takes Python big-int arithmetic.
+    """
     if den <= 0:
         raise ValueError("denominator must be positive")
+    u = np.asarray(u)
     p = num % den
     if p == 0:
-        return np.zeros(np.asarray(u).shape, dtype=np.float64)
-    rems = np.array([(int(v) * p) % den for v in np.asarray(u).ravel()],
-                    dtype=np.float64)
-    return (rems / den).reshape(np.asarray(u).shape)
+        return np.zeros(u.shape, dtype=np.float64)
+    if den <= MULMOD_MAX_DEN and _nonnegative_ints(u):
+        rems = mulmod(u, p, den).astype(np.float64)
+    else:
+        rems = np.array([(int(v) * p) % den for v in u.ravel()],
+                        dtype=np.float64).reshape(u.shape)
+    return rems / den
 
 
 def frac_of(theta, u: np.ndarray) -> np.ndarray:

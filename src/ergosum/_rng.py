@@ -16,6 +16,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _INV53 = 1.0 / (1 << 53)
+# counters per pass of cramer_indicator: the temporaries of one block
+# (a few 512 KiB arrays) stay in L2 instead of streaming through memory
+_BLOCK = 1 << 16
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -57,10 +60,17 @@ def cramer_indicator(seed: int, ks) -> np.ndarray:
     """Bernoulli(min(1, 1/log k)) indicators for integer k >= 3.
 
     Shared by the centered random-model weights and the random-model index
-    set so one seed describes one realization across both.
+    set so one seed describes one realization across both. Evaluated in
+    blocks of _BLOCK counters; every draw is elementwise in (seed, k), so
+    the blocking cannot change a value.
     """
     ks = np.asarray(ks, dtype=np.int64)
     if ks.size and int(ks.min()) < 3:
         raise ValueError("random prime model indicators start at k = 3")
-    p = np.minimum(1.0, 1.0 / np.log(ks.astype(np.float64)))
-    return uniform01(seed, ks) < p
+    flat = ks.reshape(-1)
+    out = np.empty(flat.size, dtype=bool)
+    for lo in range(0, flat.size, _BLOCK):
+        k = flat[lo : lo + _BLOCK]
+        p = np.minimum(1.0, 1.0 / np.log(k.astype(np.float64)))
+        out[lo : lo + _BLOCK] = uniform01(seed, k) < p
+    return out.reshape(ks.shape)

@@ -172,12 +172,13 @@ def storage_grid(n_lo: int, n_hi: int, dense_limit: int = DENSE_LIMIT,
     if ratio <= 1.0:
         raise ValueError("ratio must exceed 1")
     dense_top = min(n_hi, max(dense_limit, n_lo))
-    out = list(range(n_lo, dense_top + 1))
+    tail = []
     n = dense_top
     while n < n_hi:
         n = min(max(n + 1, int(n * ratio)), n_hi)
-        out.append(n)
-    return np.array(out, dtype=np.int64)
+        tail.append(n)
+    return np.concatenate([np.arange(n_lo, dense_top + 1, dtype=np.int64),
+                           np.array(tail, dtype=np.int64)])
 
 
 @dataclass(eq=False)

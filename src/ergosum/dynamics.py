@@ -10,10 +10,11 @@ Three system kinds:
 Rotation angles can be floats or exact rationals (Fraction). The bundled
 rotation_sqrt2 / rotation_golden constructors return continued-fraction
 convergents p/q with q <= 2**62, and orbit positions are then reduced
-exactly with integer arithmetic: u * theta0 mod 1 in doubles loses every
-significant bit once u is large, so the exact path is the reference and
-the float path (itself exact in the dyadic sense, see frac_mul) is the
-fast cross-check.
+exactly with integer arithmetic, because u * theta0 mod 1 in doubles loses
+every significant bit once u is large. For a Fraction angle the reduction
+is a vectorized mulmod (see _kernels.frac_ratio); only a Fraction start
+point still goes through Python integers index by index. The float path
+(itself exact in the dyadic sense, see frac_mul) is the cross-check.
 
 Doubling-map points are seeded bit strings; T^u just shifts the window,
 so orbit values of indicator observables are exact bits with no floating

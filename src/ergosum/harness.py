@@ -22,9 +22,7 @@ wall times. With a fixed config and seed list every emitted CSV, JSON
 and SVG is reproduced byte for byte; wall-clock timings live only in the
 manifest. Floats are written with shortest round-trip formatting.
 
-Environment: ERGOSUM_OUTPUT_ROOT overrides the default output root,
-ERGOSUM_THREADS is exported to the usual BLAS/OMP thread variables
-(orchestration itself is single threaded and deterministic either way).
+Environment: ERGOSUM_OUTPUT_ROOT overrides the default output root.
 
 When a run draws on several stochastic ingredients, one per-repetition
 seed drives all of them.
@@ -97,7 +95,6 @@ PRESET_IDS = (
 )
 
 OUTPUT_ROOT_VAR = "ERGOSUM_OUTPUT_ROOT"
-THREADS_VAR = "ERGOSUM_THREADS"
 DEFAULT_OUTPUT_ROOT = "ergosum_out"
 
 EXIT_OK = 0
@@ -213,9 +210,9 @@ def _index_spec(d: dict, seed) -> IndexSpec:
 
 
 def _needs_seeds(cfg: ExperimentConfig) -> bool:
-    w = cfg.weights or {}
-    i = cfg.indices or {}
-    s = cfg.system or {}
+    # sub-specs that are not objects are reported by validate() itself
+    w, i, s = (v if isinstance(v, dict) else {}
+               for v in (cfg.weights, cfg.indices, cfg.system))
     return (
         (w.get("kind") in _SEEDED_WEIGHTS and "seed" not in w)
         or (i.get("kind") == "cramer_primes" and "seed" not in i)
@@ -246,7 +243,7 @@ def validate(config: ExperimentConfig) -> list[str]:
     def check(label, fn):
         try:
             return fn()
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
             diags.append(f"{label}: {exc}")
             return None
 
@@ -1215,10 +1212,7 @@ def run(config: ExperimentConfig) -> ResultManifest:
             outputs=outputs,
             wall_seconds={k: round(v, 6) for k, v in walls.items()},
             seeds=list(config.seeds or []),
-            environment={
-                "output_root": str(_output_root(config)),
-                "threads": os.environ.get(THREADS_VAR),
-            },
+            environment={"output_root": str(_output_root(config))},
         )
         (target / "manifest.json").write_bytes(_json_bytes(manifest.to_dict()))
     except BaseException:
@@ -1235,14 +1229,6 @@ def run(config: ExperimentConfig) -> ResultManifest:
 
 # ---------------------------------------------------------------------------
 # CLI
-
-
-def _apply_thread_env():
-    v = os.environ.get(THREADS_VAR)
-    if not v:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, v)
 
 
 def _load_config(path: str):
@@ -1293,7 +1279,6 @@ def main(argv=None) -> int:
         for d in diags:
             print(f"invalid: {d}")
         return EXIT_VALIDATION
-    _apply_thread_env()
     try:
         manifest = run(config)
     except ConfigError as exc:

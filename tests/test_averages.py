@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergosum.averages import (
+    DENSE_LIMIT,
+    GRID_RATIO,
     BlockLadder,
     NormalizerSpec,
     SeriesRun,
@@ -128,6 +130,27 @@ def test_storage_grid():
     assert tail.size < 50  # geometric, not dense
     with pytest.raises(ValueError):
         storage_grid(5, 4)
+
+
+def _list_built_grid(n_lo, n_hi, dense_limit=DENSE_LIMIT, ratio=GRID_RATIO):
+    # the grid as it was first written: a Python list, one int per point
+    dense_top = min(n_hi, max(dense_limit, n_lo))
+    out = list(range(n_lo, dense_top + 1))
+    n = dense_top
+    while n < n_hi:
+        n = min(max(n + 1, int(n * ratio)), n_hi)
+        out.append(n)
+    return np.array(out, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n_lo, n_hi", [
+    (1, 1), (3, 500), (1, DENSE_LIMIT - 1), (1, DENSE_LIMIT),
+    (2, DENSE_LIMIT + 1), (1, 10**9), (DENSE_LIMIT + 5, 10**8),
+])
+def test_storage_grid_matches_list_built_grid(n_lo, n_hi):
+    got = storage_grid(n_lo, n_hi)
+    want = _list_built_grid(n_lo, n_hi)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # ------------------------------------------------------------ running sums

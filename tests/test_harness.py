@@ -309,6 +309,25 @@ def test_cli_validate_and_run(tmp_path, capsys):
     assert "not found" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_zero_angle_denominator_is_invalid(tmp_path, capsys, command):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(tiny_average(
+        system={"kind": "rotation", "theta0": [1, 0]}, output_dir=str(tmp_path))))
+    assert main([command, str(p)]) == 2
+    assert "invalid: system:" in capsys.readouterr().out
+    assert not (tmp_path / "t_avg").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_weights_list_is_invalid(tmp_path, capsys, command):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(tiny_average(weights=[1, 2], output_dir=str(tmp_path))))
+    assert main([command, str(p)]) == 2
+    assert "invalid: weights: must be an object" in capsys.readouterr().out
+    assert not (tmp_path / "t_avg").exists()
+
+
 def test_cli_presets_listing(capsys):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out

@@ -8,7 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergosum._kernels import frac_mul, frac_of, frac_ratio, next_pow2, pairwise_sum, prefix_at
+from ergosum._kernels import (
+    MULMOD_MAX_DEN,
+    _estimated_remainder,
+    _fold,
+    frac_mul,
+    frac_of,
+    frac_ratio,
+    mulmod,
+    next_pow2,
+    pairwise_sum,
+    prefix_at,
+)
 
 import oracles
 
@@ -49,6 +60,75 @@ def test_frac_ratio_exact():
     got = frac_ratio(p, q, u)
     for i, ui in enumerate(u.tolist()):
         assert got[i] == ((ui * p) % q) / q
+
+
+_U_EDGES = [0, 2**32 - 1, 2**32, 2**63 - 1]
+
+
+def _frac_ratio_reference(p, q, u):
+    # the residue in Python integers, rounded as float(rem) / float(q)
+    return np.array([float((int(v) * p) % q) / float(q) for v in u])
+
+
+@given(st.integers(min_value=1, max_value=MULMOD_MAX_DEN),
+       st.integers(min_value=0, max_value=2**64),
+       st.lists(st.one_of(st.integers(min_value=0, max_value=2**63 - 1),
+                          st.sampled_from(_U_EDGES)),
+                min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_frac_ratio_matches_big_int_residues(q, p, u):
+    """The vectorized mulmod reproduces the big-int residue bit for bit."""
+    u = np.array(u + _U_EDGES, dtype=np.int64)
+    got = frac_ratio(p, q, u)
+    assert np.array_equal(got.view(np.uint64),
+                          _frac_ratio_reference(p, q, u).view(np.uint64))
+
+
+def test_frac_ratio_extreme_denominators():
+    # moduli at the ends of the mulmod range and around the exact-double
+    # limit, with multipliers next to 0, den/2 and den
+    dens = [2, 3, 2**32 - 1, 2**32, 2**32 + 1, 2**53 - 1, 2**53 + 1,
+            2**61 - 1, 2**62 - 1, MULMOD_MAX_DEN]
+    u = np.array(_U_EDGES + [1, 2**31, 2**62, 2**62 + 1, 2**63 - 2, 10**18],
+                 dtype=np.int64)
+    for q in dens:
+        for p in {1, 2, q // 2, q // 2 + 1, q - 2, q - 1, q + 1} - {q}:
+            got = frac_ratio(p, q, u)
+            want = _frac_ratio_reference(p, q, u)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (p, q)
+
+
+@pytest.mark.parametrize("q, p, x, off", [
+    # the float estimate of the quotient x*p/q is one too low ...
+    (877181864167639653, 241220534493581704, 3778751375, 1),
+    (2031592297745348115, 671195875496932979, 2539200035, 1),
+    # ... or one too high, so each fixup must fire
+    (3992532687554291053, 3319764759397588915, 2405252647, -1),
+    (851596624388778873, 542116115702005472, 3453774121, -1),
+])
+def test_estimated_remainder_fixups(q, p, x, off):
+    rem = _estimated_remainder(np.array([x], dtype=np.int64), p, q)
+    assert int(rem[0]) == (x * p) % q + off * q
+    assert int(_fold(rem, q)[0]) == (x * p) % q
+    u = np.array([x], dtype=np.int64)
+    assert frac_ratio(p, q, u)[0] == _frac_ratio_reference(p, q, u)[0]
+
+
+def test_mulmod_folds_each_half():
+    # the low half's estimate is one too low and the high half leaves a
+    # residue near q, so the unfolded sum would exceed 2*q
+    q, p = 877181864167639653, 241220534493581704
+    u = np.array([496133181040962447, 5712588570845981583], dtype=np.int64)
+    assert mulmod(u, p, q).tolist() == [(v * p) % q for v in u.tolist()]
+
+
+def test_frac_ratio_outside_mulmod_range():
+    """Moduli above 2**62 and negative u keep the big-int path."""
+    u = np.array([-5, 0, 3, 2**40], dtype=np.int64)
+    for q in (7, MULMOD_MAX_DEN + 1, 3**50):
+        got = frac_ratio(2, q, u)
+        assert np.array_equal(got, _frac_ratio_reference(2, q, u))
+    assert frac_ratio(5, 3, np.array(4, dtype=np.int64)).shape == ()
 
 
 def test_frac_of_dispatch():

@@ -60,3 +60,25 @@ def test_cramer_indicator_deterministic_and_binary():
     b = _rng.cramer_indicator(9, ks)
     assert np.array_equal(a, b)
     assert set(np.unique(a).tolist()) <= {0, 1}
+
+
+def test_cramer_indicator_is_independent_of_blocking():
+    """A range straddling several blocks matches calls on single counters
+    and on chunks that cut across the block edges."""
+    block = _rng._BLOCK
+    ks = np.arange(3, 3 + 3 * block + 11, dtype=np.int64)
+    whole = _rng.cramer_indicator(17, ks)
+    chunked = np.concatenate([_rng.cramer_indicator(17, ks[i : i + 999])
+                              for i in range(0, ks.size, 999)])
+    assert np.array_equal(whole, chunked)
+    edges = [e + d for e in range(0, ks.size, block) for d in (-2, -1, 0, 1)]
+    for i in sorted(set(range(0, ks.size, 211)) | {i for i in edges if i >= 0}):
+        assert whole[i] == _rng.cramer_indicator(17, ks[i : i + 1])[0]
+
+
+def test_cramer_indicator_keeps_input_shape():
+    ks = np.arange(3, 3 + 2 * (_rng._BLOCK + 5), dtype=np.int64)
+    grid = _rng.cramer_indicator(4, ks.reshape(2, -1))
+    assert grid.shape == (2, _rng._BLOCK + 5)
+    assert np.array_equal(grid.reshape(-1), _rng.cramer_indicator(4, ks))
+    assert _rng.cramer_indicator(4, np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
