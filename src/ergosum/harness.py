@@ -42,6 +42,7 @@ import os
 import shutil
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
@@ -277,16 +278,20 @@ def validate(config: ExperimentConfig) -> list[str]:
             return diags
         if config.seeds is not None and not config.seeds and _PRESET_STOCHASTIC[config.preset]:
             diags.append("seeds: stochastic preset needs seeds")
+        params = config.params if config.params is not None else {}
+        if not isinstance(params, dict):
+            diags.append("params: must be an object")
+            return diags
         allowed = _PRESET_PARAM_KEYS.get(config.preset, set())
-        for k in config.params or {}:
+        for k in params:
             if k not in allowed:
                 diags.append(f"params.{k}: not understood by {config.preset}")
         if config.preset == "example3":
-            h = (config.params or {}).get("h", 1.0)
+            h = params.get("h", 1.0)
             if not _is_num(h) or h == 0:
                 diags.append("params.h: must be a nonzero number")
         if config.preset == "prime_question":
-            betas = (config.params or {}).get("betas", [0.75])
+            betas = params.get("betas", [0.75])
             if not isinstance(betas, (list, tuple)) or not betas or not all(
                 _is_num(b) and 0.5 < b <= 1.0 for b in betas
             ):
@@ -371,10 +376,6 @@ def validate(config: ExperimentConfig) -> list[str]:
                     diags.append("theta_grid.refine_iters: must be an integer in [0, 200]")
                 for k in set(tg) - {"points", "refine_iters"}:
                     diags.append(f"theta_grid.{k}: unknown field")
-        if config.harmonic:
-            for b in config.blocks or []:
-                if b[0] + 1 < 1:
-                    diags.append("blocks: harmonic rows need k >= 1")
         if config.kind == "condition_fit":
             if config.template not in TEMPLATES:
                 diags.append(f"template: must be one of {', '.join(TEMPLATES)}")
@@ -529,6 +530,14 @@ def _median(vals) -> float:
 
 def _seed_list(seeds) -> list:
     return list(seeds) if seeds else [None]
+
+
+@contextmanager
+def _timed(walls: dict, name: str):
+    """Record the wall time of the block as walls[name] (manifest only)."""
+    t0 = time.perf_counter()
+    yield
+    walls[name] = time.perf_counter() - t0
 
 
 def _envelope_stage(files, wdict, idict, blocks, theta_grid, harmonic, seeds,
@@ -835,35 +844,31 @@ def _full_blocks(cfg: ExperimentConfig, wspec, ispec):
 
 
 def _run_envelope_kind(cfg: ExperimentConfig, files, walls):
-    t0 = time.perf_counter()
-    wspec = _weight_spec(cfg.weights, 1)
-    ispec = _index_spec(cfg.indices, 1)
-    blocks = _full_blocks(cfg, wspec, ispec)
-    samples = _envelope_stage(files, cfg.weights, cfg.indices, blocks,
-                              cfg.theta_grid, bool(cfg.harmonic), cfg.seeds)
-    walls["envelope"] = time.perf_counter() - t0
+    with _timed(walls, "envelope"):
+        wspec = _weight_spec(cfg.weights, 1)
+        ispec = _index_spec(cfg.indices, 1)
+        blocks = _full_blocks(cfg, wspec, ispec)
+        samples = _envelope_stage(files, cfg.weights, cfg.indices, blocks,
+                                  cfg.theta_grid, bool(cfg.harmonic), cfg.seeds)
     if cfg.kind == "condition_fit":
-        t0 = time.perf_counter()
-        _fit_stage(files, samples, cfg.template, reference=cfg.reference)
-        walls["fit"] = time.perf_counter() - t0
+        with _timed(walls, "fit"):
+            _fit_stage(files, samples, cfg.template, reference=cfg.reference)
 
 
 def _run_average_kind(cfg: ExperimentConfig, files, walls):
-    t0 = time.perf_counter()
-    _average_stage(files, cfg.weights, cfg.indices, cfg.system, cfg.observable,
-                   cfg.x0, cfg.normalizer, int(cfg.n_terms), cfg.seeds,
-                   k_first=cfg.k_first,
-                   ladder_dict=cfg.ladder if cfg.kind == "oscillation_run" else None)
-    walls["average"] = time.perf_counter() - t0
+    with _timed(walls, "average"):
+        _average_stage(files, cfg.weights, cfg.indices, cfg.system, cfg.observable,
+                       cfg.x0, cfg.normalizer, int(cfg.n_terms), cfg.seeds,
+                       k_first=cfg.k_first,
+                       ladder_dict=cfg.ladder if cfg.kind == "oscillation_run" else None)
 
 
 def _run_hilbert_kind(cfg: ExperimentConfig, files, walls):
-    t0 = time.perf_counter()
-    _hilbert_stage(files, cfg.weights, cfg.indices, cfg.system, cfg.observable,
-                   cfg.x0, cfg.normalizer, int(cfg.n_terms), cfg.seeds,
-                   k_first=cfg.k_first, tail_starts=cfg.tail_starts,
-                   bound=cfg.bound)
-    walls["hilbert"] = time.perf_counter() - t0
+    with _timed(walls, "hilbert"):
+        _hilbert_stage(files, cfg.weights, cfg.indices, cfg.system, cfg.observable,
+                       cfg.x0, cfg.normalizer, int(cfg.n_terms), cfg.seeds,
+                       k_first=cfg.k_first, tail_starts=cfg.tail_starts,
+                       bound=cfg.bound)
 
 
 # ---------------------------------------------------------------------------
@@ -885,22 +890,19 @@ def _preset_example1(cfg, files, walls):
     w = {"kind": "power_phase", "delta": 2.5}
     i = {"kind": "monomial", "d": 2}
     blocks = [(0, 1 << j) for j in range(7, 13)]
-    t0 = time.perf_counter()
-    samples = _envelope_stage(files, w, i, blocks,
-                              {"points": 1 << 20, "refine_iters": 48}, False, None)
-    walls["envelope"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    _fit_stage(files, samples, "H2", reference={
-        "alpha": steep_power_phase_exponent(2.5),
-        "label": "derivative-test envelope exponent for delta = 2.5",
-        "note": "grid rows are aliased at this density; fit is exploratory",
-    })
-    walls["fit"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    _hilbert_stage(files, w, i, _SQRT2_SYSTEM, _MODE1, 0.0,
-                   {"gamma": 35.0 / 36.0, "a": 2.0, "k0": 3},
-                   10_000, None)
-    walls["hilbert"] = time.perf_counter() - t0
+    with _timed(walls, "envelope"):
+        samples = _envelope_stage(files, w, i, blocks,
+                                  {"points": 1 << 20, "refine_iters": 48}, False, None)
+    with _timed(walls, "fit"):
+        _fit_stage(files, samples, "H2", reference={
+            "alpha": steep_power_phase_exponent(2.5),
+            "label": "derivative-test envelope exponent for delta = 2.5",
+            "note": "grid rows are aliased at this density; fit is exploratory",
+        })
+    with _timed(walls, "hilbert"):
+        _hilbert_stage(files, w, i, _SQRT2_SYSTEM, _MODE1, 0.0,
+                       {"gamma": 35.0 / 36.0, "a": 2.0, "k0": 3},
+                       10_000, None)
 
 
 def _preset_example2(cfg, files, walls):
@@ -909,22 +911,19 @@ def _preset_example2(cfg, files, walls):
     w = {"kind": "power_phase", "delta": 0.5}
     i = {"kind": "identity"}
     blocks = [(0, 1 << j) for j in range(10, 18)]
-    t0 = time.perf_counter()
-    samples = _envelope_stage(files, w, i, blocks, None, False, None)
-    walls["envelope"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    _fit_stage(files, samples, "H2", reference={
-        "alpha": 0.75,
-        "label": "second-derivative envelope exponent 1 - delta/2",
-    })
-    walls["fit"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    _average_stage(files, w, i, _SQRT2_SYSTEM, _MODE1, 0.0,
-                   {"gamma": 0.875, "a": 2.0, "k0": 3},
-                   1_000_000, None,
-                   ladder_dict={"kind": "dyadic", "j_lo": 2, "j_hi": 19},
-                   checkpoints=[1_000, 10_000, 100_000, 1_000_000])
-    walls["average"] = time.perf_counter() - t0
+    with _timed(walls, "envelope"):
+        samples = _envelope_stage(files, w, i, blocks, None, False, None)
+    with _timed(walls, "fit"):
+        _fit_stage(files, samples, "H2", reference={
+            "alpha": 0.75,
+            "label": "second-derivative envelope exponent 1 - delta/2",
+        })
+    with _timed(walls, "average"):
+        _average_stage(files, w, i, _SQRT2_SYSTEM, _MODE1, 0.0,
+                       {"gamma": 0.875, "a": 2.0, "k0": 3},
+                       1_000_000, None,
+                       ladder_dict={"kind": "dyadic", "j_lo": 2, "j_hi": 19},
+                       checkpoints=[1_000, 10_000, 100_000, 1_000_000])
 
 
 def _preset_example3(cfg, files, walls):
@@ -935,26 +934,23 @@ def _preset_example3(cfg, files, walls):
     w = {"kind": "log_phase", "h": h}
     i = {"kind": "identity"}
     blocks = [(0, 1 << 10), (0, 1 << 12), (0, 1 << 14), (0, 1 << 16), (0, 100_000)]
-    t0 = time.perf_counter()
-    samples = _envelope_stage(files, w, i, blocks, None, True, None)
-    walls["envelope"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    max_upper = max(s.upper for s in samples[None])
-    _fit_stage(files, samples, "harmonic_H2", reference={
-        "bound": bound,
-        "label": "closed-form harmonic sup bound 30(|h| + 1/|h|)",
-    }, extras={"bound_check": {
-        "bound": bound,
-        "max_upper": max_upper,
-        "slack_fraction": 1.0 - max_upper / bound,
-        "passed": bool(max_upper <= bound),
-    }})
-    walls["fit"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    _hilbert_stage(files, w, i, _SQRT2_SYSTEM, _MODE1, 0.0,
-                   {"gamma": 1.0, "k0": 1}, 100_000, None,
-                   tail_starts=[1 << j for j in range(7, 16, 2)], bound=bound)
-    walls["hilbert"] = time.perf_counter() - t0
+    with _timed(walls, "envelope"):
+        samples = _envelope_stage(files, w, i, blocks, None, True, None)
+    with _timed(walls, "fit"):
+        max_upper = max(s.upper for s in samples[None])
+        _fit_stage(files, samples, "harmonic_H2", reference={
+            "bound": bound,
+            "label": "closed-form harmonic sup bound 30(|h| + 1/|h|)",
+        }, extras={"bound_check": {
+            "bound": bound,
+            "max_upper": max_upper,
+            "slack_fraction": 1.0 - max_upper / bound,
+            "passed": bool(max_upper <= bound),
+        }})
+    with _timed(walls, "hilbert"):
+        _hilbert_stage(files, w, i, _SQRT2_SYSTEM, _MODE1, 0.0,
+                       {"gamma": 1.0, "k0": 1}, 100_000, None,
+                       tail_starts=[1 << j for j in range(7, 16, 2)], bound=bound)
 
 
 def _preset_example4(cfg, files, walls):
@@ -966,25 +962,23 @@ def _preset_example4(cfg, files, walls):
     blocks = [(n - (n >> s), n)
               for n in (1 << j for j in range(11, 17))
               for s in (1, 2, 3)]
-    t0 = time.perf_counter()
-    samples = _envelope_stage(files, w, i, blocks,
-                              {"refine_iters": 32}, False, seeds)
-    walls["envelope"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    shape = {}
-    for seed, got in samples.items():
-        shape[str(seed)] = max(
-            s.upper / (math.sqrt(s.N - s.M) * math.sqrt(math.log(s.N)))
-            for s in got)
-    _fit_stage(files, samples, "H1", reference={
-        "shape": "sqrt(N - M) sqrt(log N)",
-        "label": "square-root block envelope for centered random weights",
-    }, extras={"shape_check": {
-        "definition": "max upper / (sqrt(N - M) sqrt(log N)) per seed",
-        "per_seed_max": shape,
-        "max": max(shape.values()),
-    }})
-    walls["fit"] = time.perf_counter() - t0
+    with _timed(walls, "envelope"):
+        samples = _envelope_stage(files, w, i, blocks,
+                                  {"refine_iters": 32}, False, seeds)
+    with _timed(walls, "fit"):
+        shape = {}
+        for seed, got in samples.items():
+            shape[str(seed)] = max(
+                s.upper / (math.sqrt(s.N - s.M) * math.sqrt(math.log(s.N)))
+                for s in got)
+        _fit_stage(files, samples, "H1", reference={
+            "shape": "sqrt(N - M) sqrt(log N)",
+            "label": "square-root block envelope for centered random weights",
+        }, extras={"shape_check": {
+            "definition": "max upper / (sqrt(N - M) sqrt(log N)) per seed",
+            "per_seed_max": shape,
+            "max": max(shape.values()),
+        }})
 
 
 def _preset_example5(cfg, files, walls):
@@ -994,36 +988,31 @@ def _preset_example5(cfg, files, walls):
     w = {"kind": "iid_uniform_phase"}
     i = {"kind": "identity"}
     blocks = [(0, 1 << j) for j in range(8, 17)]
-    t0 = time.perf_counter()
-    samples = _envelope_stage(files, w, i, blocks, None, True, seeds)
-    walls["envelope"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    _fit_stage(files, samples, "harmonic_log_decay", reference={
-        "label": "slowly varying harmonic envelope log N / log^beta log N",
-    })
-    walls["fit"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    _hilbert_stage(files, w, i, _SQRT2_SYSTEM, _MODE1, 0.0,
-                   {"gamma": 1.0, "k0": 1}, 100_000, seeds,
-                   ratio_norm=NormalizerSpec(gamma=0.0, a=1.0, k0=3))
-    walls["hilbert"] = time.perf_counter() - t0
+    with _timed(walls, "envelope"):
+        samples = _envelope_stage(files, w, i, blocks, None, True, seeds)
+    with _timed(walls, "fit"):
+        _fit_stage(files, samples, "harmonic_log_decay", reference={
+            "label": "slowly varying harmonic envelope log N / log^beta log N",
+        })
+    with _timed(walls, "hilbert"):
+        _hilbert_stage(files, w, i, _SQRT2_SYSTEM, _MODE1, 0.0,
+                       {"gamma": 1.0, "k0": 1}, 100_000, seeds,
+                       ratio_norm=NormalizerSpec(gamma=0.0, a=1.0, k0=3))
 
 
 def _preset_example6(cfg, files, walls):
     """Random prime model: counting-function scaling table plus normalized
     averages along the random index set."""
     seeds = list(cfg.seeds) if cfg.seeds else list(range(1, 21))
-    t0 = time.perf_counter()
-    pi_summary = _pi_table_stage(files, seeds, [10_000, 100_000, 1_000_000])
-    walls["pi_table"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    _average_stage(files, {"kind": "constant"}, {"kind": "cramer_primes"},
-                   _SQRT2_SYSTEM, _MODE1, 0.0,
-                   {"gamma": 0.75, "k0": 1},
-                   1_000_000, seeds,
-                   checkpoints=[10_000, 1_000_000],
-                   report_extra={"pi_scaled": pi_summary})
-    walls["average"] = time.perf_counter() - t0
+    with _timed(walls, "pi_table"):
+        pi_summary = _pi_table_stage(files, seeds, [10_000, 100_000, 1_000_000])
+    with _timed(walls, "average"):
+        _average_stage(files, {"kind": "constant"}, {"kind": "cramer_primes"},
+                       _SQRT2_SYSTEM, _MODE1, 0.0,
+                       {"gamma": 0.75, "k0": 1},
+                       1_000_000, seeds,
+                       checkpoints=[10_000, 1_000_000],
+                       report_extra={"pi_scaled": pi_summary})
 
 
 def _preset_prime_question(cfg, files, walls):
@@ -1031,51 +1020,50 @@ def _preset_prime_question(cfg, files, walls):
     ladder of beta values. No growth claim is certified here."""
     betas = [float(b) for b in (cfg.params or {}).get("betas", (0.6, 0.75, 0.9, 1.0))]
     n_terms = 200_000
-    t0 = time.perf_counter()
-    ispec = IndexSpec(kind="primes")
-    u = gen_indices(ispec, 1, 1 + n_terms)
-    w = np.ones(n_terms, dtype=np.complex128)
-    system = SystemModel.from_dict(_SQRT2_SYSTEM)
-    f = Observable.from_dict(_MODE1)
-    vals = orbit_eval(system, f, OrbitPoint.rotation(0.0), u)
-    run = weighted_sums(vals, w, k_first=1)
-    per_beta = []
-    csv_rows = []
-    chart = []
-    for beta in betas:
-        norm = NormalizerSpec(gamma=beta, k0=1)
-        ns = normalized_series(run, norm)
-        cps = _decade_checkpoints(ns.n_grid)
-        per_beta.append({
-            "beta": beta,
-            "slope": ns.slope(),
-            "ratio_at": {str(c): ns.value_at(c) for c in cps},
-            "tail_max": {str(c): ns.tail_max(c) for c in cps},
+    with _timed(walls, "average"):
+        ispec = IndexSpec(kind="primes")
+        u = gen_indices(ispec, 1, 1 + n_terms)
+        w = np.ones(n_terms, dtype=np.complex128)
+        system = SystemModel.from_dict(_SQRT2_SYSTEM)
+        f = Observable.from_dict(_MODE1)
+        vals = orbit_eval(system, f, OrbitPoint.rotation(0.0), u)
+        run = weighted_sums(vals, w, k_first=1)
+        per_beta = []
+        csv_rows = []
+        chart = []
+        for beta in betas:
+            norm = NormalizerSpec(gamma=beta, k0=1)
+            ns = normalized_series(run, norm)
+            cps = _decade_checkpoints(ns.n_grid)
+            per_beta.append({
+                "beta": beta,
+                "slope": ns.slope(),
+                "ratio_at": {str(c): ns.value_at(c) for c in cps},
+                "tail_max": {str(c): ns.tail_max(c) for c in cps},
+            })
+            keep = _thin_grid(ns.n_grid)
+            if len(chart) < len(_svg.PALETTE):
+                chart.append((f"beta {beta}", ns.n_grid[keep].tolist(),
+                              ns.ratios[keep].tolist()))
+            if not csv_rows:
+                for idx in keep:
+                    s = run.sums[idx]
+                    n_val = int(ns.n_grid[idx])
+                    csv_rows.append([None, n_val, s.real, s.imag, abs(s),
+                                     norm.values(np.array([n_val]))[0],
+                                     ns.ratios[idx]])
+        files["series.csv"] = _csv_bytes(
+            ["seed", "N", "s_real", "s_imag", "s_abs", "a_value", "ratio"], csv_rows)
+        files["ratio.svg"] = _svg.line_chart(
+            "prime-index averages", "N", "|S_N| / N^beta",
+            chart, x_log=True, y_log=True).encode("utf-8")
+        files["report.json"] = _json_bytes({
+            "exploratory": True,
+            "question": "does power-normalized decay along all integers force "
+                        "decay along the primes?",
+            "n_terms": n_terms,
+            "per_beta": per_beta,
         })
-        keep = _thin_grid(ns.n_grid)
-        if len(chart) < len(_svg.PALETTE):
-            chart.append((f"beta {beta}", ns.n_grid[keep].tolist(),
-                          ns.ratios[keep].tolist()))
-        if not csv_rows:
-            for idx in keep:
-                s = run.sums[idx]
-                n_val = int(ns.n_grid[idx])
-                csv_rows.append([None, n_val, s.real, s.imag, abs(s),
-                                 norm.values(np.array([n_val]))[0],
-                                 ns.ratios[idx]])
-    files["series.csv"] = _csv_bytes(
-        ["seed", "N", "s_real", "s_imag", "s_abs", "a_value", "ratio"], csv_rows)
-    files["ratio.svg"] = _svg.line_chart(
-        "prime-index averages", "N", "|S_N| / N^beta",
-        chart, x_log=True, y_log=True).encode("utf-8")
-    files["report.json"] = _json_bytes({
-        "exploratory": True,
-        "question": "does power-normalized decay along all integers force "
-                    "decay along the primes?",
-        "n_terms": n_terms,
-        "per_beta": per_beta,
-    })
-    walls["average"] = time.perf_counter() - t0
 
 
 _PRESET_RUNNERS = {
@@ -1178,16 +1166,15 @@ def run(config: ExperimentConfig) -> ResultManifest:
         raise ConfigError(diags)
     files: dict[str, bytes] = {}
     walls: dict[str, float] = {}
-    t_total = time.perf_counter()
-    if config.kind == "preset":
-        _PRESET_RUNNERS[config.preset](config, files, walls)
-    elif config.kind in ("envelope_scan", "condition_fit"):
-        _run_envelope_kind(config, files, walls)
-    elif config.kind in ("average_run", "oscillation_run"):
-        _run_average_kind(config, files, walls)
-    else:
-        _run_hilbert_kind(config, files, walls)
-    walls["total"] = time.perf_counter() - t_total
+    with _timed(walls, "total"):
+        if config.kind == "preset":
+            _PRESET_RUNNERS[config.preset](config, files, walls)
+        elif config.kind in ("envelope_scan", "condition_fit"):
+            _run_envelope_kind(config, files, walls)
+        elif config.kind in ("average_run", "oscillation_run"):
+            _run_average_kind(config, files, walls)
+        else:
+            _run_hilbert_kind(config, files, walls)
 
     target = _output_root(config) / config.name
     if target.exists():

@@ -246,11 +246,5 @@ def _cramer_nth_range(seed: int, m: int, n: int) -> np.ndarray:
 
 
 def _cramer_count_upto(seed: int, N: int) -> int:
-    count = 0
-    lo = 3
-    while lo <= N:
-        hi = min(lo + _SEG, N + 1)
-        ks = np.arange(lo, hi, dtype=np.int64)
-        count += int(cramer_indicator(seed, ks).sum())
-        lo = hi
-    return count
+    return sum(int(np.searchsorted(_cramer_segment(seed, si), N, side="right"))
+               for si in range(int(N) // _SEG + 1))

@@ -9,6 +9,9 @@ Templates (all fit in log space on the certified upper estimates):
     harmonic_H2         sup |V*_N|     ~ C log^alpha N
     harmonic_log_decay  sup |V*_N|     ~ C log N / log^beta log N
 
+Each template is one row of a table (which samples it accepts, its
+regressors, its verdict rule), and a single fitter runs every row.
+
 Verdicts report whether the fitted exponents land in the template's
 admissible window within twice their standard errors: H2 wants alpha in
 [1/2, 1], H1 wants alpha in [1/2, 1) and delta + alpha < 1, the decay
@@ -18,29 +21,22 @@ matches but the headline normalizer needs more than the fit can certify).
 Structural problems (too narrow a range, rank-deficient design) give
 `inconclusive` rather than a misleading number.
 
-log N and log log N are nearly collinear over desk-scale ranges; when
-their correlation exceeds 0.995 the beta regressor is dropped and the
-restricted beta = 0 fit is reported as primary, flagged by `collinear`
-(both fits are always attached to the record). Below about twelve
-octaves the guard triggers almost always, which is the honest outcome:
-a free log exponent on such ranges absorbs arbitrary power growth.
+log N and log log N are nearly collinear over desk-scale ranges; for H1
+and H2, when their correlation exceeds 0.995 the beta regressor is
+dropped and the restricted beta = 0 fit is reported as primary, flagged
+by `collinear` (both fits are always attached to the record). Below
+about twelve octaves the guard triggers almost always, which is the
+honest outcome: a free log exponent on such ranges absorbs arbitrary
+power growth.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
-
-TEMPLATES = (
-    "H1",
-    "H2",
-    "log_decay",
-    "harmonic_H1",
-    "harmonic_H2",
-    "harmonic_log_decay",
-)
 
 VERDICTS = ("satisfied", "violated", "inconclusive")
 
@@ -84,20 +80,7 @@ class EnvelopeFit:
     alt: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "template": self.template,
-            "C": self.C,
-            "delta": self.delta,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "rms_residual": self.rms_residual,
-            "verdict": self.verdict,
-            "stderr": dict(self.stderr),
-            "checks": [dict(c) for c in self.checks],
-            "collinear": self.collinear,
-            "n_samples": self.n_samples,
-            "alt": dict(self.alt),
-        }
+        return asdict(self)
 
 
 def _ols(X: np.ndarray, y: np.ndarray):
@@ -130,26 +113,14 @@ def _octaves(v: np.ndarray) -> float:
     return math.log2(hi / lo)
 
 
-def _values(samples, field_name: str) -> np.ndarray:
-    vals = np.array([getattr(s, field_name) for s in samples], dtype=np.float64)
-    if np.any(vals <= 0.0):
-        raise ValueError("envelope values must be positive to fit in log space")
-    return vals
+def _aic(rms: float, n: int, p: int) -> float:
+    ssr = max(rms * rms * n, 1e-300)
+    return n * math.log(ssr / n) + 2.0 * p
 
 
-def _ingest(samples, template: str, want_harmonic: bool, min_samples: int):
-    samples = list(samples)
-    if len(samples) < min_samples:
-        raise ValueError(f"{template} needs at least {min_samples} samples")
-    if any(s.N < 3 for s in samples):
-        raise ValueError("samples with N < 3 are rejected (log log N undefined)")
-    if any(s.harmonic != want_harmonic for s in samples):
-        kindname = "harmonic" if want_harmonic else "plain"
-        raise ValueError(f"{template} expects {kindname} envelope samples")
-    return samples
-
-
-def _interval_check(name: str, value: float, lo: float, hi: float, se: float) -> dict:
+def _check(name: str, value: float, lo: float, hi: float, se: float) -> dict:
+    """Passes when value lies in [lo, hi] (either end may be infinite)
+    within twice its standard error."""
     dist = max(lo - value, value - hi, 0.0)
     return {
         "name": name,
@@ -160,24 +131,149 @@ def _interval_check(name: str, value: float, lo: float, hi: float, se: float) ->
     }
 
 
-def _upper_check(name: str, value: float, bound: float, se: float) -> dict:
-    return {
-        "name": name,
-        "value": value,
-        "window": [-math.inf, bound],
-        "slack": 2.0 * se,
-        "passed": bool(value - bound <= 2.0 * se),
-    }
+@dataclass(frozen=True)
+class _Template:
+    """One growth template.
+
+    design(N, M, span) returns (y offset, {exponent: regressor}) in
+    column order, with span = N - M taken exactly from the integers; the
+    fit regresses log(value) - offset on a constant plus the regressors.
+    A template with an alpha `window` (check name, lo, hi) is judged on
+    alpha; one without is a decay template: it regresses on -beta, keeps
+    alpha at `fixed_alpha`, and reads beta > 1 as satisfied and beta > 1/2
+    as inconclusive. `guard` marks a trailing log log N regressor that is
+    dropped when it is collinear with log N.
+    """
+
+    harmonic: bool
+    min_samples: int
+    full_range: bool
+    design: Callable
+    window: tuple | None = None
+    fixed_alpha: float | None = None
+    guard: bool = False
 
 
-def _lower_check(name: str, value: float, bound: float, se: float) -> dict:
-    return {
-        "name": name,
-        "value": value,
-        "window": [bound, math.inf],
-        "slack": 2.0 * se,
-        "passed": bool(bound - value <= 2.0 * se),
-    }
+def _harmonic_h1_design(N, M, span):
+    if np.any(M < 2):
+        raise ValueError("harmonic_H1 needs M >= 2 (log M > 0)")
+    return 0.0, {"alpha": np.log(np.log(N) - np.log(M))}
+
+
+def _harmonic_decay_design(N, M, span):
+    # y - log log N = log C - beta * log log log N
+    loglogN = np.log(np.log(N))
+    if np.any(loglogN <= 0.0):
+        raise ValueError("harmonic_log_decay needs N >= 4")
+    return loglogN, {"beta": np.log(loglogN)}
+
+
+_HALF_ONE = ("alpha_in_half_one", 0.5, 1.0)
+
+_TABLE = {
+    "H1": _Template(
+        False, 12, False,
+        lambda N, M, span: (0.0, {"delta": np.log(N), "alpha": np.log(span),
+                                  "beta": np.log(np.log(N))}),
+        window=_HALF_ONE, guard=True),
+    "H2": _Template(
+        False, 6, True,
+        lambda N, M, span: (0.0, {"alpha": np.log(N), "beta": np.log(np.log(N))}),
+        window=_HALF_ONE, guard=True),
+    "log_decay": _Template(
+        False, 4, True,
+        lambda N, M, span: (np.log(N), {"beta": np.log(np.log(N))}),
+        fixed_alpha=1.0),
+    "harmonic_H1": _Template(True, 4, False, _harmonic_h1_design, window=_HALF_ONE),
+    "harmonic_H2": _Template(
+        True, 4, False, lambda N, M, span: (0.0, {"alpha": np.log(np.log(N))}),
+        window=("alpha_in_zero_one", 0.0, 1.0)),
+    "harmonic_log_decay": _Template(True, 4, False, _harmonic_decay_design, fixed_alpha=0.0),
+}
+
+TEMPLATES = tuple(_TABLE)
+_HARMONIC_TEMPLATES = tuple(t for t, row in _TABLE.items() if row.harmonic)
+
+
+def _by_name(values, names) -> dict:
+    """Map regressor names to fitted values; a dropped trailing regressor reads 0."""
+    return {name: float(values[i + 1]) if i + 1 < len(values) else 0.0
+            for i, name in enumerate(names)}
+
+
+def _fit(template: str, samples, field_name: str) -> EnvelopeFit:
+    row = _TABLE[template]
+    samples = list(samples)
+    n = len(samples)
+    if n < row.min_samples:
+        raise ValueError(f"{template} needs at least {row.min_samples} samples")
+    if any(s.N < 3 for s in samples):
+        raise ValueError("samples with N < 3 are rejected (log log N undefined)")
+    if any(s.harmonic != row.harmonic for s in samples):
+        kindname = "harmonic" if row.harmonic else "plain"
+        raise ValueError(f"{template} expects {kindname} envelope samples")
+    if row.full_range and any(s.M != 0 for s in samples):
+        raise ValueError(f"{template} samples must have M = 0")
+    vals = np.array([getattr(s, field_name) for s in samples], dtype=np.float64)
+    if np.any(vals <= 0.0):
+        raise ValueError("envelope values must be positive to fit in log space")
+    N = np.array([s.N for s in samples], dtype=np.float64)
+    M = np.array([s.M for s in samples], dtype=np.float64)
+    span = np.array([s.N - s.M for s in samples], dtype=np.float64)
+    offset, regs = row.design(N, M, span)
+    y = np.log(vals) - offset
+    names = list(regs)
+    cols = [np.ones_like(N), *regs.values()]
+
+    collinear = row.guard and _corr(cols[1], cols[-1]) > _COLLINEAR_CORR
+    X = np.column_stack(cols[:-1] if collinear else cols)
+    coef, se, cov, rms = _ols(X, y)
+    C = math.exp(coef[0])
+    exps = _by_name(coef, names)
+    stderr = _by_name(se, names)
+    alt = {}
+    if row.guard:
+        alt_coef, _, _, alt_rms = _ols(np.column_stack(cols if collinear else cols[:-1]), y)
+        alt = {"form": "full" if collinear else "restricted",
+               "C": math.exp(alt_coef[0]), **_by_name(alt_coef, names),
+               "rms_residual": alt_rms}
+
+    delta, alpha, beta = (exps.get("delta", 0.0), exps.get("alpha", row.fixed_alpha),
+                          exps.get("beta", 0.0))
+    if row.window is None:
+        beta = -beta
+        checks = [_check("beta_above_one", beta, 1.0, math.inf, stderr["beta"]),
+                  _check("beta_above_half", beta, 0.5, math.inf, stderr["beta"])]
+        verdict = ("satisfied" if checks[0]["passed"]
+                   else "inconclusive" if checks[1]["passed"] else "violated")
+    else:
+        checks = [_check(row.window[0], alpha, *row.window[1:], stderr["alpha"])]
+        narrow = row.guard and _octaves(N) < _MIN_OCTAVES
+        if template == "H1":
+            se_sum = math.sqrt(max(
+                stderr["delta"] ** 2 + stderr["alpha"] ** 2 + 2.0 * float(cov[1, 2]), 0.0))
+            stderr["delta_plus_alpha"] = se_sum
+            checks.append(_check("delta_plus_alpha_below_one", delta + alpha,
+                                 -math.inf, 1.0, se_sum))
+            # informational AIC comparison against the delta = 0 (H2-shaped) fit
+            Xd0 = np.delete(X, 1, axis=1)
+            _, _, _, rms_d0 = _ols(Xd0, y)
+            aic_gap = _aic(rms_d0, n, Xd0.shape[1]) - _aic(rms, n, X.shape[1])
+            checks.append({**_check("aic_delta_zero_minus_full", aic_gap, 0.0, math.inf, 0.0),
+                           "passed": True})
+            centered = np.column_stack([x - x.mean() for x in cols[1:3]])
+            rank_ok = np.linalg.matrix_rank(centered, tol=1e-9) == 2
+            narrow = narrow or not rank_ok or _octaves(span) < _MIN_OCTAVES
+        elif narrow:
+            checks.append({**_check("n_spans_three_octaves", _octaves(N), 3.0, math.inf, 0.0),
+                           "passed": False})
+        verdict = ("inconclusive" if narrow
+                   else "satisfied" if all(c["passed"] for c in checks) else "violated")
+    return EnvelopeFit(
+        template=template, C=C, delta=delta, alpha=alpha, beta=beta, rms_residual=rms,
+        verdict=verdict, stderr=stderr, checks=checks, collinear=collinear,
+        n_samples=n, alt=alt,
+    )
 
 
 def fit_H2(samples, field_name: str = "upper") -> EnvelopeFit:
@@ -186,58 +282,7 @@ def fit_H2(samples, field_name: str = "upper") -> EnvelopeFit:
     Needs >= 6 samples; N must span >= 3 octaves for a conclusive verdict.
     Satisfied when alpha lands in [1/2, 1] within 2 stderr.
     """
-    samples = _ingest(samples, "H2", want_harmonic=False, min_samples=6)
-    if any(s.M != 0 for s in samples):
-        raise ValueError("H2 samples must have M = 0")
-    N = np.array([s.N for s in samples], dtype=np.float64)
-    y = np.log(_values(samples, field_name))
-    x1 = np.log(N)
-    x2 = np.log(np.log(N))
-
-    coef_r, se_r, _, rms_r = _ols(np.column_stack([np.ones_like(x1), x1]), y)
-    collinear = _corr(x1, x2) > _COLLINEAR_CORR
-    if collinear:
-        coef, se, rms = coef_r, se_r, rms_r
-        C, alpha, beta = math.exp(coef[0]), float(coef[1]), 0.0
-        se_alpha, se_beta = float(se[1]), 0.0
-        alt = {"form": "full", **_fit_full_h2(x1, x2, y)}
-    else:
-        coef_f, se_f, _, rms_f = _ols(np.column_stack([np.ones_like(x1), x1, x2]), y)
-        coef, se, rms = coef_f, se_f, rms_f
-        C, alpha, beta = math.exp(coef[0]), float(coef[1]), float(coef[2])
-        se_alpha, se_beta = float(se[1]), float(se[2])
-        alt = {
-            "form": "restricted",
-            "C": math.exp(coef_r[0]),
-            "alpha": float(coef_r[1]),
-            "beta": 0.0,
-            "rms_residual": rms_r,
-        }
-
-    checks = [_interval_check("alpha_in_half_one", alpha, 0.5, 1.0, se_alpha)]
-    if _octaves(N) < _MIN_OCTAVES:
-        verdict = "inconclusive"
-        checks.append(
-            {"name": "n_spans_three_octaves", "value": _octaves(N), "window": [3.0, math.inf],
-             "slack": 0.0, "passed": False}
-        )
-    else:
-        verdict = "satisfied" if all(c["passed"] for c in checks) else "violated"
-    return EnvelopeFit(
-        template="H2", C=C, delta=0.0, alpha=alpha, beta=beta, rms_residual=rms,
-        verdict=verdict, stderr={"alpha": se_alpha, "beta": se_beta},
-        checks=checks, collinear=collinear, n_samples=len(samples), alt=alt,
-    )
-
-
-def _fit_full_h2(x1, x2, y) -> dict:
-    coef, _, _, rms = _ols(np.column_stack([np.ones_like(x1), x1, x2]), y)
-    return {
-        "C": math.exp(coef[0]),
-        "alpha": float(coef[1]),
-        "beta": float(coef[2]),
-        "rms_residual": rms,
-    }
+    return _fit("H2", samples, field_name)
 
 
 def fit_H1(samples, field_name: str = "upper") -> EnvelopeFit:
@@ -248,77 +293,7 @@ def fit_H1(samples, field_name: str = "upper") -> EnvelopeFit:
     `inconclusive`. Satisfied when alpha is in [1/2, 1) and delta + alpha
     < 1, each within 2 stderr.
     """
-    samples = _ingest(samples, "H1", want_harmonic=False, min_samples=12)
-    N = np.array([s.N for s in samples], dtype=np.float64)
-    span = np.array([s.N - s.M for s in samples], dtype=np.float64)
-    y = np.log(_values(samples, field_name))
-    x1 = np.log(N)
-    x2 = np.log(span)
-    x3 = np.log(np.log(N))
-
-    centered = np.column_stack([x1 - x1.mean(), x2 - x2.mean()])
-    rank_ok = np.linalg.matrix_rank(centered, tol=1e-9) == 2
-
-    collinear = _corr(x1, x3) > _COLLINEAR_CORR
-    if collinear:
-        X = np.column_stack([np.ones_like(x1), x1, x2])
-        coef, se, cov, rms = _ols(X, y)
-        C, delta, alpha, beta = math.exp(coef[0]), float(coef[1]), float(coef[2]), 0.0
-        se_delta, se_alpha, se_beta = float(se[1]), float(se[2]), 0.0
-        cov_da = float(cov[1, 2])
-        alt = {"form": "full", **_fit_full_h1(x1, x2, x3, y)}
-    else:
-        X = np.column_stack([np.ones_like(x1), x1, x2, x3])
-        coef, se, cov, rms = _ols(X, y)
-        C, delta, alpha, beta = (
-            math.exp(coef[0]), float(coef[1]), float(coef[2]), float(coef[3]),
-        )
-        se_delta, se_alpha, se_beta = float(se[1]), float(se[2]), float(se[3])
-        cov_da = float(cov[1, 2])
-        alt = {"form": "restricted", **_fit_restricted_h1(x1, x2, y)}
-
-    se_sum = math.sqrt(max(se_delta**2 + se_alpha**2 + 2.0 * cov_da, 0.0))
-    checks = [
-        _interval_check("alpha_in_half_one", alpha, 0.5, 1.0, se_alpha),
-        _upper_check("delta_plus_alpha_below_one", delta + alpha, 1.0, se_sum),
-    ]
-    # AIC-style comparison against the delta = 0 (H2-shaped) explanation
-    aic_full = _aic(rms, len(samples), X.shape[1])
-    Xd0 = np.delete(X, 1, axis=1)
-    _, _, _, rms_d0 = _ols(Xd0, y)
-    checks.append(
-        {"name": "aic_delta_zero_minus_full", "value": _aic(rms_d0, len(samples), Xd0.shape[1]) - aic_full,
-         "window": [0.0, math.inf], "slack": 0.0, "passed": True}
-    )
-
-    if not rank_ok or _octaves(N) < _MIN_OCTAVES or _octaves(span) < _MIN_OCTAVES:
-        verdict = "inconclusive"
-    else:
-        verdict = "satisfied" if all(c["passed"] for c in checks[:2]) else "violated"
-    return EnvelopeFit(
-        template="H1", C=C, delta=delta, alpha=alpha, beta=beta, rms_residual=rms,
-        verdict=verdict,
-        stderr={"delta": se_delta, "alpha": se_alpha, "beta": se_beta,
-                "delta_plus_alpha": se_sum},
-        checks=checks, collinear=collinear, n_samples=len(samples), alt=alt,
-    )
-
-
-def _aic(rms: float, n: int, p: int) -> float:
-    ssr = max(rms * rms * n, 1e-300)
-    return n * math.log(ssr / n) + 2.0 * p
-
-
-def _fit_full_h1(x1, x2, x3, y) -> dict:
-    coef, _, _, rms = _ols(np.column_stack([np.ones_like(x1), x1, x2, x3]), y)
-    return {"C": math.exp(coef[0]), "delta": float(coef[1]), "alpha": float(coef[2]),
-            "beta": float(coef[3]), "rms_residual": rms}
-
-
-def _fit_restricted_h1(x1, x2, y) -> dict:
-    coef, _, _, rms = _ols(np.column_stack([np.ones_like(x1), x1, x2]), y)
-    return {"C": math.exp(coef[0]), "delta": float(coef[1]), "alpha": float(coef[2]),
-            "beta": 0.0, "rms_residual": rms}
+    return _fit("H1", samples, field_name)
 
 
 def fit_log_decay(samples, field_name: str = "upper") -> EnvelopeFit:
@@ -328,29 +303,7 @@ def fit_log_decay(samples, field_name: str = "upper") -> EnvelopeFit:
     beta in (1/2, 1] is reported inconclusive (template matches, headline
     normalizer not certified by the fit alone); smaller beta is violated.
     """
-    samples = _ingest(samples, "log_decay", want_harmonic=False, min_samples=4)
-    if any(s.M != 0 for s in samples):
-        raise ValueError("log_decay samples must have M = 0")
-    N = np.array([s.N for s in samples], dtype=np.float64)
-    y = np.log(_values(samples, field_name)) - np.log(N)
-    x = np.log(np.log(N))
-    coef, se, _, rms = _ols(np.column_stack([np.ones_like(x), x]), y)
-    C, beta = math.exp(coef[0]), -float(coef[1])
-    se_beta = float(se[1])
-    strong = _lower_check("beta_above_one", beta, 1.0, se_beta)
-    moderate = _lower_check("beta_above_half", beta, 0.5, se_beta)
-    checks = [strong, moderate]
-    if strong["passed"]:
-        verdict = "satisfied"
-    elif moderate["passed"]:
-        verdict = "inconclusive"
-    else:
-        verdict = "violated"
-    return EnvelopeFit(
-        template="log_decay", C=C, delta=0.0, alpha=1.0, beta=beta, rms_residual=rms,
-        verdict=verdict, stderr={"beta": se_beta}, checks=checks,
-        n_samples=len(samples),
-    )
+    return _fit("log_decay", samples, field_name)
 
 
 def fit_harmonic(samples, template: str, field_name: str = "upper") -> EnvelopeFit:
@@ -361,56 +314,6 @@ def fit_harmonic(samples, template: str, field_name: str = "upper") -> EnvelopeF
     harmonic_log_decay wants beta > 1 for the plain 1/log N normalizer with
     the same inconclusive window (1/2, 1] as log_decay.
     """
-    if template not in ("harmonic_H1", "harmonic_H2", "harmonic_log_decay"):
+    if template not in _HARMONIC_TEMPLATES:
         raise ValueError(f"not a harmonic template: {template!r}")
-    samples = _ingest(samples, template, want_harmonic=True, min_samples=4)
-    N = np.array([s.N for s in samples], dtype=np.float64)
-    y = np.log(_values(samples, field_name))
-
-    if template == "harmonic_H1":
-        M = np.array([s.M for s in samples], dtype=np.float64)
-        if np.any(M < 2):
-            raise ValueError("harmonic_H1 needs M >= 2 (log M > 0)")
-        x = np.log(np.log(N) - np.log(M))
-        coef, se, _, rms = _ols(np.column_stack([np.ones_like(x), x]), y)
-        C, alpha, se_alpha = math.exp(coef[0]), float(coef[1]), float(se[1])
-        checks = [_interval_check("alpha_in_half_one", alpha, 0.5, 1.0, se_alpha)]
-        verdict = "satisfied" if checks[0]["passed"] else "violated"
-        return EnvelopeFit(
-            template=template, C=C, delta=0.0, alpha=alpha, beta=0.0,
-            rms_residual=rms, verdict=verdict, stderr={"alpha": se_alpha},
-            checks=checks, n_samples=len(samples),
-        )
-
-    if template == "harmonic_H2":
-        x = np.log(np.log(N))
-        coef, se, _, rms = _ols(np.column_stack([np.ones_like(x), x]), y)
-        C, alpha, se_alpha = math.exp(coef[0]), float(coef[1]), float(se[1])
-        checks = [_interval_check("alpha_in_zero_one", alpha, 0.0, 1.0, se_alpha)]
-        verdict = "satisfied" if checks[0]["passed"] else "violated"
-        return EnvelopeFit(
-            template=template, C=C, delta=0.0, alpha=alpha, beta=0.0,
-            rms_residual=rms, verdict=verdict, stderr={"alpha": se_alpha},
-            checks=checks, n_samples=len(samples),
-        )
-
-    # harmonic_log_decay: y - log log N = log C - beta * log log log N
-    loglogN = np.log(np.log(N))
-    if np.any(loglogN <= 0.0):
-        raise ValueError("harmonic_log_decay needs N >= 4")
-    x = np.log(loglogN)
-    coef, se, _, rms = _ols(np.column_stack([np.ones_like(x), x]), y - loglogN)
-    C, beta, se_beta = math.exp(coef[0]), -float(coef[1]), float(se[1])
-    strong = _lower_check("beta_above_one", beta, 1.0, se_beta)
-    moderate = _lower_check("beta_above_half", beta, 0.5, se_beta)
-    if strong["passed"]:
-        verdict = "satisfied"
-    elif moderate["passed"]:
-        verdict = "inconclusive"
-    else:
-        verdict = "violated"
-    return EnvelopeFit(
-        template=template, C=C, delta=0.0, alpha=0.0, beta=beta, rms_residual=rms,
-        verdict=verdict, stderr={"beta": se_beta}, checks=[strong, moderate],
-        n_samples=len(samples),
-    )
+    return _fit(template, samples, field_name)

@@ -309,23 +309,30 @@ def test_cli_validate_and_run(tmp_path, capsys):
     assert "not found" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", ["validate", "run"])
-def test_cli_zero_angle_denominator_is_invalid(tmp_path, capsys, command):
-    p = tmp_path / "c.json"
-    p.write_text(json.dumps(tiny_average(
-        system={"kind": "rotation", "theta0": [1, 0]}, output_dir=str(tmp_path))))
-    assert main([command, str(p)]) == 2
-    assert "invalid: system:" in capsys.readouterr().out
-    assert not (tmp_path / "t_avg").exists()
+INVALID_CLI_CONFIGS = {
+    "zero_angle_denominator": (
+        tiny_average(system={"kind": "rotation", "theta0": [1, 0]}), "system:"),
+    "weights_list": (tiny_average(weights=[1, 2]), "weights: must be an object"),
+    "harmonic_block_not_a_pair": (
+        tiny_envelope(harmonic=True, blocks=[5]), "blocks: must be [M, N]"),
+    "harmonic_blocks_not_a_list": (
+        tiny_envelope(harmonic=True, blocks=5), "blocks: must be [M, N]"),
+    "preset_params_list": (
+        {"name": "p3", "preset": "example3", "params": [1]}, "params: must be an object"),
+    "preset_params_nested_list": (
+        {"name": "p1", "preset": "example1", "params": [[1]]}, "params: must be an object"),
+}
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
-def test_cli_weights_list_is_invalid(tmp_path, capsys, command):
+@pytest.mark.parametrize("case", list(INVALID_CLI_CONFIGS))
+def test_cli_invalid_config_exits_2(tmp_path, capsys, case, command):
+    config, message = INVALID_CLI_CONFIGS[case]
     p = tmp_path / "c.json"
-    p.write_text(json.dumps(tiny_average(weights=[1, 2], output_dir=str(tmp_path))))
+    p.write_text(json.dumps({**config, "output_dir": str(tmp_path)}))
     assert main([command, str(p)]) == 2
-    assert "invalid: weights: must be an object" in capsys.readouterr().out
-    assert not (tmp_path / "t_avg").exists()
+    assert f"invalid: {message}" in capsys.readouterr().out
+    assert not (tmp_path / config["name"]).exists()
 
 
 def test_cli_presets_listing(capsys):

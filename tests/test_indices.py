@@ -88,8 +88,9 @@ def test_cramer_window_consistency(m, size):
 
 def test_cramer_counting_function_consistent_with_elements():
     spec = IndexSpec(kind="cramer_primes", seed=2)
-    u = gen_indices(spec, 1, 5001)
-    for bound in (10, 100, 1000, int(u[-1])):
+    u = gen_indices(spec, 1, 90_001)
+    assert u[-1] > 2**20 + 1  # the bounds below cross a 2^20 segment edge
+    for bound in (10, 100, 1000, 2**20 - 1, 2**20, 2**20 + 1, int(u[-1])):
         want = int((u <= bound).sum())
         assert pi_count(spec, bound) == want
 
