@@ -50,6 +50,6 @@ n = 50_000
 u = np.arange(1, n + 1, dtype=np.int64)
 for h in (0.5, 1.0, 2.0):
     w = gen_weights(WeightSpec(kind="log_phase", h=h), 1, n + 1)
-    est = sup_harmonic(w, u, refine_iters=16)
+    est = sup_harmonic(w, u)
     print(f"  h = {h:3.1f}  certified upper {est.upper:6.3f}"
           f"  closed-form bound {hlawka_bound(h):5.1f}")

@@ -14,13 +14,14 @@ from ergosum.scaling_fit import EnvelopeSample, fit_H1, fit_H2, fit_log_decay
 from ergosum.trigsum import sup_envelope
 from ergosum.weights import WeightSpec, gen_weights
 
-# measured envelopes for the delta = 1/2 power phase over a dyadic ladder
+# certified envelopes for the delta = 1/2 power phase over a dyadic ladder:
+# lower is the FFT grid maximum, upper a bound on the sup over every theta
 samples = []
 for j in range(9, 16):
     N = 1 << j
     u = np.arange(1, N + 1, dtype=np.int64)
     w = gen_weights(WeightSpec(kind="power_phase", delta=0.5), 1, N + 1)
-    est = sup_envelope(w, u, refine_iters=16)
+    est = sup_envelope(w, u)
     samples.append(EnvelopeSample(M=0, N=N, lower=est.lower, upper=est.upper))
 
 fit = fit_H2(samples)

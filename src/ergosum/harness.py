@@ -244,7 +244,8 @@ def validate(config: ExperimentConfig) -> list[str]:
     def check(label, fn):
         try:
             return fn()
-        except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
+        except (ArithmeticError, AttributeError, LookupError, TypeError,
+                ValueError) as exc:
             diags.append(f"{label}: {exc}")
             return None
 
@@ -544,7 +545,6 @@ def _envelope_stage(files, wdict, idict, blocks, theta_grid, harmonic, seeds,
                     csv_name="envelope.csv"):
     """Certified sup rows over (M, N] blocks; returns samples grouped by seed."""
     points = (theta_grid or {}).get("points")
-    iters = (theta_grid or {}).get("refine_iters", 48)
     rows = []
     samples = {}
     for seed in _seed_list(seeds):
@@ -557,9 +557,9 @@ def _envelope_stage(files, wdict, idict, blocks, theta_grid, harmonic, seeds,
             u = gen_indices(ispec, k_lo, n_incl + 1)
             grid = ThetaGrid(points) if points else None
             if harmonic:
-                est = sup_harmonic(w, u, grid=grid, refine_iters=iters, k_first=k_lo)
+                est = sup_harmonic(w, u, grid=grid, k_first=k_lo)
             else:
-                est = sup_envelope(w, u, grid=grid, refine_iters=iters)
+                est = sup_envelope(w, u, grid=grid)
             rows.append([
                 seed, m_excl, n_incl, est.lower, est.upper, est.argmax_theta,
                 est.deriv_bound, est.weight_l1, est.grid_points,
@@ -586,20 +586,21 @@ def _envelope_stage(files, wdict, idict, blocks, theta_grid, harmonic, seeds,
     return samples
 
 
-def _fit_one(samples, template):
+def _fit_one(samples, template, field_name="upper"):
     if template == "H1":
-        return fit_H1(samples)
+        return fit_H1(samples, field_name=field_name)
     if template == "H2":
-        return fit_H2(samples)
+        return fit_H2(samples, field_name=field_name)
     if template == "log_decay":
-        return fit_log_decay(samples)
-    return fit_harmonic(samples, template)
+        return fit_log_decay(samples, field_name=field_name)
+    return fit_harmonic(samples, template, field_name=field_name)
 
 
-def _fit_stage(files, samples_by_seed, template, reference=None, extras=None):
+def _fit_stage(files, samples_by_seed, template, reference=None, extras=None,
+               field_name="upper"):
     fits = []
     for seed, samples in samples_by_seed.items():
-        fit = _fit_one(samples, template)
+        fit = _fit_one(samples, template, field_name)
         fits.append({"seed": seed, **fit.to_dict()})
     agg = {
         "median_alpha": _median([f["alpha"] for f in fits]),
@@ -882,23 +883,25 @@ _MODE1 = {"kind": "fourier_mode", "mode": 1}
 def _preset_example1(cfg, files, walls):
     """Steep power phase over a squared orbit.
 
-    Envelope rows are computed on a fixed 2^20 grid, far below the Nyquist
-    density for u ~ N^2, so rows carry the aliased flag and the fit is
-    exploratory; the reference exponent uses the n-th derivative envelope
-    with delta = 2.5.
+    Envelope rows are computed on a fixed 2^20 grid, too coarse for the
+    global certificate once u ~ N^2 spans more than ~2^19, so the longer
+    rows fall back to upper = sum |w| with the aliased flag. The
+    exploratory fit therefore uses the grid maxima (`lower`); the
+    reference exponent uses the n-th derivative envelope with delta = 2.5.
     """
     w = {"kind": "power_phase", "delta": 2.5}
     i = {"kind": "monomial", "d": 2}
     blocks = [(0, 1 << j) for j in range(7, 13)]
     with _timed(walls, "envelope"):
-        samples = _envelope_stage(files, w, i, blocks,
-                                  {"points": 1 << 20, "refine_iters": 48}, False, None)
+        samples = _envelope_stage(files, w, i, blocks, {"points": 1 << 20},
+                                  False, None)
     with _timed(walls, "fit"):
         _fit_stage(files, samples, "H2", reference={
             "alpha": steep_power_phase_exponent(2.5),
             "label": "derivative-test envelope exponent for delta = 2.5",
-            "note": "grid rows are aliased at this density; fit is exploratory",
-        })
+            "note": "long rows are aliased on this grid; exploratory fit of "
+                    "the grid maxima (lower)",
+        }, field_name="lower")
     with _timed(walls, "hilbert"):
         _hilbert_stage(files, w, i, _SQRT2_SYSTEM, _MODE1, 0.0,
                        {"gamma": 35.0 / 36.0, "a": 2.0, "k0": 3},
@@ -963,8 +966,7 @@ def _preset_example4(cfg, files, walls):
               for n in (1 << j for j in range(11, 17))
               for s in (1, 2, 3)]
     with _timed(walls, "envelope"):
-        samples = _envelope_stage(files, w, i, blocks,
-                                  {"refine_iters": 32}, False, seeds)
+        samples = _envelope_stage(files, w, i, blocks, None, False, seeds)
     with _timed(walls, "fit"):
         shape = {}
         for seed, got in samples.items():
@@ -1157,9 +1159,11 @@ def _output_root(config: ExperimentConfig) -> Path:
 def run(config: ExperimentConfig) -> ResultManifest:
     """Validate, compute every output in memory, then write atomically.
 
-    Raises ConfigError on validation failure; on any other failure no
-    partial files are left behind (outputs are only written once the whole
-    computation has succeeded, and a failed write cleans up after itself).
+    Raises ConfigError on validation failure. Outputs are written only once
+    the whole computation has succeeded, into a temporary sibling of the
+    result directory that then replaces it with os.replace; a failed write
+    removes the temporary directory and leaves any previous results as
+    they were.
     """
     diags = validate(config)
     if diags:
@@ -1176,18 +1180,18 @@ def run(config: ExperimentConfig) -> ResultManifest:
         else:
             _run_hilbert_kind(config, files, walls)
 
-    target = _output_root(config) / config.name
-    if target.exists():
-        shutil.rmtree(target)
-    target.mkdir(parents=True)
-    written = []
+    root = _output_root(config)
+    target = root / config.name
+    root.mkdir(parents=True, exist_ok=True)
+    tag = f"{os.getpid()}-{time.time_ns()}"
+    staging = target.with_name(f".{config.name}.new-{tag}")
+    staging.mkdir()
+    aside = None
     try:
         outputs = {}
         for fname in sorted(files):
             payload = files[fname]
-            path = target / fname
-            path.write_bytes(payload)
-            written.append(path)
+            (staging / fname).write_bytes(payload)
             outputs[fname] = {
                 "sha256": hashlib.sha256(payload).hexdigest(),
                 "bytes": len(payload),
@@ -1199,18 +1203,20 @@ def run(config: ExperimentConfig) -> ResultManifest:
             outputs=outputs,
             wall_seconds={k: round(v, 6) for k, v in walls.items()},
             seeds=list(config.seeds or []),
-            environment={"output_root": str(_output_root(config))},
+            environment={"output_root": str(root)},
         )
-        (target / "manifest.json").write_bytes(_json_bytes(manifest.to_dict()))
+        (staging / "manifest.json").write_bytes(_json_bytes(manifest.to_dict()))
+        if target.exists():
+            aside = target.with_name(f".{config.name}.old-{tag}")
+            os.replace(target, aside)
+        os.replace(staging, target)
     except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        (target / "manifest.json").unlink(missing_ok=True)
-        try:
-            target.rmdir()
-        except OSError:
-            pass
+        shutil.rmtree(staging, ignore_errors=True)
+        if aside is not None and not target.exists():
+            os.replace(aside, target)
         raise
+    if aside is not None:
+        shutil.rmtree(aside, ignore_errors=True)
     return manifest
 
 

@@ -10,14 +10,19 @@ Conventions:
 * indices are integers, so sums are 1-periodic in theta and the sup is
   taken over the fundamental domain [0, 1).
 
-Certificates: `lower` is the largest |V| actually evaluated (grid plus
-golden-section refinement around the best grid cells), hence a true lower
-bound. `upper` adds the mean-value slack (final bracket width) *
-deriv_bound / 2, capped at the triangle bound sum |w_k|; deriv_bound =
-2 pi sum |w_k| u_k dominates |V'|. The upper value certifies the refined
-brackets; how well the grid resolves peaks between samples is exposed by
-`grid_spacing`, `deriv_bound` and the `aliased` flag rather than folded
-into a would-be global bound that would swamp the estimate.
+Certificates: sup_envelope evaluates |V| on one canonical FFT grid of L
+points theta_j = j/L, h = 1/L, and turns its maximum G into a bound on the
+sup over every theta. With D = u_max - u_min, |V|^2 is a real
+trigonometric polynomial of degree D, so Bernstein's inequality (Zygmund,
+Trigonometric Series, ch. X) gives |(|V|^2)''| <= (2 pi D)^2 sup |V|^2.
+The derivative of |V|^2 vanishes at a maximizer and a grid point lies
+within h/2 of it, hence sup |V| <= G / sqrt(1 - pi^2 D^2 h^2 / 2) whenever
+pi^2 D^2 h^2 / 2 < 1. An allowance 8 eps (log2 L + 1) sum |w_k| for FFT
+rounding is taken off `lower` and added to `upper`, and `upper` is capped
+at the triangle bound sum |w_k|. Where the condition fails, or the grid is
+not the canonical [0, 1), `upper` is sum |w_k| and the estimate is flagged
+`aliased`. `deriv_bound` = 2 pi sum |w_k| u_k (a bound on |V'|) is
+reported for reference and enters no certificate.
 
 Every reduction is chunked pairwise (see _kernels), and phase arguments
 theta*u are reduced mod 1 exactly through the dyadic form of theta, so
@@ -29,19 +34,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from ._kernels import frac_of, next_pow2, pairwise_sum
 
 TWO_PI = 2.0 * math.pi
-_GOLDEN_STEP = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS = float(np.finfo(np.float64).eps)
 
 DEFAULT_GRID_CAP = 1 << 22
 SCALED_GRID_CAP = 1 << 26
-OVERSAMPLE = 8
-DEFAULT_REFINE_ITERS = 48
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ class SupEstimate:
     aliased: bool
 
     def __post_init__(self):
-        if not (0.0 <= self.lower <= self.upper * (1 + 1e-12)):
+        if not 0.0 <= self.lower <= self.upper:
             raise ValueError("sup estimate needs 0 <= lower <= upper")
 
     @property
@@ -130,96 +132,73 @@ def eval_grid(weights, indices, grid: ThetaGrid) -> np.ndarray:
     if grid.canonical:
         L = grid.points
         pos = (u.astype(np.uint64) % np.uint64(L)).astype(np.int64)
-        acc = np.bincount(pos, weights=w.real, minlength=L).astype(np.complex128)
-        acc += 1j * np.bincount(pos, weights=w.imag, minlength=L)
-        return L * np.fft.ifft(acc)
+        acc = np.empty(L, dtype=np.complex128)
+        acc.real = np.bincount(pos, weights=w.real, minlength=L)
+        acc.imag = np.bincount(pos, weights=w.imag, minlength=L)
+        # unnormalized inverse transform in place: no 1/L scaling to undo
+        # and no second grid-sized buffer
+        return np.fft.ifft(acc, norm="forward", out=acc)
     thetas = grid.thetas()
     return np.array([eval_sum(w, u, float(t)) for t in thetas], dtype=np.complex128)
 
 
-def default_grid(n_terms: int, u_max: int) -> ThetaGrid:
-    """Default sup grid: min(2**22, next_pow2(16 N)), rescaled by u_max/N
-    (capped at 2**26) when indices grow superlinearly, so peak widths
-    ~1/u_max stay sampled."""
+def default_grid(n_terms: int, span: int) -> ThetaGrid:
+    """Default sup grid: min(2**22, next_pow2(16 N)) points, rescaled by
+    span/N (capped at 2**26) when the index span D = u_max - u_min exceeds
+    the term count N, so peaks of width ~1/D stay sampled. Only N and D
+    enter, so an (M, N] block of u = k gets the grid of (0, N - M]."""
     points = min(DEFAULT_GRID_CAP, next_pow2(16 * max(1, n_terms)))
-    if u_max > n_terms > 0:
-        scale = u_max / n_terms
+    if span > n_terms > 0:
+        scale = span / n_terms
         points = min(SCALED_GRID_CAP, next_pow2(int(points * scale)))
     return ThetaGrid(max(points, 16))
 
 
-def _golden_max(fn, a: float, b: float, iters: int):
-    """Golden-section maximization; returns (best_x, best_val, width)."""
-    c = b - _GOLDEN_STEP * (b - a)
-    d = a + _GOLDEN_STEP * (b - a)
-    fc, fd = fn(c), fn(d)
-    best_x, best = (c, fc) if fc >= fd else (d, fd)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN_STEP * (b - a)
-            fc = fn(c)
-            if fc > best:
-                best_x, best = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN_STEP * (b - a)
-            fd = fn(d)
-            if fd > best:
-                best_x, best = d, fd
-    return best_x, best, b - a
-
-
 def sup_envelope(weights, indices, grid: ThetaGrid | None = None,
-                 refine_iters: int = DEFAULT_REFINE_ITERS) -> SupEstimate:
-    """Certified estimate of sup over theta in [0, 1) of |V(theta)|.
+                 refine_iters: int = 0) -> SupEstimate:
+    """Certified bracket for sup over theta in [0, 1) of |V(theta)|.
 
-    Grid maximum, then golden-section refinement around the 8 best grid
-    cells; see the module docstring for what the certificate asserts.
+    One FFT grid of L points gives the maximum G; with D = u_max - u_min,
+    h = 1/L and the FFT rounding allowance e = 8 eps (log2 L + 1) sum |w|,
+    lower = max(0, G - e), never above upper, and upper = min(sum |w|,
+    (G + e) / sqrt(1 - pi^2 D^2 h^2 / 2)), a bound on every theta (module
+    docstring). If pi^2 D^2 h^2 / 2 >= 1 or the grid is not the canonical
+    [0, 1), upper is sum |w|, `aliased` is set and a RuntimeWarning is
+    emitted. `refine_iters` is accepted for compatibility and has no
+    effect: the global bound needs no refinement pass.
     """
     w, u = _check_pair(weights, indices)
-    u_max = int(u.max())
+    span = int(u.max()) - int(u.min())
     if grid is None:
-        grid = default_grid(w.size, u_max)
+        grid = default_grid(w.size, span)
     absw = np.abs(w)
     weight_l1 = float(pairwise_sum(absw))
     deriv_bound = TWO_PI * float(pairwise_sum(absw * u.astype(np.float64)))
-    if weight_l1 > 0 and grid.spacing * deriv_bound > 0.5 * weight_l1:
+    vals = np.abs(eval_grid(w, u, grid))
+    top = int(np.argmax(vals))
+    peak = float(vals[top])
+    fft_slack = 8.0 * _EPS * (math.log2(grid.points) + 1.0) * weight_l1
+    curvature = (math.pi * span * grid.spacing) ** 2 / 2.0
+    aliased = not grid.canonical or curvature >= 1.0
+    if aliased:
         warnings.warn(
-            "grid spacing times derivative bound exceeds half the weight mass; "
-            "the certificate is close to vacuous at this resolution",
+            "grid too coarse or not the canonical [0, 1) grid for the "
+            "Bernstein certificate; upper falls back to the weight mass",
             RuntimeWarning,
         )
-    vals = np.abs(eval_grid(w, u, grid))
-    thetas = grid.thetas()
-    top = int(np.argmax(vals))
-    lower = float(vals[top])
-    arg = float(thetas[top])
-    bracket = grid.spacing
-    if refine_iters > 0 and weight_l1 > 0:
-        n_cells = min(8, grid.points)
-        cells = np.argpartition(vals, -n_cells)[-n_cells:]
-        fn = lambda t: abs(eval_sum(w, u, t))  # noqa: E731
-        for i in cells:
-            t0 = float(thetas[int(i)])
-            x, v, width = _golden_max(
-                fn, t0 - grid.spacing, t0 + grid.spacing, refine_iters
-            )
-            if v > lower:
-                lower, arg = float(v), float(x)
-            bracket = width
-    upper = min(lower + bracket * deriv_bound / 2.0, weight_l1)
-    upper = max(upper, lower)
+        upper = weight_l1
+    else:
+        upper = min(weight_l1, (peak + fft_slack) / math.sqrt(1.0 - curvature))
     return SupEstimate(
-        lower=lower,
+        lower=min(max(0.0, peak - fft_slack), upper),
         upper=upper,
-        argmax_theta=arg % 1.0 if grid.canonical else arg,
+        argmax_theta=grid.span[0] + grid.spacing * top,
         deriv_bound=deriv_bound,
         weight_l1=weight_l1,
         grid_points=grid.points,
         grid_spacing=grid.spacing,
-        bracket_width=bracket,
-        aliased=grid.points < OVERSAMPLE * (u_max + 1),
+        bracket_width=grid.spacing,
+        aliased=aliased,
     )
 
 
@@ -242,9 +221,9 @@ def eval_harmonic(weights, indices, theta, k_first: int = 1) -> complex:
 
 
 def sup_harmonic(weights, indices, grid: ThetaGrid | None = None,
-                 refine_iters: int = DEFAULT_REFINE_ITERS,
-                 k_first: int = 1) -> SupEstimate:
+                 refine_iters: int = 0, k_first: int = 1) -> SupEstimate:
     """Certified sup estimate for the harmonic sum; deriv_bound becomes
-    2 pi sum |w_k| u_k / k automatically through the divided weights."""
+    2 pi sum |w_k| u_k / k automatically through the divided weights.
+    `refine_iters` has no effect, as in sup_envelope."""
     hw, u = _harmonic_pair(weights, indices, k_first)
-    return sup_envelope(hw, u, grid=grid, refine_iters=refine_iters)
+    return sup_envelope(hw, u, grid=grid)

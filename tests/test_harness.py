@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,6 +277,28 @@ def test_rerun_is_byte_identical_except_manifest(tmp_path):
         assert first[name] == second[name], name
 
 
+def test_failed_write_keeps_previous_results(tmp_path, monkeypatch):
+    run(cfg(**tiny_envelope(output_dir=str(tmp_path))))
+    out = tmp_path / "t_env"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    real_write = Path.write_bytes
+    calls = []
+
+    def failing_write(self, data):
+        calls.append(self.name)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return real_write(self, data)
+
+    monkeypatch.setattr(Path, "write_bytes", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        run(cfg(**tiny_envelope(output_dir=str(tmp_path), blocks=[[0, 32]])))
+    monkeypatch.undo()
+    assert len(calls) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t_env"]
+
+
 def test_rerun_replaces_stale_files(tmp_path):
     c = cfg(**tiny_envelope(output_dir=str(tmp_path)))
     run(c)
@@ -321,6 +344,14 @@ INVALID_CLI_CONFIGS = {
         {"name": "p3", "preset": "example3", "params": [1]}, "params: must be an object"),
     "preset_params_nested_list": (
         {"name": "p1", "preset": "example1", "params": [[1]]}, "params: must be an object"),
+    "empty_angle": (
+        tiny_average(system={"kind": "rotation", "theta0": []}), "system:"),
+    "measure_not_an_object": (
+        tiny_average(system={"kind": "rotation", "theta0": [2, 7], "measure": 0}),
+        "system:"),
+    # JSON reads 1e400 (and Infinity) as inf
+    "infinite_k0": (
+        tiny_average(normalizer={"gamma": 1.0, "k0": float("inf")}), "normalizer:"),
 }
 
 

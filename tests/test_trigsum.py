@@ -97,7 +97,7 @@ def test_aliased_flag():
     u = (np.arange(1, 9, dtype=np.int64)) ** 3  # u_max = 512
     with pytest.warns(RuntimeWarning):
         est = sup_envelope(w, u, grid=ThetaGrid(64))
-    assert est.aliased  # 64 < 8 * 513
+    assert est.aliased  # pi * 511 / 64 > sqrt 2: no Bernstein bound
     est2 = sup_envelope(w, u)
     assert not est2.aliased
 
@@ -113,6 +113,70 @@ def test_default_grid_scales():
     g = default_grid(1000, 1000)
     assert g.points >= 16 * 1000
     assert g.points & (g.points - 1) == 0  # power of two
+
+
+def _dense_max(w, u, points=50_001):
+    """Brute-force max of |V| on a dense grid. Phases use u - u_min, which
+    leaves |V| unchanged; with u_max - u_min < 300 the dense grid misses the
+    sup by less than 2e-4 relative, far below the certificate's slack."""
+    thetas = np.arange(points) / points
+    phase = np.outer(u - u.min(), thetas) % 1.0
+    return float(np.abs(w @ np.exp(2j * np.pi * phase)).max())
+
+
+def test_certificate_holds_on_random_offset_blocks():
+    """upper bounds the dense maximum over all theta and lower is at most
+    |V| at the reported argmax, on default grids and on coarse grids just
+    fine enough for the Bernstein bound (pi D h < sqrt 2)."""
+    rng = np.random.default_rng(11)
+    for case in range(40):
+        n = int(rng.integers(1, 40))
+        offset = int(rng.integers(1, 5000))
+        pool = int(rng.integers(n, 300))
+        u = np.sort(rng.choice(pool, size=n, replace=False)).astype(np.int64) + offset
+        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        span = int(u.max() - u.min())
+        grid = None
+        if case % 2 and span > 0:
+            lo = math.ceil(math.pi * span / math.sqrt(2)) + 1
+            grid = ThetaGrid(int(rng.integers(lo, 4 * span + 8)))
+        est = sup_envelope(w, u, grid=grid)
+        assert not est.aliased
+        assert 0.0 <= est.lower <= est.upper <= est.weight_l1
+        assert _dense_max(w, u) <= est.upper
+        assert est.lower <= abs(eval_sum(w, u, est.argmax_theta))
+
+
+def test_constant_weights_bracket_the_exact_sup():
+    N = 100_000
+    est = sup_envelope(np.ones(N), np.arange(1, N + 1, dtype=np.int64))
+    assert est.lower <= N <= est.upper
+    assert est.upper - est.lower <= 1e-9 * N
+
+
+def test_fallback_to_weight_mass():
+    rng = np.random.default_rng(12)
+    w = np.exp(2j * np.pi * rng.uniform(size=64))
+    u = np.arange(1000, 1064, dtype=np.int64)
+    # pi * 63 / 32 > sqrt 2: no Bernstein bound on 32 points
+    for grid in (ThetaGrid(32), ThetaGrid(4096, span=(0.25, 0.5))):
+        with pytest.warns(RuntimeWarning):
+            est = sup_envelope(w, u, grid=grid)
+        assert est.aliased
+        assert est.upper == est.weight_l1
+        assert est.lower <= est.upper
+
+
+def test_default_grid_depends_on_block_length_only():
+    """An (M, N] block of u = k gets the grid of (0, N - M]."""
+    for M, N in ((0, 1000), (1000, 2000), (3 * 10**6, 3 * 10**6 + 1000),
+                 (1 << 15, 1 << 16)):
+        u = np.arange(M + 1, N + 1, dtype=np.int64)
+        head = np.arange(1, N - M + 1, dtype=np.int64)
+        assert default_grid(u.size, int(u[-1] - u[0])) == default_grid(
+            head.size, int(head[-1] - head[0]))
+        w = np.ones(u.size)
+        assert sup_envelope(w, u).grid_points == sup_envelope(w, head).grid_points
 
 
 def test_eval_harmonic_small_closed_form():
