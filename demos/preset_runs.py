@@ -18,28 +18,29 @@ for entry in list_presets():
     seeded = " (seeded)" if entry["stochastic"] else ""
     print(f"{entry['id']}{seeded}: {entry['title']}")
 
-# a small custom envelope scan, validated before running
-out_root = Path(tempfile.mkdtemp(prefix="ergosum_demo_"))
-config = ExperimentConfig.from_dict({
-    "name": "demo_envelope",
-    "kind": "condition_fit",
-    "template": "H2",
-    "weights": {"kind": "power_phase", "delta": 0.5},
-    "indices": {"kind": "identity"},
-    "blocks": [[0, 1 << j] for j in range(8, 15)],
-    "output_dir": str(out_root),
-})
-problems = validate(config)
-print()
-print("validation diagnostics:", problems or "none")
+# a small custom envelope scan, validated before running; its outputs go
+# to a temporary directory that is removed at the end
+with tempfile.TemporaryDirectory(prefix="ergosum_demo_") as out_root:
+    config = ExperimentConfig.from_dict({
+        "name": "demo_envelope",
+        "kind": "condition_fit",
+        "template": "H2",
+        "weights": {"kind": "power_phase", "delta": 0.5},
+        "indices": {"kind": "identity"},
+        "blocks": [[0, 1 << j] for j in range(8, 15)],
+        "output_dir": out_root,
+    })
+    problems = validate(config)
+    print()
+    print("validation diagnostics:", problems or "none")
 
-manifest = run(config)
-print(f"wrote {len(manifest.outputs)} outputs plus manifest.json "
-      f"to {manifest.out_dir}:")
-for name, entry in sorted(manifest.outputs.items()):
-    print(f"  {name:14s} {entry['bytes']:7d} bytes  sha256 {entry['sha256'][:12]}")
+    manifest = run(config)
+    print(f"wrote {len(manifest.outputs)} outputs plus manifest.json "
+          f"to {manifest.out_dir}:")
+    for name, entry in sorted(manifest.outputs.items()):
+        print(f"  {name:14s} {entry['bytes']:7d} bytes  sha256 {entry['sha256'][:12]}")
 
-fit = json.loads((Path(manifest.out_dir) / "fit.json").read_text())
+    fit = json.loads((Path(manifest.out_dir) / "fit.json").read_text())
 agg = fit["aggregate"]
 print(f"fitted alpha {agg['median_alpha']:.4f}, verdicts {agg['verdicts']}")
 

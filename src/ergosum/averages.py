@@ -482,6 +482,19 @@ class OscillationReport:
         }
 
 
+def ladder_positions(n_grid: np.ndarray, ladder_n: np.ndarray, k0: int) -> np.ndarray:
+    """Positions of the ladder values in a stored grid. Raises ValueError
+    unless there are at least two, each is stored and the first is >= k0."""
+    if ladder_n.size < 2:
+        raise ValueError("ladder needs at least two checkpoints")
+    pos = np.searchsorted(n_grid, ladder_n)
+    if np.any(pos >= n_grid.size) or np.any(n_grid[pos] != ladder_n):
+        raise ValueError("every ladder value must be a stored checkpoint")
+    if int(ladder_n[0]) < k0:
+        raise ValueError(f"ladder starts below the normalizer offset k0 = {k0}")
+    return pos
+
+
 def oscillation_report(run: SeriesRun, ladder: BlockLadder,
                        normalizer: NormalizerSpec | None = None) -> OscillationReport:
     """Per-block oscillation maxima of the normalized run along a ladder.
@@ -491,13 +504,7 @@ def oscillation_report(run: SeriesRun, ladder: BlockLadder,
     if norm is None:
         raise ValueError("run carries no normalizer and none was given")
     ladder_n = ladder.values()
-    if ladder_n.size < 2:
-        raise ValueError("ladder needs at least two checkpoints")
-    pos = np.searchsorted(run.n_grid, ladder_n)
-    if np.any(pos >= run.n_grid.size) or np.any(run.n_grid[pos] != ladder_n):
-        raise ValueError("every ladder value must be a stored checkpoint")
-    if int(ladder_n[0]) < norm.k0:
-        raise ValueError(f"ladder starts below the normalizer offset k0 = {norm.k0}")
+    pos = ladder_positions(run.n_grid, ladder_n, norm.k0)
     lo_i, hi_i = int(pos[0]), int(pos[-1])
     n = run.n_grid[lo_i : hi_i + 1]
     r = run.sums[lo_i : hi_i + 1] / norm.values(n)

@@ -13,8 +13,11 @@ Five base kinds cover the library surface:
   oscillation_run  average_run plus per-block oscillation maxima along a
                    block ladder
 
-`preset` bundles fixed parameter choices for the worked scenarios
-(example1 .. example6, prime_question); `ergosum presets` lists them.
+`preset` runs one worked scenario (example1 .. example6, prime_question),
+one row of the `_PRESETS` table: the runner that chains the stages, the
+title and exercises `ergosum presets` lists, the default seed list (a
+preset is stochastic exactly when it is nonempty) and the free `params`
+with their defaults and checks.
 
 Outputs land under <output root>/<name>/ as CSV + JSON + SVG, plus a
 manifest.json recording the canonicalized config, content digests and
@@ -27,8 +30,9 @@ Environment: ERGOSUM_OUTPUT_ROOT overrides the default output root.
 When a run draws on several stochastic ingredients, one per-repetition
 seed drives all of them.
 
-Exit codes of the CLI: 0 success, 2 config validation failure, 3
-runtime failure (partial outputs are removed).
+Exit codes of the CLI: 0 success, 2 config validation failure (validate()
+also checks that the term ranges, stored grids and fit rows a run needs
+exist), 3 runtime failure (partial outputs are removed).
 """
 
 from __future__ import annotations
@@ -43,9 +47,10 @@ import shutil
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,17 +59,20 @@ from .analytic_bounds import hlawka_bound, steep_power_phase_exponent
 from .averages import (
     BlockLadder,
     NormalizerSpec,
+    ladder_positions,
     normalized_series,
     oscillation_report,
     cauchy_tail_report,
     hilbert_series,
+    storage_grid,
     weighted_sums,
 )
 from .dynamics import Observable, OrbitPoint, SystemModel, orbit_eval
-from .indices import IndexSpec, gen_indices, pi_count
+from .indices import IndexSpec, check_top, gen_indices, pi_count
 from .scaling_fit import (
     TEMPLATES,
     EnvelopeSample,
+    check_rows,
     fit_H1,
     fit_H2,
     fit_harmonic,
@@ -83,16 +91,6 @@ KINDS = (
     "hilbert_run",
     "oscillation_run",
     "preset",
-)
-
-PRESET_IDS = (
-    "example1",
-    "example2",
-    "example3",
-    "example4",
-    "example5",
-    "example6",
-    "prime_question",
 )
 
 OUTPUT_ROOT_VAR = "ERGOSUM_OUTPUT_ROOT"
@@ -179,9 +177,7 @@ class ExperimentConfig:
             if f.name == "extra":
                 continue
             v = getattr(self, f.name)
-            if v is None or (f.name in ("params",) and not v):
-                continue
-            if f.name == "harmonic" and not v:
+            if v is None or (f.name in ("params", "harmonic") and not v):
                 continue
             out[f.name] = v
         out.update(self.extra)
@@ -194,6 +190,11 @@ def _is_int(v) -> bool:
 
 def _is_num(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _increasing_positive_ints(v) -> bool:
+    return (isinstance(v, (list, tuple)) and all(_is_int(n) and n >= 1 for n in v)
+            and list(v) == sorted(set(v)))
 
 
 def _weight_spec(d: dict, seed) -> WeightSpec:
@@ -210,31 +211,10 @@ def _index_spec(d: dict, seed) -> IndexSpec:
     return IndexSpec.from_dict(d)
 
 
-def _needs_seeds(cfg: ExperimentConfig) -> bool:
-    # sub-specs that are not objects are reported by validate() itself
-    w, i, s = (v if isinstance(v, dict) else {}
-               for v in (cfg.weights, cfg.indices, cfg.system))
-    return (
-        (w.get("kind") in _SEEDED_WEIGHTS and "seed" not in w)
-        or (i.get("kind") == "cramer_primes" and "seed" not in i)
-        or s.get("kind") == "doubling"
-    )
-
-
-_PRESET_STOCHASTIC = {
-    "example1": False,
-    "example2": False,
-    "example3": False,
-    "example4": True,
-    "example5": True,
-    "example6": True,
-    "prime_question": False,
-}
-
-_PRESET_PARAM_KEYS = {
-    "example3": {"h"},
-    "prime_question": {"betas"},
-}
+def _first_term(k_first, k_min, wspec, ispec) -> int:
+    """First term of an orbit run: k_first if set, else the first k >= k_min
+    that every ingredient defines."""
+    return k_first if k_first is not None else max(k_min, wspec.offset, ispec.offset, 1)
 
 
 def validate(config: ExperimentConfig) -> list[str]:
@@ -249,6 +229,17 @@ def validate(config: ExperimentConfig) -> list[str]:
             diags.append(f"{label}: {exc}")
             return None
 
+    def sub_spec(label, build, missing="required"):
+        """Build the sub-spec object `label`, or report why it cannot be."""
+        raw = getattr(config, label)
+        if raw is None:
+            diags.append(f"{label}: {missing}")
+        elif not isinstance(raw, dict):
+            diags.append(f"{label}: must be an object")
+        else:
+            return check(label, lambda: build(raw))
+        return None
+
     if not isinstance(config.name, str) or not config.name:
         diags.append("name: must be a nonempty string")
     elif config.name in (".", "..") or any(c in config.name for c in "/\\"):
@@ -261,9 +252,8 @@ def validate(config: ExperimentConfig) -> list[str]:
         diags.append(f"{k}: unknown field")
 
     if config.seeds is not None:
-        if not isinstance(config.seeds, (list, tuple)):
-            diags.append("seeds: must be a list of integers")
-        elif not all(_is_int(s) for s in config.seeds):
+        if not isinstance(config.seeds, (list, tuple)) or not all(
+                _is_int(s) for s in config.seeds):
             diags.append("seeds: must be a list of integers")
         elif len(set(config.seeds)) != len(config.seeds):
             diags.append("seeds: must be distinct")
@@ -277,46 +267,29 @@ def validate(config: ExperimentConfig) -> list[str]:
         if config.preset not in PRESET_IDS:
             diags.append(f"preset: must be one of {', '.join(PRESET_IDS)}")
             return diags
-        if config.seeds is not None and not config.seeds and _PRESET_STOCHASTIC[config.preset]:
+        preset = _PRESETS[config.preset]
+        if config.seeds is not None and not config.seeds and preset.seeds:
             diags.append("seeds: stochastic preset needs seeds")
         params = config.params if config.params is not None else {}
         if not isinstance(params, dict):
             diags.append("params: must be an object")
             return diags
-        allowed = _PRESET_PARAM_KEYS.get(config.preset, set())
-        for k in params:
-            if k not in allowed:
+        for k, v in params.items():
+            if k not in preset.params:
                 diags.append(f"params.{k}: not understood by {config.preset}")
-        if config.preset == "example3":
-            h = params.get("h", 1.0)
-            if not _is_num(h) or h == 0:
-                diags.append("params.h: must be a nonzero number")
-        if config.preset == "prime_question":
-            betas = params.get("betas", [0.75])
-            if not isinstance(betas, (list, tuple)) or not betas or not all(
-                _is_num(b) and 0.5 < b <= 1.0 for b in betas
-            ):
-                diags.append("params.betas: each beta must lie in (1/2, 1]")
+            elif not preset.params[k][1](v):
+                diags.append(f"params.{k}: {preset.params[k][2]}")
         return diags
 
     if config.params:
         diags.append("params: only preset configs take free parameters")
 
-    wspec = ispec = None
-    if config.weights is None:
-        diags.append("weights: required")
-    elif not isinstance(config.weights, dict):
-        diags.append("weights: must be an object")
-    else:
-        wspec = check("weights", lambda: _weight_spec(config.weights, 1))
-    if config.indices is None:
-        diags.append("indices: required")
-    elif not isinstance(config.indices, dict):
-        diags.append("indices: must be an object")
-    else:
-        ispec = check("indices", lambda: _index_spec(config.indices, 1))
-
-    if _needs_seeds(config) and not config.seeds:
+    wspec = sub_spec("weights", lambda d: _weight_spec(d, 1))
+    ispec = sub_spec("indices", lambda d: _index_spec(d, 1))
+    if not config.seeds and any(
+            isinstance(d, dict) and d.get("kind") in kinds and "seed" not in d
+            for d, kinds in ((config.weights, _SEEDED_WEIGHTS),
+                             (config.indices, ("cramer_primes",)))):
         diags.append("seeds: required for stochastic ingredients")
 
     if config.k_first is not None:
@@ -333,19 +306,13 @@ def validate(config: ExperimentConfig) -> list[str]:
         lo_m = max(
             (s.offset for s in (wspec, ispec) if s is not None), default=0
         )
-        have_rows = False
         if config.n_ladder is not None:
-            if (
-                not isinstance(config.n_ladder, (list, tuple))
-                or not config.n_ladder
-                or not all(_is_int(n) and n >= 1 for n in config.n_ladder)
-                or list(config.n_ladder) != sorted(set(config.n_ladder))
-            ):
+            if not config.n_ladder or not _increasing_positive_ints(config.n_ladder):
                 diags.append("n_ladder: must be strictly increasing positive integers")
-            else:
-                have_rows = True
-                if config.n_ladder[0] <= lo_m:
-                    diags.append(f"n_ladder: first N must exceed {lo_m}")
+            elif config.n_ladder[0] <= lo_m:
+                diags.append(f"n_ladder: first N must exceed {lo_m}")
+            elif config.n_ladder[-1] > _MAX_TERMS:
+                diags.append(f"n_ladder: N must be at most {_MAX_TERMS}")
         if config.blocks is not None:
             ok = isinstance(config.blocks, (list, tuple)) and config.blocks and all(
                 isinstance(b, (list, tuple)) and len(b) == 2
@@ -354,11 +321,11 @@ def validate(config: ExperimentConfig) -> list[str]:
             )
             if not ok:
                 diags.append("blocks: must be [M, N] integer pairs with 0 <= M < N")
-            else:
-                have_rows = True
-                if any(b[0] + 1 < max(lo_m, 1) for b in config.blocks):
-                    diags.append(f"blocks: rows start at M + 1, which must be >= {max(lo_m, 1)}")
-        if not have_rows and config.n_ladder is None and config.blocks is None:
+            elif any(b[0] + 1 < max(lo_m, 1) for b in config.blocks):
+                diags.append(f"blocks: rows start at M + 1, which must be >= {max(lo_m, 1)}")
+            elif any(b[1] - b[0] > _MAX_TERMS for b in config.blocks):
+                diags.append(f"blocks: N - M must be at most {_MAX_TERMS}")
+        if config.n_ladder is None and config.blocks is None:
             diags.append("n_ladder: an N ladder or explicit blocks is required")
         if config.theta_grid is not None:
             tg = config.theta_grid
@@ -372,67 +339,67 @@ def validate(config: ExperimentConfig) -> list[str]:
                     diags.append(
                         f"theta_grid.points: must be an integer in [16, {_MAX_GRID_POINTS}]"
                     )
-                it = tg.get("refine_iters")
-                if it is not None and (not _is_int(it) or not 0 <= it <= 200):
-                    diags.append("theta_grid.refine_iters: must be an integer in [0, 200]")
-                for k in set(tg) - {"points", "refine_iters"}:
-                    diags.append(f"theta_grid.{k}: unknown field")
+                for k in tg:
+                    if k != "points":
+                        diags.append(f"theta_grid.{k}: unknown field")
         if config.kind == "condition_fit":
             if config.template not in TEMPLATES:
                 diags.append(f"template: must be one of {', '.join(TEMPLATES)}")
             elif config.template.startswith("harmonic") != bool(config.harmonic):
                 diags.append("template: harmonic flag and template family disagree")
+        if diags:
+            return diags
+        # the rows the run computes must exist and, for a fit, be fittable
+        rows = _full_blocks(config, wspec, ispec)
+        check("indices", lambda: check_top(ispec, max(n for _, n in rows) + 1))
+        if config.kind == "condition_fit":
+            check("template", lambda: check_rows(config.template, rows))
         return diags
 
     # orbit-run kinds
-    system = None
-    if config.system is None:
-        diags.append("system: required")
-    elif not isinstance(config.system, dict):
-        diags.append("system: must be an object")
-    else:
-        system = check("system", lambda: SystemModel.from_dict(config.system))
-        if system is not None and system.kind == "spectral":
-            diags.append(
-                "system: spectral systems have no orbit; use the library "
-                "spectral_l2_norm / maximal_norm entry points"
-            )
+    system = sub_spec("system", SystemModel.from_dict)
+    if system is not None and system.kind == "spectral":
+        diags.append(
+            "system: spectral systems have no orbit; use the library "
+            "spectral_l2_norm / maximal_norm entry points"
+        )
     if system is not None and system.kind == "doubling" and not config.seeds:
         diags.append("seeds: doubling orbits draw their start point from a seed")
-    if config.observable is None:
-        diags.append("observable: required")
-    elif not isinstance(config.observable, dict):
-        diags.append("observable: must be an object")
-    else:
-        check("observable", lambda: Observable.from_dict(config.observable))
-    if config.normalizer is None:
-        diags.append("normalizer: required")
-    elif not isinstance(config.normalizer, dict):
-        diags.append("normalizer: must be an object")
-    else:
-        check("normalizer", lambda: NormalizerSpec.from_dict(config.normalizer))
+    sub_spec("observable", Observable.from_dict)
+    norm = sub_spec("normalizer", NormalizerSpec.from_dict)
     if config.n_terms is None:
         diags.append("n_terms: required")
     elif not _is_int(config.n_terms) or not 2 <= config.n_terms <= _MAX_TERMS:
         diags.append(f"n_terms: must be an integer in [2, {_MAX_TERMS}]")
     if config.x0 is not None:
         check("x0", lambda: _parse_x0(config.x0))
+    ladder = None
     if config.kind == "oscillation_run":
-        if config.ladder is None:
-            diags.append("ladder: required for oscillation runs")
-        elif not isinstance(config.ladder, dict):
-            diags.append("ladder: must be an object")
-        else:
-            check("ladder", lambda: BlockLadder.from_dict(config.ladder))
-    if config.kind == "hilbert_run":
+        ladder = sub_spec("ladder", BlockLadder.from_dict, "required for oscillation runs")
+    hilbert = config.kind == "hilbert_run"
+    if hilbert:
         if config.bound is not None and (not _is_num(config.bound) or config.bound <= 0):
             diags.append("bound: must be a positive number")
-        if config.tail_starts is not None and (
-            not isinstance(config.tail_starts, (list, tuple))
-            or not all(_is_int(t) and t >= 1 for t in config.tail_starts)
-            or list(config.tail_starts) != sorted(set(config.tail_starts))
-        ):
+        if config.tail_starts is not None and not _increasing_positive_ints(
+                config.tail_starts):
             diags.append("tail_starts: must be strictly increasing positive integers")
+    if diags:
+        return diags
+    # the term range and stored grid the run will use (see _orbit_runs)
+    kf = _first_term(config.k_first, norm.k0 if hilbert else 1, wspec, ispec)
+    check("indices", lambda: check_top(ispec, kf + config.n_terms))
+    if hilbert:
+        n_top = kf + config.n_terms - 1
+        beyond = [t for t in config.tail_starts or _dyadic_starts(kf, n_top) if t > n_top]
+        if kf < norm.k0:
+            diags.append(f"k_first: series terms start at k >= k0 = {norm.k0}")
+        elif beyond:
+            diags.append(f"tail_starts: tail start {beyond[0]} is beyond the stored grid")
+    elif norm.k0 > kf + config.n_terms:
+        diags.append("normalizer: entire grid lies below the normalizer offset k0")
+    elif ladder is not None:
+        check("ladder", lambda: ladder_positions(
+            storage_grid(kf + 1, kf + config.n_terms), ladder.values(), norm.k0))
     return diags
 
 
@@ -541,8 +508,7 @@ def _timed(walls: dict, name: str):
     walls[name] = time.perf_counter() - t0
 
 
-def _envelope_stage(files, wdict, idict, blocks, theta_grid, harmonic, seeds,
-                    csv_name="envelope.csv"):
+def _envelope_stage(files, wdict, idict, blocks, theta_grid, harmonic, seeds):
     """Certified sup rows over (M, N] blocks; returns samples grouped by seed."""
     points = (theta_grid or {}).get("points")
     rows = []
@@ -568,7 +534,7 @@ def _envelope_stage(files, wdict, idict, blocks, theta_grid, harmonic, seeds,
             got.append(EnvelopeSample(M=m_excl, N=n_incl, lower=est.lower,
                                       upper=est.upper, harmonic=harmonic))
         samples[seed] = got
-    files[csv_name] = _csv_bytes(
+    files["envelope.csv"] = _csv_bytes(
         ["seed", "M", "N", "lower", "upper", "argmax_theta", "deriv_bound",
          "weight_l1", "grid_points", "grid_spacing", "bracket_width",
          "aliased", "harmonic"],
@@ -579,7 +545,7 @@ def _envelope_stage(files, wdict, idict, blocks, theta_grid, harmonic, seeds,
         got = samples[seed]
         label = "upper" if seed is None else f"seed {seed}"
         series.append((label, [s.N - s.M for s in got], [s.upper for s in got]))
-    files[csv_name.replace(".csv", ".svg")] = _svg.line_chart(
+    files["envelope.svg"] = _svg.line_chart(
         "certified sup envelope", "terms per row", "certified upper",
         series, x_log=True, y_log=True,
     ).encode("utf-8")
@@ -615,13 +581,37 @@ def _fit_stage(files, samples_by_seed, template, reference=None, extras=None,
     if extras:
         record.update(extras)
     files["fit.json"] = _json_bytes(record)
-    return record
 
 
-def _orbit_point(system, x0_raw, seed, u_max):
-    if system.kind == "doubling":
-        return OrbitPoint.doubling(int(seed), int(u_max) + 128)
-    return OrbitPoint.rotation(_parse_x0(x0_raw))
+def _orbit_runs(wdict, idict, sysdict, obsdict, x0_raw, n_terms, seeds,
+                k_first=None, k_min=1):
+    """Per seed: (seed, first term k, weights w_k, orbit values f(T^{u_k} x))
+    over n_terms terms; see _first_term for where a run starts."""
+    system = SystemModel.from_dict(sysdict)
+    f = Observable.from_dict(obsdict)
+    for seed in _seed_list(seeds):
+        wspec = _weight_spec(wdict, seed)
+        ispec = _index_spec(idict, seed)
+        kf = _first_term(k_first, k_min, wspec, ispec)
+        w = gen_weights(wspec, kf, kf + n_terms)
+        u = gen_indices(ispec, kf, kf + n_terms)
+        if system.kind == "doubling":
+            x0 = OrbitPoint.doubling(int(seed), int(u.max()) + 128)
+        else:
+            x0 = OrbitPoint.rotation(_parse_x0(x0_raw))
+        vals = orbit_eval(system, f, x0, u)
+        yield seed, kf, w, vals
+
+
+def _decay_entry(ns, cps=None) -> dict:
+    """Decay slope, ratios and tail maxima of a normalized series at the
+    checkpoints cps (default: its decades and its last N)."""
+    cps = cps or _decade_checkpoints(ns.n_grid)
+    return {
+        "slope": ns.slope(),
+        "ratio_at": {str(c): ns.value_at(c) for c in cps},
+        "tail_max": {str(c): ns.tail_max(c) for c in cps},
+    }
 
 
 def _series_csv_rows(seed, run, norm):
@@ -644,35 +634,20 @@ def _average_stage(files, wdict, idict, sysdict, obsdict, x0_raw, normdict,
                    checkpoints=None, report_extra=None):
     """Normalized running-sum runs, one per seed; optional oscillation report."""
     norm = NormalizerSpec.from_dict(normdict)
-    system = SystemModel.from_dict(sysdict)
-    f = Observable.from_dict(obsdict)
     ladder = BlockLadder.from_dict(ladder_dict) if ladder_dict else None
     csv_rows = []
     per_seed = []
     osc_entries = []
     chart = []
     osc_chart = []
-    for seed in _seed_list(seeds):
-        wspec = _weight_spec(wdict, seed)
-        ispec = _index_spec(idict, seed)
-        kf = k_first if k_first is not None else max(wspec.offset, ispec.offset, 1)
-        w = gen_weights(wspec, kf, kf + n_terms)
-        u = gen_indices(ispec, kf, kf + n_terms)
-        x0 = _orbit_point(system, x0_raw, seed, u.max())
-        vals = orbit_eval(system, f, x0, u)
+    for seed, kf, w, vals in _orbit_runs(wdict, idict, sysdict, obsdict, x0_raw,
+                                         n_terms, seeds, k_first):
         run = weighted_sums(vals, w, k_first=kf, normalizer=norm)
+        del w, vals  # _orbit_runs frees them as it draws the next seed (peak memory)
         ns = normalized_series(run)
-        cps = checkpoints or _decade_checkpoints(ns.n_grid)
-        entry = {
-            "seed": seed,
-            "k_first": kf,
-            "n_max": run.n_max,
-            "slope": ns.slope(),
-            "ratio_at": {str(c): ns.value_at(c) for c in cps},
-            "tail_max": {str(c): ns.tail_max(c) for c in cps},
-            "monotone_normalizer": ns.monotone_normalizer,
-        }
-        per_seed.append(entry)
+        per_seed.append({"seed": seed, "k_first": kf, "n_max": run.n_max,
+                         **_decay_entry(ns, checkpoints),
+                         "monotone_normalizer": ns.monotone_normalizer})
         csv_rows.extend(_series_csv_rows(seed, run, norm))
         if len(chart) < len(_svg.PALETTE):
             keep = _thin_grid(ns.n_grid)
@@ -693,21 +668,15 @@ def _average_stage(files, wdict, idict, sysdict, obsdict, x0_raw, normdict,
     files["ratio.svg"] = _svg.line_chart(
         "normalized running sums", "N", "|S_N| / A(N)",
         chart, x_log=True, y_log=True).encode("utf-8")
-    slopes = [e["slope"] for e in per_seed]
     report = {
         "normalizer": norm.to_dict(),
         "convention": "exclusive",
         "per_seed": per_seed,
         "aggregate": {
-            "median_slope": _median(slopes),
-            "median_ratio_at": {
-                key: _median([e["ratio_at"][key] for e in per_seed])
-                for key in per_seed[0]["ratio_at"]
-            },
-            "median_tail_max": {
-                key: _median([e["tail_max"][key] for e in per_seed])
-                for key in per_seed[0]["tail_max"]
-            },
+            "median_slope": _median([e["slope"] for e in per_seed]),
+            **{f"median_{k}": {c: _median([e[k][c] for e in per_seed])
+                               for c in per_seed[0][k]}
+               for k in ("ratio_at", "tail_max")},
         },
     }
     if report_extra:
@@ -723,7 +692,6 @@ def _average_stage(files, wdict, idict, sysdict, obsdict, x0_raw, normdict,
         files["oscillation.svg"] = _svg.line_chart(
             "per-block oscillation maxima", "block index j", "osc_j",
             osc_chart, x_log=False, y_log=True).encode("utf-8")
-    return report
 
 
 def _decade_checkpoints(n_grid: np.ndarray) -> list[int]:
@@ -739,22 +707,14 @@ def _hilbert_stage(files, wdict, idict, sysdict, obsdict, x0_raw, normdict,
                    ratio_norm=None):
     """Partial sums of the one-sided series with Cauchy tail diagnostics."""
     norm = NormalizerSpec.from_dict(normdict)
-    system = SystemModel.from_dict(sysdict)
-    f = Observable.from_dict(obsdict)
     csv_rows = []
     per_seed = []
     ratio_entries = []
     chart = []
-    for seed in _seed_list(seeds):
-        wspec = _weight_spec(wdict, seed)
-        ispec = _index_spec(idict, seed)
-        kf = k_first if k_first is not None else max(
-            norm.k0, wspec.offset, ispec.offset, 1)
-        w = gen_weights(wspec, kf, kf + n_terms)
-        u = gen_indices(ispec, kf, kf + n_terms)
-        x0 = _orbit_point(system, x0_raw, seed, u.max())
-        vals = orbit_eval(system, f, x0, u)
+    for seed, kf, w, vals in _orbit_runs(wdict, idict, sysdict, obsdict, x0_raw,
+                                         n_terms, seeds, k_first, norm.k0):
         run = hilbert_series(w, vals, norm, k_first=kf)
+        del w, vals  # _orbit_runs frees them as it draws the next seed (peak memory)
         starts = tail_starts or _dyadic_starts(kf, run.n_max)
         tails = cauchy_tail_report(run, starts)
         max_abs = float(np.abs(run.sums).max())
@@ -773,13 +733,7 @@ def _hilbert_stage(files, wdict, idict, sysdict, obsdict, x0_raw, normdict,
                           np.abs(run.sums[keep]).tolist()))
         if ratio_norm is not None:
             ns = normalized_series(run, ratio_norm)
-            cps = _decade_checkpoints(ns.n_grid)
-            ratio_entries.append({
-                "seed": seed,
-                "slope": ns.slope(),
-                "ratio_at": {str(c): ns.value_at(c) for c in cps},
-                "tail_max": {str(c): ns.tail_max(c) for c in cps},
-            })
+            ratio_entries.append({"seed": seed, **_decay_entry(ns)})
     files["hseries.csv"] = _csv_bytes(
         ["seed", "N", "s_real", "s_imag", "s_abs"], csv_rows)
     files["hseries.svg"] = _svg.line_chart(
@@ -803,7 +757,6 @@ def _hilbert_stage(files, wdict, idict, sysdict, obsdict, x0_raw, normdict,
                 "median_slope": _median([e["slope"] for e in ratio_entries]),
             },
         })
-    return record
 
 
 def _dyadic_starts(k_first: int, n_max: int) -> list[int]:
@@ -844,32 +797,27 @@ def _full_blocks(cfg: ExperimentConfig, wspec, ispec):
     return [(m0, int(n)) for n in cfg.n_ladder]
 
 
-def _run_envelope_kind(cfg: ExperimentConfig, files, walls):
-    with _timed(walls, "envelope"):
-        wspec = _weight_spec(cfg.weights, 1)
-        ispec = _index_spec(cfg.indices, 1)
-        blocks = _full_blocks(cfg, wspec, ispec)
-        samples = _envelope_stage(files, cfg.weights, cfg.indices, blocks,
-                                  cfg.theta_grid, bool(cfg.harmonic), cfg.seeds)
-    if cfg.kind == "condition_fit":
-        with _timed(walls, "fit"):
-            _fit_stage(files, samples, cfg.template, reference=cfg.reference)
-
-
-def _run_average_kind(cfg: ExperimentConfig, files, walls):
-    with _timed(walls, "average"):
-        _average_stage(files, cfg.weights, cfg.indices, cfg.system, cfg.observable,
-                       cfg.x0, cfg.normalizer, int(cfg.n_terms), cfg.seeds,
-                       k_first=cfg.k_first,
-                       ladder_dict=cfg.ladder if cfg.kind == "oscillation_run" else None)
-
-
-def _run_hilbert_kind(cfg: ExperimentConfig, files, walls):
-    with _timed(walls, "hilbert"):
-        _hilbert_stage(files, cfg.weights, cfg.indices, cfg.system, cfg.observable,
-                       cfg.x0, cfg.normalizer, int(cfg.n_terms), cfg.seeds,
-                       k_first=cfg.k_first, tail_starts=cfg.tail_starts,
-                       bound=cfg.bound)
+def _run_base_kind(cfg: ExperimentConfig, files, walls):
+    if cfg.kind in ("envelope_scan", "condition_fit"):
+        with _timed(walls, "envelope"):
+            blocks = _full_blocks(cfg, _weight_spec(cfg.weights, 1),
+                                  _index_spec(cfg.indices, 1))
+            samples = _envelope_stage(files, cfg.weights, cfg.indices, blocks,
+                                      cfg.theta_grid, bool(cfg.harmonic), cfg.seeds)
+        if cfg.kind == "condition_fit":
+            with _timed(walls, "fit"):
+                _fit_stage(files, samples, cfg.template, reference=cfg.reference)
+        return
+    orbit = (files, cfg.weights, cfg.indices, cfg.system, cfg.observable, cfg.x0,
+             cfg.normalizer, int(cfg.n_terms), cfg.seeds)
+    if cfg.kind == "hilbert_run":
+        with _timed(walls, "hilbert"):
+            _hilbert_stage(*orbit, k_first=cfg.k_first, tail_starts=cfg.tail_starts,
+                           bound=cfg.bound)
+    else:
+        with _timed(walls, "average"):
+            _average_stage(*orbit, k_first=cfg.k_first,
+                           ladder_dict=cfg.ladder if cfg.kind == "oscillation_run" else None)
 
 
 # ---------------------------------------------------------------------------
@@ -878,6 +826,16 @@ def _run_hilbert_kind(cfg: ExperimentConfig, files, walls):
 
 _SQRT2_SYSTEM = SystemModel.rotation_sqrt2().to_dict()
 _MODE1 = {"kind": "fourier_mode", "mode": 1}
+
+
+def _preset_seeds(cfg) -> list:
+    """The config's seeds, else the preset's default seed list."""
+    return list(cfg.seeds) if cfg.seeds else list(_PRESETS[cfg.preset].seeds)
+
+
+def _param(cfg, name):
+    """A preset's free parameter, else its default."""
+    return (cfg.params or {}).get(name, _PRESETS[cfg.preset].params[name][0])
 
 
 def _preset_example1(cfg, files, walls):
@@ -932,7 +890,7 @@ def _preset_example2(cfg, files, walls):
 def _preset_example3(cfg, files, walls):
     """Logarithmic phase: harmonic sup rows against the closed-form bound,
     a flat harmonic growth fit, and bounded series partial sums."""
-    h = float((cfg.params or {}).get("h", 1.0))
+    h = float(_param(cfg, "h"))
     bound = hlawka_bound(h)
     w = {"kind": "log_phase", "h": h}
     i = {"kind": "identity"}
@@ -959,7 +917,7 @@ def _preset_example3(cfg, files, walls):
 def _preset_example4(cfg, files, walls):
     """Random unimodular weights over dyadic (M, N] blocks with a
     two-variable envelope fit and a square-root shape check."""
-    seeds = list(cfg.seeds) if cfg.seeds else list(range(1, 11))
+    seeds = _preset_seeds(cfg)
     w = {"kind": "iid_uniform_phase"}
     i = {"kind": "identity"}
     blocks = [(n - (n >> s), n)
@@ -986,7 +944,7 @@ def _preset_example4(cfg, files, walls):
 def _preset_example5(cfg, files, walls):
     """Harmonic version of the random-weight scan plus the log-normalized
     series run."""
-    seeds = list(cfg.seeds) if cfg.seeds else [1, 2, 3, 4]
+    seeds = _preset_seeds(cfg)
     w = {"kind": "iid_uniform_phase"}
     i = {"kind": "identity"}
     blocks = [(0, 1 << j) for j in range(8, 17)]
@@ -1005,7 +963,7 @@ def _preset_example5(cfg, files, walls):
 def _preset_example6(cfg, files, walls):
     """Random prime model: counting-function scaling table plus normalized
     averages along the random index set."""
-    seeds = list(cfg.seeds) if cfg.seeds else list(range(1, 21))
+    seeds = _preset_seeds(cfg)
     with _timed(walls, "pi_table"):
         pi_summary = _pi_table_stage(files, seeds, [10_000, 100_000, 1_000_000])
     with _timed(walls, "average"):
@@ -1020,29 +978,19 @@ def _preset_example6(cfg, files, walls):
 def _preset_prime_question(cfg, files, walls):
     """Exploratory: decay of (1/N^beta) sums along the true primes for a
     ladder of beta values. No growth claim is certified here."""
-    betas = [float(b) for b in (cfg.params or {}).get("betas", (0.6, 0.75, 0.9, 1.0))]
+    betas = [float(b) for b in _param(cfg, "betas")]
     n_terms = 200_000
     with _timed(walls, "average"):
-        ispec = IndexSpec(kind="primes")
-        u = gen_indices(ispec, 1, 1 + n_terms)
-        w = np.ones(n_terms, dtype=np.complex128)
-        system = SystemModel.from_dict(_SQRT2_SYSTEM)
-        f = Observable.from_dict(_MODE1)
-        vals = orbit_eval(system, f, OrbitPoint.rotation(0.0), u)
-        run = weighted_sums(vals, w, k_first=1)
+        [(_, kf, w, vals)] = _orbit_runs({"kind": "constant"}, {"kind": "primes"},
+                                         _SQRT2_SYSTEM, _MODE1, 0.0, n_terms, None)
+        run = weighted_sums(vals, w, k_first=kf)
         per_beta = []
         csv_rows = []
         chart = []
         for beta in betas:
             norm = NormalizerSpec(gamma=beta, k0=1)
             ns = normalized_series(run, norm)
-            cps = _decade_checkpoints(ns.n_grid)
-            per_beta.append({
-                "beta": beta,
-                "slope": ns.slope(),
-                "ratio_at": {str(c): ns.value_at(c) for c in cps},
-                "tail_max": {str(c): ns.tail_max(c) for c in cps},
-            })
+            per_beta.append({"beta": beta, **_decay_entry(ns)})
             keep = _thin_grid(ns.n_grid)
             if len(chart) < len(_svg.PALETTE):
                 chart.append((f"beta {beta}", ns.n_grid[keep].tolist(),
@@ -1068,57 +1016,72 @@ def _preset_prime_question(cfg, files, walls):
         })
 
 
-_PRESET_RUNNERS = {
-    "example1": _preset_example1,
-    "example2": _preset_example2,
-    "example3": _preset_example3,
-    "example4": _preset_example4,
-    "example5": _preset_example5,
-    "example6": _preset_example6,
-    "prime_question": _preset_prime_question,
+class _Preset(NamedTuple):
+    """One worked scenario: the runner that computes its outputs, its
+    `ergosum presets` entry, its default seed list (nonempty exactly when
+    the preset is stochastic) and its free params as
+    name -> (default, check, diagnostic when the check fails)."""
+
+    runner: Callable
+    title: str
+    exercises: tuple
+    seeds: tuple = ()
+    params: dict = {}
+
+
+_PRESETS = {
+    "example1": _Preset(
+        _preset_example1, "steep power phase over a squared orbit",
+        ("grid envelope rows (aliased, exploratory)",
+         "H2 fit vs the derivative-test exponent",
+         "power-log normalized series partial sums")),
+    "example2": _Preset(
+        _preset_example2, "fractional power phase on the integers",
+        ("certified envelope rows 2^10..2^17",
+         "H2 fit vs exponent 1 - delta/2",
+         "normalized rotation run to N = 10^6",
+         "dyadic block oscillation maxima")),
+    "example3": _Preset(
+        _preset_example3, "logarithmic phase with a closed-form sup bound",
+        ("harmonic sup rows vs 30(|h| + 1/|h|)",
+         "flat harmonic growth fit",
+         "bounded series partial sums"),
+        params={"h": (1.0, lambda h: _is_num(h) and h != 0,
+                      "must be a nonzero number")}),
+    "example4": _Preset(
+        _preset_example4, "random unimodular weights over dyadic blocks",
+        ("two-variable H1 envelope fit",
+         "square-root block shape check"),
+        seeds=tuple(range(1, 11))),
+    "example5": _Preset(
+        _preset_example5, "harmonic random weights",
+        ("slowly varying harmonic envelope fit",
+         "log-normalized series decay report"),
+        seeds=(1, 2, 3, 4)),
+    "example6": _Preset(
+        _preset_example6, "random prime model",
+        ("counting-function scaling table",
+         "power-normalized averages along the random set"),
+        seeds=tuple(range(1, 21))),
+    "prime_question": _Preset(
+        _preset_prime_question, "prime-index averages (exploratory)",
+        ("decay slopes for a ladder of beta exponents",),
+        params={"betas": ((0.6, 0.75, 0.9, 1.0),
+                          lambda bs: isinstance(bs, (list, tuple)) and bool(bs) and all(
+                              _is_num(b) and 0.5 < b <= 1.0 for b in bs),
+                          "each beta must lie in (1/2, 1]")}),
 }
 
-_PRESET_SUMMARY = {
-    "example1": ("steep power phase over a squared orbit",
-                 ["grid envelope rows (aliased, exploratory)",
-                  "H2 fit vs the derivative-test exponent",
-                  "power-log normalized series partial sums"]),
-    "example2": ("fractional power phase on the integers",
-                 ["certified envelope rows 2^10..2^17",
-                  "H2 fit vs exponent 1 - delta/2",
-                  "normalized rotation run to N = 10^6",
-                  "dyadic block oscillation maxima"]),
-    "example3": ("logarithmic phase with a closed-form sup bound",
-                 ["harmonic sup rows vs 30(|h| + 1/|h|)",
-                  "flat harmonic growth fit",
-                  "bounded series partial sums"]),
-    "example4": ("random unimodular weights over dyadic blocks",
-                 ["two-variable H1 envelope fit",
-                  "square-root block shape check"]),
-    "example5": ("harmonic random weights",
-                 ["slowly varying harmonic envelope fit",
-                  "log-normalized series decay report"]),
-    "example6": ("random prime model",
-                 ["counting-function scaling table",
-                  "power-normalized averages along the random set"]),
-    "prime_question": ("prime-index averages (exploratory)",
-                       ["decay slopes for a ladder of beta exponents"]),
-}
+PRESET_IDS = tuple(_PRESETS)
+# id -> runner; perfbench calls a single preset's runner directly
+_PRESET_RUNNERS = {pid: p.runner for pid, p in _PRESETS.items()}
 
 
 def list_presets() -> list[dict]:
     """Catalog of built-in presets with what each one exercises."""
-    out = []
-    for pid in PRESET_IDS:
-        title, exercises = _PRESET_SUMMARY[pid]
-        out.append({
-            "id": pid,
-            "title": title,
-            "exercises": exercises,
-            "stochastic": _PRESET_STOCHASTIC[pid],
-            "params": sorted(_PRESET_PARAM_KEYS.get(pid, ())),
-        })
-    return out
+    return [{"id": pid, "title": p.title, "exercises": list(p.exercises),
+             "stochastic": bool(p.seeds), "params": sorted(p.params)}
+            for pid, p in _PRESETS.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -1139,16 +1102,9 @@ class ResultManifest:
     environment: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "kind": self.kind,
-            "output_dir": self.out_dir,
-            "outputs": self.outputs,
-            "wall_seconds": self.wall_seconds,
-            "seeds": self.seeds,
-            "tool_version": self.tool_version,
-            "environment": self.environment,
-        }
+        out = asdict(self)
+        out["output_dir"] = out.pop("out_dir")
+        return out
 
 
 def _output_root(config: ExperimentConfig) -> Path:
@@ -1171,14 +1127,9 @@ def run(config: ExperimentConfig) -> ResultManifest:
     files: dict[str, bytes] = {}
     walls: dict[str, float] = {}
     with _timed(walls, "total"):
-        if config.kind == "preset":
-            _PRESET_RUNNERS[config.preset](config, files, walls)
-        elif config.kind in ("envelope_scan", "condition_fit"):
-            _run_envelope_kind(config, files, walls)
-        elif config.kind in ("average_run", "oscillation_run"):
-            _run_average_kind(config, files, walls)
-        else:
-            _run_hilbert_kind(config, files, walls)
+        runner = (_PRESET_RUNNERS[config.preset] if config.kind == "preset"
+                  else _run_base_kind)
+        runner(config, files, walls)
 
     root = _output_root(config)
     target = root / config.name
@@ -1260,18 +1211,13 @@ def main(argv=None) -> int:
     config, diags = _load_config(args.config)
     if config is not None:
         diags = validate(config)
-    if args.command == "validate":
-        if diags:
-            for d in diags:
-                print(f"invalid: {d}")
-            return EXIT_VALIDATION
-        print("ok")
-        return EXIT_OK
-
     if diags:
         for d in diags:
             print(f"invalid: {d}")
         return EXIT_VALIDATION
+    if args.command == "validate":
+        print("ok")
+        return EXIT_OK
     try:
         manifest = run(config)
     except ConfigError as exc:

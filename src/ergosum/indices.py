@@ -101,19 +101,14 @@ def gen_indices(spec: IndexSpec, m: int, n: int) -> np.ndarray:
         raise ValueError("need 0 <= m < n")
     if m < spec.offset:
         raise ValueError(f"{spec.kind} indices start at k = {spec.offset}")
+    check_top(spec, n)
     kind = spec.kind
     if kind == "identity":
         return np.arange(m, n, dtype=np.int64)
     if kind == "monomial":
-        if (n - 1) ** spec.d >= 2**63:
-            raise ValueError("monomial index values exceed int64 range")
         k = np.arange(m, n, dtype=np.int64)
         return k**spec.d
     if kind == "polynomial":
-        # guard every Horner partial by the L1 bound at the largest k
-        kmax = n - 1
-        if sum(abs(c) * kmax**j for j, c in enumerate(spec.coeffs)) >= 2**63:
-            raise ValueError("polynomial index values exceed int64 range")
         k = np.arange(m, n, dtype=np.int64)
         u = np.zeros(n - m, dtype=np.int64)
         for c in reversed(spec.coeffs):
@@ -126,10 +121,22 @@ def gen_indices(spec: IndexSpec, m: int, n: int) -> np.ndarray:
     if kind == "cramer_primes":
         return _cramer_nth_range(spec.seed, m, n)
     if kind == "explicit":
-        if len(spec.values) < n:
-            raise ValueError("explicit index list shorter than requested range")
         return np.array(spec.values[m:n], dtype=np.int64)
     raise AssertionError(kind)
+
+
+def check_top(spec: IndexSpec, n: int) -> None:
+    """Raise ValueError when u_k for some k < n cannot be generated: an
+    explicit list that ends before n, or monomial or polynomial values
+    past the int64 range."""
+    if spec.kind == "explicit" and len(spec.values) < n:
+        raise ValueError("explicit index list shorter than requested range")
+    if spec.kind == "monomial" and (n - 1) ** spec.d >= 2**63:
+        raise ValueError("monomial index values exceed int64 range")
+    # guard every Horner partial by the L1 bound at the largest k
+    if spec.kind == "polynomial" and sum(
+            abs(c) * (n - 1)**j for j, c in enumerate(spec.coeffs)) >= 2**63:
+        raise ValueError("polynomial index values exceed int64 range")
 
 
 def pi_count(spec: IndexSpec, N: int) -> int:

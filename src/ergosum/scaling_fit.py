@@ -154,17 +154,9 @@ class _Template:
     guard: bool = False
 
 
-def _harmonic_h1_design(N, M, span):
-    if np.any(M < 2):
-        raise ValueError("harmonic_H1 needs M >= 2 (log M > 0)")
-    return 0.0, {"alpha": np.log(np.log(N) - np.log(M))}
-
-
 def _harmonic_decay_design(N, M, span):
-    # y - log log N = log C - beta * log log log N
+    # y - log log N = log C - beta * log log log N; log log N > 0 for N >= 3
     loglogN = np.log(np.log(N))
-    if np.any(loglogN <= 0.0):
-        raise ValueError("harmonic_log_decay needs N >= 4")
     return loglogN, {"beta": np.log(loglogN)}
 
 
@@ -184,7 +176,9 @@ _TABLE = {
         False, 4, True,
         lambda N, M, span: (np.log(N), {"beta": np.log(np.log(N))}),
         fixed_alpha=1.0),
-    "harmonic_H1": _Template(True, 4, False, _harmonic_h1_design, window=_HALF_ONE),
+    "harmonic_H1": _Template(
+        True, 4, False, lambda N, M, span: (0.0, {"alpha": np.log(np.log(N) - np.log(M))}),
+        window=_HALF_ONE),
     "harmonic_H2": _Template(
         True, 4, False, lambda N, M, span: (0.0, {"alpha": np.log(np.log(N))}),
         window=("alpha_in_zero_one", 0.0, 1.0)),
@@ -201,19 +195,31 @@ def _by_name(values, names) -> dict:
             for i, name in enumerate(names)}
 
 
+def check_rows(template: str, rows) -> None:
+    """Raise ValueError unless (M, N) rows have the structure `template`
+    fits: enough rows, every N >= 3, M = 0 for the full-range templates
+    and M >= 2 for harmonic_H1. The fitter and config validation share
+    these rules."""
+    row = _TABLE[template]
+    rows = list(rows)
+    if len(rows) < row.min_samples:
+        raise ValueError(f"{template} needs at least {row.min_samples} samples")
+    if any(N < 3 for _, N in rows):
+        raise ValueError("samples with N < 3 are rejected (log log N undefined)")
+    if row.full_range and any(M != 0 for M, _ in rows):
+        raise ValueError(f"{template} samples must have M = 0")
+    if template == "harmonic_H1" and any(M < 2 for M, _ in rows):
+        raise ValueError("harmonic_H1 needs M >= 2 (log M > 0)")
+
+
 def _fit(template: str, samples, field_name: str) -> EnvelopeFit:
     row = _TABLE[template]
     samples = list(samples)
     n = len(samples)
-    if n < row.min_samples:
-        raise ValueError(f"{template} needs at least {row.min_samples} samples")
-    if any(s.N < 3 for s in samples):
-        raise ValueError("samples with N < 3 are rejected (log log N undefined)")
+    check_rows(template, [(s.M, s.N) for s in samples])
     if any(s.harmonic != row.harmonic for s in samples):
         kindname = "harmonic" if row.harmonic else "plain"
         raise ValueError(f"{template} expects {kindname} envelope samples")
-    if row.full_range and any(s.M != 0 for s in samples):
-        raise ValueError(f"{template} samples must have M = 0")
     vals = np.array([getattr(s, field_name) for s in samples], dtype=np.float64)
     if np.any(vals <= 0.0):
         raise ValueError("envelope values must be positive to fit in log space")

@@ -154,8 +154,7 @@ def default_grid(n_terms: int, span: int) -> ThetaGrid:
     return ThetaGrid(max(points, 16))
 
 
-def sup_envelope(weights, indices, grid: ThetaGrid | None = None,
-                 refine_iters: int = 0) -> SupEstimate:
+def sup_envelope(weights, indices, grid: ThetaGrid | None = None) -> SupEstimate:
     """Certified bracket for sup over theta in [0, 1) of |V(theta)|.
 
     One FFT grid of L points gives the maximum G; with D = u_max - u_min,
@@ -164,8 +163,7 @@ def sup_envelope(weights, indices, grid: ThetaGrid | None = None,
     (G + e) / sqrt(1 - pi^2 D^2 h^2 / 2)), a bound on every theta (module
     docstring). If pi^2 D^2 h^2 / 2 >= 1 or the grid is not the canonical
     [0, 1), upper is sum |w|, `aliased` is set and a RuntimeWarning is
-    emitted. `refine_iters` is accepted for compatibility and has no
-    effect: the global bound needs no refinement pass.
+    emitted.
     """
     w, u = _check_pair(weights, indices)
     span = int(u.max()) - int(u.min())
@@ -221,9 +219,8 @@ def eval_harmonic(weights, indices, theta, k_first: int = 1) -> complex:
 
 
 def sup_harmonic(weights, indices, grid: ThetaGrid | None = None,
-                 refine_iters: int = 0, k_first: int = 1) -> SupEstimate:
+                 k_first: int = 1) -> SupEstimate:
     """Certified sup estimate for the harmonic sum; deriv_bound becomes
-    2 pi sum |w_k| u_k / k automatically through the divided weights.
-    `refine_iters` has no effect, as in sup_envelope."""
+    2 pi sum |w_k| u_k / k automatically through the divided weights."""
     hw, u = _harmonic_pair(weights, indices, k_first)
     return sup_envelope(hw, u, grid=grid)

@@ -134,7 +134,7 @@ def test_criterion_04_log_phase_closed_form_bound():
     details = []
     for h in (0.5, 1.0, 2.0):
         w = gen_weights(WeightSpec(kind="log_phase", h=h), 1, n + 1)
-        est = sup_harmonic(w, u, refine_iters=24)
+        est = sup_harmonic(w, u)
         bound = hlawka_bound(h)
         ok &= est.upper * 1.05 <= bound
         details.append(f"h={h:g}: {est.upper:.2f} vs {bound:g}")

@@ -1,8 +1,9 @@
-"""Every narrative script in demos/ runs to completion.
+"""Every narrative script in demos/ runs to completion and leaves nothing
+behind.
 
 Each demo runs in its own interpreter with the package's src/ directory
-on PYTHONPATH, from a scratch working directory whose temporary-file root
-is the same scratch directory, so nothing is left behind.
+on PYTHONPATH, from a scratch working directory that is also its
+temporary-file root; that directory must be empty afterwards.
 """
 
 import os
@@ -29,3 +30,4 @@ def test_demo_exits_0(script, tmp_path):
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert list(tmp_path.iterdir()) == []

@@ -30,7 +30,7 @@ def tiny_envelope(name="t_env", **extra) -> dict:
         "weights": {"kind": "constant"},
         "indices": {"kind": "identity"},
         "blocks": [[0, 24], [0, 48]],
-        "theta_grid": {"points": 1024, "refine_iters": 4},
+        "theta_grid": {"points": 1024},
     }
     d.update(extra)
     return d
@@ -105,6 +105,13 @@ def test_seeded_weights_need_seeds():
     assert validate(cfg(**d)) == []
 
 
+def test_size_caps_on_rows():
+    diags = validate(cfg(**tiny_envelope(blocks=[[0, 10**12]])))
+    assert any(d.startswith("blocks: N - M must be at most") for d in diags)
+    diags = validate(cfg(**tiny_envelope(blocks=None, n_ladder=[64, 10**12])))
+    assert any(d.startswith("n_ladder: N must be at most") for d in diags)
+
+
 def test_seeds_shape_checks():
     assert any("distinct" in d for d in
                validate(cfg(**tiny_envelope(seeds=[1, 1]))))
@@ -115,7 +122,7 @@ def test_seeds_shape_checks():
 
 
 def test_template_harmonic_agreement():
-    d = tiny_envelope()
+    d = tiny_envelope(blocks=[[0, 1 << j] for j in range(5, 11)])  # H2 fits 6+ rows
     d["kind"] = "condition_fit"
     d["template"] = "harmonic_H2"
     diags = validate(cfg(**d))
@@ -136,7 +143,7 @@ def test_spectral_system_rejected_for_orbit_runs():
 def test_doubling_needs_seeds():
     d = tiny_average(system={"kind": "doubling"})
     diags = validate(cfg(**d))
-    assert any("doubling orbits draw their start point" in x for x in diags)
+    assert diags == ["seeds: doubling orbits draw their start point from a seed"]
     d["seeds"] = [3]
     assert validate(cfg(**d)) == []
 
@@ -352,6 +359,42 @@ INVALID_CLI_CONFIGS = {
     # JSON reads 1e400 (and Infinity) as inf
     "infinite_k0": (
         tiny_average(normalizer={"gamma": 1.0, "k0": float("inf")}), "normalizer:"),
+    "refine_iters": (
+        tiny_envelope(theta_grid={"points": 1024, "refine_iters": 4}),
+        "theta_grid.refine_iters: unknown field"),
+    # fits whose rows the template cannot take
+    "h2_five_rows": (
+        tiny_envelope(kind="condition_fit", template="H2", blocks=None,
+                      n_ladder=[256, 512, 1024, 2048, 4096]),
+        "template: H2 needs at least 6 samples"),
+    "harmonic_h1_on_n_ladder": (
+        tiny_envelope(kind="condition_fit", template="harmonic_H1", harmonic=True,
+                      blocks=None, n_ladder=[16, 64, 256, 1024]),
+        "template: harmonic_H1 needs M >= 2"),
+    # term ranges and stored grids the run cannot produce
+    "explicit_indices_short": (
+        tiny_average(indices={"kind": "explicit", "values": [1, 2, 3]}),
+        "indices: explicit index list shorter than requested range"),
+    "explicit_indices_short_blocks": (
+        tiny_envelope(indices={"kind": "explicit", "values": [1, 2, 3]}),
+        "indices: explicit index list shorter than requested range"),
+    "monomial_past_int64": (
+        tiny_average(indices={"kind": "monomial", "d": 9}),
+        "indices: monomial index values exceed int64 range"),
+    "k0_above_range": (
+        tiny_average(normalizer={"gamma": 1.0, "k0": 1000}),
+        "normalizer: entire grid lies below the normalizer offset k0"),
+    "ladder_past_n_terms": (
+        tiny_average(kind="oscillation_run",
+                     ladder={"kind": "dyadic", "j_lo": 2, "j_hi": 12}),
+        "ladder: every ladder value must be a stored checkpoint"),
+    "tail_start_past_range": (
+        tiny_average(kind="hilbert_run", tail_starts=[64, 1000]),
+        "tail_starts: tail start 1000 is beyond the stored grid"),
+    "hilbert_k_first_below_k0": (
+        tiny_average(kind="hilbert_run", k_first=2,
+                     normalizer={"gamma": 1.0, "k0": 5}),
+        "k_first: series terms start at k >= k0 = 5"),
 }
 
 
@@ -364,6 +407,38 @@ def test_cli_invalid_config_exits_2(tmp_path, capsys, case, command):
     assert main([command, str(p)]) == 2
     assert f"invalid: {message}" in capsys.readouterr().out
     assert not (tmp_path / config["name"]).exists()
+
+
+# presets no other tier-1 test runs, at non-default params and seeds
+PRESET_RUNS = {
+    "example1": ({}, []),
+    "example3": ({"params": {"h": 2.0}}, []),
+    "example5": ({"seeds": [1, 2]}, ["report.json"]),
+    "prime_question": ({"params": {"betas": [0.75, 1.0]}}, None),
+}
+_SERIES_PRESET_FILES = ["cauchy.json", "envelope.csv", "envelope.svg", "fit.json",
+                        "hseries.csv", "hseries.svg", "manifest.json"]
+
+
+@pytest.mark.parametrize("preset", list(PRESET_RUNS))
+def test_preset_runs(tmp_path, preset):
+    extra, more_files = PRESET_RUNS[preset]
+    run(cfg(preset=preset, output_dir=str(tmp_path), **extra))
+    out = tmp_path / preset
+    names = sorted(p.name for p in out.iterdir())
+    if more_files is None:
+        assert names == ["manifest.json", "ratio.svg", "report.json", "series.csv"]
+    else:
+        assert names == sorted(_SERIES_PRESET_FILES + more_files)
+    if preset == "example3":
+        check = json.loads((out / "fit.json").read_text())["bound_check"]
+        assert check["bound"] == 75.0 and check["passed"]
+    if preset == "example5":
+        fits = json.loads((out / "fit.json").read_text())["fits"]
+        assert [f["seed"] for f in fits] == [1, 2]
+    if preset == "prime_question":
+        per_beta = json.loads((out / "report.json").read_text())["per_beta"]
+        assert [e["beta"] for e in per_beta] == [0.75, 1.0]
 
 
 def test_cli_presets_listing(capsys):

@@ -106,7 +106,7 @@ def test_vacuous_certificate_warns():
     w = np.ones(4, dtype=np.complex128)
     u = np.array([10**7, 2 * 10**7, 3 * 10**7, 4 * 10**7], dtype=np.int64)
     with pytest.warns(RuntimeWarning):
-        sup_envelope(w, u, grid=ThetaGrid(16), refine_iters=0)
+        sup_envelope(w, u, grid=ThetaGrid(16))
 
 
 def test_default_grid_scales():
