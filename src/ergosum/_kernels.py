@@ -24,7 +24,6 @@ import numpy as np
 CHUNK = 4096
 
 _U64 = np.uint64
-_FULL_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def next_pow2(n: int) -> int:
@@ -34,18 +33,18 @@ def next_pow2(n: int) -> int:
     return 1 << (int(n - 1).bit_length())
 
 
-def chunk_sums(a: np.ndarray, chunk: int = CHUNK) -> np.ndarray:
+def chunk_sums(a: np.ndarray) -> np.ndarray:
     """Per-chunk sums of a 1-d array; zero padding keeps the shape fixed."""
     a = np.ascontiguousarray(a)
     n = a.shape[0]
     if n == 0:
         return np.zeros(1, dtype=a.dtype)
-    rows = -(-n // chunk)
-    if rows * chunk == n:
-        return a.reshape(rows, chunk).sum(axis=1)
-    padded = np.zeros(rows * chunk, dtype=a.dtype)
+    rows = -(-n // CHUNK)
+    if rows * CHUNK == n:
+        return a.reshape(rows, CHUNK).sum(axis=1)
+    padded = np.zeros(rows * CHUNK, dtype=a.dtype)
     padded[:n] = a
-    return padded.reshape(rows, chunk).sum(axis=1)
+    return padded.reshape(rows, CHUNK).sum(axis=1)
 
 
 def tree_reduce(partials: np.ndarray) -> complex | float:
@@ -58,12 +57,12 @@ def tree_reduce(partials: np.ndarray) -> complex | float:
     return p[0]
 
 
-def pairwise_sum(a: np.ndarray, chunk: int = CHUNK):
+def pairwise_sum(a: np.ndarray):
     """Deterministic chunked pairwise sum of a 1-d array."""
-    return tree_reduce(chunk_sums(a, chunk))
+    return tree_reduce(chunk_sums(a))
 
 
-def prefix_at(terms: np.ndarray, bounds: np.ndarray, chunk: int = CHUNK) -> np.ndarray:
+def prefix_at(terms: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Prefix sums of ``terms`` evaluated at exclusive end positions.
 
     ``bounds`` must be strictly increasing integers in [1, len(terms)].
@@ -79,12 +78,12 @@ def prefix_at(terms: np.ndarray, bounds: np.ndarray, chunk: int = CHUNK) -> np.n
         return np.zeros(0, dtype=terms.dtype)
     if bounds[0] < 1 or bounds[-1] > n or np.any(np.diff(bounds) <= 0):
         raise ValueError("bounds must be strictly increasing in [1, len(terms)]")
-    n_chunks = -(-n // chunk)
-    padded = np.zeros(n_chunks * chunk, dtype=terms.dtype)
+    n_chunks = -(-n // CHUNK)
+    padded = np.zeros(n_chunks * CHUNK, dtype=terms.dtype)
     padded[:n] = terms
-    within = np.cumsum(padded.reshape(n_chunks, chunk), axis=1)
+    within = np.cumsum(padded.reshape(n_chunks, CHUNK), axis=1)
     chunk_prefix = np.cumsum(within[:, -1])
-    q, r = np.divmod(bounds, chunk)
+    q, r = np.divmod(bounds, CHUNK)
     out = np.empty(bounds.size, dtype=terms.dtype)
     full = r == 0
     out[full] = chunk_prefix[q[full] - 1]

@@ -16,6 +16,7 @@ PALETTE = (
 )
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 24, 42, 52
+_WIDTH, _HEIGHT = 720, 440
 
 
 def _fmt(x: float) -> str:
@@ -62,24 +63,23 @@ class _Axis:
 
 
 def line_chart(title: str, x_label: str, y_label: str, series,
-               x_log: bool = False, y_log: bool = False,
-               width: int = 720, height: int = 440) -> str:
+               x_log: bool = False, y_log: bool = False) -> str:
     """An SVG document plotting (label, xs, ys) triples as polylines."""
     series = [(str(lbl), list(xs), list(ys)) for lbl, xs, ys in series]
     all_x = [x for _, xs, _ in series for x in xs]
     all_y = [y for _, _, ys in series for y in ys]
-    ax = _Axis(all_x, x_log, _MARGIN_L, width - _MARGIN_R)
-    ay = _Axis(all_y, y_log, height - _MARGIN_B, _MARGIN_T)
+    ax = _Axis(all_x, x_log, _MARGIN_L, _WIDTH - _MARGIN_R)
+    ay = _Axis(all_y, y_log, _HEIGHT - _MARGIN_B, _MARGIN_T)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<text x="{width // 2}" y="24" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
+        f'<text x="{_WIDTH // 2}" y="24" text-anchor="middle" '
         f'font-family="monospace" font-size="14">{_esc(title)}</text>',
     ]
     # frame
-    x0, x1 = _MARGIN_L, width - _MARGIN_R
-    y0, y1 = height - _MARGIN_B, _MARGIN_T
+    x0, x1 = _MARGIN_L, _WIDTH - _MARGIN_R
+    y0, y1 = _HEIGHT - _MARGIN_B, _MARGIN_T
     parts.append(
         f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
         f'fill="none" stroke="#444444" stroke-width="1"/>'
@@ -109,7 +109,7 @@ def line_chart(title: str, x_label: str, y_label: str, series,
             f'font-family="monospace" font-size="11">{_fmt(tv)}</text>'
         )
     parts.append(
-        f'<text x="{(x0 + x1) // 2}" y="{height - 14}" text-anchor="middle" '
+        f'<text x="{(x0 + x1) // 2}" y="{_HEIGHT - 14}" text-anchor="middle" '
         f'font-family="monospace" font-size="12">{_esc(x_label)}</text>'
     )
     parts.append(

@@ -19,11 +19,11 @@ a stored value is bit-identical however the run is later re-chunked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import frac_of, next_pow2, pairwise_sum, prefix_at
+from ._kernels import frac_of, pairwise_sum, prefix_at
 from .dynamics import SpectralMeasure
 
 LADDER_KINDS = ("dyadic", "doubly_exponential", "rho_ladder", "rho_rho_ladder")
@@ -194,7 +194,6 @@ class SeriesRun:
     sums: np.ndarray
     normalizer: NormalizerSpec | None = None
     convention: str = "exclusive"
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.n_grid = np.ascontiguousarray(self.n_grid, dtype=np.int64)
@@ -224,8 +223,7 @@ class SeriesRun:
 
 def weighted_sums(orbit_values, weights, k_first: int = 0,
                   normalizer: NormalizerSpec | None = None,
-                  n_grid: np.ndarray | None = None,
-                  meta: dict | None = None) -> SeriesRun:
+                  n_grid: np.ndarray | None = None) -> SeriesRun:
     """Running sums S_N = sum_{k_first <= k < N} w_k * orbit_k on a stored
     grid (default: dense up to 10^6 then geometric)."""
     v = np.ascontiguousarray(orbit_values, dtype=np.complex128)
@@ -240,7 +238,7 @@ def weighted_sums(orbit_values, weights, k_first: int = 0,
         raise ValueError(f"grid must lie within ({k_first}, {n_top}]")
     sums = prefix_at(w * v, n_grid - k_first)
     return SeriesRun(k_first=k_first, n_grid=n_grid, sums=sums,
-                     normalizer=normalizer, meta=dict(meta or {}))
+                     normalizer=normalizer)
 
 
 @dataclass(eq=False)
@@ -265,12 +263,10 @@ class NormalizedSeries:
             raise ValueError("tail start exceeds the stored grid")
         return float(self.ratios[mask].max())
 
-    def slope(self, n_lo: int | None = None) -> float:
+    def slope(self) -> float:
         """Least-squares slope of log ratio against log N, or against
         log log N when gamma = 0 (log-scale normalizers)."""
         mask = self.ratios > 0.0
-        if n_lo is not None:
-            mask &= self.n_grid >= n_lo
         if mask.sum() < 2:
             return math.nan
         n = self.n_grid[mask].astype(np.float64)
@@ -328,22 +324,16 @@ def hilbert_partial(weights, orbit_values, norm: NormalizerSpec, N: int,
 
 
 def hilbert_series(weights, orbit_values, norm: NormalizerSpec,
-                   k_first: int | None = None,
-                   n_grid: np.ndarray | None = None,
-                   meta: dict | None = None) -> SeriesRun:
-    """Partial sums of the series on a stored grid (inclusive convention)."""
+                   k_first: int | None = None) -> SeriesRun:
+    """Partial sums of the series on the stored grid of [k_first, last
+    term] (inclusive convention)."""
     if k_first is None:
         k_first = norm.k0
     terms = _series_terms(weights, orbit_values, norm, k_first)
-    n_top = k_first + terms.size - 1
-    if n_grid is None:
-        n_grid = storage_grid(k_first, n_top)
-    n_grid = np.ascontiguousarray(n_grid, dtype=np.int64)
-    if n_grid.size == 0 or n_grid[0] < k_first or n_grid[-1] > n_top:
-        raise ValueError(f"grid must lie within [{k_first}, {n_top}]")
+    n_grid = storage_grid(k_first, k_first + terms.size - 1)
     sums = prefix_at(terms, n_grid - k_first + 1)
     return SeriesRun(k_first=k_first, n_grid=n_grid, sums=sums, normalizer=norm,
-                     convention="inclusive", meta=dict(meta or {}))
+                     convention="inclusive")
 
 
 def _diameter(points: np.ndarray) -> float:
@@ -458,9 +448,9 @@ class OscillationReport:
         j = self.ladder_j[:-1].astype(np.float64)
         return np.cumsum(j ** l_exponent * self.osc**2)
 
-    def check_decomposition(self, ulp_slack: int = 8) -> dict:
+    def check_decomposition(self) -> dict:
         """Verify |r(N)| <= anchor_j + osc_j on every stored N of every
-        block, up to ulp_slack last-place units of the right side."""
+        block, up to 8 last-place units of the right side."""
         worst = 0.0
         for j in range(self.osc.size):
             lo, hi = self._block_bound[j], self._block_bound[j + 1]
@@ -469,7 +459,7 @@ class OscillationReport:
             bound = self.anchors[j] + self.osc[j]
             excess = float(self._abs_r[lo:hi].max()) - bound
             worst = max(worst, excess / max(np.spacing(bound), 5e-324))
-        return {"passed": bool(worst <= ulp_slack), "max_excess_ulps": worst}
+        return {"passed": bool(worst <= 8), "max_excess_ulps": worst}
 
     def to_dict(self) -> dict:
         return {
@@ -495,14 +485,14 @@ def ladder_positions(n_grid: np.ndarray, ladder_n: np.ndarray, k0: int) -> np.nd
     return pos
 
 
-def oscillation_report(run: SeriesRun, ladder: BlockLadder,
-                       normalizer: NormalizerSpec | None = None) -> OscillationReport:
-    """Per-block oscillation maxima of the normalized run along a ladder.
+def oscillation_report(run: SeriesRun, ladder: BlockLadder) -> OscillationReport:
+    """Per-block oscillation maxima of the run, normalized by its own
+    normalizer, along a ladder.
 
     Every ladder value must be a stored checkpoint of the run."""
-    norm = normalizer or run.normalizer
+    norm = run.normalizer
     if norm is None:
-        raise ValueError("run carries no normalizer and none was given")
+        raise ValueError("run carries no normalizer")
     ladder_n = ladder.values()
     pos = ladder_positions(run.n_grid, ladder_n, norm.k0)
     lo_i, hi_i = int(pos[0]), int(pos[-1])
@@ -530,14 +520,14 @@ def oscillation_report(run: SeriesRun, ladder: BlockLadder,
 
 
 def maximal_norm(weights, indices, norm: NormalizerSpec,
-                 measure: SpectralMeasure, n_grid, k_first: int = 0,
-                 theta_resolution: int = 1 << 16) -> float:
+                 measure: SpectralMeasure, n_grid, k_first: int = 0) -> float:
     """Grid maximal function in the spectral model:
 
         sqrt( integral of max_{N in grid} |V_N(t) / A(N)|^2 d measure(t) ),
 
     a lower bound for the true maximal norm (the max runs over the finite
-    grid only). V_N uses terms k in [k_first, N)."""
+    grid only). V_N uses terms k in [k_first, N); the density integral is
+    a trapezoid rule on max(2**16, cell count) points."""
     w = np.ascontiguousarray(weights, dtype=np.complex128)
     u = np.ascontiguousarray(indices)
     if u.dtype.kind not in "iu":
@@ -557,7 +547,7 @@ def maximal_norm(weights, indices, norm: NormalizerSpec,
         total += mass * float((np.abs(pref) / a).max()) ** 2
     if measure.density is not None:
         cells = measure.density.size
-        r = next_pow2(max(int(theta_resolution), cells, 2))
+        r = max(1 << 16, cells)
         dens = np.repeat(measure.density, r // cells)
         acc = np.zeros(r, dtype=np.complex128)
         best = np.zeros(r, dtype=np.float64)

@@ -1,11 +1,12 @@
 """Concrete measure-preserving systems and spectral models.
 
-Three system kinds:
+Two system kinds:
 
     rotation   x -> x + theta0 mod 1 on the circle
     doubling   x -> 2x mod 1, points carried as explicit bit strings
-    spectral   no points at all; the system is a finite positive measure
-               on [0, 1) and norms are computed by quadrature against it
+
+The spectral model has no points: a SpectralMeasure, a finite positive
+measure on [0, 1), against which spectral_l2_norm computes norms.
 
 Rotation angles can be floats or exact rationals (Fraction). The bundled
 rotation_sqrt2 / rotation_golden constructors return continued-fraction
@@ -34,7 +35,7 @@ from ._kernels import frac_mul, frac_ratio, next_pow2, pairwise_sum
 from ._rng import bits as _seeded_bits
 from .trigsum import ThetaGrid, eval_grid, eval_sum
 
-SYSTEM_KINDS = ("rotation", "doubling", "spectral")
+SYSTEM_KINDS = ("rotation", "doubling")
 OBSERVABLE_KINDS = ("fourier_mode", "indicator", "finite_fourier")
 
 MAX_ANGLE_DEN = 1 << 62
@@ -101,18 +102,6 @@ class SpectralMeasure:
     def uniform(cls) -> "SpectralMeasure":
         return cls(density=np.ones(1))
 
-    def to_dict(self) -> dict:
-        out: dict = {"atoms": [[float(t), m] for t, m in self.atoms]}
-        if self.density is not None:
-            out["density"] = [float(v) for v in self.density]
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SpectralMeasure":
-        atoms = tuple((float(t), float(m)) for t, m in d.get("atoms", ()))
-        dens = d.get("density")
-        return cls(atoms=atoms, density=None if dens is None else np.asarray(dens))
-
 
 @dataclass(frozen=True, eq=False)
 class SystemModel:
@@ -120,7 +109,6 @@ class SystemModel:
 
     kind: str
     theta0: float | Fraction | None = None
-    measure: SpectralMeasure | None = None
 
     def __post_init__(self):
         if self.kind not in SYSTEM_KINDS:
@@ -131,32 +119,26 @@ class SystemModel:
                 raise ValueError("rotation needs theta0 in (0, 1)")
             if isinstance(t, Fraction) and t.denominator > MAX_ANGLE_DEN:
                 raise ValueError("rational angle denominator must be <= 2**62")
-        if self.kind == "spectral" and self.measure is None:
-            raise ValueError("spectral system needs a measure")
 
     @classmethod
     def rotation(cls, theta0) -> "SystemModel":
         return cls(kind="rotation", theta0=theta0)
 
     @classmethod
-    def rotation_sqrt2(cls, max_den: int = MAX_ANGLE_DEN) -> "SystemModel":
+    def rotation_sqrt2(cls) -> "SystemModel":
         """Rotation by sqrt(2) - 1 = [0; 2, 2, 2, ...] as the deepest
-        convergent with denominator <= max_den."""
-        return cls.rotation(_cf_constant_convergent(2, max_den))
+        convergent with denominator <= MAX_ANGLE_DEN."""
+        return cls.rotation(_cf_constant_convergent(2, MAX_ANGLE_DEN))
 
     @classmethod
-    def rotation_golden(cls, max_den: int = MAX_ANGLE_DEN) -> "SystemModel":
+    def rotation_golden(cls) -> "SystemModel":
         """Rotation by (sqrt(5) - 1)/2 = [0; 1, 1, 1, ...], a ratio of
         consecutive Fibonacci numbers."""
-        return cls.rotation(_cf_constant_convergent(1, max_den))
+        return cls.rotation(_cf_constant_convergent(1, MAX_ANGLE_DEN))
 
     @classmethod
     def doubling(cls) -> "SystemModel":
         return cls(kind="doubling")
-
-    @classmethod
-    def spectral(cls, measure: SpectralMeasure) -> "SystemModel":
-        return cls(kind="spectral", measure=measure)
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -165,19 +147,14 @@ class SystemModel:
                 out["theta0"] = [self.theta0.numerator, self.theta0.denominator]
             else:
                 out["theta0"] = float(self.theta0)
-        if self.measure is not None:
-            out["measure"] = self.measure.to_dict()
         return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "SystemModel":
-        theta0 = d.get("theta0")
-        if isinstance(theta0, (list, tuple)):
-            theta0 = Fraction(int(theta0[0]), int(theta0[1]))
-        measure = d.get("measure")
-        if measure is not None:
-            measure = SpectralMeasure.from_dict(measure)
-        return cls(kind=d["kind"], theta0=theta0, measure=measure)
+        d = dict(d)
+        if isinstance(d.get("theta0"), (list, tuple)):
+            d["theta0"] = Fraction(int(d["theta0"][0]), int(d["theta0"][1]))
+        return cls(**d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,12 +242,10 @@ class Observable:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Observable":
-        if d["kind"] == "finite_fourier":
-            terms = tuple((int(m), complex(re, im)) for m, re, im in d["terms"])
-            return cls.finite_fourier(terms)
-        if d["kind"] == "indicator":
-            return cls.indicator(*d["interval"])
-        return cls.fourier_mode(d["mode"])
+        d = dict(d)
+        if "terms" in d:
+            d["terms"] = tuple((int(m), complex(re, im)) for m, re, im in d["terms"])
+        return cls(**d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,10 +330,6 @@ def orbit_eval(system: SystemModel, f: Observable, x0: OrbitPoint,
         raise ValueError("orbit indices must form a nonempty 1-d array")
     if int(u.min()) < 0:
         raise ValueError("orbit indices must be nonnegative")
-    if system.kind == "spectral":
-        raise TypeError(
-            "spectral systems have no orbit points; use spectral_l2_norm"
-        )
     if system.kind == "rotation":
         if x0.kind != "rotation":
             raise ValueError("rotation system needs a rotation orbit point")

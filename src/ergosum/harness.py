@@ -1,7 +1,9 @@
 """Batch experiment harness and command line entry point.
 
 An experiment is described by a small JSON config (see ExperimentConfig).
-Five base kinds cover the library surface:
+Each kind reads name, kind, seeds, output_dir and the fields its `_READS`
+row lists; validate() rejects any other field a config sets. Five base
+kinds cover the library surface:
 
   envelope_scan    certified sup-of-trig-sum rows over an N ladder or
                    explicit (M, N] blocks
@@ -84,14 +86,20 @@ from .weights import WeightSpec, gen_weights
 
 TOOL_VERSION = "0.1.0"
 
-KINDS = (
-    "envelope_scan",
-    "condition_fit",
-    "average_run",
-    "hilbert_run",
-    "oscillation_run",
-    "preset",
-)
+_ENVELOPE_READS = ("weights", "indices", "n_ladder", "blocks", "theta_grid", "harmonic")
+_ORBIT_READS = ("weights", "indices", "system", "observable", "x0", "normalizer",
+                "n_terms", "k_first")
+# the fields each kind reads besides the four every kind reads
+_READS = {
+    "envelope_scan": _ENVELOPE_READS,
+    "condition_fit": _ENVELOPE_READS + ("template", "reference"),
+    "average_run": _ORBIT_READS,
+    "hilbert_run": _ORBIT_READS + ("bound", "tail_starts"),
+    "oscillation_run": _ORBIT_READS + ("ladder",),
+    "preset": ("preset", "params"),
+}
+_READ_BY_ALL = ("name", "kind", "seeds", "output_dir")
+KINDS = tuple(_READS)
 
 OUTPUT_ROOT_VAR = "ERGOSUM_OUTPUT_ROOT"
 DEFAULT_OUTPUT_ROOT = "ergosum_out"
@@ -102,6 +110,7 @@ EXIT_RUNTIME = 3
 
 _MAX_SEEDS = 256
 _MAX_TERMS = 100_000_000
+_K_END = 2**63 - 1  # every term index k a run generates stays below this (int64)
 _MAX_GRID_POINTS = 1 << 26
 _CSV_THIN_RATIO = 1.02
 _CSV_DENSE_ROWS = 512
@@ -250,6 +259,9 @@ def validate(config: ExperimentConfig) -> list[str]:
 
     for k in config.extra:
         diags.append(f"{k}: unknown field")
+    for k in config.to_dict():
+        if k not in config.extra and k not in _READ_BY_ALL + _READS[config.kind]:
+            diags.append(f"{k}: not read by {config.kind}")
 
     if config.seeds is not None:
         if not isinstance(config.seeds, (list, tuple)) or not all(
@@ -281,9 +293,6 @@ def validate(config: ExperimentConfig) -> list[str]:
                 diags.append(f"params.{k}: {preset.params[k][2]}")
         return diags
 
-    if config.params:
-        diags.append("params: only preset configs take free parameters")
-
     wspec = sub_spec("weights", lambda d: _weight_spec(d, 1))
     ispec = sub_spec("indices", lambda d: _index_spec(d, 1))
     if not config.seeds and any(
@@ -291,16 +300,6 @@ def validate(config: ExperimentConfig) -> list[str]:
             for d, kinds in ((config.weights, _SEEDED_WEIGHTS),
                              (config.indices, ("cramer_primes",)))):
         diags.append("seeds: required for stochastic ingredients")
-
-    if config.k_first is not None:
-        if not _is_int(config.k_first) or config.k_first < 0:
-            diags.append("k_first: must be a nonnegative integer")
-        else:
-            for spec in (wspec, ispec):
-                if spec is not None and config.k_first < spec.offset:
-                    diags.append(
-                        f"k_first: below the {spec.kind} family offset {spec.offset}"
-                    )
 
     if config.kind in ("envelope_scan", "condition_fit"):
         lo_m = max(
@@ -323,6 +322,8 @@ def validate(config: ExperimentConfig) -> list[str]:
                 diags.append("blocks: must be [M, N] integer pairs with 0 <= M < N")
             elif any(b[0] + 1 < max(lo_m, 1) for b in config.blocks):
                 diags.append(f"blocks: rows start at M + 1, which must be >= {max(lo_m, 1)}")
+            elif any(b[1] >= _K_END for b in config.blocks):
+                diags.append("blocks: term indices k must stay below 2**63 - 1")
             elif any(b[1] - b[0] > _MAX_TERMS for b in config.blocks):
                 diags.append(f"blocks: N - M must be at most {_MAX_TERMS}")
         if config.n_ladder is None and config.blocks is None:
@@ -351,18 +352,22 @@ def validate(config: ExperimentConfig) -> list[str]:
             return diags
         # the rows the run computes must exist and, for a fit, be fittable
         rows = _full_blocks(config, wspec, ispec)
-        check("indices", lambda: check_top(ispec, max(n for _, n in rows) + 1))
+        check("indices", lambda: [check_top(ispec, m + 1, n + 1) for m, n in rows])
         if config.kind == "condition_fit":
             check("template", lambda: check_rows(config.template, rows))
         return diags
 
     # orbit-run kinds
+    if config.k_first is not None:
+        if not _is_int(config.k_first) or config.k_first < 0:
+            diags.append("k_first: must be a nonnegative integer")
+        else:
+            for spec in (wspec, ispec):
+                if spec is not None and config.k_first < spec.offset:
+                    diags.append(
+                        f"k_first: below the {spec.kind} family offset {spec.offset}"
+                    )
     system = sub_spec("system", SystemModel.from_dict)
-    if system is not None and system.kind == "spectral":
-        diags.append(
-            "system: spectral systems have no orbit; use the library "
-            "spectral_l2_norm / maximal_norm entry points"
-        )
     if system is not None and system.kind == "doubling" and not config.seeds:
         diags.append("seeds: doubling orbits draw their start point from a seed")
     sub_spec("observable", Observable.from_dict)
@@ -377,29 +382,36 @@ def validate(config: ExperimentConfig) -> list[str]:
     if config.kind == "oscillation_run":
         ladder = sub_spec("ladder", BlockLadder.from_dict, "required for oscillation runs")
     hilbert = config.kind == "hilbert_run"
-    if hilbert:
-        if config.bound is not None and (not _is_num(config.bound) or config.bound <= 0):
-            diags.append("bound: must be a positive number")
-        if config.tail_starts is not None and not _increasing_positive_ints(
-                config.tail_starts):
-            diags.append("tail_starts: must be strictly increasing positive integers")
+    # set only on hilbert runs: every other kind rejects them as not read
+    if config.bound is not None and (not _is_num(config.bound) or config.bound <= 0):
+        diags.append("bound: must be a positive number")
+    if config.tail_starts is not None and not _increasing_positive_ints(
+            config.tail_starts):
+        diags.append("tail_starts: must be strictly increasing positive integers")
     if diags:
         return diags
     # the term range and stored grid the run will use (see _orbit_runs)
     kf = _first_term(config.k_first, norm.k0 if hilbert else 1, wspec, ispec)
-    check("indices", lambda: check_top(ispec, kf + config.n_terms))
+    n_end = kf + config.n_terms
+    if n_end > _K_END:
+        diags.append("k_first: term indices k must stay below 2**63 - 1")
+        return diags
+    check("indices", lambda: check_top(ispec, kf, n_end))
     if hilbert:
-        n_top = kf + config.n_terms - 1
-        beyond = [t for t in config.tail_starts or _dyadic_starts(kf, n_top) if t > n_top]
+        beyond = [t for t in config.tail_starts or _dyadic_starts(kf, n_end - 1)
+                  if t >= n_end]
         if kf < norm.k0:
             diags.append(f"k_first: series terms start at k >= k0 = {norm.k0}")
         elif beyond:
             diags.append(f"tail_starts: tail start {beyond[0]} is beyond the stored grid")
-    elif norm.k0 > kf + config.n_terms:
+    elif norm.k0 > n_end:
         diags.append("normalizer: entire grid lies below the normalizer offset k0")
-    elif ladder is not None:
-        check("ladder", lambda: ladder_positions(
-            storage_grid(kf + 1, kf + config.n_terms), ladder.values(), norm.k0))
+    if diags:
+        return diags
+    grid = storage_grid(kf, n_end - 1) if hilbert else storage_grid(kf + 1, n_end)
+    check("normalizer", lambda: norm.values(grid[grid >= norm.k0]))
+    if ladder is not None:
+        check("ladder", lambda: ladder_positions(grid, ladder.values(), norm.k0))
     return diags
 
 
@@ -816,8 +828,7 @@ def _run_base_kind(cfg: ExperimentConfig, files, walls):
                            bound=cfg.bound)
     else:
         with _timed(walls, "average"):
-            _average_stage(*orbit, k_first=cfg.k_first,
-                           ladder_dict=cfg.ladder if cfg.kind == "oscillation_run" else None)
+            _average_stage(*orbit, k_first=cfg.k_first, ladder_dict=cfg.ladder)
 
 
 # ---------------------------------------------------------------------------

@@ -93,15 +93,14 @@ class IndexSpec:
 def gen_indices(spec: IndexSpec, m: int, n: int) -> np.ndarray:
     """Indices u_k for k in [m, n) as int64; element j is u_{m+j}.
 
-    Requires 0 <= m < n and m >= spec.offset. Values must fit in int64;
-    monomials and polynomials are range-checked before evaluation, and a
-    polynomial must be nonnegative and nondecreasing on the range.
+    Requires 0 <= m < n, m >= spec.offset and check_top(spec, m, n) to
+    pass, which it checks before evaluating anything.
     """
     if not (0 <= m < n):
         raise ValueError("need 0 <= m < n")
     if m < spec.offset:
         raise ValueError(f"{spec.kind} indices start at k = {spec.offset}")
-    check_top(spec, n)
+    check_top(spec, m, n)
     kind = spec.kind
     if kind == "identity":
         return np.arange(m, n, dtype=np.int64)
@@ -109,13 +108,7 @@ def gen_indices(spec: IndexSpec, m: int, n: int) -> np.ndarray:
         k = np.arange(m, n, dtype=np.int64)
         return k**spec.d
     if kind == "polynomial":
-        k = np.arange(m, n, dtype=np.int64)
-        u = np.zeros(n - m, dtype=np.int64)
-        for c in reversed(spec.coeffs):
-            u = u * k + c
-        if u[0] < 0 or np.any(np.diff(u) < 0):
-            raise ValueError("polynomial must be nonnegative and nondecreasing on the range")
-        return u
+        return _horner(spec.coeffs, m, n)
     if kind == "primes":
         return first_primes(n - 1)[m - 1 : n - 1]
     if kind == "cramer_primes":
@@ -125,18 +118,43 @@ def gen_indices(spec: IndexSpec, m: int, n: int) -> np.ndarray:
     raise AssertionError(kind)
 
 
-def check_top(spec: IndexSpec, n: int) -> None:
-    """Raise ValueError when u_k for some k < n cannot be generated: an
-    explicit list that ends before n, or monomial or polynomial values
-    past the int64 range."""
+def _horner(coeffs, m: int, n: int) -> np.ndarray:
+    """p(k) = sum_j coeffs[j] k**j for k in [m, n) in int64: exact once
+    check_top has bounded every partial."""
+    k = np.arange(m, n, dtype=np.int64)
+    u = np.zeros(n - m, dtype=np.int64)
+    for c in reversed(coeffs):
+        u = u * k + c
+    return u
+
+
+def check_top(spec: IndexSpec, m: int, n: int) -> None:
+    """Raise ValueError when u_k for some k in [m, n) cannot be generated:
+    an explicit list that ends before n, monomial or polynomial values past
+    the int64 range, or a polynomial that is negative or decreasing on
+    [m, n).
+
+    The polynomial shape check is exact and bounded: q(k) = p(k+1) - p(k)
+    has degree d - 1 and leading coefficient d c_d, so for k >= K, an
+    integer above its Cauchy root bound, q(k) has the sign of c_d, and p is
+    evaluated only for k <= K.
+    """
     if spec.kind == "explicit" and len(spec.values) < n:
         raise ValueError("explicit index list shorter than requested range")
     if spec.kind == "monomial" and (n - 1) ** spec.d >= 2**63:
         raise ValueError("monomial index values exceed int64 range")
+    if spec.kind != "polynomial":
+        return
+    c = spec.coeffs
     # guard every Horner partial by the L1 bound at the largest k
-    if spec.kind == "polynomial" and sum(
-            abs(c) * (n - 1)**j for j, c in enumerate(spec.coeffs)) >= 2**63:
+    if sum(abs(cj) * (n - 1)**j for j, cj in enumerate(c)) >= 2**63:
         raise ValueError("polynomial index values exceed int64 range")
+    d = max((j for j, cj in enumerate(c) if cj), default=0)
+    q = [sum(c[j] * math.comb(j, i) for j in range(i + 1, d + 1)) for i in range(d)]
+    K = 2 + max(map(abs, q[:-1]), default=0) // abs(q[-1]) if d else m
+    u = _horner(c, m, max(m + 1, min(n, K + 1)))
+    if u[0] < 0 or np.any(np.diff(u) < 0) or (c[d] < 0 and max(m, K) <= n - 2):
+        raise ValueError("polynomial must be nonnegative and nondecreasing on the range")
 
 
 def pi_count(spec: IndexSpec, N: int) -> int:

@@ -10,19 +10,19 @@ Conventions:
 * indices are integers, so sums are 1-periodic in theta and the sup is
   taken over the fundamental domain [0, 1).
 
-Certificates: sup_envelope evaluates |V| on one canonical FFT grid of L
-points theta_j = j/L, h = 1/L, and turns its maximum G into a bound on the
-sup over every theta. With D = u_max - u_min, |V|^2 is a real
-trigonometric polynomial of degree D, so Bernstein's inequality (Zygmund,
-Trigonometric Series, ch. X) gives |(|V|^2)''| <= (2 pi D)^2 sup |V|^2.
-The derivative of |V|^2 vanishes at a maximizer and a grid point lies
-within h/2 of it, hence sup |V| <= G / sqrt(1 - pi^2 D^2 h^2 / 2) whenever
-pi^2 D^2 h^2 / 2 < 1. An allowance 8 eps (log2 L + 1) sum |w_k| for FFT
-rounding is taken off `lower` and added to `upper`, and `upper` is capped
-at the triangle bound sum |w_k|. Where the condition fails, or the grid is
-not the canonical [0, 1), `upper` is sum |w_k| and the estimate is flagged
-`aliased`. `deriv_bound` = 2 pi sum |w_k| u_k (a bound on |V'|) is
-reported for reference and enters no certificate.
+Certificates: sup_envelope evaluates |V| on one FFT grid of L points
+theta_j = j/L, h = 1/L (the only ThetaGrid form), and turns its maximum G
+into a bound on the sup over every theta. With D = u_max - u_min, |V|^2 is
+a real trigonometric polynomial of degree D, so Bernstein's inequality
+(Zygmund, Trigonometric Series, ch. X) gives |(|V|^2)''| <= (2 pi D)^2 sup
+|V|^2. The derivative of |V|^2 vanishes at a maximizer and a grid point
+lies within h/2 of it, hence sup |V| <= G / sqrt(1 - pi^2 D^2 h^2 / 2)
+whenever pi^2 D^2 h^2 / 2 < 1. An allowance 8 eps (log2 L + 1) sum |w_k|
+for FFT rounding is taken off `lower` and added to `upper`, and `upper` is
+capped at the triangle bound sum |w_k|. Where the condition fails, `upper`
+is sum |w_k| and the estimate is flagged `aliased`. `deriv_bound` = 2 pi
+sum |w_k| u_k (a bound on |V'|) is reported for reference and enters no
+certificate.
 
 Every reduction is chunked pairwise (see _kernels), and phase arguments
 theta*u are reduced mod 1 exactly through the dyadic form of theta, so
@@ -48,27 +48,17 @@ SCALED_GRID_CAP = 1 << 26
 
 @dataclass(frozen=True)
 class ThetaGrid:
-    """Equispaced theta samples: points values on [span[0], span[1])."""
+    """Equispaced theta samples j / points, j = 0 .. points - 1, on [0, 1)."""
 
     points: int
-    span: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
         if self.points < 2:
             raise ValueError("grid needs at least 2 points")
-        if not self.span[0] < self.span[1]:
-            raise ValueError("grid span must be nonempty")
 
     @property
     def spacing(self) -> float:
-        return (self.span[1] - self.span[0]) / self.points
-
-    @property
-    def canonical(self) -> bool:
-        return self.span == (0.0, 1.0)
-
-    def thetas(self) -> np.ndarray:
-        return self.span[0] + self.spacing * np.arange(self.points)
+        return 1.0 / self.points
 
 
 @dataclass(frozen=True)
@@ -88,11 +78,6 @@ class SupEstimate:
     def __post_init__(self):
         if not 0.0 <= self.lower <= self.upper:
             raise ValueError("sup estimate needs 0 <= lower <= upper")
-
-    @property
-    def honesty_ratio(self) -> float:
-        """upper/lower; near 1 when the certificate is tight."""
-        return self.upper / self.lower if self.lower > 0 else math.inf
 
 
 def _check_pair(weights: np.ndarray, indices: np.ndarray):
@@ -121,25 +106,19 @@ def eval_sum(weights, indices, theta) -> complex:
 
 
 def eval_grid(weights, indices, grid: ThetaGrid) -> np.ndarray:
-    """V on every grid point.
-
-    Canonical [0, 1) grids go through an FFT scatter: weights are binned at
+    """V on every grid point, through an FFT scatter: weights are binned at
     u_k mod L and one inverse transform of length L = grid.points returns
-    every value exactly (integer indices fold mod L without error). Other
-    grids are evaluated directly point by point.
+    every value exactly (integer indices fold mod L without error).
     """
     w, u = _check_pair(weights, indices)
-    if grid.canonical:
-        L = grid.points
-        pos = (u.astype(np.uint64) % np.uint64(L)).astype(np.int64)
-        acc = np.empty(L, dtype=np.complex128)
-        acc.real = np.bincount(pos, weights=w.real, minlength=L)
-        acc.imag = np.bincount(pos, weights=w.imag, minlength=L)
-        # unnormalized inverse transform in place: no 1/L scaling to undo
-        # and no second grid-sized buffer
-        return np.fft.ifft(acc, norm="forward", out=acc)
-    thetas = grid.thetas()
-    return np.array([eval_sum(w, u, float(t)) for t in thetas], dtype=np.complex128)
+    L = grid.points
+    pos = (u.astype(np.uint64) % np.uint64(L)).astype(np.int64)
+    acc = np.empty(L, dtype=np.complex128)
+    acc.real = np.bincount(pos, weights=w.real, minlength=L)
+    acc.imag = np.bincount(pos, weights=w.imag, minlength=L)
+    # unnormalized inverse transform in place: no 1/L scaling to undo
+    # and no second grid-sized buffer
+    return np.fft.ifft(acc, norm="forward", out=acc)
 
 
 def default_grid(n_terms: int, span: int) -> ThetaGrid:
@@ -161,9 +140,8 @@ def sup_envelope(weights, indices, grid: ThetaGrid | None = None) -> SupEstimate
     h = 1/L and the FFT rounding allowance e = 8 eps (log2 L + 1) sum |w|,
     lower = max(0, G - e), never above upper, and upper = min(sum |w|,
     (G + e) / sqrt(1 - pi^2 D^2 h^2 / 2)), a bound on every theta (module
-    docstring). If pi^2 D^2 h^2 / 2 >= 1 or the grid is not the canonical
-    [0, 1), upper is sum |w|, `aliased` is set and a RuntimeWarning is
-    emitted.
+    docstring). If pi^2 D^2 h^2 / 2 >= 1, upper is sum |w|, `aliased` is
+    set and a RuntimeWarning is emitted.
     """
     w, u = _check_pair(weights, indices)
     span = int(u.max()) - int(u.min())
@@ -177,11 +155,11 @@ def sup_envelope(weights, indices, grid: ThetaGrid | None = None) -> SupEstimate
     peak = float(vals[top])
     fft_slack = 8.0 * _EPS * (math.log2(grid.points) + 1.0) * weight_l1
     curvature = (math.pi * span * grid.spacing) ** 2 / 2.0
-    aliased = not grid.canonical or curvature >= 1.0
+    aliased = curvature >= 1.0
     if aliased:
         warnings.warn(
-            "grid too coarse or not the canonical [0, 1) grid for the "
-            "Bernstein certificate; upper falls back to the weight mass",
+            "grid too coarse for the Bernstein certificate; upper falls "
+            "back to the weight mass",
             RuntimeWarning,
         )
         upper = weight_l1
@@ -190,7 +168,7 @@ def sup_envelope(weights, indices, grid: ThetaGrid | None = None) -> SupEstimate
     return SupEstimate(
         lower=min(max(0.0, peak - fft_slack), upper),
         upper=upper,
-        argmax_theta=grid.span[0] + grid.spacing * top,
+        argmax_theta=grid.spacing * top,
         deriv_bound=deriv_bound,
         weight_l1=weight_l1,
         grid_points=grid.points,

@@ -146,14 +146,6 @@ def test_orbit_rejects_negative_and_empty():
         orbit_eval(sys_, f, pt, np.array([], dtype=np.int64))
 
 
-def test_spectral_system_has_no_orbits():
-    sys_ = SystemModel.spectral(SpectralMeasure.uniform())
-    f = Observable.fourier_mode(1)
-    pt = OrbitPoint.rotation(0.0)
-    with pytest.raises(TypeError, match="spectral_l2_norm"):
-        orbit_eval(sys_, f, pt, np.array([1], dtype=np.int64))
-
-
 def test_mismatched_point_kind():
     f = Observable.fourier_mode(1)
     with pytest.raises(ValueError):
@@ -281,7 +273,6 @@ def test_system_round_trip():
         SystemModel.rotation(0.375),
         SystemModel.rotation_sqrt2(),
         SystemModel.doubling(),
-        SystemModel.spectral(SpectralMeasure(atoms=((0.25, 1.0),))),
     ):
         back = SystemModel.from_dict(sys_.to_dict())
         assert back.kind == sys_.kind

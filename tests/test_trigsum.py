@@ -159,12 +159,11 @@ def test_fallback_to_weight_mass():
     w = np.exp(2j * np.pi * rng.uniform(size=64))
     u = np.arange(1000, 1064, dtype=np.int64)
     # pi * 63 / 32 > sqrt 2: no Bernstein bound on 32 points
-    for grid in (ThetaGrid(32), ThetaGrid(4096, span=(0.25, 0.5))):
-        with pytest.warns(RuntimeWarning):
-            est = sup_envelope(w, u, grid=grid)
-        assert est.aliased
-        assert est.upper == est.weight_l1
-        assert est.lower <= est.upper
+    with pytest.warns(RuntimeWarning):
+        est = sup_envelope(w, u, grid=ThetaGrid(32))
+    assert est.aliased
+    assert est.upper == est.weight_l1
+    assert est.lower <= est.upper
 
 
 def test_default_grid_depends_on_block_length_only():
