@@ -66,11 +66,12 @@ class NormalizerSpec:
         k = np.ascontiguousarray(ks, dtype=np.float64)
         if k.size and k.min() < self.k0:
             raise ValueError(f"normalizer defined for k >= {self.k0}")
-        out = k ** self.gamma
-        if self.a != 0:
-            out = out * np.log(k) ** self.a
-        if self.b != 0:
-            out = out * np.log(np.log(k)) ** self.b
+        with np.errstate(over="ignore"):  # an overflow fails the check below
+            out = k ** self.gamma
+            if self.a != 0:
+                out = out * np.log(k) ** self.a
+            if self.b != 0:
+                out = out * np.log(np.log(k)) ** self.b
         if np.any(~np.isfinite(out)) or np.any(out <= 0.0):
             raise ValueError("normalizer must be positive on the range")
         return out
@@ -80,13 +81,6 @@ class NormalizerSpec:
         if ks.size < 2:
             return True
         return bool(np.all(np.diff(self.values(ks)) >= 0.0))
-
-    def to_dict(self) -> dict:
-        return {"gamma": self.gamma, "a": self.a, "b": self.b, "k0": self.k0}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormalizerSpec":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -149,18 +143,6 @@ class BlockLadder:
     @classmethod
     def doubly_exponential(cls, j_lo: int, j_hi: int) -> "BlockLadder":
         return cls(kind="doubly_exponential", j_lo=j_lo, j_hi=j_hi)
-
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "j_lo": self.j_lo, "j_hi": self.j_hi}
-        if self.rho is not None:
-            out["rho"] = self.rho
-        if self.epsilon is not None:
-            out["epsilon"] = self.epsilon
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BlockLadder":
-        return cls(**d)
 
 
 def storage_grid(n_lo: int, n_hi: int, dense_limit: int = DENSE_LIMIT,
@@ -460,16 +442,6 @@ class OscillationReport:
             excess = float(self._abs_r[lo:hi].max()) - bound
             worst = max(worst, excess / max(np.spacing(bound), 5e-324))
         return {"passed": bool(worst <= 8), "max_excess_ulps": worst}
-
-    def to_dict(self) -> dict:
-        return {
-            "ladder_j": [int(v) for v in self.ladder_j],
-            "ladder_n": [int(v) for v in self.ladder_n],
-            "anchors": [float(v) for v in self.anchors],
-            "osc": [float(v) for v in self.osc],
-            "cumulative_sq": [float(v) for v in self.cumulative_sq],
-            "grid_points": [int(v) for v in self.grid_points],
-        }
 
 
 def ladder_positions(n_grid: np.ndarray, ladder_n: np.ndarray, k0: int) -> np.ndarray:

@@ -103,6 +103,26 @@ class SpectralMeasure:
         return cls(density=np.ones(1))
 
 
+def exact_fraction(pair, name: str) -> Fraction:
+    """An exact rational from its JSON form, two integers [num, den]."""
+    if len(pair) != 2 or not all(
+            isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in pair):
+        raise ValueError(f"{name} pair must be two integers [num, den]")
+    return Fraction(int(pair[0]), int(pair[1]))
+
+
+def _fourier_term(term) -> tuple[int, complex]:
+    """One finite_fourier term, (m, c) or its JSON form [m, re, im]."""
+    if not isinstance(term, (list, tuple)) or len(term) not in (2, 3):
+        raise ValueError("finite_fourier terms are [m, c] or [m, re, im]")
+    m, *c = term
+    if not isinstance(m, numbers.Integral):
+        raise ValueError("finite_fourier modes must be integers")
+    if not all(isinstance(v, numbers.Number) for v in c):
+        raise ValueError("finite_fourier coefficients must be numbers")
+    return int(m), complex(*c)
+
+
 @dataclass(frozen=True, eq=False)
 class SystemModel:
     """A dynamical system: kind plus the data that defines it."""
@@ -113,9 +133,11 @@ class SystemModel:
     def __post_init__(self):
         if self.kind not in SYSTEM_KINDS:
             raise ValueError(f"unknown system kind {self.kind!r}")
+        if isinstance(self.theta0, (list, tuple)):
+            object.__setattr__(self, "theta0", exact_fraction(self.theta0, "theta0"))
         if self.kind == "rotation":
             t = self.theta0
-            if t is None or not (0 < float(t) < 1):
+            if not isinstance(t, numbers.Real) or isinstance(t, bool) or not 0 < t < 1:
                 raise ValueError("rotation needs theta0 in (0, 1)")
             if isinstance(t, Fraction) and t.denominator > MAX_ANGLE_DEN:
                 raise ValueError("rational angle denominator must be <= 2**62")
@@ -139,22 +161,6 @@ class SystemModel:
     @classmethod
     def doubling(cls) -> "SystemModel":
         return cls(kind="doubling")
-
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.theta0 is not None:
-            if isinstance(self.theta0, Fraction):
-                out["theta0"] = [self.theta0.numerator, self.theta0.denominator]
-            else:
-                out["theta0"] = float(self.theta0)
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SystemModel":
-        d = dict(d)
-        if isinstance(d.get("theta0"), (list, tuple)):
-            d["theta0"] = Fraction(int(d["theta0"][0]), int(d["theta0"][1]))
-        return cls(**d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +192,7 @@ class Observable:
                 raise ValueError("indicator interval must satisfy 0 <= a < b <= 1")
             object.__setattr__(self, "interval", (a, b))
         else:
-            terms = tuple((int(m), complex(c)) for m, c in self.terms)
+            terms = tuple(map(_fourier_term, self.terms))
             if not terms:
                 raise ValueError("finite_fourier needs at least one term")
             modes = [m for m, _ in terms]
@@ -229,23 +235,6 @@ class Observable:
             a, b = self.interval
             return float(np.sqrt(b - a))
         return float(np.sqrt(sum(abs(c) ** 2 for _, c in self.terms)))
-
-    def to_dict(self) -> dict:
-        if self.kind == "fourier_mode":
-            return {"kind": self.kind, "mode": self.mode}
-        if self.kind == "indicator":
-            return {"kind": self.kind, "interval": list(self.interval)}
-        return {
-            "kind": self.kind,
-            "terms": [[m, c.real, c.imag] for m, c in self.terms],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Observable":
-        d = dict(d)
-        if "terms" in d:
-            d["terms"] = tuple((int(m), complex(re, im)) for m, re, im in d["terms"])
-        return cls(**d)
 
 
 @dataclass(frozen=True, eq=False)

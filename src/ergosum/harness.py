@@ -29,12 +29,15 @@ manifest. Floats are written with shortest round-trip formatting.
 
 Environment: ERGOSUM_OUTPUT_ROOT overrides the default output root.
 
-When a run draws on several stochastic ingredients, one per-repetition
-seed drives all of them.
+A config is parsed once, by _plan(), into sub-specs built from their JSON
+forms and the rows or term range a run uses; validate() returns its
+diagnostics and run() computes from it. One per-repetition seed drives
+every stochastic ingredient; an ingredient fixes its own seed only in a
+config without seeds.
 
 Exit codes of the CLI: 0 success, 2 config validation failure (validate()
-also checks that the term ranges, stored grids and fit rows a run needs
-exist), 3 runtime failure (partial outputs are removed).
+also checks that the term ranges, stored grids, start points and fit rows
+a run needs exist), 3 runtime failure (partial outputs are removed).
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import shutil
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -69,8 +72,8 @@ from .averages import (
     storage_grid,
     weighted_sums,
 )
-from .dynamics import Observable, OrbitPoint, SystemModel, orbit_eval
-from .indices import IndexSpec, check_top, gen_indices, pi_count
+from .dynamics import Observable, OrbitPoint, SystemModel, exact_fraction, orbit_eval
+from .indices import IndexSpec, check_top, gen_indices, pi_count, top_index
 from .scaling_fit import (
     TEMPLATES,
     EnvelopeSample,
@@ -82,7 +85,7 @@ from .scaling_fit import (
 )
 from .trigsum import ThetaGrid, sup_envelope, sup_harmonic
 from .weights import _SEEDED as _SEEDED_WEIGHTS
-from .weights import WeightSpec, gen_weights
+from .weights import WeightSpec, check_phase, gen_weights
 
 TOOL_VERSION = "0.1.0"
 
@@ -110,6 +113,11 @@ EXIT_RUNTIME = 3
 
 _MAX_SEEDS = 256
 _MAX_TERMS = 100_000_000
+# A doubling-map start point stores max(u) + _START_PAD bits (the
+# evaluation window plus margin). Drawing it takes 8 bytes per bit for
+# OrbitPoint.doubling's int64 counters alone, so this cap is 0.8 GB.
+_MAX_START_BITS = _MAX_TERMS
+_START_PAD = 128
 _K_END = 2**63 - 1  # every term index k a run generates stays below this (int64)
 _MAX_GRID_POINTS = 1 << 26
 _CSV_THIN_RATIO = 1.02
@@ -133,9 +141,10 @@ class ExperimentConfig:
     """Declarative description of one experiment.
 
     Sub-specs (weights, indices, system, observable, normalizer, ladder)
-    are kept as plain dicts and only materialized at run time, so a config
-    can always be loaded and inspected even when it is invalid; validate()
-    reports every offending field instead of raising.
+    are kept in their JSON form, plain dicts, so a config can always be
+    loaded and inspected even when it is invalid. _plan() builds each one
+    once, by its constructor (Cls(**d)), for validate() and run() alike;
+    validate() reports every offending field instead of raising.
     """
 
     name: str
@@ -206,18 +215,16 @@ def _increasing_positive_ints(v) -> bool:
             and list(v) == sorted(set(v)))
 
 
-def _weight_spec(d: dict, seed) -> WeightSpec:
-    d = dict(d)
-    if seed is not None and d.get("kind") in _SEEDED_WEIGHTS:
-        d.setdefault("seed", int(seed))
-    return WeightSpec.from_dict(d)
+# the families each repetition draws with its own seed
+_SEEDED = {WeightSpec: _SEEDED_WEIGHTS, IndexSpec: ("cramer_primes",)}
+_ANY_SEED = 0  # a seeded spec's seed until _for_seed sets a repetition's
 
 
-def _index_spec(d: dict, seed) -> IndexSpec:
-    d = dict(d)
-    if seed is not None and d.get("kind") == "cramer_primes":
-        d.setdefault("seed", int(seed))
-    return IndexSpec.from_dict(d)
+def _for_seed(spec, seed):
+    """The spec repetition `seed` draws: a seeded family takes that seed."""
+    if seed is None or spec.kind not in _SEEDED[type(spec)]:
+        return spec
+    return replace(spec, seed=int(seed))
 
 
 def _first_term(k_first, k_min, wspec, ispec) -> int:
@@ -226,8 +233,33 @@ def _first_term(k_first, k_min, wspec, ispec) -> int:
     return k_first if k_first is not None else max(k_min, wspec.offset, ispec.offset, 1)
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """A base-kind config parsed once: its sub-specs, and the envelope rows
+    or the first orbit term. Specs and ranges only; the stages draw the
+    arrays seed by seed."""
+
+    weights: WeightSpec
+    indices: IndexSpec
+    rows: list | None = None  # envelope kinds: (M, N] blocks
+    grid: ThetaGrid | None = None
+    system: SystemModel | None = None  # orbit kinds
+    observable: Observable | None = None
+    x0: object = 0.0
+    normalizer: NormalizerSpec | None = None
+    ladder: BlockLadder | None = None
+    k_first: int | None = None
+
+
 def validate(config: ExperimentConfig) -> list[str]:
     """Diagnostics for a config; empty list means runnable. Never writes."""
+    return _plan(config)[1]
+
+
+def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
+    """The plan a config runs by, and its diagnostics. The plan is None
+    when there is a diagnostic, and for a preset, whose runner builds its
+    own stages. Never raises, never writes."""
     diags: list[str] = []
 
     def check(label, fn):
@@ -238,15 +270,20 @@ def validate(config: ExperimentConfig) -> list[str]:
             diags.append(f"{label}: {exc}")
             return None
 
-    def sub_spec(label, build, missing="required"):
-        """Build the sub-spec object `label`, or report why it cannot be."""
+    def sub_spec(label, cls, missing="required"):
+        """Build sub-spec `label` from its JSON form, or report why it cannot be."""
         raw = getattr(config, label)
         if raw is None:
             diags.append(f"{label}: {missing}")
         elif not isinstance(raw, dict):
             diags.append(f"{label}: must be an object")
         else:
-            return check(label, lambda: build(raw))
+            if raw.get("kind") in _SEEDED.get(cls, ()):
+                if "seed" in raw and config.seeds:
+                    diags.append(f"{label}.seed: each repetition draws with its own "
+                                 "seed from seeds")
+                raw = {"seed": _ANY_SEED, **raw}
+            return check(label, lambda: cls(**raw))
         return None
 
     if not isinstance(config.name, str) or not config.name:
@@ -255,7 +292,7 @@ def validate(config: ExperimentConfig) -> list[str]:
         diags.append("name: must be a bare directory name")
     if config.kind not in KINDS:
         diags.append(f"kind: must be one of {', '.join(KINDS)}")
-        return diags
+        return None, diags
 
     for k in config.extra:
         diags.append(f"{k}: unknown field")
@@ -278,33 +315,30 @@ def validate(config: ExperimentConfig) -> list[str]:
     if config.kind == "preset":
         if config.preset not in PRESET_IDS:
             diags.append(f"preset: must be one of {', '.join(PRESET_IDS)}")
-            return diags
+            return None, diags
         preset = _PRESETS[config.preset]
         if config.seeds is not None and not config.seeds and preset.seeds:
             diags.append("seeds: stochastic preset needs seeds")
         params = config.params if config.params is not None else {}
         if not isinstance(params, dict):
             diags.append("params: must be an object")
-            return diags
+            return None, diags
         for k, v in params.items():
             if k not in preset.params:
                 diags.append(f"params.{k}: not understood by {config.preset}")
             elif not preset.params[k][1](v):
                 diags.append(f"params.{k}: {preset.params[k][2]}")
-        return diags
+        return None, diags
 
-    wspec = sub_spec("weights", lambda d: _weight_spec(d, 1))
-    ispec = sub_spec("indices", lambda d: _index_spec(d, 1))
+    wspec = sub_spec("weights", WeightSpec)
+    ispec = sub_spec("indices", IndexSpec)
     if not config.seeds and any(
-            isinstance(d, dict) and d.get("kind") in kinds and "seed" not in d
-            for d, kinds in ((config.weights, _SEEDED_WEIGHTS),
-                             (config.indices, ("cramer_primes",)))):
+            isinstance(d, dict) and d.get("kind") in _SEEDED[cls] and "seed" not in d
+            for d, cls in ((config.weights, WeightSpec), (config.indices, IndexSpec))):
         diags.append("seeds: required for stochastic ingredients")
 
     if config.kind in ("envelope_scan", "condition_fit"):
-        lo_m = max(
-            (s.offset for s in (wspec, ispec) if s is not None), default=0
-        )
+        lo_m = max((s.offset for s in (wspec, ispec) if s is not None), default=0)
         if config.n_ladder is not None:
             if not config.n_ladder or not _increasing_positive_ints(config.n_ladder):
                 diags.append("n_ladder: must be strictly increasing positive integers")
@@ -334,12 +368,9 @@ def validate(config: ExperimentConfig) -> list[str]:
                 diags.append("theta_grid: must be an object")
             else:
                 pts = tg.get("points")
-                if pts is not None and (
-                    not _is_int(pts) or not 16 <= pts <= _MAX_GRID_POINTS
-                ):
-                    diags.append(
-                        f"theta_grid.points: must be an integer in [16, {_MAX_GRID_POINTS}]"
-                    )
+                if pts is not None and not (_is_int(pts) and 16 <= pts <= _MAX_GRID_POINTS):
+                    diags.append("theta_grid.points: must be an integer in "
+                                 f"[16, {_MAX_GRID_POINTS}]")
                 for k in tg:
                     if k != "points":
                         diags.append(f"theta_grid.{k}: unknown field")
@@ -349,13 +380,16 @@ def validate(config: ExperimentConfig) -> list[str]:
             elif config.template.startswith("harmonic") != bool(config.harmonic):
                 diags.append("template: harmonic flag and template family disagree")
         if diags:
-            return diags
+            return None, diags
         # the rows the run computes must exist and, for a fit, be fittable
         rows = _full_blocks(config, wspec, ispec)
+        check("weights", lambda: check_phase(wspec, max(n for _, n in rows) + 1))
         check("indices", lambda: [check_top(ispec, m + 1, n + 1) for m, n in rows])
         if config.kind == "condition_fit":
             check("template", lambda: check_rows(config.template, rows))
-        return diags
+        points = (config.theta_grid or {}).get("points")
+        plan = _Plan(wspec, ispec, rows=rows, grid=ThetaGrid(points) if points else None)
+        return (None if diags else plan), diags
 
     # orbit-run kinds
     if config.k_first is not None:
@@ -367,20 +401,19 @@ def validate(config: ExperimentConfig) -> list[str]:
                     diags.append(
                         f"k_first: below the {spec.kind} family offset {spec.offset}"
                     )
-    system = sub_spec("system", SystemModel.from_dict)
+    system = sub_spec("system", SystemModel)
     if system is not None and system.kind == "doubling" and not config.seeds:
         diags.append("seeds: doubling orbits draw their start point from a seed")
-    sub_spec("observable", Observable.from_dict)
-    norm = sub_spec("normalizer", NormalizerSpec.from_dict)
+    f = sub_spec("observable", Observable)
+    norm = sub_spec("normalizer", NormalizerSpec)
     if config.n_terms is None:
         diags.append("n_terms: required")
     elif not _is_int(config.n_terms) or not 2 <= config.n_terms <= _MAX_TERMS:
         diags.append(f"n_terms: must be an integer in [2, {_MAX_TERMS}]")
-    if config.x0 is not None:
-        check("x0", lambda: _parse_x0(config.x0))
+    x0 = check("x0", lambda: _parse_x0(config.x0))
     ladder = None
     if config.kind == "oscillation_run":
-        ladder = sub_spec("ladder", BlockLadder.from_dict, "required for oscillation runs")
+        ladder = sub_spec("ladder", BlockLadder, "required for oscillation runs")
     hilbert = config.kind == "hilbert_run"
     # set only on hilbert runs: every other kind rejects them as not read
     if config.bound is not None and (not _is_num(config.bound) or config.bound <= 0):
@@ -389,13 +422,14 @@ def validate(config: ExperimentConfig) -> list[str]:
             config.tail_starts):
         diags.append("tail_starts: must be strictly increasing positive integers")
     if diags:
-        return diags
+        return None, diags
     # the term range and stored grid the run will use (see _orbit_runs)
     kf = _first_term(config.k_first, norm.k0 if hilbert else 1, wspec, ispec)
     n_end = kf + config.n_terms
     if n_end > _K_END:
         diags.append("k_first: term indices k must stay below 2**63 - 1")
-        return diags
+        return None, diags
+    check("weights", lambda: check_phase(wspec, n_end))
     check("indices", lambda: check_top(ispec, kf, n_end))
     if hilbert:
         beyond = [t for t in config.tail_starts or _dyadic_starts(kf, n_end - 1)
@@ -407,12 +441,17 @@ def validate(config: ExperimentConfig) -> list[str]:
     elif norm.k0 > n_end:
         diags.append("normalizer: entire grid lies below the normalizer offset k0")
     if diags:
-        return diags
+        return None, diags
+    u_top = top_index(ispec, n_end) if system.kind == "doubling" else None
+    if u_top is not None:
+        check("system", lambda: _start_bits(u_top))
     grid = storage_grid(kf, n_end - 1) if hilbert else storage_grid(kf + 1, n_end)
     check("normalizer", lambda: norm.values(grid[grid >= norm.k0]))
     if ladder is not None:
         check("ladder", lambda: ladder_positions(grid, ladder.values(), norm.k0))
-    return diags
+    plan = _Plan(wspec, ispec, system=system, observable=f, x0=x0, normalizer=norm,
+                 ladder=ladder, k_first=kf)
+    return (None if diags else plan), diags
 
 
 def _parse_x0(raw):
@@ -420,9 +459,7 @@ def _parse_x0(raw):
     if raw is None:
         return 0.0
     if isinstance(raw, (list, tuple)):
-        if len(raw) != 2 or not all(_is_int(v) for v in raw):
-            raise ValueError("x0 pair must be two integers [num, den]")
-        fr = Fraction(int(raw[0]), int(raw[1]))
+        fr = exact_fraction(raw, "x0")
         if not 0 <= fr < 1:
             raise ValueError("x0 must lie in [0, 1)")
         return fr
@@ -458,6 +495,12 @@ def _py(obj):
     if isinstance(obj, complex):
         return [_py(obj.real), _py(obj.imag)]
     return obj
+
+
+def _fields_json(obj) -> dict:
+    """The JSON form of a spec or report in an output: its set public fields."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)
+            if not f.name.startswith("_") and getattr(obj, f.name) is not None}
 
 
 def _json_bytes(obj) -> bytes:
@@ -520,20 +563,17 @@ def _timed(walls: dict, name: str):
     walls[name] = time.perf_counter() - t0
 
 
-def _envelope_stage(files, wdict, idict, blocks, theta_grid, harmonic, seeds):
+def _envelope_stage(files, wspec, ispec, blocks, grid, harmonic, seeds):
     """Certified sup rows over (M, N] blocks; returns samples grouped by seed."""
-    points = (theta_grid or {}).get("points")
     rows = []
     samples = {}
     for seed in _seed_list(seeds):
-        wspec = _weight_spec(wdict, seed)
-        ispec = _index_spec(idict, seed)
+        ws, js = _for_seed(wspec, seed), _for_seed(ispec, seed)
         got = []
         for m_excl, n_incl in blocks:
             k_lo = m_excl + 1
-            w = gen_weights(wspec, k_lo, n_incl + 1)
-            u = gen_indices(ispec, k_lo, n_incl + 1)
-            grid = ThetaGrid(points) if points else None
+            w = gen_weights(ws, k_lo, n_incl + 1)
+            u = gen_indices(js, k_lo, n_incl + 1)
             if harmonic:
                 est = sup_harmonic(w, u, grid=grid, k_first=k_lo)
             else:
@@ -595,24 +635,28 @@ def _fit_stage(files, samples_by_seed, template, reference=None, extras=None,
     files["fit.json"] = _json_bytes(record)
 
 
-def _orbit_runs(wdict, idict, sysdict, obsdict, x0_raw, n_terms, seeds,
-                k_first=None, k_min=1):
-    """Per seed: (seed, first term k, weights w_k, orbit values f(T^{u_k} x))
-    over n_terms terms; see _first_term for where a run starts."""
-    system = SystemModel.from_dict(sysdict)
-    f = Observable.from_dict(obsdict)
+def _start_bits(u_top: int) -> int:
+    """Bits a doubling-map start point stores to reach index u_top."""
+    bits = u_top + _START_PAD
+    if bits > _MAX_START_BITS:
+        raise ValueError(f"a doubling-map start point for indices up to {u_top} "
+                         f"needs {bits} bits, more than {_MAX_START_BITS}")
+    return bits
+
+
+def _orbit_runs(wspec, ispec, system, f, x0, n_terms, seeds, k_first):
+    """Per seed: (seed, weights w_k, orbit values f(T^{u_k} x)) for the
+    n_terms terms from k_first on."""
+    k_end = k_first + n_terms
     for seed in _seed_list(seeds):
-        wspec = _weight_spec(wdict, seed)
-        ispec = _index_spec(idict, seed)
-        kf = _first_term(k_first, k_min, wspec, ispec)
-        w = gen_weights(wspec, kf, kf + n_terms)
-        u = gen_indices(ispec, kf, kf + n_terms)
+        w = gen_weights(_for_seed(wspec, seed), k_first, k_end)
+        u = gen_indices(_for_seed(ispec, seed), k_first, k_end)
         if system.kind == "doubling":
-            x0 = OrbitPoint.doubling(int(seed), int(u.max()) + 128)
+            point = OrbitPoint.doubling(int(seed), _start_bits(int(u.max())))
         else:
-            x0 = OrbitPoint.rotation(_parse_x0(x0_raw))
-        vals = orbit_eval(system, f, x0, u)
-        yield seed, kf, w, vals
+            point = OrbitPoint.rotation(x0)
+        vals = orbit_eval(system, f, point, u)
+        yield seed, w, vals
 
 
 def _decay_entry(ns, cps=None) -> dict:
@@ -641,23 +685,20 @@ def _series_csv_rows(seed, run, norm):
     return rows
 
 
-def _average_stage(files, wdict, idict, sysdict, obsdict, x0_raw, normdict,
-                   n_terms, seeds, k_first=None, ladder_dict=None,
-                   checkpoints=None, report_extra=None):
+def _average_stage(files, wspec, ispec, system, f, x0, norm, n_terms, seeds,
+                   k_first=1, ladder=None, checkpoints=None, report_extra=None):
     """Normalized running-sum runs, one per seed; optional oscillation report."""
-    norm = NormalizerSpec.from_dict(normdict)
-    ladder = BlockLadder.from_dict(ladder_dict) if ladder_dict else None
     csv_rows = []
     per_seed = []
     osc_entries = []
     chart = []
     osc_chart = []
-    for seed, kf, w, vals in _orbit_runs(wdict, idict, sysdict, obsdict, x0_raw,
-                                         n_terms, seeds, k_first):
-        run = weighted_sums(vals, w, k_first=kf, normalizer=norm)
+    for seed, w, vals in _orbit_runs(wspec, ispec, system, f, x0, n_terms, seeds,
+                                     k_first):
+        run = weighted_sums(vals, w, k_first=k_first, normalizer=norm)
         del w, vals  # _orbit_runs frees them as it draws the next seed (peak memory)
         ns = normalized_series(run)
-        per_seed.append({"seed": seed, "k_first": kf, "n_max": run.n_max,
+        per_seed.append({"seed": seed, "k_first": k_first, "n_max": run.n_max,
                          **_decay_entry(ns, checkpoints),
                          "monotone_normalizer": ns.monotone_normalizer})
         csv_rows.extend(_series_csv_rows(seed, run, norm))
@@ -669,7 +710,7 @@ def _average_stage(files, wdict, idict, sysdict, obsdict, x0_raw, normdict,
             rep = oscillation_report(run, ladder)
             osc_entries.append({
                 "seed": seed,
-                **rep.to_dict(),
+                **_fields_json(rep),
                 "decomposition": rep.check_decomposition(),
             })
             if len(osc_chart) < 4:
@@ -681,7 +722,7 @@ def _average_stage(files, wdict, idict, sysdict, obsdict, x0_raw, normdict,
         "normalized running sums", "N", "|S_N| / A(N)",
         chart, x_log=True, y_log=True).encode("utf-8")
     report = {
-        "normalizer": norm.to_dict(),
+        "normalizer": _fields_json(norm),
         "convention": "exclusive",
         "per_seed": per_seed,
         "aggregate": {
@@ -696,7 +737,7 @@ def _average_stage(files, wdict, idict, sysdict, obsdict, x0_raw, normdict,
     files["report.json"] = _json_bytes(report)
     if ladder is not None:
         files["oscillation.json"] = _json_bytes({
-            "ladder": ladder.to_dict(),
+            "ladder": _fields_json(ladder),
             "per_seed": osc_entries,
             "all_decompositions_pass": all(
                 e["decomposition"]["passed"] for e in osc_entries),
@@ -714,23 +755,21 @@ def _decade_checkpoints(n_grid: np.ndarray) -> list[int]:
     return cps
 
 
-def _hilbert_stage(files, wdict, idict, sysdict, obsdict, x0_raw, normdict,
-                   n_terms, seeds, k_first=None, tail_starts=None, bound=None,
-                   ratio_norm=None):
+def _hilbert_stage(files, wspec, ispec, system, f, x0, norm, n_terms, seeds,
+                   k_first=1, tail_starts=None, bound=None, ratio_norm=None):
     """Partial sums of the one-sided series with Cauchy tail diagnostics."""
-    norm = NormalizerSpec.from_dict(normdict)
     csv_rows = []
     per_seed = []
     ratio_entries = []
     chart = []
-    for seed, kf, w, vals in _orbit_runs(wdict, idict, sysdict, obsdict, x0_raw,
-                                         n_terms, seeds, k_first, norm.k0):
-        run = hilbert_series(w, vals, norm, k_first=kf)
+    for seed, w, vals in _orbit_runs(wspec, ispec, system, f, x0, n_terms, seeds,
+                                     k_first):
+        run = hilbert_series(w, vals, norm, k_first=k_first)
         del w, vals  # _orbit_runs frees them as it draws the next seed (peak memory)
-        starts = tail_starts or _dyadic_starts(kf, run.n_max)
+        starts = tail_starts or _dyadic_starts(k_first, run.n_max)
         tails = cauchy_tail_report(run, starts)
         max_abs = float(np.abs(run.sums).max())
-        entry = {"seed": seed, "k_first": kf, "n_max": run.n_max,
+        entry = {"seed": seed, "k_first": k_first, "n_max": run.n_max,
                  "max_abs": max_abs, "tails": tails}
         if bound is not None:
             entry["within_bound"] = bool(max_abs <= bound)
@@ -752,7 +791,7 @@ def _hilbert_stage(files, wdict, idict, sysdict, obsdict, x0_raw, normdict,
         "series partial sums", "N", "|partial sum|",
         chart, x_log=True, y_log=False).encode("utf-8")
     record = {
-        "normalizer": norm.to_dict(),
+        "normalizer": _fields_json(norm),
         "convention": "inclusive",
         "per_seed": per_seed,
         "max_abs": max(e["max_abs"] for e in per_seed),
@@ -763,7 +802,7 @@ def _hilbert_stage(files, wdict, idict, sysdict, obsdict, x0_raw, normdict,
     files["cauchy.json"] = _json_bytes(record)
     if ratio_norm is not None:
         files["report.json"] = _json_bytes({
-            "normalizer": ratio_norm.to_dict(),
+            "normalizer": _fields_json(ratio_norm),
             "per_seed": ratio_entries,
             "aggregate": {
                 "median_slope": _median([e["slope"] for e in ratio_entries]),
@@ -809,34 +848,35 @@ def _full_blocks(cfg: ExperimentConfig, wspec, ispec):
     return [(m0, int(n)) for n in cfg.n_ladder]
 
 
-def _run_base_kind(cfg: ExperimentConfig, files, walls):
-    if cfg.kind in ("envelope_scan", "condition_fit"):
+def _run_base_kind(cfg: ExperimentConfig, plan: _Plan, files, walls):
+    if plan.rows is not None:
         with _timed(walls, "envelope"):
-            blocks = _full_blocks(cfg, _weight_spec(cfg.weights, 1),
-                                  _index_spec(cfg.indices, 1))
-            samples = _envelope_stage(files, cfg.weights, cfg.indices, blocks,
-                                      cfg.theta_grid, bool(cfg.harmonic), cfg.seeds)
+            samples = _envelope_stage(files, plan.weights, plan.indices, plan.rows,
+                                      plan.grid, bool(cfg.harmonic), cfg.seeds)
         if cfg.kind == "condition_fit":
             with _timed(walls, "fit"):
                 _fit_stage(files, samples, cfg.template, reference=cfg.reference)
         return
-    orbit = (files, cfg.weights, cfg.indices, cfg.system, cfg.observable, cfg.x0,
-             cfg.normalizer, int(cfg.n_terms), cfg.seeds)
+    orbit = (files, plan.weights, plan.indices, plan.system, plan.observable, plan.x0,
+             plan.normalizer, cfg.n_terms, cfg.seeds)
     if cfg.kind == "hilbert_run":
         with _timed(walls, "hilbert"):
-            _hilbert_stage(*orbit, k_first=cfg.k_first, tail_starts=cfg.tail_starts,
+            _hilbert_stage(*orbit, k_first=plan.k_first, tail_starts=cfg.tail_starts,
                            bound=cfg.bound)
     else:
         with _timed(walls, "average"):
-            _average_stage(*orbit, k_first=cfg.k_first, ladder_dict=cfg.ladder)
+            _average_stage(*orbit, k_first=plan.k_first, ladder=plan.ladder)
 
 
 # ---------------------------------------------------------------------------
 # presets
 
 
-_SQRT2_SYSTEM = SystemModel.rotation_sqrt2().to_dict()
-_MODE1 = {"kind": "fourier_mode", "mode": 1}
+_SQRT2_SYSTEM = SystemModel.rotation_sqrt2()
+_MODE1 = Observable.fourier_mode(1)
+_IDENTITY = IndexSpec(kind="identity")
+_CONSTANT = WeightSpec(kind="constant")
+_RANDOM_PHASE = WeightSpec(kind="iid_uniform_phase", seed=_ANY_SEED)
 
 
 def _preset_seeds(cfg) -> list:
@@ -858,12 +898,11 @@ def _preset_example1(cfg, files, walls):
     exploratory fit therefore uses the grid maxima (`lower`); the
     reference exponent uses the n-th derivative envelope with delta = 2.5.
     """
-    w = {"kind": "power_phase", "delta": 2.5}
-    i = {"kind": "monomial", "d": 2}
+    w = WeightSpec(kind="power_phase", delta=2.5)
+    i = IndexSpec(kind="monomial", d=2)
     blocks = [(0, 1 << j) for j in range(7, 13)]
     with _timed(walls, "envelope"):
-        samples = _envelope_stage(files, w, i, blocks, {"points": 1 << 20},
-                                  False, None)
+        samples = _envelope_stage(files, w, i, blocks, ThetaGrid(1 << 20), False, None)
     with _timed(walls, "fit"):
         _fit_stage(files, samples, "H2", reference={
             "alpha": steep_power_phase_exponent(2.5),
@@ -873,28 +912,26 @@ def _preset_example1(cfg, files, walls):
         }, field_name="lower")
     with _timed(walls, "hilbert"):
         _hilbert_stage(files, w, i, _SQRT2_SYSTEM, _MODE1, 0.0,
-                       {"gamma": 35.0 / 36.0, "a": 2.0, "k0": 3},
-                       10_000, None)
+                       NormalizerSpec(gamma=35.0 / 36.0, a=2.0, k0=3), 10_000, None,
+                       k_first=3)
 
 
 def _preset_example2(cfg, files, walls):
     """Fractional power phase on the integers: envelope fit, normalized
     run along an irrational rotation, and block oscillation maxima."""
-    w = {"kind": "power_phase", "delta": 0.5}
-    i = {"kind": "identity"}
+    w = WeightSpec(kind="power_phase", delta=0.5)
     blocks = [(0, 1 << j) for j in range(10, 18)]
     with _timed(walls, "envelope"):
-        samples = _envelope_stage(files, w, i, blocks, None, False, None)
+        samples = _envelope_stage(files, w, _IDENTITY, blocks, None, False, None)
     with _timed(walls, "fit"):
         _fit_stage(files, samples, "H2", reference={
             "alpha": 0.75,
             "label": "second-derivative envelope exponent 1 - delta/2",
         })
     with _timed(walls, "average"):
-        _average_stage(files, w, i, _SQRT2_SYSTEM, _MODE1, 0.0,
-                       {"gamma": 0.875, "a": 2.0, "k0": 3},
-                       1_000_000, None,
-                       ladder_dict={"kind": "dyadic", "j_lo": 2, "j_hi": 19},
+        _average_stage(files, w, _IDENTITY, _SQRT2_SYSTEM, _MODE1, 0.0,
+                       NormalizerSpec(gamma=0.875, a=2.0, k0=3), 1_000_000, None,
+                       ladder=BlockLadder.dyadic(2, 19),
                        checkpoints=[1_000, 10_000, 100_000, 1_000_000])
 
 
@@ -903,11 +940,10 @@ def _preset_example3(cfg, files, walls):
     a flat harmonic growth fit, and bounded series partial sums."""
     h = float(_param(cfg, "h"))
     bound = hlawka_bound(h)
-    w = {"kind": "log_phase", "h": h}
-    i = {"kind": "identity"}
+    w = WeightSpec(kind="log_phase", h=h)
     blocks = [(0, 1 << 10), (0, 1 << 12), (0, 1 << 14), (0, 1 << 16), (0, 100_000)]
     with _timed(walls, "envelope"):
-        samples = _envelope_stage(files, w, i, blocks, None, True, None)
+        samples = _envelope_stage(files, w, _IDENTITY, blocks, None, True, None)
     with _timed(walls, "fit"):
         max_upper = max(s.upper for s in samples[None])
         _fit_stage(files, samples, "harmonic_H2", reference={
@@ -920,8 +956,8 @@ def _preset_example3(cfg, files, walls):
             "passed": bool(max_upper <= bound),
         }})
     with _timed(walls, "hilbert"):
-        _hilbert_stage(files, w, i, _SQRT2_SYSTEM, _MODE1, 0.0,
-                       {"gamma": 1.0, "k0": 1}, 100_000, None,
+        _hilbert_stage(files, w, _IDENTITY, _SQRT2_SYSTEM, _MODE1, 0.0,
+                       NormalizerSpec(gamma=1.0, k0=1), 100_000, None,
                        tail_starts=[1 << j for j in range(7, 16, 2)], bound=bound)
 
 
@@ -929,13 +965,12 @@ def _preset_example4(cfg, files, walls):
     """Random unimodular weights over dyadic (M, N] blocks with a
     two-variable envelope fit and a square-root shape check."""
     seeds = _preset_seeds(cfg)
-    w = {"kind": "iid_uniform_phase"}
-    i = {"kind": "identity"}
     blocks = [(n - (n >> s), n)
               for n in (1 << j for j in range(11, 17))
               for s in (1, 2, 3)]
     with _timed(walls, "envelope"):
-        samples = _envelope_stage(files, w, i, blocks, None, False, seeds)
+        samples = _envelope_stage(files, _RANDOM_PHASE, _IDENTITY, blocks, None, False,
+                                  seeds)
     with _timed(walls, "fit"):
         shape = {}
         for seed, got in samples.items():
@@ -956,18 +991,17 @@ def _preset_example5(cfg, files, walls):
     """Harmonic version of the random-weight scan plus the log-normalized
     series run."""
     seeds = _preset_seeds(cfg)
-    w = {"kind": "iid_uniform_phase"}
-    i = {"kind": "identity"}
     blocks = [(0, 1 << j) for j in range(8, 17)]
     with _timed(walls, "envelope"):
-        samples = _envelope_stage(files, w, i, blocks, None, True, seeds)
+        samples = _envelope_stage(files, _RANDOM_PHASE, _IDENTITY, blocks, None, True,
+                                  seeds)
     with _timed(walls, "fit"):
         _fit_stage(files, samples, "harmonic_log_decay", reference={
             "label": "slowly varying harmonic envelope log N / log^beta log N",
         })
     with _timed(walls, "hilbert"):
-        _hilbert_stage(files, w, i, _SQRT2_SYSTEM, _MODE1, 0.0,
-                       {"gamma": 1.0, "k0": 1}, 100_000, seeds,
+        _hilbert_stage(files, _RANDOM_PHASE, _IDENTITY, _SQRT2_SYSTEM, _MODE1, 0.0,
+                       NormalizerSpec(gamma=1.0, k0=1), 100_000, seeds,
                        ratio_norm=NormalizerSpec(gamma=0.0, a=1.0, k0=3))
 
 
@@ -978,9 +1012,8 @@ def _preset_example6(cfg, files, walls):
     with _timed(walls, "pi_table"):
         pi_summary = _pi_table_stage(files, seeds, [10_000, 100_000, 1_000_000])
     with _timed(walls, "average"):
-        _average_stage(files, {"kind": "constant"}, {"kind": "cramer_primes"},
-                       _SQRT2_SYSTEM, _MODE1, 0.0,
-                       {"gamma": 0.75, "k0": 1},
+        _average_stage(files, _CONSTANT, IndexSpec(kind="cramer_primes", seed=_ANY_SEED),
+                       _SQRT2_SYSTEM, _MODE1, 0.0, NormalizerSpec(gamma=0.75, k0=1),
                        1_000_000, seeds,
                        checkpoints=[10_000, 1_000_000],
                        report_extra={"pi_scaled": pi_summary})
@@ -992,9 +1025,9 @@ def _preset_prime_question(cfg, files, walls):
     betas = [float(b) for b in _param(cfg, "betas")]
     n_terms = 200_000
     with _timed(walls, "average"):
-        [(_, kf, w, vals)] = _orbit_runs({"kind": "constant"}, {"kind": "primes"},
-                                         _SQRT2_SYSTEM, _MODE1, 0.0, n_terms, None)
-        run = weighted_sums(vals, w, k_first=kf)
+        [(_, w, vals)] = _orbit_runs(_CONSTANT, IndexSpec(kind="primes"), _SQRT2_SYSTEM,
+                                     _MODE1, 0.0, n_terms, None, 1)
+        run = weighted_sums(vals, w, k_first=1)
         per_beta = []
         csv_rows = []
         chart = []
@@ -1132,15 +1165,16 @@ def run(config: ExperimentConfig) -> ResultManifest:
     removes the temporary directory and leaves any previous results as
     they were.
     """
-    diags = validate(config)
+    plan, diags = _plan(config)
     if diags:
         raise ConfigError(diags)
     files: dict[str, bytes] = {}
     walls: dict[str, float] = {}
     with _timed(walls, "total"):
-        runner = (_PRESET_RUNNERS[config.preset] if config.kind == "preset"
-                  else _run_base_kind)
-        runner(config, files, walls)
+        if config.kind == "preset":
+            _PRESET_RUNNERS[config.preset](config, files, walls)
+        else:
+            _run_base_kind(config, plan, files, walls)
 
     root = _output_root(config)
     target = root / config.name
@@ -1220,24 +1254,23 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     config, diags = _load_config(args.config)
-    if config is not None:
+    if config is not None and args.command == "validate":
         diags = validate(config)
+    elif config is not None:
+        try:
+            manifest = run(config)
+        except ConfigError as exc:
+            diags = exc.diagnostics
+        except Exception as exc:
+            print(f"runtime failure: {exc}")
+            return EXIT_RUNTIME
+    for d in diags:
+        print(f"invalid: {d}")
     if diags:
-        for d in diags:
-            print(f"invalid: {d}")
         return EXIT_VALIDATION
     if args.command == "validate":
         print("ok")
         return EXIT_OK
-    try:
-        manifest = run(config)
-    except ConfigError as exc:
-        for d in exc.diagnostics:
-            print(f"invalid: {d}")
-        return EXIT_VALIDATION
-    except Exception as exc:
-        print(f"runtime failure: {exc}")
-        return EXIT_RUNTIME
     print(f"wrote {len(manifest.outputs) + 1} files to {manifest.out_dir}")
     for fname in sorted(manifest.outputs):
         print(f"    {fname}")

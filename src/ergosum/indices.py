@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 import numbers
 
 import numpy as np
@@ -73,22 +73,6 @@ class IndexSpec:
         elif self.offset < minimum:
             raise ValueError(f"{self.kind} offset must be >= {minimum}")
 
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name != "kind" and v is not None:
-                out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "IndexSpec":
-        d = dict(d)
-        for key in ("coeffs", "values"):
-            if d.get(key) is not None:
-                d[key] = tuple(d[key])
-        return cls(**d)
-
 
 def gen_indices(spec: IndexSpec, m: int, n: int) -> np.ndarray:
     """Indices u_k for k in [m, n) as int64; element j is u_{m+j}.
@@ -106,7 +90,7 @@ def gen_indices(spec: IndexSpec, m: int, n: int) -> np.ndarray:
         return np.arange(m, n, dtype=np.int64)
     if kind == "monomial":
         k = np.arange(m, n, dtype=np.int64)
-        return k**spec.d
+        return k ** min(spec.d, 62)  # the same values: past 62 check_top leaves k <= 1
     if kind == "polynomial":
         return _horner(spec.coeffs, m, n)
     if kind == "primes":
@@ -141,7 +125,9 @@ def check_top(spec: IndexSpec, m: int, n: int) -> None:
     """
     if spec.kind == "explicit" and len(spec.values) < n:
         raise ValueError("explicit index list shorter than requested range")
-    if spec.kind == "monomial" and (n - 1) ** spec.d >= 2**63:
+    # a degree past 62 overflows from k = 2 on; testing it first keeps a
+    # huge degree from building a huge Python integer
+    if spec.kind == "monomial" and n >= 3 and (spec.d > 62 or (n - 1) ** spec.d >= 2**63):
         raise ValueError("monomial index values exceed int64 range")
     if spec.kind != "polynomial":
         return
@@ -155,6 +141,18 @@ def check_top(spec: IndexSpec, m: int, n: int) -> None:
     u = _horner(c, m, max(m + 1, min(n, K + 1)))
     if u[0] < 0 or np.any(np.diff(u) < 0) or (c[d] < 0 and max(m, K) <= n - 2):
         raise ValueError("polynomial must be nonnegative and nondecreasing on the range")
+
+
+def top_index(spec: IndexSpec, n: int) -> int | None:
+    """An upper bound on u_k for k < n, once check_top(spec, m, n) has
+    passed: u_{n-1} itself for the deterministic families (each is
+    nondecreasing on the range), Rosser's bound for the primes, and None
+    for the random prime model, which has no deterministic one."""
+    if spec.kind == "cramer_primes":
+        return None
+    if spec.kind == "primes":
+        return _prime_bound(n - 1)
+    return int(gen_indices(spec, n - 1, n)[0])
 
 
 def pi_count(spec: IndexSpec, N: int) -> int:
@@ -203,14 +201,19 @@ def primes_upto(limit: int) -> np.ndarray:
     return np.concatenate(chunks)
 
 
+def _prime_bound(count: int) -> int:
+    """A bound above the count-th prime: p_n < n (log n + log log n) for
+    n >= 6 (Rosser), and p_5 = 11."""
+    if count < 6:
+        return 13
+    return int(count * (math.log(count) + math.log(math.log(count)))) + 3
+
+
 def first_primes(count: int) -> np.ndarray:
     """The first `count` primes, sieve bound grown by doubling until enough."""
     if count <= 0:
         return np.zeros(0, dtype=np.int64)
-    if count < 6:
-        bound = 13
-    else:
-        bound = int(count * (math.log(count) + math.log(math.log(count)))) + 3
+    bound = _prime_bound(count)
     while True:
         ps = primes_upto(bound)
         if ps.size >= count:

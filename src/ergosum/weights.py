@@ -16,7 +16,8 @@ account for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+import math
 import numbers
 
 import numpy as np
@@ -68,15 +69,17 @@ class WeightSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown weight kind {self.kind!r}")
         if self.kind == "polynomial_phase":
-            if not self.coeffs:
+            if not isinstance(self.coeffs, (list, tuple)) or not self.coeffs:
                 raise ValueError("polynomial_phase requires coeffs")
+            if not all(map(_finite_real, self.coeffs)):
+                raise ValueError("polynomial_phase coeffs must be finite real numbers")
             object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if self.kind in ("power_phase", "logpower_phase"):
-            if self.delta is None or not self.delta > 0:
-                raise ValueError(f"{self.kind} requires delta > 0")
+            if not (_finite_real(self.delta) and self.delta > 0):
+                raise ValueError(f"{self.kind} requires a finite real delta > 0")
         if self.kind == "log_phase":
-            if self.h is None or self.h == 0:
-                raise ValueError("log_phase requires h != 0")
+            if not (_finite_real(self.h) and self.h != 0):
+                raise ValueError("log_phase requires a finite real h != 0")
         if self.kind in _SEEDED:
             if not isinstance(self.seed, numbers.Integral):
                 raise ValueError(f"{self.kind} requires an integer seed")
@@ -87,20 +90,18 @@ class WeightSpec:
         elif self.offset < minimum:
             raise ValueError(f"{self.kind} offset must be >= {minimum}")
 
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name != "kind" and v is not None:
-                out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "WeightSpec":
-        d = dict(d)
-        if "coeffs" in d and d["coeffs"] is not None:
-            d["coeffs"] = tuple(d["coeffs"])
-        return cls(**d)
+def _finite_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def check_phase(spec: WeightSpec, n: int) -> None:
+    """Raise ValueError when some w_k, k < n, has a phase past the double
+    range. Phases grow with k, so the last weight decides."""
+    if n >= 3 and spec.kind in ("power_phase", "logpower_phase", "log_phase"):
+        with np.errstate(all="ignore"):
+            if not np.isfinite(gen_weights(spec, n - 1, n)).all():
+                raise ValueError(f"{spec.kind} phase overflows a double below k = {n}")
 
 
 def gen_weights(spec: WeightSpec, m: int, n: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Running sums, normalizers, series partials, ladders, oscillation."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from ergosum.averages import (
     weighted_sums,
 )
 from ergosum.dynamics import SpectralMeasure
+from ergosum.harness import _json_bytes, _fields_json
 
 import oracles
 
@@ -73,8 +75,9 @@ def test_normalizer_monotonicity():
 
 
 def test_normalizer_round_trip():
+    # the JSON form a report writes builds the same spec
     n = NormalizerSpec(0.5, a=1.0, b=2.0, k0=20)
-    assert NormalizerSpec.from_dict(n.to_dict()) == n
+    assert NormalizerSpec(**json.loads(_json_bytes(_fields_json(n)))) == n
 
 
 # ------------------------------------------------------------------ ladders
@@ -115,8 +118,12 @@ def test_ladder_validation():
 
 
 def test_ladder_round_trip():
-    lad = BlockLadder(kind="rho_ladder", j_lo=2, j_hi=6, rho=3.0, epsilon=0.125)
-    assert BlockLadder.from_dict(lad.to_dict()) == lad
+    # the JSON form oscillation.json writes builds the same spec
+    for lad in (BlockLadder(kind="rho_ladder", j_lo=2, j_hi=6, rho=3.0, epsilon=0.125),
+                BlockLadder.dyadic(2, 11)):
+        d = json.loads(_json_bytes(_fields_json(lad)))
+        assert BlockLadder(**d) == lad
+    assert d == {"kind": "dyadic", "j_lo": 2, "j_hi": 11}  # unset rho, epsilon left out
 
 
 def test_storage_grid():

@@ -194,13 +194,16 @@ def test_observable_validation():
 
 
 def test_observable_round_trip():
-    for f in (
-        Observable.fourier_mode(-2),
-        Observable.indicator(0.1, 0.9),
-        Observable.finite_fourier([(1, 1 + 2j), (-3, 0.5)]),
+    # each JSON form builds through the constructor what the helper builds
+    for f, d in (
+        (Observable.fourier_mode(-2), {"kind": "fourier_mode", "mode": -2}),
+        (Observable.indicator(0.1, 0.9), {"kind": "indicator", "interval": [0.1, 0.9]}),
+        (Observable.finite_fourier([(1, 1 + 2j), (-3, 0.5)]),
+         {"kind": "finite_fourier", "terms": [[1, 1.0, 2.0], [-3, 0.5, 0.0]]}),
     ):
-        g = Observable.from_dict(f.to_dict())
+        g = Observable(**d)
         assert g.kind == f.kind
+        assert (g.mode, g.interval, g.terms) == (f.mode, f.interval, f.terms)
         x = np.linspace(0.0, 0.99, 7)
         assert np.allclose(g.eval(x), f.eval(x))
 
@@ -269,12 +272,15 @@ def test_contraction_surrogate():
 
 
 def test_system_round_trip():
-    for sys_ in (
-        SystemModel.rotation(0.375),
-        SystemModel.rotation_sqrt2(),
-        SystemModel.doubling(),
+    # each JSON form builds through the constructor what the helper builds
+    sqrt2 = SystemModel.rotation_sqrt2().theta0
+    for sys_, d in (
+        (SystemModel.rotation(0.375), {"kind": "rotation", "theta0": 0.375}),
+        (SystemModel.rotation_sqrt2(),
+         {"kind": "rotation", "theta0": [sqrt2.numerator, sqrt2.denominator]}),
+        (SystemModel.doubling(), {"kind": "doubling"}),
     ):
-        back = SystemModel.from_dict(sys_.to_dict())
+        back = SystemModel(**d)
         assert back.kind == sys_.kind
-        if sys_.kind == "rotation":
-            assert back.theta0 == sys_.theta0
+        assert back.theta0 == sys_.theta0
+        assert type(back.theta0) is type(sys_.theta0)

@@ -1,10 +1,15 @@
 """Byte-identity gate: every CSV, JSON and SVG a fixed set of runs writes
 must hash to the sha256 recorded in golden_digests.json.
 
-The set is four presets at their defaults and one small config per base
-kind. Manifests are left out because they carry wall times and output
-paths. A change that alters an output on purpose records new digests and
-says why.
+The set is four presets at their defaults, the three seeded presets at
+seeds [1, 2] (random weights and the random prime model), and one small
+config per base kind. Manifests are left out because they carry wall
+times and output paths. A change that alters an output on purpose
+records new digests and says why.
+
+The same base-kind configs seed a one-field mutation test: whatever one
+field is replaced with, validate() returns diagnostics without raising,
+and a config it accepts runs.
 """
 
 import hashlib
@@ -13,13 +18,16 @@ from pathlib import Path
 
 import pytest
 
-from ergosum.harness import ExperimentConfig, run
+from ergosum.harness import ExperimentConfig, run, validate
 
 CONFIGS = {
     "example1": {"preset": "example1"},
     "example2": {"preset": "example2"},
     "example3": {"preset": "example3"},
     "prime_question": {"preset": "prime_question"},
+    "example4": {"preset": "example4", "seeds": [1, 2]},
+    "example5": {"preset": "example5", "seeds": [1, 2]},
+    "example6": {"preset": "example6", "seeds": [1, 2]},
     "envelope_harmonic_seeded": {
         "kind": "envelope_scan",
         "weights": {"kind": "iid_uniform_phase"},
@@ -97,3 +105,53 @@ def test_outputs_match_golden_digests(tmp_path, name):
     run(ExperimentConfig.from_dict(
         {"name": name, **CONFIGS[name], "output_dir": str(tmp_path)}))
     assert output_digests(tmp_path / name) == golden[name]
+
+
+# JSON values a hand-edited config might carry in any field; 1e400 is how
+# JSON spells an overflowing number (it reads as inf)
+MUTATION_POOL = (None, 0, 1, -1, 0.5, 1e400, 2**63, "", "x", "0.5", [], [1, 2],
+                 [1.5, 7], {}, {"kind": "x"}, True)
+
+
+def _paths(value, prefix=()):
+    """Every dict key and list position inside a config, outermost first."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, inner in items:
+        yield prefix + (key,)
+        yield from _paths(inner, prefix + (key,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    head, rest = path[0], path[1:]
+    if isinstance(value, dict):
+        return {k: _replaced(v, rest, new) if k == head else v for k, v in value.items()}
+    return [_replaced(v, rest, new) if i == head else v for i, v in enumerate(value)]
+
+
+def _mutations():
+    for name, config in CONFIGS.items():
+        if "preset" in config:
+            continue
+        for path in _paths(config):
+            for new in MUTATION_POOL:
+                yield name, path, _replaced(config, path, new)
+
+
+def test_one_field_mutations_validate_cleanly_and_accepted_ones_run(tmp_path):
+    faults, accepted = [], 0
+    for name, path, mutated in _mutations():
+        config = ExperimentConfig.from_dict(
+            {"name": "m", **mutated, "output_dir": str(tmp_path)})
+        where = f"{name} {'.'.join(map(str, path))} = {mutated}"
+        try:
+            if validate(config):
+                continue
+            accepted += 1
+            run(config)
+        except Exception as exc:  # every failure is reported, not just the first
+            faults.append(f"{where}: {type(exc).__name__}: {exc}")
+    assert faults == []
+    assert accepted > 0

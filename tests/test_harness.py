@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ergosum import harness
 from ergosum.harness import (
     ConfigError,
     ExperimentConfig,
@@ -423,6 +424,45 @@ INVALID_CLI_CONFIGS = {
     "misspelt_observable_kind": (
         tiny_average(observable={"kind": "indicatr", "mode": 2}),
         "observable: unknown observable kind 'indicatr'"),
+    # a degree this large must be rejected without computing (n - 1) ** d
+    "huge_monomial_degree": (
+        tiny_envelope(indices={"kind": "monomial", "d": 10**12}, blocks=[[0, 64]]),
+        "indices: monomial index values exceed int64 range"),
+    # weight parameters that are not finite real numbers
+    "log_phase_h_string": (
+        tiny_average(weights={"kind": "log_phase", "h": "x"}),
+        "weights: log_phase requires a finite real h != 0"),
+    "power_phase_delta_infinite": (
+        tiny_average(weights={"kind": "power_phase", "delta": float("inf")}),
+        "weights: power_phase requires a finite real delta > 0"),
+    "polynomial_phase_coeffs_not_finite": (
+        tiny_envelope(weights={"kind": "polynomial_phase", "coeffs": [float("inf"), "0.5"]}),
+        "weights: polynomial_phase coeffs must be finite real numbers"),
+    "power_phase_overflows_on_range": (
+        tiny_average(weights={"kind": "power_phase", "delta": 2**63}),
+        "weights: power_phase phase overflows a double below k = 201"),
+    # exact pairs and modes that must be integers, not read as such
+    "theta0_float_numerator": (
+        tiny_average(system={"kind": "rotation", "theta0": [1.5, 7]}),
+        "system: theta0 pair must be two integers [num, den]"),
+    "theta0_strings": (
+        tiny_average(system={"kind": "rotation", "theta0": ["1", "7"]}),
+        "system: theta0 pair must be two integers [num, den]"),
+    "theta0_triple": (
+        tiny_average(system={"kind": "rotation", "theta0": [1, 2, 3]}),
+        "system: theta0 pair must be two integers [num, den]"),
+    "finite_fourier_float_mode": (
+        tiny_average(observable={"kind": "finite_fourier", "terms": [[1.7, 1, 0]]}),
+        "observable: finite_fourier modes must be integers"),
+    # 3000**3 + 128 orbit bits would be a 201 GiB start-point draw
+    "doubling_start_point_too_long": (
+        tiny_average(system={"kind": "doubling"}, indices={"kind": "monomial", "d": 3},
+                     n_terms=3000, seeds=[1]),
+        "system: a doubling-map start point for indices up to 27000000000 needs "
+        "27000000128 bits, more than 100000000"),
+    "ingredient_seed_and_seeds": (
+        tiny_envelope(weights={"kind": "iid_uniform_phase", "seed": 3}, seeds=[1, 2]),
+        "weights.seed: each repetition draws with its own seed from seeds"),
 }
 
 
@@ -435,6 +475,37 @@ def test_cli_invalid_config_exits_2(tmp_path, capsys, case, command):
     assert main([command, str(p)]) == 2
     assert f"invalid: {message}" in capsys.readouterr().out
     assert not (tmp_path / config["name"]).exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_normalizer_overflow_is_a_diagnostic_only():
+    diags = validate(cfg(**tiny_average(normalizer={"gamma": 400, "k0": 1})))
+    assert diags == ["normalizer: normalizer must be positive on the range"]
+
+
+def test_cli_run_parses_the_config_once(tmp_path, monkeypatch, capsys):
+    plans = []
+    real_plan = harness._plan
+    monkeypatch.setattr(harness, "_plan", lambda c: plans.append(c) or real_plan(c))
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(tiny_average(output_dir=str(tmp_path))))
+    assert main(["run", str(p)]) == 0
+    assert len(plans) == 1
+
+
+def test_random_prime_doubling_run_stops_at_the_start_point_cap(tmp_path, monkeypatch,
+                                                               capsys):
+    # the random prime model has no top-index bound for validate(), so the
+    # run checks the cap before it draws the start point
+    monkeypatch.setattr(harness, "_MAX_START_BITS", 1000)
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(tiny_average(
+        system={"kind": "doubling"}, indices={"kind": "cramer_primes"}, seeds=[1],
+        output_dir=str(tmp_path))))
+    assert main(["validate", str(p)]) == 0
+    assert main(["run", str(p)]) == 3
+    assert "bits, more than 1000" in capsys.readouterr().out
+    assert not (tmp_path / "t_avg").exists()
 
 
 # presets no other tier-1 test runs, at non-default params and seeds

