@@ -1,20 +1,23 @@
 """Deterministic numeric kernels shared across the package.
 
-Two concerns live here:
+Three concerns live here:
+
+* the integer and real predicates that spec fields are checked with, so
+  that a bool, a string or a fraction is rejected instead of coerced,
 
 * fixed-shape chunked pairwise reductions, so every sum in the package is
   reproducible bit for bit regardless of how the work is batched, and
 
-* exact mod-1 argument reduction for phases theta*u with integer u, via the
-  dyadic representation of the double theta (low-64-bit wraparound products
-  keep the residue exact) or, for a rational theta, a vectorized integer
-  mulmod, which keeps trigonometric sums accurate when theta*u is far
-  above 2**53.
+* exact mod-1 argument reduction of (shift + u*num)/den for integer u in
+  one kernel, frac_ratio: a double theta enters as its exact ratio
+  M/2**J, a Fraction as itself, and the residue stays exact however large
+  u and den get, which keeps trigonometric sums accurate when theta*u is
+  far above 2**53.
 """
 
 from __future__ import annotations
 
-import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +27,14 @@ import numpy as np
 CHUNK = 4096
 
 _U64 = np.uint64
+
+
+def is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def next_pow2(n: int) -> int:
@@ -94,76 +105,7 @@ def prefix_at(terms: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exact dyadic argument reduction
-
-
-def float_as_dyadic(x: float) -> tuple[int, int]:
-    """Write a finite double exactly as M * 2**E with integer M, E."""
-    if not math.isfinite(x):
-        raise ValueError("dyadic form requires a finite value")
-    m, e = math.frexp(x)
-    return int(m * (1 << 53)), e - 53
-
-
-def frac_mul(theta: float, u: np.ndarray) -> np.ndarray:
-    """frac(theta * u) for integer u, exact to one ulp of the unit interval.
-
-    theta is decomposed as M * 2**E; the residue (M*u) mod 2**-E is computed
-    with wraparound uint64 products (exact low bits) when -E <= 64 and with
-    python integers otherwise, so no precision is lost however large theta*u
-    gets.
-    """
-    u = np.asarray(u)
-    if theta == 0.0:
-        return np.zeros(u.shape, dtype=np.float64)
-    M, E = float_as_dyadic(abs(theta))
-    if E >= 0:
-        return np.zeros(u.shape, dtype=np.float64)
-    J = -E
-    if J <= 64:
-        with np.errstate(over="ignore"):
-            mask = _U64((1 << J) - 1)
-            mres = _U64(M & ((1 << J) - 1))
-            r = (u.astype(_U64) * mres) & mask
-        f = r.astype(np.float64) * math.ldexp(1.0, E)
-    else:
-        q = 1 << J
-        f = np.array([((int(v) * M) % q) / q for v in u.ravel()],
-                     dtype=np.float64).reshape(u.shape)
-    if theta < 0.0:
-        f = np.where(f > 0.0, 1.0 - f, 0.0)
-    return np.where(f >= 1.0, 0.0, f)
-
-
-def frac_poly(coeffs, k: np.ndarray) -> np.ndarray:
-    """frac(sum_j coeffs[j] * k**j) for integer k, exact per monomial.
-
-    Each monomial residue is reduced mod 1 through the dyadic form of its
-    coefficient before anything is added, so integer-coefficient polynomials
-    give exact zeros and large k never degrade the phase.
-    """
-    k = np.asarray(k)
-    total = np.zeros(k.shape, dtype=np.float64)
-    for j, c in enumerate(coeffs):
-        c = float(c)
-        if c == 0.0:
-            continue
-        M, E = float_as_dyadic(c)
-        if E >= 0:
-            continue  # c * k**j is an exact integer
-        J = -E
-        if J <= 64:
-            with np.errstate(over="ignore"):
-                mask = _U64((1 << J) - 1)
-                mres = _U64(M % (1 << J))
-                kp = k.astype(_U64) ** _U64(j)  # wraparound keeps low bits
-                r = (kp * mres) & mask
-            total += r.astype(np.float64) * math.ldexp(1.0, E)
-        else:
-            q = 1 << J
-            total += np.array([((int(v) ** j * M) % q) / q for v in k.ravel()],
-                              dtype=np.float64).reshape(k.shape)
-    return np.mod(total, 1.0)
+# exact argument reduction
 
 
 # largest modulus for mulmod: remainders off by one den then stay in
@@ -213,31 +155,62 @@ def _nonnegative_ints(u: np.ndarray) -> bool:
         u.dtype.kind == "i" and (u.size == 0 or int(u.min()) >= 0))
 
 
-def frac_ratio(num: int, den: int, u: np.ndarray) -> np.ndarray:
-    """frac(u * num/den) for integer u, exact rational reduction.
+def frac_ratio(num: int, den: int, u: np.ndarray, shift: int = 0) -> np.ndarray:
+    """frac((shift + u * num) / den) for integer u: the one exact reduction.
 
-    The residue (u * num) % den is exact and is then rounded as
-    float(rem) / float(den). It comes from the vectorized mulmod when
-    den <= 2**62 (every SystemModel angle) and u is a nonnegative integer
-    array; anything else, such as a Fraction theta with a larger
-    denominator passed to eval_sum, takes Python big-int arithmetic.
+    The residue rem = (shift + u * num) % den is exact and is rounded as
+    float(rem) / float(den), so a residue within half an ulp of den gives
+    1.0, the same phase as 0.0. It comes from wraparound uint64 products
+    when den is a power of two <= 2**64 (a double whose lowest set bit is
+    2**-64 or above), from mulmod when den <= 2**62 and u >= 0 (every
+    SystemModel angle), and from Python integers otherwise.
     """
     if den <= 0:
         raise ValueError("denominator must be positive")
     u = np.asarray(u)
-    p = num % den
-    if p == 0:
-        return np.zeros(u.shape, dtype=np.float64)
-    if den <= MULMOD_MAX_DEN and _nonnegative_ints(u):
-        rems = mulmod(u, p, den).astype(np.float64)
+    p, s = num % den, shift % den
+    scale = 1
+    if u.dtype.kind in "iu" and den <= 1 << 64 and den & (den - 1) == 0:
+        with np.errstate(over="ignore"):
+            rems = (u.astype(_U64) * _U64(p) + _U64(s)) & _U64(den - 1)
+    elif den <= MULMOD_MAX_DEN and _nonnegative_ints(u):
+        rems = mulmod(u, p, den)
+        if s:
+            rems = _fold(rems + s, den)
     else:
-        rems = np.array([(int(v) * p) % den for v in u.ravel()],
-                        dtype=np.float64).reshape(u.shape)
-    return rems / den
+        # a common power of two keeps den / scale a finite double and
+        # changes neither rounding
+        scale = 1 << max(den.bit_length() - 1000, 0)
+        rems = ((u.astype(object) * p + s) % den) / scale
+    return np.asarray(rems, dtype=np.float64) / (den / scale)
 
 
 def frac_of(theta, u: np.ndarray) -> np.ndarray:
-    """Dispatch exact frac(theta*u) for float or Fraction theta."""
-    if isinstance(theta, Fraction):
-        return frac_ratio(theta.numerator, theta.denominator, u)
-    return frac_mul(float(theta), u)
+    """frac(theta * u) in [0, 1) for a float or Fraction theta: frac_ratio
+    on the exact ratio of theta, with a 1.0 read as 0.0."""
+    if not isinstance(theta, Fraction):
+        theta = float(theta)
+    f = frac_ratio(*theta.as_integer_ratio(), u)
+    return np.where(f < 1.0, f, 0.0)
+
+
+def frac_poly(coeffs, k: np.ndarray) -> np.ndarray:
+    """frac(sum_j coeffs[j] * k**j) for integer k, exact per monomial.
+
+    Each monomial is reduced mod 1 by frac_ratio on the exact ratio of its
+    coefficient before anything is added, so integer-coefficient
+    polynomials give exact zeros and large k never degrade the phase.
+    """
+    k = np.asarray(k)
+    total = np.zeros(k.shape, dtype=np.float64)
+    for j, c in enumerate(coeffs):
+        num, den = float(c).as_integer_ratio()
+        if den == 1:
+            continue  # c * k**j is an exact integer
+        if den <= 1 << 64:
+            with np.errstate(over="ignore"):  # wraparound keeps k**j mod den
+                kj = k.astype(_U64) ** _U64(j)
+        else:
+            kj = k.astype(object) ** j
+        total += frac_ratio(num, den, kj)
+    return np.mod(total, 1.0)

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import frac_of, pairwise_sum, prefix_at
+from ._kernels import frac_of, is_int, is_real, pairwise_sum, prefix_at
 from .dynamics import SpectralMeasure
+from .trigsum import ThetaGrid, eval_grid
 
 LADDER_KINDS = ("dyadic", "doubly_exponential", "rho_ladder", "rho_rho_ladder")
 
@@ -48,17 +49,20 @@ class NormalizerSpec:
     k0: int | None = None
 
     def __post_init__(self):
-        if not (self.gamma >= 0 and math.isfinite(self.gamma)):
+        if not (is_real(self.gamma) and self.gamma >= 0 and math.isfinite(self.gamma)):
             raise ValueError("gamma must be finite and >= 0")
+        if not all(is_real(v) and math.isfinite(v) for v in (self.a, self.b)):
+            raise ValueError("a and b must be finite real numbers")
         minimum = 1
         if self.a != 0:
             minimum = 2
         if self.b != 0:
             minimum = 3
         default = 16 if self.b != 0 else 3
-        k0 = default if self.k0 is None else int(self.k0)
-        if k0 < minimum:
-            raise ValueError(f"k0 must be >= {minimum} for this normalizer")
+        k0 = default if self.k0 is None else self.k0
+        if not (is_int(k0) and k0 >= minimum):
+            raise ValueError(f"k0 must be an integer >= {minimum} for this normalizer")
+        k0 = int(k0)
         object.__setattr__(self, "k0", k0)
 
     def values(self, ks) -> np.ndarray:
@@ -102,12 +106,12 @@ class BlockLadder:
     def __post_init__(self):
         if self.kind not in LADDER_KINDS:
             raise ValueError(f"unknown ladder kind {self.kind!r}")
-        if not (0 <= self.j_lo <= self.j_hi):
-            raise ValueError("need 0 <= j_lo <= j_hi")
+        if not (is_int(self.j_lo) and is_int(self.j_hi) and 0 <= self.j_lo <= self.j_hi):
+            raise ValueError("need integers 0 <= j_lo <= j_hi")
         if self.kind in ("rho_ladder", "rho_rho_ladder"):
-            if self.rho is None or not self.rho > 1:
+            if not (is_real(self.rho) and self.rho > 1):
                 raise ValueError("rho ladders need rho > 1")
-            if self.epsilon is None or not (0 < self.epsilon <= 0.5):
+            if not (is_real(self.epsilon) and 0 < self.epsilon <= 0.5):
                 raise ValueError("rho ladders need epsilon in (0, 1/2]")
             if self.j_lo < 2:
                 raise ValueError("rho ladders start at j = 2 (log j > 0)")
@@ -499,7 +503,8 @@ def maximal_norm(weights, indices, norm: NormalizerSpec,
 
     a lower bound for the true maximal norm (the max runs over the finite
     grid only). V_N uses terms k in [k_first, N); the density integral is
-    a trapezoid rule on max(2**16, cell count) points."""
+    a trapezoid rule on max(2**16, cell count) points, where V_N adds up
+    eval_grid over the prefix segments, so indices must be nonnegative."""
     w = np.ascontiguousarray(weights, dtype=np.complex128)
     u = np.ascontiguousarray(indices)
     if u.dtype.kind not in "iu":
@@ -519,20 +524,16 @@ def maximal_norm(weights, indices, norm: NormalizerSpec,
         total += mass * float((np.abs(pref) / a).max()) ** 2
     if measure.density is not None:
         cells = measure.density.size
-        r = max(1 << 16, cells)
-        dens = np.repeat(measure.density, r // cells)
-        acc = np.zeros(r, dtype=np.complex128)
-        best = np.zeros(r, dtype=np.float64)
-        prev = 0
-        for i, b in enumerate(bounds):
-            seg = slice(prev, int(b))
-            pos = (u[seg].astype(np.uint64) % np.uint64(r)).astype(np.int64)
-            acc += np.bincount(pos, weights=w[seg].real, minlength=r)
-            acc += 1j * np.bincount(pos, weights=w[seg].imag, minlength=r)
-            prev = int(b)
-            vals = np.abs(r * np.fft.ifft(acc)) / a[i]
-            np.maximum(best, vals, out=best)
-        total += float(pairwise_sum(dens * best**2)) / r
+        grid = ThetaGrid(max(1 << 16, cells))
+        dens = np.repeat(measure.density, grid.points // cells)
+        v_n = np.zeros(grid.points, dtype=np.complex128)
+        best = np.zeros(grid.points, dtype=np.float64)
+        lo = 0
+        for i, hi in enumerate(bounds):
+            v_n += eval_grid(w[lo:hi], u[lo:hi], grid)
+            lo = hi
+            np.maximum(best, np.abs(v_n) / a[i], out=best)
+        total += float(pairwise_sum(dens * best**2)) / grid.points
     return float(math.sqrt(total))
 
 

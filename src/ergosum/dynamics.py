@@ -12,10 +12,9 @@ Rotation angles can be floats or exact rationals (Fraction). The bundled
 rotation_sqrt2 / rotation_golden constructors return continued-fraction
 convergents p/q with q <= 2**62, and orbit positions are then reduced
 exactly with integer arithmetic, because u * theta0 mod 1 in doubles loses
-every significant bit once u is large. For a Fraction angle the reduction
-is a vectorized mulmod (see _kernels.frac_ratio); only a Fraction start
-point still goes through Python integers index by index. The float path
-(itself exact in the dyadic sense, see frac_mul) is the cross-check.
+every significant bit once u is large. Every angle goes through
+_kernels.frac_ratio: a Fraction as itself, a float as its exact dyadic
+ratio, and a Fraction angle with a Fraction start point as one ratio.
 
 Doubling-map points are seeded bit strings; T^u just shifts the window,
 so orbit values of indicator observables are exact bits with no floating
@@ -31,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import frac_mul, frac_ratio, next_pow2, pairwise_sum
+from ._kernels import frac_of, frac_ratio, is_int, is_real, next_pow2, pairwise_sum
 from ._rng import bits as _seeded_bits
 from .trigsum import ThetaGrid, eval_grid, eval_sum
 
@@ -105,8 +104,7 @@ class SpectralMeasure:
 
 def exact_fraction(pair, name: str) -> Fraction:
     """An exact rational from its JSON form, two integers [num, den]."""
-    if len(pair) != 2 or not all(
-            isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in pair):
+    if len(pair) != 2 or not all(map(is_int, pair)):
         raise ValueError(f"{name} pair must be two integers [num, den]")
     return Fraction(int(pair[0]), int(pair[1]))
 
@@ -116,9 +114,9 @@ def _fourier_term(term) -> tuple[int, complex]:
     if not isinstance(term, (list, tuple)) or len(term) not in (2, 3):
         raise ValueError("finite_fourier terms are [m, c] or [m, re, im]")
     m, *c = term
-    if not isinstance(m, numbers.Integral):
+    if not is_int(m):
         raise ValueError("finite_fourier modes must be integers")
-    if not all(isinstance(v, numbers.Number) for v in c):
+    if not all(isinstance(v, numbers.Number) and not isinstance(v, bool) for v in c):
         raise ValueError("finite_fourier coefficients must be numbers")
     return int(m), complex(*c)
 
@@ -137,7 +135,7 @@ class SystemModel:
             object.__setattr__(self, "theta0", exact_fraction(self.theta0, "theta0"))
         if self.kind == "rotation":
             t = self.theta0
-            if not isinstance(t, numbers.Real) or isinstance(t, bool) or not 0 < t < 1:
+            if not (is_real(t) and 0 < t < 1):
                 raise ValueError("rotation needs theta0 in (0, 1)")
             if isinstance(t, Fraction) and t.denominator > MAX_ANGLE_DEN:
                 raise ValueError("rational angle denominator must be <= 2**62")
@@ -181,13 +179,15 @@ class Observable:
         if self.kind not in OBSERVABLE_KINDS:
             raise ValueError(f"unknown observable kind {self.kind!r}")
         if self.kind == "fourier_mode":
-            if not isinstance(self.mode, numbers.Integral):
+            if not is_int(self.mode):
                 raise ValueError("fourier_mode needs an integer mode")
             object.__setattr__(self, "mode", int(self.mode))
         elif self.kind == "indicator":
-            if self.interval is None:
-                raise ValueError("indicator needs an interval")
-            a, b = (float(v) for v in self.interval)
+            iv = self.interval
+            if not (isinstance(iv, (list, tuple)) and len(iv) == 2
+                    and all(map(is_real, iv))):
+                raise ValueError("indicator needs an interval of two real numbers")
+            a, b = map(float, iv)
             if not (0.0 <= a < b <= 1.0):
                 raise ValueError("indicator interval must satisfy 0 <= a < b <= 1")
             object.__setattr__(self, "interval", (a, b))
@@ -280,22 +280,14 @@ class OrbitPoint:
 def _rotation_positions(theta0, x0, u: np.ndarray) -> np.ndarray:
     """frac(x0 + u * theta0) with the reduction of u * theta0 done exactly.
 
-    Fully exact when both theta0 and x0 are Fractions; otherwise x0 enters
-    through one final rounded addition (error ~1 ulp, independent of u).
+    For theta0 = p/q and x0 = a/b, both Fractions, the position is the one
+    exact ratio (a*q + u*p*b) / (q*b); otherwise x0 enters through one
+    final rounded addition (error ~1 ulp, independent of u).
     """
-    if isinstance(theta0, Fraction):
-        if isinstance(x0, Fraction):
-            a, b = x0.numerator, x0.denominator
-            p, q = theta0.numerator, theta0.denominator
-            den = b * q
-            out = np.empty(u.size, dtype=np.float64)
-            for i, ui in enumerate(u.tolist()):
-                out[i] = ((a * q + ui * p * b) % den) / den
-            return out
-        fr = frac_ratio(theta0.numerator, theta0.denominator, u)
-    else:
-        fr = frac_mul(float(theta0), u)
-    return np.mod(fr + float(x0), 1.0)
+    if isinstance(theta0, Fraction) and isinstance(x0, Fraction):
+        (p, q), (a, b) = theta0.as_integer_ratio(), x0.as_integer_ratio()
+        return np.mod(frac_ratio(p * b, q * b, u, shift=a * q), 1.0)
+    return np.mod(frac_of(theta0, u) + float(x0), 1.0)
 
 
 def _doubling_window_values(bits: np.ndarray, window: int) -> np.ndarray:

@@ -60,6 +60,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _svg
+from ._kernels import is_int, is_real
 from .analytic_bounds import hlawka_bound, steep_power_phase_exponent
 from .averages import (
     BlockLadder,
@@ -202,16 +203,8 @@ class ExperimentConfig:
         return out
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_num(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
 def _increasing_positive_ints(v) -> bool:
-    return (isinstance(v, (list, tuple)) and all(_is_int(n) and n >= 1 for n in v)
+    return (isinstance(v, (list, tuple)) and all(is_int(n) and n >= 1 for n in v)
             and list(v) == sorted(set(v)))
 
 
@@ -302,7 +295,7 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
 
     if config.seeds is not None:
         if not isinstance(config.seeds, (list, tuple)) or not all(
-                _is_int(s) for s in config.seeds):
+                is_int(s) for s in config.seeds):
             diags.append("seeds: must be a list of integers")
         elif len(set(config.seeds)) != len(config.seeds):
             diags.append("seeds: must be distinct")
@@ -349,7 +342,7 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
         if config.blocks is not None:
             ok = isinstance(config.blocks, (list, tuple)) and config.blocks and all(
                 isinstance(b, (list, tuple)) and len(b) == 2
-                and _is_int(b[0]) and _is_int(b[1]) and 0 <= b[0] < b[1]
+                and is_int(b[0]) and is_int(b[1]) and 0 <= b[0] < b[1]
                 for b in config.blocks
             )
             if not ok:
@@ -368,7 +361,7 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
                 diags.append("theta_grid: must be an object")
             else:
                 pts = tg.get("points")
-                if pts is not None and not (_is_int(pts) and 16 <= pts <= _MAX_GRID_POINTS):
+                if pts is not None and not (is_int(pts) and 16 <= pts <= _MAX_GRID_POINTS):
                     diags.append("theta_grid.points: must be an integer in "
                                  f"[16, {_MAX_GRID_POINTS}]")
                 for k in tg:
@@ -393,7 +386,7 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
 
     # orbit-run kinds
     if config.k_first is not None:
-        if not _is_int(config.k_first) or config.k_first < 0:
+        if not is_int(config.k_first) or config.k_first < 0:
             diags.append("k_first: must be a nonnegative integer")
         else:
             for spec in (wspec, ispec):
@@ -408,7 +401,7 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
     norm = sub_spec("normalizer", NormalizerSpec)
     if config.n_terms is None:
         diags.append("n_terms: required")
-    elif not _is_int(config.n_terms) or not 2 <= config.n_terms <= _MAX_TERMS:
+    elif not is_int(config.n_terms) or not 2 <= config.n_terms <= _MAX_TERMS:
         diags.append(f"n_terms: must be an integer in [2, {_MAX_TERMS}]")
     x0 = check("x0", lambda: _parse_x0(config.x0))
     ladder = None
@@ -416,7 +409,7 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
         ladder = sub_spec("ladder", BlockLadder, "required for oscillation runs")
     hilbert = config.kind == "hilbert_run"
     # set only on hilbert runs: every other kind rejects them as not read
-    if config.bound is not None and (not _is_num(config.bound) or config.bound <= 0):
+    if config.bound is not None and (not is_real(config.bound) or config.bound <= 0):
         diags.append("bound: must be a positive number")
     if config.tail_starts is not None and not _increasing_positive_ints(
             config.tail_starts):
@@ -463,7 +456,7 @@ def _parse_x0(raw):
         if not 0 <= fr < 1:
             raise ValueError("x0 must lie in [0, 1)")
         return fr
-    if _is_num(raw):
+    if is_real(raw):
         x = float(raw)
         if not 0.0 <= x < 1.0:
             raise ValueError("x0 must lie in [0, 1)")
@@ -646,7 +639,8 @@ def _start_bits(u_top: int) -> int:
 
 def _orbit_runs(wspec, ispec, system, f, x0, n_terms, seeds, k_first):
     """Per seed: (seed, weights w_k, orbit values f(T^{u_k} x)) for the
-    n_terms terms from k_first on."""
+    n_terms terms from k_first on. Nothing of one seed is held here while
+    the next one draws; the caller drops its own references first."""
     k_end = k_first + n_terms
     for seed in _seed_list(seeds):
         w = gen_weights(_for_seed(wspec, seed), k_first, k_end)
@@ -656,7 +650,9 @@ def _orbit_runs(wspec, ispec, system, f, x0, n_terms, seeds, k_first):
         else:
             point = OrbitPoint.rotation(x0)
         vals = orbit_eval(system, f, point, u)
+        del u, point
         yield seed, w, vals
+        del w, vals
 
 
 def _decay_entry(ns, cps=None) -> dict:
@@ -696,7 +692,7 @@ def _average_stage(files, wspec, ispec, system, f, x0, norm, n_terms, seeds,
     for seed, w, vals in _orbit_runs(wspec, ispec, system, f, x0, n_terms, seeds,
                                      k_first):
         run = weighted_sums(vals, w, k_first=k_first, normalizer=norm)
-        del w, vals  # _orbit_runs frees them as it draws the next seed (peak memory)
+        del w, vals  # only the sums are needed from here on (peak memory)
         ns = normalized_series(run)
         per_seed.append({"seed": seed, "k_first": k_first, "n_max": run.n_max,
                          **_decay_entry(ns, checkpoints),
@@ -716,6 +712,7 @@ def _average_stage(files, wspec, ispec, system, f, x0, norm, n_terms, seeds,
             if len(osc_chart) < 4:
                 label = "osc" if seed is None else f"seed {seed}"
                 osc_chart.append((label, rep.ladder_j[:-1].tolist(), rep.osc.tolist()))
+        run = ns = rep = None  # freed before the next seed draws (peak memory)
     files["series.csv"] = _csv_bytes(
         ["seed", "N", "s_real", "s_imag", "s_abs", "a_value", "ratio"], csv_rows)
     files["ratio.svg"] = _svg.line_chart(
@@ -765,7 +762,7 @@ def _hilbert_stage(files, wspec, ispec, system, f, x0, norm, n_terms, seeds,
     for seed, w, vals in _orbit_runs(wspec, ispec, system, f, x0, n_terms, seeds,
                                      k_first):
         run = hilbert_series(w, vals, norm, k_first=k_first)
-        del w, vals  # _orbit_runs frees them as it draws the next seed (peak memory)
+        del w, vals  # only the sums are needed from here on (peak memory)
         starts = tail_starts or _dyadic_starts(k_first, run.n_max)
         tails = cauchy_tail_report(run, starts)
         max_abs = float(np.abs(run.sums).max())
@@ -785,6 +782,7 @@ def _hilbert_stage(files, wspec, ispec, system, f, x0, norm, n_terms, seeds,
         if ratio_norm is not None:
             ns = normalized_series(run, ratio_norm)
             ratio_entries.append({"seed": seed, **_decay_entry(ns)})
+        run = ns = None  # freed before the next seed draws (peak memory)
     files["hseries.csv"] = _csv_bytes(
         ["seed", "N", "s_real", "s_imag", "s_abs"], csv_rows)
     files["hseries.svg"] = _svg.line_chart(
@@ -1090,7 +1088,7 @@ _PRESETS = {
         ("harmonic sup rows vs 30(|h| + 1/|h|)",
          "flat harmonic growth fit",
          "bounded series partial sums"),
-        params={"h": (1.0, lambda h: _is_num(h) and h != 0,
+        params={"h": (1.0, lambda h: is_real(h) and h != 0,
                       "must be a nonzero number")}),
     "example4": _Preset(
         _preset_example4, "random unimodular weights over dyadic blocks",
@@ -1112,7 +1110,7 @@ _PRESETS = {
         ("decay slopes for a ladder of beta exponents",),
         params={"betas": ((0.6, 0.75, 0.9, 1.0),
                           lambda bs: isinstance(bs, (list, tuple)) and bool(bs) and all(
-                              _is_num(b) and 0.5 < b <= 1.0 for b in bs),
+                              is_real(b) and 0.5 < b <= 1.0 for b in bs),
                           "each beta must lie in (1/2, 1]")}),
 }
 

@@ -17,10 +17,10 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-import numbers
 
 import numpy as np
 
+from ._kernels import is_int
 from ._rng import cramer_indicator
 
 KINDS = ("identity", "monomial", "polynomial", "primes", "cramer_primes", "explicit")
@@ -47,22 +47,24 @@ class IndexSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown index kind {self.kind!r}")
         if self.kind == "monomial":
-            if not isinstance(self.d, numbers.Integral) or self.d < 1:
+            if not is_int(self.d) or self.d < 1:
                 raise ValueError("monomial requires integer degree d >= 1")
             object.__setattr__(self, "d", int(self.d))
         if self.kind == "polynomial":
             if not self.coeffs:
                 raise ValueError("polynomial requires integer coeffs")
-            if not all(isinstance(c, numbers.Integral) for c in self.coeffs):
+            if not all(map(is_int, self.coeffs)):
                 raise ValueError("polynomial coefficients must be integers")
             object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
         if self.kind == "cramer_primes":
-            if not isinstance(self.seed, numbers.Integral):
+            if not is_int(self.seed):
                 raise ValueError("cramer_primes requires an integer seed")
             object.__setattr__(self, "seed", int(self.seed))
         if self.kind == "explicit":
             if self.values is None or len(self.values) == 0:
                 raise ValueError("explicit requires a nonempty value list")
+            if not all(map(is_int, self.values)):
+                raise ValueError("explicit values must be integers")
             vals = tuple(int(v) for v in self.values)
             if vals[0] < 0 or any(b < a for a, b in zip(vals, vals[1:])):
                 raise ValueError("explicit values must be nondecreasing and >= 0")
@@ -70,8 +72,8 @@ class IndexSpec:
         minimum = 1 if self.kind in ("primes", "cramer_primes") else 0
         if self.offset is None:
             object.__setattr__(self, "offset", minimum)
-        elif self.offset < minimum:
-            raise ValueError(f"{self.kind} offset must be >= {minimum}")
+        elif not (is_int(self.offset) and self.offset >= minimum):
+            raise ValueError(f"{self.kind} offset must be an integer >= {minimum}")
 
 
 def gen_indices(spec: IndexSpec, m: int, n: int) -> np.ndarray:

@@ -25,8 +25,9 @@ sum |w_k| u_k (a bound on |V'|) is reported for reference and enters no
 certificate.
 
 Every reduction is chunked pairwise (see _kernels), and phase arguments
-theta*u are reduced mod 1 exactly through the dyadic form of theta, so
-evaluation is deterministic and keeps full precision at large u.
+theta*u are reduced mod 1 exactly through the ratio of theta (a double's
+dyadic M/2**J or a Fraction, see _kernels.frac_ratio), so evaluation is
+deterministic and keeps full precision at large u.
 """
 
 from __future__ import annotations

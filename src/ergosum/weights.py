@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-import numbers
 
 import numpy as np
 
-from ._kernels import frac_poly
+from ._kernels import frac_poly, is_int, is_real
 from ._rng import cramer_indicator, uniform01
 
 TWO_PI = 2.0 * np.pi
@@ -81,18 +80,18 @@ class WeightSpec:
             if not (_finite_real(self.h) and self.h != 0):
                 raise ValueError("log_phase requires a finite real h != 0")
         if self.kind in _SEEDED:
-            if not isinstance(self.seed, numbers.Integral):
+            if not is_int(self.seed):
                 raise ValueError(f"{self.kind} requires an integer seed")
             object.__setattr__(self, "seed", int(self.seed))
         minimum = _MIN_OFFSET.get(self.kind, 0)
         if self.offset is None:
             object.__setattr__(self, "offset", minimum)
-        elif self.offset < minimum:
-            raise ValueError(f"{self.kind} offset must be >= {minimum}")
+        elif not (is_int(self.offset) and self.offset >= minimum):
+            raise ValueError(f"{self.kind} offset must be an integer >= {minimum}")
 
 
 def _finite_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    return is_real(v) and math.isfinite(v)
 
 
 def check_phase(spec: WeightSpec, n: int) -> None:

@@ -460,6 +460,28 @@ def test_maximal_norm_dominates_single_n():
         assert single <= full + 1e-12
 
 
+def test_maximal_norm_density_matches_direct_sums():
+    """Uniform density: the mean over the 2**16 grid of max_N |V_N / A(N)|^2,
+    with every V_N(j / 2**16) summed directly."""
+    rng = np.random.default_rng(29)
+    w = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    u = np.cumsum(rng.integers(1, 9000, size=40)).astype(np.int64)
+    norm = NormalizerSpec(0.5, k0=1)
+    ns = np.array([5, 17, 40], dtype=np.int64)
+    got = maximal_norm(w, u, norm, SpectralMeasure.uniform(), ns)
+    t = np.arange(1 << 16) / (1 << 16)
+    terms = w * np.exp(2j * np.pi * np.outer(t, u))
+    best = np.max([np.abs(terms[:, :n].sum(axis=1)) / n**0.5 for n in ns], axis=0)
+    assert got == pytest.approx(math.sqrt(np.mean(best**2)), rel=1e-12)
+
+
+def test_maximal_norm_density_rejects_negative_indices():
+    u = np.array([3, -1, 4], dtype=np.int64)
+    with pytest.raises(ValueError, match="nonnegative"):
+        maximal_norm(np.ones(3), u, NormalizerSpec(1.0, k0=1),
+                     SpectralMeasure.uniform(), np.array([3], dtype=np.int64))
+
+
 def test_maximal_norm_validation():
     w = np.ones(10)
     u = np.arange(10, dtype=np.int64)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ergosum import harness
+from ergosum.dynamics import SystemModel
 from ergosum.harness import (
     ConfigError,
     ExperimentConfig,
@@ -463,6 +464,44 @@ INVALID_CLI_CONFIGS = {
     "ingredient_seed_and_seeds": (
         tiny_envelope(weights={"kind": "iid_uniform_phase", "seed": 3}, seeds=[1, 2]),
         "weights.seed: each repetition draws with its own seed from seeds"),
+    # integer and real fields take no bool, string or fractional stand-in
+    "weights_fractional_offset": (
+        tiny_average(weights={"kind": "constant", "offset": 2.5}),
+        "weights: constant offset must be an integer >= 0"),
+    "indices_fractional_offset": (
+        tiny_average(indices={"kind": "identity", "offset": 1.5}),
+        "indices: identity offset must be an integer >= 0"),
+    "explicit_fractional_values": (
+        tiny_average(indices={"kind": "explicit", "values": [0.5] + list(range(1, 300))}),
+        "indices: explicit values must be integers"),
+    "fractional_k0": (
+        tiny_average(normalizer={"gamma": 1.0, "k0": 1.9}),
+        "normalizer: k0 must be an integer >= 1 for this normalizer"),
+    "bool_gamma": (
+        tiny_average(normalizer={"gamma": True, "k0": 1}),
+        "normalizer: gamma must be finite and >= 0"),
+    "bool_mode": (
+        tiny_average(observable={"kind": "fourier_mode", "mode": True}),
+        "observable: fourier_mode needs an integer mode"),
+    "string_interval": (
+        tiny_average(observable={"kind": "indicator", "interval": ["0", "0.5"]}),
+        "observable: indicator needs an interval of two real numbers"),
+    "bool_monomial_degree": (
+        tiny_average(indices={"kind": "monomial", "d": True}),
+        "indices: monomial requires integer degree d >= 1"),
+    "bool_polynomial_coeff": (
+        tiny_average(indices={"kind": "polynomial", "coeffs": [0, True]}),
+        "indices: polynomial coefficients must be integers"),
+    "bool_normalizer_exponent": (
+        tiny_average(normalizer={"gamma": 1.0, "a": True, "k0": 2}),
+        "normalizer: a and b must be finite real numbers"),
+    "bool_fourier_coefficient": (
+        tiny_average(observable={"kind": "finite_fourier", "terms": [[1, True, 0]]}),
+        "observable: finite_fourier coefficients must be numbers"),
+    "bool_ladder_ends": (
+        tiny_average(kind="oscillation_run",
+                     ladder={"kind": "dyadic", "j_lo": True, "j_hi": 7}),
+        "ladder: need integers 0 <= j_lo <= j_hi"),
 }
 
 
@@ -475,6 +514,22 @@ def test_cli_invalid_config_exits_2(tmp_path, capsys, case, command):
     assert main([command, str(p)]) == 2
     assert f"invalid: {message}" in capsys.readouterr().out
     assert not (tmp_path / config["name"]).exists()
+
+
+def test_rational_zero_start_writes_the_float_zero_bytes(tmp_path):
+    """x0 = [0, 1] and x0 = 0.0 are one start point and round alike, also
+    on an angle whose denominator is past 2**53."""
+    theta = SystemModel.rotation_sqrt2().theta0
+    outs = []
+    for x0 in ([0, 1], 0.0):
+        out = tmp_path / str(len(outs))
+        run(cfg(**tiny_average(
+            system={"kind": "rotation", "theta0": [theta.numerator, theta.denominator]},
+            x0=x0, n_terms=3000, output_dir=str(out))))
+        outs.append({f.name: f.read_bytes() for f in (out / "t_avg").iterdir()
+                     if f.name != "manifest.json"})
+    assert sorted(outs[0]) == ["ratio.svg", "report.json", "series.csv"]
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -12,14 +12,16 @@ from ergosum._kernels import (
     MULMOD_MAX_DEN,
     _estimated_remainder,
     _fold,
-    frac_mul,
     frac_of,
+    frac_poly,
     frac_ratio,
     mulmod,
     next_pow2,
     pairwise_sum,
     prefix_at,
 )
+
+from ergosum.dynamics import SystemModel, _rotation_positions
 
 import oracles
 
@@ -33,10 +35,10 @@ def test_next_pow2():
 
 
 def test_frac_mul_matches_fraction_arithmetic():
-    """The dyadic wraparound trick must agree with exact rationals."""
+    """The dyadic wraparound path must agree with exact rationals."""
     theta = 0.3173828125  # 325/1024, exactly representable
     u = np.arange(0, 5000, dtype=np.int64)
-    got = frac_mul(theta, u)
+    got = frac_of(theta, u)
     fr = Fraction(theta)
     for ui in (0, 1, 7, 999, 4096, 4999):
         want = Fraction(ui) * fr
@@ -48,7 +50,7 @@ def test_frac_mul_matches_fraction_arithmetic():
        st.floats(min_value=1e-9, max_value=1.0, exclude_max=True))
 @settings(max_examples=80, deadline=None)
 def test_frac_mul_in_unit_interval(u, theta):
-    v = frac_mul(theta, np.array([u], dtype=np.int64))[0]
+    v = frac_of(theta, np.array([u], dtype=np.int64))[0]
     assert 0.0 <= v < 1.0
 
 
@@ -138,6 +140,93 @@ def test_frac_of_dispatch():
     assert a[2] == 0.0
     b = frac_of(0.5, u)
     assert b[0] == 0.5 and b[1] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# one exact reduction, one rounding: float(rem) / float(den)
+
+_SQRT2 = SystemModel.rotation_sqrt2().theta0
+_GOLDEN = SystemModel.rotation_golden().theta0
+_INT64 = st.integers(min_value=-2**63, max_value=2**63 - 1)
+_DENS = st.one_of(
+    st.integers(min_value=1, max_value=2**126),
+    st.integers(min_value=0, max_value=126).map(lambda j: 1 << j),
+    # a convergent angle p/q with the start point 1/3 reduces over 3q
+    st.sampled_from([_SQRT2.denominator, 3 * _SQRT2.denominator,
+                     _GOLDEN.denominator, 3 * _GOLDEN.denominator]),
+)
+# doubles m * 2**e: dyadic denominators up to 2**1013, past 2**64 too
+_DYADIC = st.builds(math.ldexp, st.integers(min_value=-2**53, max_value=2**53),
+                    st.integers(min_value=-960, max_value=8))
+
+
+def _rule(rem: int, den: int) -> float:
+    return float(rem) / float(den)
+
+
+def _frac_rule(f: Fraction) -> float:
+    # f mod 1 under the rule; a power-of-two den reduces to the same value
+    f %= 1
+    return _rule(f.numerator, f.denominator)
+
+
+@given(st.integers(min_value=-2**130, max_value=2**130), _DENS,
+       st.integers(min_value=-2**130, max_value=2**130),
+       st.one_of(st.lists(_INT64, min_size=1, max_size=20),
+                 st.lists(st.integers(min_value=0, max_value=2**63 - 1),
+                          min_size=1, max_size=20)))
+@settings(max_examples=400, deadline=None)
+def test_frac_ratio_matches_big_int_rule(num, den, shift, u):
+    """Every residue source (dyadic wraparound, mulmod, Python integers)
+    gives float(rem) / float(den) of the exact residue, bit for bit."""
+    got = frac_ratio(num, den, np.array(u, dtype=np.int64), shift=shift)
+    want = np.array([_rule((shift + v * num) % den, den) for v in u])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@given(st.one_of(_DYADIC, st.floats(min_value=-4.0, max_value=4.0).filter(
+           lambda t: t == 0.0 or abs(t) >= 2.0**-960)),
+       st.lists(_INT64, min_size=1, max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_frac_of_float_matches_fraction_rule(theta, u):
+    got = frac_of(theta, np.array(u, dtype=np.int64))
+    want = np.array([_frac_rule(Fraction(theta) * v) for v in u])
+    want[want == 1.0] = 0.0
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@given(st.lists(st.one_of(_DYADIC, st.integers(-5, 5).map(float)),
+                min_size=1, max_size=5),
+       st.lists(st.integers(min_value=-2**40, max_value=2**40), min_size=1,
+                max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_frac_poly_matches_fraction_rule(coeffs, k):
+    """Monomial by monomial, k**j * c reduced exactly and rounded by the
+    rule, summed in order, then taken mod 1."""
+    got = frac_poly(coeffs, np.array(k, dtype=np.int64))
+    total = np.zeros(len(k))
+    for j, c in enumerate(coeffs):
+        total += np.array([_frac_rule(Fraction(c) * v**j) for v in k])
+    want = np.mod(total, 1.0)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_frac_of_reaches_every_double():
+    # den = 2**1074 is past the double range and is scaled, not overflowed
+    tiny = math.ldexp(1.0, -1074)
+    assert frac_of(tiny, np.array([0, 1, 3])).tolist() == [0.0, tiny, 3 * tiny]
+    assert frac_poly([0.0, tiny], np.array([3])).tolist() == [3 * tiny]
+
+
+@pytest.mark.parametrize("theta", [_SQRT2, _GOLDEN], ids=["sqrt2", "golden"])
+def test_convergent_positions_from_one_third(theta):
+    """x0 = 1/3 on a convergent p/q: one ratio (q + 3pu) / 3q, by the rule."""
+    rng = np.random.default_rng(5)
+    u = np.concatenate([np.arange(4000), rng.integers(0, 2**62, 2000)])
+    p, q = theta.numerator, theta.denominator
+    got = _rotation_positions(theta, Fraction(1, 3), u)
+    want = np.mod([_rule((q + 3 * p * v) % (3 * q), 3 * q) for v in u.tolist()], 1.0)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_pairwise_sum_matches_fsum():
