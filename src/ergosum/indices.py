@@ -2,10 +2,10 @@
 
 An IndexSpec names a family; gen_indices materializes any slice. As with
 weights, generation is a pure function of (spec, range): the random prime
-model draws its Bernoulli indicator for integer i through a counter-based
-generator keyed by (seed, i), and realized segments are cached per
-(seed, segment) with idempotent fills, so chunked and whole-range calls
-agree exactly.
+model is drawn by thinning, one block of integers at a time, each block a
+pure function of (seed, block) through a counter-based generator (see
+_rng), and the blocks of the last two seeds used are cached with
+idempotent fills, so chunked and whole-range calls agree exactly.
 
 Prime ranges come from a segmented sieve sized by a bound-doubling loop; no
 prime tables are shipped.
@@ -14,14 +14,12 @@ prime tables are shipped.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import is_int
-from ._rng import cramer_indicator
+from ._rng import block_starts, cramer_blocks
 
 KINDS = ("identity", "monomial", "polynomial", "primes", "cramer_primes", "explicit")
 
@@ -224,57 +222,26 @@ def first_primes(count: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# random prime model (clamped probability min(1, 1/log k), first index 3)
-
-_cramer_cache: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
-_cramer_lock = threading.Lock()
-_CRAMER_CACHE_MAX = 64
-
-
-def _cramer_segment(seed: int, si: int) -> np.ndarray:
-    """Selected integers in segment si, cached per (seed, segment).
-
-    Fills are idempotent (the draw is a pure function of (seed, k)), so
-    concurrent fills of one key agree; the lock only guards the map itself.
-    """
-    key = (int(seed), int(si))
-    with _cramer_lock:
-        got = _cramer_cache.get(key)
-        if got is not None:
-            _cramer_cache.move_to_end(key)
-            return got
-    lo = max(3, si * _SEG)
-    hi = (si + 1) * _SEG
-    if lo >= hi:
-        arr = np.zeros(0, dtype=np.int64)
-    else:
-        ks = np.arange(lo, hi, dtype=np.int64)
-        arr = ks[cramer_indicator(seed, ks)]
-    with _cramer_lock:
-        arr = _cramer_cache.setdefault(key, arr)
-        _cramer_cache.move_to_end(key)
-        while len(_cramer_cache) > _CRAMER_CACHE_MAX:
-            _cramer_cache.popitem(last=False)
-    return arr
+# random prime model (clamped probability min(1, 1/log k), first index 3);
+# the blocks of each 2^20 segment are drawn in one pass
 
 
 def _cramer_nth_range(seed: int, m: int, n: int) -> np.ndarray:
     """Elements u_m..u_{n-1} (1-based) of the realized random index set."""
-    need = n - 1
     parts = []
     total = 0
-    si = 0
-    while total < need:
-        seg = _cramer_segment(seed, si)
-        parts.append(seg)
-        total += seg.size
-        si += 1
-        if si > 4096:
+    lo = 0
+    while total < n - 1:
+        if lo > 4096 * _SEG:
             raise RuntimeError("random index model failed to fill the range")
-    u = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-    return u[m - 1 : n - 1]
+        seg = cramer_blocks(seed, block_starts(lo, lo + _SEG))
+        parts.extend(seg)
+        total += sum(map(len, seg))
+        lo += _SEG
+    return np.concatenate(parts)[m - 1 : n - 1]
 
 
 def _cramer_count_upto(seed: int, N: int) -> int:
-    return sum(int(np.searchsorted(_cramer_segment(seed, si), N, side="right"))
-               for si in range(int(N) // _SEG + 1))
+    return sum(int(np.searchsorted(block, N, side="right"))
+               for lo in range(0, N + 1, _SEG)
+               for block in cramer_blocks(seed, block_starts(lo, min(lo + _SEG, N + 1))))

@@ -2,9 +2,11 @@
 
 A WeightSpec names one of the supported families; gen_weights materializes
 any slice of the sequence. Generation is a pure function of
-(spec, range): random families draw through a counter-based generator keyed
-by (seed, k), so disjoint chunks of one sequence agree with a single long
-call bit for bit.
+(spec, range): random phases draw through a counter-based generator keyed
+by (seed, k), and the centered random prime model reads the realization
+that the cramer_primes indices of the same seed read, drawn by thinning
+per (seed, block) in _rng. Disjoint chunks of one sequence agree with a
+single long call bit for bit.
 
 Phase families reduce their phase mod 1 *before* the complex exponential.
 Polynomial phases are reduced exactly through the dyadic form of each

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergosum import _rng
 from ergosum.indices import (
     IndexSpec,
     first_primes,
@@ -12,6 +13,7 @@ from ergosum.indices import (
     pi_count,
     primes_upto,
 )
+from ergosum.weights import WeightSpec, gen_weights
 
 import oracles
 
@@ -122,3 +124,57 @@ def test_round_trip_dict():
                     (IndexSpec(kind="polynomial", coeffs=(1, 0, 2)),
                      {"kind": "polynomial", "coeffs": [1, 0, 2]})):
         assert IndexSpec(**d) == spec
+
+
+def test_centered_cramer_weights_share_the_index_realization():
+    """Across every dyadic edge and four 2^16-wide ones, w_k = 1 - p_k for
+    the centered model exactly at the k in the cramer_primes set of the
+    same seed, and w_k = -p_k elsewhere."""
+    u = gen_indices(IndexSpec(kind="cramer_primes", seed=21), 1, 26_001)
+    top = int(u[-1])
+    assert top > 4 * 2**16
+    k = np.arange(3, top + 1, dtype=np.int64)
+    w = gen_weights(WeightSpec(kind="centered_cramer", seed=21), 3, top + 1)
+    p = np.minimum(1.0, 1.0 / np.log(k.astype(np.float64)))
+    hit = w.real == 1.0 - p
+    assert np.array_equal(k[hit], u)
+    assert np.array_equal(w.real[~hit], -p[~hit]) and not w.imag.any()
+
+
+def test_cramer_cache_holds_the_last_two_seeds():
+    """A third seed drops the blocks of the least recently used one (a
+    cache hit counts as a use), and a redraw of a dropped seed gives the
+    same indices."""
+    first = gen_indices(IndexSpec(kind="cramer_primes", seed=31), 1, 100_001)
+    assert pi_count(IndexSpec(kind="cramer_primes", seed=32), 3 * 2**20) > 0
+    assert {seed for seed, _ in _rng._cramer_cache} == {31, 32}
+    assert pi_count(IndexSpec(kind="cramer_primes", seed=33), 2**20) > 0
+    assert {seed for seed, _ in _rng._cramer_cache} == {32, 33}
+    again = gen_indices(IndexSpec(kind="cramer_primes", seed=31), 1, 100_001)
+    assert np.array_equal(first, again)
+    assert {seed for seed, _ in _rng._cramer_cache} == {31, 33}
+    gen_indices(IndexSpec(kind="cramer_primes", seed=33), 1, 1_001)
+    assert pi_count(IndexSpec(kind="cramer_primes", seed=34), 2**20) > 0
+    assert {seed for seed, _ in _rng._cramer_cache} == {33, 34}
+
+
+def test_cramer_seeds_read_in_turn_draw_each_block_once(monkeypatch):
+    """A weight seed and an index seed read in turn over growing blocks, as
+    an envelope scan with its own seed per spec does, draw each (seed,
+    block) once."""
+    drawn = []
+    draw = _rng._draw_blocks
+
+    def counting(seed, los):
+        drawn.extend((seed, int(lo)) for lo in los)
+        return draw(seed, los)
+
+    monkeypatch.setattr(_rng, "_draw_blocks", counting)
+    _rng._cramer_cache.clear()
+    ws = WeightSpec(kind="centered_cramer", seed=41)
+    js = IndexSpec(kind="cramer_primes", seed=42)
+    for m, n in [(2, 2_000), (2_000, 8_000), (8_000, 32_000), (32_000, 64_000)]:
+        gen_weights(ws, m + 1, n + 1)
+        gen_indices(js, m + 1, n + 1)
+    assert {seed for seed, _ in drawn} == {41, 42}
+    assert len(drawn) == len(set(drawn))

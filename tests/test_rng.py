@@ -1,6 +1,7 @@
 """Counter-based generator: pure function of (seed, counter)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,22 +64,116 @@ def test_cramer_indicator_deterministic_and_binary():
 
 
 def test_cramer_indicator_is_independent_of_blocking():
-    """A range straddling several blocks matches calls on single counters
-    and on chunks that cut across the block edges."""
-    block = _rng._BLOCK
-    ks = np.arange(3, 3 + 3 * block + 11, dtype=np.int64)
+    """A range straddling several blocks (every dyadic edge below 2^16 and
+    three 2^16-wide ones) matches calls on single integers and on chunks
+    that cut across the block edges, each drawn from a cold cache."""
+    hi = 3 + 3 * _rng._WIDE + 11
+    ks = np.arange(3, hi, dtype=np.int64)
     whole = _rng.cramer_indicator(17, ks)
+    _rng._cramer_cache.clear()
     chunked = np.concatenate([_rng.cramer_indicator(17, ks[i : i + 999])
                               for i in range(0, ks.size, 999)])
     assert np.array_equal(whole, chunked)
-    edges = [e + d for e in range(0, ks.size, block) for d in (-2, -1, 0, 1)]
-    for i in sorted(set(range(0, ks.size, 211)) | {i for i in edges if i >= 0}):
+    edges = [int(e) - 3 + d for e in _rng.block_starts(3, hi) for d in (-2, -1, 0, 1)]
+    for i in sorted(set(range(0, ks.size, 211)) | {i for i in edges if 0 <= i < ks.size}):
+        _rng._cramer_cache.clear()
         assert whole[i] == _rng.cramer_indicator(17, ks[i : i + 1])[0]
 
 
 def test_cramer_indicator_keeps_input_shape():
-    ks = np.arange(3, 3 + 2 * (_rng._BLOCK + 5), dtype=np.int64)
+    ks = np.arange(3, 3 + 2 * (_rng._WIDE + 5), dtype=np.int64)
     grid = _rng.cramer_indicator(4, ks.reshape(2, -1))
-    assert grid.shape == (2, _rng._BLOCK + 5)
+    assert grid.shape == (2, _rng._WIDE + 5)
     assert np.array_equal(grid.reshape(-1), _rng.cramer_indicator(4, ks))
     assert _rng.cramer_indicator(4, np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
+
+
+def test_block_starts_tile_the_integers():
+    """Blocks are [3, 4), dyadic [2^j, 2^(j+1)) up to 2^16, then 2^16 wide,
+    and block_start maps every integer into the block that holds it."""
+    los = _rng.block_starts(3, 5 * _rng._WIDE)
+    ends = los + _rng._widths(los)
+    assert los[0] == 3 and np.array_equal(ends[:-1], los[1:])
+    assert los.tolist()[:4] == [3, 4, 8, 16] and ends[14] == _rng._WIDE
+    assert np.all(np.diff(los[15:]) == _rng._WIDE)
+    ks = np.arange(3, 5 * _rng._WIDE, dtype=np.int64)
+    held = _rng.block_start(ks)
+    assert np.all((los[np.searchsorted(los, held)] == held) & (held <= ks)
+                  & (ks < held + _rng._widths(held)))
+    top = np.array([2**62 + 5, 2**63 - 1], dtype=np.int64)
+    assert _rng.block_start(top).tolist() == [2**62, 2**63 - _rng._WIDE]
+
+
+def test_thinned_block_does_not_depend_on_candidate_count():
+    """Too few candidates give None (and a redraw with more); any count that
+    reaches past the block's end gives the same selected integers."""
+    key = _rng._key(8) ^ np.uint64(_rng._CRAMER_STREAM)
+    los = np.array([1024, 2**20], dtype=np.int64)
+    width = _rng._widths(los)
+    full = _rng._thinned(key, los, width)
+    assert _rng._thinned(key, los, np.array([10, 10])) == [None, None]
+    for want in ([300, 6000], [700, 30_000]):
+        got = _rng._thinned(key, los, np.array(want))
+        assert all(np.array_equal(a, b) for a, b in zip(got, full))
+    assert all(np.array_equal(a, b) for a, b in zip(_rng._draw_blocks(8, los), full))
+
+
+# One dyadic block below 2^16, one 2^16 block at 2^20 and one at 2^40.
+LAW_BLOCKS = (1024, 2**20, 2**40)
+LAW_SEEDS = 300
+
+
+@pytest.mark.parametrize("lo", LAW_BLOCKS)
+def test_cramer_block_count_matches_law(lo):
+    """The number selected in a block has the mean sum p_k and the variance
+    sum p_k (1 - p_k) of independent Bernoulli(1/log k) draws, each within
+    4 standard errors over LAW_SEEDS seeds."""
+    width = int(_rng._widths(np.array([lo]))[0])
+    p = 1.0 / np.log(lo + np.arange(width, dtype=np.float64))
+    mean, var = p.sum(), (p * (1 - p)).sum()
+    counts = np.array([_rng.cramer_blocks(s, [lo])[0].size for s in range(LAW_SEEDS)])
+    assert abs(counts.mean() - mean) < 4 * np.sqrt(var / LAW_SEEDS)
+    # the sample variance of near-normal counts has sd var sqrt(2 / (n - 1))
+    assert abs(counts.var(ddof=1) - var) < 4 * var * np.sqrt(2 / (LAW_SEEDS - 1))
+
+
+def _count_counters(monkeypatch):
+    """Record every (key, counter array) pair that reaches the mixer."""
+    seen = []
+    mixed = _rng._mixed
+
+    def counting(key, counters):
+        seen.append((key, np.array(counters, dtype=np.uint64)))
+        return mixed(key, counters)
+
+    monkeypatch.setattr(_rng, "_mixed", counting)
+    _rng._cramer_cache.clear()
+    return seen
+
+
+def test_cramer_counters_stay_inside_their_block(monkeypatch):
+    """Candidate i of block [lo, lo + w) reads counters 2 lo + 2i and
+    2 lo + 2i + 1 only: ranges of distinct blocks are disjoint, and the last
+    block below 2^63 neither wraps past 2^64 nor meets its neighbour. The
+    key is not the one uniform01(seed, k) draws under."""
+    los = np.array([3, 4, 2**15, 2**16, 2**40, 2**63 - 2 * _rng._WIDE,
+                    2**63 - _rng._WIDE], dtype=np.int64)
+    for lo in los:
+        seen = _count_counters(monkeypatch)
+        _rng.cramer_blocks(5, [lo])
+        width = int(_rng._widths(np.array([lo]))[0])
+        used = np.concatenate([c for _, c in seen]).tolist()
+        assert used and min(used) >= 2 * int(lo) and max(used) < 2 * (int(lo) + width)
+        assert all(key != _rng._key(5) for key, _ in seen)
+        monkeypatch.undo()
+
+
+def test_cramer_draw_count_is_thinned(monkeypatch):
+    """Drawing [2^20, 2^21) sends at most 1.25 sum 2 p_max width counters
+    through the mixer, where one draw per integer would send 2^20."""
+    seen = _count_counters(monkeypatch)
+    los = _rng.block_starts(2**20, 2**21)
+    _rng.cramer_blocks(3, los)
+    widths = _rng._widths(los)
+    budget = 1.25 * float(np.sum(2 * widths / np.log(los.astype(np.float64))))
+    assert 0 < sum(c.size for _, c in seen) <= budget
