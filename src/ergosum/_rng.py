@@ -16,16 +16,12 @@ p_max (hi - lo) draws replace hi - lo. Candidate i of the block reads
 counters 2 lo + 2i (its gap) and 2 lo + 2i + 1 (its acceptance), under a
 key of its own apart from the uniform01(seed, k) stream. Counter ranges of
 different blocks are disjoint and stay below 2^64 for every k < 2^63, so
-each block is a pure function of (seed, block). Drawn blocks are cached
-for the two most recently used seeds: weights and indices of one seed read
-one realization, a weight seed and an index seed read in turn are each drawn
-once, and a third seed drops the blocks of the least recent one.
+each block is a pure function of (seed, block): weights and indices of one
+seed read one realization, however often and in whatever pieces they draw
+it, and nothing is kept between calls.
 """
 
 from __future__ import annotations
-
-import threading
-from collections import OrderedDict
 
 import numpy as np
 
@@ -134,8 +130,10 @@ def _thinned(key: np.uint64, los: np.ndarray, want: np.ndarray) -> list:
     return [part if ok else None for ok, part in zip(reached, parts)]
 
 
-def _draw_blocks(seed: int, los: np.ndarray) -> list[np.ndarray]:
-    """Selected integers of the blocks starting at los, drawn by thinning."""
+def cramer_blocks(seed: int, los) -> list[np.ndarray]:
+    """Selected integers of the random-model blocks starting at los, which
+    ascend as block_starts and np.unique give them, drawn by thinning."""
+    los = np.asarray(los, dtype=np.int64)
     key = _key(seed) ^ _U64(_CRAMER_STREAM)
     width = _widths(los)
     mean = width / np.log(los.astype(np.float64))
@@ -148,47 +146,6 @@ def _draw_blocks(seed: int, los: np.ndarray) -> list[np.ndarray]:
         for j, part in zip(short, _thinned(key, los[short], want[short])):
             out[j] = part
     return out
-
-
-_cramer_cache: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
-_cramer_lock = threading.Lock()
-# as many blocks as span 2^26 integers
-_CRAMER_CACHE_MAX = 1 << 10
-
-
-def _keep_two_seeds(seed: int) -> None:
-    """Drop the cached blocks of every seed but `seed` and the other seed
-    used last (the cache is in least-recently-used order)."""
-    other = next((s for s, _ in reversed(_cramer_cache) if s != seed), None)
-    for key in [key for key in _cramer_cache if key[0] not in (seed, other)]:
-        del _cramer_cache[key]
-
-
-def cramer_blocks(seed: int, los) -> list[np.ndarray]:
-    """Selected integers of the random-model blocks starting at los, which
-    ascend as block_starts and np.unique give them.
-
-    Blocks are cached per (seed, block) for the two most recently used
-    seeds, least recently used first out past _CRAMER_CACHE_MAX. Fills are
-    idempotent (each block is a pure function of (seed, block)), so
-    concurrent fills agree; the lock only guards the map itself.
-    """
-    keys = [(int(seed), int(lo)) for lo in los]
-    with _cramer_lock:
-        got = [_cramer_cache.get(key) for key in keys]
-        for key, arr in zip(keys, got):
-            if arr is not None:
-                _cramer_cache.move_to_end(key)
-    missing = [j for j, arr in enumerate(got) if arr is None]
-    if missing:
-        drawn = _draw_blocks(seed, np.array([keys[j][1] for j in missing], dtype=np.int64))
-        with _cramer_lock:
-            _keep_two_seeds(int(seed))
-            for j, arr in zip(missing, drawn):
-                got[j] = _cramer_cache.setdefault(keys[j], arr)
-            while len(_cramer_cache) > _CRAMER_CACHE_MAX:
-                _cramer_cache.popitem(last=False)
-    return got
 
 
 def cramer_indicator(seed: int, ks) -> np.ndarray:

@@ -113,20 +113,6 @@ class PhaseFunction:
             return -self.h / (x * x)
         raise AssertionError(self.kind)
 
-    def dn(self, x, n: int):
-        """n-th derivative for the power families (falling-product law)."""
-        x = np.asarray(x, dtype=np.float64)
-        if n == 1:
-            return self.d1(x)
-        if n == 2:
-            return self.d2(x)
-        if self.kind == "power" or (self.kind == "power_plus_linear" and n > self.d):
-            coef = 1.0
-            for i in range(n):
-                coef *= self.delta - i
-            return coef * np.power(x, self.delta - n)
-        raise ValueError(f"order-{n} derivative not available for {self.kind}")
-
     # -- concavity floor ----------------------------------------------------
 
     def neg_d2_min(self, a: float, b: float) -> float:

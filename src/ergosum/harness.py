@@ -409,8 +409,8 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
         ladder = sub_spec("ladder", BlockLadder, "required for oscillation runs")
     hilbert = config.kind == "hilbert_run"
     # set only on hilbert runs: every other kind rejects them as not read
-    if config.bound is not None and (not is_real(config.bound) or config.bound <= 0):
-        diags.append("bound: must be a positive number")
+    if config.bound is not None and not (is_real(config.bound) and 0 < config.bound < math.inf):
+        diags.append("bound: must be a finite positive number")
     if config.tail_starts is not None and not _increasing_positive_ints(
             config.tail_starts):
         diags.append("tail_starts: must be strictly increasing positive integers")
@@ -1088,8 +1088,8 @@ _PRESETS = {
         ("harmonic sup rows vs 30(|h| + 1/|h|)",
          "flat harmonic growth fit",
          "bounded series partial sums"),
-        params={"h": (1.0, lambda h: is_real(h) and h != 0,
-                      "must be a nonzero number")}),
+        params={"h": (1.0, lambda h: is_real(h) and h != 0 and math.isfinite(h),
+                      "must be a finite nonzero number")}),
     "example4": _Preset(
         _preset_example4, "random unimodular weights over dyadic blocks",
         ("two-variable H1 envelope fit",

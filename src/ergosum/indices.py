@@ -4,8 +4,7 @@ An IndexSpec names a family; gen_indices materializes any slice. As with
 weights, generation is a pure function of (spec, range): the random prime
 model is drawn by thinning, one block of integers at a time, each block a
 pure function of (seed, block) through a counter-based generator (see
-_rng), and the blocks of the last two seeds used are cached with
-idempotent fills, so chunked and whole-range calls agree exactly.
+_rng), so chunked and whole-range calls agree exactly.
 
 Prime ranges come from a segmented sieve sized by a bound-doubling loop; no
 prime tables are shipped.

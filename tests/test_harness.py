@@ -416,6 +416,19 @@ INVALID_CLI_CONFIGS = {
     "polynomial_decreasing_on_blocks": (
         tiny_envelope(indices={"kind": "polynomial", "coeffs": [5, -1]}),
         "indices: polynomial must be nonnegative and nondecreasing on the range"),
+    # non-finite numbers the run cannot honour; JSON reads NaN and Infinity
+    "hilbert_bound_nan": (
+        tiny_average(kind="hilbert_run", bound=float("nan")),
+        "bound: must be a finite positive number"),
+    "hilbert_bound_infinite": (
+        tiny_average(kind="hilbert_run", bound=float("inf")),
+        "bound: must be a finite positive number"),
+    "preset_h_nan": (
+        {"name": "p3", "preset": "example3", "params": {"h": float("nan")}},
+        "params.h: must be a finite nonzero number"),
+    "preset_h_infinite": (
+        {"name": "p3", "preset": "example3", "params": {"h": float("inf")}},
+        "params.h: must be a finite nonzero number"),
     # fields the config's kind does not read
     "bound_on_average_run": (
         tiny_average(bound=-5), "bound: not read by average_run"),

@@ -1,11 +1,12 @@
 """Index families: exact values, sieves against trial division."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergosum import _rng
 from ergosum.indices import (
     IndexSpec,
     first_primes,
@@ -141,40 +142,36 @@ def test_centered_cramer_weights_share_the_index_realization():
     assert np.array_equal(w.real[~hit], -p[~hit]) and not w.imag.any()
 
 
-def test_cramer_cache_holds_the_last_two_seeds():
-    """A third seed drops the blocks of the least recently used one (a
-    cache hit counts as a use), and a redraw of a dropped seed gives the
-    same indices."""
-    first = gen_indices(IndexSpec(kind="cramer_primes", seed=31), 1, 100_001)
-    assert pi_count(IndexSpec(kind="cramer_primes", seed=32), 3 * 2**20) > 0
-    assert {seed for seed, _ in _rng._cramer_cache} == {31, 32}
-    assert pi_count(IndexSpec(kind="cramer_primes", seed=33), 2**20) > 0
-    assert {seed for seed, _ in _rng._cramer_cache} == {32, 33}
-    again = gen_indices(IndexSpec(kind="cramer_primes", seed=31), 1, 100_001)
-    assert np.array_equal(first, again)
-    assert {seed for seed, _ in _rng._cramer_cache} == {31, 33}
-    gen_indices(IndexSpec(kind="cramer_primes", seed=33), 1, 1_001)
-    assert pi_count(IndexSpec(kind="cramer_primes", seed=34), 2**20) > 0
-    assert {seed for seed, _ in _rng._cramer_cache} == {33, 34}
+def test_cramer_seeds_read_in_turn_match_isolated_calls():
+    """Seeds read in turn through indices, pi_count and centered weights
+    give the arrays that each call gives on its own: no draw depends on
+    an earlier call of another seed."""
+    calls = [(seed, what) for seed in (31, 32, 33, 34, 31, 33)
+             for what in ("indices", "pi", "weights")]
+
+    def value(seed, what):
+        if what == "indices":
+            return gen_indices(IndexSpec(kind="cramer_primes", seed=seed), 1, 100_001)
+        if what == "pi":
+            return pi_count(IndexSpec(kind="cramer_primes", seed=seed), 3 * 2**20)
+        return gen_weights(WeightSpec(kind="centered_cramer", seed=seed), 3, 200_003)
+
+    in_turn = [value(seed, what) for seed, what in calls]
+    for (seed, what), got in zip(calls, in_turn):
+        assert np.array_equal(got, value(seed, what))
 
 
-def test_cramer_seeds_read_in_turn_draw_each_block_once(monkeypatch):
-    """A weight seed and an index seed read in turn over growing blocks, as
-    an envelope scan with its own seed per spec does, draw each (seed,
-    block) once."""
-    drawn = []
-    draw = _rng._draw_blocks
-
-    def counting(seed, los):
-        drawn.extend((seed, int(lo)) for lo in los)
-        return draw(seed, los)
-
-    monkeypatch.setattr(_rng, "_draw_blocks", counting)
-    _rng._cramer_cache.clear()
-    ws = WeightSpec(kind="centered_cramer", seed=41)
-    js = IndexSpec(kind="cramer_primes", seed=42)
-    for m, n in [(2, 2_000), (2_000, 8_000), (8_000, 32_000), (32_000, 64_000)]:
-        gen_weights(ws, m + 1, n + 1)
-        gen_indices(js, m + 1, n + 1)
-    assert {seed for seed, _ in drawn} == {41, 42}
-    assert len(drawn) == len(set(drawn))
+def test_cramer_draws_keep_no_memory_between_calls():
+    """Drawing 2*10^5 random-model indices and counting the model up to
+    10^6 leave no traced memory behind once the result is dropped."""
+    spec = IndexSpec(kind="cramer_primes", seed=51)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        u = gen_indices(spec, 1, 200_001)
+        assert u.size == 200_000
+        del u
+        assert pi_count(spec, 10**6) > 0
+        assert tracemalloc.get_traced_memory()[0] - start < 64 * 1024
+    finally:
+        tracemalloc.stop()

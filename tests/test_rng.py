@@ -66,17 +66,15 @@ def test_cramer_indicator_deterministic_and_binary():
 def test_cramer_indicator_is_independent_of_blocking():
     """A range straddling several blocks (every dyadic edge below 2^16 and
     three 2^16-wide ones) matches calls on single integers and on chunks
-    that cut across the block edges, each drawn from a cold cache."""
+    that cut across the block edges, each of them drawing its own blocks."""
     hi = 3 + 3 * _rng._WIDE + 11
     ks = np.arange(3, hi, dtype=np.int64)
     whole = _rng.cramer_indicator(17, ks)
-    _rng._cramer_cache.clear()
     chunked = np.concatenate([_rng.cramer_indicator(17, ks[i : i + 999])
                               for i in range(0, ks.size, 999)])
     assert np.array_equal(whole, chunked)
     edges = [int(e) - 3 + d for e in _rng.block_starts(3, hi) for d in (-2, -1, 0, 1)]
     for i in sorted(set(range(0, ks.size, 211)) | {i for i in edges if 0 <= i < ks.size}):
-        _rng._cramer_cache.clear()
         assert whole[i] == _rng.cramer_indicator(17, ks[i : i + 1])[0]
 
 
@@ -115,7 +113,7 @@ def test_thinned_block_does_not_depend_on_candidate_count():
     for want in ([300, 6000], [700, 30_000]):
         got = _rng._thinned(key, los, np.array(want))
         assert all(np.array_equal(a, b) for a, b in zip(got, full))
-    assert all(np.array_equal(a, b) for a, b in zip(_rng._draw_blocks(8, los), full))
+    assert all(np.array_equal(a, b) for a, b in zip(_rng.cramer_blocks(8, los), full))
 
 
 # One dyadic block below 2^16, one 2^16 block at 2^20 and one at 2^40.
@@ -147,7 +145,6 @@ def _count_counters(monkeypatch):
         return mixed(key, counters)
 
     monkeypatch.setattr(_rng, "_mixed", counting)
-    _rng._cramer_cache.clear()
     return seen
 
 
