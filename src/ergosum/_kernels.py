@@ -94,14 +94,10 @@ def prefix_at(terms: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     padded[:n] = terms
     within = np.cumsum(padded.reshape(n_chunks, CHUNK), axis=1)
     chunk_prefix = np.cumsum(within[:, -1])
-    q, r = np.divmod(bounds, CHUNK)
-    out = np.empty(bounds.size, dtype=terms.dtype)
-    full = r == 0
-    out[full] = chunk_prefix[q[full] - 1]
-    out[~full] = within[q[~full], r[~full] - 1]
-    prior = ~full & (q > 0)
-    out[prior] += chunk_prefix[q[prior] - 1]
-    return out
+    # chunk 0 is never added to, so a leading -0.0 keeps its sign
+    within[1:, :-1] += chunk_prefix[:-1, None]
+    within[:, -1] = chunk_prefix
+    return within.ravel()[bounds - 1]
 
 
 # ---------------------------------------------------------------------------

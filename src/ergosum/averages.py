@@ -322,44 +322,77 @@ def hilbert_series(weights, orbit_values, norm: NormalizerSpec,
                      convention="inclusive")
 
 
-def _diameter(points: np.ndarray) -> float:
-    """Exact diameter of a finite complex point set."""
-    if points.size <= 1:
-        return 0.0
-    xy = np.column_stack([points.real, points.imag])
-    if points.size > 3:
-        try:
-            from scipy.spatial import ConvexHull  # heavy import kept local
+def _xy(points: np.ndarray) -> np.ndarray:
+    return np.column_stack([points.real, points.imag])
 
-            xy = xy[ConvexHull(xy).vertices]
-        except Exception:
-            # degenerate (collinear) input: extremes along the principal
-            # direction realize the diameter exactly
-            c = xy - xy.mean(axis=0)
-            proj = c @ np.linalg.svd(c, full_matrices=False)[2][0]
-            xy = xy[[int(np.argmin(proj)), int(np.argmax(proj))]]
-    best = 0.0
-    for i in range(len(xy) - 1):
-        d = xy[i + 1 :] - xy[i]
-        best = max(best, float(np.max(np.einsum("ij,ij->i", d, d))))
-    return math.sqrt(best)
+
+def _hull_vertices(xy: np.ndarray) -> np.ndarray:
+    """Convex hull vertices of 2-d points in counter-clockwise order; up to
+    three points come back as given, a collinear set as its two ends."""
+    if len(xy) <= 3:
+        return xy
+    try:
+        from scipy.spatial import ConvexHull  # heavy import kept local
+
+        return xy[ConvexHull(xy).vertices]
+    except Exception:
+        # degenerate (collinear) input: extremes along the principal
+        # direction realize the diameter exactly
+        c = xy - xy.mean(axis=0)
+        proj = c @ np.linalg.svd(c, full_matrices=False)[2][0]
+        return xy[[int(np.argmin(proj)), int(np.argmax(proj))]]
+
+
+def _vertex_diameter(xy: np.ndarray) -> float:
+    """Diameter of the hull vertices ``xy``, in hull order. Only antipodal
+    pairs can realize it, as in rotating calipers: the ends of each edge
+    against the vertex farthest from that edge's line, found by edge
+    angle, and that vertex's neighbours. With three vertices or fewer
+    these candidates already cover every pair, whatever their order."""
+    h = len(xy)
+    if h <= 1:
+        return 0.0
+    e = np.roll(xy, -1, axis=0) - xy
+    angle = np.unwrap(np.arctan2(e[:, 1], e[:, 0]))
+    far = np.searchsorted(np.concatenate([angle, angle + 2 * np.pi]),
+                          angle + np.pi)
+    ends = np.arange(h)[:, None, None] + np.arange(2)[:, None]
+    opposite = far[:, None, None] + np.arange(-1, 3)
+    i, k = (a.ravel() % h for a in np.broadcast_arrays(ends, opposite))
+    d = xy[k] - xy[i]
+    return math.sqrt(float(np.max(np.einsum("ij,ij->i", d, d))))
+
+
+def _diameter(points: np.ndarray) -> float:
+    """Diameter of a finite complex point set: its hull's antipodal pairs,
+    exact up to qhull's rounding (checked against brute force)."""
+    return _vertex_diameter(_hull_vertices(_xy(points)))
 
 
 def cauchy_tail_report(run: SeriesRun, tail_starts) -> list[dict]:
     """For each N0: sup over stored M, N >= N0 of |partial(N) - partial(M)|,
     i.e. the diameter of the stored tail values. A series converges exactly
-    when these diameters fall to 0."""
-    out = []
+    when these diameters fall to 0.
+
+    The tails are nested, so one sweep from the last start back to the
+    first hulls each stored value once: hull(S_i) is the hull of
+    hull(S_next)'s vertices and the values in between. Each diameter comes
+    from antipodal pairs, exact up to qhull's rounding (checked against
+    brute force). Rows follow the order of ``tail_starts``."""
+    size = run.n_grid.size
+    pos = []
     for n0 in tail_starts:
         i = int(np.searchsorted(run.n_grid, int(n0)))
-        if i >= run.n_grid.size:
+        if i >= size:
             raise ValueError(f"tail start {n0} is beyond the stored grid")
-        out.append({
-            "N0": int(n0),
-            "points": int(run.n_grid.size - i),
-            "sup_diff": _diameter(run.sums[i:]),
-        })
-    return out
+        pos.append((int(n0), i))
+    sup = {}
+    hull, end = np.empty((0, 2)), size
+    for i in sorted({i for _, i in pos}, reverse=True):
+        hull = _hull_vertices(np.concatenate([_xy(run.sums[i:end]), hull]))
+        sup[i], end = _vertex_diameter(hull), i
+    return [{"N0": n0, "points": int(size - i), "sup_diff": sup[i]}
+            for n0, i in pos]
 
 
 def abel_decompose(weights, orbit_values, norm: NormalizerSpec, N: int,

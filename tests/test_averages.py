@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from ergosum.averages import (
     BlockLadder,
     NormalizerSpec,
     SeriesRun,
+    _diameter,
     abel_decompose,
     cauchy_tail_report,
     control_integral,
@@ -426,6 +428,68 @@ def test_tail_diameter_matches_brute_force():
     rep = cauchy_tail_report(run, [1])
     want = max(abs(a - b) for a in vals for b in vals)
     assert rep[0]["sup_diff"] == pytest.approx(want, rel=1e-12)
+
+
+def _brute_diameter(points) -> float:
+    """All-pairs diameter in Python integers: exact for integer points."""
+    xy = [(int(p.real), int(p.imag)) for p in points]
+    best = max(((ax - bx) ** 2 + (ay - by) ** 2 for ax, ay in xy for bx, by in xy),
+               default=0)
+    return math.sqrt(best)
+
+
+_coord = st.integers(min_value=-9, max_value=9)
+_cloud = st.lists(st.tuples(_coord, _coord), max_size=60)
+_collinear = st.builds(
+    lambda a, d, ts: [(a[0] + t * d[0], a[1] + t * d[1]) for t in ts],
+    st.tuples(_coord, _coord), st.tuples(_coord, _coord),
+    st.lists(st.integers(-6, 6), max_size=20))
+_walk = st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                 max_size=80).map(
+    lambda steps: np.cumsum(np.array(steps or [(0, 0)]), axis=0).tolist())
+# the 108 integer points on the circle x^2 + y^2 = 1105^2, all hull vertices
+_RING = sorted({(x, sy * math.isqrt(1105**2 - x * x)) for x in range(-1105, 1106)
+                for sy in (1, -1) if math.isqrt(1105**2 - x * x) ** 2 == 1105**2 - x * x})
+_ring = st.lists(st.booleans(), min_size=len(_RING), max_size=len(_RING)).map(
+    lambda keep: [p for p, k in zip(_RING, keep) if k])
+
+
+@given(st.one_of(_cloud, _collinear, _walk, _ring))
+@settings(max_examples=300, deadline=None)
+def test_diameter_matches_all_pairs_exactly(xy):
+    """On small integer coordinates every operation is exact, so the
+    antipodal-pair diameter must equal the all-pairs maximum bit for bit:
+    duplicates, collinear sets, 0-3 points, walks and circles included."""
+    points = np.array([complex(x, y) for x, y in xy], dtype=np.complex128)
+    assert _diameter(points) == _brute_diameter(points)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_tail_sweep_matches_independent_diameters(seed):
+    """The nested sweep returns, for every start, the same bits as an
+    independent diameter of that suffix, in the caller's order."""
+    rng = np.random.default_rng(seed)
+    n = 3000
+    steps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    run = SeriesRun(k_first=1, n_grid=np.arange(1, n + 1), sums=np.cumsum(steps),
+                    convention="inclusive")
+    starts = [2000, 1, 64, 2000, 2999, 7, 3000, 64, 500]
+    rep = cauchy_tail_report(run, starts)
+    assert [r["N0"] for r in rep] == starts
+    for r in rep:
+        i = r["N0"] - 1
+        assert r["points"] == n - i
+        assert r["sup_diff"] == _diameter(run.sums[i:])
+
+
+def test_diameter_of_many_hull_vertices_is_fast():
+    """10^5 points on a circle are all hull vertices; an all-pairs loop over
+    them would take minutes."""
+    points = np.exp(2j * np.pi * np.arange(100_000) * (math.sqrt(2) - 1))
+    t0 = time.perf_counter()
+    d = _diameter(points)
+    assert time.perf_counter() - t0 < 5.0
+    assert d == pytest.approx(2.0, abs=1e-8)
 
 
 # ------------------------------------------------------------- maximal norm

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +267,48 @@ def test_tiny_average_run_outputs(tmp_path):
     # constant weights, fourier mode on a rational rotation: S_N stays
     # bounded, so S_N / N dies off at slope about -1
     assert rep["aggregate"]["median_slope"] < -0.8
+
+
+def test_hilbert_run_on_a_circle_matches_brute_force_diameters(tmp_path):
+    """Constant weights on an irrational rotation with gamma = 0: the partial
+    sums lie on a circle, so every stored value is a hull vertex."""
+    n = 2000
+    theta = math.sqrt(2) - 1
+    run(cfg(**tiny_average(name="circle", kind="hilbert_run", n_terms=n,
+                           system={"kind": "rotation", "theta0": theta},
+                           normalizer={"gamma": 0.0, "k0": 1},
+                           output_dir=str(tmp_path))))
+    rec = json.loads((tmp_path / "circle" / "cauchy.json").read_text())
+    sums = np.cumsum(np.exp(2j * np.pi * theta * np.arange(1, n + 1)))
+    tails = rec["per_seed"][0]["tails"]
+    assert len(tails) > 3
+    for t in tails:
+        tail = sums[t["N0"] - 1:]
+        assert t["points"] == tail.size
+        want = max(float(np.abs(tail - z).max()) for z in tail)
+        assert t["sup_diff"] == pytest.approx(want, rel=1e-9)
+
+
+def test_import_and_validate_leave_scipy_unloaded():
+    """Importing scipy.spatial takes about half a second; it stays local to
+    the tail report so that set-up never pays for it."""
+    code = (
+        "import sys\n"
+        "import ergosum\n"
+        "from ergosum.harness import ExperimentConfig, list_presets, validate\n"
+        "for p in list_presets():\n"
+        "    c = ExperimentConfig.from_dict({'name': p['id'], 'preset': p['id']})\n"
+        "    assert validate(c) == [], p['id']\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 def test_run_rejects_invalid_config(tmp_path):

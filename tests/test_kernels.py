@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergosum._kernels import (
+    CHUNK,
     MULMOD_MAX_DEN,
     _estimated_remainder,
     _fold,
@@ -265,3 +266,31 @@ def test_prefix_at_consistent_across_bound_sets(bounds):
     part = prefix_at(z, np.array(bounds, dtype=np.int64))
     for i, b in enumerate(bounds):
         assert part[i] == full[b - 1]
+
+
+def test_prefix_at_across_chunk_edges():
+    """Bounds at and beside every chunk edge, plus random ones, agree bit
+    for bit with the dense call and with the chunk partition written out
+    by hand; a leading -0.0 keeps its sign."""
+    n = 3 * CHUNK + 17
+    rng = np.random.default_rng(12)
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    z[0] = complex(-0.0, -0.0)
+    edges = [c * CHUNK + d for c in range(1, 4) for d in (-1, 0, 1)]
+    bounds = np.unique(np.concatenate(
+        [[1, 2, n], edges, rng.integers(1, n + 1, size=40)])).astype(np.int64)
+    got = prefix_at(z, bounds)
+    dense = prefix_at(z, np.arange(1, n + 1, dtype=np.int64))
+    assert got.tobytes() == dense[bounds - 1].tobytes()
+    totals = np.cumsum([np.cumsum(z[c : c + CHUNK])[-1] for c in range(0, n, CHUNK)])
+    for b, value in zip(bounds.tolist(), got):
+        q, r = divmod(b, CHUNK)
+        if r == 0:
+            want = totals[q - 1]
+        else:
+            want = np.cumsum(z[q * CHUNK : b])[-1]
+            if q:
+                want = want + totals[q - 1]
+        assert value == want, b
+    assert math.copysign(1.0, got[0].real) == -1.0
+    assert math.copysign(1.0, got[0].imag) == -1.0
