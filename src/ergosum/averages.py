@@ -286,13 +286,20 @@ def normalized_series(run: SeriesRun,
 # series partial sums (one-sided transform shape) and tail diagnostics
 
 
-def _series_terms(weights, orbit_values, norm: NormalizerSpec, k_first: int):
+def _series_args(weights, orbit_values, norm: NormalizerSpec, k_first: int):
+    """Weights and orbit values as aligned complex arrays of a series whose
+    terms start at k_first >= k0."""
     w = np.ascontiguousarray(weights, dtype=np.complex128)
     v = np.ascontiguousarray(orbit_values, dtype=np.complex128)
     if w.shape != v.shape or w.ndim != 1 or w.size == 0:
         raise ValueError("weights and orbit values must be aligned 1-d arrays")
     if k_first < norm.k0:
         raise ValueError(f"series terms start at k >= k0 = {norm.k0}")
+    return w, v
+
+
+def _series_terms(weights, orbit_values, norm: NormalizerSpec, k_first: int):
+    w, v = _series_args(weights, orbit_values, norm, k_first)
     ks = np.arange(k_first, k_first + w.size, dtype=np.int64)
     return w * v / norm.values(ks)
 
@@ -405,12 +412,7 @@ def abel_decompose(weights, orbit_values, norm: NormalizerSpec, N: int,
     hilbert_partial to rounding (the identity is algebraic)."""
     if k_first is None:
         k_first = norm.k0
-    w = np.ascontiguousarray(weights, dtype=np.complex128)
-    v = np.ascontiguousarray(orbit_values, dtype=np.complex128)
-    if w.shape != v.shape or w.ndim != 1 or w.size == 0:
-        raise ValueError("weights and orbit values must be aligned 1-d arrays")
-    if k_first < norm.k0:
-        raise ValueError(f"series terms start at k >= k0 = {norm.k0}")
+    w, v = _series_args(weights, orbit_values, norm, k_first)
     count = N - k_first + 1
     if not (1 <= count <= w.size):
         raise ValueError("N outside the supplied term range")

@@ -16,10 +16,10 @@ kinds cover the library surface:
                    block ladder
 
 `preset` runs one worked scenario (example1 .. example6, prime_question),
-one row of the `_PRESETS` table: the runner that chains the stages, the
-title and exercises `ergosum presets` lists, the default seed list (a
-preset is stochastic exactly when it is nonempty) and the free `params`
-with their defaults and checks.
+one row of the `_PRESETS` table: the function that builds its plan from
+its `params`, the title and exercises `ergosum presets` lists, the default
+seed list (a preset is stochastic exactly when it is nonempty; the others
+ignore `seeds`) and the free params with their defaults and checks.
 
 Outputs land under <output root>/<name>/ as CSV + JSON + SVG, plus a
 manifest.json recording the canonicalized config, content digests and
@@ -29,9 +29,10 @@ manifest. Floats are written with shortest round-trip formatting.
 
 Environment: ERGOSUM_OUTPUT_ROOT overrides the default output root.
 
-A config is parsed once, by _plan(), into sub-specs built from their JSON
-forms and the rows or term range a run uses; validate() returns its
-diagnostics and run() computes from it. One per-repetition seed drives
+A config of any kind is parsed once, by _plan(), into a _Plan holding
+every stage's inputs; validate() returns its diagnostics and run() walks
+it with _run_plan(): envelope rows, their fit, the pi table, then one
+orbit stage, each under one wall time. One per-repetition seed drives
 every stochastic ingredient; an ingredient fixes its own seed only in a
 config without seeds.
 
@@ -53,6 +54,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -220,28 +222,41 @@ def _for_seed(spec, seed):
     return replace(spec, seed=int(seed))
 
 
-def _first_term(k_first, k_min, wspec, ispec) -> int:
-    """First term of an orbit run: k_first if set, else the first k >= k_min
-    that every ingredient defines."""
-    return k_first if k_first is not None else max(k_min, wspec.offset, ispec.offset, 1)
-
-
 @dataclass(frozen=True)
 class _Plan:
-    """A base-kind config parsed once: its sub-specs, and the envelope rows
-    or the first orbit term. Specs and ranges only; the stages draw the
-    arrays seed by seed."""
+    """Every stage input of one run, parsed once from a config: specs,
+    ranges and settings only; the stages draw the arrays seed by seed.
+    _run_plan runs each stage whose inputs are set, in field order."""
 
     weights: WeightSpec
     indices: IndexSpec
-    rows: list | None = None  # envelope kinds: (M, N] blocks
+    seeds: list | None = None  # None or empty: one unseeded repetition
+    # envelope: certified sup rows over (M, N] blocks
+    rows: list | None = None
     grid: ThetaGrid | None = None
-    system: SystemModel | None = None  # orbit kinds
+    harmonic: bool = False
+    # fit of the envelope rows; fit_extras(samples by seed) -> more fit.json fields
+    template: str | None = None
+    reference: dict | None = None
+    fit_field: str = "upper"
+    fit_extras: Callable | None = None
+    # counting-function table of the random prime model at these N
+    pi_ns: tuple | None = None
+    # one orbit stage of n_terms terms from k_first: the one-sided series
+    # if hilbert, else normalized averages, along a beta ladder if betas
+    system: SystemModel | None = None
     observable: Observable | None = None
     x0: object = 0.0
     normalizer: NormalizerSpec | None = None
+    n_terms: int | None = None
+    k_first: int = 1
+    hilbert: bool = False
+    tail_starts: list | None = None
+    bound: float | None = None
+    ratio_norm: NormalizerSpec | None = None
     ladder: BlockLadder | None = None
-    k_first: int | None = None
+    checkpoints: list | None = None
+    betas: list | None = None
 
 
 def validate(config: ExperimentConfig) -> list[str]:
@@ -251,8 +266,8 @@ def validate(config: ExperimentConfig) -> list[str]:
 
 def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
     """The plan a config runs by, and its diagnostics. The plan is None
-    when there is a diagnostic, and for a preset, whose runner builds its
-    own stages. Never raises, never writes."""
+    exactly when there is a diagnostic; a preset's plan is built by its
+    `_PRESETS` row once its params pass. Never raises, never writes."""
     diags: list[str] = []
 
     def check(label, fn):
@@ -321,7 +336,7 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
                 diags.append(f"params.{k}: not understood by {config.preset}")
             elif not preset.params[k][1](v):
                 diags.append(f"params.{k}: {preset.params[k][2]}")
-        return None, diags
+        return (None if diags else _preset_plan(config.preset, config)), diags
 
     wspec = sub_spec("weights", WeightSpec)
     ispec = sub_spec("indices", IndexSpec)
@@ -367,21 +382,28 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
                 for k in tg:
                     if k != "points":
                         diags.append(f"theta_grid.{k}: unknown field")
+        if config.harmonic is not None and not isinstance(config.harmonic, bool):
+            diags.append("harmonic: must be true or false")
+        harmonic = config.harmonic is True
         if config.kind == "condition_fit":
             if config.template not in TEMPLATES:
                 diags.append(f"template: must be one of {', '.join(TEMPLATES)}")
-            elif config.template.startswith("harmonic") != bool(config.harmonic):
+            elif config.template.startswith("harmonic") != harmonic:
                 diags.append("template: harmonic flag and template family disagree")
         if diags:
             return None, diags
         # the rows the run computes must exist and, for a fit, be fittable
-        rows = _full_blocks(config, wspec, ispec)
+        m0 = max(wspec.offset - 1, ispec.offset - 1, 0)
+        rows = ([tuple(b) for b in config.blocks] if config.blocks is not None
+                else [(m0, int(n)) for n in config.n_ladder])
         check("weights", lambda: check_phase(wspec, max(n for _, n in rows) + 1))
         check("indices", lambda: [check_top(ispec, m + 1, n + 1) for m, n in rows])
         if config.kind == "condition_fit":
             check("template", lambda: check_rows(config.template, rows))
         points = (config.theta_grid or {}).get("points")
-        plan = _Plan(wspec, ispec, rows=rows, grid=ThetaGrid(points) if points else None)
+        plan = _Plan(wspec, ispec, seeds=config.seeds, rows=rows,
+                     grid=ThetaGrid(points) if points else None, harmonic=harmonic,
+                     template=config.template, reference=config.reference)
         return (None if diags else plan), diags
 
     # orbit-run kinds
@@ -416,8 +438,10 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
         diags.append("tail_starts: must be strictly increasing positive integers")
     if diags:
         return None, diags
-    # the term range and stored grid the run will use (see _orbit_runs)
-    kf = _first_term(config.k_first, norm.k0 if hilbert else 1, wspec, ispec)
+    # the term range and stored grid the run will use (see _orbit_runs), from
+    # k_first if set, else the first k >= 1 (k0 for a series) all ingredients define
+    kf = config.k_first if config.k_first is not None else max(
+        norm.k0 if hilbert else 1, wspec.offset, ispec.offset, 1)
     n_end = kf + config.n_terms
     if n_end > _K_END:
         diags.append("k_first: term indices k must stay below 2**63 - 1")
@@ -442,8 +466,9 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
     check("normalizer", lambda: norm.values(grid[grid >= norm.k0]))
     if ladder is not None:
         check("ladder", lambda: ladder_positions(grid, ladder.values(), norm.k0))
-    plan = _Plan(wspec, ispec, system=system, observable=f, x0=x0, normalizer=norm,
-                 ladder=ladder, k_first=kf)
+    plan = _Plan(wspec, ispec, seeds=config.seeds, system=system, observable=f, x0=x0,
+                 normalizer=norm, n_terms=config.n_terms, k_first=kf, hilbert=hilbert,
+                 tail_starts=config.tail_starts, bound=config.bound, ladder=ladder)
     return (None if diags else plan), diags
 
 
@@ -541,11 +566,7 @@ def _median(vals) -> float:
 
 
 # ---------------------------------------------------------------------------
-# stage helpers (shared by base kinds and presets)
-
-
-def _seed_list(seeds) -> list:
-    return list(seeds) if seeds else [None]
+# stages: each reads its inputs from the plan and adds its output files
 
 
 @contextmanager
@@ -560,7 +581,7 @@ def _envelope_stage(files, wspec, ispec, blocks, grid, harmonic, seeds):
     """Certified sup rows over (M, N] blocks; returns samples grouped by seed."""
     rows = []
     samples = {}
-    for seed in _seed_list(seeds):
+    for seed in seeds or [None]:
         ws, js = _for_seed(wspec, seed), _for_seed(ispec, seed)
         got = []
         for m_excl, n_incl in blocks:
@@ -607,24 +628,24 @@ def _fit_one(samples, template, field_name="upper"):
     return fit_harmonic(samples, template, field_name=field_name)
 
 
-def _fit_stage(files, samples_by_seed, template, reference=None, extras=None,
-               field_name="upper"):
+def _fit_stage(files, samples_by_seed, plan: _Plan):
+    """One growth-template fit per seed of the envelope rows."""
     fits = []
     for seed, samples in samples_by_seed.items():
-        fit = _fit_one(samples, template, field_name)
+        fit = _fit_one(samples, plan.template, plan.fit_field)
         fits.append({"seed": seed, **fit.to_dict()})
     agg = {
         "median_alpha": _median([f["alpha"] for f in fits]),
         "max_rms_residual": max(f["rms_residual"] for f in fits),
         "verdicts": sorted({f["verdict"] for f in fits}),
     }
-    if template == "H1":
+    if plan.template == "H1":
         agg["max_delta_plus_alpha"] = max(f["delta"] + f["alpha"] for f in fits)
-    record = {"template": template, "fits": fits, "aggregate": agg}
-    if reference:
-        record["reference"] = reference
-    if extras:
-        record.update(extras)
+    record = {"template": plan.template, "fits": fits, "aggregate": agg}
+    if plan.reference:
+        record["reference"] = plan.reference
+    if plan.fit_extras is not None:
+        record.update(plan.fit_extras(samples_by_seed))
     files["fit.json"] = _json_bytes(record)
 
 
@@ -637,19 +658,19 @@ def _start_bits(u_top: int) -> int:
     return bits
 
 
-def _orbit_runs(wspec, ispec, system, f, x0, n_terms, seeds, k_first):
+def _orbit_runs(plan: _Plan):
     """Per seed: (seed, weights w_k, orbit values f(T^{u_k} x)) for the
-    n_terms terms from k_first on. Nothing of one seed is held here while
-    the next one draws; the caller drops its own references first."""
-    k_end = k_first + n_terms
-    for seed in _seed_list(seeds):
-        w = gen_weights(_for_seed(wspec, seed), k_first, k_end)
-        u = gen_indices(_for_seed(ispec, seed), k_first, k_end)
-        if system.kind == "doubling":
+    plan's n_terms terms from k_first on. Nothing of one seed is held here
+    while the next one draws; the caller drops its own references first."""
+    k_end = plan.k_first + plan.n_terms
+    for seed in plan.seeds or [None]:
+        w = gen_weights(_for_seed(plan.weights, seed), plan.k_first, k_end)
+        u = gen_indices(_for_seed(plan.indices, seed), plan.k_first, k_end)
+        if plan.system.kind == "doubling":
             point = OrbitPoint.doubling(int(seed), _start_bits(int(u.max())))
         else:
-            point = OrbitPoint.rotation(x0)
-        vals = orbit_eval(system, f, point, u)
+            point = OrbitPoint.rotation(plan.x0)
+        vals = orbit_eval(plan.system, plan.observable, point, u)
         del u, point
         yield seed, w, vals
         del w, vals
@@ -658,7 +679,10 @@ def _orbit_runs(wspec, ispec, system, f, x0, n_terms, seeds, k_first):
 def _decay_entry(ns, cps=None) -> dict:
     """Decay slope, ratios and tail maxima of a normalized series at the
     checkpoints cps (default: its decades and its last N)."""
-    cps = cps or _decade_checkpoints(ns.n_grid)
+    if not cps:
+        lo, hi = int(ns.n_grid[0]), int(ns.n_grid[-1])
+        cps = [10**e for e in range(1, 10) if lo <= 10**e <= hi]
+        cps += [] if hi in cps else [hi]
     return {
         "slope": ns.slope(),
         "ratio_at": {str(c): ns.value_at(c) for c in cps},
@@ -681,21 +705,21 @@ def _series_csv_rows(seed, run, norm):
     return rows
 
 
-def _average_stage(files, wspec, ispec, system, f, x0, norm, n_terms, seeds,
-                   k_first=1, ladder=None, checkpoints=None, report_extra=None):
-    """Normalized running-sum runs, one per seed; optional oscillation report."""
+def _average_stage(files, plan: _Plan, report_extra):
+    """Normalized running-sum runs, one per seed, with report_extra added to
+    report.json; an oscillation report if the plan has a ladder."""
+    norm, ladder = plan.normalizer, plan.ladder
     csv_rows = []
     per_seed = []
     osc_entries = []
     chart = []
     osc_chart = []
-    for seed, w, vals in _orbit_runs(wspec, ispec, system, f, x0, n_terms, seeds,
-                                     k_first):
-        run = weighted_sums(vals, w, k_first=k_first, normalizer=norm)
+    for seed, w, vals in _orbit_runs(plan):
+        run = weighted_sums(vals, w, k_first=plan.k_first, normalizer=norm)
         del w, vals  # only the sums are needed from here on (peak memory)
         ns = normalized_series(run)
-        per_seed.append({"seed": seed, "k_first": k_first, "n_max": run.n_max,
-                         **_decay_entry(ns, checkpoints),
+        per_seed.append({"seed": seed, "k_first": plan.k_first, "n_max": run.n_max,
+                         **_decay_entry(ns, plan.checkpoints),
                          "monotone_normalizer": ns.monotone_normalizer})
         csv_rows.extend(_series_csv_rows(seed, run, norm))
         if len(chart) < len(_svg.PALETTE):
@@ -718,7 +742,7 @@ def _average_stage(files, wspec, ispec, system, f, x0, norm, n_terms, seeds,
     files["ratio.svg"] = _svg.line_chart(
         "normalized running sums", "N", "|S_N| / A(N)",
         chart, x_log=True, y_log=True).encode("utf-8")
-    report = {
+    files["report.json"] = _json_bytes({
         "normalizer": _fields_json(norm),
         "convention": "exclusive",
         "per_seed": per_seed,
@@ -728,10 +752,8 @@ def _average_stage(files, wspec, ispec, system, f, x0, norm, n_terms, seeds,
                                for c in per_seed[0][k]}
                for k in ("ratio_at", "tail_max")},
         },
-    }
-    if report_extra:
-        report.update(report_extra)
-    files["report.json"] = _json_bytes(report)
+        **report_extra,
+    })
     if ladder is not None:
         files["oscillation.json"] = _json_bytes({
             "ladder": _fields_json(ladder),
@@ -744,29 +766,21 @@ def _average_stage(files, wspec, ispec, system, f, x0, norm, n_terms, seeds,
             osc_chart, x_log=False, y_log=True).encode("utf-8")
 
 
-def _decade_checkpoints(n_grid: np.ndarray) -> list[int]:
-    lo, hi = int(n_grid[0]), int(n_grid[-1])
-    cps = [10**e for e in range(1, 10) if lo <= 10**e <= hi]
-    if hi not in cps:
-        cps.append(hi)
-    return cps
-
-
-def _hilbert_stage(files, wspec, ispec, system, f, x0, norm, n_terms, seeds,
-                   k_first=1, tail_starts=None, bound=None, ratio_norm=None):
-    """Partial sums of the one-sided series with Cauchy tail diagnostics."""
+def _hilbert_stage(files, plan: _Plan):
+    """Partial sums of the one-sided series with Cauchy tail diagnostics,
+    and a decay report under the plan's ratio_norm if it has one."""
+    norm, bound, ratio_norm = plan.normalizer, plan.bound, plan.ratio_norm
     csv_rows = []
     per_seed = []
     ratio_entries = []
     chart = []
-    for seed, w, vals in _orbit_runs(wspec, ispec, system, f, x0, n_terms, seeds,
-                                     k_first):
-        run = hilbert_series(w, vals, norm, k_first=k_first)
+    for seed, w, vals in _orbit_runs(plan):
+        run = hilbert_series(w, vals, norm, k_first=plan.k_first)
         del w, vals  # only the sums are needed from here on (peak memory)
-        starts = tail_starts or _dyadic_starts(k_first, run.n_max)
+        starts = plan.tail_starts or _dyadic_starts(plan.k_first, run.n_max)
         tails = cauchy_tail_report(run, starts)
         max_abs = float(np.abs(run.sums).max())
-        entry = {"seed": seed, "k_first": k_first, "n_max": run.n_max,
+        entry = {"seed": seed, "k_first": plan.k_first, "n_max": run.n_max,
                  "max_abs": max_abs, "tails": tails}
         if bound is not None:
             entry["within_bound"] = bool(max_abs <= bound)
@@ -809,14 +823,10 @@ def _hilbert_stage(files, wspec, ispec, system, f, x0, norm, n_terms, seeds,
 
 
 def _dyadic_starts(k_first: int, n_max: int) -> list[int]:
+    """Default tail starts: the powers of 2 in [max(k_first, 8), n_max / 2],
+    else max(k_first, 8) alone."""
     lo = max(k_first, 8)
-    out = []
-    v = 1
-    while v <= n_max // 2:
-        if v >= lo:
-            out.append(v)
-        v *= 2
-    return out or [lo]
+    return [1 << j for j in range((int(n_max) // 2).bit_length()) if 1 << j >= lo] or [lo]
 
 
 def _pi_table_stage(files, seeds, big_ns):
@@ -835,39 +845,75 @@ def _pi_table_stage(files, seeds, big_ns):
             for n, v in scaled.items()}
 
 
+def _beta_stage(files, plan: _Plan):
+    """Decay of one unseeded run's running sums under the normalizer N^beta
+    for each beta of the plan's ladder. Its series.csv ratio column is the
+    normalized series' own (vector np.abs), which can differ by an ulp from
+    the scalar abs _series_csv_rows takes, so it keeps its own row loop."""
+    [(_, w, vals)] = _orbit_runs(plan)
+    run = weighted_sums(vals, w, k_first=plan.k_first)
+    per_beta = []
+    csv_rows = []
+    chart = []
+    for beta in plan.betas:
+        norm = NormalizerSpec(gamma=beta, k0=1)
+        ns = normalized_series(run, norm)
+        per_beta.append({"beta": beta, **_decay_entry(ns)})
+        keep = _thin_grid(ns.n_grid)
+        if len(chart) < len(_svg.PALETTE):
+            chart.append((f"beta {beta}", ns.n_grid[keep].tolist(),
+                          ns.ratios[keep].tolist()))
+        if not csv_rows:
+            for idx in keep:
+                s = run.sums[idx]
+                n_val = int(ns.n_grid[idx])
+                csv_rows.append([None, n_val, s.real, s.imag, abs(s),
+                                 norm.values(np.array([n_val]))[0],
+                                 ns.ratios[idx]])
+    files["series.csv"] = _csv_bytes(
+        ["seed", "N", "s_real", "s_imag", "s_abs", "a_value", "ratio"], csv_rows)
+    files["ratio.svg"] = _svg.line_chart(
+        "prime-index averages", "N", "|S_N| / N^beta",
+        chart, x_log=True, y_log=True).encode("utf-8")
+    files["report.json"] = _json_bytes({
+        "exploratory": True,
+        "question": "does power-normalized decay along all integers force "
+                    "decay along the primes?",
+        "n_terms": plan.n_terms,
+        "per_beta": per_beta,
+    })
+
+
 # ---------------------------------------------------------------------------
-# base kind runners
+# the run path
 
 
-def _full_blocks(cfg: ExperimentConfig, wspec, ispec):
-    if cfg.blocks is not None:
-        return [tuple(b) for b in cfg.blocks]
-    m0 = max(wspec.offset - 1, ispec.offset - 1, 0)
-    return [(m0, int(n)) for n in cfg.n_ladder]
-
-
-def _run_base_kind(cfg: ExperimentConfig, plan: _Plan, files, walls):
+def _run_plan(plan: _Plan, files, walls):
+    """Run each stage whose inputs the plan sets, under one wall time per
+    stage: envelope rows, their fit, the pi table, then one orbit stage."""
     if plan.rows is not None:
         with _timed(walls, "envelope"):
             samples = _envelope_stage(files, plan.weights, plan.indices, plan.rows,
-                                      plan.grid, bool(cfg.harmonic), cfg.seeds)
-        if cfg.kind == "condition_fit":
-            with _timed(walls, "fit"):
-                _fit_stage(files, samples, cfg.template, reference=cfg.reference)
-        return
-    orbit = (files, plan.weights, plan.indices, plan.system, plan.observable, plan.x0,
-             plan.normalizer, cfg.n_terms, cfg.seeds)
-    if cfg.kind == "hilbert_run":
-        with _timed(walls, "hilbert"):
-            _hilbert_stage(*orbit, k_first=plan.k_first, tail_starts=cfg.tail_starts,
-                           bound=cfg.bound)
-    else:
-        with _timed(walls, "average"):
-            _average_stage(*orbit, k_first=plan.k_first, ladder=plan.ladder)
+                                      plan.grid, plan.harmonic, plan.seeds)
+    if plan.template is not None:
+        with _timed(walls, "fit"):
+            _fit_stage(files, samples, plan)
+    report_extra = {}
+    if plan.pi_ns is not None:
+        with _timed(walls, "pi_table"):
+            report_extra["pi_scaled"] = _pi_table_stage(files, plan.seeds, plan.pi_ns)
+    if plan.n_terms is not None:
+        with _timed(walls, "hilbert" if plan.hilbert else "average"):
+            if plan.hilbert:
+                _hilbert_stage(files, plan)
+            elif plan.betas is not None:
+                _beta_stage(files, plan)
+            else:
+                _average_stage(files, plan, report_extra)
 
 
 # ---------------------------------------------------------------------------
-# presets
+# presets: each one builds its plan from its params
 
 
 _SQRT2_SYSTEM = SystemModel.rotation_sqrt2()
@@ -877,17 +923,7 @@ _CONSTANT = WeightSpec(kind="constant")
 _RANDOM_PHASE = WeightSpec(kind="iid_uniform_phase", seed=_ANY_SEED)
 
 
-def _preset_seeds(cfg) -> list:
-    """The config's seeds, else the preset's default seed list."""
-    return list(cfg.seeds) if cfg.seeds else list(_PRESETS[cfg.preset].seeds)
-
-
-def _param(cfg, name):
-    """A preset's free parameter, else its default."""
-    return (cfg.params or {}).get(name, _PRESETS[cfg.preset].params[name][0])
-
-
-def _preset_example1(cfg, files, walls):
+def _example1() -> _Plan:
     """Steep power phase over a squared orbit.
 
     Envelope rows are computed on a fixed 2^20 grid, too coarse for the
@@ -896,175 +932,128 @@ def _preset_example1(cfg, files, walls):
     exploratory fit therefore uses the grid maxima (`lower`); the
     reference exponent uses the n-th derivative envelope with delta = 2.5.
     """
-    w = WeightSpec(kind="power_phase", delta=2.5)
-    i = IndexSpec(kind="monomial", d=2)
-    blocks = [(0, 1 << j) for j in range(7, 13)]
-    with _timed(walls, "envelope"):
-        samples = _envelope_stage(files, w, i, blocks, ThetaGrid(1 << 20), False, None)
-    with _timed(walls, "fit"):
-        _fit_stage(files, samples, "H2", reference={
+    return _Plan(
+        WeightSpec(kind="power_phase", delta=2.5), IndexSpec(kind="monomial", d=2),
+        rows=[(0, 1 << j) for j in range(7, 13)], grid=ThetaGrid(1 << 20),
+        template="H2", fit_field="lower", reference={
             "alpha": steep_power_phase_exponent(2.5),
             "label": "derivative-test envelope exponent for delta = 2.5",
             "note": "long rows are aliased on this grid; exploratory fit of "
                     "the grid maxima (lower)",
-        }, field_name="lower")
-    with _timed(walls, "hilbert"):
-        _hilbert_stage(files, w, i, _SQRT2_SYSTEM, _MODE1, 0.0,
-                       NormalizerSpec(gamma=35.0 / 36.0, a=2.0, k0=3), 10_000, None,
-                       k_first=3)
+        },
+        system=_SQRT2_SYSTEM, observable=_MODE1, hilbert=True, k_first=3,
+        normalizer=NormalizerSpec(gamma=35.0 / 36.0, a=2.0, k0=3), n_terms=10_000)
 
 
-def _preset_example2(cfg, files, walls):
+def _example2() -> _Plan:
     """Fractional power phase on the integers: envelope fit, normalized
     run along an irrational rotation, and block oscillation maxima."""
-    w = WeightSpec(kind="power_phase", delta=0.5)
-    blocks = [(0, 1 << j) for j in range(10, 18)]
-    with _timed(walls, "envelope"):
-        samples = _envelope_stage(files, w, _IDENTITY, blocks, None, False, None)
-    with _timed(walls, "fit"):
-        _fit_stage(files, samples, "H2", reference={
+    return _Plan(
+        WeightSpec(kind="power_phase", delta=0.5), _IDENTITY,
+        rows=[(0, 1 << j) for j in range(10, 18)],
+        template="H2", reference={
             "alpha": 0.75,
             "label": "second-derivative envelope exponent 1 - delta/2",
-        })
-    with _timed(walls, "average"):
-        _average_stage(files, w, _IDENTITY, _SQRT2_SYSTEM, _MODE1, 0.0,
-                       NormalizerSpec(gamma=0.875, a=2.0, k0=3), 1_000_000, None,
-                       ladder=BlockLadder.dyadic(2, 19),
-                       checkpoints=[1_000, 10_000, 100_000, 1_000_000])
+        },
+        system=_SQRT2_SYSTEM, observable=_MODE1,
+        normalizer=NormalizerSpec(gamma=0.875, a=2.0, k0=3), n_terms=1_000_000,
+        ladder=BlockLadder.dyadic(2, 19), checkpoints=[1_000, 10_000, 100_000, 1_000_000])
 
 
-def _preset_example3(cfg, files, walls):
+def _example3(h) -> _Plan:
     """Logarithmic phase: harmonic sup rows against the closed-form bound,
     a flat harmonic growth fit, and bounded series partial sums."""
-    h = float(_param(cfg, "h"))
+    h = float(h)
     bound = hlawka_bound(h)
-    w = WeightSpec(kind="log_phase", h=h)
-    blocks = [(0, 1 << 10), (0, 1 << 12), (0, 1 << 14), (0, 1 << 16), (0, 100_000)]
-    with _timed(walls, "envelope"):
-        samples = _envelope_stage(files, w, _IDENTITY, blocks, None, True, None)
-    with _timed(walls, "fit"):
-        max_upper = max(s.upper for s in samples[None])
-        _fit_stage(files, samples, "harmonic_H2", reference={
+    return _Plan(
+        WeightSpec(kind="log_phase", h=h), _IDENTITY,
+        rows=[(0, 1 << 10), (0, 1 << 12), (0, 1 << 14), (0, 1 << 16), (0, 100_000)],
+        harmonic=True, template="harmonic_H2", reference={
             "bound": bound,
             "label": "closed-form harmonic sup bound 30(|h| + 1/|h|)",
-        }, extras={"bound_check": {
-            "bound": bound,
-            "max_upper": max_upper,
-            "slack_fraction": 1.0 - max_upper / bound,
-            "passed": bool(max_upper <= bound),
-        }})
-    with _timed(walls, "hilbert"):
-        _hilbert_stage(files, w, _IDENTITY, _SQRT2_SYSTEM, _MODE1, 0.0,
-                       NormalizerSpec(gamma=1.0, k0=1), 100_000, None,
-                       tail_starts=[1 << j for j in range(7, 16, 2)], bound=bound)
+        }, fit_extras=partial(_bound_check, bound),
+        system=_SQRT2_SYSTEM, observable=_MODE1, hilbert=True,
+        normalizer=NormalizerSpec(gamma=1.0, k0=1), n_terms=100_000,
+        tail_starts=[1 << j for j in range(7, 16, 2)], bound=bound)
 
 
-def _preset_example4(cfg, files, walls):
+def _bound_check(bound, samples_by_seed) -> dict:
+    """example3's unseeded harmonic sup rows against the closed-form bound."""
+    max_upper = max(s.upper for s in samples_by_seed[None])
+    return {"bound_check": {
+        "bound": bound,
+        "max_upper": max_upper,
+        "slack_fraction": 1.0 - max_upper / bound,
+        "passed": bool(max_upper <= bound),
+    }}
+
+
+def _example4() -> _Plan:
     """Random unimodular weights over dyadic (M, N] blocks with a
     two-variable envelope fit and a square-root shape check."""
-    seeds = _preset_seeds(cfg)
-    blocks = [(n - (n >> s), n)
+    return _Plan(
+        _RANDOM_PHASE, _IDENTITY,
+        rows=[(n - (n >> s), n)
               for n in (1 << j for j in range(11, 17))
-              for s in (1, 2, 3)]
-    with _timed(walls, "envelope"):
-        samples = _envelope_stage(files, _RANDOM_PHASE, _IDENTITY, blocks, None, False,
-                                  seeds)
-    with _timed(walls, "fit"):
-        shape = {}
-        for seed, got in samples.items():
-            shape[str(seed)] = max(
-                s.upper / (math.sqrt(s.N - s.M) * math.sqrt(math.log(s.N)))
-                for s in got)
-        _fit_stage(files, samples, "H1", reference={
+              for s in (1, 2, 3)],
+        template="H1", reference={
             "shape": "sqrt(N - M) sqrt(log N)",
             "label": "square-root block envelope for centered random weights",
-        }, extras={"shape_check": {
-            "definition": "max upper / (sqrt(N - M) sqrt(log N)) per seed",
-            "per_seed_max": shape,
-            "max": max(shape.values()),
-        }})
+        }, fit_extras=_shape_check)
 
 
-def _preset_example5(cfg, files, walls):
+def _shape_check(samples_by_seed) -> dict:
+    """example4's largest upper / (sqrt(N - M) sqrt(log N)) per seed."""
+    shape = {str(seed): max(s.upper / (math.sqrt(s.N - s.M) * math.sqrt(math.log(s.N)))
+                            for s in got)
+             for seed, got in samples_by_seed.items()}
+    return {"shape_check": {
+        "definition": "max upper / (sqrt(N - M) sqrt(log N)) per seed",
+        "per_seed_max": shape,
+        "max": max(shape.values()),
+    }}
+
+
+def _example5() -> _Plan:
     """Harmonic version of the random-weight scan plus the log-normalized
     series run."""
-    seeds = _preset_seeds(cfg)
-    blocks = [(0, 1 << j) for j in range(8, 17)]
-    with _timed(walls, "envelope"):
-        samples = _envelope_stage(files, _RANDOM_PHASE, _IDENTITY, blocks, None, True,
-                                  seeds)
-    with _timed(walls, "fit"):
-        _fit_stage(files, samples, "harmonic_log_decay", reference={
+    return _Plan(
+        _RANDOM_PHASE, _IDENTITY,
+        rows=[(0, 1 << j) for j in range(8, 17)], harmonic=True,
+        template="harmonic_log_decay", reference={
             "label": "slowly varying harmonic envelope log N / log^beta log N",
-        })
-    with _timed(walls, "hilbert"):
-        _hilbert_stage(files, _RANDOM_PHASE, _IDENTITY, _SQRT2_SYSTEM, _MODE1, 0.0,
-                       NormalizerSpec(gamma=1.0, k0=1), 100_000, seeds,
-                       ratio_norm=NormalizerSpec(gamma=0.0, a=1.0, k0=3))
+        },
+        system=_SQRT2_SYSTEM, observable=_MODE1, hilbert=True,
+        normalizer=NormalizerSpec(gamma=1.0, k0=1), n_terms=100_000,
+        ratio_norm=NormalizerSpec(gamma=0.0, a=1.0, k0=3))
 
 
-def _preset_example6(cfg, files, walls):
+def _example6() -> _Plan:
     """Random prime model: counting-function scaling table plus normalized
     averages along the random index set."""
-    seeds = _preset_seeds(cfg)
-    with _timed(walls, "pi_table"):
-        pi_summary = _pi_table_stage(files, seeds, [10_000, 100_000, 1_000_000])
-    with _timed(walls, "average"):
-        _average_stage(files, _CONSTANT, IndexSpec(kind="cramer_primes", seed=_ANY_SEED),
-                       _SQRT2_SYSTEM, _MODE1, 0.0, NormalizerSpec(gamma=0.75, k0=1),
-                       1_000_000, seeds,
-                       checkpoints=[10_000, 1_000_000],
-                       report_extra={"pi_scaled": pi_summary})
+    return _Plan(
+        _CONSTANT, IndexSpec(kind="cramer_primes", seed=_ANY_SEED),
+        pi_ns=(10_000, 100_000, 1_000_000),
+        system=_SQRT2_SYSTEM, observable=_MODE1,
+        normalizer=NormalizerSpec(gamma=0.75, k0=1), n_terms=1_000_000,
+        checkpoints=[10_000, 1_000_000])
 
 
-def _preset_prime_question(cfg, files, walls):
+def _prime_question(betas) -> _Plan:
     """Exploratory: decay of (1/N^beta) sums along the true primes for a
     ladder of beta values. No growth claim is certified here."""
-    betas = [float(b) for b in _param(cfg, "betas")]
-    n_terms = 200_000
-    with _timed(walls, "average"):
-        [(_, w, vals)] = _orbit_runs(_CONSTANT, IndexSpec(kind="primes"), _SQRT2_SYSTEM,
-                                     _MODE1, 0.0, n_terms, None, 1)
-        run = weighted_sums(vals, w, k_first=1)
-        per_beta = []
-        csv_rows = []
-        chart = []
-        for beta in betas:
-            norm = NormalizerSpec(gamma=beta, k0=1)
-            ns = normalized_series(run, norm)
-            per_beta.append({"beta": beta, **_decay_entry(ns)})
-            keep = _thin_grid(ns.n_grid)
-            if len(chart) < len(_svg.PALETTE):
-                chart.append((f"beta {beta}", ns.n_grid[keep].tolist(),
-                              ns.ratios[keep].tolist()))
-            if not csv_rows:
-                for idx in keep:
-                    s = run.sums[idx]
-                    n_val = int(ns.n_grid[idx])
-                    csv_rows.append([None, n_val, s.real, s.imag, abs(s),
-                                     norm.values(np.array([n_val]))[0],
-                                     ns.ratios[idx]])
-        files["series.csv"] = _csv_bytes(
-            ["seed", "N", "s_real", "s_imag", "s_abs", "a_value", "ratio"], csv_rows)
-        files["ratio.svg"] = _svg.line_chart(
-            "prime-index averages", "N", "|S_N| / N^beta",
-            chart, x_log=True, y_log=True).encode("utf-8")
-        files["report.json"] = _json_bytes({
-            "exploratory": True,
-            "question": "does power-normalized decay along all integers force "
-                        "decay along the primes?",
-            "n_terms": n_terms,
-            "per_beta": per_beta,
-        })
+    return _Plan(_CONSTANT, IndexSpec(kind="primes"),
+                 system=_SQRT2_SYSTEM, observable=_MODE1, n_terms=200_000,
+                 betas=[float(b) for b in betas])
 
 
 class _Preset(NamedTuple):
-    """One worked scenario: the runner that computes its outputs, its
-    `ergosum presets` entry, its default seed list (nonempty exactly when
-    the preset is stochastic) and its free params as
-    name -> (default, check, diagnostic when the check fails)."""
+    """One worked scenario: the function that builds its plan from its
+    params (as keywords), its `ergosum presets` entry, its default seed
+    list (nonempty exactly when the preset is stochastic) and its free
+    params as name -> (default, check, diagnostic when the check fails)."""
 
-    runner: Callable
+    plan: Callable
     title: str
     exercises: tuple
     seeds: tuple = ()
@@ -1073,40 +1062,40 @@ class _Preset(NamedTuple):
 
 _PRESETS = {
     "example1": _Preset(
-        _preset_example1, "steep power phase over a squared orbit",
+        _example1, "steep power phase over a squared orbit",
         ("grid envelope rows (aliased, exploratory)",
          "H2 fit vs the derivative-test exponent",
          "power-log normalized series partial sums")),
     "example2": _Preset(
-        _preset_example2, "fractional power phase on the integers",
+        _example2, "fractional power phase on the integers",
         ("certified envelope rows 2^10..2^17",
          "H2 fit vs exponent 1 - delta/2",
          "normalized rotation run to N = 10^6",
          "dyadic block oscillation maxima")),
     "example3": _Preset(
-        _preset_example3, "logarithmic phase with a closed-form sup bound",
+        _example3, "logarithmic phase with a closed-form sup bound",
         ("harmonic sup rows vs 30(|h| + 1/|h|)",
          "flat harmonic growth fit",
          "bounded series partial sums"),
         params={"h": (1.0, lambda h: is_real(h) and h != 0 and math.isfinite(h),
                       "must be a finite nonzero number")}),
     "example4": _Preset(
-        _preset_example4, "random unimodular weights over dyadic blocks",
+        _example4, "random unimodular weights over dyadic blocks",
         ("two-variable H1 envelope fit",
          "square-root block shape check"),
         seeds=tuple(range(1, 11))),
     "example5": _Preset(
-        _preset_example5, "harmonic random weights",
+        _example5, "harmonic random weights",
         ("slowly varying harmonic envelope fit",
          "log-normalized series decay report"),
         seeds=(1, 2, 3, 4)),
     "example6": _Preset(
-        _preset_example6, "random prime model",
+        _example6, "random prime model",
         ("counting-function scaling table",
          "power-normalized averages along the random set"),
         seeds=tuple(range(1, 21))),
     "prime_question": _Preset(
-        _preset_prime_question, "prime-index averages (exploratory)",
+        _prime_question, "prime-index averages (exploratory)",
         ("decay slopes for a ladder of beta exponents",),
         params={"betas": ((0.6, 0.75, 0.9, 1.0),
                           lambda bs: isinstance(bs, (list, tuple)) and bool(bs) and all(
@@ -1115,8 +1104,23 @@ _PRESETS = {
 }
 
 PRESET_IDS = tuple(_PRESETS)
-# id -> runner; perfbench calls a single preset's runner directly
-_PRESET_RUNNERS = {pid: p.runner for pid, p in _PRESETS.items()}
+
+
+def _preset_plan(pid: str, config: ExperimentConfig) -> _Plan:
+    """Preset pid's plan at the config's params (defaults for the rest). A
+    stochastic preset runs the config's seeds, else its default list; a
+    deterministic one ignores seeds."""
+    preset = _PRESETS[pid]
+    given = config.params or {}
+    plan = preset.plan(**{k: given.get(k, p[0]) for k, p in preset.params.items()})
+    return replace(plan, seeds=list(config.seeds or preset.seeds) if preset.seeds else None)
+
+
+# id -> runner (cfg, files, walls). Kept only because
+# perfbench/test_perfbench.py calls one preset's runner directly; ROADMAP
+# item 1 removes that pin.
+_PRESET_RUNNERS = {pid: lambda cfg, files, walls, pid=pid: _run_plan(
+    _preset_plan(pid, cfg), files, walls) for pid in _PRESETS}
 
 
 def list_presets() -> list[dict]:
@@ -1169,10 +1173,7 @@ def run(config: ExperimentConfig) -> ResultManifest:
     files: dict[str, bytes] = {}
     walls: dict[str, float] = {}
     with _timed(walls, "total"):
-        if config.kind == "preset":
-            _PRESET_RUNNERS[config.preset](config, files, walls)
-        else:
-            _run_base_kind(config, plan, files, walls)
+        _run_plan(plan, files, walls)
 
     root = _output_root(config)
     target = root / config.name
@@ -1218,15 +1219,6 @@ def run(config: ExperimentConfig) -> ResultManifest:
 # CLI
 
 
-def _load_config(path: str):
-    try:
-        return ExperimentConfig.load(path), []
-    except FileNotFoundError:
-        return None, [f"config file not found: {path}"]
-    except (ValueError, TypeError) as exc:
-        return None, [f"could not parse config: {exc}"]
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ergosum",
@@ -1251,7 +1243,12 @@ def main(argv=None) -> int:
                 print(f"    params: {', '.join(entry['params'])}")
         return EXIT_OK
 
-    config, diags = _load_config(args.config)
+    try:
+        config, diags = ExperimentConfig.load(args.config), []
+    except FileNotFoundError:
+        config, diags = None, [f"config file not found: {args.config}"]
+    except (ValueError, TypeError) as exc:
+        config, diags = None, [f"could not parse config: {exc}"]
     if config is not None and args.command == "validate":
         diags = validate(config)
     elif config is not None:

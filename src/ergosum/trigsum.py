@@ -19,10 +19,13 @@ a real trigonometric polynomial of degree D, so Bernstein's inequality
 lies within h/2 of it, hence sup |V| <= G / sqrt(1 - pi^2 D^2 h^2 / 2)
 whenever pi^2 D^2 h^2 / 2 < 1. An allowance 8 eps (log2 L + 1) sum |w_k|
 for FFT rounding is taken off `lower` and added to `upper`, and `upper` is
-capped at the triangle bound sum |w_k|. Where the condition fails, `upper`
-is sum |w_k| and the estimate is flagged `aliased`. `deriv_bound` = 2 pi
-sum |w_k| u_k (a bound on |V'|) is reported for reference and enters no
-certificate.
+capped at the triangle bound sum |w_k|. The factor 8 is checked
+empirically, not proven: pocketfft's mixed radix has no published error
+constant, and tests/test_trigsum.py::test_fft_rounding_within_allowance
+compares eval_grid with a long-double DFT at distinct residues u mod L.
+Where the condition fails, `upper` is sum |w_k| and the estimate is
+flagged `aliased`. `deriv_bound` = 2 pi sum |w_k| u_k (a bound on |V'|)
+is reported for reference and enters no certificate.
 
 Every reduction is chunked pairwise (see _kernels), and phase arguments
 theta*u are reduced mod 1 exactly through the ratio of theta (a double's
@@ -141,8 +144,9 @@ def sup_envelope(weights, indices, grid: ThetaGrid | None = None) -> SupEstimate
     h = 1/L and the FFT rounding allowance e = 8 eps (log2 L + 1) sum |w|,
     lower = max(0, G - e), never above upper, and upper = min(sum |w|,
     (G + e) / sqrt(1 - pi^2 D^2 h^2 / 2)), a bound on every theta (module
-    docstring). If pi^2 D^2 h^2 / 2 >= 1, upper is sum |w|, `aliased` is
-    set and a RuntimeWarning is emitted.
+    docstring). The factor 8 in e is checked empirically, not proven, by
+    test_fft_rounding_within_allowance. If pi^2 D^2 h^2 / 2 >= 1, upper
+    is sum |w|, `aliased` is set and a RuntimeWarning is emitted.
     """
     w, u = _check_pair(weights, indices)
     span = int(u.max()) - int(u.min())

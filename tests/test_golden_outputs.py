@@ -4,8 +4,10 @@ must hash to the sha256 recorded in golden_digests.json.
 The set is four presets at their defaults, the three seeded presets at
 seeds [1, 2] (random weights and the random prime model), and one small
 config per base kind. Manifests are left out because they carry wall
-times and output paths. A change that alters an output on purpose
-records new digests and says why.
+times and output paths; only the order of their stage timings is
+checked. Two deterministic presets are rerun with seeds, which they
+ignore. A change that alters an output on purpose records new digests
+and says why.
 
 The same base-kind configs seed a one-field mutation test: whatever one
 field is replaced with, validate() returns diagnostics without raising,
@@ -99,12 +101,42 @@ def output_digests(out_dir: Path) -> dict:
             for p in sorted(out_dir.iterdir()) if p.name != "manifest.json"}
 
 
+# the stages each run times, in the order it runs them
+ENVELOPE_FIT_HILBERT = ["envelope", "fit", "hilbert", "total"]
+WALL_KEYS = {
+    "example1": ENVELOPE_FIT_HILBERT,
+    "example2": ["envelope", "fit", "average", "total"],
+    "example3": ENVELOPE_FIT_HILBERT,
+    "prime_question": ["average", "total"],
+    "example4": ["envelope", "fit", "total"],
+    "example5": ENVELOPE_FIT_HILBERT,
+    "example6": ["pi_table", "average", "total"],
+    "envelope_harmonic_seeded": ["envelope", "total"],
+    "fit_h2": ["envelope", "fit", "total"],
+    "average_seeded": ["average", "total"],
+    "oscillation_doubling": ["average", "total"],
+    "hilbert_rational_x0": ["hilbert", "total"],
+    "hilbert_primes": ["hilbert", "total"],
+}
+
+
+def _golden():
+    return json.loads(Path(__file__).with_name("golden_digests.json").read_text())
+
+
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_outputs_match_golden_digests(tmp_path, name):
-    golden = json.loads(Path(__file__).with_name("golden_digests.json").read_text())
-    run(ExperimentConfig.from_dict(
+    manifest = run(ExperimentConfig.from_dict(
         {"name": name, **CONFIGS[name], "output_dir": str(tmp_path)}))
-    assert output_digests(tmp_path / name) == golden[name]
+    assert output_digests(tmp_path / name) == _golden()[name]
+    assert list(manifest.wall_seconds) == WALL_KEYS[name]
+
+
+@pytest.mark.parametrize("name", ["example3", "prime_question"])
+def test_deterministic_presets_ignore_seeds(tmp_path, name):
+    run(ExperimentConfig.from_dict(
+        {"name": name, **CONFIGS[name], "seeds": [7], "output_dir": str(tmp_path)}))
+    assert output_digests(tmp_path / name) == _golden()[name]
 
 
 # JSON values a hand-edited config might carry in any field; 1e400 is how

@@ -395,6 +395,11 @@ INVALID_CLI_CONFIGS = {
         tiny_envelope(harmonic=True, blocks=[5]), "blocks: must be [M, N]"),
     "harmonic_blocks_not_a_list": (
         tiny_envelope(harmonic=True, blocks=5), "blocks: must be [M, N]"),
+    # the harmonic flag is a JSON boolean; "false" would read as true
+    "harmonic_string": (
+        tiny_envelope(blocks=None, n_ladder=[16, 32], harmonic="false"),
+        "harmonic: must be true or false"),
+    "harmonic_number": (tiny_envelope(harmonic=1), "harmonic: must be true or false"),
     "preset_params_list": (
         {"name": "p3", "preset": "example3", "params": [1]}, "params: must be an object"),
     "preset_params_nested_list": (

@@ -48,6 +48,46 @@ def test_eval_grid_exact_at_grid_points():
         assert vals[i] == pytest.approx(eval_sum(w, u, theta), rel=1e-10, abs=1e-10)
 
 
+_LD_EPS = float(np.finfo(np.longdouble).eps)
+
+
+def _dft_longdouble(w, u, L):
+    """V(j / L) for every j by a direct sum in long double, with twiddles
+    e^{2 pi i t / L} tabulated once and indexed by t = (u_k j) mod L."""
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    t = np.arange(L, dtype=np.longdouble) * (two_pi / L)
+    cos_t, sin_t = np.cos(t), np.sin(t)
+    wr, wi = w.real.astype(np.longdouble), w.imag.astype(np.longdouble)
+    r = (u % L).astype(np.int64)
+    out = np.empty(L, dtype=np.clongdouble)
+    for j0 in range(0, L, 256):
+        idx = np.outer(np.arange(j0, min(j0 + 256, L)), r) % L
+        c, s = cos_t[idx], sin_t[idx]
+        out[j0:j0 + idx.shape[0]] = ((c * wr - s * wi).sum(axis=1)
+                                     + 1j * (s * wr + c * wi).sum(axis=1))
+    return out
+
+
+@pytest.mark.skipif(_LD_EPS > 1e-18, reason="needs an extended-precision long double")
+@pytest.mark.parametrize("L", [16, 256, 1000, 1024, 3000, 4096])
+def test_fft_rounding_within_allowance(L):
+    """eval_grid's error against a long-double DFT stays within the FFT
+    rounding allowance 8 eps (log2 L + 1) sum |w| of sup_envelope. The
+    factor 8 has no proof for pocketfft's mixed radix, so this test is its
+    check. Residues u mod L are distinct: terms sharing a bin add rounding
+    the allowance does not cover."""
+    rng = np.random.default_rng(L)
+    m = min(L // 2, 1024)
+    u = rng.choice(L, size=m, replace=False) + L * rng.integers(0, 1000, size=m)
+    phases = np.exp(2j * np.pi * rng.random(m))
+    gaussian = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    for w in (phases, gaussian, np.ones(m, dtype=np.complex128)):
+        got = eval_grid(w, u, ThetaGrid(L)).astype(np.clongdouble)
+        err = float(np.abs(got - _dft_longdouble(w, u, L)).max())
+        allowance = 8 * np.finfo(np.float64).eps * (math.log2(L) + 1) * np.abs(w).sum()
+        assert err <= allowance
+
+
 def test_dirichlet_kernel_modulus():
     """w = 1, u = k: |V_N(theta)| has the classic sine-ratio closed form."""
     N = 100
