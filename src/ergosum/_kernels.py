@@ -12,7 +12,9 @@ Three concerns live here:
   one kernel, frac_ratio: a double theta enters as its exact ratio
   M/2**J, a Fraction as itself, and the residue stays exact however large
   u and den get, which keeps trigonometric sums accurate when theta*u is
-  far above 2**53.
+  far above 2**53. Its mulmod reduces the high 32 bits of u only when
+  some u has them, so indices below 2**32 take one half, not two; mod1
+  is the one mod-1 of a double every module uses.
 """
 
 from __future__ import annotations
@@ -137,8 +139,13 @@ def mulmod(u: np.ndarray, c: int, den: int) -> np.ndarray:
 
     u = h * 2**32 + l is reduced as l*c + h*(c * 2**32 % den), each half
     by a float-estimated quotient with +-den fixups (the MulMod of NTL).
+    When every u is below 2**32, h is 0, its term is 0 and the last fold
+    does nothing, so only the low half is reduced.
     """
     x = np.asarray(u).reshape(-1).astype(np.uint64)
+    if int(x.max(initial=0)) < 1 << 32:
+        r = _fold(_estimated_remainder(x.view(np.int64), c, den), den)
+        return r.reshape(np.shape(u))
     lo = (x & _LOW32).view(np.int64)
     hi = (x >> _U64(32)).view(np.int64)
     r = _fold(_estimated_remainder(lo, c, den), den)
@@ -209,4 +216,12 @@ def frac_poly(coeffs, k: np.ndarray) -> np.ndarray:
         else:
             kj = k.astype(object) ** j
         total += frac_ratio(num, den, kj)
-    return np.mod(total, 1.0)
+    return mod1(total)
+
+
+def mod1(y: np.ndarray) -> np.ndarray:
+    """y mod 1 in [0, 1] for a finite float array, bit for bit np.mod(y,
+    1.0) and faster: floor is cheaper than the fmod inside np.mod.
+    y - floor(y) is exact for y >= 0 and rounds once, as np.mod's own
+    fixup y - trunc(y) + 1 does, for y < 0."""
+    return y - np.floor(y)

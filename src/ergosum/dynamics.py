@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import frac_of, frac_ratio, is_int, is_real, next_pow2, pairwise_sum
+from ._kernels import frac_of, frac_ratio, is_int, is_real, mod1, next_pow2, pairwise_sum
 from ._rng import bits as _seeded_bits
 from .trigsum import ThetaGrid, eval_grid, eval_sum
 
@@ -218,13 +218,13 @@ class Observable:
         """Observable values at circle positions x (taken mod 1)."""
         x = np.ascontiguousarray(x, dtype=np.float64)
         if self.kind == "fourier_mode":
-            return np.exp(2j * np.pi * np.mod(self.mode * x, 1.0))
+            return np.exp(2j * np.pi * mod1(self.mode * x))
         if self.kind == "indicator":
             a, b = self.interval
             return ((x >= a) & (x < b)).astype(np.complex128)
         out = np.zeros(x.shape, dtype=np.complex128)
         for m, c in self.terms:
-            out += c * np.exp(2j * np.pi * np.mod(m * x, 1.0))
+            out += c * np.exp(2j * np.pi * mod1(m * x))
         return out
 
     def l2_norm(self) -> float:
@@ -286,8 +286,8 @@ def _rotation_positions(theta0, x0, u: np.ndarray) -> np.ndarray:
     """
     if isinstance(theta0, Fraction) and isinstance(x0, Fraction):
         (p, q), (a, b) = theta0.as_integer_ratio(), x0.as_integer_ratio()
-        return np.mod(frac_ratio(p * b, q * b, u, shift=a * q), 1.0)
-    return np.mod(frac_of(theta0, u) + float(x0), 1.0)
+        return mod1(frac_ratio(p * b, q * b, u, shift=a * q))
+    return mod1(frac_of(theta0, u) + float(x0))
 
 
 def _doubling_window_values(bits: np.ndarray, window: int) -> np.ndarray:

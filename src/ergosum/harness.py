@@ -165,13 +165,13 @@ class ExperimentConfig:
     n_terms: int | None = None
     theta_grid: dict | None = None
     template: str | None = None
-    harmonic: bool = False
+    harmonic: bool | None = None
     seeds: list | None = None
     k_first: int | None = None
     bound: float | None = None
     tail_starts: list | None = None
     reference: dict | None = None
-    params: dict = field(default_factory=dict)
+    params: dict | None = None
     output_dir: str | None = None
     extra: dict = field(default_factory=dict)
 
@@ -304,9 +304,12 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
 
     for k in config.extra:
         diags.append(f"{k}: unknown field")
-    for k in config.to_dict():
-        if k not in config.extra and k not in _READ_BY_ALL + _READS[config.kind]:
-            diags.append(f"{k}: not read by {config.kind}")
+    # a field is set when its key is present and not null; to_dict() would
+    # hide a falsy harmonic or params
+    for f in fields(config):
+        if (f.name != "extra" and getattr(config, f.name) is not None
+                and f.name not in _READ_BY_ALL + _READS[config.kind]):
+            diags.append(f"{f.name}: not read by {config.kind}")
 
     if config.seeds is not None:
         if not isinstance(config.seeds, (list, tuple)) or not all(
@@ -462,7 +465,7 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
     u_top = top_index(ispec, n_end) if system.kind == "doubling" else None
     if u_top is not None:
         check("system", lambda: _start_bits(u_top))
-    grid = storage_grid(kf, n_end - 1) if hilbert else storage_grid(kf + 1, n_end)
+    grid = _stored_grid(kf, n_end, hilbert)
     check("normalizer", lambda: norm.values(grid[grid >= norm.k0]))
     if ladder is not None:
         check("ladder", lambda: ladder_positions(grid, ladder.values(), norm.k0))
@@ -527,6 +530,8 @@ def _json_bytes(obj) -> bytes:
 
 
 def _cell(v) -> str:
+    if isinstance(v, float):  # np.float64 too: most cells, so tested first
+        return repr(float(v))
     if v is None:
         return ""
     if isinstance(v, (bool, np.bool_)):
@@ -658,6 +663,15 @@ def _start_bits(u_top: int) -> int:
     return bits
 
 
+def _stored_grid(k_first: int, n_end: int, hilbert: bool) -> np.ndarray:
+    """The N grid an orbit run over the terms k_first <= k < n_end stores:
+    inclusive N in [k_first, n_end - 1] for a series, exclusive N in
+    (k_first, n_end] for running sums."""
+    if hilbert:
+        return storage_grid(k_first, n_end - 1)
+    return storage_grid(k_first + 1, n_end)
+
+
 def _orbit_runs(plan: _Plan):
     """Per seed: (seed, weights w_k, orbit values f(T^{u_k} x)) for the
     plan's n_terms terms from k_first on. Nothing of one seed is held here
@@ -690,42 +704,48 @@ def _decay_entry(ns, cps=None) -> dict:
     }
 
 
-def _series_csv_rows(seed, run, norm):
-    keep = _thin_grid(run.n_grid)
-    n = run.n_grid[keep]
-    s = run.sums[keep]
-    a = np.where(n >= norm.k0, 1.0, np.nan)
-    vals = norm.values(n[n >= norm.k0])
-    a[n >= norm.k0] = vals
+def _series_csv_rows(seed, sums, n, a):
+    """series.csv rows of one seed's running sums at the thinned grid n,
+    where a holds A(N) for N >= k0 and NaN below."""
     rows = []
     for i in range(n.size):
-        ratio = abs(s[i]) / a[i] if math.isfinite(a[i]) else None
-        rows.append([seed, int(n[i]), s[i].real, s[i].imag, abs(s[i]),
+        s = sums[i]
+        ratio = abs(s) / a[i] if math.isfinite(a[i]) else None
+        rows.append([seed, int(n[i]), s.real, s.imag, abs(s),
                      a[i] if math.isfinite(a[i]) else None, ratio])
     return rows
 
 
 def _average_stage(files, plan: _Plan, report_extra):
     """Normalized running-sum runs, one per seed, with report_extra added to
-    report.json; an oscillation report if the plan has a ladder."""
+    report.json; an oscillation report if the plan has a ladder. The stored
+    grid, its CSV thinning and the chart's thinning of the normalized grid
+    (N >= k0, which can be a strict suffix) are built once per stage."""
     norm, ladder = plan.normalizer, plan.ladder
+    grid = _stored_grid(plan.k_first, plan.k_first + plan.n_terms, False)
+    keep = _thin_grid(grid)
+    n = grid[keep]
+    a = np.where(n >= norm.k0, 1.0, np.nan)
+    a[n >= norm.k0] = norm.values(n[n >= norm.k0])
+    chart_keep = _thin_grid(grid[grid >= norm.k0])
     csv_rows = []
     per_seed = []
     osc_entries = []
     chart = []
     osc_chart = []
     for seed, w, vals in _orbit_runs(plan):
-        run = weighted_sums(vals, w, k_first=plan.k_first, normalizer=norm)
+        run = weighted_sums(vals, w, k_first=plan.k_first, normalizer=norm,
+                            n_grid=grid)
         del w, vals  # only the sums are needed from here on (peak memory)
         ns = normalized_series(run)
         per_seed.append({"seed": seed, "k_first": plan.k_first, "n_max": run.n_max,
                          **_decay_entry(ns, plan.checkpoints),
                          "monotone_normalizer": ns.monotone_normalizer})
-        csv_rows.extend(_series_csv_rows(seed, run, norm))
+        csv_rows.extend(_series_csv_rows(seed, run.sums[keep], n, a))
         if len(chart) < len(_svg.PALETTE):
-            keep = _thin_grid(ns.n_grid)
             label = "ratio" if seed is None else f"seed {seed}"
-            chart.append((label, ns.n_grid[keep].tolist(), ns.ratios[keep].tolist()))
+            chart.append((label, ns.n_grid[chart_keep].tolist(),
+                          ns.ratios[chart_keep].tolist()))
         if ladder is not None:
             rep = oscillation_report(run, ladder)
             osc_entries.append({
@@ -768,8 +788,11 @@ def _average_stage(files, plan: _Plan, report_extra):
 
 def _hilbert_stage(files, plan: _Plan):
     """Partial sums of the one-sided series with Cauchy tail diagnostics,
-    and a decay report under the plan's ratio_norm if it has one."""
+    and a decay report under the plan's ratio_norm if it has one. Every
+    seed has the same stored grid, so its CSV thinning is taken once per
+    stage, on the first seed's run."""
     norm, bound, ratio_norm = plan.normalizer, plan.bound, plan.ratio_norm
+    keep = None
     csv_rows = []
     per_seed = []
     ratio_entries = []
@@ -777,6 +800,8 @@ def _hilbert_stage(files, plan: _Plan):
     for seed, w, vals in _orbit_runs(plan):
         run = hilbert_series(w, vals, norm, k_first=plan.k_first)
         del w, vals  # only the sums are needed from here on (peak memory)
+        if keep is None:
+            keep = _thin_grid(run.n_grid)
         starts = plan.tail_starts or _dyadic_starts(plan.k_first, run.n_max)
         tails = cauchy_tail_report(run, starts)
         max_abs = float(np.abs(run.sums).max())
@@ -785,7 +810,6 @@ def _hilbert_stage(files, plan: _Plan):
         if bound is not None:
             entry["within_bound"] = bool(max_abs <= bound)
         per_seed.append(entry)
-        keep = _thin_grid(run.n_grid)
         for i in keep:
             s = run.sums[i]
             csv_rows.append([seed, int(run.n_grid[i]), s.real, s.imag, abs(s)])
@@ -852,6 +876,9 @@ def _beta_stage(files, plan: _Plan):
     the scalar abs _series_csv_rows takes, so it keeps its own row loop."""
     [(_, w, vals)] = _orbit_runs(plan)
     run = weighted_sums(vals, w, k_first=plan.k_first)
+    # every beta normalizes from k0 = 1, so each normalized grid is the
+    # whole run grid and one thinning serves them all
+    keep = _thin_grid(run.n_grid)
     per_beta = []
     csv_rows = []
     chart = []
@@ -859,7 +886,6 @@ def _beta_stage(files, plan: _Plan):
         norm = NormalizerSpec(gamma=beta, k0=1)
         ns = normalized_series(run, norm)
         per_beta.append({"beta": beta, **_decay_entry(ns)})
-        keep = _thin_grid(ns.n_grid)
         if len(chart) < len(_svg.PALETTE):
             chart.append((f"beta {beta}", ns.n_grid[keep].tolist(),
                           ns.ratios[keep].tolist()))

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from ._kernels import frac_poly, is_int, is_real
+from ._kernels import frac_poly, is_int, is_real, mod1
 from ._rng import cramer_indicator, uniform01
 
 TWO_PI = 2.0 * np.pi
@@ -124,13 +124,13 @@ def gen_weights(spec: WeightSpec, m: int, n: int) -> np.ndarray:
     if kind == "polynomial_phase":
         return np.exp(2j * np.pi * frac_poly(spec.coeffs, k))
     if kind == "power_phase":
-        phase = np.mod(np.power(k.astype(np.float64), spec.delta), 1.0)
+        phase = mod1(np.power(k.astype(np.float64), spec.delta))
         return np.exp(2j * np.pi * phase)
     if kind == "logpower_phase":
-        phase = np.mod(np.power(np.log(k.astype(np.float64)), spec.delta), 1.0)
+        phase = mod1(np.power(np.log(k.astype(np.float64)), spec.delta))
         return np.exp(2j * np.pi * phase)
     if kind == "log_phase":
-        phase = np.mod(spec.h * np.log(k.astype(np.float64)), 1.0)
+        phase = mod1(spec.h * np.log(k.astype(np.float64)))
         return np.exp(2j * np.pi * phase)
     if kind == "moebius":
         return moebius_sieve(n - 1)[m:n].astype(np.complex128)

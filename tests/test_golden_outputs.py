@@ -2,8 +2,9 @@
 must hash to the sha256 recorded in golden_digests.json.
 
 The set is four presets at their defaults, the three seeded presets at
-seeds [1, 2] (random weights and the random prime model), and one small
-config per base kind. Manifests are left out because they carry wall
+seeds [1, 2] (random weights and the random prime model), one small
+config per base kind, and one more average run whose normalizer starts
+above its first stored N. Manifests are left out because they carry wall
 times and output paths; only the order of their stage timings is
 checked. Two deterministic presets are rerun with seeds, which they
 ignore. A change that alters an output on purpose records new digests
@@ -57,6 +58,20 @@ CONFIGS = {
         "k_first": 5,
         "n_terms": 3000,
         "seeds": [1, 2, 3],
+    },
+    # k0 = 1000 lies above the first stored N = 1 and inside a thinning
+    # bucket, so the chart's thinned rows come from a strict suffix of the
+    # run grid and differ from the run grid's own thinned rows past k0
+    "average_suffix_chart": {
+        "kind": "average_run",
+        "weights": {"kind": "iid_uniform_phase"},
+        "indices": {"kind": "identity"},
+        "system": {"kind": "rotation", "theta0": [5, 13]},
+        "observable": {"kind": "fourier_mode", "mode": 1},
+        "normalizer": {"gamma": 0.75, "k0": 1000},
+        "k_first": 0,
+        "n_terms": 3000,
+        "seeds": [1, 2],
     },
     "oscillation_doubling": {
         "kind": "oscillation_run",
@@ -114,6 +129,7 @@ WALL_KEYS = {
     "envelope_harmonic_seeded": ["envelope", "total"],
     "fit_h2": ["envelope", "fit", "total"],
     "average_seeded": ["average", "total"],
+    "average_suffix_chart": ["average", "total"],
     "oscillation_doubling": ["average", "total"],
     "hilbert_rational_x0": ["hilbert", "total"],
     "hilbert_primes": ["hilbert", "total"],

@@ -188,6 +188,10 @@ def test_params_only_for_presets():
     assert any(x.startswith("params:") for x in diags)
 
 
+def test_null_harmonic_and_params_mean_unset():
+    assert validate(cfg(**tiny_average(harmonic=None, params=None))) == []
+
+
 def test_k_first_against_family_offsets():
     d = tiny_average(weights={"kind": "log_phase", "h": 1.0}, k_first=0)
     diags = validate(cfg(**d))
@@ -400,6 +404,14 @@ INVALID_CLI_CONFIGS = {
         tiny_envelope(blocks=None, n_ladder=[16, 32], harmonic="false"),
         "harmonic: must be true or false"),
     "harmonic_number": (tiny_envelope(harmonic=1), "harmonic: must be true or false"),
+    # a falsy field is still set: only null or a missing key means unset
+    **{f"harmonic_{label}_on_average": (
+        tiny_average(harmonic=value), "harmonic: not read by average_run")
+       for label, value in (("zero", 0), ("empty_string", ""), ("empty_list", []),
+                            ("false", False))},
+    **{f"params_{label}_on_average": (
+        tiny_average(params=value), "params: not read by average_run")
+       for label, value in (("empty_list", []), ("zero", 0), ("empty_object", {}))},
     "preset_params_list": (
         {"name": "p3", "preset": "example3", "params": [1]}, "params: must be an object"),
     "preset_params_nested_list": (

@@ -16,6 +16,7 @@ from ergosum._kernels import (
     frac_of,
     frac_poly,
     frac_ratio,
+    mod1,
     mulmod,
     next_pow2,
     pairwise_sum,
@@ -101,14 +102,17 @@ def test_frac_ratio_extreme_denominators():
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (p, q)
 
 
-@pytest.mark.parametrize("q, p, x, off", [
+_FIXUP_CASES = [
     # the float estimate of the quotient x*p/q is one too low ...
     (877181864167639653, 241220534493581704, 3778751375, 1),
     (2031592297745348115, 671195875496932979, 2539200035, 1),
     # ... or one too high, so each fixup must fire
     (3992532687554291053, 3319764759397588915, 2405252647, -1),
     (851596624388778873, 542116115702005472, 3453774121, -1),
-])
+]
+
+
+@pytest.mark.parametrize("q, p, x, off", _FIXUP_CASES)
 def test_estimated_remainder_fixups(q, p, x, off):
     rem = _estimated_remainder(np.array([x], dtype=np.int64), p, q)
     assert int(rem[0]) == (x * p) % q + off * q
@@ -123,6 +127,42 @@ def test_mulmod_folds_each_half():
     q, p = 877181864167639653, 241220534493581704
     u = np.array([496133181040962447, 5712588570845981583], dtype=np.int64)
     assert mulmod(u, p, q).tolist() == [(v * p) % q for v in u.tolist()]
+
+
+def test_low_half_fixups_in_one_array():
+    """The four fixup indices in one array, all below 2**32, so mulmod
+    reduces the low half alone: under each case's (q, p) the estimate is
+    off by its +-1 on its own lane, and every lane folds to the residue."""
+    x = np.array([case[2] for case in _FIXUP_CASES], dtype=np.int64)
+    for lane, (q, p, _, off) in enumerate(_FIXUP_CASES):
+        rem = _estimated_remainder(x, p, q)
+        assert int(rem[lane]) == (int(x[lane]) * p) % q + off * q
+        assert mulmod(x, p, q).tolist() == [(v * p) % q for v in x.tolist()]
+
+
+@given(st.integers(min_value=1, max_value=MULMOD_MAX_DEN),
+       st.integers(min_value=0, max_value=2**64),
+       st.lists(st.one_of(st.integers(min_value=0, max_value=2**32 - 1),
+                          st.sampled_from([0, 1, 2**31, 2**32 - 1])),
+                min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_mulmod_below_2_32_matches_big_int_residues(q, p, u):
+    """Every u below 2**32: the high half is skipped and the residue is
+    still exact."""
+    c = p % q
+    assert mulmod(np.array(u, dtype=np.int64), c, q).tolist() == [v * c % q for v in u]
+
+
+def test_mulmod_with_some_high_halves():
+    """One array where only some u reach 2**32 takes both halves on every
+    lane, the low ones included."""
+    rng = np.random.default_rng(14)
+    u = np.concatenate([rng.integers(0, 2**32, 60), [0, 2**32 - 1, 2**32],
+                        rng.integers(2**32, 2**63, 4)])
+    rng.shuffle(u)
+    for q in (3, 2**32 - 1, 2**32 + 1, 2**53 + 1, 877181864167639653, MULMOD_MAX_DEN):
+        for p in (1, q // 2, q - 1):
+            assert mulmod(u, p, q).tolist() == [v * p % q for v in u.tolist()], (p, q)
 
 
 def test_frac_ratio_outside_mulmod_range():
@@ -141,6 +181,25 @@ def test_frac_of_dispatch():
     assert a[2] == 0.0
     b = frac_of(0.5, u)
     assert b[0] == 0.5 and b[1] == 0.0
+
+
+_MOD1_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, -1e-17, 0.5, -0.5,
+               1.0, -1.0, 2.0**52 + 0.5, -(2.0**52 + 0.5), 2.0**52 - 0.5,
+               -(2.0**52 - 0.5), 2.0**53, -2.0**53, 1e300, -1e300]
+
+
+@given(st.lists(st.one_of(
+    st.integers(min_value=0, max_value=2**64 - 1).map(
+        lambda b: np.array(b, dtype=np.uint64).view(np.float64).item()),
+    st.floats(min_value=-2.0**60, max_value=2.0**60)), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_mod1_matches_np_mod_bit_for_bit(ys):
+    """y - floor(y) is np.mod(y, 1.0) bit for bit on every finite double:
+    random 64-bit patterns, doubles of magnitude up to 2**60, and the
+    edges (signed zeros, tiny negatives, 2**52 +- 0.5, +-1e300)."""
+    y = np.array(ys + _MOD1_EDGES, dtype=np.float64)
+    y = y[np.isfinite(y)]
+    assert np.array_equal(mod1(y).view(np.uint64), np.mod(y, 1.0).view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
