@@ -333,21 +333,33 @@ def _xy(points: np.ndarray) -> np.ndarray:
     return np.column_stack([points.real, points.imag])
 
 
-def _hull_vertices(xy: np.ndarray) -> np.ndarray:
-    """Convex hull vertices of 2-d points in counter-clockwise order; up to
-    three points come back as given, a collinear set as its two ends."""
-    if len(xy) <= 3:
-        return xy
-    try:
-        from scipy.spatial import ConvexHull  # heavy import kept local
+# 16 directions whose extreme points span the interior-point filter's polygon
+_DIRECTIONS = _xy(np.exp(2j * np.pi * np.arange(16) / 16))
 
-        return xy[ConvexHull(xy).vertices]
-    except Exception:
-        # degenerate (collinear) input: extremes along the principal
-        # direction realize the diameter exactly
-        c = xy - xy.mean(axis=0)
-        proj = c @ np.linalg.svd(c, full_matrices=False)[2][0]
-        return xy[[int(np.argmin(proj)), int(np.argmax(proj))]]
+
+def _cross(o, a, b):
+    """(a - o) x (b - o), positive where o, a, b turn left."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _hull_vertices(xy: np.ndarray) -> np.ndarray:
+    """Convex hull vertices of 2-d points, counter-clockwise, no three
+    collinear: Andrew's monotone chain (1979) over the points not strictly
+    inside the polygon of the extremes along _DIRECTIONS (Akl-Toussaint 1978)."""
+    if len(xy) > len(_DIRECTIONS):
+        ext = xy[[int(np.argmax(xy @ d)) for d in _DIRECTIONS]]
+        poly = ext[np.any(ext != np.roll(ext, 1, axis=0), axis=1)]
+        if len(poly) >= 3:  # fewer distinct extremes enclose nothing
+            edges = zip(poly, np.roll(poly, -1, axis=0))
+            xy = xy[np.any([_cross(a, b, xy.T) <= 0 for a, b in edges], axis=0)]
+    pts = xy[np.lexsort((xy[:, 1], xy[:, 0]))].tolist()
+    lower, upper = [], []
+    for chain, sweep in ((lower, pts), (upper, pts[::-1])):
+        for p in sweep:  # keep strict left turns: collinear points and repeats drop
+            while len(chain) > 1 and _cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+    return np.array(lower + upper[1:-1]).reshape(-1, 2)
 
 
 def _vertex_diameter(xy: np.ndarray) -> float:
@@ -372,7 +384,7 @@ def _vertex_diameter(xy: np.ndarray) -> float:
 
 def _diameter(points: np.ndarray) -> float:
     """Diameter of a finite complex point set: its hull's antipodal pairs,
-    exact up to qhull's rounding (checked against brute force)."""
+    exact up to cross-product rounding (checked against brute force)."""
     return _vertex_diameter(_hull_vertices(_xy(points)))
 
 
@@ -384,8 +396,8 @@ def cauchy_tail_report(run: SeriesRun, tail_starts) -> list[dict]:
     The tails are nested, so one sweep from the last start back to the
     first hulls each stored value once: hull(S_i) is the hull of
     hull(S_next)'s vertices and the values in between. Each diameter comes
-    from antipodal pairs, exact up to qhull's rounding (checked against
-    brute force). Rows follow the order of ``tail_starts``."""
+    from antipodal pairs, exact up to cross-product rounding (checked
+    against brute force). Rows follow the order of ``tail_starts``."""
     size = run.n_grid.size
     pos = []
     for n0 in tail_starts:

@@ -704,16 +704,11 @@ def _decay_entry(ns, cps=None) -> dict:
     }
 
 
-def _series_csv_rows(seed, sums, n, a):
-    """series.csv rows of one seed's running sums at the thinned grid n,
-    where a holds A(N) for N >= k0 and NaN below."""
-    rows = []
-    for i in range(n.size):
-        s = sums[i]
-        ratio = abs(s) / a[i] if math.isfinite(a[i]) else None
-        rows.append([seed, int(n[i]), s.real, s.imag, abs(s),
-                     a[i] if math.isfinite(a[i]) else None, ratio])
-    return rows
+def _sum_rows(seed, n, sums, *cols):
+    """CSV rows [seed, N, s_real, s_imag, s_abs, *cols] of one seed's sums
+    at the grid n; s_abs is the scalar abs (np.abs can differ by an ulp)."""
+    return [[seed, int(k), s.real, s.imag, abs(s), *extra]
+            for k, s, *extra in zip(n, sums, *cols)]
 
 
 def _average_stage(files, plan: _Plan, report_extra):
@@ -725,8 +720,8 @@ def _average_stage(files, plan: _Plan, report_extra):
     grid = _stored_grid(plan.k_first, plan.k_first + plan.n_terms, False)
     keep = _thin_grid(grid)
     n = grid[keep]
-    a = np.where(n >= norm.k0, 1.0, np.nan)
-    a[n >= norm.k0] = norm.values(n[n >= norm.k0])
+    # A(N) for N >= k0, None below (the grid is sorted, so those come first)
+    a_value = [None] * int(np.sum(n < norm.k0)) + norm.values(n[n >= norm.k0]).tolist()
     chart_keep = _thin_grid(grid[grid >= norm.k0])
     csv_rows = []
     per_seed = []
@@ -741,7 +736,9 @@ def _average_stage(files, plan: _Plan, report_extra):
         per_seed.append({"seed": seed, "k_first": plan.k_first, "n_max": run.n_max,
                          **_decay_entry(ns, plan.checkpoints),
                          "monotone_normalizer": ns.monotone_normalizer})
-        csv_rows.extend(_series_csv_rows(seed, run.sums[keep], n, a))
+        sums = run.sums[keep]
+        ratio = [None if x is None else abs(s) / x for s, x in zip(sums, a_value)]
+        csv_rows.extend(_sum_rows(seed, n, sums, a_value, ratio))
         if len(chart) < len(_svg.PALETTE):
             label = "ratio" if seed is None else f"seed {seed}"
             chart.append((label, ns.n_grid[chart_keep].tolist(),
@@ -789,10 +786,11 @@ def _average_stage(files, plan: _Plan, report_extra):
 def _hilbert_stage(files, plan: _Plan):
     """Partial sums of the one-sided series with Cauchy tail diagnostics,
     and a decay report under the plan's ratio_norm if it has one. Every
-    seed has the same stored grid, so its CSV thinning is taken once per
-    stage, on the first seed's run."""
+    seed has the same stored grid, so its CSV thinning is taken once."""
     norm, bound, ratio_norm = plan.normalizer, plan.bound, plan.ratio_norm
-    keep = None
+    grid = _stored_grid(plan.k_first, plan.k_first + plan.n_terms, True)
+    keep = _thin_grid(grid)
+    n = grid[keep]
     csv_rows = []
     per_seed = []
     ratio_entries = []
@@ -800,8 +798,6 @@ def _hilbert_stage(files, plan: _Plan):
     for seed, w, vals in _orbit_runs(plan):
         run = hilbert_series(w, vals, norm, k_first=plan.k_first)
         del w, vals  # only the sums are needed from here on (peak memory)
-        if keep is None:
-            keep = _thin_grid(run.n_grid)
         starts = plan.tail_starts or _dyadic_starts(plan.k_first, run.n_max)
         tails = cauchy_tail_report(run, starts)
         max_abs = float(np.abs(run.sums).max())
@@ -810,13 +806,10 @@ def _hilbert_stage(files, plan: _Plan):
         if bound is not None:
             entry["within_bound"] = bool(max_abs <= bound)
         per_seed.append(entry)
-        for i in keep:
-            s = run.sums[i]
-            csv_rows.append([seed, int(run.n_grid[i]), s.real, s.imag, abs(s)])
+        csv_rows.extend(_sum_rows(seed, n, run.sums[keep]))
         if len(chart) < len(_svg.PALETTE):
             label = "|partial|" if seed is None else f"seed {seed}"
-            chart.append((label, run.n_grid[keep].tolist(),
-                          np.abs(run.sums[keep]).tolist()))
+            chart.append((label, n.tolist(), np.abs(run.sums[keep]).tolist()))
         if ratio_norm is not None:
             ns = normalized_series(run, ratio_norm)
             ratio_entries.append({"seed": seed, **_decay_entry(ns)})
@@ -873,12 +866,13 @@ def _beta_stage(files, plan: _Plan):
     """Decay of one unseeded run's running sums under the normalizer N^beta
     for each beta of the plan's ladder. Its series.csv ratio column is the
     normalized series' own (vector np.abs), which can differ by an ulp from
-    the scalar abs _series_csv_rows takes, so it keeps its own row loop."""
+    the scalar abs of the s_abs column."""
     [(_, w, vals)] = _orbit_runs(plan)
     run = weighted_sums(vals, w, k_first=plan.k_first)
     # every beta normalizes from k0 = 1, so each normalized grid is the
     # whole run grid and one thinning serves them all
     keep = _thin_grid(run.n_grid)
+    n = run.n_grid[keep]
     per_beta = []
     csv_rows = []
     chart = []
@@ -887,15 +881,9 @@ def _beta_stage(files, plan: _Plan):
         ns = normalized_series(run, norm)
         per_beta.append({"beta": beta, **_decay_entry(ns)})
         if len(chart) < len(_svg.PALETTE):
-            chart.append((f"beta {beta}", ns.n_grid[keep].tolist(),
-                          ns.ratios[keep].tolist()))
+            chart.append((f"beta {beta}", n.tolist(), ns.ratios[keep].tolist()))
         if not csv_rows:
-            for idx in keep:
-                s = run.sums[idx]
-                n_val = int(ns.n_grid[idx])
-                csv_rows.append([None, n_val, s.real, s.imag, abs(s),
-                                 norm.values(np.array([n_val]))[0],
-                                 ns.ratios[idx]])
+            csv_rows = _sum_rows(None, n, run.sums[keep], norm.values(n), ns.ratios[keep])
     files["series.csv"] = _csv_bytes(
         ["seed", "N", "s_real", "s_imag", "s_abs", "a_value", "ratio"], csv_rows)
     files["ratio.svg"] = _svg.line_chart(
@@ -1223,7 +1211,7 @@ def run(config: ExperimentConfig) -> ResultManifest:
             out_dir=str(target),
             outputs=outputs,
             wall_seconds={k: round(v, 6) for k, v in walls.items()},
-            seeds=list(config.seeds or []),
+            seeds=list(plan.seeds or []),
             environment={"output_root": str(root)},
         )
         (staging / "manifest.json").write_bytes(_json_bytes(manifest.to_dict()))

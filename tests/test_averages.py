@@ -422,12 +422,15 @@ def test_cauchy_tail_report_convergent_series():
 
 
 def test_tail_diameter_matches_brute_force():
-    vals = np.array([0.0, 1.0 + 1j, 2.0, 0.5 + 3j, -1.0 - 1j])
-    run = SeriesRun(k_first=1, n_grid=np.arange(1, 6), sums=vals,
+    """The last 20 values repeat one point, more often than the hull filter
+    has directions: that tail has diameter 0, and the longer one keeps it."""
+    vals = np.array([0.0, 1.0 + 1j, 2.0, 0.5 + 3j, -1.0 - 1j] + [4.0 + 2j] * 20)
+    run = SeriesRun(k_first=1, n_grid=np.arange(1, 26), sums=vals,
                     convention="inclusive")
-    rep = cauchy_tail_report(run, [1])
+    rep = cauchy_tail_report(run, [1, 6])
     want = max(abs(a - b) for a in vals for b in vals)
     assert rep[0]["sup_diff"] == pytest.approx(want, rel=1e-12)
+    assert rep[1]["sup_diff"] == 0.0
 
 
 def _brute_diameter(points) -> float:
@@ -452,14 +455,21 @@ _RING = sorted({(x, sy * math.isqrt(1105**2 - x * x)) for x in range(-1105, 1106
                 for sy in (1, -1) if math.isqrt(1105**2 - x * x) ** 2 == 1105**2 - x * x})
 _ring = st.lists(st.booleans(), min_size=len(_RING), max_size=len(_RING)).map(
     lambda keep: [p for p, k in zip(_RING, keep) if k])
+# nearly collinear: (t, 3t + e) with e in {-1, 0, 1}, more points than the
+# hull filter's 16 directions; |t| <= 10^7 keeps every cross product and
+# squared distance below 2^53, so they stay exact
+_near_line = st.lists(st.tuples(st.integers(-10**7, 10**7), st.sampled_from((-1, 0, 1))),
+                      min_size=17, max_size=300).map(
+    lambda te: [(t, 3 * t + e) for t, e in te])
 
 
-@given(st.one_of(_cloud, _collinear, _walk, _ring))
+@given(st.one_of(_cloud, _collinear, _walk, _ring, _near_line))
 @settings(max_examples=300, deadline=None)
 def test_diameter_matches_all_pairs_exactly(xy):
     """On small integer coordinates every operation is exact, so the
     antipodal-pair diameter must equal the all-pairs maximum bit for bit:
-    duplicates, collinear sets, 0-3 points, walks and circles included."""
+    duplicates, collinear and nearly collinear sets, 0-3 points, walks and
+    circles included."""
     points = np.array([complex(x, y) for x, y in xy], dtype=np.complex128)
     assert _diameter(points) == _brute_diameter(points)
 

@@ -293,16 +293,19 @@ def test_hilbert_run_on_a_circle_matches_brute_force_diameters(tmp_path):
         assert t["sup_diff"] == pytest.approx(want, rel=1e-9)
 
 
-def test_import_and_validate_leave_scipy_unloaded():
-    """Importing scipy.spatial takes about half a second; it stays local to
-    the tail report so that set-up never pays for it."""
+def test_import_validate_and_tail_sweep_leave_scipy_unloaded(tmp_path):
+    """Nothing in the package loads scipy, whose spatial import alone takes
+    about half a second: not the import, not validate() of every preset,
+    and not a hilbert_run, whose Cauchy tail sweep builds convex hulls."""
+    hilbert = tiny_average(kind="hilbert_run", output_dir=str(tmp_path))
     code = (
         "import sys\n"
         "import ergosum\n"
-        "from ergosum.harness import ExperimentConfig, list_presets, validate\n"
+        "from ergosum.harness import ExperimentConfig, list_presets, run, validate\n"
         "for p in list_presets():\n"
         "    c = ExperimentConfig.from_dict({'name': p['id'], 'preset': p['id']})\n"
         "    assert validate(c) == [], p['id']\n"
+        f"run(ExperimentConfig.from_dict({hilbert!r}))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     repo = Path(__file__).resolve().parents[1]
@@ -313,6 +316,7 @@ def test_import_and_validate_leave_scipy_unloaded():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "[]"
+    assert json.loads((tmp_path / "t_avg" / "cauchy.json").read_text())["per_seed"]
 
 
 def test_run_rejects_invalid_config(tmp_path):
@@ -669,6 +673,16 @@ def test_preset_runs(tmp_path, preset):
     if preset == "prime_question":
         per_beta = json.loads((out / "report.json").read_text())["per_beta"]
         assert [e["beta"] for e in per_beta] == [0.75, 1.0]
+
+
+@pytest.mark.parametrize("extra, seeds", [
+    pytest.param({"preset": "example5"}, [1, 2, 3, 4], id="default_seeds"),
+    pytest.param({"preset": "example3", "seeds": [7]}, [], id="ignored_seeds"),
+])
+def test_manifest_records_the_seeds_that_ran(tmp_path, extra, seeds):
+    manifest = run(cfg(name="m", output_dir=str(tmp_path), **extra))
+    assert manifest.seeds == seeds
+    assert json.loads((tmp_path / "m" / "manifest.json").read_text())["seeds"] == seeds
 
 
 def test_cli_presets_listing(capsys):
