@@ -81,8 +81,10 @@ def prefix_at(terms: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     ``bounds`` must be strictly increasing integers in [1, len(terms)].
     Element i of the result is sum(terms[:bounds[i]]), assembled from a
     fixed chunk partition (cumulative inside each chunk, sequential across
-    chunk totals), so a bound's value is bit-identical no matter which
-    other bounds are requested alongside it.
+    the totals of the chunks before it), so a bound's value is
+    bit-identical no matter which other bounds are requested alongside it.
+    The running sums go straight into one buffer; when every end 1..n is
+    asked for, that buffer is the result.
     """
     terms = np.ascontiguousarray(terms)
     n = terms.shape[0]
@@ -91,15 +93,19 @@ def prefix_at(terms: np.ndarray, bounds: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=terms.dtype)
     if bounds[0] < 1 or bounds[-1] > n or np.any(np.diff(bounds) <= 0):
         raise ValueError("bounds must be strictly increasing in [1, len(terms)]")
-    n_chunks = -(-n // CHUNK)
-    padded = np.zeros(n_chunks * CHUNK, dtype=terms.dtype)
-    padded[:n] = terms
-    within = np.cumsum(padded.reshape(n_chunks, CHUNK), axis=1)
-    chunk_prefix = np.cumsum(within[:, -1])
+    full = n // CHUNK
+    rows = np.empty((-(-n // CHUNK), CHUNK), dtype=terms.dtype)
+    flat = rows.reshape(-1)
+    flat[n:] = 0  # past the last term: never read, zeroed so the adds below stay quiet
+    np.cumsum(terms[: full * CHUNK].reshape(full, CHUNK), axis=1, out=rows[:full])
+    np.cumsum(terms[full * CHUNK :], out=flat[full * CHUNK : n])
+    totals = np.cumsum(rows[:full, -1])
     # chunk 0 is never added to, so a leading -0.0 keeps its sign
-    within[1:, :-1] += chunk_prefix[:-1, None]
-    within[:, -1] = chunk_prefix
-    return within.ravel()[bounds - 1]
+    rows[1:, :-1] += totals[: rows.shape[0] - 1, None]
+    rows[:full, -1] = totals
+    if bounds.size == n:  # strictly increasing in [1, n]: every end
+        return flat[:n]
+    return flat[bounds - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -227,15 +227,67 @@ def weighted_sums(orbit_values, weights, k_first: int = 0,
                      normalizer=normalizer)
 
 
-@dataclass(eq=False)
-class NormalizedSeries:
-    """Ratios |S_N| / A(N) on the stored grid, with tail and slope reports."""
+def _centred_regressor(n: np.ndarray, gamma: float) -> np.ndarray:
+    """x - mean(x) for the slope's regressor x: log N, or log log N when
+    gamma = 0 (log-scale normalizers)."""
+    x = np.log(n.astype(np.float64))
+    if gamma == 0.0:
+        x = np.log(x)
+    x -= x.mean()
+    return x
 
+
+@dataclass(eq=False)
+class NormalizedGrid:
+    """The part of a stored grid a normalizer divides (N >= k0), with what
+    every run on that grid shares: A(N), whether A is monotone there, and
+    the slope's centred regressor xc with its sum of squares. One is built
+    per stored grid and normalizer, not per run.
+
+    start is the index of the first N >= k0 in the stored grid; n_grid is
+    the stored grid from there on (a view)."""
+
+    start: int
     n_grid: np.ndarray
-    ratios: np.ndarray
+    a: np.ndarray
     gamma: float
     k0: int
-    monotone_normalizer: bool
+    monotone: bool
+    xc: np.ndarray
+    xc_sq: float
+
+    @classmethod
+    def build(cls, n_grid: np.ndarray, norm: NormalizerSpec) -> "NormalizedGrid":
+        start = int(np.searchsorted(n_grid, norm.k0))
+        if start >= n_grid.size:
+            raise ValueError("entire grid lies below the normalizer offset k0")
+        n = n_grid[start:]
+        a = norm.values(n)
+        xc = _centred_regressor(n, norm.gamma)
+        return cls(start=start, n_grid=n, a=a, gamma=norm.gamma, k0=norm.k0,
+                   monotone=bool(np.all(np.diff(a) >= 0.0)),
+                   xc=xc, xc_sq=_dot(xc, xc))
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """sum(u * v)."""
+    return float(u @ v)
+
+
+@dataclass(eq=False)
+class NormalizedSeries:
+    """Ratios |S_N| / A(N) on a normalized grid, with tail and slope reports."""
+
+    grid: NormalizedGrid
+    ratios: np.ndarray
+
+    @property
+    def n_grid(self) -> np.ndarray:
+        return self.grid.n_grid
+
+    @property
+    def monotone_normalizer(self) -> bool:
+        return self.grid.monotone
 
     def value_at(self, N: int) -> float:
         i = int(np.searchsorted(self.n_grid, N, side="right")) - 1
@@ -244,42 +296,49 @@ class NormalizedSeries:
         return float(self.ratios[i])
 
     def tail_max(self, n_tail: int) -> float:
-        mask = self.n_grid >= n_tail
-        if not mask.any():
+        i = int(np.searchsorted(self.n_grid, n_tail))
+        if i >= self.n_grid.size:
             raise ValueError("tail start exceeds the stored grid")
-        return float(self.ratios[mask].max())
+        return float(self.ratios[i:].max())
 
     def slope(self) -> float:
         """Least-squares slope of log ratio against log N, or against
-        log log N when gamma = 0 (log-scale normalizers)."""
+        log log N when gamma = 0 (log-scale normalizers). The grid's xc
+        serves when every ratio is positive; otherwise xc is recomputed on
+        the N with a positive ratio."""
         mask = self.ratios > 0.0
-        if mask.sum() < 2:
+        count = int(np.count_nonzero(mask))
+        if count < 2:
             return math.nan
-        n = self.n_grid[mask].astype(np.float64)
-        x = np.log(np.log(n)) if self.gamma == 0.0 else np.log(n)
-        y = np.log(self.ratios[mask])
-        xc = x - x.mean()
-        den = float(xc @ xc)
+        if count == mask.size:
+            xc, den, y = self.grid.xc, self.grid.xc_sq, np.log(self.ratios)
+        else:
+            xc = _centred_regressor(self.n_grid[mask], self.grid.gamma)
+            den, y = _dot(xc, xc), np.log(self.ratios[mask])
         if den == 0.0:
             return math.nan
-        return float(xc @ (y - y.mean())) / den
+        y -= y.mean()
+        return _dot(xc, y) / den
 
 
 def normalized_series(run: SeriesRun,
-                      normalizer: NormalizerSpec | None = None) -> NormalizedSeries:
-    """Divide a run by its normalizer on the stored grid (N >= k0 only)."""
-    norm = normalizer or run.normalizer
-    if norm is None:
-        raise ValueError("run carries no normalizer and none was given")
-    mask = run.n_grid >= norm.k0
-    if not mask.any():
-        raise ValueError("entire grid lies below the normalizer offset k0")
-    n = run.n_grid[mask]
-    a = norm.values(n)
-    ratios = np.abs(run.sums[mask]) / a
-    mono = bool(np.all(np.diff(a) >= 0.0))
-    return NormalizedSeries(n_grid=n, ratios=ratios, gamma=norm.gamma,
-                            k0=norm.k0, monotone_normalizer=mono)
+                      grid: NormalizedGrid | NormalizerSpec | None = None
+                      ) -> NormalizedSeries:
+    """Divide a run by its normalizer on the stored grid (N >= k0 only).
+
+    ``grid`` is a NormalizedGrid built from the run's stored grid, shared
+    by every run on it, or a NormalizerSpec (default: the run's own) to
+    build one from."""
+    if not isinstance(grid, NormalizedGrid):
+        norm = grid or run.normalizer
+        if norm is None:
+            raise ValueError("run carries no normalizer and none was given")
+        grid = NormalizedGrid.build(run.n_grid, norm)
+    if not np.array_equal(run.n_grid[grid.start:], grid.n_grid):
+        raise ValueError("normalized grid was built from another stored grid")
+    ratios = np.abs(run.sums[grid.start:])
+    ratios /= grid.a
+    return NormalizedSeries(grid=grid, ratios=ratios)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,7 @@ from ._kernels import is_int, is_real
 from .analytic_bounds import hlawka_bound, steep_power_phase_exponent
 from .averages import (
     BlockLadder,
+    NormalizedGrid,
     NormalizerSpec,
     ladder_positions,
     normalized_series,
@@ -714,15 +715,16 @@ def _sum_rows(seed, n, sums, *cols):
 def _average_stage(files, plan: _Plan, report_extra):
     """Normalized running-sum runs, one per seed, with report_extra added to
     report.json; an oscillation report if the plan has a ladder. The stored
-    grid, its CSV thinning and the chart's thinning of the normalized grid
-    (N >= k0, which can be a strict suffix) are built once per stage."""
+    grid, its CSV thinning, the normalized grid (N >= k0, which can be a
+    strict suffix) and the chart's thinning of it are built once per stage."""
     norm, ladder = plan.normalizer, plan.ladder
     grid = _stored_grid(plan.k_first, plan.k_first + plan.n_terms, False)
     keep = _thin_grid(grid)
     n = grid[keep]
     # A(N) for N >= k0, None below (the grid is sorted, so those come first)
     a_value = [None] * int(np.sum(n < norm.k0)) + norm.values(n[n >= norm.k0]).tolist()
-    chart_keep = _thin_grid(grid[grid >= norm.k0])
+    normed = NormalizedGrid.build(grid, norm)
+    chart_keep = _thin_grid(normed.n_grid)
     csv_rows = []
     per_seed = []
     osc_entries = []
@@ -732,7 +734,7 @@ def _average_stage(files, plan: _Plan, report_extra):
         run = weighted_sums(vals, w, k_first=plan.k_first, normalizer=norm,
                             n_grid=grid)
         del w, vals  # only the sums are needed from here on (peak memory)
-        ns = normalized_series(run)
+        ns = normalized_series(run, normed)
         per_seed.append({"seed": seed, "k_first": plan.k_first, "n_max": run.n_max,
                          **_decay_entry(ns, plan.checkpoints),
                          "monotone_normalizer": ns.monotone_normalizer})
@@ -786,11 +788,13 @@ def _average_stage(files, plan: _Plan, report_extra):
 def _hilbert_stage(files, plan: _Plan):
     """Partial sums of the one-sided series with Cauchy tail diagnostics,
     and a decay report under the plan's ratio_norm if it has one. Every
-    seed has the same stored grid, so its CSV thinning is taken once."""
+    seed has the same stored grid, so its CSV thinning and its normalized
+    grid under ratio_norm are built once."""
     norm, bound, ratio_norm = plan.normalizer, plan.bound, plan.ratio_norm
     grid = _stored_grid(plan.k_first, plan.k_first + plan.n_terms, True)
     keep = _thin_grid(grid)
     n = grid[keep]
+    normed = None if ratio_norm is None else NormalizedGrid.build(grid, ratio_norm)
     csv_rows = []
     per_seed = []
     ratio_entries = []
@@ -810,8 +814,8 @@ def _hilbert_stage(files, plan: _Plan):
         if len(chart) < len(_svg.PALETTE):
             label = "|partial|" if seed is None else f"seed {seed}"
             chart.append((label, n.tolist(), np.abs(run.sums[keep]).tolist()))
-        if ratio_norm is not None:
-            ns = normalized_series(run, ratio_norm)
+        if normed is not None:
+            ns = normalized_series(run, normed)
             ratio_entries.append({"seed": seed, **_decay_entry(ns)})
         run = ns = None  # freed before the next seed draws (peak memory)
     files["hseries.csv"] = _csv_bytes(
