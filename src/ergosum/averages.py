@@ -270,8 +270,9 @@ class NormalizedGrid:
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
-    """sum(u * v)."""
-    return float(u @ v)
+    """sum(u * v) by the package's pairwise sum, not a BLAS dot product,
+    whose bits depend on the BLAS build and its thread count."""
+    return float(pairwise_sum(u * v))
 
 
 @dataclass(eq=False)
@@ -305,7 +306,8 @@ class NormalizedSeries:
         """Least-squares slope of log ratio against log N, or against
         log log N when gamma = 0 (log-scale normalizers). The grid's xc
         serves when every ratio is positive; otherwise xc is recomputed on
-        the N with a positive ratio."""
+        the N with a positive ratio. Both sums are pairwise sums, not BLAS
+        dot products, so the slope's bits do not depend on the machine."""
         mask = self.ratios > 0.0
         count = int(np.count_nonzero(mask))
         if count < 2:

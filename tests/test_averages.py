@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergosum._kernels import pairwise_sum
 from ergosum.averages import (
     DENSE_LIMIT,
     GRID_RATIO,
     BlockLadder,
+    NormalizedGrid,
     NormalizerSpec,
     SeriesRun,
     _diameter,
@@ -244,6 +246,59 @@ def test_normalized_series_requires_normalizer():
         normalized_series(run)
     with pytest.raises(ValueError):
         normalized_series(run, NormalizerSpec(1.0, k0=100))
+
+
+def _slope_reference(n, ratios, gamma):
+    """The least-squares slope over the positive ratios, written out."""
+    mask = ratios > 0.0
+    if mask.sum() < 2:
+        return math.nan
+    x = np.log(n[mask].astype(np.float64))
+    if gamma == 0.0:
+        x = np.log(x)
+    y = np.log(ratios[mask])
+    xc = x - x.mean()
+    den = float(pairwise_sum(xc * xc))
+    if den == 0.0:
+        return math.nan
+    return float(pairwise_sum(xc * (y - y.mean()))) / den
+
+
+@given(st.lists(st.integers(min_value=-1, max_value=1), min_size=2, max_size=300),
+       st.sampled_from([(0.0, 1.0), (0.5, 0.0), (1.0, 1.0)]),
+       st.integers(min_value=0, max_value=400))
+@settings(max_examples=80, deadline=None)
+def test_normalized_series_from_a_grid_or_a_spec(steps, shape, k0_shift):
+    """A prebuilt NormalizedGrid and a NormalizerSpec give the same bits,
+    and both match the masked computation written out: k0 can lie above
+    the first stored N, and integer steps make some |S_N| exactly 0, so
+    the slope's masked fallback runs."""
+    gamma, a = shape
+    run = weighted_sums(np.ones(len(steps)), steps, k_first=0)
+    k0 = max(3 if gamma == 0.0 else 2, 1 + k0_shift)
+    if k0 > run.n_max:
+        return
+    norm = NormalizerSpec(gamma, a=a, k0=k0)
+    grid = NormalizedGrid.build(run.n_grid, norm)
+    by_grid, by_spec = normalized_series(run, grid), normalized_series(run, norm)
+    mask = run.n_grid >= k0
+    n = run.n_grid[mask]
+    ratios = np.abs(run.sums[mask]) / norm.values(n)
+    for ns in (by_grid, by_spec):
+        assert ns.n_grid.tobytes() == n.tobytes()
+        assert ns.ratios.tobytes() == ratios.tobytes()
+        assert np.float64(ns.slope()).tobytes() == np.float64(
+            _slope_reference(n, ratios, gamma)).tobytes()
+        for c in (k0, int(n[len(n) // 2]), run.n_max):
+            assert ns.tail_max(c) == ratios[n >= c].max()
+            assert ns.value_at(c) == ratios[n <= c][-1]
+
+
+def test_normalized_series_rejects_a_grid_of_another_run():
+    run = weighted_sums(np.ones(50), np.ones(50))
+    other = NormalizedGrid.build(np.arange(2, 52), NormalizerSpec(1.0, k0=1))
+    with pytest.raises(ValueError):
+        normalized_series(run, other)
 
 
 # ----------------------------------------------------------- series partials

@@ -340,6 +340,28 @@ def test_rerun_is_byte_identical_except_manifest(tmp_path):
         assert first[name] == second[name], name
 
 
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """A slope over 20,000 ratios is large enough for a BLAS dot product
+    to split across threads; the report must not change with their count."""
+    repo = Path(__file__).resolve().parents[1]
+    reports = []
+    for threads in ("1", "2"):
+        d = tiny_average(weights={"kind": "iid_uniform_phase"},
+                         system={"kind": "rotation", "theta0": [5, 13]},
+                         normalizer={"gamma": 0.5, "k0": 1}, n_terms=20_000,
+                         seeds=[1], output_dir=str(tmp_path / threads))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p)
+        code = ("from ergosum.harness import ExperimentConfig, run\n"
+                f"run(ExperimentConfig.from_dict({d!r}))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        reports.append((tmp_path / threads / "t_avg" / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_failed_write_keeps_previous_results(tmp_path, monkeypatch):
     run(cfg(**tiny_envelope(output_dir=str(tmp_path))))
     out = tmp_path / "t_env"

@@ -353,3 +353,35 @@ def test_prefix_at_across_chunk_edges():
         assert value == want, b
     assert math.copysign(1.0, got[0].real) == -1.0
     assert math.copysign(1.0, got[0].imag) == -1.0
+
+
+def _padded_prefix(terms, bounds):
+    """prefix_at's chunk scheme over a zero-padded copy of the terms."""
+    rows = -(-terms.size // CHUNK)
+    padded = np.zeros(rows * CHUNK, dtype=terms.dtype)
+    padded[: terms.size] = terms
+    within = np.cumsum(padded.reshape(rows, CHUNK), axis=1)
+    totals = np.cumsum(within[:, -1])
+    within[1:] += totals[:-1, None]
+    return within.ravel()[bounds - 1]
+
+
+@pytest.mark.parametrize("n", [1, 5, CHUNK - 1, CHUNK, 3 * CHUNK, CHUNK + 1,
+                               3 * CHUNK + 1])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_prefix_at_matches_the_padded_reference(n, dtype):
+    """Dense and sparse ends agree bit for bit with the chunk scheme over
+    zero-padded terms, for a leading -0.0 and non-finite terms too."""
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal(n).astype(dtype)
+    if dtype is np.complex128:
+        z += 1j * rng.standard_normal(n)
+    z[0] = -0.0
+    if n > 3:
+        z[[n // 3, n - 2]] = [np.inf, np.nan]
+    dense = np.arange(1, n + 1, dtype=np.int64)
+    got = prefix_at(z, dense)
+    assert got.tobytes() == _padded_prefix(z, dense).tobytes()
+    assert math.copysign(1.0, got[0].real) == -1.0
+    ends = np.unique(np.concatenate([[1, n], rng.integers(1, n + 1, size=20)]))
+    assert prefix_at(z, ends).tobytes() == got[ends - 1].tobytes()
