@@ -84,7 +84,7 @@ def prefix_at(terms: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     the totals of the chunks before it), so a bound's value is
     bit-identical no matter which other bounds are requested alongside it.
     The running sums go straight into one buffer; when every end 1..n is
-    asked for, that buffer is the result.
+    asked for, its first n values are the result.
     """
     terms = np.ascontiguousarray(terms)
     n = terms.shape[0]
@@ -96,7 +96,7 @@ def prefix_at(terms: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     full = n // CHUNK
     rows = np.empty((-(-n // CHUNK), CHUNK), dtype=terms.dtype)
     flat = rows.reshape(-1)
-    flat[n:] = 0  # past the last term: never read, zeroed so the adds below stay quiet
+    flat[n:] = 0  # never read; zeroed so the adds below see no garbage
     np.cumsum(terms[: full * CHUNK].reshape(full, CHUNK), axis=1, out=rows[:full])
     np.cumsum(terms[full * CHUNK :], out=flat[full * CHUNK : n])
     totals = np.cumsum(rows[:full, -1])

@@ -13,7 +13,12 @@ Conventions used throughout:
 Runs store prefix values on a grid: every N up to a dense limit (10^6 by
 default), then geometric checkpoints; statistics over "all N" are grid
 statistics and say so. Prefixes come from the chunked pairwise kernel, so
-a stored value is bit-identical however the run is later re-chunked.
+a stored value is bit-identical however the run is later re-chunked. No
+reduction that reaches an output goes through BLAS: slopes take their
+sums with the same pairwise kernel, so no report depends on the BLAS
+build or its thread count. What every run on one stored grid shares
+under one normalizer (A(N), the slope's regressor) is a NormalizedGrid,
+built once per grid and normalizer.
 """
 
 from __future__ import annotations
@@ -237,6 +242,12 @@ def _centred_regressor(n: np.ndarray, gamma: float) -> np.ndarray:
     return x
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """sum(u * v) by the package's pairwise sum, not a BLAS dot product,
+    whose bits depend on the BLAS build and its thread count."""
+    return float(pairwise_sum(u * v))
+
+
 @dataclass(eq=False)
 class NormalizedGrid:
     """The part of a stored grid a normalizer divides (N >= k0), with what
@@ -251,7 +262,6 @@ class NormalizedGrid:
     n_grid: np.ndarray
     a: np.ndarray
     gamma: float
-    k0: int
     monotone: bool
     xc: np.ndarray
     xc_sq: float
@@ -264,15 +274,9 @@ class NormalizedGrid:
         n = n_grid[start:]
         a = norm.values(n)
         xc = _centred_regressor(n, norm.gamma)
-        return cls(start=start, n_grid=n, a=a, gamma=norm.gamma, k0=norm.k0,
+        return cls(start=start, n_grid=n, a=a, gamma=norm.gamma,
                    monotone=bool(np.all(np.diff(a) >= 0.0)),
                    xc=xc, xc_sq=_dot(xc, xc))
-
-
-def _dot(u: np.ndarray, v: np.ndarray) -> float:
-    """sum(u * v) by the package's pairwise sum, not a BLAS dot product,
-    whose bits depend on the BLAS build and its thread count."""
-    return float(pairwise_sum(u * v))
 
 
 @dataclass(eq=False)
@@ -306,8 +310,9 @@ class NormalizedSeries:
         """Least-squares slope of log ratio against log N, or against
         log log N when gamma = 0 (log-scale normalizers). The grid's xc
         serves when every ratio is positive; otherwise xc is recomputed on
-        the N with a positive ratio. Both sums are pairwise sums, not BLAS
-        dot products, so the slope's bits do not depend on the machine."""
+        the N with a positive ratio. No reduction here goes through BLAS:
+        both sums are pairwise sums, so the slope's bits do not depend on
+        the BLAS build or its thread count."""
         mask = self.ratios > 0.0
         count = int(np.count_nonzero(mask))
         if count < 2:

@@ -721,9 +721,10 @@ def _average_stage(files, plan: _Plan, report_extra):
     grid = _stored_grid(plan.k_first, plan.k_first + plan.n_terms, False)
     keep = _thin_grid(grid)
     n = grid[keep]
-    # A(N) for N >= k0, None below (the grid is sorted, so those come first)
-    a_value = [None] * int(np.sum(n < norm.k0)) + norm.values(n[n >= norm.k0]).tolist()
     normed = NormalizedGrid.build(grid, norm)
+    # A(N) for N >= k0, None below (the grid is sorted, so those come first)
+    below = int(np.searchsorted(keep, normed.start))
+    a_value = [None] * below + normed.a[keep[below:] - normed.start].tolist()
     chart_keep = _thin_grid(normed.n_grid)
     csv_rows = []
     per_seed = []
