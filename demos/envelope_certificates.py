@@ -37,7 +37,7 @@ u = np.arange(1, N + 1, dtype=np.int64)
 shifted = np.ones(N) * np.exp(2j * np.pi * 0.31 * u)  # peak off the grid
 est = sup_envelope(shifted, u)
 print()
-print(f"grid points {est.grid_points}, spacing {est.grid_spacing:.2e}, "
+print(f"grid points {est.grid_points}, spacing {1 / est.grid_points:.2e}, "
       f"index span D = {N - 1}")
 print(f"lower {est.lower:.3f}, upper {est.upper:.3f} (true sup {N}), "
       f"relative slack {est.upper / est.lower - 1:.2%}, aliased = {est.aliased}")

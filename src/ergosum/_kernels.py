@@ -47,17 +47,17 @@ def next_pow2(n: int) -> int:
 
 
 def chunk_sums(a: np.ndarray) -> np.ndarray:
-    """Per-chunk sums of a 1-d array; zero padding keeps the shape fixed."""
+    """Per-chunk sums of a 1-d array, at least one. The full chunks are
+    summed in place; a partial last chunk (or an empty array) is copied
+    into one zero-padded row first, so every chunk sums in the same shape."""
     a = np.ascontiguousarray(a)
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(1, dtype=a.dtype)
-    rows = -(-n // CHUNK)
-    if rows * CHUNK == n:
-        return a.reshape(rows, CHUNK).sum(axis=1)
-    padded = np.zeros(rows * CHUNK, dtype=a.dtype)
-    padded[:n] = a
-    return padded.reshape(rows, CHUNK).sum(axis=1)
+    full, rest = divmod(a.shape[0], CHUNK)
+    sums = a[: full * CHUNK].reshape(full, CHUNK).sum(axis=1)
+    if rest == 0 and full > 0:
+        return sums
+    tail = np.zeros((1, CHUNK), dtype=a.dtype)
+    tail[0, :rest] = a[full * CHUNK :]
+    return np.concatenate([sums, tail.sum(axis=1)])
 
 
 def tree_reduce(partials: np.ndarray) -> complex | float:

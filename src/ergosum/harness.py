@@ -87,7 +87,7 @@ from .scaling_fit import (
     fit_harmonic,
     fit_log_decay,
 )
-from .trigsum import ThetaGrid, sup_envelope, sup_harmonic
+from .trigsum import SupEstimate, ThetaGrid, sup_envelope, sup_harmonic
 from .weights import _SEEDED as _SEEDED_WEIGHTS
 from .weights import WeightSpec, check_phase, gen_weights
 
@@ -107,6 +107,8 @@ _READS = {
 }
 _READ_BY_ALL = ("name", "kind", "seeds", "output_dir")
 KINDS = tuple(_READS)
+# every config field, each once: the schema ExperimentConfig holds
+FIELDS = tuple(dict.fromkeys(_READ_BY_ALL + sum(_READS.values(), ())))
 
 OUTPUT_ROOT_VAR = "ERGOSUM_OUTPUT_ROOT"
 DEFAULT_OUTPUT_ROOT = "ergosum_out"
@@ -140,50 +142,31 @@ class ConfigError(Exception):
 # config
 
 
-@dataclass
 class ExperimentConfig:
-    """Declarative description of one experiment.
+    """Declarative description of one experiment: its JSON object as given.
 
-    Sub-specs (weights, indices, system, observable, normalizer, ladder)
-    are kept in their JSON form, plain dicts, so a config can always be
-    loaded and inspected even when it is invalid. _plan() builds each one
-    once, by its constructor (Cls(**d)), for validate() and run() alike;
-    validate() reports every offending field instead of raising.
+    Each name in FIELDS is an attribute, None when its key is missing or
+    null, and every other key goes to `extra`, which validate() rejects.
+    from_dict() takes a missing kind to be preset when the object names a
+    preset, and a missing name to be the preset or the kind. Sub-specs
+    (weights, indices, system, ...) stay plain dicts, so a config can
+    always be loaded and inspected even when it is invalid. _plan() builds
+    each one once, by its constructor (Cls(**d)), for validate() and run()
+    alike; validate() reports every offending field instead of raising.
     """
 
-    name: str
-    kind: str
-    preset: str | None = None
-    weights: dict | None = None
-    indices: dict | None = None
-    system: dict | None = None
-    observable: dict | None = None
-    x0: object = None
-    normalizer: dict | None = None
-    ladder: dict | None = None
-    n_ladder: list | None = None
-    blocks: list | None = None
-    n_terms: int | None = None
-    theta_grid: dict | None = None
-    template: str | None = None
-    harmonic: bool | None = None
-    seeds: list | None = None
-    k_first: int | None = None
-    bound: float | None = None
-    tail_starts: list | None = None
-    reference: dict | None = None
-    params: dict | None = None
-    output_dir: str | None = None
-    extra: dict = field(default_factory=dict)
+    def __init__(self, extra: dict | None = None, **values):
+        for k in FIELDS:
+            setattr(self, k, values.pop(k, None))
+        self.extra = {**(extra or {}), **values}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = dict(d)
-        known = {f.name for f in fields(cls)} - {"extra"}
-        kwargs = {k: d.pop(k) for k in list(d) if k in known}
-        kwargs.setdefault("kind", "preset" if "preset" in kwargs else "")
-        kwargs.setdefault("name", kwargs.get("preset") or kwargs["kind"] or "experiment")
-        return cls(extra=d, **kwargs)
+        values = {k: d.pop(k) for k in FIELDS if k in d}
+        values.setdefault("kind", "preset" if "preset" in values else "")
+        values.setdefault("name", values.get("preset") or values["kind"] or "experiment")
+        return cls(extra=d, **values)
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -195,13 +178,10 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         out = {}
-        for f in fields(self):
-            if f.name == "extra":
-                continue
-            v = getattr(self, f.name)
-            if v is None or (f.name in ("params", "harmonic") and not v):
-                continue
-            out[f.name] = v
+        for k in FIELDS:
+            v = getattr(self, k)
+            if v is not None and (k not in ("params", "harmonic") or v):
+                out[k] = v
         out.update(self.extra)
         return out
 
@@ -307,10 +287,9 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
         diags.append(f"{k}: unknown field")
     # a field is set when its key is present and not null; to_dict() would
     # hide a falsy harmonic or params
-    for f in fields(config):
-        if (f.name != "extra" and getattr(config, f.name) is not None
-                and f.name not in _READ_BY_ALL + _READS[config.kind]):
-            diags.append(f"{f.name}: not read by {config.kind}")
+    for k in FIELDS:
+        if getattr(config, k) is not None and k not in _READ_BY_ALL + _READS[config.kind]:
+            diags.append(f"{k}: not read by {config.kind}")
 
     if config.seeds is not None:
         if not isinstance(config.seeds, (list, tuple)) or not all(
@@ -584,7 +563,9 @@ def _timed(walls: dict, name: str):
 
 
 def _envelope_stage(files, wspec, ispec, blocks, grid, harmonic, seeds):
-    """Certified sup rows over (M, N] blocks; returns samples grouped by seed."""
+    """Certified sup rows over (M, N] blocks, one envelope.csv column per
+    SupEstimate field; returns samples grouped by seed."""
+    est_columns = [f.name for f in fields(SupEstimate)]
     rows = []
     samples = {}
     for seed in seeds or [None]:
@@ -598,20 +579,13 @@ def _envelope_stage(files, wspec, ispec, blocks, grid, harmonic, seeds):
                 est = sup_harmonic(w, u, grid=grid, k_first=k_lo)
             else:
                 est = sup_envelope(w, u, grid=grid)
-            rows.append([
-                seed, m_excl, n_incl, est.lower, est.upper, est.argmax_theta,
-                est.deriv_bound, est.weight_l1, est.grid_points,
-                est.grid_spacing, est.bracket_width, est.aliased, harmonic,
-            ])
+            rows.append([seed, m_excl, n_incl,
+                         *(getattr(est, c) for c in est_columns), harmonic])
             got.append(EnvelopeSample(M=m_excl, N=n_incl, lower=est.lower,
                                       upper=est.upper, harmonic=harmonic))
         samples[seed] = got
     files["envelope.csv"] = _csv_bytes(
-        ["seed", "M", "N", "lower", "upper", "argmax_theta", "deriv_bound",
-         "weight_l1", "grid_points", "grid_spacing", "bracket_width",
-         "aliased", "harmonic"],
-        rows,
-    )
+        ["seed", "M", "N", *est_columns, "harmonic"], rows)
     series = []
     for seed in list(samples)[: len(_svg.PALETTE)]:
         got = samples[seed]
@@ -705,6 +679,11 @@ def _decay_entry(ns, cps=None) -> dict:
     }
 
 
+# hseries.csv rows are _sum_rows; series.csv rows add A(N) and the ratio
+_SUM_COLUMNS = ["seed", "N", "s_real", "s_imag", "s_abs"]
+_SERIES_COLUMNS = _SUM_COLUMNS + ["a_value", "ratio"]
+
+
 def _sum_rows(seed, n, sums, *cols):
     """CSV rows [seed, N, s_real, s_imag, s_abs, *cols] of one seed's sums
     at the grid n; s_abs is the scalar abs (np.abs can differ by an ulp)."""
@@ -757,8 +736,7 @@ def _average_stage(files, plan: _Plan, report_extra):
                 label = "osc" if seed is None else f"seed {seed}"
                 osc_chart.append((label, rep.ladder_j[:-1].tolist(), rep.osc.tolist()))
         run = ns = rep = None  # freed before the next seed draws (peak memory)
-    files["series.csv"] = _csv_bytes(
-        ["seed", "N", "s_real", "s_imag", "s_abs", "a_value", "ratio"], csv_rows)
+    files["series.csv"] = _csv_bytes(_SERIES_COLUMNS, csv_rows)
     files["ratio.svg"] = _svg.line_chart(
         "normalized running sums", "N", "|S_N| / A(N)",
         chart, x_log=True, y_log=True).encode("utf-8")
@@ -819,8 +797,7 @@ def _hilbert_stage(files, plan: _Plan):
             ns = normalized_series(run, normed)
             ratio_entries.append({"seed": seed, **_decay_entry(ns)})
         run = ns = None  # freed before the next seed draws (peak memory)
-    files["hseries.csv"] = _csv_bytes(
-        ["seed", "N", "s_real", "s_imag", "s_abs"], csv_rows)
+    files["hseries.csv"] = _csv_bytes(_SUM_COLUMNS, csv_rows)
     files["hseries.svg"] = _svg.line_chart(
         "series partial sums", "N", "|partial sum|",
         chart, x_log=True, y_log=False).encode("utf-8")
@@ -889,8 +866,7 @@ def _beta_stage(files, plan: _Plan):
             chart.append((f"beta {beta}", n.tolist(), ns.ratios[keep].tolist()))
         if not csv_rows:
             csv_rows = _sum_rows(None, n, run.sums[keep], norm.values(n), ns.ratios[keep])
-    files["series.csv"] = _csv_bytes(
-        ["seed", "N", "s_real", "s_imag", "s_abs", "a_value", "ratio"], csv_rows)
+    files["series.csv"] = _csv_bytes(_SERIES_COLUMNS, csv_rows)
     files["ratio.svg"] = _svg.line_chart(
         "prime-index averages", "N", "|S_N| / N^beta",
         chart, x_log=True, y_log=True).encode("utf-8")
@@ -1096,8 +1072,12 @@ _PRESETS = {
         ("harmonic sup rows vs 30(|h| + 1/|h|)",
          "flat harmonic growth fit",
          "bounded series partial sums"),
-        params={"h": (1.0, lambda h: is_real(h) and h != 0 and math.isfinite(h),
-                      "must be a finite nonzero number")}),
+        # |h| < 1e307 keeps a huge integer out of float arithmetic, and a
+        # finite bound 30(|h| + 1/|h|) keeps every phase h log k finite
+        params={"h": (1.0, lambda h: is_real(h) and 0 < abs(h) < 1e307
+                      and math.isfinite(hlawka_bound(h)),
+                      "must be a finite nonzero number with a finite bound "
+                      "30(|h| + 1/|h|)")}),
     "example4": _Preset(
         _example4, "random unimodular weights over dyadic blocks",
         ("two-variable H1 envelope fit",

@@ -24,8 +24,7 @@ empirically, not proven: pocketfft's mixed radix has no published error
 constant, and tests/test_trigsum.py::test_fft_rounding_within_allowance
 compares eval_grid with a long-double DFT at distinct residues u mod L.
 Where the condition fails, `upper` is sum |w_k| and the estimate is
-flagged `aliased`. `deriv_bound` = 2 pi sum |w_k| u_k (a bound on |V'|)
-is reported for reference and enters no certificate.
+flagged `aliased`.
 
 Every reduction is chunked pairwise (see _kernels), and phase arguments
 theta*u are reduced mod 1 exactly through the ratio of theta (a double's
@@ -43,7 +42,6 @@ import numpy as np
 
 from ._kernels import frac_of, next_pow2, pairwise_sum
 
-TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(np.float64).eps)
 
 DEFAULT_GRID_CAP = 1 << 22
@@ -72,11 +70,8 @@ class SupEstimate:
     lower: float
     upper: float
     argmax_theta: float
-    deriv_bound: float
     weight_l1: float
     grid_points: int
-    grid_spacing: float
-    bracket_width: float
     aliased: bool
 
     def __post_init__(self):
@@ -152,9 +147,7 @@ def sup_envelope(weights, indices, grid: ThetaGrid | None = None) -> SupEstimate
     span = int(u.max()) - int(u.min())
     if grid is None:
         grid = default_grid(w.size, span)
-    absw = np.abs(w)
-    weight_l1 = float(pairwise_sum(absw))
-    deriv_bound = TWO_PI * float(pairwise_sum(absw * u.astype(np.float64)))
+    weight_l1 = float(pairwise_sum(np.abs(w)))
     vals = np.abs(eval_grid(w, u, grid))
     top = int(np.argmax(vals))
     peak = float(vals[top])
@@ -174,11 +167,8 @@ def sup_envelope(weights, indices, grid: ThetaGrid | None = None) -> SupEstimate
         lower=min(max(0.0, peak - fft_slack), upper),
         upper=upper,
         argmax_theta=grid.spacing * top,
-        deriv_bound=deriv_bound,
         weight_l1=weight_l1,
         grid_points=grid.points,
-        grid_spacing=grid.spacing,
-        bracket_width=grid.spacing,
         aliased=aliased,
     )
 
@@ -203,7 +193,7 @@ def eval_harmonic(weights, indices, theta, k_first: int = 1) -> complex:
 
 def sup_harmonic(weights, indices, grid: ThetaGrid | None = None,
                  k_first: int = 1) -> SupEstimate:
-    """Certified sup estimate for the harmonic sum; deriv_bound becomes
-    2 pi sum |w_k| u_k / k automatically through the divided weights."""
+    """Certified sup estimate for the harmonic sum: sup_envelope on the
+    weights w_k / k."""
     hw, u = _harmonic_pair(weights, indices, k_first)
     return sup_envelope(hw, u, grid=grid)

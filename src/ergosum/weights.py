@@ -25,6 +25,7 @@ import numpy as np
 
 from ._kernels import frac_poly, is_int, is_real, mod1
 from ._rng import cramer_indicator, uniform01
+from .indices import primes_upto
 
 TWO_PI = 2.0 * np.pi
 
@@ -153,13 +154,7 @@ def moebius_sieve(n: int) -> np.ndarray:
         raise ValueError("moebius_sieve needs n >= 1")
     mu = np.ones(n + 1, dtype=np.int8)
     mu[0] = 0
-    prime = np.ones(n + 1, dtype=bool)
-    prime[:2] = False
-    for p in range(2, int(n**0.5) + 1):
-        if prime[p]:
-            prime[p * p :: p] = False
-    for p in np.flatnonzero(prime):
-        p = int(p)
+    for p in primes_upto(n).tolist():
         mu[p::p] *= -1
         if p * p <= n:
             mu[p * p :: p * p] = 0

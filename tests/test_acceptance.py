@@ -90,7 +90,7 @@ def test_criterion_01_dirichlet_envelope():
         est = sup_envelope(w, u)
         sup_ok &= abs(est.lower - N) <= 1e-9 * N
         sup_ok &= est.lower <= est.upper <= N * (1.0 + 1e-12)
-        sup_ok &= min(est.argmax_theta, 1.0 - est.argmax_theta) <= est.grid_spacing
+        sup_ok &= min(est.argmax_theta, 1.0 - est.argmax_theta) <= 1 / est.grid_points
         for t in thetas:
             got = abs(eval_sum(w, u, float(t)))
             want = oracles.dirichlet_modulus(N, float(t))

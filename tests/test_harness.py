@@ -1,5 +1,6 @@
 """Experiment configs, validation diagnostics, runs, CLI exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 
 from ergosum import harness
 from ergosum.dynamics import SystemModel
+from ergosum.trigsum import SupEstimate, ThetaGrid, sup_envelope
 from ergosum.harness import (
     ConfigError,
     ExperimentConfig,
@@ -208,6 +210,27 @@ def test_from_dict_defaults():
     assert c2.preset is None
 
 
+def test_from_dict_sends_each_field_to_an_attribute_and_the_rest_to_extra():
+    d = {k: f"value of {k}" for k in harness.FIELDS}
+    c = ExperimentConfig.from_dict({**d, "typo": 1, "extra": {"x": 2}})
+    assert {k: getattr(c, k) for k in harness.FIELDS} == d
+    assert c.extra == {"typo": 1, "extra": {"x": 2}}
+    # null means unset: no attribute is set and nothing is reported as not read
+    unset = {k: None for k in harness.FIELDS if k not in ("name", "kind")}
+    nulls = ExperimentConfig.from_dict({"name": "n", "kind": "average_run", **unset})
+    assert all(getattr(nulls, k) is None for k in unset) and nulls.extra == {}
+    assert nulls.to_dict() == {"name": "n", "kind": "average_run"}
+    not_read = {k: None for k in unset if k not in harness._READS["average_run"]}
+    assert validate(cfg(**tiny_average(**not_read))) == []
+
+
+def test_to_dict_round_trips_a_config_setting_every_field():
+    d = {k: f"value of {k}" for k in harness.FIELDS}
+    c = ExperimentConfig.from_dict({**d, "typo": 1})
+    assert c.to_dict() == {**d, "typo": 1}
+    assert ExperimentConfig.from_dict(c.to_dict()).to_dict() == c.to_dict()
+
+
 def test_to_dict_round_trip():
     d = tiny_average(seeds=[1, 2])
     c = cfg(**d)
@@ -241,8 +264,13 @@ def test_tiny_envelope_run_outputs(tmp_path):
     assert man["kind"] == "envelope_scan"
     assert set(man["wall_seconds"]) >= {"total"}
     rows = (out / "envelope.csv").read_text().strip().splitlines()
-    assert rows[0].startswith("seed,M,N,lower,upper")
+    columns = [f.name for f in dataclasses.fields(SupEstimate)]
+    assert rows[0] == ",".join(["seed", "M", "N", *columns, "harmonic"])
     assert len(rows) == 3  # header + 2 blocks
+    # the (0, 48] row: constant weights on u = 1..48, the config's 1024 grid
+    est = sup_envelope(np.ones(48), np.arange(1, 49), grid=ThetaGrid(1024))
+    assert rows[2] == ",".join(
+        ["", "0", "48", *(harness._cell(getattr(est, c)) for c in columns), "0"])
 
 
 def test_tiny_fit_run_outputs(tmp_path):
@@ -438,6 +466,12 @@ INVALID_CLI_CONFIGS = {
     **{f"params_{label}_on_average": (
         tiny_average(params=value), "params: not read by average_run")
        for label, value in (("empty_list", []), ("zero", 0), ("empty_object", {}))},
+    # example3's phase h log k and its bound 30(|h| + 1/|h|) must stay finite
+    **{f"example3_h_{label}": (
+        {"name": "p3", "preset": "example3", "params": {"h": value}},
+        "params.h: must be a finite nonzero number")
+       for label, value in (("1e308", 1e308), ("1e307", 1e307),
+                            ("5e-324", 5e-324), ("int_past_double", 10**400))},
     "preset_params_list": (
         {"name": "p3", "preset": "example3", "params": [1]}, "params: must be an object"),
     "preset_params_nested_list": (

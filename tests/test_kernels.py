@@ -12,6 +12,7 @@ from ergosum._kernels import (
     CHUNK,
     MULMOD_MAX_DEN,
     _estimated_remainder,
+    chunk_sums,
     _fold,
     frac_of,
     frac_poly,
@@ -385,3 +386,21 @@ def test_prefix_at_matches_the_padded_reference(n, dtype):
     assert math.copysign(1.0, got[0].real) == -1.0
     ends = np.unique(np.concatenate([[1, n], rng.integers(1, n + 1, size=20)]))
     assert prefix_at(z, ends).tobytes() == got[ends - 1].tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK,
+                               123_457, 1_000_000, 1_000_003])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_chunk_sums_match_the_padded_reference(n, dtype):
+    """Bit for bit the row sums of a zero-padded copy (one zero row when
+    empty), with no copy of the full chunks."""
+    rng = np.random.default_rng(n)
+    z = (rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)).astype(dtype)
+    if dtype is np.complex128:
+        z += 1j * rng.standard_normal(n)
+    rows = max(1, -(-n // CHUNK))
+    padded = np.zeros(rows * CHUNK, dtype=dtype)
+    padded[:n] = z
+    want = padded.reshape(rows, CHUNK).sum(axis=1)
+    got = chunk_sums(z)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
