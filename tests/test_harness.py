@@ -14,7 +14,6 @@ import pytest
 
 from ergosum import harness
 from ergosum.dynamics import SystemModel
-from ergosum.trigsum import SupEstimate, ThetaGrid, sup_envelope
 from ergosum.harness import (
     ConfigError,
     ExperimentConfig,
@@ -25,6 +24,7 @@ from ergosum.harness import (
     run,
     validate,
 )
+from ergosum.trigsum import SupEstimate, ThetaGrid, sup_envelope
 
 
 def cfg(**kw) -> ExperimentConfig:
@@ -224,18 +224,14 @@ def test_from_dict_sends_each_field_to_an_attribute_and_the_rest_to_extra():
     assert validate(cfg(**tiny_average(**not_read))) == []
 
 
-def test_to_dict_round_trips_a_config_setting_every_field():
-    d = {k: f"value of {k}" for k in harness.FIELDS}
-    c = ExperimentConfig.from_dict({**d, "typo": 1})
-    assert c.to_dict() == {**d, "typo": 1}
-    assert ExperimentConfig.from_dict(c.to_dict()).to_dict() == c.to_dict()
-
-
 def test_to_dict_round_trip():
     d = tiny_average(seeds=[1, 2])
     c = cfg(**d)
     back = ExperimentConfig.from_dict(c.to_dict())
     assert back.to_dict() == c.to_dict()
+    # a config that sets every field, and one more key
+    every = {**{k: f"value of {k}" for k in harness.FIELDS}, "typo": 1}
+    assert ExperimentConfig.from_dict(every).to_dict() == every
 
 
 def test_load_error_paths(tmp_path):

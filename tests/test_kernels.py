@@ -12,8 +12,8 @@ from ergosum._kernels import (
     CHUNK,
     MULMOD_MAX_DEN,
     _estimated_remainder,
-    chunk_sums,
     _fold,
+    chunk_sums,
     frac_of,
     frac_poly,
     frac_ratio,
@@ -393,7 +393,7 @@ def test_prefix_at_matches_the_padded_reference(n, dtype):
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_chunk_sums_match_the_padded_reference(n, dtype):
     """Bit for bit the row sums of a zero-padded copy (one zero row when
-    empty), with no copy of the full chunks."""
+    empty)."""
     rng = np.random.default_rng(n)
     z = (rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)).astype(dtype)
     if dtype is np.complex128:
