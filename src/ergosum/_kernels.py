@@ -6,7 +6,13 @@ Three concerns live here:
   that a bool, a string or a fraction is rejected instead of coerced,
 
 * fixed-shape chunked pairwise reductions, so every sum in the package is
-  reproducible bit for bit regardless of how the work is batched, and
+  reproducible bit for bit regardless of how the work is batched; among
+  them PrefixSums, the one prefix-sum path: an accumulator fed one block
+  of terms at a time, in-chunk running sums plus the running total of
+  the chunks before. Its blocks hold whole chunks (bar the last), so
+  block edges are chunk edges and the chunk partition, hence every bit,
+  is the same whether the terms come as one array (prefix_at) or as the
+  orbit stages' cache-sized blocks, and
 
 * exact mod-1 argument reduction of (shift + u*num)/den for integer u in
   one kernel, frac_ratio: a double theta enters as its exact ratio
@@ -27,6 +33,9 @@ import numpy as np
 # chunk width for pairwise reductions; partial sums over one chunk are
 # combined by a fixed binary tree, so serial and batched runs agree exactly
 CHUNK = 4096
+# terms per block of a PrefixSums run, a whole number of chunks: one
+# block of complex terms and its temporaries fit in a core's cache
+_BLOCK = 16 * CHUNK
 
 _U64 = np.uint64
 
@@ -75,37 +84,100 @@ def pairwise_sum(a: np.ndarray):
     return tree_reduce(chunk_sums(a))
 
 
-def prefix_at(terms: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Prefix sums of ``terms`` evaluated at exclusive end positions.
+class PrefixSums:
+    """Prefix sums of a term sequence that arrives block by block, read at
+    exclusive end positions ``bounds`` (strictly increasing integers >= 1).
 
-    ``bounds`` must be strictly increasing integers in [1, len(terms)].
-    Element i of the result is sum(terms[:bounds[i]]), assembled from a
-    fixed chunk partition (cumulative inside each chunk, sequential across
-    the totals of the chunks before it), so a bound's value is
-    bit-identical no matter which other bounds are requested alongside it.
-    The running sums go straight into one buffer; when every end 1..n is
-    asked for, its first n values are the result.
+    Element i of ``result()`` is sum(terms[:bounds[i]]), assembled from a
+    fixed chunk partition: cumulative inside each chunk of CHUNK terms,
+    sequential across the totals of the chunks before it. Every block but
+    the last must hold whole chunks, so block edges are chunk edges and
+    the carried running total is that of the chunks fed so far: a bound's
+    value is bit-identical however the terms are split into blocks and
+    whichever other bounds are asked for. ``blocks()`` gives the
+    partition the callers feed, _BLOCK terms at a time, so one block's
+    terms and their temporaries stay in cache.
+
+    When every end 1..n is asked for, the in-chunk sums go straight into
+    the result; otherwise each block's go into one scratch buffer, from
+    which the bounds inside the block are read.
     """
+
+    def __init__(self, bounds):
+        bounds = np.asarray(bounds, dtype=np.int64)
+        if bounds.ndim != 1 or bounds.size == 0 or bounds[0] < 1 or np.any(
+                bounds[1:] <= bounds[:-1]):
+            raise ValueError("bounds must be strictly increasing integers >= 1")
+        self._bounds = bounds
+        self._n = int(bounds[-1])
+        self._dense = bounds.size == self._n  # every end 1..n
+        self._values = self._scratch = self._carry = None
+        self._fed = self._done = 0
+
+    def blocks(self):
+        """Consecutive [i, j) of at most _BLOCK terms covering the terms
+        the bounds reach, [0, bounds[-1])."""
+        return ((i, min(i + _BLOCK, self._n)) for i in range(0, self._n, _BLOCK))
+
+    def feed(self, terms: np.ndarray) -> None:
+        """Take the next len(terms) terms."""
+        if self._fed % CHUNK:
+            raise ValueError("only the last block may end inside a chunk")
+        terms = np.ascontiguousarray(terms)
+        i, m = self._fed, terms.shape[0]
+        if i + m > self._n:
+            raise ValueError("more terms than the bounds reach")
+        if self._values is None:
+            self._values = np.empty(self._bounds.size, dtype=terms.dtype)
+        if self._dense:
+            out = self._values[i : i + m]
+        else:
+            if self._scratch is None or self._scratch.size < m:
+                self._scratch = np.empty(m, dtype=self._values.dtype)
+            out = self._scratch[:m]
+        f = m - m % CHUNK
+        rows = out[:f].reshape(-1, CHUNK)
+        np.cumsum(terms[:f].reshape(-1, CHUNK), axis=1, out=rows)
+        np.cumsum(terms[f:], out=out[f:])
+        if self._carry is None:  # chunk 0 is never added to, so a leading -0.0 keeps its sign
+            totals = np.cumsum(rows[:, -1])
+            rows[1:, :-1] += totals[:-1, None]
+        else:
+            totals = np.cumsum(np.concatenate([self._carry, rows[:, -1]]))
+            rows[:, :-1] += totals[:-1, None]
+            totals = totals[1:]
+        rows[:, -1] = totals
+        if f:
+            self._carry = totals[-1:].copy()
+        if self._carry is not None:
+            out[f:] += self._carry
+        self._fed = i + m
+        if not self._dense:
+            stop = int(np.searchsorted(self._bounds, self._fed, side="right"))
+            self._values[self._done : stop] = out[self._bounds[self._done : stop] - 1 - i]
+            self._done = stop
+
+    def result(self) -> np.ndarray:
+        """The sums at the bounds, once every term they reach is fed."""
+        if self._fed != self._n:
+            raise ValueError("terms stop short of the last bound")
+        return self._values
+
+
+def prefix_at(terms: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Prefix sums of ``terms`` at exclusive end positions ``bounds``
+    (strictly increasing integers in [1, len(terms)]): PrefixSums fed with
+    the blocks of one array."""
     terms = np.ascontiguousarray(terms)
-    n = terms.shape[0]
     bounds = np.asarray(bounds, dtype=np.int64)
     if bounds.size == 0:
         return np.zeros(0, dtype=terms.dtype)
-    if bounds[0] < 1 or bounds[-1] > n or np.any(np.diff(bounds) <= 0):
+    if bounds[-1] > terms.shape[0]:
         raise ValueError("bounds must be strictly increasing in [1, len(terms)]")
-    full = n // CHUNK
-    rows = np.empty((-(-n // CHUNK), CHUNK), dtype=terms.dtype)
-    flat = rows.reshape(-1)
-    flat[n:] = 0  # never read; zeroed so the adds below see no garbage
-    np.cumsum(terms[: full * CHUNK].reshape(full, CHUNK), axis=1, out=rows[:full])
-    np.cumsum(terms[full * CHUNK :], out=flat[full * CHUNK : n])
-    totals = np.cumsum(rows[:full, -1])
-    # chunk 0 is never added to, so a leading -0.0 keeps its sign
-    rows[1:, :-1] += totals[: rows.shape[0] - 1, None]
-    rows[:full, -1] = totals
-    if bounds.size == n:  # strictly increasing in [1, n]: every end
-        return flat[:n]
-    return flat[bounds - 1]
+    acc = PrefixSums(bounds)
+    for i, j in acc.blocks():
+        acc.feed(terms[i:j])
+    return acc.result()
 
 
 # ---------------------------------------------------------------------------

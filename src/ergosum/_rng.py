@@ -37,9 +37,14 @@ _WIDE = 1 << 16
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _U64(30))) * _U64(_MIX1)
-    z = (z ^ (z >> _U64(27))) * _U64(_MIX2)
-    return z ^ (z >> _U64(31))
+    """The SplitMix64 finalizer in place on a uint64 array z that the caller
+    owns, with one scratch buffer for the shifts; returns z."""
+    t = np.empty_like(z)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        z ^= np.right_shift(z, _U64(shift), out=t)
+        z *= _U64(mult)
+    z ^= np.right_shift(z, _U64(31), out=t)
+    return z
 
 
 def _key(seed: int) -> np.uint64:
@@ -49,10 +54,14 @@ def _key(seed: int) -> np.uint64:
 
 
 def _mixed(key: np.uint64, counters: np.ndarray) -> np.ndarray:
-    """64 mixed bits per uint64 counter under one key."""
+    """64 mixed bits per uint64 counter under one key, in a new array that
+    the rounds then work on in place: the counters are read, never written."""
     with np.errstate(over="ignore"):
-        z = _mix((counters + _U64(_GOLDEN & 0xFFFFFFFFFFFFFFFF)) ^ key)
-        return _mix(z + key)
+        z = counters + _U64(_GOLDEN)
+        z ^= key
+        _mix(z)
+        z += key
+        return _mix(z)
 
 
 def raw64(seed: int, counters) -> np.ndarray:
@@ -64,7 +73,9 @@ def raw64(seed: int, counters) -> np.ndarray:
 
 
 def _to01(z: np.ndarray) -> np.ndarray:
-    return (z >> _U64(11)).astype(np.float64) * _INV53
+    u = (z >> _U64(11)).astype(np.float64)
+    u *= _INV53
+    return u
 
 
 def uniform01(seed: int, counters) -> np.ndarray:

@@ -12,8 +12,11 @@ Conventions used throughout:
 
 Runs store prefix values on a grid: every N up to a dense limit (10^6 by
 default), then geometric checkpoints; statistics over "all N" are grid
-statistics and say so. Prefixes come from the chunked pairwise kernel, so
-a stored value is bit-identical however the run is later re-chunked. No
+statistics and say so. Terms come from one formula, orbit_terms, and
+prefixes from one kernel, _kernels.PrefixSums, which sums block by block
+over a fixed chunk partition: a stored value is bit-identical whether the
+terms arrive as one array or, as the harness stages feed them, one block
+of orbit values at a time. No
 reduction that reaches an output goes through BLAS: slopes take their
 sums with the same pairwise kernel, so no report depends on the BLAS
 build or its thread count. What every run on one stored grid shares
@@ -195,7 +198,7 @@ class SeriesRun:
             raise ValueError("empty run")
         if self.n_grid.size != self.sums.size:
             raise ValueError("grid and sums must align")
-        if np.any(np.diff(self.n_grid) <= 0):
+        if np.any(self.n_grid[1:] <= self.n_grid[:-1]):
             raise ValueError("stored grid must be strictly increasing")
         first_ok = self.k_first + (1 if self.convention == "exclusive" else 0)
         if int(self.n_grid[0]) < first_ok:
@@ -210,6 +213,21 @@ class SeriesRun:
         if i >= self.n_grid.size or self.n_grid[i] != N:
             raise KeyError(f"N = {N} is not a stored checkpoint")
         return complex(self.sums[i])
+
+
+def orbit_terms(weights: np.ndarray, orbit_values: np.ndarray,
+                norm: NormalizerSpec | None = None, k_first: int = 0) -> np.ndarray:
+    """Terms w_k * orbit_k of a running sum, or (w_k * orbit_k) / A(k) of
+    a series when a normalizer is given; element j is k = k_first + j.
+
+    The product is np.multiply(w, v) in that operand order: where complex
+    multiplication uses fused multiply-adds, v * w can differ from w * v
+    in the last bit, and numpy may evaluate ``w * tmp`` as ``tmp * w`` to
+    reuse an unnamed temporary."""
+    terms = np.multiply(weights, orbit_values)
+    if norm is not None:
+        terms /= norm.values(np.arange(k_first, k_first + terms.size, dtype=np.int64))
+    return terms
 
 
 def weighted_sums(orbit_values, weights, k_first: int = 0,
@@ -227,7 +245,7 @@ def weighted_sums(orbit_values, weights, k_first: int = 0,
     n_grid = np.ascontiguousarray(n_grid, dtype=np.int64)
     if n_grid.size == 0 or n_grid[0] <= k_first or n_grid[-1] > n_top:
         raise ValueError(f"grid must lie within ({k_first}, {n_top}]")
-    sums = prefix_at(w * v, n_grid - k_first)
+    sums = prefix_at(orbit_terms(w, v), n_grid - k_first)
     return SeriesRun(k_first=k_first, n_grid=n_grid, sums=sums,
                      normalizer=normalizer)
 
@@ -275,7 +293,7 @@ class NormalizedGrid:
         a = norm.values(n)
         xc = _centred_regressor(n, norm.gamma)
         return cls(start=start, n_grid=n, a=a, gamma=norm.gamma,
-                   monotone=bool(np.all(np.diff(a) >= 0.0)),
+                   monotone=bool(np.all(a[1:] >= a[:-1])),
                    xc=xc, xc_sq=_dot(xc, xc))
 
 
@@ -366,8 +384,7 @@ def _series_args(weights, orbit_values, norm: NormalizerSpec, k_first: int):
 
 def _series_terms(weights, orbit_values, norm: NormalizerSpec, k_first: int):
     w, v = _series_args(weights, orbit_values, norm, k_first)
-    ks = np.arange(k_first, k_first + w.size, dtype=np.int64)
-    return w * v / norm.values(ks)
+    return orbit_terms(w, v, norm, k_first)
 
 
 def hilbert_partial(weights, orbit_values, norm: NormalizerSpec, N: int,
@@ -494,7 +511,7 @@ def abel_decompose(weights, orbit_values, norm: NormalizerSpec, N: int,
     count = N - k_first + 1
     if not (1 <= count <= w.size):
         raise ValueError("N outside the supplied term range")
-    s = np.cumsum(w[:count] * v[:count])
+    s = np.cumsum(orbit_terms(w[:count], v[:count]))
     ks = np.arange(k_first, N + 2, dtype=np.int64)
     inv_a = 1.0 / norm.values(ks)
     boundary = s[-1] * inv_a[-2]
@@ -625,7 +642,7 @@ def maximal_norm(weights, indices, norm: NormalizerSpec,
     if w.shape != u.shape or w.ndim != 1 or w.size == 0:
         raise ValueError("weights and indices must be aligned 1-d arrays")
     ns = np.ascontiguousarray(n_grid, dtype=np.int64)
-    if ns.size == 0 or np.any(np.diff(ns) <= 0):
+    if ns.size == 0 or np.any(ns[1:] <= ns[:-1]):
         raise ValueError("N grid must be nonempty and strictly increasing")
     if ns[0] <= k_first or ns[-1] > k_first + w.size:
         raise ValueError("N grid outside the supplied term range")

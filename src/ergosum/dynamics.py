@@ -224,7 +224,12 @@ class Observable:
             return ((x >= a) & (x < b)).astype(np.complex128)
         out = np.zeros(x.shape, dtype=np.complex128)
         for m, c in self.terms:
-            out += c * np.exp(2j * np.pi * mod1(m * x))
+            # e * c in this operand order at every size: numpy computes
+            # c * e as e * c only on arrays large enough to reuse e, and
+            # complex products with fused multiply-adds are not symmetric
+            e = np.exp(2j * np.pi * mod1(m * x))
+            e *= c
+            out += e
         return out
 
     def l2_norm(self) -> float:
@@ -292,7 +297,8 @@ def _rotation_positions(theta0, x0, u: np.ndarray) -> np.ndarray:
 
 def _doubling_window_values(bits: np.ndarray, window: int) -> np.ndarray:
     # y[n] = 0.b_n b_{n+1} ... b_{n+window-1}; each value is a 53-bit
-    # dyadic rational, so the convolution below is exact in doubles
+    # dyadic rational, so the convolution below is exact in doubles, and
+    # y[n] of a slice of the bits equals y[n + start] of the whole string
     weights = np.ldexp(1.0, -np.arange(1, window + 1))
     return np.convolve(bits.astype(np.float64), weights[::-1], mode="valid")
 
@@ -301,8 +307,12 @@ def orbit_eval(system: SystemModel, f: Observable, x0: OrbitPoint,
                indices, bit_window: int = DEFAULT_BIT_WINDOW) -> np.ndarray:
     """Values f(T^{u_j} x0) as a complex array, one per index.
 
-    bit_window is the evaluation precision B for doubling systems: the
-    point must store at least max(u) + B bits.
+    Each value depends on its own index alone, so the harness stages call
+    this on one block of indices at a time, and any split of the indices
+    gives the same bits. bit_window is the evaluation precision B for
+    doubling systems: the point must store at least max(u) + B bits, and
+    only the bits from min(u) to max(u) + B - 1 are read, so a block of
+    indices costs its own span of the bit string, not all of it.
     """
     u = np.ascontiguousarray(indices)
     if u.dtype.kind not in "iu":
@@ -326,8 +336,9 @@ def orbit_eval(system: SystemModel, f: Observable, x0: OrbitPoint,
             f"bit string too short for the requested shifts: have "
             f"{x0.bit_length} bits, need max(u) + window = {need}"
         )
-    y = _doubling_window_values(x0.bit_string, bit_window)
-    return f.eval(y[u])
+    lo = int(u.min())
+    y = _doubling_window_values(x0.bit_string[lo:need], bit_window)
+    return f.eval(y[u - lo])
 
 
 def spectral_l2_norm(weights, indices, normalizer_value: float,

@@ -62,20 +62,23 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _svg
-from ._kernels import is_int, is_real
+from ._kernels import PrefixSums, is_int, is_real
 from .analytic_bounds import hlawka_bound, steep_power_phase_exponent
 from .averages import (
     BlockLadder,
     NormalizedGrid,
     NormalizerSpec,
+    SeriesRun,
     ladder_positions,
     normalized_series,
     oscillation_report,
     cauchy_tail_report,
-    hilbert_series,
+    orbit_terms,
     storage_grid,
-    weighted_sums,
 )
+# not called here, but perfbench/spans.py wraps each layer function by its
+# name in this module, these two included
+from .averages import hilbert_series, weighted_sums  # noqa: F401
 from .dynamics import Observable, OrbitPoint, SystemModel, exact_fraction, orbit_eval
 from .indices import IndexSpec, check_top, gen_indices, pi_count, top_index
 from .scaling_fit import (
@@ -647,22 +650,34 @@ def _stored_grid(k_first: int, n_end: int, hilbert: bool) -> np.ndarray:
     return storage_grid(k_first + 1, n_end)
 
 
-def _orbit_runs(plan: _Plan):
-    """Per seed: (seed, weights w_k, orbit values f(T^{u_k} x)) for the
-    plan's n_terms terms from k_first on. Nothing of one seed is held here
-    while the next one draws; the caller drops its own references first."""
-    k_end = plan.k_first + plan.n_terms
+def _orbit_runs(plan: _Plan, grid: np.ndarray):
+    """Per seed: (seed, SeriesRun) on the stored grid of the plan's n_terms
+    terms w_k f(T^{u_k} x) from k_first on: running sums (exclusive N), or
+    for a hilbert plan the series of the terms divided by A(k) (inclusive N).
+
+    Orbit values and terms exist one PrefixSums block at a time, so each
+    block's orbit_eval, orbit_terms and in-chunk sums run while it is in
+    cache; only the weights, the indices and the stored sums are full
+    length. Nothing of one seed is held here while the next one draws."""
+    k_first, norm = plan.k_first, plan.normalizer
+    k_end = k_first + plan.n_terms
+    series = norm if plan.hilbert else None
+    bounds = grid - k_first + plan.hilbert
     for seed in plan.seeds or [None]:
-        w = gen_weights(_for_seed(plan.weights, seed), plan.k_first, k_end)
-        u = gen_indices(_for_seed(plan.indices, seed), plan.k_first, k_end)
+        acc = PrefixSums(bounds)  # drops the last seed's sums before this one draws
+        w = gen_weights(_for_seed(plan.weights, seed), k_first, k_end)
+        u = gen_indices(_for_seed(plan.indices, seed), k_first, k_end)
         if plan.system.kind == "doubling":
             point = OrbitPoint.doubling(int(seed), _start_bits(int(u.max())))
         else:
             point = OrbitPoint.rotation(plan.x0)
-        vals = orbit_eval(plan.system, plan.observable, point, u)
-        del u, point
-        yield seed, w, vals
-        del w, vals
+        for i, j in acc.blocks():
+            vals = orbit_eval(plan.system, plan.observable, point, u[i:j])
+            acc.feed(orbit_terms(w[i:j], vals, series, k_first + i))
+        del w, u, point, vals
+        yield seed, SeriesRun(k_first=k_first, n_grid=grid, sums=acc.result(),
+                              normalizer=norm,
+                              convention="inclusive" if plan.hilbert else "exclusive")
 
 
 def _decay_entry(ns, cps=None) -> dict:
@@ -710,10 +725,7 @@ def _average_stage(files, plan: _Plan, report_extra):
     osc_entries = []
     chart = []
     osc_chart = []
-    for seed, w, vals in _orbit_runs(plan):
-        run = weighted_sums(vals, w, k_first=plan.k_first, normalizer=norm,
-                            n_grid=grid)
-        del w, vals  # only the sums are needed from here on (peak memory)
+    for seed, run in _orbit_runs(plan, grid):
         ns = normalized_series(run, normed)
         per_seed.append({"seed": seed, "k_first": plan.k_first, "n_max": run.n_max,
                          **_decay_entry(ns, plan.checkpoints),
@@ -778,9 +790,7 @@ def _hilbert_stage(files, plan: _Plan):
     per_seed = []
     ratio_entries = []
     chart = []
-    for seed, w, vals in _orbit_runs(plan):
-        run = hilbert_series(w, vals, norm, k_first=plan.k_first)
-        del w, vals  # only the sums are needed from here on (peak memory)
+    for seed, run in _orbit_runs(plan, grid):
         starts = plan.tail_starts or _dyadic_starts(plan.k_first, run.n_max)
         tails = cauchy_tail_report(run, starts)
         max_abs = float(np.abs(run.sums).max())
@@ -849,8 +859,8 @@ def _beta_stage(files, plan: _Plan):
     for each beta of the plan's ladder. Its series.csv ratio column is the
     normalized series' own (vector np.abs), which can differ by an ulp from
     the scalar abs of the s_abs column."""
-    [(_, w, vals)] = _orbit_runs(plan)
-    run = weighted_sums(vals, w, k_first=plan.k_first)
+    grid = _stored_grid(plan.k_first, plan.k_first + plan.n_terms, False)
+    [(_, run)] = _orbit_runs(plan, grid)
     # every beta normalizes from k0 = 1, so each normalized grid is the
     # whole run grid and one thinning serves them all
     keep = _thin_grid(run.n_grid)

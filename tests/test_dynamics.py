@@ -178,6 +178,17 @@ def test_observable_values_and_norms():
     assert h.eval(np.array([0.0]))[0] == pytest.approx(3.0)
 
 
+def test_observable_values_do_not_depend_on_the_array_size():
+    """Values of a slice are the slice of values, bit for bit, on arrays
+    short and long enough for numpy to reuse a temporary (2**14 complex
+    entries): each finite_fourier product is e * c in one operand order."""
+    x = np.random.default_rng(3).random(40_000)
+    for f in (Observable.fourier_mode(3), Observable.indicator(0.2, 0.7),
+              Observable.finite_fourier([[1, 0.3, 0.7], [-2, -1.1, 0.45]])):
+        parts = np.concatenate([f.eval(x[i : i + 100]) for i in range(0, x.size, 100)])
+        assert f.eval(x).tobytes() == parts.tobytes(), f.kind
+
+
 def test_observable_validation():
     with pytest.raises(ValueError):
         Observable(kind="sine")

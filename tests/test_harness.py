@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -13,7 +14,17 @@ import numpy as np
 import pytest
 
 from ergosum import harness
-from ergosum.dynamics import SystemModel
+from ergosum._kernels import _BLOCK, prefix_at
+from ergosum.averages import orbit_terms
+from ergosum.dynamics import (
+    DEFAULT_BIT_WINDOW,
+    OrbitPoint,
+    SystemModel,
+    _doubling_window_values,
+    orbit_eval,
+)
+from ergosum.indices import gen_indices
+from ergosum.weights import gen_weights
 from ergosum.harness import (
     ConfigError,
     ExperimentConfig,
@@ -771,3 +782,110 @@ def test_thin_grid_properties():
     # geometric spacing in the tail
     tail = big[idx[idx > 600]]
     assert np.all(np.diff(tail) / tail[:-1].astype(float) < 0.03)
+
+
+# ---------------------------------------------------------------------------
+# orbit stages run block by block
+
+
+_STAGE_CASES = {
+    "float_theta": ({"kind": "rotation", "theta0": 0.3819660112501051},
+                    {"kind": "fourier_mode", "mode": 3}, 0.125),
+    "fraction_theta": ({"kind": "rotation", "theta0": [987, 1597]},
+                       {"kind": "indicator", "interval": [0.25, 0.6]}, 0.375),
+    "fraction_x0": ({"kind": "rotation", "theta0": [987, 1597]},
+                    {"kind": "fourier_mode", "mode": 1}, [1, 3]),
+    "doubling": ({"kind": "doubling"},
+                 {"kind": "indicator", "interval": [0.25, 0.75]}, None),
+    "finite_fourier": ({"kind": "rotation", "theta0": 0.3819660112501051},
+                       {"kind": "finite_fourier", "terms": [[1, 0.3, 0.7], [-2, -1.1, 0.45]]},
+                       0.0),
+}
+
+
+def _stage_config(kind, case, n_terms, seeds=(5,), **extra) -> dict:
+    system, observable, x0 = _STAGE_CASES[case]
+    d = {"kind": kind, "weights": {"kind": "iid_uniform_phase"},
+         "indices": {"kind": "identity"}, "system": system, "observable": observable,
+         "normalizer": {"gamma": 0.5, "k0": 1}, "n_terms": n_terms, "seeds": list(seeds)}
+    if x0 is not None:
+        d["x0"] = x0
+    d.update(extra)
+    return d
+
+
+@pytest.mark.parametrize("kind", ["average_run", "hilbert_run"])
+@pytest.mark.parametrize("case", list(_STAGE_CASES))
+def test_blocked_stage_sums_match_one_unblocked_pass(kind, case, monkeypatch):
+    """Each seed's terms and sums, over 3 blocks and 17 terms, equal bit for
+    bit the terms w * v (divided by A(k) for a series) and their prefix
+    sums with every orbit value v evaluated at once; a doubling point's
+    values come from its whole bit string. The terms are compared too: a
+    last-bit change in one term rarely reaches a sum far larger than it.
+    The weights are random unimodular: with w = 1 a product taken as
+    v * w would look the same as w * v."""
+    plan, diags = harness._plan(cfg(**_stage_config(kind, case, 3 * _BLOCK + 17)))
+    assert diags == []
+    k_first, k_end = plan.k_first, plan.k_first + plan.n_terms
+    grid = harness._stored_grid(k_first, k_end, plan.hilbert)
+    fed = []
+    monkeypatch.setattr(harness, "orbit_terms",
+                        lambda *args: fed.append(orbit_terms(*args)) or fed[-1])
+    [(seed, got)] = harness._orbit_runs(plan, grid)
+    assert [t.size for t in fed] == [_BLOCK] * 3 + [17]
+    w = gen_weights(harness._for_seed(plan.weights, seed), k_first, k_end)
+    u = gen_indices(plan.indices, k_first, k_end)
+    if plan.system.kind == "doubling":
+        point = OrbitPoint.doubling(seed, harness._start_bits(int(u.max())))
+        v = plan.observable.eval(
+            _doubling_window_values(point.bit_string, DEFAULT_BIT_WINDOW)[u])
+    else:
+        v = orbit_eval(plan.system, plan.observable, OrbitPoint.rotation(plan.x0), u)
+    terms = w * v
+    if plan.hilbert:
+        terms = terms / plan.normalizer.values(np.arange(k_first, k_end))
+    assert np.concatenate(fed).tobytes() == terms.tobytes()
+    want = prefix_at(terms, grid - k_first + plan.hilbert)
+    assert got.sums.tobytes() == want.tobytes()
+    assert got.convention == ("inclusive" if plan.hilbert else "exclusive")
+
+
+def _perfbench_spans():
+    """perfbench/spans.py, the benchmark's tracer, loaded under its own name."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _output_bytes(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file() and p.name != "manifest.json"}
+
+
+def test_traced_orbit_runs_match_untraced(tmp_path, monkeypatch):
+    """The benchmark's tracer wraps layer functions imported into the
+    harness by name: with it installed, multi-block average and series runs
+    write the same bytes as untraced ones, every orbit value is counted,
+    and the layer self times partition the run span."""
+    spans = _perfbench_spans()
+    n_terms, seeds = 2 * _BLOCK + 5, (1, 2)
+    configs = [_stage_config("average_run", "float_theta", n_terms, seeds, name="avg"),
+               _stage_config("hilbert_run", "fraction_x0", n_terms, seeds, name="ser")]
+    for d in configs:
+        run(cfg(output_dir=str(tmp_path / "plain"), **d))
+    for name in spans.LAYER_FUNCTIONS:  # restored after the test
+        monkeypatch.setattr(harness, name, getattr(harness, name))
+    recorder = spans.Recorder("guard")
+    spans.install(harness, recorder)
+    with recorder.span(spans.RUN_SPAN):
+        for d in configs:
+            run(cfg(output_dir=str(tmp_path / "traced"), **d))
+    assert _output_bytes(tmp_path / "traced") == _output_bytes(tmp_path / "plain")
+    metrics = spans.layer_metrics(recorder.spans)
+    assert metrics["dynamics.terms"] == len(configs) * len(seeds) * n_terms
+    assert metrics["dynamics.calls"] == len(configs) * len(seeds) * 3
+    total = spans.run_total(recorder.spans)
+    covered = sum(metrics[m] for m in spans.SELF_TIME_METRICS)
+    assert covered == pytest.approx(total, rel=1e-6)

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergosum._kernels import (
+    _BLOCK,
     CHUNK,
     MULMOD_MAX_DEN,
+    PrefixSums,
     _estimated_remainder,
     _fold,
     chunk_sums,
@@ -386,6 +388,67 @@ def test_prefix_at_matches_the_padded_reference(n, dtype):
     assert math.copysign(1.0, got[0].real) == -1.0
     ends = np.unique(np.concatenate([[1, n], rng.integers(1, n + 1, size=20)]))
     assert prefix_at(z, ends).tobytes() == got[ends - 1].tobytes()
+
+
+def _fed(z, bounds, sizes=None):
+    """PrefixSums at bounds, fed in its own blocks or in blocks of the
+    given whole-chunk sizes, taken in turn (the last block is cut short)."""
+    acc = PrefixSums(bounds)
+    if sizes is None:
+        for i, j in acc.blocks():
+            acc.feed(z[i:j])
+        return acc.result()
+    i, n = 0, int(bounds[-1])
+    while i < n:
+        j = min(i + sizes[0], n)
+        acc.feed(z[i:j])
+        i, sizes = j, sizes[1:] + sizes[:1]
+    return acc.result()
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, _BLOCK - 1, _BLOCK,
+                               _BLOCK + 1, 3 * _BLOCK + 17])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_prefix_sums_in_any_blocks_match_the_padded_reference(n, dtype):
+    """Fed in its own blocks or in uneven whole-chunk blocks, the
+    accumulator agrees bit for bit with the chunk scheme over zero-padded
+    terms, at every end and at ends beside chunk and block edges, for a
+    leading -0.0 and inf/nan terms too."""
+    rng = np.random.default_rng(n + 1)
+    z = rng.standard_normal(n).astype(dtype)
+    if dtype is np.complex128:
+        z += 1j * rng.standard_normal(n)
+    z[0] = -0.0
+    if n > 3:
+        z[[n // 3, n - 2]] = [np.inf, np.nan]
+    edges = [e + d for e in (CHUNK, _BLOCK, 2 * _BLOCK) for d in (-1, 0, 1)]
+    ends = np.unique(np.concatenate([[1, n], rng.integers(1, n + 1, size=40),
+                                     [e for e in edges if 1 <= e <= n]])).astype(np.int64)
+    for bounds in (np.arange(1, n + 1, dtype=np.int64), ends):
+        want = _padded_prefix(z, bounds).tobytes()
+        assert _fed(z, bounds).tobytes() == want
+        for sizes in ([CHUNK], [3 * CHUNK, CHUNK, 17 * CHUNK], [_BLOCK + CHUNK, 5 * CHUNK]):
+            assert _fed(z, bounds, sizes).tobytes() == want, sizes
+    assert math.copysign(1.0, _fed(z, ends)[0].real) == -1.0
+
+
+def test_prefix_sums_feed_checks():
+    """A block may end inside a chunk only if it is the last, no block
+    reaches past the last bound, and the sums are read only once every
+    term they reach is fed."""
+    z = np.ones(2 * CHUNK)
+    acc = PrefixSums([CHUNK + 1, 2 * CHUNK])
+    acc.feed(z[:CHUNK])
+    with pytest.raises(ValueError):
+        acc.result()
+    acc.feed(z[CHUNK : CHUNK + 5])
+    with pytest.raises(ValueError):
+        acc.feed(z[CHUNK + 5 :])
+    with pytest.raises(ValueError):
+        PrefixSums([CHUNK]).feed(z[: CHUNK + 1])
+    for bad in ([], [0, 3], [3, 3], [4, 2]):
+        with pytest.raises(ValueError):
+            PrefixSums(bad)
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK,

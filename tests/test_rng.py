@@ -24,6 +24,33 @@ def test_raw64_range_independence():
     assert np.array_equal(full, np.concatenate([lo, hi]))
 
 
+_M64 = (1 << 64) - 1
+
+
+def _splitmix(z: int) -> int:
+    """The SplitMix64 finalizer on one Python integer."""
+    z = ((z ^ (z >> 30)) * _rng._MIX1) & _M64
+    z = ((z ^ (z >> 27)) * _rng._MIX2) & _M64
+    return z ^ (z >> 31)
+
+
+def test_in_place_mixer_matches_python_integers_and_keeps_the_counters():
+    """The in-place rounds give the integer SplitMix64 bits, and neither the
+    counters nor, through uniform01, anything of the caller is written."""
+    c = np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 12345678901234567],
+                 dtype=np.uint64)
+    before = c.copy()
+    for seed in (0, 7, -3):
+        key = _splitmix((seed + _rng._GOLDEN) & _M64)
+        assert int(_rng._key(seed)) == key
+        want = [_splitmix((_splitmix(((x + _rng._GOLDEN) & _M64) ^ key) + key) & _M64)
+                for x in c.tolist()]
+        assert _rng._mixed(_rng._key(seed), c).tolist() == want
+        assert _rng.raw64(seed, c).tolist() == want
+        assert _rng.uniform01(seed, c).tolist() == [(x >> 11) / 2**53 for x in want]
+    assert np.array_equal(c, before)
+
+
 def test_uniform01_bounds_and_mean():
     u = _rng.uniform01(11, np.arange(200000, dtype=np.int64))
     assert u.min() >= 0.0 and u.max() < 1.0
