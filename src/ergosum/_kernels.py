@@ -7,12 +7,12 @@ Three concerns live here:
 
 * fixed-shape chunked pairwise reductions, so every sum in the package is
   reproducible bit for bit regardless of how the work is batched; among
-  them PrefixSums, the one prefix-sum path: an accumulator fed one block
-  of terms at a time, in-chunk running sums plus the running total of
-  the chunks before. Its blocks hold whole chunks (bar the last), so
-  block edges are chunk edges and the chunk partition, hence every bit,
-  is the same whether the terms come as one array (prefix_at) or as the
-  orbit stages' cache-sized blocks, and
+  them prefix_sums, the one prefix-sum path: one loop over blocks of
+  terms that it asks its caller for, in-chunk running sums plus the
+  running total of the chunks before. Its blocks hold whole chunks (bar
+  the last), so block edges are chunk edges and the chunk partition,
+  hence every bit, is the same whether the terms are slices of one array
+  (prefix_at) or the orbit stages' cache-sized blocks, and
 
 * exact mod-1 argument reduction of (shift + u*num)/den for integer u in
   one kernel, frac_ratio: a double theta enters as its exact ratio
@@ -33,7 +33,7 @@ import numpy as np
 # chunk width for pairwise reductions; partial sums over one chunk are
 # combined by a fixed binary tree, so serial and batched runs agree exactly
 CHUNK = 4096
-# terms per block of a PrefixSums run, a whole number of chunks: one
+# terms per block of a prefix_sums run, a whole number of chunks: one
 # block of complex terms and its temporaries fit in a core's cache
 _BLOCK = 16 * CHUNK
 
@@ -84,100 +84,73 @@ def pairwise_sum(a: np.ndarray):
     return tree_reduce(chunk_sums(a))
 
 
-class PrefixSums:
-    """Prefix sums of a term sequence that arrives block by block, read at
-    exclusive end positions ``bounds`` (strictly increasing integers >= 1).
+def prefix_sums(block_terms, bounds) -> np.ndarray:
+    """Prefix sums of a term sequence at exclusive end positions ``bounds``
+    (strictly increasing integers >= 1), taking the terms block by block:
+    ``block_terms(i, j)`` gives terms[i:j] for each consecutive [i, j) of
+    _BLOCK terms covering [0, bounds[-1]), in order, so one block's terms
+    and their temporaries stay in cache.
 
-    Element i of ``result()`` is sum(terms[:bounds[i]]), assembled from a
+    Element i of the result is sum(terms[:bounds[i]]), assembled from a
     fixed chunk partition: cumulative inside each chunk of CHUNK terms,
-    sequential across the totals of the chunks before it. Every block but
-    the last must hold whole chunks, so block edges are chunk edges and
-    the carried running total is that of the chunks fed so far: a bound's
-    value is bit-identical however the terms are split into blocks and
-    whichever other bounds are asked for. ``blocks()`` gives the
-    partition the callers feed, _BLOCK terms at a time, so one block's
-    terms and their temporaries stay in cache.
+    sequential across the totals of the chunks before it. Blocks hold
+    whole chunks (bar the last), so block edges are chunk edges and the
+    carried running total is that of the chunks summed so far: a bound's
+    value is bit-identical whichever other bounds are asked for.
 
     When every end 1..n is asked for, the in-chunk sums go straight into
     the result; otherwise each block's go into one scratch buffer, from
     which the bounds inside the block are read.
     """
-
-    def __init__(self, bounds):
-        bounds = np.asarray(bounds, dtype=np.int64)
-        if bounds.ndim != 1 or bounds.size == 0 or bounds[0] < 1 or np.any(
-                bounds[1:] <= bounds[:-1]):
-            raise ValueError("bounds must be strictly increasing integers >= 1")
-        self._bounds = bounds
-        self._n = int(bounds[-1])
-        self._dense = bounds.size == self._n  # every end 1..n
-        self._values = self._scratch = self._carry = None
-        self._fed = self._done = 0
-
-    def blocks(self):
-        """Consecutive [i, j) of at most _BLOCK terms covering the terms
-        the bounds reach, [0, bounds[-1])."""
-        return ((i, min(i + _BLOCK, self._n)) for i in range(0, self._n, _BLOCK))
-
-    def feed(self, terms: np.ndarray) -> None:
-        """Take the next len(terms) terms."""
-        if self._fed % CHUNK:
-            raise ValueError("only the last block may end inside a chunk")
-        terms = np.ascontiguousarray(terms)
-        i, m = self._fed, terms.shape[0]
-        if i + m > self._n:
-            raise ValueError("more terms than the bounds reach")
-        if self._values is None:
-            self._values = np.empty(self._bounds.size, dtype=terms.dtype)
-        if self._dense:
-            out = self._values[i : i + m]
-        else:
-            if self._scratch is None or self._scratch.size < m:
-                self._scratch = np.empty(m, dtype=self._values.dtype)
-            out = self._scratch[:m]
+    bounds = np.asarray(bounds, dtype=np.int64)
+    if bounds.ndim != 1 or bounds.size == 0 or bounds[0] < 1 or np.any(
+            bounds[1:] <= bounds[:-1]):
+        raise ValueError("bounds must be strictly increasing integers >= 1")
+    n = int(bounds[-1])
+    dense = bounds.size == n  # every end 1..n
+    values = scratch = carry = None
+    done = 0
+    for i in range(0, n, _BLOCK):
+        terms = np.ascontiguousarray(block_terms(i, min(i + _BLOCK, n)))
+        m = terms.shape[0]
+        if values is None:  # the first block is the longest
+            values = np.empty(bounds.size, dtype=terms.dtype)
+            scratch = None if dense else np.empty(m, dtype=terms.dtype)
+        out = values[i : i + m] if dense else scratch[:m]
         f = m - m % CHUNK
         rows = out[:f].reshape(-1, CHUNK)
         np.cumsum(terms[:f].reshape(-1, CHUNK), axis=1, out=rows)
         np.cumsum(terms[f:], out=out[f:])
-        if self._carry is None:  # chunk 0 is never added to, so a leading -0.0 keeps its sign
+        if carry is None:  # chunk 0 is never added to, so a leading -0.0 keeps its sign
             totals = np.cumsum(rows[:, -1])
             rows[1:, :-1] += totals[:-1, None]
         else:
-            totals = np.cumsum(np.concatenate([self._carry, rows[:, -1]]))
+            totals = np.cumsum(np.concatenate([carry, rows[:, -1]]))
             rows[:, :-1] += totals[:-1, None]
             totals = totals[1:]
         rows[:, -1] = totals
         if f:
-            self._carry = totals[-1:].copy()
-        if self._carry is not None:
-            out[f:] += self._carry
-        self._fed = i + m
-        if not self._dense:
-            stop = int(np.searchsorted(self._bounds, self._fed, side="right"))
-            self._values[self._done : stop] = out[self._bounds[self._done : stop] - 1 - i]
-            self._done = stop
-
-    def result(self) -> np.ndarray:
-        """The sums at the bounds, once every term they reach is fed."""
-        if self._fed != self._n:
-            raise ValueError("terms stop short of the last bound")
-        return self._values
+            carry = totals[-1:].copy()
+        if carry is not None:
+            out[f:] += carry
+        if not dense:
+            stop = int(np.searchsorted(bounds, i + m, side="right"))
+            values[done:stop] = out[bounds[done:stop] - 1 - i]
+            done = stop
+    return values
 
 
 def prefix_at(terms: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Prefix sums of ``terms`` at exclusive end positions ``bounds``
-    (strictly increasing integers in [1, len(terms)]): PrefixSums fed with
-    the blocks of one array."""
+    (strictly increasing integers in [1, len(terms)]): prefix_sums over
+    slices of one array."""
     terms = np.ascontiguousarray(terms)
     bounds = np.asarray(bounds, dtype=np.int64)
     if bounds.size == 0:
         return np.zeros(0, dtype=terms.dtype)
     if bounds[-1] > terms.shape[0]:
         raise ValueError("bounds must be strictly increasing in [1, len(terms)]")
-    acc = PrefixSums(bounds)
-    for i, j in acc.blocks():
-        acc.feed(terms[i:j])
-    return acc.result()
+    return prefix_sums(lambda i, j: terms[i:j], bounds)
 
 
 # ---------------------------------------------------------------------------

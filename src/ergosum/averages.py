@@ -10,13 +10,13 @@ Conventions used throughout:
     normalizers       A(k) = k^gamma log^a k (log log k)^b, evaluated for
                       k >= k0 where every factor is positive
 
-Runs store prefix values on a grid: every N up to a dense limit (10^6 by
-default), then geometric checkpoints; statistics over "all N" are grid
-statistics and say so. Terms come from one formula, orbit_terms, and
-prefixes from one kernel, _kernels.PrefixSums, which sums block by block
-over a fixed chunk partition: a stored value is bit-identical whether the
-terms arrive as one array or, as the harness stages feed them, one block
-of orbit values at a time. No
+Runs store prefix values on a grid: every N up to DENSE_LIMIT = 10^6,
+then geometric checkpoints; statistics over "all N" are grid statistics
+and say so. Terms come from one formula, orbit_terms, and prefixes from
+one kernel, _kernels.prefix_sums, which asks for the terms one block at a
+time and sums them over a fixed chunk partition: a stored value is
+bit-identical whether the blocks are slices of one array (prefix_at) or,
+in the harness stages, made from one block of orbit values at a time. No
 reduction that reaches an output goes through BLAS: slopes take their
 sums with the same pairwise kernel, so no report depends on the BLAS
 build or its thread count. What every run on one stored grid shares
@@ -157,19 +157,16 @@ class BlockLadder:
         return cls(kind="doubly_exponential", j_lo=j_lo, j_hi=j_hi)
 
 
-def storage_grid(n_lo: int, n_hi: int, dense_limit: int = DENSE_LIMIT,
-                 ratio: float = GRID_RATIO) -> np.ndarray:
-    """Stored checkpoints: every integer in [n_lo, min(n_hi, dense_limit)],
-    then geometric steps of the given ratio, always ending at n_hi."""
+def storage_grid(n_lo: int, n_hi: int) -> np.ndarray:
+    """Stored checkpoints: every integer in [n_lo, min(n_hi, DENSE_LIMIT)],
+    then geometric steps of ratio GRID_RATIO, always ending at n_hi."""
     if not (1 <= n_lo <= n_hi):
         raise ValueError("need 1 <= n_lo <= n_hi")
-    if ratio <= 1.0:
-        raise ValueError("ratio must exceed 1")
-    dense_top = min(n_hi, max(dense_limit, n_lo))
+    dense_top = min(n_hi, max(DENSE_LIMIT, n_lo))
     tail = []
     n = dense_top
     while n < n_hi:
-        n = min(max(n + 1, int(n * ratio)), n_hi)
+        n = min(max(n + 1, int(n * GRID_RATIO)), n_hi)
         tail.append(n)
     return np.concatenate([np.arange(n_lo, dense_top + 1, dtype=np.int64),
                            np.array(tail, dtype=np.int64)])
@@ -650,7 +647,7 @@ def maximal_norm(weights, indices, norm: NormalizerSpec,
     bounds = ns - k_first
     total = 0.0
     for t, mass in measure.atoms:
-        pref = prefix_at(w * np.exp(2j * np.pi * frac_of(t, u)), bounds)
+        pref = prefix_at(np.multiply(w, np.exp(2j * np.pi * frac_of(t, u))), bounds)
         total += mass * float((np.abs(pref) / a).max()) ** 2
     if measure.density is not None:
         cells = measure.density.size

@@ -303,14 +303,13 @@ def _doubling_window_values(bits: np.ndarray, window: int) -> np.ndarray:
     return np.convolve(bits.astype(np.float64), weights[::-1], mode="valid")
 
 
-def orbit_eval(system: SystemModel, f: Observable, x0: OrbitPoint,
-               indices, bit_window: int = DEFAULT_BIT_WINDOW) -> np.ndarray:
+def orbit_eval(system: SystemModel, f: Observable, x0: OrbitPoint, indices) -> np.ndarray:
     """Values f(T^{u_j} x0) as a complex array, one per index.
 
     Each value depends on its own index alone, so the harness stages call
     this on one block of indices at a time, and any split of the indices
-    gives the same bits. bit_window is the evaluation precision B for
-    doubling systems: the point must store at least max(u) + B bits, and
+    gives the same bits. DEFAULT_BIT_WINDOW is the evaluation precision B
+    for doubling systems: the point must store at least max(u) + B bits, and
     only the bits from min(u) to max(u) + B - 1 are read, so a block of
     indices costs its own span of the bit string, not all of it.
     """
@@ -328,16 +327,14 @@ def orbit_eval(system: SystemModel, f: Observable, x0: OrbitPoint,
         return f.eval(pos)
     if x0.kind != "doubling":
         raise ValueError("doubling system needs a doubling orbit point")
-    if bit_window < 1:
-        raise ValueError("bit window must be >= 1")
-    need = int(u.max()) + bit_window
+    need = int(u.max()) + DEFAULT_BIT_WINDOW
     if x0.bit_length < need:
         raise ValueError(
             f"bit string too short for the requested shifts: have "
             f"{x0.bit_length} bits, need max(u) + window = {need}"
         )
     lo = int(u.min())
-    y = _doubling_window_values(x0.bit_string[lo:need], bit_window)
+    y = _doubling_window_values(x0.bit_string[lo:need], DEFAULT_BIT_WINDOW)
     return f.eval(y[u - lo])
 
 

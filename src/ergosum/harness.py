@@ -62,7 +62,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _svg
-from ._kernels import PrefixSums, is_int, is_real
+from ._kernels import is_int, is_real, prefix_sums
 from .analytic_bounds import hlawka_bound, steep_power_phase_exponent
 from .averages import (
     BlockLadder,
@@ -655,7 +655,7 @@ def _orbit_runs(plan: _Plan, grid: np.ndarray):
     terms w_k f(T^{u_k} x) from k_first on: running sums (exclusive N), or
     for a hilbert plan the series of the terms divided by A(k) (inclusive N).
 
-    Orbit values and terms exist one PrefixSums block at a time, so each
+    Orbit values and terms exist one prefix_sums block at a time, so each
     block's orbit_eval, orbit_terms and in-chunk sums run while it is in
     cache; only the weights, the indices and the stored sums are full
     length. Nothing of one seed is held here while the next one draws."""
@@ -664,20 +664,21 @@ def _orbit_runs(plan: _Plan, grid: np.ndarray):
     series = norm if plan.hilbert else None
     bounds = grid - k_first + plan.hilbert
     for seed in plan.seeds or [None]:
-        acc = PrefixSums(bounds)  # drops the last seed's sums before this one draws
         w = gen_weights(_for_seed(plan.weights, seed), k_first, k_end)
         u = gen_indices(_for_seed(plan.indices, seed), k_first, k_end)
         if plan.system.kind == "doubling":
             point = OrbitPoint.doubling(int(seed), _start_bits(int(u.max())))
         else:
             point = OrbitPoint.rotation(plan.x0)
-        for i, j in acc.blocks():
+
+        def block_terms(i, j):  # reads orbit_eval and orbit_terms at call time, so wrappers apply
             vals = orbit_eval(plan.system, plan.observable, point, u[i:j])
-            acc.feed(orbit_terms(w[i:j], vals, series, k_first + i))
-        del w, u, point, vals
-        yield seed, SeriesRun(k_first=k_first, n_grid=grid, sums=acc.result(),
-                              normalizer=norm,
+            return orbit_terms(w[i:j], vals, series, k_first + i)
+        sums = prefix_sums(block_terms, bounds)
+        del w, u, point
+        yield seed, SeriesRun(k_first=k_first, n_grid=grid, sums=sums, normalizer=norm,
                               convention="inclusive" if plan.hilbert else "exclusive")
+        del sums  # before the next seed draws
 
 
 def _decay_entry(ns, cps=None) -> dict:

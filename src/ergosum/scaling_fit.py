@@ -38,8 +38,6 @@ from typing import Callable
 
 import numpy as np
 
-VERDICTS = ("satisfied", "violated", "inconclusive")
-
 _COLLINEAR_CORR = 0.995
 _MIN_OCTAVES = 3.0
 

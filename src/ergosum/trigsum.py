@@ -101,7 +101,7 @@ def eval_sum(weights, indices, theta) -> complex:
     """
     w, u = _check_pair(weights, indices)
     phase = frac_of(theta, u)
-    return complex(pairwise_sum(w * np.exp(2j * np.pi * phase)))
+    return complex(pairwise_sum(np.multiply(w, np.exp(2j * np.pi * phase))))
 
 
 def eval_grid(weights, indices, grid: ThetaGrid) -> np.ndarray:

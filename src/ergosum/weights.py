@@ -27,8 +27,6 @@ from ._kernels import frac_poly, is_int, is_real, mod1
 from ._rng import cramer_indicator, uniform01
 from .indices import primes_upto
 
-TWO_PI = 2.0 * np.pi
-
 KINDS = (
     "constant",
     "polynomial_phase",

@@ -133,23 +133,24 @@ def test_ladder_round_trip():
 def test_storage_grid():
     g = storage_grid(1, 500)
     assert np.array_equal(g, np.arange(1, 501))
-    g = storage_grid(1, 10**7, dense_limit=1000, ratio=1.5)
-    assert g[999] == 1000
+    g = storage_grid(1, 10**7)
+    assert np.array_equal(g[:DENSE_LIMIT], np.arange(1, DENSE_LIMIT + 1))
     assert g[-1] == 10**7
-    tail = g[g > 1000]
-    assert np.all(np.diff(tail) > 0)
-    assert tail.size < 50  # geometric, not dense
+    tail = g[DENSE_LIMIT - 1 :]
+    assert np.all(tail[1:] > tail[:-1])
+    assert np.all(tail[1:] <= tail[:-1] * GRID_RATIO)
+    assert tail.size < 250  # geometric, not dense
     with pytest.raises(ValueError):
         storage_grid(5, 4)
 
 
-def _list_built_grid(n_lo, n_hi, dense_limit=DENSE_LIMIT, ratio=GRID_RATIO):
+def _list_built_grid(n_lo, n_hi):
     # the grid as it was first written: a Python list, one int per point
-    dense_top = min(n_hi, max(dense_limit, n_lo))
+    dense_top = min(n_hi, max(DENSE_LIMIT, n_lo))
     out = list(range(n_lo, dense_top + 1))
     n = dense_top
     while n < n_hi:
-        n = min(max(n + 1, int(n * ratio)), n_hi)
+        n = min(max(n + 1, int(n * GRID_RATIO)), n_hi)
         out.append(n)
     return np.array(out, dtype=np.int64)
 

@@ -109,7 +109,7 @@ def test_doubling_orbit_is_exact_bit_shift():
     sys_ = SystemModel.doubling()
     f = Observable.indicator(0.5, 1.0)  # first window bit
     u = np.arange(0, 128, dtype=np.int64)
-    got = orbit_eval(sys_, f, pt, u, bit_window=53)
+    got = orbit_eval(sys_, f, pt, u)
     assert np.array_equal(got.real.astype(np.int64), bits[:128])
 
 

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -848,6 +849,27 @@ def test_blocked_stage_sums_match_one_unblocked_pass(kind, case, monkeypatch):
     want = prefix_at(terms, grid - k_first + plan.hilbert)
     assert got.sums.tobytes() == want.tobytes()
     assert got.convention == ("inclusive" if plan.hilbert else "exclusive")
+
+
+def test_orbit_runs_drop_each_seeds_sums_before_the_next_draws(monkeypatch):
+    """Once the caller drops a seed's run, nothing keeps its sums alive
+    while the next seed's weights are drawn, so two seeds' full-length
+    arrays never coexist."""
+    d = _stage_config("average_run", "float_theta", 2 * _BLOCK + 5, seeds=(1, 2))
+    plan, _ = harness._plan(cfg(**d))
+    refs = []
+
+    def weights(*args):
+        assert all(ref() is None for ref in refs)
+        return gen_weights(*args)
+
+    monkeypatch.setattr(harness, "gen_weights", weights)
+    runs = harness._orbit_runs(plan, harness._stored_grid(
+        plan.k_first, plan.k_first + plan.n_terms, plan.hilbert))
+    seed, first = next(runs)
+    refs.append(weakref.ref(first.sums))
+    del first
+    assert [seed for seed, _ in runs] == [2]
 
 
 def _perfbench_spans():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ergosum._kernels import frac_of, pairwise_sum
 from ergosum.trigsum import (
     ThetaGrid,
     default_grid,
@@ -26,6 +27,18 @@ def test_eval_sum_matches_oracle():
     for theta in (0.0, 0.123, 0.999, 1.0 / 3.0):
         want = oracles.exp_sum(w, u, theta)
         assert eval_sum(w, u, theta) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [16_383, 20_000, 70_000])
+def test_eval_sum_multiplies_weight_by_exponential(n):
+    """The terms are np.multiply(w, e) in that operand order at every size:
+    numpy evaluates w * tmp as tmp * w once tmp has 2**14 entries, and with
+    fused multiply-adds the two orders can differ in the last bit."""
+    rng = np.random.default_rng(n)
+    w = np.exp(2j * np.pi * rng.uniform(size=n))
+    u = rng.integers(0, 10**9, size=n)
+    e = np.exp(2j * np.pi * frac_of(0.3819660112501051, u))
+    assert eval_sum(w, u, 0.3819660112501051) == pairwise_sum(np.multiply(w, e))
 
 
 def test_eval_sum_fraction_theta_exact_rational_reduction():
