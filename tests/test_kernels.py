@@ -394,6 +394,39 @@ def test_prefix_at_matches_the_padded_reference(n, dtype):
     assert prefix_at(z, ends).tobytes() == got[ends - 1].tobytes()
 
 
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_prefix_sums_in_any_blocks_match_the_padded_reference(n, dtype):
+    """Whatever block_terms hands back, a view of one array, a fresh array
+    per block, a strided view or a read-only view, prefix_sums agrees bit
+    for bit with the chunk scheme over zero-padded terms at every end and
+    at ends beside the chunk edge, for a leading -0.0 and inf/nan terms
+    too, and leaves the caller's terms as they were."""
+    rng = np.random.default_rng(n + 1)
+    z = rng.standard_normal(n).astype(dtype)
+    if dtype is np.complex128:
+        z += 1j * rng.standard_normal(n)
+    z[0] = -0.0
+    if n > 3:
+        z[[n // 3, n - 2]] = [np.inf, np.nan]
+    kept = z.tobytes()
+    strided = np.zeros(2 * n, dtype=dtype)
+    strided[::2] = z
+    frozen = z.copy()
+    frozen.flags.writeable = False
+    sources = (lambda i, j: z[i:j], lambda i, j: z[i:j].copy(),
+               lambda i, j: strided[2 * i : 2 * j : 2], lambda i, j: frozen[i:j])
+    ends = np.unique(np.concatenate([[1, n], rng.integers(1, n + 1, size=40),
+                                     [e for e in (CHUNK - 1, CHUNK, CHUNK + 1)
+                                      if e <= n]])).astype(np.int64)
+    for bounds in (np.arange(1, n + 1, dtype=np.int64), ends):
+        want = _padded_prefix(z, bounds).tobytes()
+        for block_terms in sources:
+            assert prefix_sums(block_terms, bounds).tobytes() == want
+    assert math.copysign(1.0, prefix_sums(sources[1], ends)[0].real) == -1.0
+    assert z.tobytes() == kept
+
+
 def test_prefix_sums_asks_for_consecutive_blocks():
     """block_terms is called once per _BLOCK terms, in order, up to the
     last bound, for dense and sparse bounds alike."""
