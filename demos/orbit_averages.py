@@ -43,10 +43,11 @@ rep = oscillation_report(run, BlockLadder.dyadic(2, 17))
 print(f"  sum of squared oscillations: {rep.cumulative_sq[-1]:.4f}, "
       f"decomposition check passed = {rep.check_decomposition()['passed']}")
 
-# the doubling map carries its start point as an explicit bit string
+# a doubling-map start point is the seed of its binary digits; an orbit
+# draws only the digits its indices read
 print()
 print("doubling map, indicator observable, plain averages:")
-pt = OrbitPoint.doubling(seed=11, length=n + 128)
+pt = OrbitPoint.doubling(seed=11)
 g = Observable.indicator(0.0, 0.5)
 dvals = orbit_eval(SystemModel.doubling(), g, pt, u)
 drun = weighted_sums(dvals, np.ones(n), k_first=1,

@@ -3,7 +3,7 @@
 Two system kinds:
 
     rotation   x -> x + theta0 mod 1 on the circle
-    doubling   x -> 2x mod 1, points carried as explicit bit strings
+    doubling   x -> 2x mod 1, a point given by the seed of its binary digits
 
 The spectral model has no points: a SpectralMeasure, a finite positive
 measure on [0, 1), against which spectral_l2_norm computes norms.
@@ -16,10 +16,13 @@ every significant bit once u is large. Every angle goes through
 _kernels.frac_ratio: a Fraction as itself, a float as its exact dyadic
 ratio, and a Fraction angle with a Fraction start point as one ratio.
 
-Doubling-map points are seeded bit strings; T^u just shifts the window,
-so orbit values of indicator observables are exact bits with no floating
-error. The window width B (default 53) is the evaluation precision: a
-point needs max(u) + B stored bits.
+A doubling-map point is its seed: binary digit n is _rng.bits(seed, n),
+a pure function of (seed, n) (counter-based draws, Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11), so nothing is
+stored and T^u reads the window of digits from n = u on. Orbit values of
+indicator observables are then exact bits with no floating error. The
+window width B (default 53) is the evaluation precision, and an orbit
+evaluation draws only the digits its windows read.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ OBSERVABLE_KINDS = ("fourier_mode", "indicator", "finite_fourier")
 MAX_ANGLE_DEN = 1 << 62
 DEFAULT_DENSITY_CELLS = 1 << 16
 DEFAULT_BIT_WINDOW = 53
-MIN_BIT_LENGTH = 64
 
 
 def _cf_constant_convergent(a: int, max_den: int) -> Fraction:
@@ -244,12 +246,11 @@ class Observable:
 
 @dataclass(frozen=True, eq=False)
 class OrbitPoint:
-    """A starting point: a circle position for rotation, a stored bit
-    string (seeded, reproducible) for doubling."""
+    """A starting point: a circle position x0 for rotation, the seed of
+    its binary digits for doubling."""
 
     kind: str
     x0: float | Fraction | None = None
-    bit_string: np.ndarray | None = None
     seed: int | None = None
 
     def __post_init__(self):
@@ -257,11 +258,9 @@ class OrbitPoint:
             if self.x0 is None or not (0.0 <= float(self.x0) < 1.0):
                 raise ValueError("rotation point needs x0 in [0, 1)")
         elif self.kind == "doubling":
-            b = self.bit_string
-            if b is None or b.ndim != 1 or b.size < MIN_BIT_LENGTH:
-                raise ValueError(
-                    f"doubling point needs at least {MIN_BIT_LENGTH} bits"
-                )
+            if not is_int(self.seed):
+                raise ValueError("doubling point needs an integer seed")
+            object.__setattr__(self, "seed", int(self.seed))
         else:
             raise ValueError(f"unknown orbit point kind {self.kind!r}")
 
@@ -270,16 +269,8 @@ class OrbitPoint:
         return cls(kind="rotation", x0=x0)
 
     @classmethod
-    def doubling(cls, seed: int, length: int) -> "OrbitPoint":
-        if length < MIN_BIT_LENGTH:
-            raise ValueError(f"bit length must be >= {MIN_BIT_LENGTH}")
-        b = _seeded_bits(seed, np.arange(length, dtype=np.int64))
-        b.flags.writeable = False
-        return cls(kind="doubling", bit_string=b, seed=int(seed))
-
-    @property
-    def bit_length(self) -> int:
-        return 0 if self.bit_string is None else int(self.bit_string.size)
+    def doubling(cls, seed: int) -> "OrbitPoint":
+        return cls(kind="doubling", seed=seed)
 
 
 def _rotation_positions(theta0, x0, u: np.ndarray) -> np.ndarray:
@@ -298,9 +289,29 @@ def _rotation_positions(theta0, x0, u: np.ndarray) -> np.ndarray:
 def _doubling_window_values(bits: np.ndarray, window: int) -> np.ndarray:
     # y[n] = 0.b_n b_{n+1} ... b_{n+window-1}; each value is a 53-bit
     # dyadic rational, so the convolution below is exact in doubles, and
-    # y[n] of a slice of the bits equals y[n + start] of the whole string
+    # y[n] depends on bits n .. n + window - 1 alone
     weights = np.ldexp(1.0, -np.arange(1, window + 1))
     return np.convolve(bits.astype(np.float64), weights[::-1], mode="valid")
+
+
+def _doubling_positions(seed: int, u: np.ndarray) -> np.ndarray:
+    """0.b_u b_{u+1} ... b_{u+B-1} for each index u, with B =
+    DEFAULT_BIT_WINDOW and b_n = _rng.bits(seed, n).
+
+    The union of the windows [u, u + B) is drawn once, its runs back to
+    back: each distinct start takes the digits up to the next start, or B
+    where that is further, so a call draws at most min(span + B, B len(u))
+    digits and each window lies whole in the draw. Starts and counters are
+    uint64, since u + B passes 2**63 for the largest int64 indices.
+    """
+    B = DEFAULT_BIT_WINDOW
+    starts, which = np.unique(u.astype(np.uint64), return_inverse=True)
+    step = np.append(np.minimum(np.diff(starts), B).astype(np.int64), B)
+    at = np.cumsum(step) - step  # where each start's digits begin in the draw
+    counters = np.repeat(starts - at.astype(np.uint64), step)
+    counters += np.arange(counters.size, dtype=np.uint64)
+    y = _doubling_window_values(_seeded_bits(seed, counters), B)
+    return y[at[which]]
 
 
 def orbit_eval(system: SystemModel, f: Observable, x0: OrbitPoint, indices) -> np.ndarray:
@@ -309,9 +320,7 @@ def orbit_eval(system: SystemModel, f: Observable, x0: OrbitPoint, indices) -> n
     Each value depends on its own index alone, so the harness stages call
     this on one block of indices at a time, and any split of the indices
     gives the same bits. DEFAULT_BIT_WINDOW is the evaluation precision B
-    for doubling systems: the point must store at least max(u) + B bits, and
-    only the bits from min(u) to max(u) + B - 1 are read, so a block of
-    indices costs its own span of the bit string, not all of it.
+    for doubling systems, and a call draws only the digits its indices read.
     """
     u = np.ascontiguousarray(indices)
     if u.dtype.kind not in "iu":
@@ -327,15 +336,9 @@ def orbit_eval(system: SystemModel, f: Observable, x0: OrbitPoint, indices) -> n
         return f.eval(pos)
     if x0.kind != "doubling":
         raise ValueError("doubling system needs a doubling orbit point")
-    need = int(u.max()) + DEFAULT_BIT_WINDOW
-    if x0.bit_length < need:
-        raise ValueError(
-            f"bit string too short for the requested shifts: have "
-            f"{x0.bit_length} bits, need max(u) + window = {need}"
-        )
-    lo = int(u.min())
-    y = _doubling_window_values(x0.bit_string[lo:need], DEFAULT_BIT_WINDOW)
-    return f.eval(y[u - lo])
+    if int(u.max()) >= 2**63:
+        raise ValueError("doubling orbit indices must be below 2**63")
+    return f.eval(_doubling_positions(x0.seed, u))
 
 
 def spectral_l2_norm(weights, indices, normalizer_value: float,

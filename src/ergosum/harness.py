@@ -37,8 +37,9 @@ every stochastic ingredient; an ingredient fixes its own seed only in a
 config without seeds.
 
 Exit codes of the CLI: 0 success, 2 config validation failure (validate()
-also checks that the term ranges, stored grids, start points and fit rows
-a run needs exist), 3 runtime failure (partial outputs are removed).
+also checks that the term ranges, stored grids and fit rows a run needs
+exist, and that its output paths can be named), 3 runtime failure
+(partial outputs are removed).
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ from .averages import (
 # name in this module, these two included
 from .averages import hilbert_series, weighted_sums  # noqa: F401
 from .dynamics import Observable, OrbitPoint, SystemModel, exact_fraction, orbit_eval
-from .indices import IndexSpec, check_top, gen_indices, pi_count, top_index
+from .indices import IndexSpec, check_top, gen_indices, pi_count
 from .scaling_fit import (
     TEMPLATES,
     EnvelopeSample,
@@ -121,12 +122,10 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
 _MAX_SEEDS = 256
+# file names hold 255 bytes; the staging sibling .<name>.new-<pid>-<ns>
+# that run() writes first adds at most 37 to the name
+_MAX_NAME_BYTES = 200
 _MAX_TERMS = 100_000_000
-# A doubling-map start point stores max(u) + _START_PAD bits (the
-# evaluation window plus margin). Drawing it takes 8 bytes per bit for
-# OrbitPoint.doubling's int64 counters alone, so this cap is 0.8 GB.
-_MAX_START_BITS = _MAX_TERMS
-_START_PAD = 128
 _K_END = 2**63 - 1  # every term index k a run generates stays below this (int64)
 _MAX_GRID_POINTS = 1 << 26
 _CSV_THIN_RATIO = 1.02
@@ -282,6 +281,10 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
         diags.append("name: must be a nonempty string")
     elif config.name in (".", "..") or any(c in config.name for c in "/\\"):
         diags.append("name: must be a bare directory name")
+    else:
+        raw = check("name", lambda: _os_name(config.name))
+        if raw is not None and len(raw) > _MAX_NAME_BYTES:
+            diags.append(f"name: at most {_MAX_NAME_BYTES} bytes")
     if config.kind not in KINDS:
         diags.append(f"kind: must be one of {', '.join(KINDS)}")
         return None, diags
@@ -305,6 +308,8 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
 
     if config.output_dir is not None and not isinstance(config.output_dir, str):
         diags.append("output_dir: must be a string")
+    elif config.output_dir is not None:
+        check("output_dir", lambda: _os_name(config.output_dir))
 
     if config.kind == "preset":
         if config.preset not in PRESET_IDS:
@@ -403,8 +408,11 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
                         f"k_first: below the {spec.kind} family offset {spec.offset}"
                     )
     system = sub_spec("system", SystemModel)
-    if system is not None and system.kind == "doubling" and not config.seeds:
-        diags.append("seeds: doubling orbits draw their start point from a seed")
+    if system is not None and system.kind == "doubling":
+        if not config.seeds:
+            diags.append("seeds: doubling orbits draw their start point from a seed")
+        if config.x0 is not None:
+            diags.append("x0: not read by doubling systems")
     f = sub_spec("observable", Observable)
     norm = sub_spec("normalizer", NormalizerSpec)
     if config.n_terms is None:
@@ -445,9 +453,6 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
         diags.append("normalizer: entire grid lies below the normalizer offset k0")
     if diags:
         return None, diags
-    u_top = top_index(ispec, n_end) if system.kind == "doubling" else None
-    if u_top is not None:
-        check("system", lambda: _start_bits(u_top))
     grid = _stored_grid(kf, n_end, hilbert)
     check("normalizer", lambda: norm.values(grid[grid >= norm.k0]))
     if ladder is not None:
@@ -456,6 +461,16 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
                  normalizer=norm, n_terms=config.n_terms, k_first=kf, hilbert=hilbert,
                  tail_starts=config.tail_starts, bound=config.bound, ladder=ladder)
     return (None if diags else plan), diags
+
+
+def _os_name(s: str) -> bytes:
+    """The bytes a file system path holds for s; ValueError if none can."""
+    if "\0" in s:
+        raise ValueError("must not contain a null byte")
+    try:
+        return os.fsencode(s)
+    except UnicodeEncodeError:
+        raise ValueError("must be encodable in the file system encoding") from None
 
 
 def _parse_x0(raw):
@@ -632,15 +647,6 @@ def _fit_stage(files, samples_by_seed, plan: _Plan):
     files["fit.json"] = _json_bytes(record)
 
 
-def _start_bits(u_top: int) -> int:
-    """Bits a doubling-map start point stores to reach index u_top."""
-    bits = u_top + _START_PAD
-    if bits > _MAX_START_BITS:
-        raise ValueError(f"a doubling-map start point for indices up to {u_top} "
-                         f"needs {bits} bits, more than {_MAX_START_BITS}")
-    return bits
-
-
 def _stored_grid(k_first: int, n_end: int, hilbert: bool) -> np.ndarray:
     """The N grid an orbit run over the terms k_first <= k < n_end stores:
     inclusive N in [k_first, n_end - 1] for a series, exclusive N in
@@ -667,7 +673,7 @@ def _orbit_runs(plan: _Plan, grid: np.ndarray):
         w = gen_weights(_for_seed(plan.weights, seed), k_first, k_end)
         u = gen_indices(_for_seed(plan.indices, seed), k_first, k_end)
         if plan.system.kind == "doubling":
-            point = OrbitPoint.doubling(int(seed), _start_bits(int(u.max())))
+            point = OrbitPoint.doubling(seed)
         else:
             point = OrbitPoint.rotation(plan.x0)
 

@@ -142,18 +142,6 @@ def check_top(spec: IndexSpec, m: int, n: int) -> None:
         raise ValueError("polynomial must be nonnegative and nondecreasing on the range")
 
 
-def top_index(spec: IndexSpec, n: int) -> int | None:
-    """An upper bound on u_k for k < n, once check_top(spec, m, n) has
-    passed: u_{n-1} itself for the deterministic families (each is
-    nondecreasing on the range), Rosser's bound for the primes, and None
-    for the random prime model, which has no deterministic one."""
-    if spec.kind == "cramer_primes":
-        return None
-    if spec.kind == "primes":
-        return _prime_bound(n - 1)
-    return int(gen_indices(spec, n - 1, n)[0])
-
-
 def pi_count(spec: IndexSpec, N: int) -> int:
     """Number of selected integers up to N: in [2, N] for primes, [3, N]
     for the clamped random model. Requires N >= 2."""

@@ -82,6 +82,12 @@ def rotation_orbit(theta0: Fraction, x0: Fraction, u: int) -> Fraction:
     return v - math.floor(v)
 
 
+def binary_fraction(digits) -> float:
+    """0.d_1 d_2 ... d_n in binary, exactly for n <= 53: the digits read
+    as one integer, over 2**n."""
+    return math.ldexp(int("".join(str(int(d)) for d in digits), 2), -len(digits))
+
+
 def adaptive_quad(fn, a: float, b: float, tol: float = 1e-12, depth: int = 50) -> float:
     """Adaptive Simpson quadrature, independent of scipy."""
 

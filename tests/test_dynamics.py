@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergosum.dynamics import (
+    DEFAULT_BIT_WINDOW,
     MAX_ANGLE_DEN,
     Observable,
     OrbitPoint,
@@ -104,28 +105,56 @@ def test_rotation_rejects_bad_angles():
 # ---------------------------------------------------------------- doubling
 
 def test_doubling_orbit_is_exact_bit_shift():
-    pt = OrbitPoint.doubling(seed=7, length=256)
-    bits = pt.bit_string
+    pt = OrbitPoint.doubling(seed=7)
     sys_ = SystemModel.doubling()
     f = Observable.indicator(0.5, 1.0)  # first window bit
     u = np.arange(0, 128, dtype=np.int64)
     got = orbit_eval(sys_, f, pt, u)
-    assert np.array_equal(got.real.astype(np.int64), bits[:128])
+    assert np.array_equal(got.real.astype(np.int64), seeded_bits(7, u))
 
 
 def test_doubling_point_reproducible():
-    a = OrbitPoint.doubling(seed=42, length=128)
-    b = OrbitPoint.doubling(seed=42, length=4096)
-    assert np.array_equal(a.bit_string, b.bit_string[:128])
-    assert np.array_equal(a.bit_string, seeded_bits(42, np.arange(128, dtype=np.int64)))
+    """A doubling point is its seed: points from one seed give the same
+    values, over any range of indices or a piece of it."""
+    a, b = OrbitPoint.doubling(seed=42), OrbitPoint.doubling(seed=42)
+    assert a.seed == 42
+    sys_, f = SystemModel.doubling(), Observable.fourier_mode(1)
+    u = np.arange(4096, dtype=np.int64)
+    whole = orbit_eval(sys_, f, a, u)
+    assert whole.tobytes() == orbit_eval(sys_, f, b, u).tobytes()
+    assert whole[1000:1128].tobytes() == orbit_eval(sys_, f, b, u[1000:1128]).tobytes()
+    with pytest.raises(ValueError, match="integer seed"):
+        OrbitPoint.doubling(seed=1.5)
 
 
-def test_doubling_insufficient_bits_names_shortfall():
-    pt = OrbitPoint.doubling(seed=1, length=100)
-    sys_ = SystemModel.doubling()
+_TOP = 2**63 - 1
+_B = DEFAULT_BIT_WINDOW
+
+
+@st.composite
+def _orbit_indices(draw):
+    """Indices in any order, with repeats, dense runs, gaps narrower and
+    wider than the window B, and values up to 2**63 - 1."""
+    u = []
+    for a in draw(st.lists(st.integers(0, _TOP), min_size=1, max_size=4)):
+        u += range(a, min(a + draw(st.integers(0, 3 * _B)), _TOP + 1))
+        u += [min(max(a + d, 0), _TOP)
+              for d in draw(st.lists(st.integers(-3 * _B, 3 * _B), max_size=12))]
+    u += draw(st.lists(st.sampled_from(u), max_size=8)) if u else [0]
+    return draw(st.permutations(u))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), u=_orbit_indices())
+def test_doubling_values_match_the_reference_at_any_indices(seed, u):
+    """Each value is f at 0.b_u ... b_{u+B-1}, b_n = bits(seed, n), drawn
+    window by window as the reference, bit for bit."""
     f = Observable.fourier_mode(1)
-    with pytest.raises(ValueError, match="need max\\(u\\) \\+ window = 153"):
-        orbit_eval(sys_, f, pt, np.array([100], dtype=np.int64))
+    got = orbit_eval(SystemModel.doubling(), f, OrbitPoint.doubling(seed),
+                     np.array(u, dtype=np.int64))
+    window = np.arange(_B, dtype=np.uint64)
+    x = [oracles.binary_fraction(seeded_bits(seed, window + np.uint64(v))) for v in u]
+    assert got.tobytes() == f.eval(np.array(x)).tobytes()
 
 
 def test_orbit_rejects_non_integer_indices():
@@ -144,6 +173,10 @@ def test_orbit_rejects_negative_and_empty():
         orbit_eval(sys_, f, pt, np.array([-1], dtype=np.int64))
     with pytest.raises(ValueError):
         orbit_eval(sys_, f, pt, np.array([], dtype=np.int64))
+    # digit counters u + B stay below 2**64
+    with pytest.raises(ValueError, match="below 2\\*\\*63"):
+        orbit_eval(SystemModel.doubling(), f, OrbitPoint.doubling(seed=1),
+                   np.array([2**63], dtype=np.uint64))
 
 
 def test_mismatched_point_kind():
@@ -153,7 +186,7 @@ def test_mismatched_point_kind():
                    np.array([1], dtype=np.int64))
     with pytest.raises(ValueError):
         orbit_eval(SystemModel.rotation(0.25), f,
-                   OrbitPoint.doubling(seed=1, length=64),
+                   OrbitPoint.doubling(seed=1),
                    np.array([1], dtype=np.int64))
 
 

@@ -15,6 +15,7 @@ field is replaced with, validate() returns diagnostics without raising,
 and a config it accepts runs.
 """
 
+import contextlib
 import hashlib
 import json
 from pathlib import Path
@@ -142,8 +143,11 @@ def _golden():
 
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_outputs_match_golden_digests(tmp_path, name):
-    manifest = run(ExperimentConfig.from_dict(
-        {"name": name, **CONFIGS[name], "output_dir": str(tmp_path)}))
+    # example1's default grid is too coarse for the Bernstein certificate
+    with (pytest.warns(RuntimeWarning, match="grid too coarse") if name == "example1"
+          else contextlib.nullcontext()):
+        manifest = run(ExperimentConfig.from_dict(
+            {"name": name, **CONFIGS[name], "output_dir": str(tmp_path)}))
     assert output_digests(tmp_path / name) == _golden()[name]
     assert list(manifest.wall_seconds) == WALL_KEYS[name]
 

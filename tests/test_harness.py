@@ -1,5 +1,6 @@
 """Experiment configs, validation diagnostics, runs, CLI exit codes."""
 
+import contextlib
 import dataclasses
 import hashlib
 import importlib.util
@@ -16,6 +17,7 @@ import pytest
 
 from ergosum import harness
 from ergosum._kernels import _BLOCK, prefix_at
+from ergosum._rng import bits as seeded_bits
 from ergosum.averages import orbit_terms
 from ergosum.dynamics import (
     DEFAULT_BIT_WINDOW,
@@ -37,6 +39,8 @@ from ergosum.harness import (
     validate,
 )
 from ergosum.trigsum import SupEstimate, ThetaGrid, sup_envelope
+
+import oracles
 
 
 def cfg(**kw) -> ExperimentConfig:
@@ -599,12 +603,18 @@ INVALID_CLI_CONFIGS = {
     "finite_fourier_float_mode": (
         tiny_average(observable={"kind": "finite_fourier", "terms": [[1.7, 1, 0]]}),
         "observable: finite_fourier modes must be integers"),
-    # 3000**3 + 128 orbit bits would be a 201 GiB start-point draw
-    "doubling_start_point_too_long": (
-        tiny_average(system={"kind": "doubling"}, indices={"kind": "monomial", "d": 3},
-                     n_terms=3000, seeds=[1]),
-        "system: a doubling-map start point for indices up to 27000000000 needs "
-        "27000000128 bits, more than 100000000"),
+    # a doubling orbit starts from its seed's digits, not from x0
+    "x0_on_doubling": (
+        tiny_average(system={"kind": "doubling"}, x0=0.25, seeds=[1]),
+        "x0: not read by doubling systems"),
+    # names the run could not write: the OS takes no null byte, and the
+    # staging sibling .<name>.new-<pid>-<ns> must fit in 255 bytes
+    "null_byte_name": (tiny_average(name="a\u0000b"), "name: must not contain a null byte"),
+    "null_byte_output_dir": (
+        tiny_average(output_dir="out\u0000dir"), "output_dir: must not contain a null byte"),
+    "name_300_characters": (tiny_average(name="n" * 300), "name: at most 200 bytes"),
+    "lone_surrogate_name": (
+        tiny_average(name="a\ud800"), "name: must be encodable in the file system encoding"),
     "ingredient_seed_and_seeds": (
         tiny_envelope(weights={"kind": "iid_uniform_phase", "seed": 3}, seeds=[1, 2]),
         "weights.seed: each repetition draws with its own seed from seeds"),
@@ -654,10 +664,10 @@ INVALID_CLI_CONFIGS = {
 def test_cli_invalid_config_exits_2(tmp_path, capsys, case, command):
     config, message = INVALID_CLI_CONFIGS[case]
     p = tmp_path / "c.json"
-    p.write_text(json.dumps({**config, "output_dir": str(tmp_path)}))
+    p.write_text(json.dumps({"output_dir": str(tmp_path), **config}))
     assert main([command, str(p)]) == 2
     assert f"invalid: {message}" in capsys.readouterr().out
-    assert not (tmp_path / config["name"]).exists()
+    assert [q.name for q in tmp_path.iterdir()] == ["c.json"]
 
 
 def test_rational_zero_start_writes_the_float_zero_bytes(tmp_path):
@@ -692,19 +702,35 @@ def test_cli_run_parses_the_config_once(tmp_path, monkeypatch, capsys):
     assert len(plans) == 1
 
 
-def test_random_prime_doubling_run_stops_at_the_start_point_cap(tmp_path, monkeypatch,
-                                                               capsys):
-    # the random prime model has no top-index bound for validate(), so the
-    # run checks the cap before it draws the start point
-    monkeypatch.setattr(harness, "_MAX_START_BITS", 1000)
+# doubling runs whose indices reach far: 3000**3 = 2.7e10, the random
+# prime model, which has no index bound before its run, and u = k up to
+# 2**63 - 2, where a window end u + B passes 2**63
+DOUBLING_RUNS = {
+    "cubic_indices": {"indices": {"kind": "monomial", "d": 3}, "n_terms": 3000},
+    "random_primes": {"indices": {"kind": "cramer_primes"}},
+    "k_first_near_int64": {"k_first": 2**63 - 3000, "n_terms": 2999},
+}
+
+
+@pytest.mark.parametrize("case", list(DOUBLING_RUNS))
+def test_doubling_runs_draw_only_the_digits_their_indices_read(tmp_path, case):
+    """Each run validates and exits 0, and its sums equal those of orbit
+    values drawn window by window as the reference, bit for bit."""
+    d = tiny_average(system={"kind": "doubling"}, seeds=[1], output_dir=str(tmp_path),
+                     **DOUBLING_RUNS[case])
     p = tmp_path / "c.json"
-    p.write_text(json.dumps(tiny_average(
-        system={"kind": "doubling"}, indices={"kind": "cramer_primes"}, seeds=[1],
-        output_dir=str(tmp_path))))
+    p.write_text(json.dumps(d))
     assert main(["validate", str(p)]) == 0
-    assert main(["run", str(p)]) == 3
-    assert "bits, more than 1000" in capsys.readouterr().out
-    assert not (tmp_path / "t_avg").exists()
+    assert main(["run", str(p)]) == 0
+    plan, _ = harness._plan(cfg(**d))
+    k_first, k_end = plan.k_first, plan.k_first + plan.n_terms
+    grid = harness._stored_grid(k_first, k_end, False)
+    [(seed, got)] = harness._orbit_runs(plan, grid)
+    u = gen_indices(harness._for_seed(plan.indices, seed), k_first, k_end)
+    window = np.arange(DEFAULT_BIT_WINDOW, dtype=np.uint64)
+    x = [oracles.binary_fraction(seeded_bits(seed, window + np.uint64(v))) for v in u]
+    terms = gen_weights(plan.weights, k_first, k_end) * plan.observable.eval(np.array(x))
+    assert got.sums.tobytes() == prefix_at(terms, grid - k_first).tobytes()
 
 
 # presets no other tier-1 test runs, at non-default params and seeds
@@ -721,7 +747,10 @@ _SERIES_PRESET_FILES = ["cauchy.json", "envelope.csv", "envelope.svg", "fit.json
 @pytest.mark.parametrize("preset", list(PRESET_RUNS))
 def test_preset_runs(tmp_path, preset):
     extra, more_files = PRESET_RUNS[preset]
-    run(cfg(preset=preset, output_dir=str(tmp_path), **extra))
+    # example1's default grid is too coarse for the Bernstein certificate
+    with (pytest.warns(RuntimeWarning, match="grid too coarse") if preset == "example1"
+          else contextlib.nullcontext()):
+        run(cfg(preset=preset, output_dir=str(tmp_path), **extra))
     out = tmp_path / preset
     names = sorted(p.name for p in out.iterdir())
     if more_files is None:
@@ -837,9 +866,8 @@ def test_blocked_stage_sums_match_one_unblocked_pass(kind, case, monkeypatch):
     w = gen_weights(harness._for_seed(plan.weights, seed), k_first, k_end)
     u = gen_indices(plan.indices, k_first, k_end)
     if plan.system.kind == "doubling":
-        point = OrbitPoint.doubling(seed, harness._start_bits(int(u.max())))
-        v = plan.observable.eval(
-            _doubling_window_values(point.bit_string, DEFAULT_BIT_WINDOW)[u])
+        bits = seeded_bits(seed, np.arange(int(u.max()) + DEFAULT_BIT_WINDOW))
+        v = plan.observable.eval(_doubling_window_values(bits, DEFAULT_BIT_WINDOW)[u])
     else:
         v = orbit_eval(plan.system, plan.observable, OrbitPoint.rotation(plan.x0), u)
     terms = w * v
