@@ -712,16 +712,21 @@ DOUBLING_RUNS = {
 }
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("case", list(DOUBLING_RUNS))
-def test_doubling_runs_draw_only_the_digits_their_indices_read(tmp_path, case):
-    """Each run validates and exits 0, and its sums equal those of orbit
-    values drawn window by window as the reference, bit for bit."""
+def test_far_doubling_config_exits_0(tmp_path, capsys, case, command):
+    """Each config validates ok and writes nothing; its run exits 0, and its
+    sums equal those of orbit values drawn window by window as the reference,
+    bit for bit."""
     d = tiny_average(system={"kind": "doubling"}, seeds=[1], output_dir=str(tmp_path),
                      **DOUBLING_RUNS[case])
     p = tmp_path / "c.json"
     p.write_text(json.dumps(d))
-    assert main(["validate", str(p)]) == 0
-    assert main(["run", str(p)]) == 0
+    assert main([command, str(p)]) == 0
+    if command == "validate":
+        assert capsys.readouterr().out == "ok\n"
+        assert [q.name for q in tmp_path.iterdir()] == ["c.json"]
+        return
     plan, _ = harness._plan(cfg(**d))
     k_first, k_end = plan.k_first, plan.k_first + plan.n_terms
     grid = harness._stored_grid(k_first, k_end, False)
