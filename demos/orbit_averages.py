@@ -43,8 +43,8 @@ rep = oscillation_report(run, BlockLadder.dyadic(2, 17))
 print(f"  sum of squared oscillations: {rep.cumulative_sq[-1]:.4f}, "
       f"decomposition check passed = {rep.check_decomposition()['passed']}")
 
-# a doubling-map start point is the seed of its binary digits; an orbit
-# draws only the digits its indices read
+# a doubling-map start point is the seed of its binary digits, read 64 to
+# a draw; each orbit value is two draws and a shift
 print()
 print("doubling map, indicator observable, plain averages:")
 pt = OrbitPoint.doubling(seed=11)

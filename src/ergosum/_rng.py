@@ -83,11 +83,6 @@ def uniform01(seed: int, counters) -> np.ndarray:
     return _to01(raw64(seed, counters))
 
 
-def bits(seed: int, counters) -> np.ndarray:
-    """Single fair bits (0/1 as uint8), keyed by (seed, counter)."""
-    return (raw64(seed, counters) >> _U64(63)).astype(np.uint8)
-
-
 # ---------------------------------------------------------------------------
 # random prime model
 

@@ -16,13 +16,14 @@ every significant bit once u is large. Every angle goes through
 _kernels.frac_ratio: a Fraction as itself, a float as its exact dyadic
 ratio, and a Fraction angle with a Fraction start point as one ratio.
 
-A doubling-map point is its seed: binary digit n is _rng.bits(seed, n),
-a pure function of (seed, n) (counter-based draws, Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC'11), so nothing is
-stored and T^u reads the window of digits from n = u on. Orbit values of
-indicator observables are then exact bits with no floating error. The
-window width B (default 53) is the evaluation precision, and an orbit
-evaluation draws only the digits its windows read.
+A doubling-map point is its seed: its binary digits are read 64 to a
+counter-based draw (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC'11), digit n being bit 63 - (n mod 64) of
+_rng.raw64(seed, n // 64), most significant first. Nothing is stored, and
+T^u reads the window of B digits from n = u on, which lies in two words.
+Orbit values of indicator observables are then exact bits with no
+floating error. The window width B (default 53) is the evaluation
+precision.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._kernels import frac_of, frac_ratio, is_int, is_real, mod1, next_pow2, pairwise_sum
-from ._rng import bits as _seeded_bits
+from ._rng import raw64
 from .trigsum import ThetaGrid, eval_grid, eval_sum
 
 SYSTEM_KINDS = ("rotation", "doubling")
@@ -286,32 +287,22 @@ def _rotation_positions(theta0, x0, u: np.ndarray) -> np.ndarray:
     return mod1(frac_of(theta0, u) + float(x0))
 
 
-def _doubling_window_values(bits: np.ndarray, window: int) -> np.ndarray:
-    # y[n] = 0.b_n b_{n+1} ... b_{n+window-1}; each value is a 53-bit
-    # dyadic rational, so the convolution below is exact in doubles, and
-    # y[n] depends on bits n .. n + window - 1 alone
-    weights = np.ldexp(1.0, -np.arange(1, window + 1))
-    return np.convolve(bits.astype(np.float64), weights[::-1], mode="valid")
-
-
 def _doubling_positions(seed: int, u: np.ndarray) -> np.ndarray:
     """0.b_u b_{u+1} ... b_{u+B-1} for each index u, with B =
-    DEFAULT_BIT_WINDOW and b_n = _rng.bits(seed, n).
+    DEFAULT_BIT_WINDOW and digit n bit 63 - (n mod 64) of word W_{n // 64}
+    = _rng.raw64(seed, n // 64).
 
-    The union of the windows [u, u + B) is drawn once, its runs back to
-    back: each distinct start takes the digits up to the next start, or B
-    where that is further, so a call draws at most min(span + B, B len(u))
-    digits and each window lies whole in the draw. Starts and counters are
-    uint64, since u + B passes 2**63 for the largest int64 indices.
+    With u = 64 k + r the window is the top B bits of
+    (W_k << r) | (W_{k+1} >> (64 - r)), exact in a double; numpy shifts a
+    uint64 by 64 to 0, which covers r = 0, and k + 1 <= 2**58 for every
+    uint64 u.
     """
-    B = DEFAULT_BIT_WINDOW
-    starts, which = np.unique(u.astype(np.uint64), return_inverse=True)
-    step = np.append(np.minimum(np.diff(starts), B).astype(np.int64), B)
-    at = np.cumsum(step) - step  # where each start's digits begin in the draw
-    counters = np.repeat(starts - at.astype(np.uint64), step)
-    counters += np.arange(counters.size, dtype=np.uint64)
-    y = _doubling_window_values(_seeded_bits(seed, counters), B)
-    return y[at[which]]
+    u = u.astype(np.uint64)
+    k, r = u >> np.uint64(6), u & np.uint64(63)
+    w = raw64(seed, k) << r
+    w |= raw64(seed, k + np.uint64(1)) >> (np.uint64(64) - r)
+    w >>= np.uint64(64 - DEFAULT_BIT_WINDOW)
+    return np.ldexp(w.astype(np.float64), -DEFAULT_BIT_WINDOW)
 
 
 def orbit_eval(system: SystemModel, f: Observable, x0: OrbitPoint, indices) -> np.ndarray:
@@ -320,7 +311,8 @@ def orbit_eval(system: SystemModel, f: Observable, x0: OrbitPoint, indices) -> n
     Each value depends on its own index alone, so the harness stages call
     this on one block of indices at a time, and any split of the indices
     gives the same bits. DEFAULT_BIT_WINDOW is the evaluation precision B
-    for doubling systems, and a call draws only the digits its indices read.
+    for doubling systems, and each doubling value reads two draws, the
+    64-digit words that hold its window.
     """
     u = np.ascontiguousarray(indices)
     if u.dtype.kind not in "iu":
@@ -336,8 +328,6 @@ def orbit_eval(system: SystemModel, f: Observable, x0: OrbitPoint, indices) -> n
         return f.eval(pos)
     if x0.kind != "doubling":
         raise ValueError("doubling system needs a doubling orbit point")
-    if int(u.max()) >= 2**63:
-        raise ValueError("doubling orbit indices must be below 2**63")
     return f.eval(_doubling_positions(x0.seed, u))
 
 

@@ -3,12 +3,15 @@
 Everything here is deliberately slow and simple: plain Python loops,
 Fraction arithmetic, trial division, textbook quadrature. These are the
 yardsticks the fast library paths are measured against, so nothing in
-this file may import from the package under test.
+this file may import from the package under test, apart from the
+counter-based draws that doubling_window reads through _rng.raw64 (whose
+bits test_rng checks against SplitMix64 on Python integers).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 
@@ -82,10 +85,22 @@ def rotation_orbit(theta0: Fraction, x0: Fraction, u: int) -> Fraction:
     return v - math.floor(v)
 
 
-def binary_fraction(digits) -> float:
-    """0.d_1 d_2 ... d_n in binary, exactly for n <= 53: the digits read
-    as one integer, over 2**n."""
-    return math.ldexp(int("".join(str(int(d)) for d in digits), 2), -len(digits))
+@functools.lru_cache(maxsize=1 << 16)
+def _word(seed: int, k: int) -> int:
+    from ergosum._rng import raw64
+
+    return int(raw64(seed, [k])[0])
+
+
+def doubling_window(seed: int, u: int, width: int = 53) -> float:
+    """0.b_u b_{u+1} ... b_{u+width-1} for the doubling point of a seed,
+    digit n being bit 63 - (n mod 64) of _rng.raw64(seed, n // 64): the
+    words k = u // 64 and k + 1 joined as one 128-bit Python integer and
+    read from its digit u mod 64 on, exactly for width <= 53."""
+    k, r = divmod(int(u), 64)
+    first, second = _word(seed, k), _word(seed, k + 1)
+    digits = ((first << 64 | second) >> (128 - r - width)) % (1 << width)
+    return math.ldexp(digits, -width)
 
 
 def adaptive_quad(fn, a: float, b: float, tol: float = 1e-12, depth: int = 50) -> float:

@@ -18,7 +18,7 @@ from ergosum.dynamics import (
     orbit_eval,
     spectral_l2_norm,
 )
-from ergosum._rng import bits as seeded_bits
+from ergosum._rng import raw64
 
 import oracles
 
@@ -107,10 +107,12 @@ def test_rotation_rejects_bad_angles():
 def test_doubling_orbit_is_exact_bit_shift():
     pt = OrbitPoint.doubling(seed=7)
     sys_ = SystemModel.doubling()
-    f = Observable.indicator(0.5, 1.0)  # first window bit
-    u = np.arange(0, 128, dtype=np.int64)
+    f = Observable.indicator(0.5, 1.0)  # first window digit
+    u = np.arange(0, 256, dtype=np.uint64)
     got = orbit_eval(sys_, f, pt, u)
-    assert np.array_equal(got.real.astype(np.int64), seeded_bits(7, u))
+    # digit u is bit 63 - (u mod 64) of word u // 64, most significant first
+    digits = (raw64(7, u >> np.uint64(6)) >> (np.uint64(63) - u % np.uint64(64))) & np.uint64(1)
+    assert got.tobytes() == digits.astype(np.complex128).tobytes()
 
 
 def test_doubling_point_reproducible():
@@ -127,16 +129,20 @@ def test_doubling_point_reproducible():
         OrbitPoint.doubling(seed=1.5)
 
 
-_TOP = 2**63 - 1
+_TOP = 2**64 - 1
 _B = DEFAULT_BIT_WINDOW
 
 
 @st.composite
 def _orbit_indices(draw):
     """Indices in any order, with repeats, dense runs, gaps narrower and
-    wider than the window B, and values up to 2**63 - 1."""
+    wider than the window B, starts at digits 0, 11 and 63 of a word, and
+    values up to 2**64 - 1."""
     u = []
-    for a in draw(st.lists(st.integers(0, _TOP), min_size=1, max_size=4)):
+    starts = st.one_of(st.integers(0, _TOP),
+                       st.builds(lambda k, r: 64 * k + r, st.integers(0, _TOP >> 6),
+                                 st.sampled_from([0, 11, 63])))
+    for a in draw(st.lists(starts, min_size=1, max_size=4)):
         u += range(a, min(a + draw(st.integers(0, 3 * _B)), _TOP + 1))
         u += [min(max(a + d, 0), _TOP)
               for d in draw(st.lists(st.integers(-3 * _B, 3 * _B), max_size=12))]
@@ -147,13 +153,12 @@ def _orbit_indices(draw):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), u=_orbit_indices())
 def test_doubling_values_match_the_reference_at_any_indices(seed, u):
-    """Each value is f at 0.b_u ... b_{u+B-1}, b_n = bits(seed, n), drawn
-    window by window as the reference, bit for bit."""
+    """Each value is f at the window 0.b_u ... b_{u+B-1} that the reference
+    reads from two words with Python integers, bit for bit."""
     f = Observable.fourier_mode(1)
     got = orbit_eval(SystemModel.doubling(), f, OrbitPoint.doubling(seed),
-                     np.array(u, dtype=np.int64))
-    window = np.arange(_B, dtype=np.uint64)
-    x = [oracles.binary_fraction(seeded_bits(seed, window + np.uint64(v))) for v in u]
+                     np.array(u, dtype=np.uint64))
+    x = [oracles.doubling_window(seed, v, _B) for v in u]
     assert got.tobytes() == f.eval(np.array(x)).tobytes()
 
 
@@ -173,10 +178,10 @@ def test_orbit_rejects_negative_and_empty():
         orbit_eval(sys_, f, pt, np.array([-1], dtype=np.int64))
     with pytest.raises(ValueError):
         orbit_eval(sys_, f, pt, np.array([], dtype=np.int64))
-    # digit counters u + B stay below 2**64
-    with pytest.raises(ValueError, match="below 2\\*\\*63"):
-        orbit_eval(SystemModel.doubling(), f, OrbitPoint.doubling(seed=1),
-                   np.array([2**63], dtype=np.uint64))
+    # every uint64 index has its window: words k and k + 1 <= 2**58
+    top = np.array([2**64 - 1], dtype=np.uint64)
+    got = orbit_eval(SystemModel.doubling(), f, OrbitPoint.doubling(seed=1), top)
+    assert got.tobytes() == f.eval(np.array([oracles.doubling_window(1, 2**64 - 1)])).tobytes()
 
 
 def test_mismatched_point_kind():

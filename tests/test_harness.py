@@ -17,15 +17,8 @@ import pytest
 
 from ergosum import harness
 from ergosum._kernels import _BLOCK, prefix_at
-from ergosum._rng import bits as seeded_bits
 from ergosum.averages import orbit_terms
-from ergosum.dynamics import (
-    DEFAULT_BIT_WINDOW,
-    OrbitPoint,
-    SystemModel,
-    _doubling_window_values,
-    orbit_eval,
-)
+from ergosum.dynamics import OrbitPoint, SystemModel, orbit_eval
 from ergosum.indices import gen_indices
 from ergosum.weights import gen_weights
 from ergosum.harness import (
@@ -704,7 +697,7 @@ def test_cli_run_parses_the_config_once(tmp_path, monkeypatch, capsys):
 
 # doubling runs whose indices reach far: 3000**3 = 2.7e10, the random
 # prime model, which has no index bound before its run, and u = k up to
-# 2**63 - 2, where a window end u + B passes 2**63
+# 2**63 - 2, the largest term index
 DOUBLING_RUNS = {
     "cubic_indices": {"indices": {"kind": "monomial", "d": 3}, "n_terms": 3000},
     "random_primes": {"indices": {"kind": "cramer_primes"}},
@@ -732,8 +725,7 @@ def test_far_doubling_config_exits_0(tmp_path, capsys, case, command):
     grid = harness._stored_grid(k_first, k_end, False)
     [(seed, got)] = harness._orbit_runs(plan, grid)
     u = gen_indices(harness._for_seed(plan.indices, seed), k_first, k_end)
-    window = np.arange(DEFAULT_BIT_WINDOW, dtype=np.uint64)
-    x = [oracles.binary_fraction(seeded_bits(seed, window + np.uint64(v))) for v in u]
+    x = [oracles.doubling_window(seed, v) for v in u]
     terms = gen_weights(plan.weights, k_first, k_end) * plan.observable.eval(np.array(x))
     assert got.sums.tobytes() == prefix_at(terms, grid - k_first).tobytes()
 
@@ -855,7 +847,7 @@ def test_blocked_stage_sums_match_one_unblocked_pass(kind, case, monkeypatch):
     """Each seed's terms and sums, over 3 blocks and 17 terms, equal bit for
     bit the terms w * v (divided by A(k) for a series) and their prefix
     sums with every orbit value v evaluated at once; a doubling point's
-    values come from its whole bit string. The terms are compared too: a
+    values come from the reference window. The terms are compared too: a
     last-bit change in one term rarely reaches a sum far larger than it.
     The weights are random unimodular: with w = 1 a product taken as
     v * w would look the same as w * v."""
@@ -871,8 +863,7 @@ def test_blocked_stage_sums_match_one_unblocked_pass(kind, case, monkeypatch):
     w = gen_weights(harness._for_seed(plan.weights, seed), k_first, k_end)
     u = gen_indices(plan.indices, k_first, k_end)
     if plan.system.kind == "doubling":
-        bits = seeded_bits(seed, np.arange(int(u.max()) + DEFAULT_BIT_WINDOW))
-        v = plan.observable.eval(_doubling_window_values(bits, DEFAULT_BIT_WINDOW)[u])
+        v = plan.observable.eval(np.array([oracles.doubling_window(seed, j) for j in u]))
     else:
         v = orbit_eval(plan.system, plan.observable, OrbitPoint.rotation(plan.x0), u)
     terms = w * v

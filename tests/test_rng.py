@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergosum import _rng
+from ergosum.dynamics import Observable, OrbitPoint, SystemModel, orbit_eval
 
 
 def test_raw64_is_a_pure_function_of_seed_and_counter():
@@ -58,9 +59,12 @@ def test_uniform01_bounds_and_mean():
 
 
 def test_bits_are_zero_one_and_balanced():
-    b = _rng.bits(3, np.arange(100000, dtype=np.int64))
+    """The digits of a doubling point, each bit of its draws read in turn
+    as the first digit of a window, are exact 0/1 values and fair."""
+    b = orbit_eval(SystemModel.doubling(), Observable.indicator(0.5, 1.0),
+                   OrbitPoint.doubling(seed=3), np.arange(100000, dtype=np.int64))
     assert set(np.unique(b).tolist()) <= {0, 1}
-    assert abs(b.mean() - 0.5) < 0.01
+    assert abs(b.real.mean() - 0.5) < 0.01
 
 
 @given(st.integers(min_value=-(2**62), max_value=2**62))
