@@ -122,8 +122,10 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
 _MAX_SEEDS = 256
+_SEED_MOD = 2**64  # draws read a seed modulo 2**64
 # file names hold 255 bytes; the staging sibling .<name>.new-<pid>-<ns>
 # that run() writes first adds at most 37 to the name
+_MAX_FILE_NAME_BYTES = 255
 _MAX_NAME_BYTES = 200
 _MAX_TERMS = 100_000_000
 _K_END = 2**63 - 1  # every term index k a run generates stays below this (int64)
@@ -301,15 +303,19 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
         if not isinstance(config.seeds, (list, tuple)) or not all(
                 is_int(s) for s in config.seeds):
             diags.append("seeds: must be a list of integers")
-        elif len(set(config.seeds)) != len(config.seeds):
-            diags.append("seeds: must be distinct")
+        elif len({int(s) % _SEED_MOD for s in config.seeds}) != len(config.seeds):
+            diags.append("seeds: must be distinct modulo 2**64")
         elif len(config.seeds) > _MAX_SEEDS:
             diags.append(f"seeds: at most {_MAX_SEEDS} repetitions")
 
     if config.output_dir is not None and not isinstance(config.output_dir, str):
         diags.append("output_dir: must be a string")
-    elif config.output_dir is not None:
-        check("output_dir", lambda: _os_name(config.output_dir))
+    else:
+        root = _output_root(config)
+        if check("output_dir", lambda: _os_name(str(root))) is not None and any(
+                len(os.fsencode(part)) > _MAX_FILE_NAME_BYTES for part in root.parts):
+            diags.append(f"output_dir: path components hold at most "
+                         f"{_MAX_FILE_NAME_BYTES} bytes")
 
     if config.kind == "preset":
         if config.preset not in PRESET_IDS:

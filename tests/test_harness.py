@@ -606,8 +606,15 @@ INVALID_CLI_CONFIGS = {
     "null_byte_output_dir": (
         tiny_average(output_dir="out\u0000dir"), "output_dir: must not contain a null byte"),
     "name_300_characters": (tiny_average(name="n" * 300), "name: at most 200 bytes"),
+    # the output root's components are file names too, of 255 bytes at most
+    "output_dir_300_byte_component": (
+        tiny_average(output_dir="d" * 300),
+        "output_dir: path components hold at most 255 bytes"),
     "lone_surrogate_name": (
         tiny_average(name="a\ud800"), "name: must be encodable in the file system encoding"),
+    # the draws read a seed modulo 2**64: these would run one repetition twice
+    "seeds_equal_modulo_2_64": (
+        tiny_average(seeds=[1, 1 + 2**64]), "seeds: must be distinct modulo 2**64"),
     "ingredient_seed_and_seeds": (
         tiny_envelope(weights={"kind": "iid_uniform_phase", "seed": 3}, seeds=[1, 2]),
         "weights.seed: each repetition draws with its own seed from seeds"),
@@ -661,6 +668,17 @@ def test_cli_invalid_config_exits_2(tmp_path, capsys, case, command):
     assert main([command, str(p)]) == 2
     assert f"invalid: {message}" in capsys.readouterr().out
     assert [q.name for q in tmp_path.iterdir()] == ["c.json"]
+
+
+def test_output_root_from_the_environment_is_checked(tmp_path, monkeypatch):
+    """Without output_dir, validate() checks the root run() would use."""
+    d = tiny_average()
+    monkeypatch.setenv(harness.OUTPUT_ROOT_VAR, str(tmp_path / ("e" * 256)))
+    assert validate(cfg(**d)) == ["output_dir: path components hold at most 255 bytes"]
+    monkeypatch.setenv(harness.OUTPUT_ROOT_VAR, str(tmp_path / ("e" * 255)))
+    assert validate(cfg(**d)) == []
+    run(cfg(**d))
+    assert (tmp_path / ("e" * 255) / "t_avg" / "series.csv").is_file()
 
 
 def test_rational_zero_start_writes_the_float_zero_bytes(tmp_path):
