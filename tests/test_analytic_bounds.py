@@ -34,6 +34,67 @@ def test_quadratic_phase_values_and_derivatives():
     assert pf.d2(10.0) == pytest.approx(-1.0)
 
 
+def test_power_and_log_phase_values_and_derivatives():
+    """Closed forms of f, f' and f'' for the four non-quadratic families."""
+    e3, e = math.exp(3.0), math.e
+    cases = [
+        # f = x^(1/2) at 4: 2, 1/4, -1/32
+        (PhaseFunction(kind="power", delta=0.5), 4.0, (2.0, 0.25, -1.0 / 32.0)),
+        # f = 2 x^3 + x^(1/2) at 4: 130, 96 + 1/4, 48 - 1/32
+        (PhaseFunction(kind="power_plus_linear", theta=2.0, d=3, delta=0.5), 4.0,
+         (130.0, 96.25, 48.0 - 1.0 / 32.0)),
+        # f = (log x)^2 at e^3: 9, 6/e^3, 2 (1 - 3)/e^6
+        (PhaseFunction(kind="log_power", delta=2.0), e3, (9.0, 6.0 / e3, -4.0 / e3**2)),
+        # f = 2 log x + x/4 at e: 2 + e/4, 2/e + 1/4, -2/e^2
+        (PhaseFunction(kind="log_linear", h=2.0, theta=0.25), e,
+         (2.0 + e / 4.0, 2.0 / e + 0.25, -2.0 / e**2)),
+    ]
+    for pf, x, (f0, f1, f2) in cases:
+        assert pf.value(x) == pytest.approx(f0, rel=1e-13)
+        assert pf.d1(x) == pytest.approx(f1, rel=1e-13)
+        assert pf.d2(x) == pytest.approx(f2, rel=1e-13)
+
+
+@pytest.mark.parametrize("pf, a, b", [
+    (PhaseFunction(kind="power", delta=0.5), 1.0, 1000.0),
+    (PhaseFunction(kind="power", delta=2.5), 2.0, 50.0),
+    (PhaseFunction(kind="power_plus_linear", theta=-0.01, d=3, delta=0.5), 1.0, 200.0),
+    (PhaseFunction(kind="power_plus_linear", theta=0.3, d=2, delta=1.5), 0.5, 40.0),
+    (PhaseFunction(kind="log_power", delta=1.5), math.exp(2.0), math.exp(6.0)),
+    (PhaseFunction(kind="log_power", delta=3.0), math.exp(3.0), math.exp(8.0)),
+    (PhaseFunction(kind="log_linear", h=3.0, theta=0.2), 1.0, 50.0),
+    (PhaseFunction(kind="log_linear", h=-2.0), 2.0, 90.0),
+], ids=["power_concave", "power_convex", "power_plus_cubic", "power_plus_quadratic",
+        "log_power_1.5", "log_power_3", "log_linear_h3", "log_linear_h-2"])
+def test_concavity_floor_is_below_the_sampled_minimum(pf, a, b):
+    """neg_d2_min(a, b) is at most -f'' at each of 10^4 points of [a, b]."""
+    x = np.linspace(a, b, 10**4)
+    assert pf.neg_d2_min(a, b) <= float(np.min(-pf.d2(x)))
+
+
+def test_log_power_floor_needs_log_a_past_max_delta_2():
+    """The floor is certified only once log a >= max(delta, 2)."""
+    for delta, log_a in ((3.0, 2.9), (1.0, 1.9), (0.5, 0.0)):
+        with pytest.raises(ValueError, match="log a >= max"):
+            PhaseFunction(kind="log_power", delta=delta).neg_d2_min(
+                math.exp(log_a), math.exp(log_a + 2.0))
+    with pytest.raises(ValueError, match="log a >= max"):
+        PhaseFunction(kind="log_power", delta=1.0).neg_d2_min(-1.0, 10.0)
+    for delta, log_a in ((3.0, 3.0), (1.0, 2.0)):
+        assert PhaseFunction(kind="log_power", delta=delta).neg_d2_min(
+            math.exp(log_a), math.exp(log_a + 2.0)) > 0.0
+
+
+@pytest.mark.parametrize("a, b", [(1, 100), (10, 1000), (400, 5000)])
+def test_van_der_corput_dominates_square_root_phase_sums(a, b):
+    """For f = x^(1/2), -f'' = x^(-3/2)/4 is smallest at b, and the bound
+    at that floor dominates the brute-force |sum e(f(k))|."""
+    pf = PhaseFunction(kind="power", delta=0.5)
+    rho = pf.neg_d2_min(a, b)
+    assert rho == pytest.approx(0.25 * b**-1.5, rel=1e-13)
+    assert brute_phase_sum(pf, a, b) <= van_der_corput_bound(pf, a, b, rho)
+
+
 def test_van_der_corput_textbook_checkpoint():
     # f(x) = -x^2/2 on [0, 10], rho = 1: (10 + 2)(4 + 3) = 84
     pf = PhaseFunction(kind="quadratic", c2=-0.5)
