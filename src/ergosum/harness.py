@@ -122,7 +122,6 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
 _MAX_SEEDS = 256
-_SEED_MOD = 2**64  # draws read a seed modulo 2**64
 # file names hold 255 bytes; the staging sibling .<name>.new-<pid>-<ns>
 # that run() writes first adds at most 37 to the name
 _MAX_FILE_NAME_BYTES = 255
@@ -303,7 +302,8 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
         if not isinstance(config.seeds, (list, tuple)) or not all(
                 is_int(s) for s in config.seeds):
             diags.append("seeds: must be a list of integers")
-        elif len({int(s) % _SEED_MOD for s in config.seeds}) != len(config.seeds):
+        # the draws read a seed modulo 2**64
+        elif len({int(s) % 2**64 for s in config.seeds}) != len(config.seeds):
             diags.append("seeds: must be distinct modulo 2**64")
         elif len(config.seeds) > _MAX_SEEDS:
             diags.append(f"seeds: at most {_MAX_SEEDS} repetitions")
