@@ -29,7 +29,7 @@ vals = orbit_eval(system, f, OrbitPoint.rotation(0.0), u)
 
 # power-phase weights, normalizer N^(7/8) log^2 N
 w = gen_weights(WeightSpec(kind="power_phase", delta=0.5), 1, n + 1)
-run = weighted_sums(vals, w, k_first=1,
+run = weighted_sums(w, vals, k_first=1,
                     normalizer=NormalizerSpec(0.875, a=2.0, k0=3))
 ns = normalized_series(run)
 print("rotation orbit, power-phase weights, A(N) = N^(7/8) log^2 N:")
@@ -44,13 +44,21 @@ print(f"  sum of squared oscillations: {rep.cumulative_sq[-1]:.4f}, "
       f"decomposition check passed = {rep.check_decomposition()['passed']}")
 
 # a doubling-map start point is the seed of its binary digits, read 64 to
-# a draw; each orbit value is two draws and a shift
+# a draw; each orbit value is two draws and a shift. The orbit values can
+# also come as a function values(i, j) of terms i..j-1: weighted_sums asks
+# for one 2^16-term block at a time, so they never exist at full length,
+# and the sums are the same bits as from the whole array
 print()
 print("doubling map, indicator observable, plain averages:")
 pt = OrbitPoint.doubling(seed=11)
 g = Observable.indicator(0.0, 0.5)
-dvals = orbit_eval(SystemModel.doubling(), g, pt, u)
-drun = weighted_sums(dvals, np.ones(n), k_first=1,
+
+
+def dvals(i, j):
+    return orbit_eval(SystemModel.doubling(), g, pt, u[i:j])
+
+
+drun = weighted_sums(np.ones(n), dvals, k_first=1,
                      normalizer=NormalizerSpec(1.0, k0=1))
 dns = normalized_series(drun)
 for N in (100, 10_000, 100_000):

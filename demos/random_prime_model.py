@@ -31,7 +31,7 @@ u = gen_indices(IndexSpec(kind="cramer_primes", seed=seed), 1, n_terms + 1)
 system = SystemModel.rotation_sqrt2()
 f = Observable.fourier_mode(1)
 vals = orbit_eval(system, f, OrbitPoint.rotation(0.0), u)
-run = weighted_sums(vals, np.ones(n_terms), k_first=1,
+run = weighted_sums(np.ones(n_terms), vals, k_first=1,
                     normalizer=NormalizerSpec(0.75, k0=1))
 ns = normalized_series(run)
 print()

@@ -15,7 +15,6 @@ from .trigsum import (
     eval_sum,
     eval_grid,
     sup_envelope,
-    eval_harmonic,
     sup_harmonic,
     default_grid,
 )

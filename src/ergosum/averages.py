@@ -10,16 +10,16 @@ Conventions used throughout:
     normalizers       A(k) = k^gamma log^a k (log log k)^b, evaluated for
                       k >= k0 where every factor is positive
 
-Runs store prefix values on a grid: every N up to DENSE_LIMIT = 10^6,
-then geometric checkpoints; statistics over "all N" are grid statistics
-and say so. Terms come from one formula, orbit_terms, and prefixes from
-one kernel, _kernels.prefix_sums, which asks for the terms one block at a
-time and sums them over a fixed chunk partition: a stored value is
-bit-identical whether the blocks are slices of one array (prefix_at) or,
-in the harness stages, made from one block of orbit values at a time. No
-reduction that reaches an output goes through BLAS: slopes take their
-sums with the same pairwise kernel, so no report depends on the BLAS
-build or its thread count. What every run on one stored grid shares
+Runs store prefix values on a grid (run_grid): every N up to 10^6, then
+geometric checkpoints; statistics over "all N" are grid statistics and
+say so. weighted_sums and hilbert_series, the one path from orbit values
+to stored sums, take (weights, orbit_values, ...): an aligned array, read
+as slices, or a function values(i, j) giving terms i..j-1, which
+_kernels.prefix_sums asks for one 2^16-term block at a time, so orbit
+values need never exist at full length. Terms come from one formula,
+orbit_terms. No reduction that reaches an output goes through BLAS:
+slopes sum with the same pairwise kernel, so no report depends on the
+BLAS build or its thread count. What every run on one stored grid shares
 under one normalizer (A(N), the slope's regressor) is a NormalizedGrid,
 built once per grid and normalizer.
 """
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import frac_of, is_int, is_real, pairwise_sum, prefix_at
+from ._kernels import frac_of, is_int, is_real, pairwise_sum, prefix_at, prefix_sums
 from .dynamics import SpectralMeasure
 from .trigsum import ThetaGrid, eval_grid
 
@@ -227,24 +227,49 @@ def orbit_terms(weights: np.ndarray, orbit_values: np.ndarray,
     return terms
 
 
-def weighted_sums(orbit_values, weights, k_first: int = 0,
+def run_grid(k_first: int, n_terms: int, inclusive: bool = False) -> np.ndarray:
+    """The stored N grid of a run over the terms k_first <= k < k_first +
+    n_terms: exclusive N in (k_first, k_first + n_terms] for running sums,
+    inclusive N in [k_first, k_first + n_terms - 1] for a series."""
+    lo = k_first + (not inclusive)
+    return storage_grid(lo, lo + n_terms - 1)
+
+
+def _orbit_run(weights, orbit_values, k_first: int, normalizer, n_grid,
+               inclusive: bool) -> SeriesRun:
+    """Prefix sums of orbit_terms at bounds = n_grid - k_first (+ 1 for an
+    inclusive series, whose terms are divided by A(k)), one prefix_sums
+    block of orbit values at a time."""
+    w = np.ascontiguousarray(weights, dtype=np.complex128)
+    values = orbit_values
+    if w.ndim != 1 or w.size == 0 or not (callable(values) or np.shape(values) == w.shape):
+        raise ValueError("weights and orbit values must be aligned 1-d arrays")
+    if not callable(values):
+        v = np.ascontiguousarray(orbit_values, dtype=np.complex128)
+
+        def values(i, j):
+            return v[i:j]
+    n_grid = np.ascontiguousarray(run_grid(k_first, w.size, inclusive) if n_grid is None
+                                  else n_grid, dtype=np.int64)
+    bounds = n_grid - k_first + inclusive  # prefix_sums rejects those below 1
+    if bounds.size and bounds[-1] > w.size:
+        raise ValueError("stored N beyond the last term")
+    series = normalizer if inclusive else None
+
+    def block_terms(i, j):  # reads orbit_terms at call time, so a patch applies
+        return orbit_terms(w[i:j], values(i, j), series, k_first + i)
+    return SeriesRun(k_first=k_first, n_grid=n_grid, sums=prefix_sums(block_terms, bounds),
+                     normalizer=normalizer,
+                     convention="inclusive" if inclusive else "exclusive")
+
+
+def weighted_sums(weights, orbit_values, k_first: int = 0,
                   normalizer: NormalizerSpec | None = None,
                   n_grid: np.ndarray | None = None) -> SeriesRun:
     """Running sums S_N = sum_{k_first <= k < N} w_k * orbit_k on a stored
-    grid (default: dense up to 10^6 then geometric)."""
-    v = np.ascontiguousarray(orbit_values, dtype=np.complex128)
-    w = np.ascontiguousarray(weights, dtype=np.complex128)
-    if v.shape != w.shape or v.ndim != 1 or v.size == 0:
-        raise ValueError("orbit values and weights must be aligned 1-d arrays")
-    n_top = k_first + v.size
-    if n_grid is None:
-        n_grid = storage_grid(k_first + 1, n_top)
-    n_grid = np.ascontiguousarray(n_grid, dtype=np.int64)
-    if n_grid.size == 0 or n_grid[0] <= k_first or n_grid[-1] > n_top:
-        raise ValueError(f"grid must lie within ({k_first}, {n_top}]")
-    sums = prefix_at(orbit_terms(w, v), n_grid - k_first)
-    return SeriesRun(k_first=k_first, n_grid=n_grid, sums=sums,
-                     normalizer=normalizer)
+    grid (default run_grid: dense up to 10^6 then geometric). orbit_values
+    is an array aligned with the weights or a function values(i, j)."""
+    return _orbit_run(weights, orbit_values, k_first, normalizer, n_grid, False)
 
 
 def _centred_regressor(n: np.ndarray, gamma: float) -> np.ndarray:
@@ -379,17 +404,12 @@ def _series_args(weights, orbit_values, norm: NormalizerSpec, k_first: int):
     return w, v
 
 
-def _series_terms(weights, orbit_values, norm: NormalizerSpec, k_first: int):
-    w, v = _series_args(weights, orbit_values, norm, k_first)
-    return orbit_terms(w, v, norm, k_first)
-
-
 def hilbert_partial(weights, orbit_values, norm: NormalizerSpec, N: int,
                     k_first: int | None = None) -> complex:
     """partial(N) = sum_{k_first <= k <= N} (w_k / A(k)) * orbit_k."""
     if k_first is None:
         k_first = norm.k0
-    terms = _series_terms(weights, orbit_values, norm, k_first)
+    terms = orbit_terms(*_series_args(weights, orbit_values, norm, k_first), norm, k_first)
     count = N - k_first + 1
     if not (1 <= count <= terms.size):
         raise ValueError("N outside the supplied term range")
@@ -397,16 +417,13 @@ def hilbert_partial(weights, orbit_values, norm: NormalizerSpec, N: int,
 
 
 def hilbert_series(weights, orbit_values, norm: NormalizerSpec,
-                   k_first: int | None = None) -> SeriesRun:
-    """Partial sums of the series on the stored grid of [k_first, last
-    term] (inclusive convention)."""
-    if k_first is None:
-        k_first = norm.k0
-    terms = _series_terms(weights, orbit_values, norm, k_first)
-    n_grid = storage_grid(k_first, k_first + terms.size - 1)
-    sums = prefix_at(terms, n_grid - k_first + 1)
-    return SeriesRun(k_first=k_first, n_grid=n_grid, sums=sums, normalizer=norm,
-                     convention="inclusive")
+                   k_first: int | None = None,
+                   n_grid: np.ndarray | None = None) -> SeriesRun:
+    """Partial sums of the series on a stored grid of [k_first, last term]
+    (inclusive convention; default run_grid). orbit_values is an array
+    aligned with the weights or a function values(i, j)."""
+    k_first = norm.k0 if k_first is None else k_first  # A(k) raises below k0
+    return _orbit_run(weights, orbit_values, k_first, norm, n_grid, True)
 
 
 def _xy(points: np.ndarray) -> np.ndarray:

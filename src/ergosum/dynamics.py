@@ -247,8 +247,9 @@ class Observable:
 
 @dataclass(frozen=True, eq=False)
 class OrbitPoint:
-    """A starting point: a circle position x0 for rotation, the seed of
-    its binary digits for doubling."""
+    """A starting point: a circle position x0 in [0, 1) for rotation (a
+    Fraction or its JSON form [num, den] stays exact, another real number
+    is read as a float), the seed of its binary digits for doubling."""
 
     kind: str
     x0: float | Fraction | None = None
@@ -256,8 +257,10 @@ class OrbitPoint:
 
     def __post_init__(self):
         if self.kind == "rotation":
-            if self.x0 is None or not (0.0 <= float(self.x0) < 1.0):
-                raise ValueError("rotation point needs x0 in [0, 1)")
+            x0 = exact_fraction(self.x0, "x0") if isinstance(self.x0, (list, tuple)) else self.x0
+            if not (is_real(x0) and 0 <= x0 < 1):
+                raise ValueError("rotation point needs x0 in [0, 1), a number or [num, den]")
+            object.__setattr__(self, "x0", x0 if isinstance(x0, Fraction) else float(x0))
         elif self.kind == "doubling":
             if not is_int(self.seed):
                 raise ValueError("doubling point needs an integer seed")

@@ -63,24 +63,21 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _svg
-from ._kernels import is_int, is_real, prefix_sums
+from ._kernels import is_int, is_real
 from .analytic_bounds import hlawka_bound, steep_power_phase_exponent
 from .averages import (
     BlockLadder,
     NormalizedGrid,
     NormalizerSpec,
-    SeriesRun,
+    cauchy_tail_report,
+    hilbert_series,
     ladder_positions,
     normalized_series,
     oscillation_report,
-    cauchy_tail_report,
-    orbit_terms,
-    storage_grid,
+    run_grid,
+    weighted_sums,
 )
-# not called here, but perfbench/spans.py wraps each layer function by its
-# name in this module, these two included
-from .averages import hilbert_series, weighted_sums  # noqa: F401
-from .dynamics import Observable, OrbitPoint, SystemModel, exact_fraction, orbit_eval
+from .dynamics import Observable, OrbitPoint, SystemModel, orbit_eval
 from .indices import IndexSpec, check_top, gen_indices, pi_count
 from .scaling_fit import (
     TEMPLATES,
@@ -126,6 +123,10 @@ _MAX_SEEDS = 256
 # that run() writes first adds at most 37 to the name
 _MAX_FILE_NAME_BYTES = 255
 _MAX_NAME_BYTES = 200
+# a path holds PATH_MAX = 4096 bytes with its null; the longest one run()
+# writes is <root>/.<name>.new-<pid>-<ns>/oscillation.json
+_MAX_PATH_BYTES = 4095
+_PATH_EXTRA_BYTES = 1 + 37 + 1 + len("oscillation.json")
 _MAX_TERMS = 100_000_000
 _K_END = 2**63 - 1  # every term index k a run generates stays below this (int64)
 _MAX_GRID_POINTS = 1 << 26
@@ -197,6 +198,7 @@ def _increasing_positive_ints(v) -> bool:
 # the families each repetition draws with its own seed
 _SEEDED = {WeightSpec: _SEEDED_WEIGHTS, IndexSpec: ("cramer_primes",)}
 _ANY_SEED = 0  # a seeded spec's seed until _for_seed sets a repetition's
+_ORIGIN = OrbitPoint.rotation(0.0)  # a rotation run's start point without x0
 
 
 def _for_seed(spec, seed):
@@ -230,7 +232,7 @@ class _Plan:
     # if hilbert, else normalized averages, along a beta ladder if betas
     system: SystemModel | None = None
     observable: Observable | None = None
-    x0: object = 0.0
+    point: OrbitPoint = _ORIGIN  # read by rotation runs; a doubling run starts from its seed
     normalizer: NormalizerSpec | None = None
     n_terms: int | None = None
     k_first: int = 1
@@ -278,13 +280,14 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
             return check(label, lambda: cls(**raw))
         return None
 
+    name_bytes = b""
     if not isinstance(config.name, str) or not config.name:
         diags.append("name: must be a nonempty string")
     elif config.name in (".", "..") or any(c in config.name for c in "/\\"):
         diags.append("name: must be a bare directory name")
     else:
-        raw = check("name", lambda: _os_name(config.name))
-        if raw is not None and len(raw) > _MAX_NAME_BYTES:
+        name_bytes = check("name", lambda: _os_name(config.name)) or b""
+        if len(name_bytes) > _MAX_NAME_BYTES:
             diags.append(f"name: at most {_MAX_NAME_BYTES} bytes")
     if config.kind not in KINDS:
         diags.append(f"kind: must be one of {', '.join(KINDS)}")
@@ -312,10 +315,15 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
         diags.append("output_dir: must be a string")
     else:
         root = _output_root(config)
-        if check("output_dir", lambda: _os_name(str(root))) is not None and any(
-                len(os.fsencode(part)) > _MAX_FILE_NAME_BYTES for part in root.parts):
-            diags.append(f"output_dir: path components hold at most "
-                         f"{_MAX_FILE_NAME_BYTES} bytes")
+        root_bytes = check("output_dir", lambda: _os_name(str(root)))
+        if root_bytes is not None:
+            longest = len(root_bytes) + len(name_bytes) + _PATH_EXTRA_BYTES
+            if any(len(os.fsencode(part)) > _MAX_FILE_NAME_BYTES for part in root.parts):
+                diags.append(f"output_dir: path components hold at most "
+                             f"{_MAX_FILE_NAME_BYTES} bytes")
+            elif longest > _MAX_PATH_BYTES:
+                diags.append(f"output_dir: the longest output path would hold {longest} "
+                             f"bytes, past {_MAX_PATH_BYTES}")
 
     if config.kind == "preset":
         if config.preset not in PRESET_IDS:
@@ -425,7 +433,8 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
         diags.append("n_terms: required")
     elif not is_int(config.n_terms) or not 2 <= config.n_terms <= _MAX_TERMS:
         diags.append(f"n_terms: must be an integer in [2, {_MAX_TERMS}]")
-    x0 = check("x0", lambda: _parse_x0(config.x0))
+    point = _ORIGIN if config.x0 is None else check(
+        "x0", lambda: OrbitPoint.rotation(config.x0))
     ladder = None
     if config.kind == "oscillation_run":
         ladder = sub_spec("ladder", BlockLadder, "required for oscillation runs")
@@ -459,11 +468,11 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
         diags.append("normalizer: entire grid lies below the normalizer offset k0")
     if diags:
         return None, diags
-    grid = _stored_grid(kf, n_end, hilbert)
+    grid = run_grid(kf, config.n_terms, hilbert)
     check("normalizer", lambda: norm.values(grid[grid >= norm.k0]))
     if ladder is not None:
         check("ladder", lambda: ladder_positions(grid, ladder.values(), norm.k0))
-    plan = _Plan(wspec, ispec, seeds=config.seeds, system=system, observable=f, x0=x0,
+    plan = _Plan(wspec, ispec, seeds=config.seeds, system=system, observable=f, point=point,
                  normalizer=norm, n_terms=config.n_terms, k_first=kf, hilbert=hilbert,
                  tail_starts=config.tail_starts, bound=config.bound, ladder=ladder)
     return (None if diags else plan), diags
@@ -477,23 +486,6 @@ def _os_name(s: str) -> bytes:
         return os.fsencode(s)
     except UnicodeEncodeError:
         raise ValueError("must be encodable in the file system encoding") from None
-
-
-def _parse_x0(raw):
-    """Accept a float in [0, 1) or an exact [num, den] pair."""
-    if raw is None:
-        return 0.0
-    if isinstance(raw, (list, tuple)):
-        fr = exact_fraction(raw, "x0")
-        if not 0 <= fr < 1:
-            raise ValueError("x0 must lie in [0, 1)")
-        return fr
-    if is_real(raw):
-        x = float(raw)
-        if not 0.0 <= x < 1.0:
-            raise ValueError("x0 must lie in [0, 1)")
-        return x
-    raise ValueError("x0 must be a number or [num, den]")
 
 
 # ---------------------------------------------------------------------------
@@ -653,44 +645,34 @@ def _fit_stage(files, samples_by_seed, plan: _Plan):
     files["fit.json"] = _json_bytes(record)
 
 
-def _stored_grid(k_first: int, n_end: int, hilbert: bool) -> np.ndarray:
-    """The N grid an orbit run over the terms k_first <= k < n_end stores:
-    inclusive N in [k_first, n_end - 1] for a series, exclusive N in
-    (k_first, n_end] for running sums."""
-    if hilbert:
-        return storage_grid(k_first, n_end - 1)
-    return storage_grid(k_first + 1, n_end)
-
-
 def _orbit_runs(plan: _Plan, grid: np.ndarray):
     """Per seed: (seed, SeriesRun) on the stored grid of the plan's n_terms
-    terms w_k f(T^{u_k} x) from k_first on: running sums (exclusive N), or
-    for a hilbert plan the series of the terms divided by A(k) (inclusive N).
+    terms w_k f(T^{u_k} x) from k_first on, from weighted_sums (running
+    sums, exclusive N) or, for a hilbert plan, hilbert_series (the series
+    of the terms divided by A(k), inclusive N).
 
-    Orbit values and terms exist one prefix_sums block at a time, so each
-    block's orbit_eval, orbit_terms and in-chunk sums run while it is in
-    cache; only the weights, the indices and the stored sums are full
-    length. Nothing of one seed is held here while the next one draws."""
+    Each is handed the weights and a function values(i, j) that evaluates
+    that block's orbit values, so they exist one prefix_sums block at a
+    time; only the weights, the indices and the stored sums are full
+    length. Both sums and orbit_eval are read at call time, so wrappers
+    installed on this module apply. Nothing of one seed is held here
+    while the next one draws."""
     k_first, norm = plan.k_first, plan.normalizer
     k_end = k_first + plan.n_terms
-    series = norm if plan.hilbert else None
-    bounds = grid - k_first + plan.hilbert
     for seed in plan.seeds or [None]:
         w = gen_weights(_for_seed(plan.weights, seed), k_first, k_end)
         u = gen_indices(_for_seed(plan.indices, seed), k_first, k_end)
-        if plan.system.kind == "doubling":
-            point = OrbitPoint.doubling(seed)
-        else:
-            point = OrbitPoint.rotation(plan.x0)
+        point = OrbitPoint.doubling(seed) if plan.system.kind == "doubling" else plan.point
 
-        def block_terms(i, j):  # reads orbit_eval and orbit_terms at call time, so wrappers apply
-            vals = orbit_eval(plan.system, plan.observable, point, u[i:j])
-            return orbit_terms(w[i:j], vals, series, k_first + i)
-        sums = prefix_sums(block_terms, bounds)
+        def values(i, j):
+            return orbit_eval(plan.system, plan.observable, point, u[i:j])
+        if plan.hilbert:
+            run = hilbert_series(w, values, norm, k_first, grid)
+        else:
+            run = weighted_sums(w, values, k_first, norm, grid)
         del w, u, point
-        yield seed, SeriesRun(k_first=k_first, n_grid=grid, sums=sums, normalizer=norm,
-                              convention="inclusive" if plan.hilbert else "exclusive")
-        del sums  # before the next seed draws
+        yield seed, run
+        del run  # before the next seed draws
 
 
 def _decay_entry(ns, cps=None) -> dict:
@@ -725,7 +707,7 @@ def _average_stage(files, plan: _Plan, report_extra):
     grid, its CSV thinning, the normalized grid (N >= k0, which can be a
     strict suffix) and the chart's thinning of it are built once per stage."""
     norm, ladder = plan.normalizer, plan.ladder
-    grid = _stored_grid(plan.k_first, plan.k_first + plan.n_terms, False)
+    grid = run_grid(plan.k_first, plan.n_terms)
     keep = _thin_grid(grid)
     n = grid[keep]
     normed = NormalizedGrid.build(grid, norm)
@@ -795,7 +777,7 @@ def _hilbert_stage(files, plan: _Plan):
     seed has the same stored grid, so its CSV thinning and its normalized
     grid under ratio_norm are built once."""
     norm, bound, ratio_norm = plan.normalizer, plan.bound, plan.ratio_norm
-    grid = _stored_grid(plan.k_first, plan.k_first + plan.n_terms, True)
+    grid = run_grid(plan.k_first, plan.n_terms, True)
     keep = _thin_grid(grid)
     n = grid[keep]
     normed = None if ratio_norm is None else NormalizedGrid.build(grid, ratio_norm)
@@ -872,7 +854,7 @@ def _beta_stage(files, plan: _Plan):
     for each beta of the plan's ladder. Its series.csv ratio column is the
     normalized series' own (vector np.abs), which can differ by an ulp from
     the scalar abs of the s_abs column."""
-    grid = _stored_grid(plan.k_first, plan.k_first + plan.n_terms, False)
+    grid = run_grid(plan.k_first, plan.n_terms)
     [(_, run)] = _orbit_runs(plan, grid)
     # every beta normalizes from k0 = 1, so each normalized grid is the
     # whole run grid and one thinning serves them all

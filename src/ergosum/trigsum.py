@@ -177,23 +177,12 @@ def sup_envelope(weights, indices, grid: ThetaGrid | None = None) -> SupEstimate
 # harmonic variant: weights w_k / k, the Hilbert-series shape
 
 
-def _harmonic_pair(weights, indices, k_first: int):
+def sup_harmonic(weights, indices, grid: ThetaGrid | None = None,
+                 k_first: int = 1) -> SupEstimate:
+    """Certified sup estimate for the harmonic sum: sup_envelope on the
+    weights w_k / k; weights[0] belongs to k_first."""
     w, u = _check_pair(weights, indices)
     if k_first < 1:
         raise ValueError("harmonic sums start at k >= 1")
     k = np.arange(k_first, k_first + w.size, dtype=np.float64)
-    return w / k, u
-
-
-def eval_harmonic(weights, indices, theta, k_first: int = 1) -> complex:
-    """sum_k (w_k / k) exp(2 i pi theta u_k); weights[0] belongs to k_first."""
-    hw, u = _harmonic_pair(weights, indices, k_first)
-    return eval_sum(hw, u, theta)
-
-
-def sup_harmonic(weights, indices, grid: ThetaGrid | None = None,
-                 k_first: int = 1) -> SupEstimate:
-    """Certified sup estimate for the harmonic sum: sup_envelope on the
-    weights w_k / k."""
-    hw, u = _harmonic_pair(weights, indices, k_first)
-    return sup_envelope(hw, u, grid=grid)
+    return sup_envelope(w / k, u, grid=grid)

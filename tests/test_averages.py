@@ -1,5 +1,6 @@
 """Running sums, normalizers, series partials, ladders, oscillation."""
 
+import cmath
 import json
 import math
 import time
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergosum._kernels import pairwise_sum
+from ergosum._kernels import _BLOCK, pairwise_sum, prefix_at
 from ergosum.averages import (
     DENSE_LIMIT,
     GRID_RATIO,
@@ -27,12 +28,17 @@ from ergosum.averages import (
     hilbert_series,
     maximal_norm,
     normalized_series,
+    orbit_terms,
     oscillation_report,
+    run_grid,
     split_level,
     storage_grid,
     weighted_sums,
 )
-from ergosum.dynamics import SpectralMeasure
+from ergosum.dynamics import Observable, OrbitPoint, SpectralMeasure, SystemModel, orbit_eval
+from ergosum.indices import IndexSpec, gen_indices
+from ergosum.trigsum import eval_sum
+from ergosum.weights import WeightSpec, gen_weights
 from ergosum.harness import _json_bytes, _fields_json
 
 import oracles
@@ -170,7 +176,7 @@ def test_storage_grid_matches_list_built_grid(n_lo, n_hi):
 def test_weighted_sums_exclusive_convention():
     v = np.ones(5, dtype=np.complex128)
     w = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    run = weighted_sums(v, w, k_first=2)
+    run = weighted_sums(w, v, k_first=2)
     # S_3 = w_2 alone: sum over k in [2, 3)
     assert run.sum_at(3) == pytest.approx(1.0)
     assert run.sum_at(7) == pytest.approx(15.0)
@@ -189,7 +195,7 @@ def test_weighted_sums_match_plain_accumulation(n, k_first, data):
     fl = st.floats(-4.0, 4.0, allow_nan=False)
     w = np.array(data.draw(st.lists(fl, min_size=n, max_size=n)))
     v = np.array(data.draw(st.lists(fl, min_size=n, max_size=n)))
-    run = weighted_sums(v, w, k_first=k_first)
+    run = weighted_sums(w, v, k_first=k_first)
     ora = oracles.prefix_sums((w * v).tolist())
     for i, ngrid in enumerate(run.n_grid):
         assert complex(run.sums[i]) == pytest.approx(
@@ -200,12 +206,12 @@ def test_weighted_sums_match_plain_accumulation(n, k_first, data):
 def test_weighted_sums_grid_validation():
     v = np.ones(10, dtype=np.complex128)
     with pytest.raises(ValueError):
-        weighted_sums(v, np.ones(9))
+        weighted_sums(np.ones(9), v)
     with pytest.raises(ValueError):
-        weighted_sums(v, np.ones(10), k_first=2,
+        weighted_sums(np.ones(10), v, k_first=2,
                       n_grid=np.array([2]))  # at k_first, not after
     with pytest.raises(ValueError):
-        weighted_sums(v, np.ones(10), n_grid=np.array([11]))  # beyond range
+        weighted_sums(np.ones(10), v, n_grid=np.array([11]))  # beyond range
 
 
 def test_series_run_validation():
@@ -227,7 +233,7 @@ def test_series_run_validation():
 def test_normalized_series_and_slope():
     n = 4096
     v = np.ones(n, dtype=np.complex128)
-    run = weighted_sums(v, np.ones(n), k_first=0)
+    run = weighted_sums(np.ones(n), v, k_first=0)
     ns = normalized_series(run, NormalizerSpec(0.7, k0=1))
     # |S_N| = N so ratios = N^0.3: slope of log ratio vs log N is 0.3
     assert ns.slope() == pytest.approx(0.3, abs=1e-6)
@@ -275,7 +281,7 @@ def test_normalized_series_from_a_grid_or_a_spec(steps, shape, k0):
     the first stored N, and integer steps make some |S_N| exactly 0, so
     the slope's masked fallback runs."""
     gamma, a = shape
-    run = weighted_sums(np.ones(len(steps)), steps, k_first=0)
+    run = weighted_sums(steps, np.ones(len(steps)), k_first=0)
     k0 = min(max(k0, 2 if a else 1), run.n_max)
     norm = NormalizerSpec(gamma, a=a, k0=k0)
     grid = NormalizedGrid.build(run.n_grid, norm)
@@ -326,6 +332,106 @@ def test_hilbert_series_inclusive_convention():
     assert run.sum_at(1) == pytest.approx(1.0)
     assert run.sum_at(3) == pytest.approx(11 / 6)
     assert run.sum_at(50) == pytest.approx(harmonic(50), rel=1e-14)
+
+
+def test_orbit_values_as_a_function_match_the_array_form():
+    """weighted_sums and hilbert_series read an array of orbit values as
+    its slices: handed a function values(i, j) instead, over 3 blocks and
+    17 terms, they ask for consecutive blocks and store the same bits, and
+    both forms equal prefix_at of orbit_terms on the whole arrays."""
+    n, k_first = 3 * _BLOCK + 17, 5
+    rng = np.random.default_rng(21)
+    w = np.exp(2j * np.pi * rng.random(n))
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    norm = NormalizerSpec(0.5, k0=3)
+    for inclusive in (False, True):
+        asked = []
+
+        def values(i, j):
+            asked.append((i, j))
+            return v[i:j]
+        if inclusive:
+            runs = [hilbert_series(w, x, norm, k_first) for x in (v, values)]
+            terms = orbit_terms(w, v, norm, k_first)
+        else:
+            runs = [weighted_sums(w, x, k_first, norm) for x in (v, values)]
+            terms = orbit_terms(w, v)
+        grid = run_grid(k_first, n, inclusive)
+        assert asked == [(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK)]
+        want = prefix_at(terms, grid - k_first + inclusive).tobytes()
+        for run in runs:
+            assert run.n_grid.tobytes() == grid.tobytes()
+            assert run.sums.tobytes() == want
+            assert run.convention == ("inclusive" if inclusive else "exclusive")
+            assert run.normalizer is norm
+
+
+def test_run_grid_conventions():
+    assert run_grid(3, 5).tolist() == [4, 5, 6, 7, 8]
+    assert run_grid(3, 5, inclusive=True).tolist() == [3, 4, 5, 6, 7]
+    with pytest.raises(ValueError):
+        hilbert_series(np.ones(4), np.ones(4), NormalizerSpec(1.0, k0=3), k_first=2)
+    with pytest.raises(ValueError):  # N = k_first is no exclusive end
+        hilbert_series(np.ones(4), np.ones(4), NormalizerSpec(1.0, k0=1),
+                       n_grid=np.array([5]))
+
+
+_ORBIT_WEIGHTS = [WeightSpec(kind="constant"), WeightSpec(kind="power_phase", delta=0.5),
+                  WeightSpec(kind="iid_uniform_phase", seed=4)]
+_ORBIT_INDICES = [IndexSpec(kind="identity"), IndexSpec(kind="monomial", d=2),
+                  IndexSpec(kind="primes")]
+_ORBIT_THETAS = [Fraction(987, 1597), 0.3819660112501051]
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _e(x: Fraction) -> complex:
+    """e(x) = exp(2 i pi x), with x reduced mod 1 exactly first."""
+    return cmath.exp(2j * math.pi * float(x - math.floor(x)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(wspec=st.sampled_from(_ORBIT_WEIGHTS), ispec=st.sampled_from(_ORBIT_INDICES),
+       theta=st.sampled_from(_ORBIT_THETAS),
+       x0=st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                    st.integers(0, 96).map(lambda a: [a, 97])),
+       terms=st.dictionaries(
+           st.integers(-4, 4).filter(bool),
+           st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), min_size=1, max_size=3),
+       k_first=st.integers(1, 5), n=st.integers(1, 2 * _BLOCK + 17), data=st.data())
+def test_rotation_sums_match_the_trig_sum_engine(wspec, ispec, theta, x0, terms,
+                                                 k_first, n, data):
+    """For a rotation by theta and f = sum_m c_m e(m x), the orbit sum is
+    S_N = sum_m c_m e(m x0) V_N(m theta), V_N = eval_sum over the same
+    (w_k, u_k), k_first <= k < N: two engines, one number. A float theta
+    enters the reference as its exact Fraction times m, so both reduce
+    m theta u exactly.
+
+    The bound is N eps (16 (M + 2) sum|c_m| + 2 max_{j <= N} |S_j|), with
+    M = max |m| and |w_k| <= 1. Each orbit value is off by at most about
+    (3 pi M + 4) eps sum|c_m|: its position by 2 ulps (the reduction and
+    x0's addition), m x by M more, then e(.) and the sum over modes. The
+    reference's terms and pairwise sum take at most (log2 N + 20) eps/2 per
+    unit of N sum|c_m|. The prefix kernel adds each term to a running sum
+    of size at most max |S_j|, with one rounding of that size each."""
+    f = Observable(kind="finite_fourier", terms=[[m, re, im] for m, (re, im) in terms.items()])
+    point = OrbitPoint.rotation(x0)
+    system = SystemModel.rotation(theta)
+    w = gen_weights(wspec, k_first, k_first + n)
+    u = gen_indices(ispec, k_first, k_first + n)
+    run = weighted_sums(w, lambda i, j: orbit_eval(system, f, point, u[i:j]), k_first)
+    sizes = np.maximum.accumulate(np.abs(run.sums))
+    c_l1 = sum(abs(c) for _, c in f.terms)
+    top = max(abs(m) for m, _ in f.terms)
+    x0_exact = Fraction(point.x0)
+    picks = data.draw(st.lists(st.integers(0, run.n_grid.size - 1), min_size=1, max_size=8))
+    for i in sorted(set(picks + [run.n_grid.size - 1])):
+        N = int(run.n_grid[i])
+        count = N - k_first
+        want = sum(c * _e(m * x0_exact)
+                   * eval_sum(w[:count], u[:count], Fraction(theta) * m)
+                   for m, c in f.terms)
+        bound = count * _EPS * (16 * (top + 2) * c_l1 + 2 * float(sizes[i]))
+        assert abs(run.sums[i] - want) <= bound, (N, abs(run.sums[i] - want), bound)
 
 
 def test_hilbert_partial_range_checks():
@@ -405,7 +511,7 @@ def test_control_integral_domain():
 def oscillating_run(n=1 << 12):
     ks = np.arange(0, n, dtype=np.int64)
     w = np.exp(2j * np.pi * 0.37 * ks)
-    return weighted_sums(np.ones(n, dtype=np.complex128), w, k_first=0,
+    return weighted_sums(w, np.ones(n, dtype=np.complex128), k_first=0,
                          normalizer=NormalizerSpec(0.5, k0=1))
 
 

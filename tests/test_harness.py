@@ -15,16 +15,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ergosum import harness
+from ergosum import averages, harness
 from ergosum._kernels import _BLOCK, prefix_at
-from ergosum.averages import orbit_terms
+from ergosum.averages import orbit_terms, run_grid
 from ergosum.dynamics import OrbitPoint, SystemModel, orbit_eval
 from ergosum.indices import gen_indices
 from ergosum.weights import gen_weights
 from ergosum.harness import (
     ConfigError,
     ExperimentConfig,
-    _parse_x0,
     _thin_grid,
     list_presets,
     main,
@@ -166,13 +165,16 @@ def test_doubling_needs_seeds():
 
 
 def test_x0_parsing():
-    assert _parse_x0(None) == 0.0
-    assert _parse_x0(0.25) == 0.25
+    """A rotation point takes a number in [0, 1), read as a float, or an
+    exact [num, den] pair; a config without x0 starts at 0.0."""
     from fractions import Fraction
-    assert _parse_x0([1, 3]) == Fraction(1, 3)
-    for bad in (1.5, -0.1, [1, 2, 3], [3, 2], "x"):
+    assert harness._plan(cfg(**tiny_average()))[0].point.x0 == 0.0
+    assert OrbitPoint.rotation(0.25).x0 == 0.25
+    assert type(OrbitPoint.rotation(0).x0) is float
+    assert OrbitPoint.rotation([1, 3]).x0 == Fraction(1, 3)
+    for bad in (1.5, -0.1, [1, 2, 3], [3, 2], "x", True, None, math.nan):
         with pytest.raises(ValueError):
-            _parse_x0(bad)
+            OrbitPoint.rotation(bad)
 
 
 def test_preset_param_allowlist():
@@ -610,6 +612,11 @@ INVALID_CLI_CONFIGS = {
     "output_dir_300_byte_component": (
         tiny_average(output_dir="d" * 300),
         "output_dir: path components hold at most 255 bytes"),
+    # ... and the whole path, staging name and longest file name included,
+    # holds PATH_MAX = 4096 bytes with its null
+    "output_dir_past_path_max": (
+        tiny_average(output_dir="/".join(["d" * 200] * 25)),
+        "output_dir: the longest output path would hold 5084 bytes, past 4095"),
     "lone_surrogate_name": (
         tiny_average(name="a\ud800"), "name: must be encodable in the file system encoding"),
     # the draws read a seed modulo 2**64: these would run one repetition twice
@@ -740,7 +747,7 @@ def test_far_doubling_config_exits_0(tmp_path, capsys, case, command):
         return
     plan, _ = harness._plan(cfg(**d))
     k_first, k_end = plan.k_first, plan.k_first + plan.n_terms
-    grid = harness._stored_grid(k_first, k_end, False)
+    grid = run_grid(k_first, plan.n_terms)
     [(seed, got)] = harness._orbit_runs(plan, grid)
     u = gen_indices(harness._for_seed(plan.indices, seed), k_first, k_end)
     x = [oracles.doubling_window(seed, v) for v in u]
@@ -872,9 +879,9 @@ def test_blocked_stage_sums_match_one_unblocked_pass(kind, case, monkeypatch):
     plan, diags = harness._plan(cfg(**_stage_config(kind, case, 3 * _BLOCK + 17)))
     assert diags == []
     k_first, k_end = plan.k_first, plan.k_first + plan.n_terms
-    grid = harness._stored_grid(k_first, k_end, plan.hilbert)
+    grid = run_grid(k_first, plan.n_terms, plan.hilbert)
     fed = []
-    monkeypatch.setattr(harness, "orbit_terms",
+    monkeypatch.setattr(averages, "orbit_terms",
                         lambda *args: fed.append(orbit_terms(*args)) or fed[-1])
     [(seed, got)] = harness._orbit_runs(plan, grid)
     assert [t.size for t in fed] == [_BLOCK] * 3 + [17]
@@ -883,7 +890,7 @@ def test_blocked_stage_sums_match_one_unblocked_pass(kind, case, monkeypatch):
     if plan.system.kind == "doubling":
         v = plan.observable.eval(np.array([oracles.doubling_window(seed, j) for j in u]))
     else:
-        v = orbit_eval(plan.system, plan.observable, OrbitPoint.rotation(plan.x0), u)
+        v = orbit_eval(plan.system, plan.observable, plan.point, u)
     terms = w * v
     if plan.hilbert:
         terms = terms / plan.normalizer.values(np.arange(k_first, k_end))
@@ -906,8 +913,7 @@ def test_orbit_runs_drop_each_seeds_sums_before_the_next_draws(monkeypatch):
         return gen_weights(*args)
 
     monkeypatch.setattr(harness, "gen_weights", weights)
-    runs = harness._orbit_runs(plan, harness._stored_grid(
-        plan.k_first, plan.k_first + plan.n_terms, plan.hilbert))
+    runs = harness._orbit_runs(plan, run_grid(plan.k_first, plan.n_terms, plan.hilbert))
     seed, first = next(runs)
     refs.append(weakref.ref(first.sums))
     del first
@@ -931,8 +937,9 @@ def _output_bytes(root: Path) -> dict:
 def test_traced_orbit_runs_match_untraced(tmp_path, monkeypatch):
     """The benchmark's tracer wraps layer functions imported into the
     harness by name: with it installed, multi-block average and series runs
-    write the same bytes as untraced ones, every orbit value is counted,
-    and the layer self times partition the run span."""
+    write the same bytes as untraced ones, every orbit value and term is
+    counted, every stored point too, and the layer self times partition
+    the run span."""
     spans = _perfbench_spans()
     n_terms, seeds = 2 * _BLOCK + 5, (1, 2)
     configs = [_stage_config("average_run", "float_theta", n_terms, seeds, name="avg"),
@@ -950,6 +957,10 @@ def test_traced_orbit_runs_match_untraced(tmp_path, monkeypatch):
     metrics = spans.layer_metrics(recorder.spans)
     assert metrics["dynamics.terms"] == len(configs) * len(seeds) * n_terms
     assert metrics["dynamics.calls"] == len(configs) * len(seeds) * 3
+    assert metrics["averages.terms"] == len(configs) * len(seeds) * n_terms
+    plans = [harness._plan(cfg(**d))[0] for d in configs]
+    assert metrics["averages.stored_points"] == len(seeds) * sum(
+        run_grid(p.k_first, p.n_terms, p.hilbert).size for p in plans)
     total = spans.run_total(recorder.spans)
     covered = sum(metrics[m] for m in spans.SELF_TIME_METRICS)
     assert covered == pytest.approx(total, rel=1e-6)

@@ -11,7 +11,6 @@ from ergosum.trigsum import (
     ThetaGrid,
     default_grid,
     eval_grid,
-    eval_harmonic,
     eval_sum,
     sup_envelope,
     sup_harmonic,
@@ -234,7 +233,7 @@ def test_eval_harmonic_small_closed_form():
     # w = 1, u = k, theta = 0: 1 + 1/2 + 1/3 = 11/6
     w = np.ones(3, dtype=np.complex128)
     u = np.arange(1, 4, dtype=np.int64)
-    got = eval_harmonic(w, u, 0.0, k_first=1)
+    got = eval_sum(w / u, u, 0.0)
     assert got == pytest.approx(11.0 / 6.0, rel=1e-15)
 
 
