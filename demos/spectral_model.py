@@ -1,6 +1,6 @@
 """
-Spectral model: exact L2 norms without orbits
-=============================================
+Spectral model: L2 norms without orbits
+=======================================
 
 For a contraction, the L2 norm of a weighted polynomial in the operator
 is an integral of the trigonometric envelope against a spectral measure.
@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from ergosum.averages import NormalizerSpec, maximal_norm
-from ergosum.dynamics import SpectralMeasure, spectral_l2_norm
+from ergosum.averages import NormalizerSpec, maximal_norm, spectral_l2_norm
+from ergosum.dynamics import SpectralMeasure
 from ergosum.weights import WeightSpec, gen_weights
 
 # one atom at t: the norm is just the atom mass times |V(t)|
@@ -27,8 +27,7 @@ print(f"single atom: quadrature {norm:.12f}  direct {direct:.12f}")
 # uniform density recovers the Parseval value sqrt(sum |w|^2) for
 # distinct frequencies
 w = gen_weights(WeightSpec(kind="power_phase", delta=0.5), 1, 101)
-norm = spectral_l2_norm(w, u, 1.0, SpectralMeasure.uniform(),
-                        theta_resolution=1 << 12)
+norm = spectral_l2_norm(w, u, 1.0, SpectralMeasure.uniform())
 print(f"uniform measure: {norm:.6f}  vs sqrt(N) = {math.sqrt(100):.6f}")
 
 # mixed measure: atoms plus a piecewise-constant density

@@ -42,7 +42,6 @@ from .dynamics import (
     Observable,
     OrbitPoint,
     orbit_eval,
-    spectral_l2_norm,
 )
 from .averages import (
     NormalizerSpec,
@@ -59,6 +58,7 @@ from .averages import (
     control_integral,
     oscillation_report,
     maximal_norm,
+    spectral_l2_norm,
     split_level,
     epsilon_for_beta,
 )

@@ -1,5 +1,5 @@
 """Weighted sums along orbits, normalizers, series partial sums, block
-ladders and oscillation statistics.
+ladders, oscillation statistics and norms in the spectral model.
 
 Conventions used throughout:
 
@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import frac_of, is_int, is_real, pairwise_sum, prefix_at, prefix_sums
+from ._kernels import frac_of, is_int, is_real, next_pow2, pairwise_sum, prefix_at, prefix_sums
 from .dynamics import SpectralMeasure
-from .trigsum import ThetaGrid, eval_grid
+from .trigsum import SCALED_GRID_CAP, ThetaGrid, _check_pair, eval_grid
 
 LADDER_KINDS = ("dyadic", "doubly_exponential", "rho_ladder", "rho_rho_ladder")
 
@@ -646,15 +646,14 @@ def maximal_norm(weights, indices, norm: NormalizerSpec,
         sqrt( integral of max_{N in grid} |V_N(t) / A(N)|^2 d measure(t) ),
 
     a lower bound for the true maximal norm (the max runs over the finite
-    grid only). V_N uses terms k in [k_first, N); the density integral is
-    a trapezoid rule on max(2**16, cell count) points, where V_N adds up
-    eval_grid over the prefix segments, so indices must be nonnegative."""
-    w = np.ascontiguousarray(weights, dtype=np.complex128)
-    u = np.ascontiguousarray(indices)
-    if u.dtype.kind not in "iu":
-        raise TypeError("indices must be integers")
-    if w.shape != u.shape or w.ndim != 1 or w.size == 0:
-        raise ValueError("weights and indices must be aligned 1-d arrays")
+    grid only). V_N uses terms k in [k_first, N), whose indices must be
+    nonnegative integers. Atom terms are exact up to rounding. The density
+    integral is a trapezoid rule on L = max(2**16, cell count,
+    next_pow2(D + 1)) points, D the index span of the terms up to the last
+    N, where V_N adds up eval_grid over the prefix segments: every
+    frequency of |V_N|^2 lies below L, so against a uniform density the
+    rule is exact. Raises ValueError if L would pass SCALED_GRID_CAP."""
+    w, u = _check_pair(weights, indices)
     ns = np.ascontiguousarray(n_grid, dtype=np.int64)
     if ns.size == 0 or np.any(ns[1:] <= ns[:-1]):
         raise ValueError("N grid must be nonempty and strictly increasing")
@@ -668,7 +667,12 @@ def maximal_norm(weights, indices, norm: NormalizerSpec,
         total += mass * float((np.abs(pref) / a).max()) ** 2
     if measure.density is not None:
         cells = measure.density.size
-        grid = ThetaGrid(max(1 << 16, cells))
+        span = int(u[: bounds[-1]].max()) - int(u[: bounds[-1]].min())
+        points = max(1 << 16, cells, next_pow2(span + 1))
+        if points > SCALED_GRID_CAP:
+            raise ValueError(f"index span {span} needs a density grid of more "
+                             f"than {SCALED_GRID_CAP} points")
+        grid = ThetaGrid(points)
         dens = np.repeat(measure.density, grid.points // cells)
         v_n = np.zeros(grid.points, dtype=np.complex128)
         best = np.zeros(grid.points, dtype=np.float64)
@@ -679,6 +683,22 @@ def maximal_norm(weights, indices, norm: NormalizerSpec,
             np.maximum(best, np.abs(v_n) / a[i], out=best)
         total += float(pairwise_sum(dens * best**2)) / grid.points
     return float(math.sqrt(total))
+
+
+def spectral_l2_norm(weights, indices, normalizer_value: float,
+                     measure: SpectralMeasure) -> float:
+    """L2 norm of the normalized weighted sum in the spectral model,
+
+        sqrt( sum_i mass_i |V(t_i)|^2 + integral density |V(t)|^2 dt )
+
+    divided by normalizer_value, where V(t) = sum_k w_k exp(2 i pi t u_k):
+    maximal_norm at the one N that takes every term, under A = 1, with its
+    input checks and its quadrature."""
+    if not normalizer_value > 0:
+        raise ValueError("normalizer value must be positive")
+    norm = maximal_norm(weights, indices, NormalizerSpec(0.0, k0=1), measure,
+                        [np.size(weights)])
+    return norm / float(normalizer_value)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ Two system kinds:
     doubling   x -> 2x mod 1, a point given by the seed of its binary digits
 
 The spectral model has no points: a SpectralMeasure, a finite positive
-measure on [0, 1), against which spectral_l2_norm computes norms.
+measure on [0, 1) of atoms and a dyadic density, against which
+averages.spectral_l2_norm and averages.maximal_norm integrate.
 
 Rotation angles can be floats or exact rationals (Fraction). The bundled
 rotation_sqrt2 / rotation_golden constructors return continued-fraction
@@ -34,15 +35,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import frac_of, frac_ratio, is_int, is_real, mod1, next_pow2, pairwise_sum
+from ._kernels import frac_of, frac_ratio, is_int, is_real, mod1, next_pow2
 from ._rng import raw64
-from .trigsum import ThetaGrid, eval_grid, eval_sum
 
 SYSTEM_KINDS = ("rotation", "doubling")
 OBSERVABLE_KINDS = ("fourier_mode", "indicator", "finite_fourier")
 
 MAX_ANGLE_DEN = 1 << 62
-DEFAULT_DENSITY_CELLS = 1 << 16
 DEFAULT_BIT_WINDOW = 53
 
 
@@ -332,29 +331,3 @@ def orbit_eval(system: SystemModel, f: Observable, x0: OrbitPoint, indices) -> n
     if x0.kind != "doubling":
         raise ValueError("doubling system needs a doubling orbit point")
     return f.eval(_doubling_positions(x0.seed, u))
-
-
-def spectral_l2_norm(weights, indices, normalizer_value: float,
-                     measure: SpectralMeasure,
-                     theta_resolution: int = DEFAULT_DENSITY_CELLS) -> float:
-    """L2 norm of the normalized weighted sum in the spectral model.
-
-    Returns sqrt(sum_i mass_i |V(t_i)|^2 + integral density |V(t)|^2 dt)
-    divided by normalizer_value, where V(t) = sum_k w_k exp(2 i pi t u_k).
-    Atom terms are exact (rational atoms use exact reduction); the density
-    integral is a trapezoid rule on a periodic grid of theta_resolution
-    points (rounded up to a power of two and to at least the cell count),
-    so the quadrature error scales with resolution relative to max(u).
-    """
-    if not normalizer_value > 0:
-        raise ValueError("normalizer value must be positive")
-    total = 0.0
-    for t, mass in measure.atoms:
-        total += mass * abs(eval_sum(weights, indices, t)) ** 2
-    if measure.density is not None:
-        cells = measure.density.size
-        r = next_pow2(max(int(theta_resolution), cells, 2))
-        vals = np.abs(eval_grid(weights, indices, ThetaGrid(r))) ** 2
-        dens = np.repeat(measure.density, r // cells)
-        total += float(pairwise_sum(dens * vals)) / r
-    return float(np.sqrt(total)) / float(normalizer_value)

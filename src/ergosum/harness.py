@@ -694,11 +694,14 @@ _SUM_COLUMNS = ["seed", "N", "s_real", "s_imag", "s_abs"]
 _SERIES_COLUMNS = _SUM_COLUMNS + ["a_value", "ratio"]
 
 
-def _sum_rows(seed, n, sums, *cols):
-    """CSV rows [seed, N, s_real, s_imag, s_abs, *cols] of one seed's sums
-    at the grid n; s_abs is the scalar abs (np.abs can differ by an ulp)."""
-    return [[seed, int(k), s.real, s.imag, abs(s), *extra]
-            for k, s, *extra in zip(n, sums, *cols)]
+def _sum_rows(seed, n, sums, a_value=None):
+    """CSV rows [seed, N, s_real, s_imag, s_abs] of one seed's sums at the
+    grid n, s_abs the scalar abs (np.abs can differ by an ulp). Given the
+    A(N) cells (None below k0), rows add A(N) and ratio = s_abs / A(N)."""
+    if a_value is None:
+        return [[seed, int(k), s.real, s.imag, abs(s)] for k, s in zip(n, sums)]
+    return [[seed, int(k), s.real, s.imag, abs(s), a, None if a is None else abs(s) / a]
+            for k, s, a in zip(n, sums, a_value)]
 
 
 def _average_stage(files, plan: _Plan, report_extra):
@@ -725,9 +728,7 @@ def _average_stage(files, plan: _Plan, report_extra):
         per_seed.append({"seed": seed, "k_first": plan.k_first, "n_max": run.n_max,
                          **_decay_entry(ns, plan.checkpoints),
                          "monotone_normalizer": ns.monotone_normalizer})
-        sums = run.sums[keep]
-        ratio = [None if x is None else abs(s) / x for s, x in zip(sums, a_value)]
-        csv_rows.extend(_sum_rows(seed, n, sums, a_value, ratio))
+        csv_rows.extend(_sum_rows(seed, n, run.sums[keep], a_value))
         if len(chart) < len(_svg.PALETTE):
             label = "ratio" if seed is None else f"seed {seed}"
             chart.append((label, ns.n_grid[chart_keep].tolist(),
@@ -850,10 +851,8 @@ def _pi_table_stage(files, seeds, big_ns):
 
 
 def _beta_stage(files, plan: _Plan):
-    """Decay of one unseeded run's running sums under the normalizer N^beta
-    for each beta of the plan's ladder. Its series.csv ratio column is the
-    normalized series' own (vector np.abs), which can differ by an ulp from
-    the scalar abs of the s_abs column."""
+    """Decay of one unseeded run's running sums under N^beta for each beta
+    of the plan's ladder; series.csv holds the first beta's rows."""
     grid = run_grid(plan.k_first, plan.n_terms)
     [(_, run)] = _orbit_runs(plan, grid)
     # every beta normalizes from k0 = 1, so each normalized grid is the
@@ -870,7 +869,7 @@ def _beta_stage(files, plan: _Plan):
         if len(chart) < len(_svg.PALETTE):
             chart.append((f"beta {beta}", n.tolist(), ns.ratios[keep].tolist()))
         if not csv_rows:
-            csv_rows = _sum_rows(None, n, run.sums[keep], norm.values(n), ns.ratios[keep])
+            csv_rows = _sum_rows(None, n, run.sums[keep], ns.grid.a[keep].tolist())
     files["series.csv"] = _csv_bytes(_SERIES_COLUMNS, csv_rows)
     files["ratio.svg"] = _svg.line_chart(
         "prime-index averages", "N", "|S_N| / N^beta",

@@ -8,7 +8,6 @@ Tolerances are pinned next to each check.
 import json
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,10 +24,10 @@ from ergosum.averages import (
     abel_decompose,
     control_integral,
     hilbert_partial,
+    spectral_l2_norm,
 )
-from ergosum.dynamics import SpectralMeasure, spectral_l2_norm
+from ergosum.dynamics import SpectralMeasure
 from ergosum.harness import ExperimentConfig, run
-from ergosum.indices import IndexSpec, gen_indices
 from ergosum.trigsum import eval_sum, sup_envelope, sup_harmonic
 from ergosum.weights import WeightSpec, gen_weights
 

@@ -31,13 +31,14 @@ from ergosum.averages import (
     orbit_terms,
     oscillation_report,
     run_grid,
+    spectral_l2_norm,
     split_level,
     storage_grid,
     weighted_sums,
 )
 from ergosum.dynamics import Observable, OrbitPoint, SpectralMeasure, SystemModel, orbit_eval
 from ergosum.indices import IndexSpec, gen_indices
-from ergosum.trigsum import eval_sum
+from ergosum.trigsum import SCALED_GRID_CAP, eval_sum, sup_envelope
 from ergosum.weights import WeightSpec, gen_weights
 from ergosum.harness import _json_bytes, _fields_json
 
@@ -412,7 +413,12 @@ def test_rotation_sums_match_the_trig_sum_engine(wspec, ispec, theta, x0, terms,
     x0's addition), m x by M more, then e(.) and the sum over modes. The
     reference's terms and pairwise sum take at most (log2 N + 20) eps/2 per
     unit of N sum|c_m|. The prefix kernel adds each term to a running sum
-    of size at most max |S_j|, with one rounding of that size each."""
+    of size at most max |S_j|, with one rounding of that size each.
+
+    Within that bound, |S_N| <= sum|c_m| sup_theta |V_N(theta)|, checked
+    against sup_envelope's upper at N <= 4096 with span D <= 2**16. There
+    its default grid has at least 16 D points, so the estimate is never
+    aliased."""
     f = Observable(kind="finite_fourier", terms=[[m, re, im] for m, (re, im) in terms.items()])
     point = OrbitPoint.rotation(x0)
     system = SystemModel.rotation(theta)
@@ -432,6 +438,10 @@ def test_rotation_sums_match_the_trig_sum_engine(wspec, ispec, theta, x0, terms,
                    for m, c in f.terms)
         bound = count * _EPS * (16 * (top + 2) * c_l1 + 2 * float(sizes[i]))
         assert abs(run.sums[i] - want) <= bound, (N, abs(run.sums[i] - want), bound)
+        if count <= 4096 and u[count - 1] - u[0] <= 1 << 16:
+            sup = sup_envelope(w[:count], u[:count])
+            assert not sup.aliased
+            assert abs(run.sums[i]) <= c_l1 * sup.upper + bound, (N, sup)
 
 
 def test_hilbert_partial_range_checks():
@@ -695,25 +705,80 @@ def test_maximal_norm_dominates_single_n():
 
 
 def test_maximal_norm_density_matches_direct_sums():
-    """Uniform density: the mean over the 2**16 grid of max_N |V_N / A(N)|^2,
-    with every V_N(j / 2**16) summed directly."""
+    """Uniform density: the mean of max_N |V_N / A(N)|^2 over the grid of
+    L = next_pow2(D + 1) = 2**18 points that the index span D sets, with
+    every V_N(j / L) summed directly (phases j u_k mod L in integers)."""
     rng = np.random.default_rng(29)
     w = rng.standard_normal(40) + 1j * rng.standard_normal(40)
     u = np.cumsum(rng.integers(1, 9000, size=40)).astype(np.int64)
+    L = 1 << 18
+    assert L // 2 <= int(u[-1] - u[0]) < L
     norm = NormalizerSpec(0.5, k0=1)
     ns = np.array([5, 17, 40], dtype=np.int64)
     got = maximal_norm(w, u, norm, SpectralMeasure.uniform(), ns)
-    t = np.arange(1 << 16) / (1 << 16)
-    terms = w * np.exp(2j * np.pi * np.outer(t, u))
-    best = np.max([np.abs(terms[:, :n].sum(axis=1)) / n**0.5 for n in ns], axis=0)
+    j = np.arange(L, dtype=np.int64)
+    v_n = np.zeros(L, dtype=np.complex128)
+    best = np.zeros(L)
+    lo = 0
+    for n in ns:
+        for k in range(lo, n):
+            v_n += w[k] * np.exp(2j * np.pi * ((j * u[k]) % L) / L)
+        lo = n
+        best = np.maximum(best, np.abs(v_n) / n**0.5)
     assert got == pytest.approx(math.sqrt(np.mean(best**2)), rel=1e-12)
 
 
+def test_spectral_norms_size_the_density_grid_from_the_index_span():
+    """Indices 2**16 apart all fold onto theta = 0 of a 2**16-point grid,
+    which would give |V| = 10 everywhere; on the span-sized grid both norms
+    give Parseval's sqrt(10). A span of 2**26 needs a grid past the cap."""
+    w = np.ones(10)
+    u = (1 << 16) * np.arange(10, dtype=np.int64)
+    uniform = SpectralMeasure.uniform()
+    one = NormalizerSpec(0.0, k0=1)
+    assert spectral_l2_norm(w, u, 1.0, uniform) == pytest.approx(math.sqrt(10), rel=1e-12)
+    assert maximal_norm(w, u, one, uniform, [10]) == pytest.approx(math.sqrt(10), rel=1e-12)
+    far = np.array([0, SCALED_GRID_CAP], dtype=np.int64)
+    with pytest.raises(ValueError, match="span"):
+        spectral_l2_norm(np.ones(2), far, 1.0, uniform)
+    with pytest.raises(ValueError, match="span"):
+        maximal_norm(np.ones(2), far, one, uniform, [1, 2])
+    # atoms need no grid
+    atom = SpectralMeasure(atoms=((0.25, 1.0),))
+    assert spectral_l2_norm(np.ones(2), far, 1.0, atom) == pytest.approx(2.0, rel=1e-15)
+
+
 def test_maximal_norm_density_rejects_negative_indices():
+    """The input check of eval_sum, with or without a density."""
     u = np.array([3, -1, 4], dtype=np.int64)
-    with pytest.raises(ValueError, match="nonnegative"):
-        maximal_norm(np.ones(3), u, NormalizerSpec(1.0, k0=1),
-                     SpectralMeasure.uniform(), np.array([3], dtype=np.int64))
+    for meas in (SpectralMeasure.uniform(), SpectralMeasure(atoms=((0.3, 1.0),))):
+        with pytest.raises(ValueError, match="nonnegative"):
+            maximal_norm(np.ones(3), u, NormalizerSpec(1.0, k0=1), meas,
+                         np.array([3], dtype=np.int64))
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 40), data=st.data(),
+       atoms=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.01, 4.0)),
+                      max_size=3, unique_by=lambda a: a[0]),
+       density=st.integers(0, 4).flatmap(
+           lambda e: st.lists(st.floats(0.0, 4.0), min_size=1 << e, max_size=1 << e)))
+def test_spectral_norm_within_the_sup_envelope(n, data, atoms, density):
+    """For unitary U, ||sum_k w_k U^{u_k} f|| <= sup_theta |V(theta)| ||f||,
+    where ||f||^2 = mu_f([0, 1)): every atom and every density grid point
+    sees |V| <= sup |V| <= sup_envelope's upper."""
+    w = np.array(data.draw(st.lists(st.complex_numbers(max_magnitude=2.0), min_size=n,
+                                    max_size=n)), dtype=np.complex128)
+    # spans up to 2**17, each bit length equally likely: a span D costs a
+    # sup_envelope grid of about 16 D points
+    top = 1 << data.draw(st.integers(0, 17))
+    offsets = data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    u = data.draw(st.integers(0, 1 << 20)) + np.sort(np.array(offsets, dtype=np.int64))
+    density = np.array(density) + (0.0 if atoms else 0.5)  # positive total mass
+    meas = SpectralMeasure(atoms=tuple(atoms), density=density)
+    got = spectral_l2_norm(w, u, 1.0, meas)
+    cap = sup_envelope(w, u).upper * math.sqrt(meas.total_mass())
+    assert got <= cap * (1 + 1e-12)
 
 
 def test_maximal_norm_validation():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergosum.averages import spectral_l2_norm
 from ergosum.dynamics import (
     DEFAULT_BIT_WINDOW,
     MAX_ANGLE_DEN,
@@ -16,7 +17,6 @@ from ergosum.dynamics import (
     SpectralMeasure,
     SystemModel,
     orbit_eval,
-    spectral_l2_norm,
 )
 from ergosum._rng import raw64
 
@@ -292,8 +292,7 @@ def test_spectral_norm_uniform_is_parseval():
     rng = np.random.default_rng(11)
     w = rng.standard_normal(40)
     u = np.sort(rng.choice(3000, size=40, replace=False)).astype(np.int64)
-    got = spectral_l2_norm(w, u, 1.0, SpectralMeasure.uniform(),
-                           theta_resolution=8192)
+    got = spectral_l2_norm(w, u, 1.0, SpectralMeasure.uniform())
     assert got == pytest.approx(math.sqrt(float(np.sum(w * w))), rel=1e-6)
 
 
@@ -316,7 +315,7 @@ def test_contraction_surrogate():
         n = int(rng.integers(5, 60))
         w = rng.standard_normal(n)
         u = np.cumsum(rng.integers(1, 9, size=n)).astype(np.int64)
-        got = spectral_l2_norm(w, u, 1.0, meas, theta_resolution=4096)
+        got = spectral_l2_norm(w, u, 1.0, meas)
         assert got <= float(np.sum(np.abs(w))) * cap + 1e-9
 
 

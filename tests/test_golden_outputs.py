@@ -16,6 +16,7 @@ and a config it accepts runs.
 """
 
 import contextlib
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -157,6 +158,22 @@ def test_deterministic_presets_ignore_seeds(tmp_path, name):
     run(ExperimentConfig.from_dict(
         {"name": name, **CONFIGS[name], "seeds": [7], "output_dir": str(tmp_path)}))
     assert output_digests(tmp_path / name) == _golden()[name]
+
+
+@pytest.mark.parametrize("name", [n for n, keys in WALL_KEYS.items() if "average" in keys])
+def test_series_ratio_is_s_abs_over_a_value(tmp_path, name):
+    """Every series.csv row holds ratio = s_abs / a_value, computed from the
+    cells as written; both cells are empty below k0."""
+    run(ExperimentConfig.from_dict(
+        {"name": name, **CONFIGS[name], "output_dir": str(tmp_path)}))
+    with open(tmp_path / name / "series.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    for row in rows:
+        if row["a_value"] == "":
+            assert row["ratio"] == "", row
+        else:
+            assert float(row["ratio"]) == float(row["s_abs"]) / float(row["a_value"]), row
 
 
 # JSON values a hand-edited config might carry in any field; 1e400 is how

@@ -1,14 +1,15 @@
-"""Source checks that need no linter: every name a module of the package
-imports at module level is used in that module."""
+"""Source checks that need no linter: every name a module of the package,
+a test module or a demo imports at module level is used in that file."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "ergosum"
+REPO = Path(__file__).resolve().parents[1]
 # __init__.py imports to re-export
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p for p in (REPO / "src" / "ergosum").glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*(REPO / "tests").glob("*.py"), *(REPO / "demos").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,4 +35,9 @@ def test_unused_imports_are_found():
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=[f"{p.parent.name}/{p.stem}" for p in SCRIPTS])
+def test_test_or_demo_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergosum.weights import KINDS, WeightSpec, gen_weights, moebius_sieve
+from ergosum.weights import WeightSpec, gen_weights, moebius_sieve
 
 import oracles
 
