@@ -10,6 +10,8 @@ REPO = Path(__file__).resolve().parents[1]
 # __init__.py imports to re-export
 MODULES = sorted(p for p in (REPO / "src" / "ergosum").glob("*.py") if p.name != "__init__.py")
 SCRIPTS = sorted([*(REPO / "tests").glob("*.py"), *(REPO / "demos").glob("*.py")])
+# package modules by name, tests and demos by directory and name
+IDS = [p.stem for p in MODULES] + [f"{p.parent.name}/{p.stem}" for p in SCRIPTS]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,11 +35,6 @@ def test_unused_imports_are_found():
     assert unused_imports(src) == ["os", "d"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=IDS)
 def test_module_uses_every_import(path):
-    assert unused_imports(path.read_text(encoding="utf-8")) == []
-
-
-@pytest.mark.parametrize("path", SCRIPTS, ids=[f"{p.parent.name}/{p.stem}" for p in SCRIPTS])
-def test_test_or_demo_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
