@@ -29,17 +29,17 @@ vals = orbit_eval(system, f, OrbitPoint.rotation(0.0), u)
 
 # power-phase weights, normalizer N^(7/8) log^2 N
 w = gen_weights(WeightSpec(kind="power_phase", delta=0.5), 1, n + 1)
-run = weighted_sums(w, vals, k_first=1,
-                    normalizer=NormalizerSpec(0.875, a=2.0, k0=3))
-ns = normalized_series(run)
+run = weighted_sums(w, vals, k_first=1)
+ns = normalized_series(run, NormalizerSpec(0.875, a=2.0, k0=3))
 print("rotation orbit, power-phase weights, A(N) = N^(7/8) log^2 N:")
 for N in (100, 1000, 10_000, 100_000):
     print(f"  |S_N| / A(N) at N = {N:6d}: {ns.value_at(N):.5f}")
 print(f"  log-log slope {ns.slope():.3f} (negative means the average dies)")
 
 # oscillations along the dyadic ladder: how much the normalized value
-# moves inside each block (2^j, 2^(j+1)]
-rep = oscillation_report(run, BlockLadder.dyadic(2, 17))
+# moves inside each block (2^j, 2^(j+1)]; A(N) comes from the same
+# normalized grid as the ratios above
+rep = oscillation_report(run, BlockLadder.dyadic(2, 17), ns.grid)
 print(f"  sum of squared oscillations: {rep.cumulative_sq[-1]:.4f}, "
       f"decomposition check passed = {rep.check_decomposition()['passed']}")
 
@@ -58,9 +58,8 @@ def dvals(i, j):
     return orbit_eval(SystemModel.doubling(), g, pt, u[i:j])
 
 
-drun = weighted_sums(np.ones(n), dvals, k_first=1,
-                     normalizer=NormalizerSpec(1.0, k0=1))
-dns = normalized_series(drun)
+drun = weighted_sums(np.ones(n), dvals, k_first=1)
+dns = normalized_series(drun, NormalizerSpec(1.0, k0=1))
 for N in (100, 10_000, 100_000):
     print(f"  time average at N = {N:6d}: {dns.value_at(N):.4f} "
           f"(the interval has measure 0.5)")

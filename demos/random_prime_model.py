@@ -31,9 +31,8 @@ u = gen_indices(IndexSpec(kind="cramer_primes", seed=seed), 1, n_terms + 1)
 system = SystemModel.rotation_sqrt2()
 f = Observable.fourier_mode(1)
 vals = orbit_eval(system, f, OrbitPoint.rotation(0.0), u)
-run = weighted_sums(np.ones(n_terms), vals, k_first=1,
-                    normalizer=NormalizerSpec(0.75, k0=1))
-ns = normalized_series(run)
+run = weighted_sums(np.ones(n_terms), vals, k_first=1)
+ns = normalized_series(run, NormalizerSpec(0.75, k0=1))
 print()
 print(f"|S_N| / N^(3/4) along the seed-{seed} random set:")
 for N in (1000, 10_000, 100_000, 300_000):

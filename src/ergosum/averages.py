@@ -19,9 +19,11 @@ _kernels.prefix_sums asks for one 2^16-term block at a time, so orbit
 values need never exist at full length. Terms come from one formula,
 orbit_terms. No reduction that reaches an output goes through BLAS:
 slopes sum with the same pairwise kernel, so no report depends on the
-BLAS build or its thread count. What every run on one stored grid shares
-under one normalizer (A(N), the slope's regressor) is a NormalizedGrid,
-built once per grid and normalizer.
+BLAS build or its thread count. A normalizer goes only where it divides:
+hilbert_series divides each term by A(k), weighted_sums takes none, and
+normalized_series and oscillation_report divide stored sums by the A(N)
+of a NormalizedGrid, the one place A(N) on a stored grid is computed,
+built once per stored grid and normalizer.
 """
 
 from __future__ import annotations
@@ -87,12 +89,6 @@ class NormalizerSpec:
         if np.any(~np.isfinite(out)) or np.any(out <= 0.0):
             raise ValueError("normalizer must be positive on the range")
         return out
-
-    def is_monotone_on(self, n_lo: int, n_hi: int) -> bool:
-        ks = np.arange(max(self.k0, n_lo), n_hi + 1, dtype=np.int64)
-        if ks.size < 2:
-            return True
-        return bool(np.all(np.diff(self.values(ks)) >= 0.0))
 
 
 @dataclass(frozen=True)
@@ -183,7 +179,6 @@ class SeriesRun:
     k_first: int
     n_grid: np.ndarray
     sums: np.ndarray
-    normalizer: NormalizerSpec | None = None
     convention: str = "exclusive"
 
     def __post_init__(self):
@@ -235,11 +230,11 @@ def run_grid(k_first: int, n_terms: int, inclusive: bool = False) -> np.ndarray:
     return storage_grid(lo, lo + n_terms - 1)
 
 
-def _orbit_run(weights, orbit_values, k_first: int, normalizer, n_grid,
-               inclusive: bool) -> SeriesRun:
-    """Prefix sums of orbit_terms at bounds = n_grid - k_first (+ 1 for an
-    inclusive series, whose terms are divided by A(k)), one prefix_sums
-    block of orbit values at a time."""
+def _orbit_run(weights, orbit_values, k_first: int, n_grid,
+               series: NormalizerSpec | None) -> SeriesRun:
+    """Prefix sums of orbit_terms at bounds = n_grid - k_first, one
+    prefix_sums block of orbit values at a time; given the normalizer of a
+    series, its terms are divided by A(k) and N is inclusive (bounds + 1)."""
     w = np.ascontiguousarray(weights, dtype=np.complex128)
     values = orbit_values
     if w.ndim != 1 or w.size == 0 or not (callable(values) or np.shape(values) == w.shape):
@@ -249,27 +244,25 @@ def _orbit_run(weights, orbit_values, k_first: int, normalizer, n_grid,
 
         def values(i, j):
             return v[i:j]
+    inclusive = series is not None
     n_grid = np.ascontiguousarray(run_grid(k_first, w.size, inclusive) if n_grid is None
                                   else n_grid, dtype=np.int64)
     bounds = n_grid - k_first + inclusive  # prefix_sums rejects those below 1
     if bounds.size and bounds[-1] > w.size:
         raise ValueError("stored N beyond the last term")
-    series = normalizer if inclusive else None
 
     def block_terms(i, j):  # reads orbit_terms at call time, so a patch applies
         return orbit_terms(w[i:j], values(i, j), series, k_first + i)
     return SeriesRun(k_first=k_first, n_grid=n_grid, sums=prefix_sums(block_terms, bounds),
-                     normalizer=normalizer,
                      convention="inclusive" if inclusive else "exclusive")
 
 
 def weighted_sums(weights, orbit_values, k_first: int = 0,
-                  normalizer: NormalizerSpec | None = None,
                   n_grid: np.ndarray | None = None) -> SeriesRun:
     """Running sums S_N = sum_{k_first <= k < N} w_k * orbit_k on a stored
     grid (default run_grid: dense up to 10^6 then geometric). orbit_values
     is an array aligned with the weights or a function values(i, j)."""
-    return _orbit_run(weights, orbit_values, k_first, normalizer, n_grid, False)
+    return _orbit_run(weights, orbit_values, k_first, n_grid, None)
 
 
 def _centred_regressor(n: np.ndarray, gamma: float) -> np.ndarray:
@@ -293,7 +286,8 @@ class NormalizedGrid:
     """The part of a stored grid a normalizer divides (N >= k0), with what
     every run on that grid shares: A(N), whether A is monotone there, and
     the slope's centred regressor xc with its sum of squares. One is built
-    per stored grid and normalizer, not per run.
+    per stored grid and normalizer, not per run. Under gamma = 0 the
+    regressor is log log N, so build refuses a grid that holds N = 1.
 
     start is the index of the first N >= k0 in the stored grid; n_grid is
     the stored grid from there on (a view)."""
@@ -301,7 +295,7 @@ class NormalizedGrid:
     start: int
     n_grid: np.ndarray
     a: np.ndarray
-    gamma: float
+    norm: NormalizerSpec
     monotone: bool
     xc: np.ndarray
     xc_sq: float
@@ -312,9 +306,12 @@ class NormalizedGrid:
         if start >= n_grid.size:
             raise ValueError("entire grid lies below the normalizer offset k0")
         n = n_grid[start:]
+        if norm.gamma == 0.0 and n[0] < 2:
+            raise ValueError("gamma = 0 slopes regress on log log N, undefined at "
+                             "N = 1: raise k0 to 2")
         a = norm.values(n)
         xc = _centred_regressor(n, norm.gamma)
-        return cls(start=start, n_grid=n, a=a, gamma=norm.gamma,
+        return cls(start=start, n_grid=n, a=a, norm=norm,
                    monotone=bool(np.all(a[1:] >= a[:-1])),
                    xc=xc, xc_sq=_dot(xc, xc))
 
@@ -360,7 +357,7 @@ class NormalizedSeries:
         if count == mask.size:
             xc, den, y = self.grid.xc, self.grid.xc_sq, np.log(self.ratios)
         else:
-            xc = _centred_regressor(self.n_grid[mask], self.grid.gamma)
+            xc = _centred_regressor(self.n_grid[mask], self.grid.norm.gamma)
             den, y = _dot(xc, xc), np.log(self.ratios[mask])
         if den == 0.0:
             return math.nan
@@ -368,21 +365,24 @@ class NormalizedSeries:
         return _dot(xc, y) / den
 
 
-def normalized_series(run: SeriesRun,
-                      grid: NormalizedGrid | NormalizerSpec | None = None
-                      ) -> NormalizedSeries:
-    """Divide a run by its normalizer on the stored grid (N >= k0 only).
-
-    ``grid`` is a NormalizedGrid built from the run's stored grid, shared
-    by every run on it, or a NormalizerSpec (default: the run's own) to
-    build one from."""
+def _normalized_grid(run: SeriesRun, grid: NormalizedGrid | NormalizerSpec
+                     ) -> NormalizedGrid:
+    """``grid`` built on the run's stored grid from a NormalizerSpec, or a
+    NormalizedGrid checked to be built from it."""
     if not isinstance(grid, NormalizedGrid):
-        norm = grid or run.normalizer
-        if norm is None:
-            raise ValueError("run carries no normalizer and none was given")
-        grid = NormalizedGrid.build(run.n_grid, norm)
+        return NormalizedGrid.build(run.n_grid, grid)
     if not np.array_equal(run.n_grid[grid.start:], grid.n_grid):
         raise ValueError("normalized grid was built from another stored grid")
+    return grid
+
+
+def normalized_series(run: SeriesRun, grid: NormalizedGrid | NormalizerSpec
+                      ) -> NormalizedSeries:
+    """Divide a run by A(N) on its stored grid (N >= k0 only).
+
+    ``grid`` is a NormalizedGrid built from the run's stored grid, shared
+    by every run on it, or the NormalizerSpec to build one from."""
+    grid = _normalized_grid(run, grid)
     ratios = np.abs(run.sums[grid.start:])
     ratios /= grid.a
     return NormalizedSeries(grid=grid, ratios=ratios)
@@ -406,14 +406,9 @@ def _series_args(weights, orbit_values, norm: NormalizerSpec, k_first: int):
 
 def hilbert_partial(weights, orbit_values, norm: NormalizerSpec, N: int,
                     k_first: int | None = None) -> complex:
-    """partial(N) = sum_{k_first <= k <= N} (w_k / A(k)) * orbit_k."""
-    if k_first is None:
-        k_first = norm.k0
-    terms = orbit_terms(*_series_args(weights, orbit_values, norm, k_first), norm, k_first)
-    count = N - k_first + 1
-    if not (1 <= count <= terms.size):
-        raise ValueError("N outside the supplied term range")
-    return complex(pairwise_sum(terms[:count]))
+    """partial(N) = sum_{k_first <= k <= N} (w_k / A(k)) * orbit_k: the
+    value hilbert_series stores at N, bit for bit."""
+    return complex(hilbert_series(weights, orbit_values, norm, k_first, [N]).sums[0])
 
 
 def hilbert_series(weights, orbit_values, norm: NormalizerSpec,
@@ -423,7 +418,7 @@ def hilbert_series(weights, orbit_values, norm: NormalizerSpec,
     (inclusive convention; default run_grid). orbit_values is an array
     aligned with the weights or a function values(i, j)."""
     k_first = norm.k0 if k_first is None else k_first  # A(k) raises below k0
-    return _orbit_run(weights, orbit_values, k_first, norm, n_grid, True)
+    return _orbit_run(weights, orbit_values, k_first, n_grid, norm)
 
 
 def _xy(points: np.ndarray) -> np.ndarray:
@@ -605,19 +600,17 @@ def ladder_positions(n_grid: np.ndarray, ladder_n: np.ndarray, k0: int) -> np.nd
     return pos
 
 
-def oscillation_report(run: SeriesRun, ladder: BlockLadder) -> OscillationReport:
-    """Per-block oscillation maxima of the run, normalized by its own
-    normalizer, along a ladder.
+def oscillation_report(run: SeriesRun, ladder: BlockLadder,
+                       grid: NormalizedGrid | NormalizerSpec) -> OscillationReport:
+    """Per-block oscillation maxima of the run divided by A(N), along a
+    ladder; ``grid`` is as for normalized_series.
 
     Every ladder value must be a stored checkpoint of the run."""
-    norm = run.normalizer
-    if norm is None:
-        raise ValueError("run carries no normalizer")
+    grid = _normalized_grid(run, grid)
     ladder_n = ladder.values()
-    pos = ladder_positions(run.n_grid, ladder_n, norm.k0)
+    pos = ladder_positions(run.n_grid, ladder_n, grid.norm.k0)
     lo_i, hi_i = int(pos[0]), int(pos[-1])
-    n = run.n_grid[lo_i : hi_i + 1]
-    r = run.sums[lo_i : hi_i + 1] / norm.values(n)
+    r = run.sums[lo_i : hi_i + 1] / grid.a[lo_i - grid.start : hi_i + 1 - grid.start]
     anchors = np.abs(r[pos[:-1] - lo_i])
     bound = pos - lo_i
     osc = np.zeros(ladder_n.size - 1, dtype=np.float64)

@@ -78,6 +78,7 @@ from .averages import (
     weighted_sums,
 )
 from .dynamics import Observable, OrbitPoint, SystemModel, orbit_eval
+from .indices import _SEEDED as _SEEDED_INDICES
 from .indices import IndexSpec, check_top, gen_indices, pi_count
 from .scaling_fit import (
     TEMPLATES,
@@ -88,7 +89,7 @@ from .scaling_fit import (
     fit_harmonic,
     fit_log_decay,
 )
-from .trigsum import SupEstimate, ThetaGrid, sup_envelope, sup_harmonic
+from .trigsum import SCALED_GRID_CAP, SupEstimate, ThetaGrid, sup_envelope, sup_harmonic
 from .weights import _SEEDED as _SEEDED_WEIGHTS
 from .weights import WeightSpec, check_phase, gen_weights
 
@@ -129,7 +130,6 @@ _MAX_PATH_BYTES = 4095
 _PATH_EXTRA_BYTES = 1 + 37 + 1 + len("oscillation.json")
 _MAX_TERMS = 100_000_000
 _K_END = 2**63 - 1  # every term index k a run generates stays below this (int64)
-_MAX_GRID_POINTS = 1 << 26
 _CSV_THIN_RATIO = 1.02
 _CSV_DENSE_ROWS = 512
 
@@ -196,7 +196,7 @@ def _increasing_positive_ints(v) -> bool:
 
 
 # the families each repetition draws with its own seed
-_SEEDED = {WeightSpec: _SEEDED_WEIGHTS, IndexSpec: ("cramer_primes",)}
+_SEEDED = {WeightSpec: _SEEDED_WEIGHTS, IndexSpec: _SEEDED_INDICES}
 _ANY_SEED = 0  # a seeded spec's seed until _for_seed sets a repetition's
 _ORIGIN = OrbitPoint.rotation(0.0)  # a rotation run's start point without x0
 
@@ -381,9 +381,9 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
                 diags.append("theta_grid: must be an object")
             else:
                 pts = tg.get("points")
-                if pts is not None and not (is_int(pts) and 16 <= pts <= _MAX_GRID_POINTS):
+                if pts is not None and not (is_int(pts) and 16 <= pts <= SCALED_GRID_CAP):
                     diags.append("theta_grid.points: must be an integer in "
-                                 f"[16, {_MAX_GRID_POINTS}]")
+                                 f"[16, {SCALED_GRID_CAP}]")
                 for k in tg:
                     if k != "points":
                         diags.append(f"theta_grid.{k}: unknown field")
@@ -464,12 +464,12 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
             diags.append(f"k_first: series terms start at k >= k0 = {norm.k0}")
         elif beyond:
             diags.append(f"tail_starts: tail start {beyond[0]} is beyond the stored grid")
-    elif norm.k0 > n_end:
-        diags.append("normalizer: entire grid lies below the normalizer offset k0")
     if diags:
         return None, diags
     grid = run_grid(kf, config.n_terms, hilbert)
-    check("normalizer", lambda: norm.values(grid[grid >= norm.k0]))
+    # a series divides by A(k), an average by the A(N) of its stage's NormalizedGrid
+    check("normalizer", lambda: norm.values(grid) if hilbert
+          else NormalizedGrid.build(grid, norm))
     if ladder is not None:
         check("ladder", lambda: ladder_positions(grid, ladder.values(), norm.k0))
     plan = _Plan(wspec, ispec, seeds=config.seeds, system=system, observable=f, point=point,
@@ -666,10 +666,8 @@ def _orbit_runs(plan: _Plan, grid: np.ndarray):
 
         def values(i, j):
             return orbit_eval(plan.system, plan.observable, point, u[i:j])
-        if plan.hilbert:
-            run = hilbert_series(w, values, norm, k_first, grid)
-        else:
-            run = weighted_sums(w, values, k_first, norm, grid)
+        run = (hilbert_series(w, values, norm, k_first, grid) if plan.hilbert
+               else weighted_sums(w, values, k_first, grid))
         del w, u, point
         yield seed, run
         del run  # before the next seed draws
@@ -734,7 +732,7 @@ def _average_stage(files, plan: _Plan, report_extra):
             chart.append((label, ns.n_grid[chart_keep].tolist(),
                           ns.ratios[chart_keep].tolist()))
         if ladder is not None:
-            rep = oscillation_report(run, ladder)
+            rep = oscillation_report(run, ladder, normed)
             osc_entries.append({
                 "seed": seed,
                 **_fields_json(rep),

@@ -21,6 +21,7 @@ from ._kernels import is_int
 from ._rng import block_starts, cramer_blocks
 
 KINDS = ("identity", "monomial", "polynomial", "primes", "cramer_primes", "explicit")
+_SEEDED = ("cramer_primes",)
 
 _SEG = 1 << 20
 
@@ -53,9 +54,9 @@ class IndexSpec:
             if not all(map(is_int, self.coeffs)):
                 raise ValueError("polynomial coefficients must be integers")
             object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-        if self.kind == "cramer_primes":
+        if self.kind in _SEEDED:
             if not is_int(self.seed):
-                raise ValueError("cramer_primes requires an integer seed")
+                raise ValueError(f"{self.kind} requires an integer seed")
             object.__setattr__(self, "seed", int(self.seed))
         if self.kind == "explicit":
             if self.values is None or len(self.values) == 0:

@@ -78,11 +78,12 @@ def test_normalizer_rejects_low_k():
 
 
 def test_normalizer_monotonicity():
-    assert NormalizerSpec(1.0, k0=1).is_monotone_on(1, 1000)
+    def monotone(norm, lo, hi):
+        return NormalizedGrid.build(np.arange(lo, hi + 1), norm).monotone
+    assert monotone(NormalizerSpec(1.0, k0=1), 1, 1000)
     # N^0 log^2 N loglog^{-3} N dips before growing
-    n = NormalizerSpec(0.0, a=2.0, b=-3.0, k0=16)
-    assert not n.is_monotone_on(16, 40)
-    assert NormalizerSpec(0.0, a=1.0, k0=3).is_monotone_on(3, 10**6)
+    assert not monotone(NormalizerSpec(0.0, a=2.0, b=-3.0, k0=16), 16, 40)
+    assert monotone(NormalizerSpec(0.0, a=1.0, k0=3), 3, 10**6)
 
 
 def test_normalizer_round_trip():
@@ -250,7 +251,7 @@ def test_normalized_series_and_slope():
 
 def test_normalized_series_requires_normalizer():
     run = weighted_sums(np.ones(8), np.ones(8))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         normalized_series(run)
     with pytest.raises(ValueError):
         normalized_series(run, NormalizerSpec(1.0, k0=100))
@@ -355,7 +356,7 @@ def test_orbit_values_as_a_function_match_the_array_form():
             runs = [hilbert_series(w, x, norm, k_first) for x in (v, values)]
             terms = orbit_terms(w, v, norm, k_first)
         else:
-            runs = [weighted_sums(w, x, k_first, norm) for x in (v, values)]
+            runs = [weighted_sums(w, x, k_first) for x in (v, values)]
             terms = orbit_terms(w, v)
         grid = run_grid(k_first, n, inclusive)
         assert asked == [(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK)]
@@ -364,7 +365,6 @@ def test_orbit_values_as_a_function_match_the_array_form():
             assert run.n_grid.tobytes() == grid.tobytes()
             assert run.sums.tobytes() == want
             assert run.convention == ("inclusive" if inclusive else "exclusive")
-            assert run.normalizer is norm
 
 
 def test_run_grid_conventions():
@@ -444,6 +444,21 @@ def test_rotation_sums_match_the_trig_sum_engine(wspec, ispec, theta, x0, terms,
             assert abs(run.sums[i]) <= c_l1 * sup.upper + bound, (N, sup)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3 * _BLOCK // 2), seed=st.integers(0, 2**31), k0=st.integers(1, 5))
+def test_hilbert_partial_is_the_stored_series_value(n, seed, k0):
+    """hilbert_partial(N) is the value hilbert_series stores at N, bit for
+    bit, whichever N and whatever other N the series stores."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = np.exp(2j * np.pi * rng.random(n))
+    norm = NormalizerSpec(0.75, k0=k0)
+    run = hilbert_series(w, v, norm)
+    for N in {k0, k0 + n // 2, k0 + n - 1}:
+        got = hilbert_partial(w, v, norm, N)
+        assert np.complex128(got).tobytes() == np.complex128(run.sum_at(N)).tobytes()
+
+
 def test_hilbert_partial_range_checks():
     ones = np.ones(10, dtype=np.complex128)
     norm = NormalizerSpec(1.0, k0=1)
@@ -521,14 +536,16 @@ def test_control_integral_domain():
 def oscillating_run(n=1 << 12):
     ks = np.arange(0, n, dtype=np.int64)
     w = np.exp(2j * np.pi * 0.37 * ks)
-    return weighted_sums(w, np.ones(n, dtype=np.complex128), k_first=0,
-                         normalizer=NormalizerSpec(0.5, k0=1))
+    return weighted_sums(w, np.ones(n, dtype=np.complex128), k_first=0)
+
+
+_OSC_NORM = NormalizerSpec(0.5, k0=1)
 
 
 def test_oscillation_report_decomposition():
     run = oscillating_run()
     lad = BlockLadder.dyadic(2, 12)
-    rep = oscillation_report(run, lad)
+    rep = oscillation_report(run, lad, _OSC_NORM)
     assert rep.osc.size == lad.values().size - 1
     assert np.allclose(rep.cumulative_sq, np.cumsum(rep.osc**2))
     assert np.all(rep.grid_points == np.diff(lad.values()))
@@ -539,19 +556,17 @@ def test_oscillation_report_decomposition():
 
 def test_oscillation_anchor_values():
     run = oscillating_run()
-    rep = oscillation_report(run, BlockLadder.dyadic(2, 12))
-    norm = NormalizerSpec(0.5, k0=1)
+    rep = oscillation_report(run, BlockLadder.dyadic(2, 12), _OSC_NORM)
     for j, n_j in enumerate(rep.ladder_n[:-1]):
-        want = abs(run.sum_at(int(n_j))) / norm.values(np.array([n_j]))[0]
+        want = abs(run.sum_at(int(n_j))) / _OSC_NORM.values(np.array([n_j]))[0]
         assert rep.anchors[j] == pytest.approx(want, rel=1e-12)
 
 
 def test_oscillation_block_maximum_direct():
     run = oscillating_run(256)
-    norm = NormalizerSpec(0.5, k0=1)
-    rep = oscillation_report(run, BlockLadder.dyadic(4, 8))
+    rep = oscillation_report(run, BlockLadder.dyadic(4, 8), _OSC_NORM)
     # recompute block (16, 32] by brute force
-    r = {int(n): run.sum_at(int(n)) / norm.values(np.array([n]))[0]
+    r = {int(n): run.sum_at(int(n)) / _OSC_NORM.values(np.array([n]))[0]
          for n in range(16, 33)}
     want = max(abs(r[n] - r[16]) for n in range(17, 33))
     assert rep.osc[0] == pytest.approx(want, rel=1e-12)
@@ -559,7 +574,7 @@ def test_oscillation_block_maximum_direct():
 
 def test_weighted_cumulative_sq():
     run = oscillating_run()
-    rep = oscillation_report(run, BlockLadder.dyadic(2, 12))
+    rep = oscillation_report(run, BlockLadder.dyadic(2, 12), _OSC_NORM)
     assert np.allclose(rep.weighted_cumulative_sq(0.0), rep.cumulative_sq)
     j = rep.ladder_j[:-1].astype(np.float64)
     assert np.allclose(rep.weighted_cumulative_sq(2.0),
@@ -569,10 +584,12 @@ def test_weighted_cumulative_sq():
 def test_oscillation_requires_stored_ladder():
     run = oscillating_run(100)
     with pytest.raises(ValueError):
-        oscillation_report(run, BlockLadder.dyadic(2, 8))  # 256 not stored
+        oscillation_report(run, BlockLadder.dyadic(2, 8), _OSC_NORM)  # 256 not stored
+    with pytest.raises(ValueError):  # 4 lies below k0
+        oscillation_report(run, BlockLadder.dyadic(2, 6), NormalizerSpec(0.5, k0=5))
     with pytest.raises(ValueError):
-        oscillation_report(weighted_sums(np.ones(100), np.ones(100)),
-                           BlockLadder.dyadic(2, 6))  # no normalizer
+        oscillation_report(run, BlockLadder.dyadic(2, 6),
+                           NormalizedGrid.build(np.arange(2, 102), _OSC_NORM))
 
 
 # ----------------------------------------------------------- tail diameters

@@ -516,6 +516,11 @@ INVALID_CLI_CONFIGS = {
     "k0_above_range": (
         tiny_average(normalizer={"gamma": 1.0, "k0": 1000}),
         "normalizer: entire grid lies below the normalizer offset k0"),
+    # a gamma = 0 slope regresses on log log N, which is -inf at N = 1
+    "log_scale_slope_at_n_1": (
+        tiny_average(normalizer={"gamma": 0.0, "k0": 1}, k_first=0, n_terms=1000,
+                     system={"kind": "rotation", "theta0": 0.3}),
+        "normalizer: gamma = 0 slopes regress on log log N"),
     "ladder_past_n_terms": (
         tiny_average(kind="oscillation_run",
                      ladder={"kind": "dyadic", "j_lo": 2, "j_hi": 12}),
