@@ -13,10 +13,11 @@ Each template is one row of a table (which samples it accepts, its
 regressors, its verdict rule), and a single fitter runs every row.
 
 Verdicts report whether the fitted exponents land in the template's
-admissible window within twice their standard errors: H2 wants alpha in
-[1/2, 1], H1 wants alpha in [1/2, 1) and delta + alpha < 1, the decay
-templates want beta > 1 for the plain 1/N (resp. 1/log N) normalizer
-(a beta fitted into (1/2, 1] is reported `inconclusive`: the template
+admissible window within twice their standard errors. Every window is
+closed: H1, H2 and harmonic_H1 want alpha in [1/2, 1], harmonic_H2 alpha
+in [0, 1], H1 also delta + alpha <= 1, and the decay templates want
+beta >= 1 for the plain 1/N (resp. 1/log N) normalizer (a beta that
+reaches [1/2, 1) but not 1 is reported `inconclusive`: the template
 matches but the headline normalizer needs more than the fit can certify).
 Structural problems (too narrow a range, rank-deficient design) give
 `inconclusive` rather than a misleading number.
@@ -138,7 +139,7 @@ class _Template:
     fit regresses log(value) - offset on a constant plus the regressors.
     A template with an alpha `window` (check name, lo, hi) is judged on
     alpha; one without is a decay template: it regresses on -beta, keeps
-    alpha at `fixed_alpha`, and reads beta > 1 as satisfied and beta > 1/2
+    alpha at `fixed_alpha`, and reads beta >= 1 as satisfied and beta >= 1/2
     as inconclusive. `guard` marks a trailing log log N regressor that is
     dropped when it is collinear with log N.
     """
@@ -294,8 +295,8 @@ def fit_H1(samples, field_name: str = "upper") -> EnvelopeFit:
 
     Needs >= 12 samples with both N and N-M spanning >= 3 octaves and a
     rank-2 design in (log N, log(N-M)); degenerate designs yield verdict
-    `inconclusive`. Satisfied when alpha is in [1/2, 1) and delta + alpha
-    < 1, each within 2 stderr.
+    `inconclusive`. Satisfied when alpha is in [1/2, 1] and delta + alpha
+    <= 1, each within 2 stderr.
     """
     return _fit("H1", samples, field_name)
 
@@ -303,9 +304,10 @@ def fit_H1(samples, field_name: str = "upper") -> EnvelopeFit:
 def fit_log_decay(samples, field_name: str = "upper") -> EnvelopeFit:
     """Fit sup |V_N| ~ C N / log^beta N on full-range samples.
 
-    Satisfied when beta > 1 within 2 stderr (plain 1/N normalizer);
-    beta in (1/2, 1] is reported inconclusive (template matches, headline
-    normalizer not certified by the fit alone); smaller beta is violated.
+    Satisfied when beta >= 1 within 2 stderr (plain 1/N normalizer);
+    beta >= 1/2 but not 1 within 2 stderr is reported inconclusive
+    (template matches, headline normalizer not certified by the fit
+    alone); smaller beta is violated.
     """
     return _fit("log_decay", samples, field_name)
 
@@ -314,9 +316,10 @@ def fit_harmonic(samples, template: str, field_name: str = "upper") -> EnvelopeF
     """Fit a harmonic-sum template (see module docstring for the three
     shapes). Samples must carry harmonic=True.
 
-    harmonic_H1 wants alpha in [1/2, 1); harmonic_H2 wants alpha in [0, 1);
-    harmonic_log_decay wants beta > 1 for the plain 1/log N normalizer with
-    the same inconclusive window (1/2, 1] as log_decay.
+    harmonic_H1 wants alpha in [1/2, 1]; harmonic_H2 wants alpha in [0, 1];
+    harmonic_log_decay wants beta >= 1 for the plain 1/log N normalizer
+    with the same inconclusive window [1/2, 1) as log_decay; each within
+    2 stderr.
     """
     if template not in _HARMONIC_TEMPLATES:
         raise ValueError(f"not a harmonic template: {template!r}")

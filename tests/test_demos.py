@@ -3,7 +3,8 @@ behind.
 
 Each demo runs in its own interpreter with the package's src/ directory
 on PYTHONPATH, from a scratch working directory that is also its
-temporary-file root; that directory must be empty afterwards.
+temporary-file root; that directory must be empty afterwards. A numeric
+RuntimeWarning is an error, as it is for the tests (pyproject.toml).
 """
 
 import os
@@ -27,7 +28,8 @@ def test_demo_exits_0(script, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
     env["TMPDIR"] = str(tmp_path)
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script)],
+                          cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert list(tmp_path.iterdir()) == []
