@@ -42,6 +42,7 @@ SYSTEM_KINDS = ("rotation", "doubling")
 OBSERVABLE_KINDS = ("fourier_mode", "indicator", "finite_fourier")
 
 MAX_ANGLE_DEN = 1 << 62
+MAX_MODE = 1 << 53  # Observable.eval takes m * x in doubles, exact to 2**53
 DEFAULT_BIT_WINDOW = 53
 
 
@@ -116,8 +117,8 @@ def _fourier_term(term) -> tuple[int, complex]:
     if not isinstance(term, (list, tuple)) or len(term) not in (2, 3):
         raise ValueError("finite_fourier terms are [m, c] or [m, re, im]")
     m, *c = term
-    if not is_int(m):
-        raise ValueError("finite_fourier modes must be integers")
+    if not is_int(m) or abs(m) > MAX_MODE:
+        raise ValueError("finite_fourier modes must be integers with |m| <= 2**53")
     if not all(isinstance(v, numbers.Number) and not isinstance(v, bool) for v in c):
         raise ValueError("finite_fourier coefficients must be numbers")
     return int(m), complex(*c)
@@ -181,8 +182,8 @@ class Observable:
         if self.kind not in OBSERVABLE_KINDS:
             raise ValueError(f"unknown observable kind {self.kind!r}")
         if self.kind == "fourier_mode":
-            if not is_int(self.mode):
-                raise ValueError("fourier_mode needs an integer mode")
+            if not is_int(self.mode) or abs(self.mode) > MAX_MODE:
+                raise ValueError("fourier_mode needs an integer mode with |m| <= 2**53")
             object.__setattr__(self, "mode", int(self.mode))
         elif self.kind == "indicator":
             iv = self.interval

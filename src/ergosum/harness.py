@@ -32,9 +32,10 @@ Environment: ERGOSUM_OUTPUT_ROOT overrides the default output root.
 A config of any kind is parsed once, by _plan(), into a _Plan holding
 every stage's inputs; validate() returns its diagnostics and run() walks
 it with _run_plan(): envelope rows, their fit, the pi table, then one
-orbit stage, each under one wall time. One per-repetition seed drives
-every stochastic ingredient; an ingredient fixes its own seed only in a
-config without seeds.
+orbit stage per object of the paper, normalized averages (_average_stage)
+or the one-sided series (_hilbert_stage), each under one wall time. One
+per-repetition seed drives every stochastic ingredient; an ingredient
+fixes its own seed only in a config without seeds.
 
 Exit codes of the CLI: 0 success, 2 config validation failure (validate()
 also checks that the term ranges, stored grids and fit rows a run needs
@@ -129,6 +130,7 @@ _MAX_NAME_BYTES = 200
 _MAX_PATH_BYTES = 4095
 _PATH_EXTRA_BYTES = 1 + 37 + 1 + len("oscillation.json")
 _MAX_TERMS = 100_000_000
+_MAX_REFERENCE_DEPTH = 100  # _py recurses once per level; a fixed cap, not the stack's
 _K_END = 2**63 - 1  # every term index k a run generates stays below this (int64)
 _CSV_THIN_RATIO = 1.02
 _CSV_DENSE_ROWS = 512
@@ -195,6 +197,15 @@ def _increasing_positive_ints(v) -> bool:
             and list(v) == sorted(set(v)))
 
 
+def _deeper_than(v, levels: int) -> bool:
+    """Whether JSON value v nests containers more than `levels` deep (no recursion)."""
+    level = [v] if isinstance(v, (dict, list, tuple)) else []
+    for _ in range(levels):
+        level = [c for x in level for c in (x.values() if isinstance(x, dict) else x)
+                 if isinstance(c, (dict, list, tuple))]
+    return bool(level)
+
+
 # the families each repetition draws with its own seed
 _SEEDED = {WeightSpec: _SEEDED_WEIGHTS, IndexSpec: _SEEDED_INDICES}
 _ANY_SEED = 0  # a seeded spec's seed until _for_seed sets a repetition's
@@ -228,8 +239,8 @@ class _Plan:
     fit_extras: Callable | None = None
     # counting-function table of the random prime model at these N
     pi_ns: tuple | None = None
-    # one orbit stage of n_terms terms from k_first: the one-sided series
-    # if hilbert, else normalized averages, along a beta ladder if betas
+    # one orbit stage of n_terms terms from k_first: _hilbert_stage if
+    # hilbert, else _average_stage, under N^beta for each beta if betas
     system: SystemModel | None = None
     observable: Observable | None = None
     point: OrbitPoint = _ORIGIN  # read by rotation runs; a doubling run starts from its seed
@@ -395,6 +406,8 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
                 diags.append(f"template: must be one of {', '.join(TEMPLATES)}")
             elif config.template.startswith("harmonic") != harmonic:
                 diags.append("template: harmonic flag and template family disagree")
+            if _deeper_than(config.reference, _MAX_REFERENCE_DEPTH):
+                diags.append(f"reference: must nest at most {_MAX_REFERENCE_DEPTH} levels deep")
         if diags:
             return None, diags
         # the rows the run computes must exist and, for a fit, be fittable
@@ -703,61 +716,79 @@ def _sum_rows(seed, n, sums, a_value=None):
 
 
 def _average_stage(files, plan: _Plan, report_extra):
-    """Normalized running-sum runs, one per seed, with report_extra added to
-    report.json; an oscillation report if the plan has a ladder. The stored
-    grid, its CSV thinning, the normalized grid (N >= k0, which can be a
-    strict suffix) and the chart's thinning of it are built once per stage."""
-    norm, ladder = plan.normalizer, plan.ladder
+    """Normalized running-sum runs, one per seed, each under every
+    normalizer the stage reports: the plan's, or N^beta (k0 = 1) for each
+    beta of its beta ladder. Each (run, normalizer) pair gives one decay
+    entry and one chart line; series.csv holds A(N) of the first
+    normalizer, report.json adds report_extra, and a plan with a ladder
+    adds an oscillation report under its normalizer. The stored grid, its
+    CSV thinning, each normalized grid (N >= k0, which can be a strict
+    suffix) and the chart's thinning of it are built once per stage."""
+    betas, ladder = plan.betas, plan.ladder
+    norms = ([plan.normalizer] if betas is None
+             else [NormalizerSpec(gamma=beta, k0=1) for beta in betas])
     grid = run_grid(plan.k_first, plan.n_terms)
     keep = _thin_grid(grid)
     n = grid[keep]
-    normed = NormalizedGrid.build(grid, norm)
+    normed = [NormalizedGrid.build(grid, norm) for norm in norms]
+    chart_keeps = [_thin_grid(g.n_grid) for g in normed]
     # A(N) for N >= k0, None below (the grid is sorted, so those come first)
-    below = int(np.searchsorted(keep, normed.start))
-    a_value = [None] * below + normed.a[keep[below:] - normed.start].tolist()
-    chart_keep = _thin_grid(normed.n_grid)
+    first = normed[0]
+    below = int(np.searchsorted(keep, first.start))
+    a_value = [None] * below + first.a[keep[below:] - first.start].tolist()
     csv_rows = []
-    per_seed = []
+    entries = []
     osc_entries = []
     chart = []
     osc_chart = []
     for seed, run in _orbit_runs(plan, grid):
-        ns = normalized_series(run, normed)
-        per_seed.append({"seed": seed, "k_first": plan.k_first, "n_max": run.n_max,
-                         **_decay_entry(ns, plan.checkpoints),
-                         "monotone_normalizer": ns.monotone_normalizer})
+        for beta, g, chart_keep in zip(betas or [None], normed, chart_keeps):
+            ns = normalized_series(run, g)
+            if beta is None:
+                entry = {"seed": seed, "k_first": plan.k_first, "n_max": run.n_max,
+                         "monotone_normalizer": ns.monotone_normalizer}
+                label = "ratio" if seed is None else f"seed {seed}"
+            else:
+                entry, label = {"beta": beta}, f"beta {beta}"
+            entries.append({**entry, **_decay_entry(ns, plan.checkpoints)})
+            if len(chart) < len(_svg.PALETTE):
+                chart.append((label, ns.n_grid[chart_keep].tolist(),
+                              ns.ratios[chart_keep].tolist()))
         csv_rows.extend(_sum_rows(seed, n, run.sums[keep], a_value))
-        if len(chart) < len(_svg.PALETTE):
-            label = "ratio" if seed is None else f"seed {seed}"
-            chart.append((label, ns.n_grid[chart_keep].tolist(),
-                          ns.ratios[chart_keep].tolist()))
         if ladder is not None:
-            rep = oscillation_report(run, ladder, normed)
-            osc_entries.append({
-                "seed": seed,
-                **_fields_json(rep),
-                "decomposition": rep.check_decomposition(),
-            })
+            rep = oscillation_report(run, ladder, first)
+            osc_entries.append({"seed": seed, **_fields_json(rep),
+                                "decomposition": rep.check_decomposition()})
             if len(osc_chart) < 4:
                 label = "osc" if seed is None else f"seed {seed}"
                 osc_chart.append((label, rep.ladder_j[:-1].tolist(), rep.osc.tolist()))
         run = ns = rep = None  # freed before the next seed draws (peak memory)
+    if betas is None:
+        title, y_label = "normalized running sums", "|S_N| / A(N)"
+        record = {
+            "normalizer": _fields_json(plan.normalizer),
+            "convention": "exclusive",
+            "per_seed": entries,
+            "aggregate": {
+                "median_slope": _median([e["slope"] for e in entries]),
+                **{f"median_{k}": {c: _median([e[k][c] for e in entries])
+                                   for c in entries[0][k]}
+                   for k in ("ratio_at", "tail_max")},
+            },
+        }
+    else:
+        title, y_label = "prime-index averages", "|S_N| / N^beta"
+        record = {
+            "exploratory": True,
+            "question": "does power-normalized decay along all integers force "
+                        "decay along the primes?",
+            "n_terms": plan.n_terms,
+            "per_beta": entries,
+        }
     files["series.csv"] = _csv_bytes(_SERIES_COLUMNS, csv_rows)
     files["ratio.svg"] = _svg.line_chart(
-        "normalized running sums", "N", "|S_N| / A(N)",
-        chart, x_log=True, y_log=True).encode("utf-8")
-    files["report.json"] = _json_bytes({
-        "normalizer": _fields_json(norm),
-        "convention": "exclusive",
-        "per_seed": per_seed,
-        "aggregate": {
-            "median_slope": _median([e["slope"] for e in per_seed]),
-            **{f"median_{k}": {c: _median([e[k][c] for e in per_seed])
-                               for c in per_seed[0][k]}
-               for k in ("ratio_at", "tail_max")},
-        },
-        **report_extra,
-    })
+        title, "N", y_label, chart, x_log=True, y_log=True).encode("utf-8")
+    files["report.json"] = _json_bytes({**record, **report_extra})
     if ladder is not None:
         files["oscillation.json"] = _json_bytes({
             "ladder": _fields_json(ladder),
@@ -848,39 +879,6 @@ def _pi_table_stage(files, seeds, big_ns):
             for n, v in scaled.items()}
 
 
-def _beta_stage(files, plan: _Plan):
-    """Decay of one unseeded run's running sums under N^beta for each beta
-    of the plan's ladder; series.csv holds the first beta's rows."""
-    grid = run_grid(plan.k_first, plan.n_terms)
-    [(_, run)] = _orbit_runs(plan, grid)
-    # every beta normalizes from k0 = 1, so each normalized grid is the
-    # whole run grid and one thinning serves them all
-    keep = _thin_grid(run.n_grid)
-    n = run.n_grid[keep]
-    per_beta = []
-    csv_rows = []
-    chart = []
-    for beta in plan.betas:
-        norm = NormalizerSpec(gamma=beta, k0=1)
-        ns = normalized_series(run, norm)
-        per_beta.append({"beta": beta, **_decay_entry(ns)})
-        if len(chart) < len(_svg.PALETTE):
-            chart.append((f"beta {beta}", n.tolist(), ns.ratios[keep].tolist()))
-        if not csv_rows:
-            csv_rows = _sum_rows(None, n, run.sums[keep], ns.grid.a[keep].tolist())
-    files["series.csv"] = _csv_bytes(_SERIES_COLUMNS, csv_rows)
-    files["ratio.svg"] = _svg.line_chart(
-        "prime-index averages", "N", "|S_N| / N^beta",
-        chart, x_log=True, y_log=True).encode("utf-8")
-    files["report.json"] = _json_bytes({
-        "exploratory": True,
-        "question": "does power-normalized decay along all integers force "
-                    "decay along the primes?",
-        "n_terms": plan.n_terms,
-        "per_beta": per_beta,
-    })
-
-
 # ---------------------------------------------------------------------------
 # the run path
 
@@ -903,8 +901,6 @@ def _run_plan(plan: _Plan, files, walls):
         with _timed(walls, "hilbert" if plan.hilbert else "average"):
             if plan.hilbert:
                 _hilbert_stage(files, plan)
-            elif plan.betas is not None:
-                _beta_stage(files, plan)
             else:
                 _average_stage(files, plan, report_extra)
 
@@ -1248,8 +1244,8 @@ def main(argv=None) -> int:
         config, diags = ExperimentConfig.load(args.config), []
     except FileNotFoundError:
         config, diags = None, [f"config file not found: {args.config}"]
-    except (ValueError, TypeError) as exc:
-        config, diags = None, [f"could not parse config: {exc}"]
+    except (OSError, RecursionError, TypeError, ValueError) as exc:
+        config, diags = None, [f"could not read config: {exc}"]
     if config is not None and args.command == "validate":
         diags = validate(config)
     elif config is not None:

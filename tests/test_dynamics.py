@@ -242,6 +242,18 @@ def test_observable_validation():
         Observable.finite_fourier([(1, 1.0), (1, 2.0)])
 
 
+@pytest.mark.parametrize("make", [
+    Observable.fourier_mode, lambda m: Observable.finite_fourier([(m, 1.0)])],
+    ids=["fourier_mode", "finite_fourier"])
+def test_observable_modes_stop_at_2_53(make):
+    """eval takes m * x in doubles: every |m| <= 2**53 is exact there."""
+    for m in (2**53, -2**53):
+        assert make(m).eval(np.array([0.25, 0.5])).tolist() == [1.0, 1.0]
+    for m in (2**53 + 1, -2**53 - 1, 10**400):
+        with pytest.raises(ValueError, match=r"\|m\| <= 2\*\*53"):
+            make(m)
+
+
 def test_observable_round_trip():
     # each JSON form builds through the constructor what the helper builds
     for f, d in (

@@ -52,6 +52,14 @@ def tiny_envelope(name="t_env", **extra) -> dict:
     return d
 
 
+def nested_list(depth: int) -> list:
+    """An empty list inside depth - 1 more lists: [[...[]...]]."""
+    v = []
+    for _ in range(depth - 1):
+        v = [v]
+    return v
+
+
 def tiny_average(name="t_avg", **extra) -> dict:
     d = {
         "name": name,
@@ -668,6 +676,21 @@ INVALID_CLI_CONFIGS = {
         tiny_average(kind="oscillation_run",
                      ladder={"kind": "dyadic", "j_lo": True, "j_hi": 7}),
         "ladder: need integers 0 <= j_lo <= j_hi"),
+    # fit.json copies reference by recursion, which the stack ran out of at
+    # these depths; the cap is fixed, whatever depth the stack allows
+    **{f"reference_nested_{depth}_deep": (
+        tiny_envelope(kind="condition_fit", template="H2", blocks=None,
+                      weights={"kind": "power_phase", "delta": 0.5},
+                      n_ladder=[64, 128, 256, 512, 1024, 2048],
+                      reference={"x": nested_list(depth)}),
+        "reference: must nest at most 100 levels deep") for depth in (700, 900)},
+    # Observable.eval takes m * x in doubles, which this mode does not fit
+    "fourier_mode_10_400": (
+        tiny_average(observable={"kind": "fourier_mode", "mode": 10**400}),
+        "observable: fourier_mode needs an integer mode with |m| <= 2**53"),
+    "finite_fourier_mode_10_400": (
+        tiny_average(observable={"kind": "finite_fourier", "terms": [[10**400, 1, 0]]}),
+        "observable: finite_fourier modes must be integers with |m| <= 2**53"),
 }
 
 
@@ -680,6 +703,50 @@ def test_cli_invalid_config_exits_2(tmp_path, capsys, case, command):
     assert main([command, str(p)]) == 2
     assert f"invalid: {message}" in capsys.readouterr().out
     assert [q.name for q in tmp_path.iterdir()] == ["c.json"]
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("text, reason", [
+    pytest.param(None, "[Errno 21] Is a directory", id="directory"),
+    pytest.param("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded",
+                 id="array_nested_100000_deep"),
+    pytest.param("{not json", "Expecting property name", id="not_json"),
+])
+def test_cli_unreadable_config_exits_2(tmp_path, capsys, monkeypatch, command, text, reason):
+    """A config path that cannot be read as a file, or whose text is not a
+    JSON document the parser can read, gives one diagnostic and exit 2."""
+    monkeypatch.setenv(harness.OUTPUT_ROOT_VAR, str(tmp_path / "out"))
+    p = tmp_path / "c.json"
+    if text is None:
+        p.mkdir()
+    else:
+        p.write_text(text)
+    assert main([command, str(p)]) == 2
+    [line] = capsys.readouterr().out.splitlines()
+    assert line.startswith(f"invalid: could not read config: {reason}")
+    assert [q.name for q in tmp_path.iterdir()] == ["c.json"]
+
+
+def test_reference_depth_cap(tmp_path):
+    """A reference nested 100 levels deep is accepted and written to fit.json;
+    one level more is not."""
+    d = tiny_envelope(kind="condition_fit", template="H2", output_dir=str(tmp_path),
+                      blocks=[[0, 1 << j] for j in range(5, 11)], theta_grid=None)
+    deepest = nested_list(99)
+    assert validate(cfg(**d, reference={"x": [deepest]})) == [
+        "reference: must nest at most 100 levels deep"]
+    run(cfg(**d, reference={"x": deepest}))
+    assert json.loads((tmp_path / "t_env" / "fit.json").read_text())["reference"] == {
+        "x": deepest}
+
+
+def test_largest_exact_mode_runs(tmp_path):
+    """|m| = 2**53, the largest mode Observable takes, validates and runs."""
+    for obs in ({"kind": "fourier_mode", "mode": -2**53},
+                {"kind": "finite_fourier", "terms": [[2**53, 1, 0]]}):
+        c = cfg(**tiny_average(observable=obs, output_dir=str(tmp_path)))
+        assert validate(c) == []
+        run(c)
 
 
 def test_output_root_from_the_environment_is_checked(tmp_path, monkeypatch):
@@ -793,6 +860,19 @@ def test_preset_runs(tmp_path, preset):
     if preset == "prime_question":
         per_beta = json.loads((out / "report.json").read_text())["per_beta"]
         assert [e["beta"] for e in per_beta] == [0.75, 1.0]
+
+
+def test_beta_ladder_is_an_average_run(tmp_path):
+    """prime_question's series.csv, A(N) = N^beta of its first beta, is the
+    series.csv of the average run along the primes under that normalizer."""
+    theta = SystemModel.rotation_sqrt2().theta0
+    run(cfg(preset="prime_question", output_dir=str(tmp_path)))
+    run(cfg(**tiny_average(
+        output_dir=str(tmp_path), indices={"kind": "primes"},
+        system={"kind": "rotation", "theta0": [theta.numerator, theta.denominator]},
+        normalizer={"gamma": 0.6, "k0": 1}, n_terms=200_000)))
+    want = (tmp_path / "prime_question" / "series.csv").read_bytes()
+    assert (tmp_path / "t_avg" / "series.csv").read_bytes() == want
 
 
 @pytest.mark.parametrize("extra, seeds", [

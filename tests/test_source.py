@@ -1,7 +1,10 @@
 """Source checks that need no linter: every name a module of the package,
-a test module or a demo imports at module level is used in that file."""
+a test module or a demo imports at module level is used in that file, and
+every function and class a module of the package defines at module level
+is read by name somewhere in the package, the tests or the demos."""
 
 import ast
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -38,3 +41,40 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=IDS)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def names_read(nodes) -> set[str]:
+    """The names that Name and Attribute nodes under `nodes` read."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for node in nodes for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+@cache
+def file_reads(path: Path) -> frozenset:
+    return frozenset(names_read([ast.parse(path.read_text(encoding="utf-8"))]))
+
+
+def unread_definitions(source: str, read_elsewhere) -> list[str]:
+    """Module-level functions and classes of the module that no name reads,
+    neither in `read_elsewhere` nor in the module outside their own
+    definition (a function that only calls itself is unread)."""
+    body = ast.parse(source).body
+    return [d.name for d in body
+            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and d.name not in read_elsewhere
+            and d.name not in names_read(n for n in body if n is not d)]
+
+
+def test_unread_definitions_are_found():
+    src = ("def a():\n    return a()\n\ndef b():\n    pass\n\n"
+           "class C:\n    pass\n\nclass D:\n    pass\n\nx = b\n")
+    assert unread_definitions(src, {"C"}) == ["a", "D"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_defines_nothing_unread(path):
+    others = [p for p in [REPO / "src" / "ergosum" / "__init__.py", *MODULES, *SCRIPTS]
+              if p != path]
+    read_elsewhere = set().union(*map(file_reads, others))
+    assert unread_definitions(path.read_text(encoding="utf-8"), read_elsewhere) == []
