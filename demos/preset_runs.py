@@ -48,7 +48,7 @@ print(f"fitted alpha {agg['median_alpha']:.4f}, verdicts {agg['verdicts']}")
 bad = ExperimentConfig.from_dict({
     "name": "nope", "kind": "condition_fit", "template": "H9",
     "weights": {"kind": "power_phase", "delta": -1},
-    "indices": {"kind": "identity"}, "n_ladder": [64, 32],
+    "indices": {"kind": "identity"}, "blocks": [[64, 32]],
 })
 print()
 print("bad config diagnostics:")

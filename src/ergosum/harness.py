@@ -5,9 +5,9 @@ Each kind reads name, kind, seeds, output_dir and the fields its `_READS`
 row lists; validate() rejects any other field a config sets. Five base
 kinds cover the library surface:
 
-  envelope_scan    certified sup-of-trig-sum rows over an N ladder or
-                   explicit (M, N] blocks
-  condition_fit    envelope_scan plus a growth-template fit on the rows
+  envelope_scan    certified sup-of-trig-sum rows over (M, N] blocks
+  condition_fit    envelope rows plus a growth-template fit on them, the
+                   rows harmonic exactly when the template is
   average_run      normalized running sums of w_k f(T^{u_k} x) along an
                    orbit, with decay report
   hilbert_run      partial sums of the one-sided series sum w_k/A(k)
@@ -96,12 +96,12 @@ from .weights import WeightSpec, check_phase, gen_weights
 
 TOOL_VERSION = "0.1.0"
 
-_ENVELOPE_READS = ("weights", "indices", "n_ladder", "blocks", "theta_grid", "harmonic")
+_ENVELOPE_READS = ("weights", "indices", "blocks", "grid_points")
 _ORBIT_READS = ("weights", "indices", "system", "observable", "x0", "normalizer",
                 "n_terms", "k_first")
 # the fields each kind reads besides the four every kind reads
 _READS = {
-    "envelope_scan": _ENVELOPE_READS,
+    "envelope_scan": _ENVELOPE_READS + ("harmonic",),
     "condition_fit": _ENVELOPE_READS + ("template", "reference"),
     "average_run": _ORBIT_READS,
     "hilbert_run": _ORBIT_READS + ("bound", "tail_starts"),
@@ -183,11 +183,7 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
-        out = {}
-        for k in FIELDS:
-            v = getattr(self, k)
-            if v is not None and (k not in ("params", "harmonic") or v):
-                out[k] = v
+        out = {k: getattr(self, k) for k in FIELDS if getattr(self, k) is not None}
         out.update(self.extra)
         return out
 
@@ -306,8 +302,6 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
 
     for k in config.extra:
         diags.append(f"{k}: unknown field")
-    # a field is set when its key is present and not null; to_dict() would
-    # hide a falsy harmonic or params
     for k in FIELDS:
         if getattr(config, k) is not None and k not in _READ_BY_ALL + _READS[config.kind]:
             diags.append(f"{k}: not read by {config.kind}")
@@ -362,65 +356,43 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
         diags.append("seeds: required for stochastic ingredients")
 
     if config.kind in ("envelope_scan", "condition_fit"):
-        lo_m = max((s.offset for s in (wspec, ispec) if s is not None), default=0)
-        if config.n_ladder is not None:
-            if not config.n_ladder or not _increasing_positive_ints(config.n_ladder):
-                diags.append("n_ladder: must be strictly increasing positive integers")
-            elif config.n_ladder[0] <= lo_m:
-                diags.append(f"n_ladder: first N must exceed {lo_m}")
-            elif config.n_ladder[-1] > _MAX_TERMS:
-                diags.append(f"n_ladder: N must be at most {_MAX_TERMS}")
-        if config.blocks is not None:
-            ok = isinstance(config.blocks, (list, tuple)) and config.blocks and all(
+        k_lo = max([1] + [s.offset for s in (wspec, ispec) if s is not None])
+        if config.blocks is None:
+            diags.append("blocks: required")
+        elif not (isinstance(config.blocks, (list, tuple)) and config.blocks and all(
                 isinstance(b, (list, tuple)) and len(b) == 2
                 and is_int(b[0]) and is_int(b[1]) and 0 <= b[0] < b[1]
-                for b in config.blocks
-            )
-            if not ok:
-                diags.append("blocks: must be [M, N] integer pairs with 0 <= M < N")
-            elif any(b[0] + 1 < max(lo_m, 1) for b in config.blocks):
-                diags.append(f"blocks: rows start at M + 1, which must be >= {max(lo_m, 1)}")
-            elif any(b[1] >= _K_END for b in config.blocks):
-                diags.append("blocks: term indices k must stay below 2**63 - 1")
-            elif any(b[1] - b[0] > _MAX_TERMS for b in config.blocks):
-                diags.append(f"blocks: N - M must be at most {_MAX_TERMS}")
-        if config.n_ladder is None and config.blocks is None:
-            diags.append("n_ladder: an N ladder or explicit blocks is required")
-        if config.theta_grid is not None:
-            tg = config.theta_grid
-            if not isinstance(tg, dict):
-                diags.append("theta_grid: must be an object")
-            else:
-                pts = tg.get("points")
-                if pts is not None and not (is_int(pts) and 16 <= pts <= SCALED_GRID_CAP):
-                    diags.append("theta_grid.points: must be an integer in "
-                                 f"[16, {SCALED_GRID_CAP}]")
-                for k in tg:
-                    if k != "points":
-                        diags.append(f"theta_grid.{k}: unknown field")
-        if config.harmonic is not None and not isinstance(config.harmonic, bool):
-            diags.append("harmonic: must be true or false")
-        harmonic = config.harmonic is True
+                for b in config.blocks)):
+            diags.append("blocks: must be [M, N] integer pairs with 0 <= M < N")
+        elif any(b[0] + 1 < k_lo for b in config.blocks):
+            diags.append(f"blocks: rows start at M + 1, which must be >= {k_lo}")
+        elif any(b[1] >= _K_END for b in config.blocks):
+            diags.append("blocks: term indices k must stay below 2**63 - 1")
+        elif any(b[1] - b[0] > _MAX_TERMS for b in config.blocks):
+            diags.append(f"blocks: N - M must be at most {_MAX_TERMS}")
+        points = config.grid_points
+        if points is not None and not (is_int(points) and 16 <= points <= SCALED_GRID_CAP):
+            diags.append(f"grid_points: must be an integer in [16, {SCALED_GRID_CAP}]")
         if config.kind == "condition_fit":
             if config.template not in TEMPLATES:
                 diags.append(f"template: must be one of {', '.join(TEMPLATES)}")
-            elif config.template.startswith("harmonic") != harmonic:
-                diags.append("template: harmonic flag and template family disagree")
             if _deeper_than(config.reference, _MAX_REFERENCE_DEPTH):
                 diags.append(f"reference: must nest at most {_MAX_REFERENCE_DEPTH} levels deep")
+        elif config.harmonic is not None and not isinstance(config.harmonic, bool):
+            diags.append("harmonic: must be true or false")
         if diags:
             return None, diags
         # the rows the run computes must exist and, for a fit, be fittable
-        m0 = max(wspec.offset - 1, ispec.offset - 1, 0)
-        rows = ([tuple(b) for b in config.blocks] if config.blocks is not None
-                else [(m0, int(n)) for n in config.n_ladder])
+        rows = [tuple(b) for b in config.blocks]
         check("weights", lambda: check_phase(wspec, max(n for _, n in rows) + 1))
         check("indices", lambda: [check_top(ispec, m + 1, n + 1) for m, n in rows])
         if config.kind == "condition_fit":
             check("template", lambda: check_rows(config.template, rows))
-        points = (config.theta_grid or {}).get("points")
+            harmonic = config.template.startswith("harmonic")
+        else:
+            harmonic = config.harmonic is True
         plan = _Plan(wspec, ispec, seeds=config.seeds, rows=rows,
-                     grid=ThetaGrid(points) if points else None, harmonic=harmonic,
+                     grid=None if points is None else ThetaGrid(points), harmonic=harmonic,
                      template=config.template, reference=config.reference)
         return (None if diags else plan), diags
 
@@ -453,7 +425,9 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
         ladder = sub_spec("ladder", BlockLadder, "required for oscillation runs")
     hilbert = config.kind == "hilbert_run"
     # set only on hilbert runs: every other kind rejects them as not read
-    if config.bound is not None and not (is_real(config.bound) and 0 < config.bound < math.inf):
+    # compared, never converted: an int past the largest double fails, not raises
+    if config.bound is not None and not (
+            is_real(config.bound) and 0 < config.bound <= sys.float_info.max):
         diags.append("bound: must be a finite positive number")
     if config.tail_starts is not None and not _increasing_positive_ints(
             config.tail_starts):

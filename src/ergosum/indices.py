@@ -6,8 +6,8 @@ model is drawn by thinning, one block of integers at a time, each block a
 pure function of (seed, block) through a counter-based generator (see
 _rng), so chunked and whole-range calls agree exactly.
 
-Prime ranges come from a segmented sieve sized by a bound-doubling loop; no
-prime tables are shipped.
+Prime ranges come from one segmented sieve up to Rosser's bound on the
+last prime a range needs; no prime tables are shipped.
 """
 
 from __future__ import annotations
@@ -198,15 +198,8 @@ def _prime_bound(count: int) -> int:
 
 
 def first_primes(count: int) -> np.ndarray:
-    """The first `count` primes, sieve bound grown by doubling until enough."""
-    if count <= 0:
-        return np.zeros(0, dtype=np.int64)
-    bound = _prime_bound(count)
-    while True:
-        ps = primes_upto(bound)
-        if ps.size >= count:
-            return ps[:count]
-        bound *= 2
+    """The first `count` primes, from one sieve up to _prime_bound(count)."""
+    return primes_upto(_prime_bound(count))[:max(count, 0)]
 
 
 # ---------------------------------------------------------------------------

@@ -106,10 +106,8 @@ def _corr(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _octaves(v: np.ndarray) -> float:
-    lo, hi = float(v.min()), float(v.max())
-    if lo <= 0:
-        return math.inf
-    return math.log2(hi / lo)
+    # every N and N - M is positive: check_rows needs N >= 3, EnvelopeSample M < N
+    return math.log2(float(v.max()) / float(v.min()))
 
 
 def _aic(rms: float, n: int, p: int) -> float:

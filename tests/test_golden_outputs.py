@@ -45,7 +45,7 @@ CONFIGS = {
         "kind": "condition_fit",
         "weights": {"kind": "power_phase", "delta": 0.5},
         "indices": {"kind": "identity"},
-        "n_ladder": [64, 128, 256, 512, 1024, 2048, 4096],
+        "blocks": [[0, 64], [0, 128], [0, 256], [0, 512], [0, 1024], [0, 2048], [0, 4096]],
         "template": "H2",
         "reference": {"alpha": 0.75, "label": "1 - delta/2"},
     },

@@ -46,7 +46,7 @@ def tiny_envelope(name="t_env", **extra) -> dict:
         "weights": {"kind": "constant"},
         "indices": {"kind": "identity"},
         "blocks": [[0, 24], [0, 48]],
-        "theta_grid": {"points": 1024},
+        "grid_points": 1024,
     }
     d.update(extra)
     return d
@@ -108,17 +108,14 @@ def test_family_errors_surface_in_diagnostics():
 def test_rows_required():
     d = tiny_envelope()
     del d["blocks"]
-    diags = validate(cfg(**d))
-    assert any("ladder or explicit blocks" in x for x in diags)
+    assert validate(cfg(**d)) == ["blocks: required"]
 
 
 def test_block_and_grid_bounds():
     diags = validate(cfg(**tiny_envelope(blocks=[[5, 5]])))
     assert any(d.startswith("blocks:") for d in diags)
-    diags = validate(cfg(**tiny_envelope(theta_grid={"points": 8})))
-    assert any("theta_grid.points" in d for d in diags)
-    diags = validate(cfg(**tiny_envelope(theta_grid={"spacing": 0.1})))
-    assert any("theta_grid.spacing: unknown field" in d for d in diags)
+    diags = validate(cfg(**tiny_envelope(grid_points=8)))
+    assert diags == [f"grid_points: must be an integer in [16, {2**26}]"]
 
 
 def test_seeded_weights_need_seeds():
@@ -132,8 +129,6 @@ def test_seeded_weights_need_seeds():
 def test_size_caps_on_rows():
     diags = validate(cfg(**tiny_envelope(blocks=[[0, 10**12]])))
     assert any(d.startswith("blocks: N - M must be at most") for d in diags)
-    diags = validate(cfg(**tiny_envelope(blocks=None, n_ladder=[64, 10**12])))
-    assert any(d.startswith("n_ladder: N must be at most") for d in diags)
 
 
 def test_seeds_shape_checks():
@@ -146,15 +141,17 @@ def test_seeds_shape_checks():
 
 
 def test_template_harmonic_agreement():
+    """A fit's rows are harmonic exactly when its template is; an envelope
+    scan's when its harmonic flag is true."""
     d = tiny_envelope(blocks=[[0, 1 << j] for j in range(5, 11)])  # H2 fits 6+ rows
     d["kind"] = "condition_fit"
-    d["template"] = "harmonic_H2"
-    diags = validate(cfg(**d))
-    assert any("harmonic flag and template family disagree" in x for x in diags)
-    d["template"] = "H2"
-    assert validate(cfg(**d)) == []
+    for template, harmonic in (("harmonic_H2", True), ("H2", False)):
+        plan, diags = harness._plan(cfg(**d, template=template))
+        assert diags == [] and plan.harmonic is harmonic
     d["template"] = "H9"
     assert any(x.startswith("template:") for x in validate(cfg(**d)))
+    for flag in (True, False):
+        assert harness._plan(cfg(**tiny_envelope(harmonic=flag)))[0].harmonic is flag
 
 
 def test_spectral_system_rejected_for_orbit_runs():
@@ -219,6 +216,18 @@ def test_k_first_against_family_offsets():
     assert any("k_first: below the log_phase family offset" in x for x in diags)
 
 
+def test_readme_field_table_is_the_reads_table():
+    """README's table of the fields each kind reads is harness._READS, so
+    the docs name no field that is gone and miss none that is read."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = text.split("| kind | fields |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    table = {}
+    for line in lines.splitlines():
+        kind, names = line.strip("| ").split(" | ")
+        table[kind.strip("`")] = tuple(n.strip("`") for n in names.split(", "))
+    assert table == harness._READS
+
+
 # ------------------------------------------------------------ config objects
 
 def test_from_dict_defaults():
@@ -251,6 +260,8 @@ def test_to_dict_round_trip():
     # a config that sets every field, and one more key
     every = {**{k: f"value of {k}" for k in harness.FIELDS}, "typo": 1}
     assert ExperimentConfig.from_dict(every).to_dict() == every
+    # a falsy field is set, so the manifest echoes it like any other
+    assert cfg(**tiny_envelope(harmonic=False)).to_dict() == tiny_envelope(harmonic=False)
 
 
 def test_load_error_paths(tmp_path):
@@ -293,7 +304,7 @@ def test_tiny_fit_run_outputs(tmp_path):
     d["kind"] = "condition_fit"
     d["template"] = "H2"
     d["blocks"] = [[0, 1 << j] for j in range(5, 14)]
-    del d["theta_grid"]  # default grid keeps the certificates tight
+    del d["grid_points"]  # default grid keeps the certificates tight
     manifest = run(cfg(**d))
     out = tmp_path / "t_fit"
     assert (out / "fit.json").exists()
@@ -363,10 +374,10 @@ def test_import_validate_and_tail_sweep_leave_scipy_unloaded(tmp_path):
 
 
 def test_run_rejects_invalid_config(tmp_path):
-    c = cfg(**tiny_envelope(theta_grid={"points": 4}, output_dir=str(tmp_path)))
+    c = cfg(**tiny_envelope(grid_points=4, output_dir=str(tmp_path)))
     with pytest.raises(ConfigError) as exc:
         run(c)
-    assert any("theta_grid.points" in d for d in exc.value.diagnostics)
+    assert any(d.startswith("grid_points:") for d in exc.value.diagnostics)
 
 
 def test_rerun_is_byte_identical_except_manifest(tmp_path):
@@ -469,9 +480,7 @@ INVALID_CLI_CONFIGS = {
     "harmonic_blocks_not_a_list": (
         tiny_envelope(harmonic=True, blocks=5), "blocks: must be [M, N]"),
     # the harmonic flag is a JSON boolean; "false" would read as true
-    "harmonic_string": (
-        tiny_envelope(blocks=None, n_ladder=[16, 32], harmonic="false"),
-        "harmonic: must be true or false"),
+    "harmonic_string": (tiny_envelope(harmonic="false"), "harmonic: must be true or false"),
     "harmonic_number": (tiny_envelope(harmonic=1), "harmonic: must be true or false"),
     # a falsy field is still set: only null or a missing key means unset
     **{f"harmonic_{label}_on_average": (
@@ -499,17 +508,22 @@ INVALID_CLI_CONFIGS = {
     # JSON reads 1e400 (and Infinity) as inf
     "infinite_k0": (
         tiny_average(normalizer={"gamma": 1.0, "k0": float("inf")}), "normalizer:"),
-    "refine_iters": (
-        tiny_envelope(theta_grid={"points": 1024, "refine_iters": 4}),
-        "theta_grid.refine_iters: unknown field"),
+    "refine_iters": (tiny_envelope(refine_iters=4), "refine_iters: unknown field"),
+    # spellings of a field that has one name now
+    "n_ladder": (tiny_envelope(n_ladder=[16, 32]), "n_ladder: unknown field"),
+    "theta_grid": (tiny_envelope(theta_grid={"points": 1024}), "theta_grid: unknown field"),
+    "harmonic_on_fit": (
+        tiny_envelope(kind="condition_fit", template="harmonic_H2", harmonic=True,
+                      blocks=[[0, 1 << j] for j in range(4, 8)]),
+        "harmonic: not read by condition_fit"),
     # fits whose rows the template cannot take
     "h2_five_rows": (
-        tiny_envelope(kind="condition_fit", template="H2", blocks=None,
-                      n_ladder=[256, 512, 1024, 2048, 4096]),
+        tiny_envelope(kind="condition_fit", template="H2",
+                      blocks=[[0, 1 << j] for j in range(8, 13)]),
         "template: H2 needs at least 6 samples"),
     "harmonic_h1_on_n_ladder": (
-        tiny_envelope(kind="condition_fit", template="harmonic_H1", harmonic=True,
-                      blocks=None, n_ladder=[16, 64, 256, 1024]),
+        tiny_envelope(kind="condition_fit", template="harmonic_H1",
+                      blocks=[[0, 16], [0, 64], [0, 256], [0, 1024]]),
         "template: harmonic_H1 needs M >= 2"),
     # term ranges and stored grids the run cannot produce
     "explicit_indices_short": (
@@ -565,6 +579,10 @@ INVALID_CLI_CONFIGS = {
         "bound: must be a finite positive number"),
     "hilbert_bound_infinite": (
         tiny_average(kind="hilbert_run", bound=float("inf")),
+        "bound: must be a finite positive number"),
+    # run() writes the bound as a float, which 10**400 does not fit
+    "bound_10_400": (
+        tiny_average(kind="hilbert_run", bound=10**400),
         "bound: must be a finite positive number"),
     "preset_h_nan": (
         {"name": "p3", "preset": "example3", "params": {"h": float("nan")}},
@@ -679,9 +697,9 @@ INVALID_CLI_CONFIGS = {
     # fit.json copies reference by recursion, which the stack ran out of at
     # these depths; the cap is fixed, whatever depth the stack allows
     **{f"reference_nested_{depth}_deep": (
-        tiny_envelope(kind="condition_fit", template="H2", blocks=None,
+        tiny_envelope(kind="condition_fit", template="H2",
                       weights={"kind": "power_phase", "delta": 0.5},
-                      n_ladder=[64, 128, 256, 512, 1024, 2048],
+                      blocks=[[0, 1 << j] for j in range(6, 12)],
                       reference={"x": nested_list(depth)}),
         "reference: must nest at most 100 levels deep") for depth in (700, 900)},
     # Observable.eval takes m * x in doubles, which this mode does not fit
@@ -731,7 +749,7 @@ def test_reference_depth_cap(tmp_path):
     """A reference nested 100 levels deep is accepted and written to fit.json;
     one level more is not."""
     d = tiny_envelope(kind="condition_fit", template="H2", output_dir=str(tmp_path),
-                      blocks=[[0, 1 << j] for j in range(5, 11)], theta_grid=None)
+                      blocks=[[0, 1 << j] for j in range(5, 11)], grid_points=None)
     deepest = nested_list(99)
     assert validate(cfg(**d, reference={"x": [deepest]})) == [
         "reference: must nest at most 100 levels deep"]

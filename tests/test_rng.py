@@ -147,6 +147,27 @@ def test_thinned_block_does_not_depend_on_candidate_count():
     assert all(np.array_equal(a, b) for a, b in zip(_rng.cramer_blocks(8, los), full))
 
 
+@pytest.mark.parametrize("seed", [1, 2, 8])
+def test_short_blocks_are_redrawn_to_the_same_integers(monkeypatch, seed):
+    """A block whose first draw stops short of its end is drawn again with
+    twice the candidates, and gives the integers an uncapped draw gives.
+    The first draw here takes at most 5 candidates per block, so nearly
+    every dyadic and 2^16 block of [3, 2^20) goes through the redraw."""
+    los = _rng.block_starts(3, 2**20)
+    want = _rng.cramer_blocks(seed, los)
+    thinned, calls = _rng._thinned, []
+
+    def capped_first(key, block_los, counts):
+        calls.append(block_los.size)
+        return thinned(key, block_los, np.minimum(counts, 5) if len(calls) == 1 else counts)
+
+    monkeypatch.setattr(_rng, "_thinned", capped_first)
+    got = _rng.cramer_blocks(seed, los)
+    assert len(calls) >= 2 and calls[1] > los.size // 2
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 # One dyadic block below 2^16, one 2^16 block at 2^20 and one at 2^40.
 LAW_BLOCKS = (1024, 2**20, 2**40)
 LAW_SEEDS = 300
