@@ -59,8 +59,6 @@ from .averages import (
     oscillation_report,
     maximal_norm,
     spectral_l2_norm,
-    split_level,
-    epsilon_for_beta,
 )
 
 __version__ = "0.1.0"

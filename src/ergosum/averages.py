@@ -474,12 +474,6 @@ def _vertex_diameter(xy: np.ndarray) -> float:
     return math.sqrt(float(np.max(np.einsum("ij,ij->i", d, d))))
 
 
-def _diameter(points: np.ndarray) -> float:
-    """Diameter of a finite complex point set: its hull's antipodal pairs,
-    exact up to cross-product rounding (checked against brute force)."""
-    return _vertex_diameter(_hull_vertices(_xy(points)))
-
-
 def cauchy_tail_report(run: SeriesRun, tail_starts) -> list[dict]:
     """For each N0: sup over stored M, N >= N0 of |partial(N) - partial(M)|,
     i.e. the diameter of the stored tail values. A series converges exactly
@@ -567,11 +561,6 @@ class OscillationReport:
     grid_points: np.ndarray
     _abs_r: np.ndarray
     _block_bound: np.ndarray
-
-    def weighted_cumulative_sq(self, l_exponent: float) -> np.ndarray:
-        """Running sums of j^l * osc_j^2 over the ladder blocks."""
-        j = self.ladder_j[:-1].astype(np.float64)
-        return np.cumsum(j ** l_exponent * self.osc**2)
 
     def check_decomposition(self) -> dict:
         """Verify |r(N)| <= anchor_j + osc_j on every stored N of every
@@ -693,24 +682,3 @@ def spectral_l2_norm(weights, indices, normalizer_value: float,
                         [np.size(weights)])
     return norm / float(normalizer_value)
 
-
-# ---------------------------------------------------------------------------
-# bounded-observable splitting diagnostics
-
-
-def split_level(k, epsilon: float, delta: float) -> np.ndarray:
-    """Truncation levels a_k = k^epsilon / log^delta k (k >= 2)."""
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must lie in (0, 1)")
-    ks = np.ascontiguousarray(k, dtype=np.float64)
-    if np.any(ks < 2):
-        raise ValueError("levels are defined for k >= 2")
-    return ks**epsilon / np.log(ks) ** delta
-
-
-def epsilon_for_beta(beta: float) -> float:
-    """The epsilon coupled to a decay exponent beta by beta = 1/(2(1-eps)):
-    epsilon = 1 - 1/(2 beta), requiring beta > 1/2."""
-    if not beta > 0.5:
-        raise ValueError("coupling requires beta > 1/2")
-    return 1.0 - 1.0 / (2.0 * beta)

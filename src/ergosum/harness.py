@@ -65,7 +65,7 @@ import numpy as np
 
 from . import _svg
 from ._kernels import is_int, is_real
-from .analytic_bounds import hlawka_bound, steep_power_phase_exponent
+from .analytic_bounds import hlawka_bound, power_phase_exponent, steep_power_phase_exponent
 from .averages import (
     BlockLadder,
     NormalizedGrid,
@@ -919,7 +919,7 @@ def _example2() -> _Plan:
         WeightSpec(kind="power_phase", delta=0.5), _IDENTITY,
         rows=[(0, 1 << j) for j in range(10, 18)],
         template="H2", reference={
-            "alpha": 0.75,
+            "alpha": power_phase_exponent(0.5),
             "label": "second-derivative envelope exponent 1 - delta/2",
         },
         system=_SQRT2_SYSTEM, observable=_MODE1,

@@ -30,8 +30,8 @@ _SEG = 1 << 20
 class IndexSpec:
     """One index family plus its parameters.
 
-    offset is the first valid k: 1 for the prime-like kinds (u_1 = first
-    element), 0 otherwise.
+    offset, a property, is the first k the family defines u_k for: 1 for
+    the prime-like kinds (u_1 is the first element), 0 otherwise.
     """
 
     kind: str
@@ -39,7 +39,6 @@ class IndexSpec:
     coeffs: tuple[int, ...] | None = None
     seed: int | None = None
     values: tuple[int, ...] | None = None
-    offset: int | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -67,11 +66,10 @@ class IndexSpec:
             if vals[0] < 0 or any(b < a for a, b in zip(vals, vals[1:])):
                 raise ValueError("explicit values must be nondecreasing and >= 0")
             object.__setattr__(self, "values", vals)
-        minimum = 1 if self.kind in ("primes", "cramer_primes") else 0
-        if self.offset is None:
-            object.__setattr__(self, "offset", minimum)
-        elif not (is_int(self.offset) and self.offset >= minimum):
-            raise ValueError(f"{self.kind} offset must be an integer >= {minimum}")
+
+    @property
+    def offset(self) -> int:
+        return 1 if self.kind in ("primes", "cramer_primes") else 0
 
 
 def gen_indices(spec: IndexSpec, m: int, n: int) -> np.ndarray:
@@ -159,20 +157,12 @@ def pi_count(spec: IndexSpec, N: int) -> int:
 # primes
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.flatnonzero(sieve).astype(np.int64)
-
-
 def primes_upto(limit: int) -> np.ndarray:
-    """All primes <= limit, via a segmented sieve."""
+    """All primes <= limit, via a segmented sieve whose base primes up to
+    sqrt(limit) come from the same sieve."""
     if limit < 2:
         return np.zeros(0, dtype=np.int64)
-    base = _simple_sieve(math.isqrt(limit) + 1)
+    base = primes_upto(math.isqrt(limit))
     chunks = []
     lo = 2
     while lo <= limit:

@@ -53,9 +53,8 @@ _SEEDED = ("iid_uniform_phase", "centered_cramer")
 class WeightSpec:
     """One weight family plus its parameters.
 
-    offset is the first index k for which the sequence is defined; it
-    defaults to the family minimum (0, or 2 for log-based phases, or 3 for
-    the centered random model).
+    offset, a property, is the first index k the family defines w_k for:
+    0, or 1 for log-based phases, or 3 for the centered random model.
     """
 
     kind: str
@@ -63,7 +62,6 @@ class WeightSpec:
     delta: float | None = None
     h: float | None = None
     seed: int | None = None
-    offset: int | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -84,11 +82,10 @@ class WeightSpec:
             if not is_int(self.seed):
                 raise ValueError(f"{self.kind} requires an integer seed")
             object.__setattr__(self, "seed", int(self.seed))
-        minimum = _MIN_OFFSET.get(self.kind, 0)
-        if self.offset is None:
-            object.__setattr__(self, "offset", minimum)
-        elif not (is_int(self.offset) and self.offset >= minimum):
-            raise ValueError(f"{self.kind} offset must be an integer >= {minimum}")
+
+    @property
+    def offset(self) -> int:
+        return _MIN_OFFSET.get(self.kind, 0)
 
 
 def _finite_real(v) -> bool:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ergosum._kernels import _BLOCK, pairwise_sum, prefix_at
@@ -19,11 +19,9 @@ from ergosum.averages import (
     NormalizedGrid,
     NormalizerSpec,
     SeriesRun,
-    _diameter,
     abel_decompose,
     cauchy_tail_report,
     control_integral,
-    epsilon_for_beta,
     hilbert_partial,
     hilbert_series,
     maximal_norm,
@@ -32,7 +30,6 @@ from ergosum.averages import (
     oscillation_report,
     run_grid,
     spectral_l2_norm,
-    split_level,
     storage_grid,
     weighted_sums,
 )
@@ -572,15 +569,6 @@ def test_oscillation_block_maximum_direct():
     assert rep.osc[0] == pytest.approx(want, rel=1e-12)
 
 
-def test_weighted_cumulative_sq():
-    run = oscillating_run()
-    rep = oscillation_report(run, BlockLadder.dyadic(2, 12), _OSC_NORM)
-    assert np.allclose(rep.weighted_cumulative_sq(0.0), rep.cumulative_sq)
-    j = rep.ladder_j[:-1].astype(np.float64)
-    assert np.allclose(rep.weighted_cumulative_sq(2.0),
-                       np.cumsum(j**2 * rep.osc**2))
-
-
 def test_oscillation_requires_stored_ladder():
     run = oscillating_run(100)
     with pytest.raises(ValueError):
@@ -620,6 +608,13 @@ def test_tail_diameter_matches_brute_force():
     assert rep[1]["sup_diff"] == 0.0
 
 
+def _diameter(points) -> float:
+    """The diameter cauchy_tail_report gives for one tail of every point."""
+    run = SeriesRun(k_first=1, n_grid=np.arange(1, len(points) + 1), sums=points,
+                    convention="inclusive")
+    return cauchy_tail_report(run, [1])[0]["sup_diff"]
+
+
 def _brute_diameter(points) -> float:
     """All-pairs diameter in Python integers: exact for integer points."""
     xy = [(int(p.real), int(p.imag)) for p in points]
@@ -657,14 +652,16 @@ def test_diameter_matches_all_pairs_exactly(xy):
     antipodal-pair diameter must equal the all-pairs maximum bit for bit:
     duplicates, collinear and nearly collinear sets, 0-3 points, walks and
     circles included."""
+    assume(xy)  # a stored tail holds at least one point
     points = np.array([complex(x, y) for x, y in xy], dtype=np.complex128)
     assert _diameter(points) == _brute_diameter(points)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_tail_sweep_matches_independent_diameters(seed):
-    """The nested sweep returns, for every start, the same bits as an
-    independent diameter of that suffix, in the caller's order."""
+    """The nested sweep returns, for every start, the same bits as a report
+    of that start alone, whose one tail is one independent hull, in the
+    caller's order."""
     rng = np.random.default_rng(seed)
     n = 3000
     steps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -676,7 +673,7 @@ def test_tail_sweep_matches_independent_diameters(seed):
     for r in rep:
         i = r["N0"] - 1
         assert r["points"] == n - i
-        assert r["sup_diff"] == _diameter(run.sums[i:])
+        assert r["sup_diff"] == cauchy_tail_report(run, [r["N0"]])[0]["sup_diff"]
 
 
 def test_diameter_of_many_hull_vertices_is_fast():
@@ -807,26 +804,3 @@ def test_maximal_norm_validation():
         maximal_norm(w, u, norm, meas, np.array([11], dtype=np.int64))
     with pytest.raises(TypeError):
         maximal_norm(w, np.arange(10.0), norm, meas, np.array([5]))
-
-
-# ------------------------------------------------------ splitting exponents
-
-def test_split_level_values():
-    k = np.array([2.0, math.e**2])
-    got = split_level(k, epsilon=0.5, delta=1.0)
-    assert got[0] == pytest.approx(math.sqrt(2.0) / math.log(2.0))
-    assert got[1] == pytest.approx(math.e / 2.0)
-    with pytest.raises(ValueError):
-        split_level(k, epsilon=1.0, delta=1.0)
-    with pytest.raises(ValueError):
-        split_level(np.array([1.0]), epsilon=0.5, delta=1.0)
-
-
-def test_epsilon_for_beta():
-    assert epsilon_for_beta(1.0) == pytest.approx(0.5)
-    assert epsilon_for_beta(0.75) == pytest.approx(1.0 / 3.0)
-    # round trip: beta = 1 / (2 (1 - eps))
-    eps = epsilon_for_beta(0.9)
-    assert 1.0 / (2.0 * (1.0 - eps)) == pytest.approx(0.9)
-    with pytest.raises(ValueError):
-        epsilon_for_beta(0.5)

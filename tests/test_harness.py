@@ -656,13 +656,14 @@ INVALID_CLI_CONFIGS = {
     "ingredient_seed_and_seeds": (
         tiny_envelope(weights={"kind": "iid_uniform_phase", "seed": 3}, seeds=[1, 2]),
         "weights.seed: each repetition draws with its own seed from seeds"),
-    # integer and real fields take no bool, string or fractional stand-in
+    # a family's first k is no field: k_first and blocks say where k starts
     "weights_fractional_offset": (
         tiny_average(weights={"kind": "constant", "offset": 2.5}),
-        "weights: constant offset must be an integer >= 0"),
+        "weights: WeightSpec.__init__() got an unexpected keyword argument 'offset'"),
     "indices_fractional_offset": (
         tiny_average(indices={"kind": "identity", "offset": 1.5}),
-        "indices: identity offset must be an integer >= 0"),
+        "indices: IndexSpec.__init__() got an unexpected keyword argument 'offset'"),
+    # integer and real fields take no bool, string or fractional stand-in
     "explicit_fractional_values": (
         tiny_average(indices={"kind": "explicit", "values": [0.5] + list(range(1, 300))}),
         "indices: explicit values must be integers"),

@@ -42,9 +42,11 @@ def test_explicit_values():
 
 
 def test_primes_upto_against_trial_division():
-    ps = primes_upto(500)
     want = [n for n in range(2, 501) if oracles.is_prime(n)]
-    assert ps.tolist() == want
+    assert primes_upto(500).tolist() == want
+    # every limit from where the base-prime recursion ends
+    for limit in range(-1, 130):
+        assert primes_upto(limit).tolist() == [p for p in want if p <= limit]
 
 
 def test_first_primes_count_and_tail():

@@ -229,7 +229,7 @@ def test_default_grid_depends_on_block_length_only():
         assert sup_envelope(w, u).grid_points == sup_envelope(w, head).grid_points
 
 
-def test_eval_harmonic_small_closed_form():
+def test_eval_sum_of_harmonic_weights_closed_form():
     # w = 1, u = k, theta = 0: 1 + 1/2 + 1/3 = 11/6
     w = np.ones(3, dtype=np.complex128)
     u = np.arange(1, 4, dtype=np.int64)

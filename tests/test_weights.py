@@ -91,12 +91,18 @@ def test_centered_cramer_is_centered():
 
 
 def test_offsets_enforced():
-    with pytest.raises(ValueError):
-        WeightSpec(kind="log_phase", h=1.0, offset=0)
-    with pytest.raises(ValueError):
-        WeightSpec(kind="centered_cramer", seed=1, offset=2)
+    """offset is the family's first defined k, read-only: no spec sets it,
+    and gen_weights refuses a range that starts below it."""
+    assert WeightSpec(kind="constant").offset == 0
+    assert WeightSpec(kind="log_phase", h=1.0).offset == 1
+    assert WeightSpec(kind="logpower_phase", delta=2.0).offset == 1
+    assert WeightSpec(kind="centered_cramer", seed=1).offset == 3
+    with pytest.raises(TypeError):
+        WeightSpec(kind="log_phase", h=1.0, offset=2)
     with pytest.raises(ValueError):
         gen_weights(WeightSpec(kind="log_phase", h=1.0), 0, 5)
+    with pytest.raises(ValueError):
+        gen_weights(WeightSpec(kind="centered_cramer", seed=1), 2, 5)
 
 
 def test_seeded_kinds_require_seed():
@@ -115,8 +121,8 @@ def test_round_trip_dict():
     # each JSON form builds through the constructor the same spec
     for spec, d in ((WeightSpec(kind="power_phase", delta=1.5),
                      {"kind": "power_phase", "delta": 1.5}),
-                    (WeightSpec(kind="iid_uniform_phase", seed=3, offset=10),
-                     {"kind": "iid_uniform_phase", "seed": 3, "offset": 10}),
+                    (WeightSpec(kind="iid_uniform_phase", seed=3),
+                     {"kind": "iid_uniform_phase", "seed": 3}),
                     (WeightSpec(kind="polynomial_phase", coeffs=(0.2, 0.4)),
                      {"kind": "polynomial_phase", "coeffs": [0.2, 0.4]})):
         assert WeightSpec(**d) == spec
