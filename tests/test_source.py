@@ -1,7 +1,9 @@
 """Source checks that need no linter: every name a module of the package,
 a test module or a demo imports at module level is used in that file, and
 every function and class a module of the package defines at module level
-is read by name somewhere in the package, the tests or the demos."""
+is read by name in another of the package's modules (not __init__.py,
+which only re-exports), a demo or tests/test_acceptance.py. Unit tests do
+not count as readers, so no helper stays in the package for them alone."""
 
 import ast
 from functools import cache
@@ -12,7 +14,8 @@ import pytest
 REPO = Path(__file__).resolve().parents[1]
 # __init__.py imports to re-export
 MODULES = sorted(p for p in (REPO / "src" / "ergosum").glob("*.py") if p.name != "__init__.py")
-SCRIPTS = sorted([*(REPO / "tests").glob("*.py"), *(REPO / "demos").glob("*.py")])
+DEMOS = sorted((REPO / "demos").glob("*.py"))
+SCRIPTS = sorted([*(REPO / "tests").glob("*.py"), *DEMOS])
 # package modules by name, tests and demos by directory and name
 IDS = [p.stem for p in MODULES] + [f"{p.parent.name}/{p.stem}" for p in SCRIPTS]
 
@@ -74,7 +77,7 @@ def test_unread_definitions_are_found():
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_defines_nothing_unread(path):
-    others = [p for p in [REPO / "src" / "ergosum" / "__init__.py", *MODULES, *SCRIPTS]
+    others = [p for p in [*MODULES, *DEMOS, REPO / "tests" / "test_acceptance.py"]
               if p != path]
     read_elsewhere = set().union(*map(file_reads, others))
     assert unread_definitions(path.read_text(encoding="utf-8"), read_elsewhere) == []
