@@ -3,7 +3,8 @@
 Three concerns live here:
 
 * the integer and real predicates that spec fields are checked with, so
-  that a bool, a string or a fraction is rejected instead of coerced,
+  that a bool, a string or a fraction is rejected instead of coerced, and
+  check_reads, which refuses a spec field its kind does not read,
 
 * fixed-shape chunked pairwise reductions, so every sum in the package is
   reproducible bit for bit regardless of how the work is batched; among
@@ -26,6 +27,7 @@ Three concerns live here:
 from __future__ import annotations
 
 import numbers
+from dataclasses import MISSING, fields
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +48,20 @@ def is_int(v) -> bool:
 
 def is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def check_reads(spec, reads: dict, what: str) -> None:
+    """Raise ValueError unless spec.kind is a key of `reads`, the table of
+    the optional fields each kind reads, and every other optional field of
+    the dataclass spec is unset: None, or empty where it defaults to ()."""
+    if spec.kind not in reads:
+        raise ValueError(f"unknown {what} kind {spec.kind!r}")
+    for f in fields(spec):
+        v = getattr(spec, f.name)
+        if f.default is MISSING or f.name in reads[spec.kind] or v is None:
+            continue
+        if not (f.default == () and isinstance(v, (list, tuple)) and not v):
+            raise ValueError(f"{spec.kind} reads no {f.name}")
 
 
 def next_pow2(n: int) -> int:

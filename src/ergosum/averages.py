@@ -33,11 +33,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import frac_of, is_int, is_real, next_pow2, pairwise_sum, prefix_at, prefix_sums
+from ._kernels import (check_reads, frac_of, is_int, is_real, next_pow2, pairwise_sum,
+                       prefix_at, prefix_sums)
 from .dynamics import SpectralMeasure
 from .trigsum import SCALED_GRID_CAP, ThetaGrid, _check_pair, eval_grid
 
-LADDER_KINDS = ("dyadic", "doubly_exponential", "rho_ladder", "rho_rho_ladder")
+# the optional fields each ladder kind reads
+_LADDER_READS = {"dyadic": (), "doubly_exponential": (),
+                 "rho_ladder": ("rho", "epsilon"), "rho_rho_ladder": ("rho", "epsilon")}
+# the last j whose 2**j or 2**(2**j) stays below 2**62
+_LAST_J = {"dyadic": 61, "doubly_exponential": 5}
+# a stored grid holds at most 1,000,462 N, and every ladder value is one
+MAX_LADDER_VALUES = 1 << 20
 
 DENSE_LIMIT = 1_000_000
 GRID_RATIO = 1.01
@@ -108,10 +115,14 @@ class BlockLadder:
     epsilon: float | None = None
 
     def __post_init__(self):
-        if self.kind not in LADDER_KINDS:
-            raise ValueError(f"unknown ladder kind {self.kind!r}")
+        check_reads(self, _LADDER_READS, "ladder")
         if not (is_int(self.j_lo) and is_int(self.j_hi) and 0 <= self.j_lo <= self.j_hi):
             raise ValueError("need integers 0 <= j_lo <= j_hi")
+        # checked before values() allocates the ladder
+        if self.j_hi > _LAST_J.get(self.kind, self.j_hi):
+            raise ValueError(f"{self.kind.replace('_', ' ')} ladder exceeds the 2**62 cap")
+        if self.j_hi - self.j_lo >= MAX_LADDER_VALUES:
+            raise ValueError(f"a ladder holds at most {MAX_LADDER_VALUES} values")
         if self.kind in ("rho_ladder", "rho_rho_ladder"):
             if not (is_real(self.rho) and self.rho > 1):
                 raise ValueError("rho ladders need rho > 1")
@@ -129,12 +140,8 @@ class BlockLadder:
     def values(self) -> np.ndarray:
         j = self.js()
         if self.kind == "dyadic":
-            if self.j_hi >= 62:
-                raise ValueError("dyadic ladder exceeds the 2**62 cap")
             return (np.int64(1) << j).astype(np.int64)
         if self.kind == "doubly_exponential":
-            if self.j_hi >= 6:
-                raise ValueError("doubly exponential ladder exceeds the 2**62 cap")
             return (np.int64(1) << (np.int64(1) << j)).astype(np.int64)
         expo = j.astype(np.float64) ** (1.0 - self.epsilon) * np.log(j)
         if self.kind == "rho_rho_ladder":

@@ -35,11 +35,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import frac_of, frac_ratio, is_int, is_real, mod1, next_pow2
+from ._kernels import check_reads, frac_of, frac_ratio, is_int, is_real, mod1, next_pow2
 from ._rng import raw64
 
-SYSTEM_KINDS = ("rotation", "doubling")
-OBSERVABLE_KINDS = ("fourier_mode", "indicator", "finite_fourier")
+# the optional fields each kind reads
+_SYSTEM_READS = {"rotation": ("theta0",), "doubling": ()}
+_OBSERVABLE_READS = {"fourier_mode": ("mode",), "indicator": ("interval",),
+                     "finite_fourier": ("terms",)}
 
 MAX_ANGLE_DEN = 1 << 62
 MAX_MODE = 1 << 53  # Observable.eval takes m * x in doubles, exact to 2**53
@@ -132,8 +134,7 @@ class SystemModel:
     theta0: float | Fraction | None = None
 
     def __post_init__(self):
-        if self.kind not in SYSTEM_KINDS:
-            raise ValueError(f"unknown system kind {self.kind!r}")
+        check_reads(self, _SYSTEM_READS, "system")
         if isinstance(self.theta0, (list, tuple)):
             object.__setattr__(self, "theta0", exact_fraction(self.theta0, "theta0"))
         if self.kind == "rotation":
@@ -179,8 +180,7 @@ class Observable:
     terms: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in OBSERVABLE_KINDS:
-            raise ValueError(f"unknown observable kind {self.kind!r}")
+        check_reads(self, _OBSERVABLE_READS, "observable")
         if self.kind == "fourier_mode":
             if not is_int(self.mode) or abs(self.mode) > MAX_MODE:
                 raise ValueError("fourier_mode needs an integer mode with |m| <= 2**53")

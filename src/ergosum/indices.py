@@ -17,10 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import is_int
+from ._kernels import check_reads, is_int
 from ._rng import block_starts, cramer_blocks
 
-KINDS = ("identity", "monomial", "polynomial", "primes", "cramer_primes", "explicit")
+# the optional fields each kind reads
+_READS = {"identity": (), "monomial": ("d",), "polynomial": ("coeffs",), "primes": (),
+          "cramer_primes": ("seed",), "explicit": ("values",)}
 _SEEDED = ("cramer_primes",)
 
 _SEG = 1 << 20
@@ -41,15 +43,19 @@ class IndexSpec:
     values: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown index kind {self.kind!r}")
+        check_reads(self, _READS, "index")
+        # a degree past 62 overflows int64 from k = 2 on
         if self.kind == "monomial":
             if not is_int(self.d) or self.d < 1:
                 raise ValueError("monomial requires integer degree d >= 1")
+            if self.d > 62:
+                raise ValueError("monomial index values exceed int64 range: need d <= 62")
             object.__setattr__(self, "d", int(self.d))
         if self.kind == "polynomial":
             if not self.coeffs:
                 raise ValueError("polynomial requires integer coeffs")
+            if len(self.coeffs) > 63:
+                raise ValueError("polynomial takes at most 63 coefficients: need degree <= 62")
             if not all(map(is_int, self.coeffs)):
                 raise ValueError("polynomial coefficients must be integers")
             object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
@@ -87,8 +93,7 @@ def gen_indices(spec: IndexSpec, m: int, n: int) -> np.ndarray:
     if kind == "identity":
         return np.arange(m, n, dtype=np.int64)
     if kind == "monomial":
-        k = np.arange(m, n, dtype=np.int64)
-        return k ** min(spec.d, 62)  # the same values: past 62 check_top leaves k <= 1
+        return np.arange(m, n, dtype=np.int64) ** spec.d
     if kind == "polynomial":
         return _horner(spec.coeffs, m, n)
     if kind == "primes":
@@ -123,9 +128,7 @@ def check_top(spec: IndexSpec, m: int, n: int) -> None:
     """
     if spec.kind == "explicit" and len(spec.values) < n:
         raise ValueError("explicit index list shorter than requested range")
-    # a degree past 62 overflows from k = 2 on; testing it first keeps a
-    # huge degree from building a huge Python integer
-    if spec.kind == "monomial" and n >= 3 and (spec.d > 62 or (n - 1) ** spec.d >= 2**63):
+    if spec.kind == "monomial" and n >= 3 and (n - 1) ** spec.d >= 2**63:
         raise ValueError("monomial index values exceed int64 range")
     if spec.kind != "polynomial":
         return

@@ -23,20 +23,21 @@ import math
 
 import numpy as np
 
-from ._kernels import frac_poly, is_int, is_real, mod1
+from ._kernels import check_reads, frac_poly, is_int, is_real, mod1
 from ._rng import cramer_indicator, uniform01
 from .indices import primes_upto
 
-KINDS = (
-    "constant",
-    "polynomial_phase",
-    "power_phase",
-    "logpower_phase",
-    "log_phase",
-    "moebius",
-    "iid_uniform_phase",
-    "centered_cramer",
-)
+# the optional fields each kind reads
+_READS = {
+    "constant": (),
+    "polynomial_phase": ("coeffs",),
+    "power_phase": ("delta",),
+    "logpower_phase": ("delta",),
+    "log_phase": ("h",),
+    "moebius": (),
+    "iid_uniform_phase": ("seed",),
+    "centered_cramer": ("seed",),
+}
 
 # smallest k the family is defined for; log 0 is undefined, and the
 # centered random model needs 1/log k to be a probability
@@ -64,8 +65,7 @@ class WeightSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown weight kind {self.kind!r}")
+        check_reads(self, _READS, "weight")
         if self.kind == "polynomial_phase":
             if not isinstance(self.coeffs, (list, tuple)) or not self.coeffs:
                 raise ValueError("polynomial_phase requires coeffs")

@@ -710,6 +710,44 @@ INVALID_CLI_CONFIGS = {
     "finite_fourier_mode_10_400": (
         tiny_average(observable={"kind": "finite_fourier", "terms": [[10**400, 1, 0]]}),
         "observable: finite_fourier modes must be integers with |m| <= 2**53"),
+    # a sub-spec field its kind does not read
+    "delta_on_constant_weights": (
+        tiny_average(weights={"kind": "constant", "delta": 0.5}),
+        "weights: constant reads no delta"),
+    "seed_on_constant_weights": (
+        tiny_average(weights={"kind": "constant", "seed": 3}),
+        "weights: constant reads no seed"),
+    "coeffs_on_identity_indices": (
+        tiny_average(indices={"kind": "identity", "coeffs": [1, 2]}),
+        "indices: identity reads no coeffs"),
+    "interval_on_fourier_mode": (
+        tiny_average(observable={"kind": "fourier_mode", "mode": 1, "interval": [0, 0.5]}),
+        "observable: fourier_mode reads no interval"),
+    "theta0_on_doubling": (
+        tiny_average(system={"kind": "doubling", "theta0": 0.3}, seeds=[1]),
+        "system: doubling reads no theta0"),
+    "rho_on_dyadic_ladder": (
+        tiny_average(kind="oscillation_run",
+                     ladder={"kind": "dyadic", "j_lo": 2, "j_hi": 7, "rho": 2.0}),
+        "ladder: dyadic reads no rho"),
+    # ladders refused before a value of them is built
+    "dyadic_ladder_j_hi_10_12": (
+        tiny_average(kind="oscillation_run",
+                     ladder={"kind": "dyadic", "j_lo": 2, "j_hi": 10**12}),
+        "ladder: dyadic ladder exceeds the 2**62 cap"),
+    "rho_ladder_j_hi_10_12": (
+        tiny_average(kind="oscillation_run",
+                     ladder={"kind": "rho_ladder", "j_lo": 2, "j_hi": 10**12,
+                             "rho": 1.0000001, "epsilon": 0.5}),
+        "ladder: a ladder holds at most 1048576 values"),
+    # coefficient lists past degree 62, refused before any is evaluated
+    "polynomial_10_4_coeffs": (
+        tiny_average(indices={"kind": "polynomial", "coeffs": [0] * 9_999 + [1]}),
+        "indices: polynomial takes at most 63 coefficients"),
+    **{f"polynomial_{size}_coeffs_two_terms": (
+        tiny_average(indices={"kind": "polynomial", "coeffs": [0] * (size - 1) + [1]},
+                     n_terms=2, k_first=0),
+        "indices: polynomial takes at most 63 coefficients") for size in (1_000, 3_000)},
 }
 
 

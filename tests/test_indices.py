@@ -67,6 +67,17 @@ def test_monomial_rejects_degree_zero():
         IndexSpec(kind="monomial", d=0)
 
 
+def test_degree_caps_at_62():
+    """2**63 passes int64, so degree 63 overflows from k = 2 on."""
+    assert gen_indices(IndexSpec(kind="monomial", d=62), 0, 3).tolist() == [0, 1, 2**62]
+    top = IndexSpec(kind="polynomial", coeffs=[0] * 62 + [1])
+    assert gen_indices(top, 0, 3).tolist() == [0, 1, 2**62]
+    with pytest.raises(ValueError, match="d <= 62"):
+        IndexSpec(kind="monomial", d=63)
+    with pytest.raises(ValueError, match="at most 63 coefficients"):
+        IndexSpec(kind="polynomial", coeffs=[1] + [0] * 63)
+
+
 def test_polynomial_rejects_float_coeffs():
     with pytest.raises(ValueError):
         IndexSpec(kind="polynomial", coeffs=(1.5, 2))
