@@ -120,7 +120,7 @@ class BlockLadder:
             raise ValueError("need integers 0 <= j_lo <= j_hi")
         # checked before values() allocates the ladder
         if self.j_hi > _LAST_J.get(self.kind, self.j_hi):
-            raise ValueError(f"{self.kind.replace('_', ' ')} ladder exceeds the 2**62 cap")
+            raise ValueError(f"{self.kind} ladder exceeds the 2**62 cap")
         if self.j_hi - self.j_lo >= MAX_LADDER_VALUES:
             raise ValueError(f"a ladder holds at most {MAX_LADDER_VALUES} values")
         if self.kind in ("rho_ladder", "rho_rho_ladder"):
