@@ -23,7 +23,7 @@ from ._rng import block_starts, cramer_blocks
 # the optional fields each kind reads
 _READS = {"identity": (), "monomial": ("d",), "polynomial": ("coeffs",), "primes": (),
           "cramer_primes": ("seed",), "explicit": ("values",)}
-_SEEDED = ("cramer_primes",)
+_SEEDED = tuple(k for k, reads in _READS.items() if "seed" in reads)
 
 _SEG = 1 << 20
 

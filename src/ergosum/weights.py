@@ -47,7 +47,7 @@ _MIN_OFFSET = {
     "centered_cramer": 3,
 }
 
-_SEEDED = ("iid_uniform_phase", "centered_cramer")
+_SEEDED = tuple(k for k, reads in _READS.items() if "seed" in reads)
 
 
 @dataclass(frozen=True)
