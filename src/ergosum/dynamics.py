@@ -11,11 +11,26 @@ averages.spectral_l2_norm and averages.maximal_norm integrate.
 
 Rotation angles can be floats or exact rationals (Fraction). The bundled
 rotation_sqrt2 / rotation_golden constructors return continued-fraction
-convergents p/q with q <= 2**62, and orbit positions are then reduced
-exactly with integer arithmetic, because u * theta0 mod 1 in doubles loses
-every significant bit once u is large. Every angle goes through
-_kernels.frac_ratio: a Fraction as itself, a float as its exact dyadic
-ratio, and a Fraction angle with a Fraction start point as one ratio.
+convergents p/q with q <= 2**62. u * theta0 mod 1 in doubles loses every
+significant bit once u is large, so every phase is reduced exactly with
+integer arithmetic, through _kernels.frac_ratio: a Fraction angle as
+itself, a float as its exact dyadic ratio.
+
+A rotation's fourier_mode and finite_fourier values come from digit
+tables, the table-driven exponential of Tang ("Table-driven implementation
+of the exponential function in IEEE floating-point arithmetic", ACM TOMS
+15, 1989) applied along the orbit. With u written in base 2**DIGIT_BITS,
+
+    e(m (x0 + theta0 u)) = T_0[u_0] T_1[u_1] ...,
+    T_i[j] = e(m theta0 j 2**(DIGIT_BITS i)), T_0 also carrying e(m x0),
+
+so each call pays one complex exp per table entry, not one per index.
+Each entry's phase is reduced exactly, so the error depends on neither
+the mode nor the index (the bound is in orbit_eval's docstring), and the
+entries are multiplied as separate real operations, so the bits do not
+depend on numpy's CPU dispatch level. Indicator observables take the
+positions frac(x0 + u theta0), reduced the same way; a Fraction angle
+with a Fraction start point is then one exact ratio.
 
 A doubling-map point is its seed: its binary digits are read 64 to a
 counter-based draw (Salmon et al., "Parallel random numbers: as easy as
@@ -44,8 +59,16 @@ _OBSERVABLE_READS = {"fourier_mode": ("mode",), "indicator": ("interval",),
                      "finite_fourier": ("terms",)}
 
 MAX_ANGLE_DEN = 1 << 62
-MAX_MODE = 1 << 53  # Observable.eval takes m * x in doubles, exact to 2**53
+# rotations reduce m * theta0 exactly at any mode; Observable.eval, which
+# doubling orbits read, takes m * x in doubles, where |m| <= 2**53 is exact
+MAX_MODE = 1 << 53
 DEFAULT_BIT_WINDOW = 53
+# a rotation's orbit values read the index in base 2**DIGIT_BITS, one
+# table of 2**DIGIT_BITS values per digit (see orbit_eval)
+DIGIT_BITS = 12
+_DIGIT_MASK = (1 << DIGIT_BITS) - 1
+# terms per pass of the table product: its operands stay in cache
+_PASS = 1 << 14
 
 
 def _cf_constant_convergent(a: int, max_den: int) -> Fraction:
@@ -308,14 +331,136 @@ def _doubling_positions(seed: int, u: np.ndarray) -> np.ndarray:
     return np.ldexp(w.astype(np.float64), -DEFAULT_BIT_WINDOW)
 
 
+def _times(acc: np.ndarray, g: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """acc *= g for complex arrays as separate real ufuncs, re*gr - im*gi
+    and re*gi + im*gr, with a and b real scratch of their length: numpy
+    never fuses two ufunc calls, so no dispatch level's fused multiply-add
+    moves a bit (a complex multiply's inner loop may use one)."""
+    re, im = acc.real, acc.imag
+    np.multiply(re, g.imag, out=a)
+    np.multiply(im, g.real, out=b)
+    re *= g.real
+    im *= g.imag
+    re -= im
+    np.add(a, b, out=im)
+
+
+def _e(phases: np.ndarray) -> np.ndarray:
+    """exp(2 i pi x) of phases x in [0, 2], taken mod 1 first."""
+    return np.exp(2j * np.pi * mod1(phases))
+
+
+def _rotation_tables(theta0, x0, m: int, c: complex, spans: list) -> list:
+    """The digit tables of one mode m and its coefficient c: T_i[j] =
+    e(m theta0 j 2**(DIGIT_BITS i)) for the digits lo <= j <= hi of
+    spans[i] (entries outside are never read), and T_0 also carries
+    c e(m x0). Each phase is reduced exactly by frac_ratio on theta0 =
+    p/q: (m p 2**(DIGIT_BITS i)) mod q over q. A Fraction x0 = a/b joins
+    T_0 as the one ratio (m a q + j m p b) / (q b); a float x0 as
+    frac(m x0), exact and then rounded, in one addition."""
+    p, q = theta0.as_integer_ratio()
+    a, b = x0.as_integer_ratio()
+    tables = []
+    for i, (lo, hi) in enumerate(spans):
+        j = np.arange(lo, hi + 1, dtype=np.int64)
+        if i:
+            phases = frac_ratio(m * p << (DIGIT_BITS * i), q, j)
+        elif isinstance(x0, Fraction):
+            phases = frac_ratio(m * p * b, q * b, j, shift=m * a * q)
+        else:
+            phases = frac_ratio(m * p, q, j) + float(Fraction(m * a % b, b))
+        table = np.zeros(1 << DIGIT_BITS, dtype=np.complex128)
+        table[lo : hi + 1] = _e(phases)
+        tables.append(table)
+    if c != 1:
+        lo, hi = spans[0]
+        part = tables[0][lo : hi + 1]
+        _times(part, np.full(part.size, c), np.empty(part.size), np.empty(part.size))
+    return tables
+
+
+def _digit_spans(lo: int, hi: int) -> list:
+    """(first, last) digit that table i can meet for indices in [lo, hi],
+    one pair per base-2**DIGIT_BITS digit of hi (at least one): the
+    digits of lo and hi where every index shares the digits above, else
+    the whole range."""
+    spans = []
+    for i in range(max(1, -(-hi.bit_length() // DIGIT_BITS))):
+        shift = DIGIT_BITS * i
+        if lo >> (shift + DIGIT_BITS) == hi >> (shift + DIGIT_BITS):
+            spans.append(((lo >> shift) & _DIGIT_MASK, (hi >> shift) & _DIGIT_MASK))
+        else:
+            spans.append((0, _DIGIT_MASK))
+    return spans
+
+
+def _rotation_values(theta0, x0, f: Observable, u: np.ndarray) -> np.ndarray:
+    """sum_m c_m e(m (x0 + theta0 u)) over the terms of a fourier_mode
+    (m, 1) or finite_fourier observable, for nonnegative integer u: per
+    mode, the product T_0[u_0] T_1[u_1] ... T_{t-1}[u_{t-1}] of its
+    tables (_rotation_tables) over the base-2**DIGIT_BITS digits u_i of u,
+    in that order and by _times, then the modes added in term order (a
+    term with c = 0 adds nothing and is skipped).
+
+    t is the digit count of the largest u in the call, at least 1. A
+    table past an index's top digit gives T[0] = 1 + 0i, which changes no
+    bit of a product, so each value depends on its own index alone. The
+    product runs _PASS terms at a time, so its operands stay in cache."""
+    terms = [(f.mode, 1)] if f.kind == "fourier_mode" else [(m, c) for m, c in f.terms if c]
+    spans = _digit_spans(int(u.min()), int(u.max()))
+    count = len(spans)
+    tables = [_rotation_tables(theta0, x0, m, c, spans) for m, c in terms]
+    out = np.zeros(u.size, dtype=np.complex128)
+    width = min(u.size, _PASS)
+    digits = np.empty(width, dtype=np.int64)
+    entry, term = np.empty((2, width), dtype=np.complex128)
+    a, b = np.empty((2, width))
+    for s in range(0, u.size, _PASS):
+        us, outs = u[s : s + _PASS], out[s : s + _PASS]
+        k = us.size
+        d = digits[:k]
+        for n, mode_tables in enumerate(tables):
+            acc = term[:k] if n else outs
+            np.bitwise_and(us, _DIGIT_MASK, out=d)
+            np.take(mode_tables[0], d, out=acc, mode="clip")
+            for i in range(1, count):
+                np.right_shift(us, DIGIT_BITS * i, out=d)
+                if i < count - 1:
+                    d &= _DIGIT_MASK
+                np.take(mode_tables[i], d, out=entry[:k], mode="clip")
+                _times(acc, entry[:k], a[:k], b[:k])
+            if n:
+                outs += acc
+    return out
+
+
 def orbit_eval(system: SystemModel, f: Observable, x0: OrbitPoint, indices) -> np.ndarray:
     """Values f(T^{u_j} x0) as a complex array, one per index.
 
     Each value depends on its own index alone, so the harness stages call
     this on one block of indices at a time, and any split of the indices
-    gives the same bits. DEFAULT_BIT_WINDOW is the evaluation precision B
-    for doubling systems, and each doubling value reads two draws, the
-    64-digit words that hold its window.
+    gives the same bits.
+
+    A rotation with a fourier_mode or finite_fourier observable multiplies
+    digit tables (_rotation_values): one complex exp per table entry,
+    2**DIGIT_BITS entries per table and one table per base-2**DIGIT_BITS
+    digit of the largest index, not one exp per index. Every phase
+    m theta0 j 2**(DIGIT_BITS i) (+ m x0) is reduced exactly, whatever the
+    mode and the index, so the error does not grow with |m| or u: with t
+    tables, K terms and eps = 2**-52, each value lies within
+    (26 t + K) eps sum_m |c_m| of the exact f(T^u x0) (c = 1 for a
+    fourier_mode), given a libm whose cos and sin are within 1 ulp. A
+    table entry's phase is off by at most 3 eps (1.5 eps for a Fraction
+    x0), 2 pi times that is at most 22.2 eps, and the exp adds 1.5 eps;
+    each of the t - 1 products and the fold of c adds 1.5 eps, and each
+    of the K - 1 additions at most eps. Only +, - and * of doubles build a
+    value from its table entries, so the bits do not depend on numpy's CPU
+    dispatch level.
+
+    Indicator observables take the positions frac(x0 + u theta0), reduced
+    the same way, and Observable.eval. DEFAULT_BIT_WINDOW is the
+    evaluation precision B for doubling systems, and each doubling value
+    reads two draws, the 64-digit words that hold its window.
     """
     u = np.ascontiguousarray(indices)
     if u.dtype.kind not in "iu":
@@ -327,8 +472,9 @@ def orbit_eval(system: SystemModel, f: Observable, x0: OrbitPoint, indices) -> n
     if system.kind == "rotation":
         if x0.kind != "rotation":
             raise ValueError("rotation system needs a rotation orbit point")
-        pos = _rotation_positions(system.theta0, x0.x0, u)
-        return f.eval(pos)
+        if f.kind != "indicator":
+            return _rotation_values(system.theta0, x0.x0, f, u)
+        return f.eval(_rotation_positions(system.theta0, x0.x0, u))
     if x0.kind != "doubling":
         raise ValueError("doubling system needs a doubling orbit point")
     return f.eval(_doubling_positions(x0.seed, u))

@@ -1,17 +1,25 @@
 """Systems, observables, orbit evaluation, spectral norms."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergosum import dynamics
+from ergosum._kernels import MULMOD_MAX_DEN
 from ergosum.averages import spectral_l2_norm
 from ergosum.dynamics import (
     DEFAULT_BIT_WINDOW,
+    DIGIT_BITS,
     MAX_ANGLE_DEN,
+    MAX_MODE,
     Observable,
     OrbitPoint,
     SpectralMeasure,
@@ -100,6 +108,158 @@ def test_rotation_rejects_bad_angles():
         SystemModel.rotation(1.0)
     with pytest.raises(ValueError):
         SystemModel.rotation(Fraction(1, MAX_ANGLE_DEN * 2 + 1))
+
+
+# ------------------------------------------------------ rotation tables
+
+_EPS = 2.0**-52
+
+angles = st.one_of(
+    st.integers(2, MAX_ANGLE_DEN).flatmap(
+        lambda q: st.integers(1, q - 1).map(lambda p: Fraction(p, q))),
+    st.floats(2.0**-80, 1.0, exclude_max=True),  # below 2**-64 too
+)
+starts = st.one_of(
+    st.fractions(0, 1, max_denominator=2**64).filter(lambda x: x < 1),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+modes = st.integers(-MAX_MODE, MAX_MODE)
+observables = st.one_of(
+    modes.map(Observable.fourier_mode),
+    st.dictionaries(modes, st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                    min_size=1, max_size=3).map(
+        lambda d: Observable.finite_fourier([[m, re, im] for m, (re, im) in d.items()])),
+)
+
+
+def _terms(f):
+    return [(f.mode, 1)] if f.kind == "fourier_mode" else list(f.terms)
+
+
+def _e_oracle(phase: Fraction) -> complex:
+    """e(phase) by math.cos and math.sin of the exact phase taken into
+    [-1/2, 1/2): the argument 2 pi x is off by at most 3.1 eps and each
+    part by 1 ulp more, so the value by at most 4.5 eps."""
+    x = 2.0 * math.pi * float(phase - math.floor(phase + Fraction(1, 2)))
+    return complex(math.cos(x), math.sin(x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=angles, x0=starts, f=observables,
+       u=st.lists(st.integers(0, 2**62), min_size=1, max_size=6))
+def test_rotation_values_are_within_the_table_bound(theta, x0, f, u):
+    """Each value lies within orbit_eval's stated (26 t + K) eps sum|c_m|
+    of the exact sum_m c_m e(m (x0 + theta u)), t the digit tables of the
+    largest index and K the terms, at any angle, start, mode up to 2**53
+    and index up to 2**62. The exact position is oracles.rotation_orbit;
+    the reference adds at most (6 + K) eps sum|c_m| of its own: 4.5 eps
+    per e(.), 1.5 eps per product with c and eps per addition."""
+    idx = np.array(u, dtype=np.int64)
+    got = orbit_eval(SystemModel.rotation(theta), f, OrbitPoint.rotation(x0), idx)
+    terms = _terms(f)
+    t = max(1, -(-max(u).bit_length() // DIGIT_BITS))
+    c_l1 = sum(abs(c) for _, c in terms)
+    bound = (26 * t + 2 * len(terms) + 6) * _EPS * c_l1
+    for g, uj in zip(got, u):
+        pos = oracles.rotation_orbit(Fraction(theta), Fraction(x0), uj)
+        want = sum(c * _e_oracle(m * pos) for m, c in terms)
+        assert abs(g - want) <= bound, (uj, abs(g - want) / (_EPS * c_l1), t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=angles, x0=starts, f=observables,
+       u=st.lists(st.one_of(st.integers(0, 5000), st.integers(0, 2**62)),
+                  min_size=2, max_size=40),
+       cuts=st.lists(st.integers(1, 39), max_size=6))
+def test_rotation_values_do_not_depend_on_the_split(theta, x0, f, u, cuts):
+    """Cutting a rotation's indices anywhere gives the same bytes, though
+    each piece builds only the tables, and the table entries, its own
+    indices need."""
+    system, point = SystemModel.rotation(theta), OrbitPoint.rotation(x0)
+    idx = np.array(u, dtype=np.int64)
+    edges = sorted({0, idx.size, *(c for c in cuts if c < idx.size)})
+    pieces = [orbit_eval(system, f, point, idx[i:j]) for i, j in zip(edges, edges[1:])]
+    assert np.concatenate(pieces).tobytes() == orbit_eval(system, f, point, idx).tobytes()
+
+
+def test_rotation_values_do_not_depend_on_the_split_across_passes():
+    """Blocks, single indices and the whole: indices below 2**12 (one
+    table) and up to 2**40 (four), cut inside and across the passes of
+    the table product, as bytes."""
+    rng = np.random.default_rng(7)
+    u = np.concatenate([np.arange(20_000), rng.integers(0, 2**40, 30_000)]).astype(np.int64)
+    rng.shuffle(u[5_000:])
+    f = Observable.finite_fourier([[3, 0.5, -0.25], [-7, 1.0, 0.0], [2**40 + 1, 0.0, 1.0]])
+    for system, x0 in ((SystemModel.rotation_sqrt2(), [1, 3]),
+                       (SystemModel.rotation(0.3819660112501051), 0.125)):
+        point = OrbitPoint.rotation(x0)
+        whole = orbit_eval(system, f, point, u)
+        edges = [0, 1, 4096, 16_391, 33_000, u.size]
+        pieces = [orbit_eval(system, f, point, u[i:j]) for i, j in zip(edges, edges[1:])]
+        assert np.concatenate(pieces).tobytes() == whole.tobytes()
+        picks = rng.integers(0, u.size, 50)
+        singles = [orbit_eval(system, f, point, u[k : k + 1]) for k in picks]
+        assert np.concatenate(singles).tobytes() == whole[picks].tobytes()
+
+
+def test_rotation_tables_reduce_only_table_entries(monkeypatch):
+    """Moduli past 2**62 (a Fraction start point on a deep convergent, a
+    float angle below 2**-64) reduce through Python integers, and only
+    the table entries go through them: no exact reduction of a
+    fourier_mode or finite_fourier rotation sees more than 2**DIGIT_BITS
+    elements, whatever the number of indices."""
+    seen = []
+    real = dynamics.frac_ratio
+
+    def recording(num, den, u, shift=0):
+        seen.append((den, np.size(u)))
+        return real(num, den, u, shift=shift)
+
+    monkeypatch.setattr(dynamics, "frac_ratio", recording)
+    u = np.arange(1, 200_001, dtype=np.int64) * 977
+    for theta, x0 in ((SystemModel.rotation_sqrt2().theta0, [1, 3]),
+                      (1e-5, 0.25), (0.3, [1, 3])):
+        for f in (Observable.fourier_mode(3), Observable.finite_fourier([[1, 1, 0], [-2, 0, 1]])):
+            orbit_eval(SystemModel.rotation(theta), f, OrbitPoint.rotation(x0), u)
+    assert max(den for den, _ in seen) > MULMOD_MAX_DEN
+    assert max(size for _, size in seen) == 1 << DIGIT_BITS
+
+
+# hashes one rotation's orbit values, in-process and under restricted
+# numpy dispatch levels
+_DISPATCH_PROBE = """
+import hashlib
+from ergosum.dynamics import Observable, OrbitPoint, SystemModel, orbit_eval
+from ergosum.indices import IndexSpec, gen_indices
+u = gen_indices(IndexSpec(kind="cramer_primes", seed=1), 1, 300_001)
+h = hashlib.sha256()
+for system, f, x0 in (
+        (SystemModel.rotation_sqrt2(), Observable.fourier_mode(7), 0.0),
+        (SystemModel.rotation(0.3819660112501051),
+         Observable.finite_fourier([[1, 0.3, 0.7], [-5, 1.1, -0.4]]), 0.1)):
+    h.update(orbit_eval(system, f, OrbitPoint.rotation(x0), u).tobytes())
+digest = h.hexdigest()
+"""
+
+
+@pytest.mark.parametrize("disabled", ["AVX512_SPR AVX512_ICL X86_V4",
+                                      "AVX512_SPR AVX512_ICL X86_V4 X86_V3"],
+                         ids=["x86-64-v3", "baseline"])
+def test_rotation_values_do_not_depend_on_the_dispatch_level(disabled):
+    """Rotation orbit values hash alike with numpy's AVX-512 (and then
+    AVX2) kernels switched off, in a fresh process. On a host that lacks
+    a feature, its restriction changes nothing and the test still runs.
+    Not checked here: other architectures, other libms and other numpy
+    versions."""
+    scope = {}
+    exec(_DISPATCH_PROBE, scope)
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(dynamics.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _DISPATCH_PROBE + "print(digest)\n"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == [scope["digest"]]
 
 
 # ---------------------------------------------------------------- doubling
