@@ -241,6 +241,9 @@ class _Plan:
     observable: Observable | None = None
     point: OrbitPoint = _ORIGIN  # read by rotation runs; a doubling run starts from its seed
     normalizer: NormalizerSpec | None = None
+    # the normalizer's NormalizedGrid on the stored grid, when _plan built
+    # it to check the normalizer; _average_stage reuses it
+    normed: NormalizedGrid | None = None
     n_terms: int | None = None
     k_first: int = 1
     hilbert: bool = False
@@ -454,13 +457,14 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
     if diags:
         return None, diags
     grid = run_grid(kf, config.n_terms, hilbert)
-    # a series divides by A(k), an average by the A(N) of its stage's NormalizedGrid
-    check("normalizer", lambda: norm.values(grid) if hilbert
-          else NormalizedGrid.build(grid, norm))
+    # a series divides by A(k), an average by the A(N) of this NormalizedGrid
+    normed = check("normalizer", lambda: norm.values(grid) if hilbert
+                   else NormalizedGrid.build(grid, norm))
     if ladder is not None:
         check("ladder", lambda: ladder_positions(grid, ladder.values(), norm.k0))
     plan = _Plan(wspec, ispec, seeds=config.seeds, system=system, observable=f, point=point,
-                 normalizer=norm, n_terms=config.n_terms, k_first=kf, hilbert=hilbert,
+                 normalizer=norm, normed=None if hilbert else normed,
+                 n_terms=config.n_terms, k_first=kf, hilbert=hilbert,
                  tail_starts=config.tail_starts, bound=config.bound, ladder=ladder)
     return (None if diags else plan), diags
 
@@ -697,14 +701,16 @@ def _average_stage(files, plan: _Plan, report_extra):
     normalizer, report.json adds report_extra, and a plan with a ladder
     adds an oscillation report under its normalizer. The stored grid, its
     CSV thinning, each normalized grid (N >= k0, which can be a strict
-    suffix) and the chart's thinning of it are built once per stage."""
+    suffix; the plan's own when _plan built it) and the chart's thinning
+    of it are built once per stage."""
     betas, ladder = plan.betas, plan.ladder
     norms = ([plan.normalizer] if betas is None
              else [NormalizerSpec(gamma=beta, k0=1) for beta in betas])
     grid = run_grid(plan.k_first, plan.n_terms)
     keep = _thin_grid(grid)
     n = grid[keep]
-    normed = [NormalizedGrid.build(grid, norm) for norm in norms]
+    normed = ([plan.normed] if plan.normed is not None
+              else [NormalizedGrid.build(grid, norm) for norm in norms])
     chart_keeps = [_thin_grid(g.n_grid) for g in normed]
     # A(N) for N >= k0, None below (the grid is sorted, so those come first)
     first = normed[0]

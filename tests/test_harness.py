@@ -703,7 +703,8 @@ INVALID_CLI_CONFIGS = {
                       blocks=[[0, 1 << j] for j in range(6, 12)],
                       reference={"x": nested_list(depth)}),
         "reference: must nest at most 100 levels deep") for depth in (700, 900)},
-    # Observable.eval takes m * x in doubles, which this mode does not fit
+    # past the one cap on modes, 2**53: doubling orbits take m * x in doubles
+    # (rotations reduce m theta0 exactly, but the cap is the same)
     "fourier_mode_10_400": (
         tiny_average(observable={"kind": "fourier_mode", "mode": 10**400}),
         "observable: fourier_mode needs an integer mode with |m| <= 2**53"),
@@ -837,6 +838,31 @@ def test_rational_zero_start_writes_the_float_zero_bytes(tmp_path):
 def test_normalizer_overflow_is_a_diagnostic_only():
     diags = validate(cfg(**tiny_average(normalizer={"gamma": 400, "k0": 1})))
     assert diags == ["normalizer: normalizer must be positive on the range"]
+
+
+@pytest.mark.parametrize("kind", ["average_run", "oscillation_run"])
+def test_an_average_run_builds_its_normalized_grid_once(tmp_path, monkeypatch, kind):
+    """_plan builds the NormalizedGrid to check the normalizer, and the
+    stage reuses it: one build per run, and the outputs of a stage that
+    builds its own."""
+    extra = {"ladder": {"kind": "dyadic", "j_lo": 2, "j_hi": 7}} if kind == "oscillation_run" else {}
+    config = cfg(**tiny_average(kind=kind, n_terms=3000, output_dir=str(tmp_path), **extra))
+    builds = []
+    real = averages.NormalizedGrid.build
+    monkeypatch.setattr(averages.NormalizedGrid, "build",
+                        lambda grid, norm: builds.append(norm) or real(grid, norm))
+    manifest = run(config)
+    assert len(builds) == 1
+    plan = harness._plan(config)[0]
+    assert plan.normed is not None
+    reused, own = {}, {}
+    harness._average_stage(reused, plan, {})
+    assert len(builds) == 2
+    harness._average_stage(own, dataclasses.replace(plan, normed=None), {})
+    assert len(builds) == 3
+    assert reused == own
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in own.items()} == {
+        name: manifest.outputs[name]["sha256"] for name in own}
 
 
 def test_cli_run_parses_the_config_once(tmp_path, monkeypatch, capsys):
