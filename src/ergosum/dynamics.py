@@ -350,48 +350,25 @@ def _e(phases: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * mod1(phases))
 
 
-def _rotation_tables(theta0, x0, m: int, c: complex, spans: list) -> list:
+def _rotation_tables(theta0, x0, m: int, c: complex, count: int) -> list:
     """The digit tables of one mode m and its coefficient c: T_i[j] =
-    e(m theta0 j 2**(DIGIT_BITS i)) for the digits lo <= j <= hi of
-    spans[i] (entries outside are never read), and T_0 also carries
-    c e(m x0). Each phase is reduced exactly by frac_ratio on theta0 =
-    p/q: (m p 2**(DIGIT_BITS i)) mod q over q. A Fraction x0 = a/b joins
-    T_0 as the one ratio (m a q + j m p b) / (q b); a float x0 as
-    frac(m x0), exact and then rounded, in one addition."""
+    e(m theta0 j 2**(DIGIT_BITS i)) for i < count and j < 2**DIGIT_BITS,
+    and T_0 also carries c e(m x0). Each phase is reduced exactly by
+    frac_ratio on theta0 = p/q: (m p 2**(DIGIT_BITS i)) mod q over q. A
+    Fraction x0 = a/b joins T_0 as the one ratio (m a q + j m p b) / (q b);
+    a float x0 as frac(m x0), exact and then rounded, in one addition."""
     p, q = theta0.as_integer_ratio()
     a, b = x0.as_integer_ratio()
-    tables = []
-    for i, (lo, hi) in enumerate(spans):
-        j = np.arange(lo, hi + 1, dtype=np.int64)
-        if i:
-            phases = frac_ratio(m * p << (DIGIT_BITS * i), q, j)
-        elif isinstance(x0, Fraction):
-            phases = frac_ratio(m * p * b, q * b, j, shift=m * a * q)
-        else:
-            phases = frac_ratio(m * p, q, j) + float(Fraction(m * a % b, b))
-        table = np.zeros(1 << DIGIT_BITS, dtype=np.complex128)
-        table[lo : hi + 1] = _e(phases)
-        tables.append(table)
+    j = np.arange(1 << DIGIT_BITS, dtype=np.int64)
+    if isinstance(x0, Fraction):
+        first = frac_ratio(m * p * b, q * b, j, shift=m * a * q)
+    else:
+        first = frac_ratio(m * p, q, j) + float(Fraction(m * a % b, b))
+    tables = [_e(first)]
+    tables += [_e(frac_ratio(m * p << (DIGIT_BITS * i), q, j)) for i in range(1, count)]
     if c != 1:
-        lo, hi = spans[0]
-        part = tables[0][lo : hi + 1]
-        _times(part, np.full(part.size, c), np.empty(part.size), np.empty(part.size))
+        _times(tables[0], np.full(j.size, c), np.empty(j.size), np.empty(j.size))
     return tables
-
-
-def _digit_spans(lo: int, hi: int) -> list:
-    """(first, last) digit that table i can meet for indices in [lo, hi],
-    one pair per base-2**DIGIT_BITS digit of hi (at least one): the
-    digits of lo and hi where every index shares the digits above, else
-    the whole range."""
-    spans = []
-    for i in range(max(1, -(-hi.bit_length() // DIGIT_BITS))):
-        shift = DIGIT_BITS * i
-        if lo >> (shift + DIGIT_BITS) == hi >> (shift + DIGIT_BITS):
-            spans.append(((lo >> shift) & _DIGIT_MASK, (hi >> shift) & _DIGIT_MASK))
-        else:
-            spans.append((0, _DIGIT_MASK))
-    return spans
 
 
 def _rotation_values(theta0, x0, f: Observable, u: np.ndarray) -> np.ndarray:
@@ -407,9 +384,8 @@ def _rotation_values(theta0, x0, f: Observable, u: np.ndarray) -> np.ndarray:
     bit of a product, so each value depends on its own index alone. The
     product runs _PASS terms at a time, so its operands stay in cache."""
     terms = [(f.mode, 1)] if f.kind == "fourier_mode" else [(m, c) for m, c in f.terms if c]
-    spans = _digit_spans(int(u.min()), int(u.max()))
-    count = len(spans)
-    tables = [_rotation_tables(theta0, x0, m, c, spans) for m, c in terms]
+    count = max(1, -(-int(u.max()).bit_length() // DIGIT_BITS))
+    tables = [_rotation_tables(theta0, x0, m, c, count) for m, c in terms]
     out = np.zeros(u.size, dtype=np.complex128)
     width = min(u.size, _PASS)
     digits = np.empty(width, dtype=np.int64)

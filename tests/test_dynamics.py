@@ -173,8 +173,7 @@ def test_rotation_values_are_within_the_table_bound(theta, x0, f, u):
        cuts=st.lists(st.integers(1, 39), max_size=6))
 def test_rotation_values_do_not_depend_on_the_split(theta, x0, f, u, cuts):
     """Cutting a rotation's indices anywhere gives the same bytes, though
-    each piece builds only the tables, and the table entries, its own
-    indices need."""
+    each piece builds only the tables its own largest index needs."""
     system, point = SystemModel.rotation(theta), OrbitPoint.rotation(x0)
     idx = np.array(u, dtype=np.int64)
     edges = sorted({0, idx.size, *(c for c in cuts if c < idx.size)})
