@@ -384,9 +384,11 @@ def _rotation_values(theta0, x0, f: Observable, u: np.ndarray) -> np.ndarray:
     bit of a product, so each value depends on its own index alone. The
     product runs _PASS terms at a time, so its operands stay in cache."""
     terms = [(f.mode, 1)] if f.kind == "fourier_mode" else [(m, c) for m, c in f.terms if c]
+    if not terms:
+        return np.zeros(u.size, dtype=np.complex128)
     count = max(1, -(-int(u.max()).bit_length() // DIGIT_BITS))
     tables = [_rotation_tables(theta0, x0, m, c, count) for m, c in terms]
-    out = np.zeros(u.size, dtype=np.complex128)
+    out = np.empty(u.size, dtype=np.complex128)
     width = min(u.size, _PASS)
     digits = np.empty(width, dtype=np.int64)
     entry, term = np.empty((2, width), dtype=np.complex128)
