@@ -400,6 +400,8 @@ def _rotation_values(theta0, x0, f: Observable, u: np.ndarray) -> np.ndarray:
         for n, mode_tables in enumerate(tables):
             acc = term[:k] if n else outs
             np.bitwise_and(us, _DIGIT_MASK, out=d)
+            # every digit is in range; "clip" spares the buffered copy of
+            # out that take makes under its default "raise"
             np.take(mode_tables[0], d, out=acc, mode="clip")
             for i in range(1, count):
                 np.right_shift(us, DIGIT_BITS * i, out=d)
