@@ -428,12 +428,13 @@ def orbit_eval(system: SystemModel, f: Observable, x0: OrbitPoint, indices) -> n
     m theta0 j 2**(DIGIT_BITS i) (+ m x0) is reduced exactly, whatever the
     mode and the index, so the error does not grow with |m| or u: with t
     tables, K terms and eps = 2**-52, each value lies within
-    (26 t + K) eps sum_m |c_m| of the exact f(T^u x0) (c = 1 for a
+    (27 t + K) eps sum_m |c_m| of the exact f(T^u x0) (c = 1 for a
     fourier_mode), given a libm whose cos and sin are within 1 ulp. A
     table entry's phase is off by at most 3 eps (1.5 eps for a Fraction
-    x0), 2 pi times that is at most 22.2 eps, and the exp adds 1.5 eps;
-    each of the t - 1 products and the fold of c adds 1.5 eps, and each
-    of the K - 1 additions at most eps. Only +, - and * of doubles build a
+    x0), so its angle 2 pi x by at most 23.1 eps with the rounding of pi
+    and of the product, and the exp adds 1.5 eps; each of the t - 1
+    products and the fold of c adds 1.5 eps, and each of the K - 1
+    additions at most eps. Only +, - and * of doubles build a
     value from its table entries, so the bits do not depend on numpy's CPU
     dispatch level.
 

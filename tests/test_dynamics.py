@@ -132,10 +132,6 @@ observables = st.one_of(
 )
 
 
-def _terms(f):
-    return [(f.mode, 1)] if f.kind == "fourier_mode" else list(f.terms)
-
-
 def _e_oracle(phase: Fraction) -> complex:
     """e(phase) by math.cos and math.sin of the exact phase taken into
     [-1/2, 1/2): the argument 2 pi x is off by at most 3.1 eps and each
@@ -148,7 +144,7 @@ def _e_oracle(phase: Fraction) -> complex:
 @given(theta=angles, x0=starts, f=observables,
        u=st.lists(st.integers(0, 2**62), min_size=1, max_size=6))
 def test_rotation_values_are_within_the_table_bound(theta, x0, f, u):
-    """Each value lies within orbit_eval's stated (26 t + K) eps sum|c_m|
+    """Each value lies within orbit_eval's stated (27 t + K) eps sum|c_m|
     of the exact sum_m c_m e(m (x0 + theta u)), t the digit tables of the
     largest index and K the terms, at any angle, start, mode up to 2**53
     and index up to 2**62. The exact position is oracles.rotation_orbit;
@@ -156,10 +152,10 @@ def test_rotation_values_are_within_the_table_bound(theta, x0, f, u):
     per e(.), 1.5 eps per product with c and eps per addition."""
     idx = np.array(u, dtype=np.int64)
     got = orbit_eval(SystemModel.rotation(theta), f, OrbitPoint.rotation(x0), idx)
-    terms = _terms(f)
+    terms = [(f.mode, 1)] if f.kind == "fourier_mode" else f.terms
     t = max(1, -(-max(u).bit_length() // DIGIT_BITS))
     c_l1 = sum(abs(c) for _, c in terms)
-    bound = (26 * t + 2 * len(terms) + 6) * _EPS * c_l1
+    bound = (27 * t + 2 * len(terms) + 6) * _EPS * c_l1
     for g, uj in zip(got, u):
         pos = oracles.rotation_orbit(Fraction(theta), Fraction(x0), uj)
         want = sum(c * _e_oracle(m * pos) for m, c in terms)
