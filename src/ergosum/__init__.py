@@ -7,8 +7,9 @@ doubling, spectral surrogate), weighted averages and one-sided weighted
 Hilbert-type series, and a batch experiment harness.
 """
 
-from .weights import WeightSpec, gen_weights, moebius_sieve
-from .indices import IndexSpec, gen_indices, pi_count, primes_upto, first_primes
+from ._kernels import BlockSource
+from .weights import WeightSpec, gen_weights, moebius_sieve, weight_blocks
+from .indices import IndexSpec, gen_indices, index_blocks, pi_count, primes_upto
 from .trigsum import (
     ThetaGrid,
     SupEstimate,

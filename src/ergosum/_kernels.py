@@ -13,7 +13,8 @@ Three concerns live here:
   running total of the chunks before. Its blocks hold whole chunks (bar
   the last), so block edges are chunk edges and the chunk partition,
   hence every bit, is the same whether the terms are slices of one array
-  (prefix_at) or the orbit stages' cache-sized blocks, and
+  (prefix_at) or the orbit stages' cache-sized blocks, which a
+  BlockSource can hand over from a generator of them, and
 
 * exact mod-1 argument reduction of (shift + u*num)/den for integer u in
   one kernel, frac_ratio: a double theta enters as its exact ratio
@@ -100,14 +101,15 @@ def pairwise_sum(a: np.ndarray):
     return tree_reduce(chunk_sums(a))
 
 
-def prefix_sums(block_terms, bounds) -> np.ndarray:
-    """Prefix sums of a term sequence at exclusive end positions ``bounds``
-    (strictly increasing integers >= 1), taking the terms block by block:
-    ``block_terms(i, j)`` gives terms[i:j] for each consecutive [i, j) of
-    _BLOCK terms covering [0, bounds[-1]), in order, so one block's terms
-    and their temporaries stay in cache.
+def prefix_sums(block_terms, bounds, offset: int = 0) -> np.ndarray:
+    """Prefix sums of a term sequence at exclusive end positions ``bounds -
+    offset`` (strictly increasing integers >= 1), taking the terms block by
+    block: ``block_terms(i, j)`` gives terms[i:j] for each consecutive
+    [i, j) of _BLOCK terms covering [0, bounds[-1] - offset), in order, so
+    one block's terms and their temporaries stay in cache. The offset lets
+    a caller pass a stored grid of N as it is, with no shifted copy.
 
-    Element i of the result is sum(terms[:bounds[i]]), assembled from a
+    Element i of the result is sum(terms[:bounds[i] - offset]), assembled from a
     fixed chunk partition: cumulative inside each chunk of CHUNK terms,
     sequential across the totals of the chunks before it. Blocks hold
     whole chunks (bar the last), so block edges are chunk edges and the
@@ -119,10 +121,10 @@ def prefix_sums(block_terms, bounds) -> np.ndarray:
     which the bounds inside the block are read.
     """
     bounds = np.asarray(bounds, dtype=np.int64)
-    if bounds.ndim != 1 or bounds.size == 0 or bounds[0] < 1 or np.any(
+    if bounds.ndim != 1 or bounds.size == 0 or bounds[0] - offset < 1 or np.any(
             bounds[1:] <= bounds[:-1]):
-        raise ValueError("bounds must be strictly increasing integers >= 1")
-    n = int(bounds[-1])
+        raise ValueError("bounds - offset must be strictly increasing integers >= 1")
+    n = int(bounds[-1]) - offset
     dense = bounds.size == n  # every end 1..n
     values = scratch = carry = None
     done = 0
@@ -150,10 +152,34 @@ def prefix_sums(block_terms, bounds) -> np.ndarray:
         if carry is not None:
             out[f:] += carry
         if not dense:
-            stop = int(np.searchsorted(bounds, i + m, side="right"))
-            values[done:stop] = out[bounds[done:stop] - 1 - i]
+            stop = int(np.searchsorted(bounds, offset + i + m, side="right"))
+            values[done:stop] = out[bounds[done:stop] - (offset + 1 + i)]
             done = stop
     return values
+
+
+class BlockSource:
+    """A sequence of `size` terms handed over as consecutive _BLOCK-term
+    arrays (the last one shorter) from an iterator, read once, in order,
+    as prefix_sums asks for its blocks. len() is the term count, so a run
+    is sized before any term is drawn; take(i, j) gives terms[i:j] and
+    raises ValueError unless [i, j) is the next block and the iterator's
+    next array has j - i terms."""
+
+    def __init__(self, size: int, blocks):
+        self.size = int(size)
+        self._blocks = iter(blocks)
+        self._at = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def take(self, i: int, j: int) -> np.ndarray:
+        block = next(self._blocks, None)
+        if i != self._at or block is None or np.shape(block) != (j - i,):
+            raise ValueError(f"block source cannot give terms [{i}, {j})")
+        self._at = j
+        return block
 
 
 def prefix_at(terms: np.ndarray, bounds: np.ndarray) -> np.ndarray:

@@ -13,10 +13,11 @@ Conventions used throughout:
 Runs store prefix values on a grid (run_grid): every N up to 10^6, then
 geometric checkpoints; statistics over "all N" are grid statistics and
 say so. weighted_sums and hilbert_series, the one path from orbit values
-to stored sums, take (weights, orbit_values, ...): an aligned array, read
-as slices, or a function values(i, j) giving terms i..j-1, which
-_kernels.prefix_sums asks for one 2^16-term block at a time, so orbit
-values need never exist at full length. Terms come from one formula,
+to stored sums, take (weights, orbit_values, ...): the weights as an
+array or a _kernels.BlockSource, the orbit values as an aligned array or
+a function values(i, j) giving terms i..j-1, which _kernels.prefix_sums
+asks for one 2^16-term block at a time, so neither need exist at full
+length and a run's memory is its stored grid. Terms come from one formula,
 orbit_terms. No reduction that reaches an output goes through BLAS:
 slopes sum with the same pairwise kernel, so no report depends on the
 BLAS build or its thread count. A normalizer goes only where it divides:
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (check_reads, frac_of, is_int, is_real, next_pow2, pairwise_sum,
-                       prefix_at, prefix_sums)
+from ._kernels import (BlockSource, check_reads, frac_of, is_int, is_real, next_pow2,
+                       pairwise_sum, prefix_at, prefix_sums)
 from .dynamics import SpectralMeasure
 from .trigsum import SCALED_GRID_CAP, ThetaGrid, _check_pair, eval_grid
 
@@ -239,12 +240,21 @@ def run_grid(k_first: int, n_terms: int, inclusive: bool = False) -> np.ndarray:
 
 def _orbit_run(weights, orbit_values, k_first: int, n_grid,
                series: NormalizerSpec | None) -> SeriesRun:
-    """Prefix sums of orbit_terms at bounds = n_grid - k_first, one
-    prefix_sums block of orbit values at a time; given the normalizer of a
-    series, its terms are divided by A(k) and N is inclusive (bounds + 1)."""
-    w = np.ascontiguousarray(weights, dtype=np.complex128)
+    """Prefix sums of orbit_terms at bounds n_grid - k_first, one
+    prefix_sums block of weights and orbit values at a time; given the
+    normalizer of a series, its terms are divided by A(k) and N is
+    inclusive (bounds + 1). The weights are an array, read as slices, or a
+    BlockSource, read block by block."""
+    if isinstance(weights, BlockSource):
+        size, weight_block = len(weights), weights.take
+    else:
+        w = np.ascontiguousarray(weights, dtype=np.complex128)
+        size = w.size if w.ndim == 1 else 0
+
+        def weight_block(i, j):
+            return w[i:j]
     values = orbit_values
-    if w.ndim != 1 or w.size == 0 or not (callable(values) or np.shape(values) == w.shape):
+    if size == 0 or not (callable(values) or np.shape(values) == (size,)):
         raise ValueError("weights and orbit values must be aligned 1-d arrays")
     if not callable(values):
         v = np.ascontiguousarray(orbit_values, dtype=np.complex128)
@@ -252,23 +262,26 @@ def _orbit_run(weights, orbit_values, k_first: int, n_grid,
         def values(i, j):
             return v[i:j]
     inclusive = series is not None
-    n_grid = np.ascontiguousarray(run_grid(k_first, w.size, inclusive) if n_grid is None
+    n_grid = np.ascontiguousarray(run_grid(k_first, size, inclusive) if n_grid is None
                                   else n_grid, dtype=np.int64)
-    bounds = n_grid - k_first + inclusive  # prefix_sums rejects those below 1
-    if bounds.size and bounds[-1] > w.size:
+    offset = k_first - inclusive  # prefix_sums rejects ends n_grid - offset below 1
+    if n_grid.size and n_grid[-1] - offset > size:
         raise ValueError("stored N beyond the last term")
 
     def block_terms(i, j):  # reads orbit_terms at call time, so a patch applies
-        return orbit_terms(w[i:j], values(i, j), series, k_first + i)
-    return SeriesRun(k_first=k_first, n_grid=n_grid, sums=prefix_sums(block_terms, bounds),
+        return orbit_terms(weight_block(i, j), values(i, j), series, k_first + i)
+    return SeriesRun(k_first=k_first, n_grid=n_grid,
+                     sums=prefix_sums(block_terms, n_grid, offset),
                      convention="inclusive" if inclusive else "exclusive")
 
 
 def weighted_sums(weights, orbit_values, k_first: int = 0,
                   n_grid: np.ndarray | None = None) -> SeriesRun:
     """Running sums S_N = sum_{k_first <= k < N} w_k * orbit_k on a stored
-    grid (default run_grid: dense up to 10^6 then geometric). orbit_values
-    is an array aligned with the weights or a function values(i, j)."""
+    grid (default run_grid: dense up to 10^6 then geometric). The weights
+    are an array or a BlockSource of them (its len() the term count), and
+    orbit_values an array aligned with them or a function values(i, j);
+    given a BlockSource and a function, no term exists at full length."""
     return _orbit_run(weights, orbit_values, k_first, n_grid, None)
 
 
@@ -369,7 +382,8 @@ class NormalizedSeries:
         if den == 0.0:
             return math.nan
         y -= y.mean()
-        return _dot(xc, y) / den
+        # _dot(xc, y) without its product array: the same bits
+        return float(pairwise_sum(np.multiply(xc, y, out=y))) / den
 
 
 def _normalized_grid(run: SeriesRun, grid: NormalizedGrid | NormalizerSpec
@@ -422,8 +436,8 @@ def hilbert_series(weights, orbit_values, norm: NormalizerSpec,
                    k_first: int | None = None,
                    n_grid: np.ndarray | None = None) -> SeriesRun:
     """Partial sums of the series on a stored grid of [k_first, last term]
-    (inclusive convention; default run_grid). orbit_values is an array
-    aligned with the weights or a function values(i, j)."""
+    (inclusive convention; default run_grid). The weights and orbit_values
+    are taken as by weighted_sums."""
     k_first = norm.k0 if k_first is None else k_first  # A(k) raises below k0
     return _orbit_run(weights, orbit_values, k_first, n_grid, norm)
 

@@ -64,7 +64,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _svg
-from ._kernels import is_int, is_real
+from ._kernels import _BLOCK, BlockSource, is_int, is_real
 from .analytic_bounds import hlawka_bound, power_phase_exponent, steep_power_phase_exponent
 from .averages import (
     BlockLadder,
@@ -80,7 +80,7 @@ from .averages import (
 )
 from .dynamics import Observable, OrbitPoint, SystemModel, orbit_eval
 from .indices import _SEEDED as _SEEDED_INDICES
-from .indices import IndexSpec, check_top, gen_indices, pi_count
+from .indices import IndexSpec, check_top, gen_indices, index_blocks, pi_count
 from .scaling_fit import (
     TEMPLATES,
     EnvelopeSample,
@@ -92,7 +92,7 @@ from .scaling_fit import (
 )
 from .trigsum import SCALED_GRID_CAP, SupEstimate, ThetaGrid, sup_envelope, sup_harmonic
 from .weights import _SEEDED as _SEEDED_WEIGHTS
-from .weights import WeightSpec, check_phase, gen_weights
+from .weights import WeightSpec, check_phase, gen_weights, weight_blocks
 
 TOOL_VERSION = "0.1.0"
 
@@ -530,26 +530,40 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _csv_bytes(header: list[str], rows) -> bytes:
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    return ("\n".join(lines) + "\n").encode("utf-8")
+def _csv_text(rows) -> str:
+    """CSV lines of rows, each ending in a newline."""
+    return "".join(",".join(_cell(v) for v in row) + "\n" for row in rows)
+
+
+def _csv_bytes(header: list[str], texts) -> bytes:
+    """A CSV file: the header line, then the row texts of _csv_text."""
+    return (",".join(header) + "\n" + "".join(texts)).encode("utf-8")
 
 
 def _thin_grid(n_grid: np.ndarray) -> np.ndarray:
-    """Row indices for CSV emission: dense head, then geometric spacing.
+    """Row indices for CSV emission: the dense head N <= _CSV_DENSE_ROWS,
+    then the first N of each geometric bucket floor(log N / log
+    _CSV_THIN_RATIO), then the last N. The grid ascends and so do its
+    buckets: a bucket starts where the bucket number changes, which is
+    found _BLOCK stored N at a time, with no grid-sized temporaries.
 
     Reports always use the full stored grid; only the CSV is thinned."""
     if n_grid.size <= _CSV_DENSE_ROWS:
         return np.arange(n_grid.size)
-    head = np.flatnonzero(n_grid <= _CSV_DENSE_ROWS)
-    rest = np.flatnonzero(n_grid > _CSV_DENSE_ROWS)
-    buckets = np.floor(
-        np.log(n_grid[rest].astype(np.float64)) / np.log(_CSV_THIN_RATIO)
-    ).astype(np.int64)
-    _, first = np.unique(buckets, return_index=True)
-    keep = np.concatenate([head, rest[first], [n_grid.size - 1]])
-    return np.unique(keep)
+    head = int(np.searchsorted(n_grid, _CSV_DENSE_ROWS, side="right"))
+    keep = [np.arange(head)]
+    prev = None
+    for i in range(head, n_grid.size, _BLOCK):
+        buckets = np.floor(np.log(n_grid[i : i + _BLOCK].astype(np.float64))
+                           / np.log(_CSV_THIN_RATIO)).astype(np.int64)
+        starts = np.empty(buckets.size, dtype=bool)
+        starts[0] = buckets[0] != prev
+        np.not_equal(buckets[1:], buckets[:-1], out=starts[1:])
+        keep.append(np.flatnonzero(starts) + i)
+        prev = buckets[-1]
+    if keep[-1].size == 0 or keep[-1][-1] != n_grid.size - 1:
+        keep.append([n_grid.size - 1])
+    return np.concatenate(keep)
 
 
 def _median(vals) -> float:
@@ -592,7 +606,7 @@ def _envelope_stage(files, wspec, ispec, blocks, grid, harmonic, seeds):
                                       upper=est.upper, harmonic=harmonic))
         samples[seed] = got
     files["envelope.csv"] = _csv_bytes(
-        ["seed", "M", "N", *est_columns, "harmonic"], rows)
+        ["seed", "M", "N", *est_columns, "harmonic"], [_csv_text(rows)])
     series = []
     for seed in list(samples)[: len(_svg.PALETTE)]:
         got = samples[seed]
@@ -642,26 +656,26 @@ def _orbit_runs(plan: _Plan, grid: np.ndarray):
     sums, exclusive N) or, for a hilbert plan, hilbert_series (the series
     of the terms divided by A(k), inclusive N).
 
-    Each is handed the weights and a function values(i, j) that evaluates
-    that block's orbit values, so they exist one prefix_sums block at a
-    time; only the weights, the indices and the stored sums are full
-    length. Both sums and orbit_eval are read at call time, so wrappers
-    installed on this module apply. Nothing of one seed is held here
-    while the next one draws."""
-    k_first, norm = plan.k_first, plan.normalizer
-    k_end = k_first + plan.n_terms
+    Each is handed the weights as a BlockSource over weight_blocks and a
+    function values(i, j) that evaluates the orbit values of the next
+    block of index_blocks, so weights, indices and orbit values are drawn
+    one prefix_sums block at a time, in step: a run holds its stored grid
+    and one block, not n_terms of anything. The draws therefore happen
+    inside the sums' call. Both sums, the block iterators and orbit_eval
+    are read at call time, so wrappers installed on this module apply.
+    A run is yielded without a reference kept here, so it is freed as
+    soon as the caller drops it."""
+    k_first, norm, n_terms = plan.k_first, plan.normalizer, plan.n_terms
+    k_end = k_first + n_terms
     for seed in plan.seeds or [None]:
-        w = gen_weights(_for_seed(plan.weights, seed), k_first, k_end)
-        u = gen_indices(_for_seed(plan.indices, seed), k_first, k_end)
+        w = BlockSource(n_terms, weight_blocks(_for_seed(plan.weights, seed), k_first, k_end))
+        u = BlockSource(n_terms, index_blocks(_for_seed(plan.indices, seed), k_first, k_end))
         point = OrbitPoint.doubling(seed) if plan.system.kind == "doubling" else plan.point
 
         def values(i, j):
-            return orbit_eval(plan.system, plan.observable, point, u[i:j])
-        run = (hilbert_series(w, values, norm, k_first, grid) if plan.hilbert
-               else weighted_sums(w, values, k_first, grid))
-        del w, u, point
-        yield seed, run
-        del run  # before the next seed draws
+            return orbit_eval(plan.system, plan.observable, point, u.take(i, j))
+        yield seed, (hilbert_series(w, values, norm, k_first, grid) if plan.hilbert
+                     else weighted_sums(w, values, k_first, grid))
 
 
 def _decay_entry(ns, cps=None) -> dict:
@@ -702,7 +716,9 @@ def _average_stage(files, plan: _Plan, report_extra):
     adds an oscillation report under its normalizer. The stored grid, its
     CSV thinning, each normalized grid (N >= k0, which can be a strict
     suffix; the plan's own when _plan built it) and the chart's thinning
-    of it are built once per stage."""
+    of it are built once per stage. A seed's CSV rows and oscillation
+    report come first, and its run is dropped after its last
+    normalized_series, before the slopes (peak memory)."""
     betas, ladder = plan.betas, plan.ladder
     norms = ([plan.normalizer] if betas is None
              else [NormalizerSpec(gamma=beta, k0=1) for beta in betas])
@@ -716,16 +732,28 @@ def _average_stage(files, plan: _Plan, report_extra):
     first = normed[0]
     below = int(np.searchsorted(keep, first.start))
     a_value = [None] * below + first.a[keep[below:] - first.start].tolist()
-    csv_rows = []
+    csv_texts = []
     entries = []
     osc_entries = []
     chart = []
     osc_chart = []
     for seed, run in _orbit_runs(plan, grid):
+        csv_texts.append(_csv_text(_sum_rows(seed, n, run.sums[keep], a_value)))
+        if ladder is not None:
+            rep = oscillation_report(run, ladder, first)
+            osc_entries.append({"seed": seed, **_fields_json(rep),
+                                "decomposition": rep.check_decomposition()})
+            if len(osc_chart) < 4:
+                label = "osc" if seed is None else f"seed {seed}"
+                osc_chart.append((label, rep.ladder_j[:-1].tolist(), rep.osc.tolist()))
+            rep = None
+        n_max = run.n_max
         for beta, g, chart_keep in zip(betas or [None], normed, chart_keeps):
             ns = normalized_series(run, g)
+            if g is normed[-1]:
+                run = None
             if beta is None:
-                entry = {"seed": seed, "k_first": plan.k_first, "n_max": run.n_max,
+                entry = {"seed": seed, "k_first": plan.k_first, "n_max": n_max,
                          "monotone_normalizer": ns.monotone_normalizer}
                 label = "ratio" if seed is None else f"seed {seed}"
             else:
@@ -734,15 +762,7 @@ def _average_stage(files, plan: _Plan, report_extra):
             if len(chart) < len(_svg.PALETTE):
                 chart.append((label, ns.n_grid[chart_keep].tolist(),
                               ns.ratios[chart_keep].tolist()))
-        csv_rows.extend(_sum_rows(seed, n, run.sums[keep], a_value))
-        if ladder is not None:
-            rep = oscillation_report(run, ladder, first)
-            osc_entries.append({"seed": seed, **_fields_json(rep),
-                                "decomposition": rep.check_decomposition()})
-            if len(osc_chart) < 4:
-                label = "osc" if seed is None else f"seed {seed}"
-                osc_chart.append((label, rep.ladder_j[:-1].tolist(), rep.osc.tolist()))
-        run = ns = rep = None  # freed before the next seed draws (peak memory)
+            ns = None
     if betas is None:
         title, y_label = "normalized running sums", "|S_N| / A(N)"
         record = {
@@ -765,7 +785,7 @@ def _average_stage(files, plan: _Plan, report_extra):
             "n_terms": plan.n_terms,
             "per_beta": entries,
         }
-    files["series.csv"] = _csv_bytes(_SERIES_COLUMNS, csv_rows)
+    files["series.csv"] = _csv_bytes(_SERIES_COLUMNS, csv_texts)
     files["ratio.svg"] = _svg.line_chart(
         title, "N", y_label, chart, x_log=True, y_log=True).encode("utf-8")
     files["report.json"] = _json_bytes({**record, **report_extra})
@@ -791,11 +811,12 @@ def _hilbert_stage(files, plan: _Plan):
     keep = _thin_grid(grid)
     n = grid[keep]
     normed = None if ratio_norm is None else NormalizedGrid.build(grid, ratio_norm)
-    csv_rows = []
+    csv_texts = []
     per_seed = []
     ratio_entries = []
     chart = []
     for seed, run in _orbit_runs(plan, grid):
+        csv_texts.append(_csv_text(_sum_rows(seed, n, run.sums[keep])))
         starts = plan.tail_starts or _dyadic_starts(plan.k_first, run.n_max)
         tails = cauchy_tail_report(run, starts)
         max_abs = float(np.abs(run.sums).max())
@@ -804,7 +825,6 @@ def _hilbert_stage(files, plan: _Plan):
         if bound is not None:
             entry["within_bound"] = bool(max_abs <= bound)
         per_seed.append(entry)
-        csv_rows.extend(_sum_rows(seed, n, run.sums[keep]))
         if len(chart) < len(_svg.PALETTE):
             label = "|partial|" if seed is None else f"seed {seed}"
             chart.append((label, n.tolist(), np.abs(run.sums[keep]).tolist()))
@@ -812,7 +832,7 @@ def _hilbert_stage(files, plan: _Plan):
             ns = normalized_series(run, normed)
             ratio_entries.append({"seed": seed, **_decay_entry(ns)})
         run = ns = None  # freed before the next seed draws (peak memory)
-    files["hseries.csv"] = _csv_bytes(_SUM_COLUMNS, csv_rows)
+    files["hseries.csv"] = _csv_bytes(_SUM_COLUMNS, csv_texts)
     files["hseries.svg"] = _svg.line_chart(
         "series partial sums", "N", "|partial sum|",
         chart, x_log=True, y_log=False).encode("utf-8")
@@ -854,7 +874,7 @@ def _pi_table_stage(files, seeds, big_ns):
             s = p * math.log(n) / n
             rows.append([seed, n, p, s])
             scaled[n].append(s)
-    files["pi_table.csv"] = _csv_bytes(["seed", "N", "pi", "scaled"], rows)
+    files["pi_table.csv"] = _csv_bytes(["seed", "N", "pi", "scaled"], [_csv_text(rows)])
     return {str(n): {"median": _median(v), "min": min(v), "max": max(v)}
             for n, v in scaled.items()}
 

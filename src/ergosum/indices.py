@@ -1,13 +1,17 @@
 """Index (orbit time) sequences u_k: deterministic and random models.
 
-An IndexSpec names a family; gen_indices materializes any slice. As with
+An IndexSpec names a family; gen_indices materializes any slice and
+index_blocks hands the same values over one _BLOCK at a time. As with
 weights, generation is a pure function of (spec, range): the random prime
 model is drawn by thinning, one block of integers at a time, each block a
 pure function of (seed, block) through a counter-based generator (see
 _rng), so chunked and whole-range calls agree exactly.
 
-Prime ranges come from one segmented sieve up to Rosser's bound on the
-last prime a range needs; no prime tables are shipped.
+The prime-like kinds are indexed by count, so both walk their selected
+integers in increasing order and carry the count: primes through a
+segmented sieve up to Rosser's bound on the last prime a range needs (no
+prime tables are shipped), cramer_primes through the random-model blocks.
+A walk holds one sieve segment or a few random-model blocks at a time.
 """
 
 from __future__ import annotations
@@ -17,15 +21,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import check_reads, is_int
+from ._kernels import _BLOCK, check_reads, is_int
 from ._rng import block_starts, cramer_blocks
 
 # the optional fields each kind reads
 _READS = {"identity": (), "monomial": ("d",), "polynomial": ("coeffs",), "primes": (),
           "cramer_primes": ("seed",), "explicit": ("values",)}
 _SEEDED = tuple(k for k, reads in _READS.items() if "seed" in reads)
+# the kinds that walk their selected integers in order (see index_blocks)
+_WALKED = ("primes", "cramer_primes")
 
+# integers per prime sieve segment
 _SEG = 1 << 20
+# integers per cramer_blocks call of a walk: four 2^16-wide blocks
+_DRAW = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -82,13 +91,42 @@ def gen_indices(spec: IndexSpec, m: int, n: int) -> np.ndarray:
     """Indices u_k for k in [m, n) as int64; element j is u_{m+j}.
 
     Requires 0 <= m < n, m >= spec.offset and check_top(spec, m, n) to
-    pass, which it checks before evaluating anything.
+    pass, which it checks before evaluating anything. The prime-like kinds
+    are the concatenation of index_blocks, their one path.
     """
+    _check_range(spec, m, n)
+    if spec.kind in _WALKED:
+        return np.concatenate(list(_walk_blocks(spec, m, n)))
+    return _elementwise(spec, m, n)
+
+
+def index_blocks(spec: IndexSpec, m: int, n: int):
+    """Indices u_k for k in [m, n) as consecutive _BLOCK-term int64 arrays,
+    the last one shorter: block j is gen_indices(spec, m, n)[j * _BLOCK :
+    (j + 1) * _BLOCK], bit for bit. The arguments are checked as for
+    gen_indices when this is called, not when the first block is drawn.
+
+    primes and cramer_primes walk their selected integers in increasing
+    order, a sieve segment or a few random-model blocks at a time, and
+    carry the count: the first m - 1 are skipped, the rest are handed on.
+    So at most one segment and one block are held at a time, at any n.
+    The other kinds are one elementwise call per block.
+    """
+    _check_range(spec, m, n)
+    if spec.kind in _WALKED:
+        return _walk_blocks(spec, m, n)
+    return (_elementwise(spec, i, min(i + _BLOCK, n)) for i in range(m, n, _BLOCK))
+
+
+def _check_range(spec: IndexSpec, m: int, n: int) -> None:
     if not (0 <= m < n):
         raise ValueError("need 0 <= m < n")
     if m < spec.offset:
         raise ValueError(f"{spec.kind} indices start at k = {spec.offset}")
     check_top(spec, m, n)
+
+
+def _elementwise(spec: IndexSpec, m: int, n: int) -> np.ndarray:
     kind = spec.kind
     if kind == "identity":
         return np.arange(m, n, dtype=np.int64)
@@ -96,13 +134,40 @@ def gen_indices(spec: IndexSpec, m: int, n: int) -> np.ndarray:
         return np.arange(m, n, dtype=np.int64) ** spec.d
     if kind == "polynomial":
         return _horner(spec.coeffs, m, n)
-    if kind == "primes":
-        return first_primes(n - 1)[m - 1 : n - 1]
-    if kind == "cramer_primes":
-        return _cramer_nth_range(spec.seed, m, n)
     if kind == "explicit":
         return np.array(spec.values[m:n], dtype=np.int64)
     raise AssertionError(kind)
+
+
+def _walk_blocks(spec: IndexSpec, m: int, n: int):
+    """u_m..u_{n-1} (1-based) of a prime-like kind in _BLOCK-term arrays."""
+    if spec.kind == "primes":
+        selected = _prime_segments(_prime_bound(n - 1))
+    else:
+        selected = _cramer_walk(spec.seed)
+    return _blocks_of(selected, m - 1, n - m)
+
+
+def _blocks_of(parts, skip: int, count: int):
+    """Elements skip .. skip + count - 1 of the concatenation of the arrays
+    `parts`, as consecutive _BLOCK-element arrays, the last one shorter.
+    Only the parts a block needs are held."""
+    pending, have = [], 0
+    for part in parts:
+        if skip >= part.size:
+            skip -= part.size
+            continue
+        pending.append(part[skip:])
+        have += part.size - skip
+        skip = 0
+        while count and have >= min(_BLOCK, count):
+            size = min(_BLOCK, count)
+            joined = np.concatenate(pending)
+            yield joined[:size]
+            pending, have, count = [joined[size:]], have - size, count - size
+        if not count:
+            return
+    raise RuntimeError("index walk ended before the range was filled")
 
 
 def _horner(coeffs, m: int, n: int) -> np.ndarray:
@@ -139,9 +204,17 @@ def check_top(spec: IndexSpec, m: int, n: int) -> None:
     d = max((j for j, cj in enumerate(c) if cj), default=0)
     q = [sum(c[j] * math.comb(j, i) for j in range(i + 1, d + 1)) for i in range(d)]
     K = 2 + max(map(abs, q[:-1]), default=0) // abs(q[-1]) if d else m
-    u = _horner(c, m, max(m + 1, min(n, K + 1)))
-    if u[0] < 0 or np.any(np.diff(u) < 0) or (c[d] < 0 and max(m, K) <= n - 2):
-        raise ValueError("polynomial must be nonnegative and nondecreasing on the range")
+    shape = "polynomial must be nonnegative and nondecreasing on the range"
+    if c[d] < 0 and max(m, K) <= n - 2:
+        raise ValueError(shape)
+    # p on [m, top), one _BLOCK at a time, each block's first value checked
+    # against the last value of the block before (0 for the first)
+    top, last = max(m + 1, min(n, K + 1)), 0
+    for i in range(m, top, _BLOCK):
+        u = _horner(c, i, min(i + _BLOCK, top))
+        if u[0] < last or np.any(np.diff(u) < 0):
+            raise ValueError(shape)
+        last = u[-1]
 
 
 def pi_count(spec: IndexSpec, N: int) -> int:
@@ -161,14 +234,18 @@ def pi_count(spec: IndexSpec, N: int) -> int:
 
 
 def primes_upto(limit: int) -> np.ndarray:
-    """All primes <= limit, via a segmented sieve whose base primes up to
-    sqrt(limit) come from the same sieve."""
+    """All primes <= limit: the segments of _prime_segments joined."""
+    return np.concatenate([np.zeros(0, dtype=np.int64), *_prime_segments(limit)])
+
+
+def _prime_segments(limit: int):
+    """The primes <= limit in increasing order, one segmented-sieve segment
+    of _SEG integers at a time; the base primes up to sqrt(limit) come
+    from the same sieve."""
     if limit < 2:
-        return np.zeros(0, dtype=np.int64)
+        return
     base = primes_upto(math.isqrt(limit))
-    chunks = []
-    lo = 2
-    while lo <= limit:
+    for lo in range(2, limit + 1, _SEG):
         hi = min(lo + _SEG, limit + 1)
         mask = np.ones(hi - lo, dtype=bool)
         for p in base:
@@ -177,9 +254,7 @@ def primes_upto(limit: int) -> np.ndarray:
                 break
             start = max(p * p, ((lo + p - 1) // p) * p)
             mask[start - lo :: p] = False
-        chunks.append(np.flatnonzero(mask).astype(np.int64) + lo)
-        lo = hi
-    return np.concatenate(chunks)
+        yield np.flatnonzero(mask).astype(np.int64) + lo
 
 
 def _prime_bound(count: int) -> int:
@@ -190,29 +265,19 @@ def _prime_bound(count: int) -> int:
     return int(count * (math.log(count) + math.log(math.log(count)))) + 3
 
 
-def first_primes(count: int) -> np.ndarray:
-    """The first `count` primes, from one sieve up to _prime_bound(count)."""
-    return primes_upto(_prime_bound(count))[:max(count, 0)]
-
-
 # ---------------------------------------------------------------------------
-# random prime model (clamped probability min(1, 1/log k), first index 3);
-# the blocks of each 2^20 segment are drawn in one pass
+# random prime model (clamped probability min(1, 1/log k), first index 3)
 
 
-def _cramer_nth_range(seed: int, m: int, n: int) -> np.ndarray:
-    """Elements u_m..u_{n-1} (1-based) of the realized random index set."""
-    parts = []
-    total = 0
-    lo = 0
-    while total < n - 1:
-        if lo > 4096 * _SEG:
-            raise RuntimeError("random index model failed to fill the range")
-        seg = cramer_blocks(seed, block_starts(lo, lo + _SEG))
-        parts.extend(seg)
-        total += sum(map(len, seg))
-        lo += _SEG
-    return np.concatenate(parts)[m - 1 : n - 1]
+def _cramer_walk(seed: int):
+    """Selected integers of the realized random index set in increasing
+    order, one random-model block at a time, drawn _DRAW integers' worth of
+    blocks per cramer_blocks call: the blocks are independent, so how they
+    are grouped does not change a bit, and a small group keeps the thinning
+    temporaries near 2 MB."""
+    for lo in range(0, 4096 * _SEG, _DRAW):
+        yield from cramer_blocks(seed, block_starts(lo, lo + _DRAW))
+    raise RuntimeError("random index model failed to fill the range")
 
 
 def _cramer_count_upto(seed: int, N: int) -> int:

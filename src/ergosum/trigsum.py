@@ -112,9 +112,10 @@ def eval_grid(weights, indices, grid: ThetaGrid) -> np.ndarray:
     w, u = _check_pair(weights, indices)
     L = grid.points
     pos = (u.astype(np.uint64) % np.uint64(L)).astype(np.int64)
-    acc = np.empty(L, dtype=np.complex128)
-    acc.real = np.bincount(pos, weights=w.real, minlength=L)
-    acc.imag = np.bincount(pos, weights=w.imag, minlength=L)
+    # adds in index order from +0.0, as bincount of the real and imaginary
+    # parts does, bit for bit, without two L-length float buffers
+    acc = np.zeros(L, dtype=np.complex128)
+    np.add.at(acc, pos, w)
     # unnormalized inverse transform in place: no 1/L scaling to undo
     # and no second grid-sized buffer
     return np.fft.ifft(acc, norm="forward", out=acc)

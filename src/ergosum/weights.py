@@ -1,7 +1,8 @@
 """Weight sequence generators w_k for weighted averages and their sums.
 
 A WeightSpec names one of the supported families; gen_weights materializes
-any slice of the sequence. Generation is a pure function of
+any slice of the sequence and weight_blocks hands the same values over
+one _BLOCK at a time. Generation is a pure function of
 (spec, range): random phases draw through a counter-based generator keyed
 by (seed, k), and the centered random prime model reads the realization
 that the cramer_primes indices of the same seed read, drawn by thinning
@@ -23,7 +24,7 @@ import math
 
 import numpy as np
 
-from ._kernels import check_reads, frac_poly, is_int, is_real, mod1
+from ._kernels import _BLOCK, check_reads, frac_poly, is_int, is_real, mod1
 from ._rng import cramer_indicator, uniform01
 from .indices import primes_upto
 
@@ -105,14 +106,41 @@ def gen_weights(spec: WeightSpec, m: int, n: int) -> np.ndarray:
     """Weights w_k for k in [m, n) as complex128; element j is w_{m+j}.
 
     Requires 0 <= m < n and m >= spec.offset (the family's first defined
-    index). Identical arguments give bit-identical output.
+    index). Identical arguments give bit-identical output. moebius is the
+    concatenation of weight_blocks, its one path.
     """
+    _check_range(spec, m, n)
+    if spec.kind == "moebius":
+        return np.concatenate(list(_moebius_blocks(m, n)))
+    return _elementwise(spec, m, n)
+
+
+def weight_blocks(spec: WeightSpec, m: int, n: int):
+    """Weights w_k for k in [m, n) as consecutive _BLOCK-term complex128
+    arrays, the last one shorter: block j is gen_weights(spec, m, n)[j *
+    _BLOCK : (j + 1) * _BLOCK], bit for bit. The arguments are checked as
+    for gen_weights when this is called, not when the first block is drawn.
+
+    moebius sieves each block on its own with the primes up to
+    sqrt(n - 1); every other kind is one elementwise call per block. So
+    one block is held at a time, at any n.
+    """
+    _check_range(spec, m, n)
+    if spec.kind == "moebius":
+        return _moebius_blocks(m, n)
+    return (_elementwise(spec, i, min(i + _BLOCK, n)) for i in range(m, n, _BLOCK))
+
+
+def _check_range(spec: WeightSpec, m: int, n: int) -> None:
     if not (0 <= m < n):
         raise ValueError("need 0 <= m < n")
     if m < spec.offset:
         raise ValueError(
             f"{spec.kind} weights start at k = {spec.offset}; got range from {m}"
         )
+
+
+def _elementwise(spec: WeightSpec, m: int, n: int) -> np.ndarray:
     k = np.arange(m, n, dtype=np.int64)
     kind = spec.kind
     if kind == "constant":
@@ -128,8 +156,6 @@ def gen_weights(spec: WeightSpec, m: int, n: int) -> np.ndarray:
     if kind == "log_phase":
         phase = mod1(spec.h * np.log(k.astype(np.float64)))
         return np.exp(2j * np.pi * phase)
-    if kind == "moebius":
-        return moebius_sieve(n - 1)[m:n].astype(np.complex128)
     if kind == "iid_uniform_phase":
         return np.exp(2j * np.pi * uniform01(spec.seed, k))
     if kind == "centered_cramer":
@@ -137,6 +163,28 @@ def gen_weights(spec: WeightSpec, m: int, n: int) -> np.ndarray:
         p = 1.0 / np.log(k.astype(np.float64))
         return (x - np.minimum(1.0, p)).astype(np.complex128)
     raise AssertionError(kind)
+
+
+def _moebius_blocks(m: int, n: int):
+    """mu(k) for k in [m, n) as complex128 _BLOCK-term arrays, each block
+    sieved on its own by the primes p <= sqrt(n - 1): p flips the sign of
+    its multiples and zeroes those of p**2, and the product of the p that
+    divide k is kept. A k left with a product below k has exactly one prime
+    factor above sqrt(n - 1) (two would pass n), which flips it once more."""
+    base = primes_upto(math.isqrt(n - 1)).tolist()
+    for lo in range(m, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        mu = np.ones(hi - lo, dtype=np.int8)
+        prod = np.ones(hi - lo, dtype=np.int64)
+        for p in base:
+            mu[-lo % p :: p] *= -1
+            prod[-lo % p :: p] *= p  # wraps at k = 0 only, whose mu is set below
+            if p * p < hi:
+                mu[-lo % (p * p) :: p * p] = 0
+        np.negative(mu, out=mu, where=prod != np.arange(lo, hi, dtype=np.int64))
+        if lo == 0:
+            mu[0] = 0
+        yield mu.astype(np.complex128)
 
 
 def moebius_sieve(n: int) -> np.ndarray:

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import pytest
 
 from ergosum import averages, harness
 from ergosum._kernels import _BLOCK, prefix_at
-from ergosum.averages import orbit_terms, run_grid
+from ergosum.averages import orbit_terms, run_grid, storage_grid
 from ergosum.dynamics import OrbitPoint, SystemModel, orbit_eval
 from ergosum.indices import gen_indices
 from ergosum.weights import gen_weights
@@ -1004,6 +1005,28 @@ def test_thin_grid_properties():
     assert np.all(np.diff(tail) / tail[:-1].astype(float) < 0.03)
 
 
+def _thin_grid_by_unique(n_grid):
+    """The CSV thinning as np.unique over every bucket, the reference."""
+    if n_grid.size <= harness._CSV_DENSE_ROWS:
+        return np.arange(n_grid.size)
+    head = np.flatnonzero(n_grid <= harness._CSV_DENSE_ROWS)
+    rest = np.flatnonzero(n_grid > harness._CSV_DENSE_ROWS)
+    buckets = np.floor(np.log(n_grid[rest].astype(np.float64))
+                       / np.log(harness._CSV_THIN_RATIO)).astype(np.int64)
+    _, first = np.unique(buckets, return_index=True)
+    return np.unique(np.concatenate([head, rest[first], [n_grid.size - 1]]))
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 512), (1, 513), (1, 1_000), (3, 70_000),
+                                    (1, 1_000_001), (600, 5 * 10**6), (1, 10**8),
+                                    (2 * 10**6, 3 * 10**9)])
+def test_thin_grid_keeps_the_rows_the_unique_form_keeps(lo, hi):
+    """Chunked bucket edges keep exactly the rows np.unique over all
+    buckets keeps, on storage grids short and long, dense and sparse."""
+    grid = storage_grid(lo, hi)
+    assert np.array_equal(_thin_grid(grid), _thin_grid_by_unique(grid))
+
+
 # ---------------------------------------------------------------------------
 # orbit stages run block by block
 
@@ -1070,22 +1093,47 @@ def test_blocked_stage_sums_match_one_unblocked_pass(kind, case, monkeypatch):
 
 def test_orbit_runs_drop_each_seeds_sums_before_the_next_draws(monkeypatch):
     """Once the caller drops a seed's run, nothing keeps its sums alive
-    while the next seed's weights are drawn, so two seeds' full-length
-    arrays never coexist."""
+    while the next seed's weights are drawn, so two seeds' stored sums
+    never coexist."""
     d = _stage_config("average_run", "float_theta", 2 * _BLOCK + 5, seeds=(1, 2))
     plan, _ = harness._plan(cfg(**d))
     refs = []
+    weight_blocks = harness.weight_blocks
 
     def weights(*args):
         assert all(ref() is None for ref in refs)
-        return gen_weights(*args)
+        return weight_blocks(*args)
 
-    monkeypatch.setattr(harness, "gen_weights", weights)
+    monkeypatch.setattr(harness, "weight_blocks", weights)
     runs = harness._orbit_runs(plan, run_grid(plan.k_first, plan.n_terms, plan.hilbert))
     seed, first = next(runs)
     refs.append(weakref.ref(first.sums))
     del first
     assert [seed for seed, _ in runs] == [2]
+
+
+def test_orbit_run_memory_does_not_grow_with_n_terms(tmp_path):
+    """Weights, indices and orbit values are drawn one block at a time, so
+    the traced peak of a one-seed cramer_primes average_run at 1.6e7 terms
+    stays within 1.1x + 4 MiB of the peak at 10^6 terms: both store about
+    10^6 N. Drawn whole, the weights and indices alone took 24 bytes a
+    term, 384 MB at 1.6e7."""
+    def peak(n_terms):
+        config = cfg(kind="average_run", name=f"n{n_terms}", seeds=[1],
+                     output_dir=str(tmp_path), weights={"kind": "constant"},
+                     indices={"kind": "cramer_primes"},
+                     system={"kind": "rotation", "theta0": [2, 7]},
+                     observable={"kind": "fourier_mode", "mode": 1},
+                     normalizer={"gamma": 1.0}, n_terms=n_terms)
+        tracemalloc.start()
+        try:
+            run(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(10**6), peak(16 * 10**6)
+    assert large <= 1.1 * small + 4 * 2**20
 
 
 def _perfbench_spans():

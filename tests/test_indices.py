@@ -4,13 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ergosum import indices as indices_module
+from ergosum._kernels import _BLOCK
 from ergosum.indices import (
     IndexSpec,
-    first_primes,
+    check_top,
     gen_indices,
+    index_blocks,
     pi_count,
     primes_upto,
 )
@@ -50,7 +53,7 @@ def test_primes_upto_against_trial_division():
 
 
 def test_first_primes_count_and_tail():
-    ps = first_primes(1000)
+    ps = gen_indices(IndexSpec(kind="primes"), 1, 1001)
     assert ps.size == 1000
     assert oracles.is_prime(int(ps[-1]))
     assert int(ps[0]) == 2 and int(ps[99]) == 541  # the 100th prime
@@ -188,3 +191,79 @@ def test_cramer_draws_keep_no_memory_between_calls():
         assert tracemalloc.get_traced_memory()[0] - start < 64 * 1024
     finally:
         tracemalloc.stop()
+
+
+# one spec of every index kind; the explicit list covers the ranges drawn below
+_EVERY_KIND = [
+    IndexSpec(kind="identity"),
+    IndexSpec(kind="monomial", d=3),
+    IndexSpec(kind="polynomial", coeffs=(7, 0, 2, 1)),
+    IndexSpec(kind="primes"),
+    IndexSpec(kind="cramer_primes", seed=8),
+    IndexSpec(kind="explicit", values=tuple(range(0, 3 * (300_000 + 3 * _BLOCK), 3))),
+]
+
+
+def test_every_index_kind_is_covered():
+    assert sorted(s.kind for s in _EVERY_KIND) == sorted(indices_module._READS)
+
+
+@given(st.sampled_from(_EVERY_KIND), st.integers(1, 300_000),
+       st.integers(1, 3 * _BLOCK), st.integers(0, 3 * _BLOCK))
+@settings(max_examples=40, deadline=None)
+@example(IndexSpec(kind="primes"), 100_000, 2 * _BLOCK + 3, _BLOCK)  # mid sieve segment
+@example(IndexSpec(kind="cramer_primes", seed=2), 250_001, _BLOCK + 1, 5)
+@example(IndexSpec(kind="cramer_primes", seed=2), 1, 1, 0)
+def test_index_blocks_equal_gen_indices_under_random_splits(spec, m, size, cut):
+    """index_blocks yields _BLOCK-term arrays (the last shorter) that
+    concatenate to gen_indices over [m, n) bit for bit, also when a walk
+    starts mid-segment (m > 1), and gen_indices over two pieces of the
+    range concatenates to the same values."""
+    n = m + size
+    whole = gen_indices(spec, m, n)
+    blocks = list(index_blocks(spec, m, n))
+    assert [b.size for b in blocks] == [min(_BLOCK, n - i) for i in range(m, n, _BLOCK)]
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+    s = m + cut % size
+    if s > m:
+        pieces = [gen_indices(spec, m, s), gen_indices(spec, s, n)]
+        assert np.concatenate(pieces).tobytes() == whole.tobytes()
+
+
+def test_prime_walk_matches_one_sieve_past_several_segments():
+    """Primes u_m..u_{n-1} across three sieve segments, from mid-segment."""
+    m, n = 70_001, 250_001
+    want = primes_upto(indices_module._prime_bound(n - 1))[m - 1 : n - 1]
+    assert np.array_equal(gen_indices(IndexSpec(kind="primes"), m, n), want)
+
+
+def test_index_blocks_check_their_range_when_called():
+    with pytest.raises(ValueError, match="start at k = 1"):
+        index_blocks(IndexSpec(kind="primes"), 0, 5)
+    with pytest.raises(ValueError, match="shorter than requested"):
+        index_blocks(IndexSpec(kind="explicit", values=(1, 2)), 0, 5)
+
+
+def test_check_top_walks_the_polynomial_in_blocks():
+    """The shape check of a polynomial whose Cauchy bound lies past the
+    range (K ~ 5e9 here) evaluates it one _BLOCK at a time: 10^7 terms
+    stay under 4 MiB of traced memory, where one Horner pass held
+    several 80 MB arrays."""
+    spec = IndexSpec(kind="polynomial", coeffs=(0, 10**10, -1))
+    tracemalloc.start()
+    try:
+        check_top(spec, 1, 10**7 + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_check_top_carries_the_last_value_across_block_edges():
+    """p(k) = (2B - 1) k - k^2, B = _BLOCK, rises up to k = B and falls
+    after; on [1, B + 2) the one fall, p(B + 1) < p(B), sits across the
+    edge of the first block, and the second block holds that one term."""
+    spec = IndexSpec(kind="polynomial", coeffs=(0, 2 * _BLOCK - 1, -1))
+    check_top(spec, 1, _BLOCK + 1)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        check_top(spec, 1, _BLOCK + 2)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ergosum._kernels import (
     _BLOCK,
+    BlockSource,
     CHUNK,
     MULMOD_MAX_DEN,
     _estimated_remainder,
@@ -438,6 +439,37 @@ def test_prefix_sums_asks_for_consecutive_blocks():
         assert calls == [(0, _BLOCK), (_BLOCK, 2 * _BLOCK), (2 * _BLOCK, 3 * _BLOCK),
                          (3 * _BLOCK, n)]
         assert got.tobytes() == _padded_prefix(z, np.asarray(bounds)).tobytes()
+
+
+def test_prefix_sums_offset_shifts_the_bounds():
+    """Bounds given offset by k give the sums of the unshifted bounds, bit
+    for bit, dense or sparse, and the offset ends are checked as bounds."""
+    n = 2 * _BLOCK + 7
+    z = np.random.default_rng(5).standard_normal(n) + 1j
+    for bounds in (np.arange(1, n + 1), np.array([1, 9, _BLOCK, _BLOCK + 1, n])):
+        want = prefix_sums(lambda i, j: z[i:j], bounds).tobytes()
+        for k in (-3, 1, 10**12):
+            assert prefix_sums(lambda i, j: z[i:j], bounds + k, k).tobytes() == want
+    with pytest.raises(ValueError):
+        prefix_sums(lambda i, j: z[i:j], [5, 9], 5)
+
+
+def test_block_source_hands_over_blocks_in_prefix_sums_order():
+    """A BlockSource reports its term count, serves prefix_sums' blocks in
+    order with the sums of the whole array, and refuses a block out of
+    order, of the wrong size or past its iterator's end."""
+    n = 2 * _BLOCK + 9
+    z = np.random.default_rng(4).standard_normal(n)
+    source = BlockSource(n, (z[i : i + _BLOCK] for i in range(0, n, _BLOCK)))
+    assert len(source) == n
+    assert prefix_sums(source.take, [5, n]).tobytes() == prefix_at(z, [5, n]).tobytes()
+    with pytest.raises(ValueError):
+        source.take(n, n + 1)  # the iterator is spent
+    for bad in ([(_BLOCK, 2 * _BLOCK)], [(0, _BLOCK - 1)]):
+        source = BlockSource(n, (z[i : i + _BLOCK] for i in range(0, n, _BLOCK)))
+        with pytest.raises(ValueError):
+            for i, j in bad:
+                source.take(i, j)
 
 
 def test_prefix_sums_feed_checks():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergosum._kernels import frac_of, pairwise_sum
 from ergosum.trigsum import (
@@ -58,6 +60,26 @@ def test_eval_grid_exact_at_grid_points():
     for i in (0, 1, 511, 1023):
         theta = i / 1024
         assert vals[i] == pytest.approx(eval_sum(w, u, theta), rel=1e-10, abs=1e-10)
+
+
+@given(st.integers(2, 14), st.integers(1, 5000), st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_eval_grid_scatter_matches_the_bincount_form(log_points, n, seed):
+    """The np.add.at scatter gives the bits of two bincounts (real and
+    imaginary parts) on residues that repeat, u = k^2 mod L, with signed
+    zeros and weights of mixed magnitudes among the weights."""
+    rng = np.random.default_rng(seed)
+    w = (rng.standard_normal(n) * 10.0 ** rng.integers(-12, 13, n)
+         + 1j * rng.standard_normal(n))
+    w[rng.random(n) < 0.1] = complex(-0.0, -0.0)
+    u = np.arange(n, dtype=np.int64) ** 2
+    grid = ThetaGrid(1 << log_points)
+    pos = u % grid.points
+    acc = np.empty(grid.points, dtype=np.complex128)
+    acc.real = np.bincount(pos, weights=w.real, minlength=grid.points)
+    acc.imag = np.bincount(pos, weights=w.imag, minlength=grid.points)
+    want = np.fft.ifft(acc, norm="forward")
+    assert eval_grid(w, u, grid).tobytes() == want.tobytes()
 
 
 _LD_EPS = float(np.finfo(np.longdouble).eps)

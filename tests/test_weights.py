@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ergosum.weights import WeightSpec, gen_weights, moebius_sieve
+from ergosum import weights as weights_module
+from ergosum._kernels import _BLOCK
+from ergosum.weights import WeightSpec, gen_weights, moebius_sieve, weight_blocks
 
 import oracles
 
@@ -139,3 +141,61 @@ def test_mertens_partial_sums():
     mu = moebius_sieve(100)
     assert int(mu[1:11].sum()) == -1
     assert int(mu[1:101].sum()) == 1
+
+
+# one spec of every weight kind
+_EVERY_KIND = [
+    WeightSpec(kind="constant"),
+    WeightSpec(kind="polynomial_phase", coeffs=(0.3, 0.1, 2**-40)),
+    WeightSpec(kind="power_phase", delta=1.5),
+    WeightSpec(kind="logpower_phase", delta=2.2),
+    WeightSpec(kind="log_phase", h=-3.0),
+    WeightSpec(kind="moebius"),
+    WeightSpec(kind="iid_uniform_phase", seed=3),
+    WeightSpec(kind="centered_cramer", seed=4),
+]
+
+
+def test_every_weight_kind_is_covered():
+    assert sorted(s.kind for s in _EVERY_KIND) == sorted(weights_module._READS)
+
+
+@given(st.sampled_from(_EVERY_KIND), st.integers(0, 3 * _BLOCK),
+       st.integers(1, 3 * _BLOCK), st.integers(0, 3 * _BLOCK))
+@settings(max_examples=40, deadline=None)
+@example(WeightSpec(kind="moebius"), 0, 2 * _BLOCK + 1, _BLOCK)
+@example(WeightSpec(kind="centered_cramer", seed=9), 2**16 - 5, _BLOCK + 10, 7)
+def test_weight_blocks_equal_gen_weights_under_random_splits(spec, m, size, cut):
+    """weight_blocks yields _BLOCK-term arrays (the last shorter) that
+    concatenate to gen_weights over [m, n) bit for bit, and gen_weights
+    over two pieces of the range concatenates to the same bits."""
+    m = max(m, spec.offset)
+    n = m + size
+    whole = gen_weights(spec, m, n)
+    blocks = list(weight_blocks(spec, m, n))
+    assert [b.size for b in blocks] == [min(_BLOCK, n - i) for i in range(m, n, _BLOCK)]
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+    s = m + cut % size
+    if s > m:
+        pieces = [gen_weights(spec, m, s), gen_weights(spec, s, n)]
+        assert np.concatenate(pieces).tobytes() == whole.tobytes()
+
+
+@given(st.integers(0, 400_000), st.integers(1, 3 * _BLOCK))
+@settings(max_examples=25, deadline=None)
+@example(0, 1)
+@example(0, 2)
+@example(1_000_000, 5)
+def test_moebius_blocks_match_the_whole_range_sieve(m, size):
+    """The segmented walk, sieved with the primes up to sqrt(n - 1) and a
+    product that reveals the one larger factor, gives moebius_sieve's mu."""
+    n = m + size
+    want = moebius_sieve(max(n - 1, 1))[m:n].astype(np.complex128)
+    assert gen_weights(WeightSpec(kind="moebius"), m, n).tobytes() == want.tobytes()
+
+
+def test_weight_blocks_check_their_range_when_called():
+    with pytest.raises(ValueError, match="start at k = 1"):
+        weight_blocks(WeightSpec(kind="log_phase", h=1.0), 0, 5)
+    with pytest.raises(ValueError, match="need 0 <= m < n"):
+        weight_blocks(WeightSpec(kind="moebius"), 5, 5)
