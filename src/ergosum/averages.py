@@ -238,29 +238,32 @@ def run_grid(k_first: int, n_terms: int, inclusive: bool = False) -> np.ndarray:
     return storage_grid(lo, lo + n_terms - 1)
 
 
+def _block_reader(terms, size: int):
+    """The function (i, j) -> terms[i:j] of a run's weights or orbit
+    values: a BlockSource's take, a function values(i, j) itself, or
+    slices of an array of `size` terms."""
+    if isinstance(terms, BlockSource):
+        return terms.take
+    if callable(terms):
+        return terms
+    a = np.ascontiguousarray(terms, dtype=np.complex128)
+    if a.shape != (size,):
+        raise ValueError("weights and orbit values must be aligned 1-d arrays")
+    return lambda i, j: a[i:j]
+
+
 def _orbit_run(weights, orbit_values, k_first: int, n_grid,
                series: NormalizerSpec | None) -> SeriesRun:
     """Prefix sums of orbit_terms at bounds n_grid - k_first, one
     prefix_sums block of weights and orbit values at a time; given the
     normalizer of a series, its terms are divided by A(k) and N is
-    inclusive (bounds + 1). The weights are an array, read as slices, or a
-    BlockSource, read block by block."""
-    if isinstance(weights, BlockSource):
-        size, weight_block = len(weights), weights.take
-    else:
-        w = np.ascontiguousarray(weights, dtype=np.complex128)
-        size = w.size if w.ndim == 1 else 0
-
-        def weight_block(i, j):
-            return w[i:j]
-    values = orbit_values
-    if size == 0 or not (callable(values) or np.shape(values) == (size,)):
+    inclusive (bounds + 1). The weights are an array or a BlockSource
+    (its len() the term count), both read through _block_reader."""
+    size = len(weights)
+    weight_block = _block_reader(weights, size)
+    values = _block_reader(orbit_values, size)
+    if size == 0:
         raise ValueError("weights and orbit values must be aligned 1-d arrays")
-    if not callable(values):
-        v = np.ascontiguousarray(orbit_values, dtype=np.complex128)
-
-        def values(i, j):
-            return v[i:j]
     inclusive = series is not None
     n_grid = np.ascontiguousarray(run_grid(k_first, size, inclusive) if n_grid is None
                                   else n_grid, dtype=np.int64)
@@ -295,10 +298,11 @@ def _centred_regressor(n: np.ndarray, gamma: float) -> np.ndarray:
     return x
 
 
-def _dot(u: np.ndarray, v: np.ndarray) -> float:
+def _dot(u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> float:
     """sum(u * v) by the package's pairwise sum, not a BLAS dot product,
-    whose bits depend on the BLAS build and its thread count."""
-    return float(pairwise_sum(u * v))
+    whose bits depend on the BLAS build and its thread count; the products
+    go to ``out`` when given (v itself, say), with the same bits."""
+    return float(pairwise_sum(np.multiply(u, v, out=out)))
 
 
 @dataclass(eq=False)
@@ -382,8 +386,7 @@ class NormalizedSeries:
         if den == 0.0:
             return math.nan
         y -= y.mean()
-        # _dot(xc, y) without its product array: the same bits
-        return float(pairwise_sum(np.multiply(xc, y, out=y))) / den
+        return _dot(xc, y, out=y) / den
 
 
 def _normalized_grid(run: SeriesRun, grid: NormalizedGrid | NormalizerSpec

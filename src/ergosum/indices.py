@@ -35,6 +35,8 @@ _WALKED = ("primes", "cramer_primes")
 _SEG = 1 << 20
 # integers per cramer_blocks call of a walk: four 2^16-wide blocks
 _DRAW = 1 << 18
+# a cramer_primes walk draws the integers below this before it gives up
+_CRAMER_REACH = 4097 * _SEG
 
 
 @dataclass(frozen=True)
@@ -275,7 +277,7 @@ def _cramer_walk(seed: int):
     blocks per cramer_blocks call: the blocks are independent, so how they
     are grouped does not change a bit, and a small group keeps the thinning
     temporaries near 2 MB."""
-    for lo in range(0, 4096 * _SEG, _DRAW):
+    for lo in range(0, _CRAMER_REACH, _DRAW):
         yield from cramer_blocks(seed, block_starts(lo, lo + _DRAW))
     raise RuntimeError("random index model failed to fill the range")
 

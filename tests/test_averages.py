@@ -410,11 +410,7 @@ def test_rotation_sums_match_the_trig_sum_engine(wspec, ispec, theta, x0, terms,
     x0's addition), m x by M more, then e(.) and the sum over modes. The
     reference's terms and pairwise sum take at most (log2 N + 20) eps/2 per
     unit of N sum|c_m|. The prefix kernel adds each term to a running sum
-    of size at most max |S_j|, with one rounding of that size each. A
-    product that underflows rounds by up to 2**-1075 absolutely, not by a
-    relative eps (a coefficient of 5e-324 makes the eps terms 0), and each
-    side takes at most two complex products per term and mode, so the bound
-    adds 8 N (number of modes) 2**-1075.
+    of size at most max |S_j|, with one rounding of that size each.
 
     Within that bound, |S_N| <= sum|c_m| sup_theta |V_N(theta)|, checked
     against sup_envelope's upper at N <= 4096 with span D <= 2**16. There
@@ -437,8 +433,7 @@ def test_rotation_sums_match_the_trig_sum_engine(wspec, ispec, theta, x0, terms,
         want = sum(c * _e(m * x0_exact)
                    * eval_sum(w[:count], u[:count], Fraction(theta) * m)
                    for m, c in f.terms)
-        bound = (count * _EPS * (16 * (top + 2) * c_l1 + 2 * float(sizes[i]))
-                 + 4 * count * len(f.terms) * 2.0**-1074)  # 2**-1075 is 0.0
+        bound = count * _EPS * (16 * (top + 2) * c_l1 + 2 * float(sizes[i]))
         assert abs(run.sums[i] - want) <= bound, (N, abs(run.sums[i] - want), bound)
         if count <= 4096 and u[count - 1] - u[0] <= 1 << 16:
             sup = sup_envelope(w[:count], u[:count])

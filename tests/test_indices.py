@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ergosum import indices as indices_module
 from ergosum._kernels import _BLOCK
+from ergosum._rng import block_starts
 from ergosum.indices import (
     IndexSpec,
     check_top,
@@ -93,6 +94,21 @@ def test_cramer_deterministic_and_increasing():
     assert np.array_equal(u, v)
     assert np.all(np.diff(u) > 0)
     assert int(u[0]) >= 3
+
+
+def test_cramer_walk_reaches_4097_segments_before_it_gives_up(monkeypatch):
+    """A cramer_primes walk draws every random-model block below
+    4097 * 2**20, in order, then raises: the segment starting at
+    4096 * 2**20 is still drawn. With no integer selected, it reads them all."""
+    drawn = []
+
+    def nothing_selected(seed, los):
+        drawn.append(np.asarray(los))
+        return []
+    monkeypatch.setattr(indices_module, "cramer_blocks", nothing_selected)
+    with pytest.raises(RuntimeError, match="failed to fill the range"):
+        gen_indices(IndexSpec(kind="cramer_primes", seed=1), 1, 2)
+    assert np.array_equal(np.concatenate(drawn), block_starts(0, 4097 << 20))
 
 
 @given(st.integers(min_value=1, max_value=1500), st.integers(min_value=1, max_value=400))
