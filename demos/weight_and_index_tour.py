@@ -8,7 +8,7 @@ deterministic phases, the Moebius function, and the seeded random models.
 
 import numpy as np
 
-from ergosum.weights import WeightSpec, gen_weights, moebius_sieve
+from ergosum.weights import WeightSpec, gen_weights
 from ergosum.indices import IndexSpec, gen_indices, pi_count
 
 # deterministic weight families over k = 4 .. 11
@@ -33,8 +33,8 @@ spec = WeightSpec(kind="centered_cramer", seed=1)
 w = gen_weights(spec, 3, 100_003)
 print(f"centered_cramer mean over 1e5 terms: {w.real.mean():+.5f}")
 
-# Mertens partial sums from the sieve
-mu = moebius_sieve(100)
+# Mertens partial sums from the moebius weights, mu(0) = 0 .. mu(100)
+mu = gen_weights(WeightSpec(kind="moebius"), 0, 101).real
 print("Mertens M(10) =", int(mu[:11].sum()), " M(100) =", int(mu.sum()))
 
 # index families: polynomial growth and the two prime models

@@ -8,7 +8,7 @@ Hilbert-type series, and a batch experiment harness.
 """
 
 from ._kernels import BlockSource
-from .weights import WeightSpec, gen_weights, moebius_sieve, weight_blocks
+from .weights import WeightSpec, gen_weights, weight_blocks
 from .indices import IndexSpec, gen_indices, index_blocks, pi_count, primes_upto
 from .trigsum import (
     ThetaGrid,

@@ -241,7 +241,9 @@ class Observable:
         return cls(kind="finite_fourier", terms=tuple(terms))
 
     def eval(self, x: np.ndarray) -> np.ndarray:
-        """Observable values at circle positions x (taken mod 1)."""
+        """Observable values at circle positions x (taken mod 1). A
+        finite_fourier term is multiplied by its c through _times, so no
+        dispatch level's fused multiply-add moves a bit."""
         x = np.ascontiguousarray(x, dtype=np.float64)
         if self.kind == "fourier_mode":
             return np.exp(2j * np.pi * mod1(self.mode * x))
@@ -250,11 +252,8 @@ class Observable:
             return ((x >= a) & (x < b)).astype(np.complex128)
         out = np.zeros(x.shape, dtype=np.complex128)
         for m, c in self.terms:
-            # e * c in this operand order at every size: numpy computes
-            # c * e as e * c only on arrays large enough to reuse e, and
-            # complex products with fused multiply-adds are not symmetric
             e = np.exp(2j * np.pi * mod1(m * x))
-            e *= c
+            _times(e, np.full(x.shape, c), np.empty(x.shape), np.empty(x.shape))
             out += e
         return out
 

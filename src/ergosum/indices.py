@@ -1,17 +1,18 @@
 """Index (orbit time) sequences u_k: deterministic and random models.
 
-An IndexSpec names a family; gen_indices materializes any slice and
-index_blocks hands the same values over one _BLOCK at a time. As with
-weights, generation is a pure function of (spec, range): the random prime
-model is drawn by thinning, one block of integers at a time, each block a
-pure function of (seed, block) through a counter-based generator (see
-_rng), so chunked and whole-range calls agree exactly.
+An IndexSpec names a family; index_blocks hands any slice over one
+_BLOCK at a time, and gen_indices joins those blocks into one array. As
+with weights, generation is a pure function of (spec, range): the random
+prime model is drawn by thinning, one block of integers at a time, each
+block a pure function of (seed, block) through a counter-based generator
+(see _rng), so chunked and whole-range calls agree exactly.
 
 The prime-like kinds are indexed by count, so both walk their selected
 integers in increasing order and carry the count: primes through a
 segmented sieve up to Rosser's bound on the last prime a range needs (no
 prime tables are shipped), cramer_primes through the random-model blocks.
-A walk holds one sieve segment or a few random-model blocks at a time.
+pi_count counts the same walk up to N. A walk holds one sieve segment or
+a few random-model blocks at a time.
 """
 
 from __future__ import annotations
@@ -93,20 +94,16 @@ def gen_indices(spec: IndexSpec, m: int, n: int) -> np.ndarray:
     """Indices u_k for k in [m, n) as int64; element j is u_{m+j}.
 
     Requires 0 <= m < n, m >= spec.offset and check_top(spec, m, n) to
-    pass, which it checks before evaluating anything. The prime-like kinds
-    are the concatenation of index_blocks, their one path.
+    pass, which it checks before evaluating anything. The result is the
+    blocks of index_blocks joined.
     """
-    _check_range(spec, m, n)
-    if spec.kind in _WALKED:
-        return np.concatenate(list(_walk_blocks(spec, m, n)))
-    return _elementwise(spec, m, n)
+    return np.concatenate(list(index_blocks(spec, m, n)))
 
 
 def index_blocks(spec: IndexSpec, m: int, n: int):
     """Indices u_k for k in [m, n) as consecutive _BLOCK-term int64 arrays,
-    the last one shorter: block j is gen_indices(spec, m, n)[j * _BLOCK :
-    (j + 1) * _BLOCK], bit for bit. The arguments are checked as for
-    gen_indices when this is called, not when the first block is drawn.
+    the last one shorter. The arguments are checked when this is called,
+    not when the first block is drawn.
 
     primes and cramer_primes walk their selected integers in increasing
     order, a sieve segment or a few random-model blocks at a time, and
@@ -116,7 +113,8 @@ def index_blocks(spec: IndexSpec, m: int, n: int):
     """
     _check_range(spec, m, n)
     if spec.kind in _WALKED:
-        return _walk_blocks(spec, m, n)
+        stop = _prime_bound(n - 1) + 1 if spec.kind == "primes" else _CRAMER_REACH
+        return _blocks_of(_selected(spec, stop), m - 1, n - m)
     return (_elementwise(spec, i, min(i + _BLOCK, n)) for i in range(m, n, _BLOCK))
 
 
@@ -141,13 +139,13 @@ def _elementwise(spec: IndexSpec, m: int, n: int) -> np.ndarray:
     raise AssertionError(kind)
 
 
-def _walk_blocks(spec: IndexSpec, m: int, n: int):
-    """u_m..u_{n-1} (1-based) of a prime-like kind in _BLOCK-term arrays."""
+def _selected(spec: IndexSpec, stop: int):
+    """The selected integers of a prime-like kind in increasing order, one
+    sieve segment or random-model block at a time, through every segment
+    or block that starts below stop (the last may pass it)."""
     if spec.kind == "primes":
-        selected = _prime_segments(_prime_bound(n - 1))
-    else:
-        selected = _cramer_walk(spec.seed)
-    return _blocks_of(selected, m - 1, n - m)
+        return _prime_segments(stop - 1)
+    return _cramer_walk(spec.seed, stop)
 
 
 def _blocks_of(parts, skip: int, count: int):
@@ -169,7 +167,7 @@ def _blocks_of(parts, skip: int, count: int):
             pending, have, count = [joined[size:]], have - size, count - size
         if not count:
             return
-    raise RuntimeError("index walk ended before the range was filled")
+    raise RuntimeError("index walk failed to fill the range")
 
 
 def _horner(coeffs, m: int, n: int) -> np.ndarray:
@@ -224,11 +222,9 @@ def pi_count(spec: IndexSpec, N: int) -> int:
     for the clamped random model. Requires N >= 2."""
     if N < 2:
         raise ValueError("pi_count needs N >= 2")
-    if spec.kind == "primes":
-        return int(primes_upto(N).size)
-    if spec.kind == "cramer_primes":
-        return _cramer_count_upto(spec.seed, N)
-    raise ValueError("pi_count applies to primes or cramer_primes")
+    if spec.kind not in _WALKED:
+        raise ValueError("pi_count applies to primes or cramer_primes")
+    return sum(int(np.searchsorted(part, N, side="right")) for part in _selected(spec, N + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -271,18 +267,12 @@ def _prime_bound(count: int) -> int:
 # random prime model (clamped probability min(1, 1/log k), first index 3)
 
 
-def _cramer_walk(seed: int):
+def _cramer_walk(seed: int, stop: int):
     """Selected integers of the realized random index set in increasing
-    order, one random-model block at a time, drawn _DRAW integers' worth of
-    blocks per cramer_blocks call: the blocks are independent, so how they
-    are grouped does not change a bit, and a small group keeps the thinning
-    temporaries near 2 MB."""
-    for lo in range(0, _CRAMER_REACH, _DRAW):
-        yield from cramer_blocks(seed, block_starts(lo, lo + _DRAW))
-    raise RuntimeError("random index model failed to fill the range")
-
-
-def _cramer_count_upto(seed: int, N: int) -> int:
-    return sum(int(np.searchsorted(block, N, side="right"))
-               for lo in range(0, N + 1, _SEG)
-               for block in cramer_blocks(seed, block_starts(lo, min(lo + _SEG, N + 1))))
+    order, one random-model block at a time, for the blocks that start
+    below stop, drawn _DRAW integers' worth of blocks per cramer_blocks
+    call: the blocks are independent, so how they are grouped does not
+    change a bit, and a small group keeps the thinning temporaries near
+    2 MB."""
+    for lo in range(0, stop, _DRAW):
+        yield from cramer_blocks(seed, block_starts(lo, min(lo + _DRAW, stop)))

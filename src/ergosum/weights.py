@@ -1,8 +1,9 @@
 """Weight sequence generators w_k for weighted averages and their sums.
 
-A WeightSpec names one of the supported families; gen_weights materializes
-any slice of the sequence and weight_blocks hands the same values over
-one _BLOCK at a time. Generation is a pure function of
+A WeightSpec names one of the supported families; weight_blocks hands
+any slice of the sequence over one _BLOCK at a time, and gen_weights
+joins those blocks into one array. moebius is sieved block by block, the
+package's one Moebius sieve. Generation is a pure function of
 (spec, range): random phases draw through a counter-based generator keyed
 by (seed, k), and the centered random prime model reads the realization
 that the cramer_primes indices of the same seed read, drawn by thinning
@@ -106,24 +107,20 @@ def gen_weights(spec: WeightSpec, m: int, n: int) -> np.ndarray:
     """Weights w_k for k in [m, n) as complex128; element j is w_{m+j}.
 
     Requires 0 <= m < n and m >= spec.offset (the family's first defined
-    index). Identical arguments give bit-identical output. moebius is the
-    concatenation of weight_blocks, its one path.
+    index). Identical arguments give bit-identical output: the blocks of
+    weight_blocks joined.
     """
-    _check_range(spec, m, n)
-    if spec.kind == "moebius":
-        return np.concatenate(list(_moebius_blocks(m, n)))
-    return _elementwise(spec, m, n)
+    return np.concatenate(list(weight_blocks(spec, m, n)))
 
 
 def weight_blocks(spec: WeightSpec, m: int, n: int):
     """Weights w_k for k in [m, n) as consecutive _BLOCK-term complex128
-    arrays, the last one shorter: block j is gen_weights(spec, m, n)[j *
-    _BLOCK : (j + 1) * _BLOCK], bit for bit. The arguments are checked as
-    for gen_weights when this is called, not when the first block is drawn.
+    arrays, the last one shorter, so one block is held at a time at any n.
+    The arguments are checked when this is called, not when the first
+    block is drawn.
 
     moebius sieves each block on its own with the primes up to
-    sqrt(n - 1); every other kind is one elementwise call per block. So
-    one block is held at a time, at any n.
+    sqrt(n - 1); every other kind is one elementwise call per block.
     """
     _check_range(spec, m, n)
     if spec.kind == "moebius":
@@ -186,19 +183,3 @@ def _moebius_blocks(m: int, n: int):
             mu[0] = 0
         yield mu.astype(np.complex128)
 
-
-def moebius_sieve(n: int) -> np.ndarray:
-    """Moebius function on 0..n as int8; index k holds mu(k), mu(0) = 0.
-
-    Multiplicative sieve: every prime flips the sign of its multiples, and
-    multiples of p**2 are squarefree-killed to 0.
-    """
-    if n < 1:
-        raise ValueError("moebius_sieve needs n >= 1")
-    mu = np.ones(n + 1, dtype=np.int8)
-    mu[0] = 0
-    for p in primes_upto(n).tolist():
-        mu[p::p] *= -1
-        if p * p <= n:
-            mu[p * p :: p * p] = 0
-    return mu

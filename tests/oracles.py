@@ -5,7 +5,8 @@ Fraction arithmetic, trial division, textbook quadrature. These are the
 yardsticks the fast library paths are measured against, so nothing in
 this file may import from the package under test, apart from the
 counter-based draws that doubling_window reads through _rng.raw64 (whose
-bits test_rng checks against SplitMix64 on Python integers).
+bits test_rng checks against SplitMix64 on Python integers);
+test_source checks that no other import of the package creeps in.
 """
 
 from __future__ import annotations
@@ -46,6 +47,23 @@ def moebius(n: int) -> int:
     if n > 1:
         out = -out
     return out
+
+
+@functools.cache
+def moebius_table(n: int) -> list[int]:
+    """mu(0), ..., mu(n) as a list, mu(0) = 0, by a plain sieve over the
+    whole range: each prime flips the sign of its multiples and zeroes the
+    multiples of its square."""
+    mu = [1] * (n + 1)
+    mu[0] = 0
+    composite = bytearray(n + 1)
+    for p in range(2, n + 1):
+        if composite[p]:
+            continue
+        composite[p * p :: p] = b"\x01" * len(range(p * p, n + 1, p))
+        mu[p::p] = [-v for v in mu[p::p]]
+        mu[p * p :: p * p] = [0] * len(range(p * p, n + 1, p * p))
+    return mu
 
 
 def dirichlet_modulus(N: int, theta: float) -> float:

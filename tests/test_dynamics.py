@@ -220,19 +220,21 @@ def test_rotation_tables_reduce_only_table_entries(monkeypatch):
     assert max(size for _, size in seen) == 1 << DIGIT_BITS
 
 
-# hashes one rotation's orbit values, in-process and under restricted
-# numpy dispatch levels
+# hashes rotation and doubling orbit values, in-process and under
+# restricted numpy dispatch levels
 _DISPATCH_PROBE = """
 import hashlib
+import numpy as np
 from ergosum.dynamics import Observable, OrbitPoint, SystemModel, orbit_eval
 from ergosum.indices import IndexSpec, gen_indices
 u = gen_indices(IndexSpec(kind="cramer_primes", seed=1), 1, 300_001)
+two = Observable.finite_fourier([[1, 0.3, 0.7], [-5, 1.1, -0.4]])
 h = hashlib.sha256()
-for system, f, x0 in (
-        (SystemModel.rotation_sqrt2(), Observable.fourier_mode(7), 0.0),
-        (SystemModel.rotation(0.3819660112501051),
-         Observable.finite_fourier([[1, 0.3, 0.7], [-5, 1.1, -0.4]]), 0.1)):
-    h.update(orbit_eval(system, f, OrbitPoint.rotation(x0), u).tobytes())
+for system, f, x0, us in (
+        (SystemModel.rotation_sqrt2(), Observable.fourier_mode(7), OrbitPoint.rotation(0.0), u),
+        (SystemModel.rotation(0.3819660112501051), two, OrbitPoint.rotation(0.1), u),
+        (SystemModel.doubling(), two, OrbitPoint.doubling(3), np.arange(300_000))):
+    h.update(orbit_eval(system, f, x0, us).tobytes())
 digest = h.hexdigest()
 """
 
@@ -240,9 +242,10 @@ digest = h.hexdigest()
 @pytest.mark.parametrize("disabled", ["AVX512_SPR AVX512_ICL X86_V4",
                                       "AVX512_SPR AVX512_ICL X86_V4 X86_V3"],
                          ids=["x86-64-v3", "baseline"])
-def test_rotation_values_do_not_depend_on_the_dispatch_level(disabled):
-    """Rotation orbit values hash alike with numpy's AVX-512 (and then
-    AVX2) kernels switched off, in a fresh process. On a host that lacks
+def test_orbit_values_do_not_depend_on_the_dispatch_level(disabled):
+    """Rotation orbit values, and doubling ones of a finite_fourier
+    observable, hash alike with numpy's AVX-512 (and then AVX2) kernels
+    switched off, in a fresh process. On a host that lacks
     a feature, its restriction changes nothing and the test still runs.
     Not checked here: other architectures, other libms and other numpy
     versions."""
@@ -374,7 +377,7 @@ def test_observable_values_and_norms():
 def test_observable_values_do_not_depend_on_the_array_size():
     """Values of a slice are the slice of values, bit for bit, on arrays
     short and long enough for numpy to reuse a temporary (2**14 complex
-    entries): each finite_fourier product is e * c in one operand order."""
+    entries): each finite_fourier product is taken by _times."""
     x = np.random.default_rng(3).random(40_000)
     for f in (Observable.fourier_mode(3), Observable.indicator(0.2, 0.7),
               Observable.finite_fourier([[1, 0.3, 0.7], [-2, -1.1, 0.45]])):

@@ -147,6 +147,22 @@ def test_pi_count_true_primes():
     assert pi_count(spec, 1000) == 168
 
 
+def test_pi_count_memory_stays_flat():
+    """pi_count counts the primes one sieve segment at a time, so its
+    traced peak at N = 10**7 stays within 1.5 times its peak at 10**6,
+    where a count of the joined primes held them all."""
+    spec = IndexSpec(kind="primes")
+
+    def peak(N):
+        tracemalloc.start()
+        try:
+            pi_count(spec, N)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(10**7) <= 1.5 * peak(10**6)
+
+
 def test_round_trip_dict():
     # each JSON form builds through the constructor the same spec
     for spec, d in ((IndexSpec(kind="monomial", d=2), {"kind": "monomial", "d": 2}),

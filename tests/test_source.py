@@ -81,3 +81,28 @@ def test_module_defines_nothing_unread(path):
               if p != path]
     read_elsewhere = set().union(*map(file_reads, others))
     assert unread_definitions(path.read_text(encoding="utf-8"), read_elsewhere) == []
+
+
+def package_imports(source: str) -> list[str]:
+    """module.name for every name that an import anywhere in the source,
+    nested ones too, takes from the ergosum package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "ergosum"]
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "ergosum"):
+            found += [f"{node.module}.{a.name}" for a in node.names]
+    return found
+
+
+def test_oracles_take_only_raw64_from_the_package():
+    """The reference implementations stay independent of the code they
+    check: tests/oracles.py takes nothing from ergosum but the
+    counter-based draws of _rng.raw64."""
+    src = ("import os, ergosum.weights\nfrom ergosum import gen_weights\n"
+           "def f():\n    from ergosum._rng import raw64\n")
+    assert package_imports(src) == ["ergosum.weights", "ergosum.gen_weights",
+                                    "ergosum._rng.raw64"]
+    oracles = (REPO / "tests" / "oracles.py").read_text(encoding="utf-8")
+    assert set(package_imports(oracles)) <= {"ergosum._rng.raw64"}

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ergosum import weights as weights_module
 from ergosum._kernels import _BLOCK
-from ergosum.weights import WeightSpec, gen_weights, moebius_sieve, weight_blocks
+from ergosum.weights import WeightSpec, gen_weights, weight_blocks
 
 import oracles
 
@@ -131,16 +131,17 @@ def test_round_trip_dict():
 
 
 def test_moebius_sieve_against_trial_division():
-    mu = moebius_sieve(300)
+    mu = gen_weights(WeightSpec(kind="moebius"), 0, 301)
     for n in range(1, 301):
         assert mu[n] == oracles.moebius(n), n
+    assert oracles.moebius_table(300)[1:] == [oracles.moebius(n) for n in range(1, 301)]
 
 
 def test_mertens_partial_sums():
     # sum_{k<=10} mu(k) = -1, classic small-N checkpoint
-    mu = moebius_sieve(100)
-    assert int(mu[1:11].sum()) == -1
-    assert int(mu[1:101].sum()) == 1
+    mu = gen_weights(WeightSpec(kind="moebius"), 0, 101)
+    assert mu[1:11].sum() == -1
+    assert mu[1:101].sum() == 1
 
 
 # one spec of every weight kind
@@ -181,6 +182,10 @@ def test_weight_blocks_equal_gen_weights_under_random_splits(spec, m, size, cut)
         assert np.concatenate(pieces).tobytes() == whole.tobytes()
 
 
+# the largest n the test below reads, at its example m = 10**6
+_MOEBIUS_TOP = 1_000_005
+
+
 @given(st.integers(0, 400_000), st.integers(1, 3 * _BLOCK))
 @settings(max_examples=25, deadline=None)
 @example(0, 1)
@@ -188,9 +193,10 @@ def test_weight_blocks_equal_gen_weights_under_random_splits(spec, m, size, cut)
 @example(1_000_000, 5)
 def test_moebius_blocks_match_the_whole_range_sieve(m, size):
     """The segmented walk, sieved with the primes up to sqrt(n - 1) and a
-    product that reveals the one larger factor, gives moebius_sieve's mu."""
+    product that reveals the one larger factor, gives the mu of a plain
+    sieve over the whole range."""
     n = m + size
-    want = moebius_sieve(max(n - 1, 1))[m:n].astype(np.complex128)
+    want = np.array(oracles.moebius_table(_MOEBIUS_TOP)[m:n], dtype=np.complex128)
     assert gen_weights(WeightSpec(kind="moebius"), m, n).tobytes() == want.tobytes()
 
 
