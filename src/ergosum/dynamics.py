@@ -36,10 +36,14 @@ A doubling-map point is its seed: its binary digits are read 64 to a
 counter-based draw (Salmon et al., "Parallel random numbers: as easy as
 1, 2, 3", SC'11), digit n being bit 63 - (n mod 64) of
 _rng.raw64(seed, n // 64), most significant first. Nothing is stored, and
-T^u reads the window of B digits from n = u on, which lies in two words.
-Orbit values of indicator observables are then exact bits with no
-floating error. The window width B (default 53) is the evaluation
-precision.
+T^u reads the window of B = DEFAULT_BIT_WINDOW digits from n = u on,
+which lies in two words; B is the evaluation precision. Read as an
+integer w_u < 2**B, the window gives T^u x0 = w_u 2**-B, which is the
+rotation by 2**-B from 0 at index w_u. So a doubling orbit is evaluated
+as that rotation at its window integers. Its Fourier values come from
+the same digit tables, each phase reduced exactly at any mode, and
+w_u < 2**53 needs at most t = 5 tables, so they keep orbit_eval's bound
+with t = 5. Its indicator values are exact bits with no floating error.
 """
 
 from __future__ import annotations
@@ -59,8 +63,8 @@ _OBSERVABLE_READS = {"fourier_mode": ("mode",), "indicator": ("interval",),
                      "finite_fourier": ("terms",)}
 
 MAX_ANGLE_DEN = 1 << 62
-# rotations reduce m * theta0 exactly at any mode; Observable.eval, which
-# doubling orbits read, takes m * x in doubles, where |m| <= 2**53 is exact
+# every phase is reduced exactly at any mode, so this cap is the range
+# that configs may ask for, not a limit of the evaluation
 MAX_MODE = 1 << 53
 DEFAULT_BIT_WINDOW = 53
 # a rotation's orbit values read the index in base 2**DIGIT_BITS, one
@@ -190,7 +194,7 @@ class SystemModel:
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """A function on the circle with a closed-form L2 norm.
+    """A function on the circle.
 
     fourier_mode(m): x -> exp(2 i pi m x)
     indicator(a, b): x -> 1 on [a, b), 0 elsewhere (0 <= a < b <= 1)
@@ -240,32 +244,6 @@ class Observable:
     def finite_fourier(cls, terms) -> "Observable":
         return cls(kind="finite_fourier", terms=tuple(terms))
 
-    def eval(self, x: np.ndarray) -> np.ndarray:
-        """Observable values at circle positions x (taken mod 1). A
-        finite_fourier term is multiplied by its c through _times, so no
-        dispatch level's fused multiply-add moves a bit."""
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        if self.kind == "fourier_mode":
-            return np.exp(2j * np.pi * mod1(self.mode * x))
-        if self.kind == "indicator":
-            a, b = self.interval
-            return ((x >= a) & (x < b)).astype(np.complex128)
-        out = np.zeros(x.shape, dtype=np.complex128)
-        for m, c in self.terms:
-            e = np.exp(2j * np.pi * mod1(m * x))
-            _times(e, np.full(x.shape, c), np.empty(x.shape), np.empty(x.shape))
-            out += e
-        return out
-
-    def l2_norm(self) -> float:
-        """L2 norm against the invariant (Lebesgue) measure, closed form."""
-        if self.kind == "fourier_mode":
-            return 1.0
-        if self.kind == "indicator":
-            a, b = self.interval
-            return float(np.sqrt(b - a))
-        return float(np.sqrt(sum(abs(c) ** 2 for _, c in self.terms)))
-
 
 @dataclass(frozen=True, eq=False)
 class OrbitPoint:
@@ -312,22 +290,21 @@ def _rotation_positions(theta0, x0, u: np.ndarray) -> np.ndarray:
     return mod1(frac_of(theta0, u) + float(x0))
 
 
-def _doubling_positions(seed: int, u: np.ndarray) -> np.ndarray:
-    """0.b_u b_{u+1} ... b_{u+B-1} for each index u, with B =
-    DEFAULT_BIT_WINDOW and digit n bit 63 - (n mod 64) of word W_{n // 64}
-    = _rng.raw64(seed, n // 64).
+def _doubling_windows(seed: int, u: np.ndarray) -> np.ndarray:
+    """The window b_u b_{u+1} ... b_{u+B-1} as an int64 integer < 2**B for
+    each index u, with B = DEFAULT_BIT_WINDOW and digit n bit
+    63 - (n mod 64) of word W_{n // 64} = _rng.raw64(seed, n // 64).
 
     With u = 64 k + r the window is the top B bits of
-    (W_k << r) | (W_{k+1} >> (64 - r)), exact in a double; numpy shifts a
-    uint64 by 64 to 0, which covers r = 0, and k + 1 <= 2**58 for every
-    uint64 u.
+    (W_k << r) | (W_{k+1} >> (64 - r)); numpy shifts a uint64 by 64 to 0,
+    which covers r = 0, and k + 1 <= 2**58 for every uint64 u.
     """
     u = u.astype(np.uint64)
     k, r = u >> np.uint64(6), u & np.uint64(63)
     w = raw64(seed, k) << r
     w |= raw64(seed, k + np.uint64(1)) >> (np.uint64(64) - r)
     w >>= np.uint64(64 - DEFAULT_BIT_WINDOW)
-    return np.ldexp(w.astype(np.float64), -DEFAULT_BIT_WINDOW)
+    return w.view(np.int64)
 
 
 def _times(acc: np.ndarray, g: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -437,10 +414,16 @@ def orbit_eval(system: SystemModel, f: Observable, x0: OrbitPoint, indices) -> n
     value from its table entries, so the bits do not depend on numpy's CPU
     dispatch level.
 
+    A doubling point's T^u x0 is its window integer w_u times 2**-B, B =
+    DEFAULT_BIT_WINDOW (_doubling_windows, two draws per index): the
+    rotation by 2**-B from 0 at index w_u < 2**B. So its values are that
+    rotation's at the window integers, and w_u < 2**53 has at most five
+    base-2**DIGIT_BITS digits: each value lies within the same bound with
+    t = 5, whatever the mode up to MAX_MODE.
+
     Indicator observables take the positions frac(x0 + u theta0), reduced
-    the same way, and Observable.eval. DEFAULT_BIT_WINDOW is the
-    evaluation precision B for doubling systems, and each doubling value
-    reads two draws, the 64-digit words that hold its window.
+    the same way, and compare them with the interval [a, b); at a doubling
+    point each position is its window, exactly.
     """
     u = np.ascontiguousarray(indices)
     if u.dtype.kind not in "iu":
@@ -449,12 +432,15 @@ def orbit_eval(system: SystemModel, f: Observable, x0: OrbitPoint, indices) -> n
         raise ValueError("orbit indices must form a nonempty 1-d array")
     if int(u.min()) < 0:
         raise ValueError("orbit indices must be nonnegative")
+    if system.kind != x0.kind:
+        raise ValueError(f"{system.kind} system needs a {system.kind} orbit point")
     if system.kind == "rotation":
-        if x0.kind != "rotation":
-            raise ValueError("rotation system needs a rotation orbit point")
-        if f.kind != "indicator":
-            return _rotation_values(system.theta0, x0.x0, f, u)
-        return f.eval(_rotation_positions(system.theta0, x0.x0, u))
-    if x0.kind != "doubling":
-        raise ValueError("doubling system needs a doubling orbit point")
-    return f.eval(_doubling_positions(x0.seed, u))
+        theta0, start = system.theta0, x0.x0
+    else:
+        theta0, start = Fraction(1, 1 << DEFAULT_BIT_WINDOW), Fraction(0)
+        u = _doubling_windows(x0.seed, u)
+    if f.kind != "indicator":
+        return _rotation_values(theta0, start, f, u)
+    a, b = f.interval
+    x = _rotation_positions(theta0, start, u)
+    return ((x >= a) & (x < b)).astype(np.complex128)

@@ -110,15 +110,36 @@ def _word(seed: int, k: int) -> int:
     return int(raw64(seed, [k])[0])
 
 
-def doubling_window(seed: int, u: int, width: int = 53) -> float:
-    """0.b_u b_{u+1} ... b_{u+width-1} for the doubling point of a seed,
-    digit n being bit 63 - (n mod 64) of _rng.raw64(seed, n // 64): the
-    words k = u // 64 and k + 1 joined as one 128-bit Python integer and
-    read from its digit u mod 64 on, exactly for width <= 53."""
+def doubling_window(seed: int, u: int, width: int = 53) -> int:
+    """The digits b_u b_{u+1} ... b_{u+width-1} of the doubling point of a
+    seed as one integer below 2**width, digit n being bit 63 - (n mod 64)
+    of _rng.raw64(seed, n // 64): the words k = u // 64 and k + 1 joined as
+    one 128-bit Python integer and read from its digit u mod 64 on. T^u of
+    the point is this integer over 2**width, up to the digits past the
+    window."""
     k, r = divmod(int(u), 64)
     first, second = _word(seed, k), _word(seed, k + 1)
-    digits = ((first << 64 | second) >> (128 - r - width)) % (1 << width)
-    return math.ldexp(digits, -width)
+    return ((first << 64 | second) >> (128 - r - width)) % (1 << width)
+
+
+def circle_exp(phase: Fraction) -> complex:
+    """e(phase) = exp(2 pi i phase) by math.cos and math.sin of the exact
+    phase taken into [-1/2, 1/2): the argument 2 pi x is off by at most
+    3.1 eps and each part by 1 ulp more, so the value by at most 4.5 eps
+    (eps = 2**-52)."""
+    x = 2.0 * math.pi * float(phase - math.floor(phase + Fraction(1, 2)))
+    return complex(math.cos(x), math.sin(x))
+
+
+def doubling_fourier(seed: int, u: int, terms, width: int = 53) -> complex:
+    """sum_m c_m e(m w / 2**width) over terms (m, c), w the window integer
+    doubling_window(seed, u, width): each phase (m w mod 2**width) /
+    2**width is reduced with Python integers, so only circle_exp, the
+    products with c and the additions round, by at most (6 + K) eps
+    sum |c_m| for K terms."""
+    w = doubling_window(seed, u, width)
+    return sum(c * circle_exp(Fraction(m * w % (1 << width), 1 << width))
+               for m, c in terms)
 
 
 def adaptive_quad(fn, a: float, b: float, tol: float = 1e-12, depth: int = 50) -> float:

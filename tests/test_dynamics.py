@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergosum import dynamics
@@ -132,14 +132,6 @@ observables = st.one_of(
 )
 
 
-def _e_oracle(phase: Fraction) -> complex:
-    """e(phase) by math.cos and math.sin of the exact phase taken into
-    [-1/2, 1/2): the argument 2 pi x is off by at most 3.1 eps and each
-    part by 1 ulp more, so the value by at most 4.5 eps."""
-    x = 2.0 * math.pi * float(phase - math.floor(phase + Fraction(1, 2)))
-    return complex(math.cos(x), math.sin(x))
-
-
 @settings(max_examples=300, deadline=None)
 @given(theta=angles, x0=starts, f=observables,
        u=st.lists(st.integers(0, 2**62), min_size=1, max_size=6))
@@ -158,7 +150,7 @@ def test_rotation_values_are_within_the_table_bound(theta, x0, f, u):
     bound = (27 * t + 2 * len(terms) + 6) * _EPS * c_l1
     for g, uj in zip(got, u):
         pos = oracles.rotation_orbit(Fraction(theta), Fraction(x0), uj)
-        want = sum(c * _e_oracle(m * pos) for m, c in terms)
+        want = sum(c * oracles.circle_exp(m * pos) for m, c in terms)
         assert abs(g - want) <= bound, (uj, abs(g - want) / (_EPS * c_l1), t)
 
 
@@ -233,7 +225,8 @@ h = hashlib.sha256()
 for system, f, x0, us in (
         (SystemModel.rotation_sqrt2(), Observable.fourier_mode(7), OrbitPoint.rotation(0.0), u),
         (SystemModel.rotation(0.3819660112501051), two, OrbitPoint.rotation(0.1), u),
-        (SystemModel.doubling(), two, OrbitPoint.doubling(3), np.arange(300_000))):
+        (SystemModel.doubling(), two, OrbitPoint.doubling(3), np.arange(300_000)),
+        (SystemModel.doubling(), Observable.fourier_mode(2**50 + 1), OrbitPoint.doubling(5), u)):
     h.update(orbit_eval(system, f, x0, us).tobytes())
 digest = h.hexdigest()
 """
@@ -243,10 +236,10 @@ digest = h.hexdigest()
                                       "AVX512_SPR AVX512_ICL X86_V4 X86_V3"],
                          ids=["x86-64-v3", "baseline"])
 def test_orbit_values_do_not_depend_on_the_dispatch_level(disabled):
-    """Rotation orbit values, and doubling ones of a finite_fourier
-    observable, hash alike with numpy's AVX-512 (and then AVX2) kernels
-    switched off, in a fresh process. On a host that lacks
-    a feature, its restriction changes nothing and the test still runs.
+    """Rotation and doubling orbit values hash alike with numpy's AVX-512
+    (and then AVX2) kernels switched off, in a fresh process. On a host
+    that lacks a feature, its restriction changes nothing and the test
+    still runs.
     Not checked here: other architectures, other libms and other numpy
     versions."""
     scope = {}
@@ -291,6 +284,14 @@ _TOP = 2**64 - 1
 _B = DEFAULT_BIT_WINDOW
 
 
+def _window_reference(f: Observable, seed: int, u) -> np.ndarray:
+    """The rotation by 2**-B from 0 at the window integers w_u that
+    oracles.doubling_window reads with Python integers: a doubling point's
+    T^u x0 is w_u 2**-B."""
+    w = np.array([oracles.doubling_window(seed, v, _B) for v in u], dtype=np.int64)
+    return orbit_eval(SystemModel.rotation(Fraction(1, 2**_B)), f, OrbitPoint.rotation([0, 1]), w)
+
+
 @st.composite
 def _orbit_indices(draw):
     """Indices in any order, with repeats, dense runs, gaps narrower and
@@ -312,12 +313,38 @@ def _orbit_indices(draw):
 @given(seed=st.integers(0, 2**64 - 1), u=_orbit_indices())
 def test_doubling_values_match_the_reference_at_any_indices(seed, u):
     """Each value is f at the window 0.b_u ... b_{u+B-1} that the reference
-    reads from two words with Python integers, bit for bit."""
-    f = Observable.fourier_mode(1)
+    reads from two words with Python integers, bit for bit, for a Fourier
+    and an indicator observable."""
+    for f in (Observable.fourier_mode(1), Observable.indicator(0.25, 0.75)):
+        got = orbit_eval(SystemModel.doubling(), f, OrbitPoint.doubling(seed),
+                         np.array(u, dtype=np.uint64))
+        assert got.tobytes() == _window_reference(f, seed, u).tobytes(), f.kind
+
+
+_LARGE_MODES = [1, 2**20 + 1, 2**40 + 1, 2**50 + 1, -2**53]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), f=observables,
+       u=st.lists(st.integers(0, _TOP), min_size=1, max_size=8))
+@example(seed=7, f=Observable.fourier_mode(2**50 + 1), u=[0, 1, 2**40, _TOP])
+@example(seed=7, f=Observable.finite_fourier([[m, 1.0, -0.5] for m in _LARGE_MODES]),
+         u=[0, 63, 64, 2**62 + 11])
+def test_doubling_values_are_within_the_table_bound(seed, f, u):
+    """Each doubling value lies within orbit_eval's (27 t + K) eps sum|c_m|
+    of the exact sum_m c_m e((m w mod 2**B) / 2**B), w the window integer,
+    with t = 5 tables (w < 2**53), at every mode up to 2**53 and every
+    uint64 index. The reference (oracles.doubling_fourier) adds at most
+    (6 + K) eps sum|c_m| of its own. Where doubling values took m x in
+    doubles, the error at m = 2**50 + 1 reached 0.39."""
     got = orbit_eval(SystemModel.doubling(), f, OrbitPoint.doubling(seed),
                      np.array(u, dtype=np.uint64))
-    x = [oracles.doubling_window(seed, v, _B) for v in u]
-    assert got.tobytes() == f.eval(np.array(x)).tobytes()
+    terms = [(f.mode, 1)] if f.kind == "fourier_mode" else f.terms
+    c_l1 = sum(abs(c) for _, c in terms)
+    bound = (27 * 5 + 2 * len(terms) + 6) * _EPS * c_l1
+    for g, v in zip(got, u):
+        want = oracles.doubling_fourier(seed, v, terms, _B)
+        assert abs(g - want) <= bound, (v, abs(g - want) / (_EPS * c_l1))
 
 
 def test_orbit_rejects_non_integer_indices():
@@ -339,7 +366,7 @@ def test_orbit_rejects_negative_and_empty():
     # every uint64 index has its window: words k and k + 1 <= 2**58
     top = np.array([2**64 - 1], dtype=np.uint64)
     got = orbit_eval(SystemModel.doubling(), f, OrbitPoint.doubling(seed=1), top)
-    assert got.tobytes() == f.eval(np.array([oracles.doubling_window(1, 2**64 - 1)])).tobytes()
+    assert got.tobytes() == _window_reference(f, 1, [2**64 - 1]).tobytes()
 
 
 def test_mismatched_point_kind():
@@ -355,34 +382,35 @@ def test_mismatched_point_kind():
 
 # ------------------------------------------------------------- observables
 
-def test_observable_values_and_norms():
-    f = Observable.fourier_mode(3)
-    x = np.array([0.0, 0.25, 1.0 / 3.0])
-    got = f.eval(x)
-    assert got[0] == pytest.approx(1.0)
+def test_observable_values():
+    """Each kind at known positions, along the rotation by 1/60 from 0."""
+    def at(f, u):
+        return orbit_eval(SystemModel.rotation(Fraction(1, 60)), f, OrbitPoint.rotation([0, 1]),
+                          np.array(u, dtype=np.int64))
+
+    got = at(Observable.fourier_mode(3), [0, 15, 20])  # x = 0, 1/4, 1/3
+    assert got[0] == 1.0
     assert got[1] == pytest.approx(complex(0, -1), abs=1e-12)  # e^{2 pi i 3/4}
     assert got[2] == pytest.approx(1.0, abs=1e-12)
-    assert f.l2_norm() == 1.0
-
-    g = Observable.indicator(0.25, 0.5)
-    assert g.eval(np.array([0.25, 0.3, 0.5]))[0] == 1.0
-    assert g.eval(np.array([0.5]))[0] == 0.0
-    assert g.l2_norm() == pytest.approx(0.5)
-
-    h = Observable.finite_fourier([(0, 1.0), (2, 2.0)])
-    assert h.l2_norm() == pytest.approx(math.sqrt(5.0))
-    assert h.eval(np.array([0.0]))[0] == pytest.approx(3.0)
+    # x = 1/4, 3/10 and 1/2 against [1/4, 1/2)
+    assert at(Observable.indicator(0.25, 0.5), [15, 18, 30]).tolist() == [1.0, 1.0, 0.0]
+    assert at(Observable.finite_fourier([(0, 1.0), (2, 2.0)]), [0])[0] == pytest.approx(3.0)
 
 
 def test_observable_values_do_not_depend_on_the_array_size():
-    """Values of a slice are the slice of values, bit for bit, on arrays
-    short and long enough for numpy to reuse a temporary (2**14 complex
-    entries): each finite_fourier product is taken by _times."""
-    x = np.random.default_rng(3).random(40_000)
+    """Doubling orbit values of a slice are the slice of orbit values, bit
+    for bit, on arrays short and long enough for numpy to reuse a
+    temporary (2**14 complex entries), though a piece builds only as many
+    tables as its largest window needs. The rotation tests above cut
+    rotation orbits the same way."""
+    u = np.random.default_rng(3).integers(0, 2**62, 40_000)
+    edges = [*range(0, 1000, 100), 1000, 1001, 17_000, u.size]
+    system, point = SystemModel.doubling(), OrbitPoint.doubling(3)
     for f in (Observable.fourier_mode(3), Observable.indicator(0.2, 0.7),
               Observable.finite_fourier([[1, 0.3, 0.7], [-2, -1.1, 0.45]])):
-        parts = np.concatenate([f.eval(x[i : i + 100]) for i in range(0, x.size, 100)])
-        assert f.eval(x).tobytes() == parts.tobytes(), f.kind
+        parts = [orbit_eval(system, f, point, u[i:j]) for i, j in zip(edges, edges[1:])]
+        whole = orbit_eval(system, f, point, u)
+        assert whole.tobytes() == np.concatenate(parts).tobytes(), f.kind
 
 
 def test_observable_validation():
@@ -404,9 +432,14 @@ def test_observable_validation():
     Observable.fourier_mode, lambda m: Observable.finite_fourier([(m, 1.0)])],
     ids=["fourier_mode", "finite_fourier"])
 def test_observable_modes_stop_at_2_53(make):
-    """eval takes m * x in doubles: every |m| <= 2**53 is exact there."""
+    """Configs may ask for modes up to |m| = 2**53 and no further. At
+    m = +-2**53 every value at a doubling point (x = w 2**-53) and at a
+    rotation by 1/4 from 1/4 is e(integer) = 1, and comes out exactly 1."""
+    u = np.array([0, 1, 5, 2**40 + 3], dtype=np.int64)
     for m in (2**53, -2**53):
-        assert make(m).eval(np.array([0.25, 0.5])).tolist() == [1.0, 1.0]
+        for system, point in ((SystemModel.doubling(), OrbitPoint.doubling(9)),
+                              (SystemModel.rotation(Fraction(1, 4)), OrbitPoint.rotation([1, 4]))):
+            assert orbit_eval(system, make(m), point, u).tolist() == [1.0] * u.size
     for m in (2**53 + 1, -2**53 - 1, 10**400):
         with pytest.raises(ValueError, match=r"\|m\| <= 2\*\*53"):
             make(m)
@@ -423,8 +456,10 @@ def test_observable_round_trip():
         g = Observable(**d)
         assert g.kind == f.kind
         assert (g.mode, g.interval, g.terms) == (f.mode, f.interval, f.terms)
-        x = np.linspace(0.0, 0.99, 7)
-        assert np.allclose(g.eval(x), f.eval(x))
+        u = np.arange(0, 700, 100)
+        system, point = SystemModel.doubling(), OrbitPoint.doubling(4)
+        assert (orbit_eval(system, g, point, u).tobytes()
+                == orbit_eval(system, f, point, u).tobytes())
 
 
 # ------------------------------------------------------------- spectral

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -173,7 +174,6 @@ def test_doubling_needs_seeds():
 def test_x0_parsing():
     """A rotation point takes a number in [0, 1), read as a float, or an
     exact [num, den] pair; a config without x0 starts at 0.0."""
-    from fractions import Fraction
     assert harness._plan(cfg(**tiny_average()))[0].point.x0 == 0.0
     assert OrbitPoint.rotation(0.25).x0 == 0.25
     assert type(OrbitPoint.rotation(0).x0) is float
@@ -876,6 +876,14 @@ def test_cli_run_parses_the_config_once(tmp_path, monkeypatch, capsys):
     assert len(plans) == 1
 
 
+def _window_values(f, seed: int, u) -> np.ndarray:
+    """A doubling point's orbit values as the rotation by 2**-53 from 0 at
+    the window integers that oracles.doubling_window reads with Python
+    integers."""
+    w = np.array([oracles.doubling_window(seed, v) for v in u], dtype=np.int64)
+    return orbit_eval(SystemModel.rotation(Fraction(1, 2**53)), f, OrbitPoint.rotation([0, 1]), w)
+
+
 # doubling runs whose indices reach far: 3000**3 = 2.7e10, the random
 # prime model, which has no index bound before its run, and u = k up to
 # 2**63 - 2, the largest term index
@@ -906,8 +914,7 @@ def test_far_doubling_config_exits_0(tmp_path, capsys, case, command):
     grid = run_grid(k_first, plan.n_terms)
     [(seed, got)] = harness._orbit_runs(plan, grid)
     u = gen_indices(harness._for_seed(plan.indices, seed), k_first, k_end)
-    x = [oracles.doubling_window(seed, v) for v in u]
-    terms = gen_weights(plan.weights, k_first, k_end) * plan.observable.eval(np.array(x))
+    terms = gen_weights(plan.weights, k_first, k_end) * _window_values(plan.observable, seed, u)
     assert got.sums.tobytes() == prefix_at(terms, grid - k_first).tobytes()
 
 
@@ -1079,7 +1086,7 @@ def test_blocked_stage_sums_match_one_unblocked_pass(kind, case, monkeypatch):
     w = gen_weights(harness._for_seed(plan.weights, seed), k_first, k_end)
     u = gen_indices(plan.indices, k_first, k_end)
     if plan.system.kind == "doubling":
-        v = plan.observable.eval(np.array([oracles.doubling_window(seed, j) for j in u]))
+        v = _window_values(plan.observable, seed, u)
     else:
         v = orbit_eval(plan.system, plan.observable, plan.point, u)
     terms = w * v

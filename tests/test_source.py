@@ -1,9 +1,10 @@
 """Source checks that need no linter: every name a module of the package,
 a test module or a demo imports at module level is used in that file, and
-every function and class a module of the package defines at module level
-is read by name in another of the package's modules (not __init__.py,
-which only re-exports), a demo or tests/test_acceptance.py. Unit tests do
-not count as readers, so no helper stays in the package for them alone."""
+every function and class a module of the package defines at module level,
+and every undecorated method of its classes, is read by name in another
+of the package's modules (not __init__.py, which only re-exports), a demo
+or tests/test_acceptance.py. Unit tests do not count as readers, so no
+helper stays in the package for them alone."""
 
 import ast
 from functools import cache
@@ -59,20 +60,35 @@ def file_reads(path: Path) -> frozenset:
 
 
 def unread_definitions(source: str, read_elsewhere) -> list[str]:
-    """Module-level functions and classes of the module that no name reads,
-    neither in `read_elsewhere` nor in the module outside their own
-    definition (a function that only calls itself is unread)."""
+    """Module-level functions and classes of the module, and the methods of
+    its classes that no decorator marks (a classmethod constructor, a
+    property) and whose names are not dunders, that no name reads, neither
+    in `read_elsewhere` nor in the module outside their own definition (a
+    function that only calls itself is unread). A method is named
+    Class.method."""
     body = ast.parse(source).body
-    return [d.name for d in body
-            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and d.name not in read_elsewhere
-            and d.name not in names_read(n for n in body if n is not d)]
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    # each definition with the module's nodes outside it
+    defs = [(d.name, d, [n for n in body if n is not d])
+            for d in body if isinstance(d, (*funcs, ast.ClassDef))]
+    defs += [(f"{c.name}.{d.name}", d, [*(n for n in body if n is not c),
+                                        *(k for k in c.body if k is not d)])
+             for c in body if isinstance(c, ast.ClassDef)
+             for d in c.body if isinstance(d, funcs) and not d.decorator_list
+             and not (d.name.startswith("__") and d.name.endswith("__"))]
+    return [name for name, d, rest in defs
+            if d.name not in read_elsewhere and d.name not in names_read(rest)]
 
 
 def test_unread_definitions_are_found():
     src = ("def a():\n    return a()\n\ndef b():\n    pass\n\n"
            "class C:\n    pass\n\nclass D:\n    pass\n\nx = b\n")
     assert unread_definitions(src, {"C"}) == ["a", "D"]
+    src = ("class E:\n    def __init__(self):\n        self.f()\n\n"
+           "    def f(self):\n        pass\n\n    def g(self):\n        return self.g()\n\n"
+           "    def h(self):\n        pass\n\n    @property\n    def k(self):\n        pass\n\n"
+           "x = E\n")
+    assert unread_definitions(src, {"h"}) == ["E.g"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
