@@ -416,18 +416,6 @@ def normalized_series(run: SeriesRun, grid: NormalizedGrid | NormalizerSpec
 # series partial sums (one-sided transform shape) and tail diagnostics
 
 
-def _series_args(weights, orbit_values, norm: NormalizerSpec, k_first: int):
-    """Weights and orbit values as aligned complex arrays of a series whose
-    terms start at k_first >= k0."""
-    w = np.ascontiguousarray(weights, dtype=np.complex128)
-    v = np.ascontiguousarray(orbit_values, dtype=np.complex128)
-    if w.shape != v.shape or w.ndim != 1 or w.size == 0:
-        raise ValueError("weights and orbit values must be aligned 1-d arrays")
-    if k_first < norm.k0:
-        raise ValueError(f"series terms start at k >= k0 = {norm.k0}")
-    return w, v
-
-
 def hilbert_partial(weights, orbit_values, norm: NormalizerSpec, N: int,
                     k_first: int | None = None) -> complex:
     """partial(N) = sum_{k_first <= k <= N} (w_k / A(k)) * orbit_k: the
@@ -531,14 +519,16 @@ def abel_decompose(weights, orbit_values, norm: NormalizerSpec, N: int,
         sum_{k<N} S'_k (1/A(k) - 1/A(k+1)) + S'_N / A(N),
 
     with S'_k the inclusive plain sums of w_k * orbit_k. Agrees with
-    hilbert_partial to rounding (the identity is algebraic)."""
+    hilbert_partial to rounding (the identity is algebraic). The terms
+    are taken as by hilbert_series, and A(k) refuses k below k0."""
     if k_first is None:
         k_first = norm.k0
-    w, v = _series_args(weights, orbit_values, norm, k_first)
+    size = len(weights)
     count = N - k_first + 1
-    if not (1 <= count <= w.size):
+    if not (1 <= count <= size):
         raise ValueError("N outside the supplied term range")
-    s = np.cumsum(orbit_terms(w[:count], v[:count]))
+    s = np.cumsum(orbit_terms(_block_reader(weights, size)(0, count),
+                              _block_reader(orbit_values, size)(0, count)))
     ks = np.arange(k_first, N + 2, dtype=np.int64)
     inv_a = 1.0 / norm.values(ks)
     boundary = s[-1] * inv_a[-2]

@@ -80,7 +80,7 @@ from .averages import (
 )
 from .dynamics import Observable, OrbitPoint, SystemModel, orbit_eval
 from .indices import _SEEDED as _SEEDED_INDICES
-from .indices import IndexSpec, check_top, gen_indices, index_blocks, pi_count
+from .indices import IndexSpec, gen_indices, index_blocks, pi_count
 from .scaling_fit import (
     TEMPLATES,
     EnvelopeSample,
@@ -92,7 +92,7 @@ from .scaling_fit import (
 )
 from .trigsum import SCALED_GRID_CAP, SupEstimate, ThetaGrid, sup_envelope, sup_harmonic
 from .weights import _SEEDED as _SEEDED_WEIGHTS
-from .weights import WeightSpec, check_phase, gen_weights, weight_blocks
+from .weights import WeightSpec, gen_weights, weight_blocks
 
 TOOL_VERSION = "0.1.0"
 
@@ -359,7 +359,6 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
         diags.append("seeds: required for stochastic ingredients")
 
     if config.kind in ("envelope_scan", "condition_fit"):
-        k_lo = max([1] + [s.offset for s in (wspec, ispec) if s is not None])
         if config.blocks is None:
             diags.append("blocks: required")
         elif not (isinstance(config.blocks, (list, tuple)) and config.blocks and all(
@@ -367,8 +366,6 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
                 and is_int(b[0]) and is_int(b[1]) and 0 <= b[0] < b[1]
                 for b in config.blocks)):
             diags.append("blocks: must be [M, N] integer pairs with 0 <= M < N")
-        elif any(b[0] + 1 < k_lo for b in config.blocks):
-            diags.append(f"blocks: rows start at M + 1, which must be >= {k_lo}")
         elif any(b[1] >= _K_END for b in config.blocks):
             diags.append("blocks: term indices k must stay below 2**63 - 1")
         elif any(b[1] - b[0] > _MAX_TERMS for b in config.blocks):
@@ -385,10 +382,11 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
             diags.append("harmonic: must be true or false")
         if diags:
             return None, diags
-        # the rows the run computes must exist and, for a fit, be fittable
+        # the rows the run computes must exist and, for a fit, be fittable;
+        # the block iterators check each row's k in (M, N] and draw nothing
         rows = [tuple(b) for b in config.blocks]
-        check("weights", lambda: check_phase(wspec, max(n for _, n in rows) + 1))
-        check("indices", lambda: [check_top(ispec, m + 1, n + 1) for m, n in rows])
+        check("weights", lambda: [weight_blocks(wspec, m + 1, n + 1) for m, n in rows])
+        check("indices", lambda: [index_blocks(ispec, m + 1, n + 1) for m, n in rows])
         if config.kind == "condition_fit":
             check("template", lambda: check_rows(config.template, rows))
             harmonic = config.template.startswith("harmonic")
@@ -400,15 +398,8 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
         return (None if diags else plan), diags
 
     # orbit-run kinds
-    if config.k_first is not None:
-        if not is_int(config.k_first) or config.k_first < 0:
-            diags.append("k_first: must be a nonnegative integer")
-        else:
-            for spec in (wspec, ispec):
-                if spec is not None and config.k_first < spec.offset:
-                    diags.append(
-                        f"k_first: below the {spec.kind} family offset {spec.offset}"
-                    )
+    if config.k_first is not None and not (is_int(config.k_first) and config.k_first >= 0):
+        diags.append("k_first: must be a nonnegative integer")
     system = sub_spec("system", SystemModel)
     if system is not None and system.kind == "doubling":
         if not config.seeds:
@@ -445,19 +436,18 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
     if n_end > _K_END:
         diags.append("k_first: term indices k must stay below 2**63 - 1")
         return None, diags
-    check("weights", lambda: check_phase(wspec, n_end))
-    check("indices", lambda: check_top(ispec, kf, n_end))
+    check("weights", lambda: weight_blocks(wspec, kf, n_end))
+    check("indices", lambda: index_blocks(ispec, kf, n_end))
     if hilbert:
         beyond = [t for t in config.tail_starts or _dyadic_starts(kf, n_end - 1)
                   if t >= n_end]
-        if kf < norm.k0:
-            diags.append(f"k_first: series terms start at k >= k0 = {norm.k0}")
-        elif beyond:
+        if beyond:
             diags.append(f"tail_starts: tail start {beyond[0]} is beyond the stored grid")
     if diags:
         return None, diags
     grid = run_grid(kf, config.n_terms, hilbert)
-    # a series divides by A(k), an average by the A(N) of this NormalizedGrid
+    # a series divides by A(k), which norm.values refuses below k0, and an
+    # average by the A(N) of this NormalizedGrid
     normed = check("normalizer", lambda: norm.values(grid) if hilbert
                    else NormalizedGrid.build(grid, norm))
     if ladder is not None:

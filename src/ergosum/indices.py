@@ -93,9 +93,8 @@ class IndexSpec:
 def gen_indices(spec: IndexSpec, m: int, n: int) -> np.ndarray:
     """Indices u_k for k in [m, n) as int64; element j is u_{m+j}.
 
-    Requires 0 <= m < n, m >= spec.offset and check_top(spec, m, n) to
-    pass, which it checks before evaluating anything. The result is the
-    blocks of index_blocks joined.
+    Takes the ranges index_blocks takes and refuses the others with its
+    ValueError. The result is the blocks of index_blocks joined.
     """
     return np.concatenate(list(index_blocks(spec, m, n)))
 
@@ -103,7 +102,9 @@ def gen_indices(spec: IndexSpec, m: int, n: int) -> np.ndarray:
 def index_blocks(spec: IndexSpec, m: int, n: int):
     """Indices u_k for k in [m, n) as consecutive _BLOCK-term int64 arrays,
     the last one shorter. The arguments are checked when this is called,
-    not when the first block is drawn.
+    not when the first block is drawn, so a call that draws nothing
+    validates a range. It raises ValueError unless 0 <= m < n, m >=
+    spec.offset and check_top(spec, m, n) passes.
 
     primes and cramer_primes walk their selected integers in increasing
     order, a sieve segment or a few random-model blocks at a time, and
@@ -122,7 +123,7 @@ def _check_range(spec: IndexSpec, m: int, n: int) -> None:
     if not (0 <= m < n):
         raise ValueError("need 0 <= m < n")
     if m < spec.offset:
-        raise ValueError(f"{spec.kind} indices start at k = {spec.offset}")
+        raise ValueError(f"{spec.kind} indices start at k = {spec.offset}; got range from {m}")
     check_top(spec, m, n)
 
 

@@ -57,7 +57,7 @@ class EnvelopeSample:
     def __post_init__(self):
         if not (0 <= self.M < self.N):
             raise ValueError("need 0 <= M < N")
-        if not (0.0 <= self.lower <= self.upper * (1 + 1e-12)):
+        if not 0.0 <= self.lower <= self.upper:
             raise ValueError("need 0 <= lower <= upper")
 
 

@@ -94,21 +94,12 @@ def _finite_real(v) -> bool:
     return is_real(v) and math.isfinite(v)
 
 
-def check_phase(spec: WeightSpec, n: int) -> None:
-    """Raise ValueError when some w_k, k < n, has a phase past the double
-    range. Phases grow with k, so the last weight decides."""
-    if n >= 3 and spec.kind in ("power_phase", "logpower_phase", "log_phase"):
-        with np.errstate(all="ignore"):
-            if not np.isfinite(gen_weights(spec, n - 1, n)).all():
-                raise ValueError(f"{spec.kind} phase overflows a double below k = {n}")
-
-
 def gen_weights(spec: WeightSpec, m: int, n: int) -> np.ndarray:
     """Weights w_k for k in [m, n) as complex128; element j is w_{m+j}.
 
-    Requires 0 <= m < n and m >= spec.offset (the family's first defined
-    index). Identical arguments give bit-identical output: the blocks of
-    weight_blocks joined.
+    Takes the ranges weight_blocks takes and refuses the others with its
+    ValueError. Identical arguments give bit-identical output: the blocks
+    of weight_blocks joined.
     """
     return np.concatenate(list(weight_blocks(spec, m, n)))
 
@@ -116,8 +107,11 @@ def gen_weights(spec: WeightSpec, m: int, n: int) -> np.ndarray:
 def weight_blocks(spec: WeightSpec, m: int, n: int):
     """Weights w_k for k in [m, n) as consecutive _BLOCK-term complex128
     arrays, the last one shorter, so one block is held at a time at any n.
+
     The arguments are checked when this is called, not when the first
-    block is drawn.
+    block is drawn, so a call that draws nothing validates a range. It
+    raises ValueError unless 0 <= m < n, m >= spec.offset (the family's
+    first defined index) and check_phase(spec, n) passes.
 
     moebius sieves each block on its own with the primes up to
     sqrt(n - 1); every other kind is one elementwise call per block.
@@ -135,6 +129,18 @@ def _check_range(spec: WeightSpec, m: int, n: int) -> None:
         raise ValueError(
             f"{spec.kind} weights start at k = {spec.offset}; got range from {m}"
         )
+    check_phase(spec, n)
+
+
+def check_phase(spec: WeightSpec, n: int) -> None:
+    """Raise ValueError when some w_k, k < n, has a phase past the double
+    range. Phases grow with k, so the last weight decides; it is evaluated
+    alone, so this costs one term. Requires n - 1 >= spec.offset, as
+    every range weight_blocks takes has."""
+    if spec.kind in ("power_phase", "logpower_phase", "log_phase"):
+        with np.errstate(all="ignore"):
+            if not np.isfinite(_elementwise(spec, n - 1, n)).all():
+                raise ValueError(f"{spec.kind} phase overflows a double below k = {n}")
 
 
 def _elementwise(spec: WeightSpec, m: int, n: int) -> np.ndarray:

@@ -214,7 +214,7 @@ def test_null_harmonic_and_params_mean_unset():
 def test_k_first_against_family_offsets():
     d = tiny_average(weights={"kind": "log_phase", "h": 1.0}, k_first=0)
     diags = validate(cfg(**d))
-    assert any("k_first: below the log_phase family offset" in x for x in diags)
+    assert "weights: log_phase weights start at k = 1; got range from 0" in diags
 
 
 def test_readme_field_table_is_the_reads_table():
@@ -554,7 +554,7 @@ INVALID_CLI_CONFIGS = {
     "hilbert_k_first_below_k0": (
         tiny_average(kind="hilbert_run", k_first=2,
                      normalizer={"gamma": 1.0, "k0": 5}),
-        "k_first: series terms start at k >= k0 = 5"),
+        "normalizer: normalizer defined for k >= 5"),
     # term indices k past int64, directly and through wraparound
     "k_first_past_int64": (
         tiny_average(k_first=10**30),
@@ -704,8 +704,8 @@ INVALID_CLI_CONFIGS = {
                       blocks=[[0, 1 << j] for j in range(6, 12)],
                       reference={"x": nested_list(depth)}),
         "reference: must nest at most 100 levels deep") for depth in (700, 900)},
-    # past the one cap on modes, 2**53: doubling orbits take m * x in doubles
-    # (rotations reduce m theta0 exactly, but the cap is the same)
+    # past the one cap on modes, 2**53: the range configs may ask for, since
+    # every orbit value reduces its phase exactly at any mode
     "fourier_mode_10_400": (
         tiny_average(observable={"kind": "fourier_mode", "mode": 10**400}),
         "observable: fourier_mode needs an integer mode with |m| <= 2**53"),

@@ -172,6 +172,10 @@ def test_sample_validation():
         EnvelopeSample(M=10, N=5, lower=1.0, upper=2.0)
     with pytest.raises(ValueError):
         EnvelopeSample(M=0, N=5, lower=3.0, upper=2.0)
+    # the exact bracket of the SupEstimate a sample copies: not one ulp over
+    with pytest.raises(ValueError, match="need 0 <= lower <= upper"):
+        EnvelopeSample(M=0, N=5, lower=float(np.nextafter(2.0, np.inf)), upper=2.0)
+    EnvelopeSample(M=0, N=5, lower=2.0, upper=2.0)
 
 
 def test_harmonic_h1_recovery():

@@ -122,3 +122,33 @@ def test_oracles_take_only_raw64_from_the_package():
                                     "ergosum._rng.raw64"]
     oracles = (REPO / "tests" / "oracles.py").read_text(encoding="utf-8")
     assert set(package_imports(oracles)) <= {"ergosum._rng.raw64"}
+
+
+def layer_function_names() -> list[str]:
+    """The keys of perfbench/spans.py's LAYER_FUNCTIONS, read from its
+    source, so this needs nothing that perfbench imports."""
+    tree = ast.parse((REPO / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "LAYER_FUNCTIONS" for t in node.targets):
+            return [key.value for key in node.value.keys]
+    raise AssertionError("perfbench/spans.py assigns no LAYER_FUNCTIONS")
+
+
+def test_harness_binds_and_reads_every_traced_name():
+    """The traced benchmark pass replaces each LAYER_FUNCTIONS name on
+    ergosum.harness by a timing wrapper, so the harness must bind each one
+    at module level and look it up by name outside its import or
+    definition; a name dropped from the harness would pass every other
+    test and crash that pass. Drop this test together with spans.py."""
+    names = layer_function_names()
+    body = ast.parse((REPO / "src" / "ergosum" / "harness.py").read_text(encoding="utf-8")).body
+    imports = (ast.Import, ast.ImportFrom)
+    bound = {a.asname or a.name for n in body if isinstance(n, imports) for a in n.names}
+    bound |= {n.name for n in body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert names and [n for n in names if n not in bound] == []
+
+    def reads(name):
+        rest = [n for n in body if not isinstance(n, imports) and getattr(n, "name", None) != name]
+        return any(isinstance(x, ast.Name) and x.id == name for n in rest for x in ast.walk(n))
+    assert [n for n in names if not reads(n)] == []

@@ -205,3 +205,10 @@ def test_weight_blocks_check_their_range_when_called():
         weight_blocks(WeightSpec(kind="log_phase", h=1.0), 0, 5)
     with pytest.raises(ValueError, match="need 0 <= m < n"):
         weight_blocks(WeightSpec(kind="moebius"), 5, 5)
+
+
+def test_phase_overflow_is_refused_when_drawn():
+    """A phase past the double range is refused by the draw itself, with
+    the line validate() reports, not handed over as NaN weights."""
+    with pytest.raises(ValueError, match="^power_phase phase overflows a double below k = 201$"):
+        gen_weights(WeightSpec(kind="power_phase", delta=2**63), 0, 201)
