@@ -439,6 +439,9 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
     check("weights", lambda: weight_blocks(wspec, kf, n_end))
     check("indices", lambda: index_blocks(ispec, kf, n_end))
     if hilbert:
+        # a series divides by A(k) from k = k_first on, which norm.values
+        # refuses below k0; asked before the grid, which starts at k >= 1
+        check("normalizer", lambda: norm.values([kf]))
         beyond = [t for t in config.tail_starts or _dyadic_starts(kf, n_end - 1)
                   if t >= n_end]
         if beyond:
@@ -446,8 +449,8 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
     if diags:
         return None, diags
     grid = run_grid(kf, config.n_terms, hilbert)
-    # a series divides by A(k), which norm.values refuses below k0, and an
-    # average by the A(N) of this NormalizedGrid
+    # a series divides by A(k) at each stored k, an average by the A(N) of
+    # this NormalizedGrid
     normed = check("normalizer", lambda: norm.values(grid) if hilbert
                    else NormalizedGrid.build(grid, norm))
     if ladder is not None:

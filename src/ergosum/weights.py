@@ -111,7 +111,7 @@ def weight_blocks(spec: WeightSpec, m: int, n: int):
     The arguments are checked when this is called, not when the first
     block is drawn, so a call that draws nothing validates a range. It
     raises ValueError unless 0 <= m < n, m >= spec.offset (the family's
-    first defined index) and check_phase(spec, n) passes.
+    first defined index) and no phase of w_k, k < n, overflows a double.
 
     moebius sieves each block on its own with the primes up to
     sqrt(n - 1); every other kind is one elementwise call per block.
@@ -129,14 +129,7 @@ def _check_range(spec: WeightSpec, m: int, n: int) -> None:
         raise ValueError(
             f"{spec.kind} weights start at k = {spec.offset}; got range from {m}"
         )
-    check_phase(spec, n)
-
-
-def check_phase(spec: WeightSpec, n: int) -> None:
-    """Raise ValueError when some w_k, k < n, has a phase past the double
-    range. Phases grow with k, so the last weight decides; it is evaluated
-    alone, so this costs one term. Requires n - 1 >= spec.offset, as
-    every range weight_blocks takes has."""
+    # phases grow with k, so the last weight, evaluated alone, decides
     if spec.kind in ("power_phase", "logpower_phase", "log_phase"):
         with np.errstate(all="ignore"):
             if not np.isfinite(_elementwise(spec, n - 1, n)).all():

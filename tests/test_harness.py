@@ -555,6 +555,10 @@ INVALID_CLI_CONFIGS = {
         tiny_average(kind="hilbert_run", k_first=2,
                      normalizer={"gamma": 1.0, "k0": 5}),
         "normalizer: normalizer defined for k >= 5"),
+    # k0 is refused before the stored grid, which cannot start at k = 0
+    "hilbert_k_first_0": (
+        tiny_average(kind="hilbert_run", k_first=0),
+        "normalizer: normalizer defined for k >= 1"),
     # term indices k past int64, directly and through wraparound
     "k_first_past_int64": (
         tiny_average(k_first=10**30),
