@@ -14,7 +14,8 @@ keeps the candidate k with probability p_k / p_max (Lewis & Shedler 1979;
 Devroye, Non-Uniform Random Variate Generation, 1986, ch. VI), so about
 p_max (hi - lo) draws replace hi - lo. Candidate i of the block reads
 counters 2 lo + 2i (its gap) and 2 lo + 2i + 1 (its acceptance), under a
-key of its own apart from the uniform01(seed, k) stream. Counter ranges of
+key of its own apart from the uniform01(seed, k) stream, and the blocks of
+one width are drawn together, one row of candidates each. Counter ranges of
 different blocks are disjoint and stay below 2^64 for every k < 2^63, so
 each block is a pure function of (seed, block): weights and indices of one
 seed read one realization, however often and in whatever pieces they draw
@@ -34,6 +35,8 @@ _INV53 = 1.0 / (1 << 53)
 _CRAMER_STREAM = 0xD1B54A32D192ED03
 # width of the random-model blocks from 2^16 on; below it they are dyadic
 _WIDE = 1 << 16
+# starts of the blocks below 2^16: [3, 4), then [2^j, 2^(j+1))
+_DYADIC = np.array([3, *(1 << j for j in range(2, 16))], dtype=np.int64)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -87,58 +90,52 @@ def uniform01(seed: int, counters) -> np.ndarray:
 # random prime model
 
 
-def block_start(ks) -> np.ndarray:
-    """Start lo of the random-model block holding each integer k >= 3."""
-    ks = np.asarray(ks, dtype=np.int64)
-    # frexp gives k = m 2^e with m in [0.5, 1), exactly for k < 2^16
-    e = np.frexp(np.minimum(ks, _WIDE - 1).astype(np.float64))[1]
-    return np.where(ks < _WIDE, np.maximum(3, np.int64(1) << (e - 1)), ks & np.int64(-_WIDE))
-
-
 def block_starts(a: int, b: int) -> np.ndarray:
     """Starts of the random-model blocks that meet [max(3, a), b)."""
-    first = int(block_start(max(3, a)))
-    dyadic = [lo for lo in (3, *(1 << j for j in range(2, 16))) if first <= lo < b]
-    wide = np.arange(max(first, _WIDE), b, _WIDE, dtype=np.int64)
-    return np.concatenate([np.array(dyadic, dtype=np.int64), wide])
+    k = max(3, a)
+    dyadic = _DYADIC[(_DYADIC < b) & (_DYADIC + _widths(_DYADIC) > k)]
+    wide = np.arange(max(k & -_WIDE, _WIDE), b, _WIDE, dtype=np.int64)
+    return np.concatenate([dyadic, wide])
 
 
 def _widths(los: np.ndarray) -> np.ndarray:
-    # [3, 4) and [2^j, 2^(j+1)) below 2^16, then 2^16 wide
     return np.where(los < _WIDE, np.where(los == 3, 1, los), _WIDE)
 
 
 def _thinned(key: np.uint64, los: np.ndarray, want: np.ndarray) -> list:
     """Selected integers of each block (los ascending) from its first `want`
-    candidates, or None for a block whose candidates stop short of its end."""
-    width = _widths(los)
-    log_lo = np.log(los.astype(np.float64))
-    start = np.cumsum(want) - want
-    # candidate i of a block reads counter 2 lo + 2i; 2 (lo - start) wraps
-    # in uint64 where start > lo, and adding 2 (start + i) wraps it back
-    with np.errstate(over="ignore"):
-        counter = (np.repeat(2 * (los.astype(_U64) - start.astype(_U64)), want)
-                   + 2 * np.arange(want.sum(), dtype=_U64))
-    # geometric gaps >= 1 at rate p_max = 1/log lo: P(gap > g) = (1 - p_max)^g
-    gap = np.log1p(-_to01(_mixed(key, counter)))
-    gap /= np.repeat(np.log1p(-1.0 / log_lo), want)
-    gap = gap.astype(np.int64) + 1
-    total = np.cumsum(gap)
-    # offset of each candidate from its block's lo
-    offset = total - np.repeat(total[start] - gap[start] + 1, want)
-    reached = (offset[start + want - 1] >= width) | (want == width)
-    inside = offset < np.repeat(width, want)
-    k = (offset + np.repeat(los, want))[inside]
-    v = _to01(_mixed(key, counter[inside] + _U64(1)))
-    # keep k with probability p_k / p_max = log lo / log k
-    k = k[v * np.log(k.astype(np.float64)) < np.repeat(log_lo, want)[inside]]
-    parts = np.split(k, np.searchsorted(k, los[1:]))
-    return [part if ok else None for ok, part in zip(reached, parts)]
+    candidates, or None for a block whose candidates stop short of its end.
+    The blocks of one width are drawn together, one row per block and as
+    many candidates per row as the most any of them wants."""
+    out = [None] * los.size
+    widths = _widths(los)
+    for width in np.unique(widths):
+        rows = np.flatnonzero(widths == width)
+        lo, n = los[rows], int(want[rows].max())
+        log_lo = np.log(lo.astype(np.float64))[:, None]
+        # candidate i of a block reads counter 2 lo + 2i
+        counter = 2 * lo.astype(_U64)[:, None] + 2 * np.arange(n, dtype=_U64)
+        # geometric gaps >= 1 at rate p_max = 1/log lo: P(gap > g) = (1 - p_max)^g
+        gap = np.log1p(-_to01(_mixed(key, counter)))
+        gap /= np.log1p(-1.0 / log_lo)
+        # candidate i sits at lo - 1 plus its i + 1 gaps, each floor(gap) + 1
+        offset = np.cumsum(gap.astype(np.int64), axis=1) + np.arange(n)
+        inside = offset < width
+        k = (offset + lo[:, None])[inside]
+        v = _to01(_mixed(key, counter[inside] + _U64(1)))
+        # keep k with probability p_k / p_max = log lo / log k
+        v *= np.log(k.astype(np.float64))
+        k = k[v < np.broadcast_to(log_lo, inside.shape)[inside]]
+        reached = (offset[:, -1] >= width) | (n == width)
+        for j, ok, part in zip(rows, reached, np.split(k, np.searchsorted(k, lo[1:]))):
+            out[j] = part if ok else None
+    return out
 
 
 def cramer_blocks(seed: int, los) -> list[np.ndarray]:
     """Selected integers of the random-model blocks starting at los, which
-    ascend as block_starts and np.unique give them, drawn by thinning."""
+    ascend as block_starts gives them, drawn by thinning: the blocks of one
+    width in one draw, one row of candidates per block (_thinned)."""
     los = np.asarray(los, dtype=np.int64)
     key = _key(seed) ^ _U64(_CRAMER_STREAM)
     width = _widths(los)
@@ -154,18 +151,17 @@ def cramer_blocks(seed: int, los) -> list[np.ndarray]:
     return out
 
 
-def cramer_indicator(seed: int, ks) -> np.ndarray:
-    """Bernoulli(min(1, 1/log k)) indicators for integer k >= 3.
+def cramer_indicator(seed: int, m: int, n: int) -> np.ndarray:
+    """Bernoulli(min(1, 1/log k)) indicators for the integers k in [m, n),
+    3 <= m < n, as a bool array.
 
     Shared by the centered random-model weights and the random-model index
-    set so one seed describes one realization across both: each k is looked
-    up in the drawn block that holds it.
+    set so one seed describes one realization across both: the range marks
+    the selected integers of the blocks that meet it.
     """
-    ks = np.asarray(ks, dtype=np.int64)
-    if ks.size and int(ks.min()) < 3:
+    if m < 3:
         raise ValueError("random prime model indicators start at k = 3")
-    chosen = np.concatenate([np.zeros(0, dtype=np.int64),
-                             *cramer_blocks(seed, np.unique(block_start(ks)))])
-    if not chosen.size:
-        return np.zeros(ks.shape, dtype=bool)
-    return chosen.take(np.searchsorted(chosen, ks), mode="clip") == ks
+    chosen = np.concatenate(cramer_blocks(seed, block_starts(m, n)))
+    x = np.zeros(n - m, dtype=bool)
+    x[chosen[(chosen >= m) & (chosen < n)] - m] = True
+    return x

@@ -24,7 +24,7 @@ of the exponential function in IEEE floating-point arithmetic", ACM TOMS
     e(m (x0 + theta0 u)) = T_0[u_0] T_1[u_1] ...,
     T_i[j] = e(m theta0 j 2**(DIGIT_BITS i)), T_0 also carrying e(m x0),
 
-so each call pays one complex exp per table entry, not one per index.
+so each table, built once and kept, costs one exp per entry, not per index.
 Each entry's phase is reduced exactly, so the error depends on neither
 the mode nor the index (the bound is in orbit_eval's docstring), and the
 entries are multiplied as separate real operations, so the bits do not
@@ -48,6 +48,7 @@ with t = 5. Its indicator values are exact bits with no floating error.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,6 +74,8 @@ DIGIT_BITS = 12
 _DIGIT_MASK = (1 << DIGIT_BITS) - 1
 # terms per pass of the table product: its operands stay in cache
 _PASS = 1 << 14
+# digit tables kept between orbit_eval calls, 64 KiB each (4 MiB in all)
+_CACHED_TABLES = 64
 
 
 def _cf_constant_convergent(a: int, max_den: int) -> Fraction:
@@ -326,32 +329,34 @@ def _e(phases: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * mod1(phases))
 
 
-def _rotation_tables(theta0, x0, m: int, c: complex, count: int) -> list:
-    """The digit tables of one mode m and its coefficient c: T_i[j] =
-    e(m theta0 j 2**(DIGIT_BITS i)) for i < count and j < 2**DIGIT_BITS,
-    and T_0 also carries c e(m x0). Each phase is reduced exactly by
-    frac_ratio on theta0 = p/q: (m p 2**(DIGIT_BITS i)) mod q over q. A
-    Fraction x0 = a/b joins T_0 as the one ratio (m a q + j m p b) / (q b);
-    a float x0 as frac(m x0), exact and then rounded, in one addition."""
-    p, q = theta0.as_integer_ratio()
-    a, b = x0.as_integer_ratio()
+@functools.lru_cache(maxsize=_CACHED_TABLES)
+def _digit_table(p: int, q: int, m: int, i: int, start) -> np.ndarray:
+    """T_i[j] = e(m theta0 j 2**(DIGIT_BITS i)) for theta0 = p/q and
+    j < 2**DIGIT_BITS, read-only, each phase reduced exactly by frac_ratio:
+    (m p 2**(DIGIT_BITS i)) mod q over q. T_0 also carries c e(m x0), keyed
+    by start = (x0 is a Fraction, a, b, complex128 c's bytes) for x0 = a/b,
+    since c's signed zeros reach its bits and a Fraction x0 joins it as the
+    one ratio (m a q + j m p b) / (q b), a float one as frac(m x0), exact
+    and then rounded, in one addition."""
     j = np.arange(1 << DIGIT_BITS, dtype=np.int64)
-    if isinstance(x0, Fraction):
-        first = frac_ratio(m * p * b, q * b, j, shift=m * a * q)
+    if i:
+        table = _e(frac_ratio(m * p << (DIGIT_BITS * i), q, j))
     else:
-        first = frac_ratio(m * p, q, j) + float(Fraction(m * a % b, b))
-    tables = [_e(first)]
-    tables += [_e(frac_ratio(m * p << (DIGIT_BITS * i), q, j)) for i in range(1, count)]
-    if c != 1:
-        _times(tables[0], np.full(j.size, c), np.empty(j.size), np.empty(j.size))
-    return tables
+        exact, a, b, c = start
+        table = _e(frac_ratio(m * p * b, q * b, j, shift=m * a * q) if exact
+                   else frac_ratio(m * p, q, j) + float(Fraction(m * a % b, b)))
+        c = np.frombuffer(c, dtype=np.complex128)[0]
+        if c != 1:
+            _times(table, np.full(j.size, c), np.empty(j.size), np.empty(j.size))
+    table.flags.writeable = False
+    return table
 
 
 def _rotation_values(theta0, x0, f: Observable, u: np.ndarray) -> np.ndarray:
     """sum_m c_m e(m (x0 + theta0 u)) over the terms of a fourier_mode
     (m, 1) or finite_fourier observable, for nonnegative integer u: per
     mode, the product T_0[u_0] T_1[u_1] ... T_{t-1}[u_{t-1}] of its
-    tables (_rotation_tables) over the base-2**DIGIT_BITS digits u_i of u,
+    tables (_digit_table) over the base-2**DIGIT_BITS digits u_i of u,
     in that order and by _times, then the modes added in term order (a
     term with c = 0 adds nothing and is skipped).
 
@@ -363,7 +368,10 @@ def _rotation_values(theta0, x0, f: Observable, u: np.ndarray) -> np.ndarray:
     if not terms:
         return np.zeros(u.size, dtype=np.complex128)
     count = max(1, -(-int(u.max()).bit_length() // DIGIT_BITS))
-    tables = [_rotation_tables(theta0, x0, m, c, count) for m, c in terms]
+    p, q = theta0.as_integer_ratio()
+    x = (isinstance(x0, Fraction), *x0.as_integer_ratio())
+    tables = [[_digit_table(p, q, m, i, None if i else (*x, np.complex128(c).tobytes()))
+               for i in range(count)] for m, c in terms]
     out = np.empty(u.size, dtype=np.complex128)
     width = min(u.size, _PASS)
     digits = np.empty(width, dtype=np.int64)

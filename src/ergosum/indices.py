@@ -34,10 +34,15 @@ _WALKED = ("primes", "cramer_primes")
 
 # integers per prime sieve segment
 _SEG = 1 << 20
-# integers per cramer_blocks call of a walk: four 2^16-wide blocks
+# integers per cramer_blocks call of a walk: four 2^16-wide blocks, whose
+# thinning temporaries stay near 2 MB
 _DRAW = 1 << 18
 # a cramer_primes walk draws the integers below this before it gives up
 _CRAMER_REACH = 4097 * _SEG
+# the last k a cramer_primes range may ask for. Below X = _CRAMER_REACH a walk
+# selects li(X) - li(3) = 2.0333e8 on average (sd 1.39e4), t = 3.3e6 more than
+# this, and by Chernoff's bound fewer with probability exp(-t^2/(2 mean)) < e^-27000
+_CRAMER_TERMS = 200_000_000
 
 
 @dataclass(frozen=True)
@@ -143,10 +148,12 @@ def _elementwise(spec: IndexSpec, m: int, n: int) -> np.ndarray:
 def _selected(spec: IndexSpec, stop: int):
     """The selected integers of a prime-like kind in increasing order, one
     sieve segment or random-model block at a time, through every segment
-    or block that starts below stop (the last may pass it)."""
+    or block that starts below stop (the last may pass it). The blocks are
+    independent, so drawing _DRAW integers' worth per call changes no bit."""
     if spec.kind == "primes":
         return _prime_segments(stop - 1)
-    return _cramer_walk(spec.seed, stop)
+    return (part for lo in range(0, stop, _DRAW)
+            for part in cramer_blocks(spec.seed, block_starts(lo, min(lo + _DRAW, stop))))
 
 
 def _blocks_of(parts, skip: int, count: int):
@@ -183,9 +190,9 @@ def _horner(coeffs, m: int, n: int) -> np.ndarray:
 
 def check_top(spec: IndexSpec, m: int, n: int) -> None:
     """Raise ValueError when u_k for some k in [m, n) cannot be generated:
-    an explicit list that ends before n, monomial or polynomial values past
-    the int64 range, or a polynomial that is negative or decreasing on
-    [m, n).
+    an explicit list that ends before n, a cramer_primes index past
+    _CRAMER_TERMS, monomial or polynomial values past the int64 range, or a
+    polynomial that is negative or decreasing on [m, n).
 
     The polynomial shape check is exact and bounded: q(k) = p(k+1) - p(k)
     has degree d - 1 and leading coefficient d c_d, so for k >= K, an
@@ -194,6 +201,8 @@ def check_top(spec: IndexSpec, m: int, n: int) -> None:
     """
     if spec.kind == "explicit" and len(spec.values) < n:
         raise ValueError("explicit index list shorter than requested range")
+    if spec.kind == "cramer_primes" and n - 1 > _CRAMER_TERMS:
+        raise ValueError(f"cramer_primes indices stop at k = {_CRAMER_TERMS}")
     if spec.kind == "monomial" and n >= 3 and (n - 1) ** spec.d >= 2**63:
         raise ValueError("monomial index values exceed int64 range")
     if spec.kind != "polynomial":
@@ -262,18 +271,3 @@ def _prime_bound(count: int) -> int:
     if count < 6:
         return 13
     return int(count * (math.log(count) + math.log(math.log(count)))) + 3
-
-
-# ---------------------------------------------------------------------------
-# random prime model (clamped probability min(1, 1/log k), first index 3)
-
-
-def _cramer_walk(seed: int, stop: int):
-    """Selected integers of the realized random index set in increasing
-    order, one random-model block at a time, for the blocks that start
-    below stop, drawn _DRAW integers' worth of blocks per cramer_blocks
-    call: the blocks are independent, so how they are grouped does not
-    change a bit, and a small group keeps the thinning temporaries near
-    2 MB."""
-    for lo in range(0, stop, _DRAW):
-        yield from cramer_blocks(seed, block_starts(lo, min(lo + _DRAW, stop)))

@@ -155,7 +155,7 @@ def _elementwise(spec: WeightSpec, m: int, n: int) -> np.ndarray:
     if kind == "iid_uniform_phase":
         return np.exp(2j * np.pi * uniform01(spec.seed, k))
     if kind == "centered_cramer":
-        x = cramer_indicator(spec.seed, k).astype(np.float64)
+        x = cramer_indicator(spec.seed, m, n).astype(np.float64)
         p = 1.0 / np.log(k.astype(np.float64))
         return (x - np.minimum(1.0, p)).astype(np.complex128)
     raise AssertionError(kind)

@@ -132,36 +132,37 @@ observables = st.one_of(
 )
 
 
-# Known fault of the two table-bound tests: with a subnormal c_m the products
-# that carry it underflow, each off by up to 2**-1075 absolutely, which the
-# relative bound (27 t + K) eps sum|c_m| does not cover (it is 0 at
-# sum|c_m| = 5e-324); the failing assertion's message then divides by 0,
-# a RuntimeWarning that the suite raises.
-_SUBNORMAL_C = "a subnormal c_m underflows past the relative bound"
+# the smallest subnormal, 2 * 2**-1075: a product that underflows is off by
+# up to 2**-1075 absolutely, which no relative bound in sum|c_m| covers
+_TINY = 2.0**-1074
 
 
 @settings(max_examples=300, deadline=None)
 @given(theta=angles, x0=starts, f=observables,
        u=st.lists(st.integers(0, 2**62), min_size=1, max_size=6))
 @example(theta=2**0.5 - 1, x0=0.0, f=Observable.finite_fourier([[1, 0.0, 5e-324]]),
-         u=[12345]).xfail(raises=RuntimeWarning, reason=_SUBNORMAL_C)
+         u=[12345])
 def test_rotation_values_are_within_the_table_bound(theta, x0, f, u):
     """Each value lies within orbit_eval's stated (27 t + K) eps sum|c_m|
     of the exact sum_m c_m e(m (x0 + theta u)), t the digit tables of the
     largest index and K the terms, at any angle, start, mode up to 2**53
     and index up to 2**62. The exact position is oracles.rotation_orbit;
     the reference adds at most (6 + K) eps sum|c_m| of its own: 4.5 eps
-    per e(.), 1.5 eps per product with c and eps per addition."""
+    per e(.), 1.5 eps per product with c and eps per addition. A
+    subnormal c_m underflows in each of its 4 (t + 1) real products and 4
+    of the reference's, each off by up to 2**-1075, so every mode adds
+    (4 (t + 1) + 4) 2**-1075 absolutely."""
     idx = np.array(u, dtype=np.int64)
     got = orbit_eval(SystemModel.rotation(theta), f, OrbitPoint.rotation(x0), idx)
     terms = [(f.mode, 1)] if f.kind == "fourier_mode" else f.terms
     t = max(1, -(-max(u).bit_length() // DIGIT_BITS))
     c_l1 = sum(abs(c) for _, c in terms)
-    bound = (27 * t + 2 * len(terms) + 6) * _EPS * c_l1
+    bound = ((27 * t + 2 * len(terms) + 6) * _EPS * c_l1
+             + (4 * (t + 1) + 4) * len(terms) * _TINY / 2)
     for g, uj in zip(got, u):
         pos = oracles.rotation_orbit(Fraction(theta), Fraction(x0), uj)
         want = sum(c * oracles.circle_exp(m * pos) for m, c in terms)
-        assert abs(g - want) <= bound, (uj, abs(g - want) / (_EPS * c_l1), t)
+        assert abs(g - want) <= bound, (uj, t, abs(g - want), bound)
 
 
 @settings(max_examples=60, deadline=None)
@@ -205,6 +206,7 @@ def test_rotation_tables_reduce_only_table_entries(monkeypatch):
     the table entries go through them: no exact reduction of a
     fourier_mode or finite_fourier rotation sees more than 2**DIGIT_BITS
     elements, whatever the number of indices."""
+    dynamics._digit_table.cache_clear()
     seen = []
     real = dynamics.frac_ratio
 
@@ -220,6 +222,30 @@ def test_rotation_tables_reduce_only_table_entries(monkeypatch):
             orbit_eval(SystemModel.rotation(theta), f, OrbitPoint.rotation(x0), u)
     assert max(den for den, _ in seen) > MULMOD_MAX_DEN
     assert max(size for _, size in seen) == 1 << DIGIT_BITS
+
+
+def test_cached_digit_tables_give_the_bytes_of_fresh_ones():
+    """A warm table cache gives the bytes a cold one gives, keys a float
+    and a Fraction start and the signed zeros of c apart, and hands out
+    tables that refuse writes."""
+    system = SystemModel.rotation(SystemModel.rotation_sqrt2().theta0)
+    u = np.arange(0, 1 << 30, 977 << 8, dtype=np.int64)
+    # 0.25 == Fraction(1, 4), and -0.0 + 0.5i == 0.5i though at x0 = 0 and
+    # u = 0 each gives the value c with its sign of zero
+    cases = [(f, x0) for f in (Observable.fourier_mode(3),
+                               Observable.finite_fourier([[1, -0.0, 0.5]]),
+                               Observable.finite_fourier([[1, 0.0, 0.5]]))
+             for x0 in (0.25, [1, 4], 0.0)]
+    cold = []
+    for f, x0 in cases:
+        dynamics._digit_table.cache_clear()
+        cold.append(orbit_eval(system, f, OrbitPoint.rotation(x0), u).tobytes())
+    warm = [orbit_eval(system, f, OrbitPoint.rotation(x0), u).tobytes() for f, x0 in cases]
+    assert warm == cold
+    assert dynamics._digit_table.cache_info().hits > 0
+    table = dynamics._digit_table(2, 7, 3, 0, (False, 1, 4, np.complex128(1j).tobytes()))
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 0
 
 
 # hashes rotation and doubling orbit values, in-process and under
@@ -340,23 +366,23 @@ _LARGE_MODES = [1, 2**20 + 1, 2**40 + 1, 2**50 + 1, -2**53]
 @example(seed=7, f=Observable.fourier_mode(2**50 + 1), u=[0, 1, 2**40, _TOP])
 @example(seed=7, f=Observable.finite_fourier([[m, 1.0, -0.5] for m in _LARGE_MODES]),
          u=[0, 63, 64, 2**62 + 11])
-@example(seed=0, f=Observable.finite_fourier([[3, 0.0, 5e-324]]),
-         u=[0]).xfail(raises=RuntimeWarning, reason=_SUBNORMAL_C)
+@example(seed=0, f=Observable.finite_fourier([[3, 0.0, 5e-324]]), u=[0])
 def test_doubling_values_are_within_the_table_bound(seed, f, u):
     """Each doubling value lies within orbit_eval's (27 t + K) eps sum|c_m|
     of the exact sum_m c_m e((m w mod 2**B) / 2**B), w the window integer,
     with t = 5 tables (w < 2**53), at every mode up to 2**53 and every
     uint64 index. The reference (oracles.doubling_fourier) adds at most
-    (6 + K) eps sum|c_m| of its own. Where doubling values took m x in
-    doubles, the error at m = 2**50 + 1 reached 0.39."""
+    (6 + K) eps sum|c_m| of its own, and a subnormal c_m 28 2**-1075 per
+    mode, as in the rotation test with t = 5. Where doubling values took
+    m x in doubles, the error at m = 2**50 + 1 reached 0.39."""
     got = orbit_eval(SystemModel.doubling(), f, OrbitPoint.doubling(seed),
                      np.array(u, dtype=np.uint64))
     terms = [(f.mode, 1)] if f.kind == "fourier_mode" else f.terms
     c_l1 = sum(abs(c) for _, c in terms)
-    bound = (27 * 5 + 2 * len(terms) + 6) * _EPS * c_l1
+    bound = (27 * 5 + 2 * len(terms) + 6) * _EPS * c_l1 + 14 * len(terms) * _TINY
     for g, v in zip(got, u):
         want = oracles.doubling_fourier(seed, v, terms, _B)
-        assert abs(g - want) <= bound, (v, abs(g - want) / (_EPS * c_l1))
+        assert abs(g - want) <= bound, (v, abs(g - want), bound)
 
 
 def test_orbit_rejects_non_integer_indices():

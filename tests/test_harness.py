@@ -533,6 +533,11 @@ INVALID_CLI_CONFIGS = {
     "explicit_indices_short_blocks": (
         tiny_envelope(indices={"kind": "explicit", "values": [1, 2, 3]}),
         "indices: explicit index list shorter than requested range"),
+    # the random prime model's walk holds about 2.03e8 selected integers
+    "cramer_primes_past_reach": (
+        tiny_average(indices={"kind": "cramer_primes"}, seeds=[1], k_first=300_000_000,
+                     n_terms=2),
+        "indices: cramer_primes indices stop at k = 200000000"),
     "monomial_past_int64": (
         tiny_average(indices={"kind": "monomial", "d": 9}),
         "indices: monomial index values exceed int64 range"),

@@ -111,6 +111,15 @@ def test_cramer_walk_reaches_4097_segments_before_it_gives_up(monkeypatch):
     assert np.array_equal(np.concatenate(drawn), block_starts(0, 4097 << 20))
 
 
+def test_cramer_ranges_past_the_stated_count_are_refused_when_called():
+    """index_blocks takes a cramer_primes range up to k = _CRAMER_TERMS and
+    refuses one past it before drawing anything."""
+    spec, top = IndexSpec(kind="cramer_primes", seed=1), indices_module._CRAMER_TERMS
+    index_blocks(spec, top, top + 1)
+    with pytest.raises(ValueError, match="stop at k = 200000000"):
+        index_blocks(spec, top, top + 2)
+
+
 @given(st.integers(min_value=1, max_value=1500), st.integers(min_value=1, max_value=400))
 @settings(max_examples=30, deadline=None)
 def test_cramer_window_consistency(m, size):
