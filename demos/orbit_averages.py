@@ -7,6 +7,8 @@ the doubling map, divided by power-log normalizers, with oscillation
 statistics along a dyadic block ladder.
 """
 
+from functools import partial
+
 import numpy as np
 
 from ergosum.averages import (
@@ -17,6 +19,7 @@ from ergosum.averages import (
     weighted_sums,
 )
 from ergosum.dynamics import Observable, OrbitPoint, SystemModel, orbit_eval
+from ergosum.indices import IndexSpec, index_blocks
 from ergosum.weights import WeightSpec, gen_weights
 
 n = 200_000
@@ -45,19 +48,16 @@ print(f"  sum of squared oscillations: {rep.cumulative_sq[-1]:.4f}, "
 
 # a doubling-map start point is the seed of its binary digits, read 64 to
 # a draw; each orbit value is two draws and a shift. The orbit values can
-# also come as a function values(i, j) of terms i..j-1: weighted_sums asks
-# for one 2^16-term block at a time, so they never exist at full length,
-# and the sums are the same bits as from the whole array
+# also come as an iterator of consecutive 2^16-term blocks, here orbit_eval
+# over the blocks of u_k = k: weighted_sums draws one block at a time, so
+# they never exist at full length, and the sums are the same bits as from
+# the whole array
 print()
 print("doubling map, indicator observable, plain averages:")
 pt = OrbitPoint.doubling(seed=11)
 g = Observable.indicator(0.0, 0.5)
-
-
-def dvals(i, j):
-    return orbit_eval(SystemModel.doubling(), g, pt, u[i:j])
-
-
+dvals = map(partial(orbit_eval, SystemModel.doubling(), g, pt),
+            index_blocks(IndexSpec(kind="identity"), 1, n + 1))
 drun = weighted_sums(np.ones(n), dvals, k_first=1)
 dns = normalized_series(drun, NormalizerSpec(1.0, k0=1))
 for N in (100, 10_000, 100_000):

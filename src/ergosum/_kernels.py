@@ -8,13 +8,13 @@ Three concerns live here:
 
 * fixed-shape chunked pairwise reductions, so every sum in the package is
   reproducible bit for bit regardless of how the work is batched; among
-  them prefix_sums, the one prefix-sum path: one loop over blocks of
-  terms that it asks its caller for, in-chunk running sums plus the
-  running total of the chunks before. Its blocks hold whole chunks (bar
-  the last), so block edges are chunk edges and the chunk partition,
-  hence every bit, is the same whether the terms are slices of one array
-  (prefix_at) or the orbit stages' cache-sized blocks, which a
-  BlockSource can hand over from a generator of them, and
+  them prefix_sums, the one prefix-sum path: one loop over a stream of
+  blocks of terms, in-chunk running sums plus the running total of the
+  chunks before. Every block but the last holds _BLOCK terms, whole
+  chunks, so block edges are chunk edges and the chunk partition, hence
+  every bit, is the same whether the stream is array_blocks of one array
+  or the orbit stages' cache-sized blocks, drawn one at a time (a
+  BlockSource gives such a stream a length), and
 
 * exact mod-1 argument reduction of (shift + u*num)/den for integer u in
   one kernel, frac_ratio: a double theta enters as its exact ratio
@@ -101,13 +101,17 @@ def pairwise_sum(a: np.ndarray):
     return tree_reduce(chunk_sums(a))
 
 
-def prefix_sums(block_terms, bounds, offset: int = 0) -> np.ndarray:
+def prefix_sums(blocks, bounds, offset: int = 0) -> np.ndarray:
     """Prefix sums of a term sequence at exclusive end positions ``bounds -
-    offset`` (strictly increasing integers >= 1), taking the terms block by
-    block: ``block_terms(i, j)`` gives terms[i:j] for each consecutive
-    [i, j) of _BLOCK terms covering [0, bounds[-1] - offset), in order, so
-    one block's terms and their temporaries stay in cache. The offset lets
-    a caller pass a stored grid of N as it is, with no shifted copy.
+    offset`` (strictly increasing integers >= 1), taking the terms from
+    ``blocks``, an iterable of consecutive 1-d arrays: each block before
+    the last one needed holds exactly _BLOCK terms, and the last one at
+    least the terms left and at most _BLOCK, of which those past the last
+    bound are ignored (so array_blocks of a longer array will do). One
+    block's terms and their temporaries stay in cache, and no block past
+    the last bound is drawn. A missing or misshapen block raises
+    ValueError. The offset lets a caller pass a stored grid of N as it
+    is, with no shifted copy.
 
     Element i of the result is sum(terms[:bounds[i] - offset]), assembled from a
     fixed chunk partition: cumulative inside each chunk of CHUNK terms,
@@ -126,11 +130,15 @@ def prefix_sums(block_terms, bounds, offset: int = 0) -> np.ndarray:
         raise ValueError("bounds - offset must be strictly increasing integers >= 1")
     n = int(bounds[-1]) - offset
     dense = bounds.size == n  # every end 1..n
+    blocks = iter(blocks)
     values = scratch = carry = None
     done = 0
     for i in range(0, n, _BLOCK):
-        terms = np.ascontiguousarray(block_terms(i, min(i + _BLOCK, n)))
-        m = terms.shape[0]
+        m = min(_BLOCK, n - i)
+        block = next(blocks, None)
+        if block is None or np.ndim(block) != 1 or not m <= len(block) <= _BLOCK:
+            raise ValueError(f"block source cannot give terms [{i}, {i + m})")
+        terms = np.ascontiguousarray(block[:m])
         if values is None:  # the first block is the longest
             values = np.empty(bounds.size, dtype=terms.dtype)
             scratch = None if dense else np.empty(m, dtype=terms.dtype)
@@ -158,41 +166,26 @@ def prefix_sums(block_terms, bounds, offset: int = 0) -> np.ndarray:
     return values
 
 
+def array_blocks(a: np.ndarray):
+    """A 1-d array as the block stream prefix_sums takes: its consecutive
+    _BLOCK-term slices, the last one shorter."""
+    return (a[i : i + _BLOCK] for i in range(0, a.shape[0], _BLOCK))
+
+
 class BlockSource:
-    """A sequence of `size` terms handed over as consecutive _BLOCK-term
-    arrays (the last one shorter) from an iterator, read once, in order,
-    as prefix_sums asks for its blocks. len() is the term count, so a run
-    is sized before any term is drawn; take(i, j) gives terms[i:j] and
-    raises ValueError unless [i, j) is the next block and the iterator's
-    next array has j - i terms."""
+    """A sequence of `size` terms as an iterable of consecutive _BLOCK-term
+    arrays (the last one shorter), read once. len() is the term count, so
+    a run is sized before any term is drawn."""
 
     def __init__(self, size: int, blocks):
         self.size = int(size)
-        self._blocks = iter(blocks)
-        self._at = 0
+        self._blocks = blocks
 
     def __len__(self) -> int:
         return self.size
 
-    def take(self, i: int, j: int) -> np.ndarray:
-        block = next(self._blocks, None)
-        if i != self._at or block is None or np.shape(block) != (j - i,):
-            raise ValueError(f"block source cannot give terms [{i}, {j})")
-        self._at = j
-        return block
-
-
-def prefix_at(terms: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Prefix sums of ``terms`` at exclusive end positions ``bounds``
-    (strictly increasing integers in [1, len(terms)]): prefix_sums over
-    slices of one array."""
-    terms = np.ascontiguousarray(terms)
-    bounds = np.asarray(bounds, dtype=np.int64)
-    if bounds.size == 0:
-        return np.zeros(0, dtype=terms.dtype)
-    if bounds[-1] > terms.shape[0]:
-        raise ValueError("bounds must be strictly increasing in [1, len(terms)]")
-    return prefix_sums(lambda i, j: terms[i:j], bounds)
+    def __iter__(self):
+        return iter(self._blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -13,29 +13,33 @@ Conventions used throughout:
 Runs store prefix values on a grid (run_grid): every N up to 10^6, then
 geometric checkpoints; statistics over "all N" are grid statistics and
 say so. weighted_sums and hilbert_series, the one path from orbit values
-to stored sums, take (weights, orbit_values, ...): the weights as an
-array or a _kernels.BlockSource, the orbit values as an aligned array or
-a function values(i, j) giving terms i..j-1, which _kernels.prefix_sums
-asks for one 2^16-term block at a time, so neither need exist at full
-length and a run's memory is its stored grid. Terms come from one formula,
-orbit_terms. No reduction that reaches an output goes through BLAS:
-slopes sum with the same pairwise kernel, so no report depends on the
-BLAS build or its thread count. A normalizer goes only where it divides:
-hilbert_series divides each term by A(k), weighted_sums takes none, and
-normalized_series and oscillation_report divide stored sums by the A(N)
-of a NormalizedGrid, the one place A(N) on a stored grid is computed,
-built once per stored grid and normalizer.
+to stored sums, take (weights, orbit_values, ...) by one rule: each is
+a stream of consecutive 2^16-term blocks (a _kernels.BlockSource, the
+weights' term count its len(), or an iterator) or an aligned array cut
+into such slices. _kernels.prefix_sums draws one block of each at a
+time, so neither need exist at full length and a run's memory is its
+stored grid. Terms come from one formula, orbit_terms. No reduction that
+reaches an output goes through BLAS: slopes sum with the same pairwise
+kernel, and the hull filter projects points without a matrix product,
+so no report depends on the BLAS build or its thread count. A
+normalizer goes only where it divides: hilbert_series divides each term
+by A(k), weighted_sums takes none, and normalized_series and
+oscillation_report divide stored sums by the A(N) of a NormalizedGrid,
+the one place A(N) on a stored grid is computed, built once per stored
+grid and normalizer.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 import numpy as np
 
-from ._kernels import (BlockSource, check_reads, frac_of, is_int, is_real, next_pow2,
-                       pairwise_sum, prefix_at, prefix_sums)
+from ._kernels import (_BLOCK, BlockSource, array_blocks, check_reads, frac_of, is_int,
+                       is_real, next_pow2, pairwise_sum, prefix_sums)
 from .dynamics import SpectralMeasure
 from .trigsum import SCALED_GRID_CAP, ThetaGrid, _check_pair, eval_grid
 
@@ -223,7 +227,10 @@ def orbit_terms(weights: np.ndarray, orbit_values: np.ndarray,
     The product is np.multiply(w, v) in that operand order: where complex
     multiplication uses fused multiply-adds, v * w can differ from w * v
     in the last bit, and numpy may evaluate ``w * tmp`` as ``tmp * w`` to
-    reuse an unnamed temporary."""
+    reuse an unnamed temporary. Raises ValueError unless both have one
+    shape, so a short block of orbit values is never broadcast."""
+    if np.shape(weights) != np.shape(orbit_values):
+        raise ValueError("weights and orbit values must be aligned 1-d arrays")
     terms = np.multiply(weights, orbit_values)
     if norm is not None:
         terms /= norm.values(np.arange(k_first, k_first + terms.size, dtype=np.int64))
@@ -238,30 +245,28 @@ def run_grid(k_first: int, n_terms: int, inclusive: bool = False) -> np.ndarray:
     return storage_grid(lo, lo + n_terms - 1)
 
 
-def _block_reader(terms, size: int):
-    """The function (i, j) -> terms[i:j] of a run's weights or orbit
-    values: a BlockSource's take, a function values(i, j) itself, or
-    slices of an array of `size` terms."""
-    if isinstance(terms, BlockSource):
-        return terms.take
-    if callable(terms):
+def _blocks(terms, size: int):
+    """A run's weights or orbit values as a stream of _BLOCK-term blocks:
+    a BlockSource or an iterator as it is, anything else an array of
+    `size` terms cut by array_blocks."""
+    if isinstance(terms, (BlockSource, Iterator)):
         return terms
     a = np.ascontiguousarray(terms, dtype=np.complex128)
     if a.shape != (size,):
         raise ValueError("weights and orbit values must be aligned 1-d arrays")
-    return lambda i, j: a[i:j]
+    return array_blocks(a)
 
 
 def _orbit_run(weights, orbit_values, k_first: int, n_grid,
                series: NormalizerSpec | None) -> SeriesRun:
     """Prefix sums of orbit_terms at bounds n_grid - k_first, one
-    prefix_sums block of weights and orbit values at a time; given the
-    normalizer of a series, its terms are divided by A(k) and N is
-    inclusive (bounds + 1). The weights are an array or a BlockSource
-    (its len() the term count), both read through _block_reader."""
+    prefix_sums block of weights and orbit values at a time, each block's
+    terms given its first k; given the normalizer of a series, its terms
+    are divided by A(k) and N is inclusive (bounds + 1). The weights are
+    an array or a BlockSource (its len() the term count), both read
+    through _blocks."""
     size = len(weights)
-    weight_block = _block_reader(weights, size)
-    values = _block_reader(orbit_values, size)
+    weight_blocks, value_blocks = _blocks(weights, size), _blocks(orbit_values, size)
     if size == 0:
         raise ValueError("weights and orbit values must be aligned 1-d arrays")
     inclusive = series is not None
@@ -270,11 +275,10 @@ def _orbit_run(weights, orbit_values, k_first: int, n_grid,
     offset = k_first - inclusive  # prefix_sums rejects ends n_grid - offset below 1
     if n_grid.size and n_grid[-1] - offset > size:
         raise ValueError("stored N beyond the last term")
-
-    def block_terms(i, j):  # reads orbit_terms at call time, so a patch applies
-        return orbit_terms(weight_block(i, j), values(i, j), series, k_first + i)
+    terms = map(orbit_terms, weight_blocks, value_blocks, repeat(series),
+                range(k_first, k_first + size, _BLOCK))
     return SeriesRun(k_first=k_first, n_grid=n_grid,
-                     sums=prefix_sums(block_terms, n_grid, offset),
+                     sums=prefix_sums(terms, n_grid, offset),
                      convention="inclusive" if inclusive else "exclusive")
 
 
@@ -283,8 +287,9 @@ def weighted_sums(weights, orbit_values, k_first: int = 0,
     """Running sums S_N = sum_{k_first <= k < N} w_k * orbit_k on a stored
     grid (default run_grid: dense up to 10^6 then geometric). The weights
     are an array or a BlockSource of them (its len() the term count), and
-    orbit_values an array aligned with them or a function values(i, j);
-    given a BlockSource and a function, no term exists at full length."""
+    orbit_values an array aligned with them or an iterator of their
+    blocks; given a BlockSource and an iterator, no term exists at full
+    length."""
     return _orbit_run(weights, orbit_values, k_first, n_grid, None)
 
 
@@ -451,7 +456,7 @@ def _hull_vertices(xy: np.ndarray) -> np.ndarray:
     collinear: Andrew's monotone chain (1979) over the points not strictly
     inside the polygon of the extremes along _DIRECTIONS (Akl-Toussaint 1978)."""
     if len(xy) > len(_DIRECTIONS):
-        ext = xy[[int(np.argmax(xy @ d)) for d in _DIRECTIONS]]
+        ext = xy[[int(np.argmax(xy[:, 0] * d[0] + xy[:, 1] * d[1])) for d in _DIRECTIONS]]
         poly = ext[np.any(ext != np.roll(ext, 1, axis=0), axis=1)]
         if len(poly) >= 3:  # fewer distinct extremes enclose nothing
             edges = zip(poly, np.roll(poly, -1, axis=0))
@@ -527,8 +532,10 @@ def abel_decompose(weights, orbit_values, norm: NormalizerSpec, N: int,
     count = N - k_first + 1
     if not (1 <= count <= size):
         raise ValueError("N outside the supplied term range")
-    s = np.cumsum(orbit_terms(_block_reader(weights, size)(0, count),
-                              _block_reader(orbit_values, size)(0, count)))
+    held = -(-count // _BLOCK)  # the blocks that hold terms 0..count-1
+    w, v = (np.concatenate([*islice(_blocks(t, size), held)])[:count]
+            for t in (weights, orbit_values))
+    s = np.cumsum(orbit_terms(w, v))
     ks = np.arange(k_first, N + 2, dtype=np.int64)
     inv_a = 1.0 / norm.values(ks)
     boundary = s[-1] * inv_a[-2]
@@ -659,7 +666,8 @@ def maximal_norm(weights, indices, norm: NormalizerSpec,
     bounds = ns - k_first
     total = 0.0
     for t, mass in measure.atoms:
-        pref = prefix_at(np.multiply(w, np.exp(2j * np.pi * frac_of(t, u))), bounds)
+        terms = np.multiply(w, np.exp(2j * np.pi * frac_of(t, u)))
+        pref = prefix_sums(array_blocks(terms), bounds)
         total += mass * float((np.abs(pref) / a).max()) ** 2
     if measure.density is not None:
         cells = measure.density.size

@@ -649,24 +649,22 @@ def _orbit_runs(plan: _Plan, grid: np.ndarray):
     sums, exclusive N) or, for a hilbert plan, hilbert_series (the series
     of the terms divided by A(k), inclusive N).
 
-    Each is handed the weights as a BlockSource over weight_blocks and a
-    function values(i, j) that evaluates the orbit values of the next
-    block of index_blocks, so weights, indices and orbit values are drawn
-    one prefix_sums block at a time, in step: a run holds its stored grid
-    and one block, not n_terms of anything. The draws therefore happen
-    inside the sums' call. Both sums, the block iterators and orbit_eval
-    are read at call time, so wrappers installed on this module apply.
+    Each is handed the weights as a BlockSource over weight_blocks and the
+    orbit values as orbit_eval mapped over index_blocks, so weights,
+    indices and orbit values are drawn one prefix_sums block at a time, in
+    step: a run holds its stored grid and one block, not n_terms of
+    anything. The draws therefore happen inside the sums' call. Both
+    sums, the block iterators and orbit_eval are read at call time, so
+    wrappers installed on this module apply.
     A run is yielded without a reference kept here, so it is freed as
     soon as the caller drops it."""
     k_first, norm, n_terms = plan.k_first, plan.normalizer, plan.n_terms
     k_end = k_first + n_terms
     for seed in plan.seeds or [None]:
         w = BlockSource(n_terms, weight_blocks(_for_seed(plan.weights, seed), k_first, k_end))
-        u = BlockSource(n_terms, index_blocks(_for_seed(plan.indices, seed), k_first, k_end))
         point = OrbitPoint.doubling(seed) if plan.system.kind == "doubling" else plan.point
-
-        def values(i, j):
-            return orbit_eval(plan.system, plan.observable, point, u.take(i, j))
+        values = map(partial(orbit_eval, plan.system, plan.observable, point),
+                     index_blocks(_for_seed(plan.indices, seed), k_first, k_end))
         yield seed, (hilbert_series(w, values, norm, k_first, grid) if plan.hilbert
                      else weighted_sums(w, values, k_first, grid))
 

@@ -14,8 +14,8 @@ Phase families reduce their phase mod 1 *before* the complex exponential.
 Polynomial phases are reduced exactly through the dyadic form of each
 coefficient (integer-coefficient polynomials give w_k = 1 exactly); power
 phases k**delta are evaluated in double precision, so their phase carries
-the unavoidable k**delta * ulp rounding, which the sum-level tolerances
-account for.
+a k**delta * ulp rounding that no certificate bounds yet (ROADMAP item
+13 measures it far above the FFT allowance on example1).
 """
 
 from __future__ import annotations

@@ -5,13 +5,14 @@ import json
 import math
 import time
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ergosum._kernels import _BLOCK, pairwise_sum, prefix_at
+from ergosum._kernels import _BLOCK, BlockSource, array_blocks, pairwise_sum, prefix_sums
 from ergosum.averages import (
     DENSE_LIMIT,
     GRID_RATIO,
@@ -333,35 +334,55 @@ def test_hilbert_series_inclusive_convention():
     assert run.sum_at(50) == pytest.approx(harmonic(50), rel=1e-14)
 
 
-def test_orbit_values_as_a_function_match_the_array_form():
+def test_orbit_values_as_blocks_match_the_array_form():
     """weighted_sums and hilbert_series read an array of orbit values as
-    its slices: handed a function values(i, j) instead, over 3 blocks and
-    17 terms, they ask for consecutive blocks and store the same bits, and
-    both forms equal prefix_at of orbit_terms on the whole arrays."""
+    its slices: handed an iterator of its blocks instead, over 3 blocks
+    and 17 terms, with the weights as an array or a BlockSource, they draw
+    each block once, in order, and store the same bits, and every form
+    equals prefix_sums of orbit_terms on the whole arrays."""
     n, k_first = 3 * _BLOCK + 17, 5
     rng = np.random.default_rng(21)
     w = np.exp(2j * np.pi * rng.random(n))
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     norm = NormalizerSpec(0.5, k0=3)
     for inclusive in (False, True):
-        asked = []
+        drawn = []
 
-        def values(i, j):
-            asked.append((i, j))
-            return v[i:j]
+        def forms():
+            yield w, v
+            for weights in (w, BlockSource(n, array_blocks(w))):
+                yield weights, (drawn.append(i) or v[i : i + _BLOCK]
+                                for i in range(0, n, _BLOCK))
         if inclusive:
-            runs = [hilbert_series(w, x, norm, k_first) for x in (v, values)]
+            runs = [hilbert_series(a, b, norm, k_first) for a, b in forms()]
             terms = orbit_terms(w, v, norm, k_first)
         else:
-            runs = [weighted_sums(w, x, k_first) for x in (v, values)]
+            runs = [weighted_sums(a, b, k_first) for a, b in forms()]
             terms = orbit_terms(w, v)
         grid = run_grid(k_first, n, inclusive)
-        assert asked == [(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK)]
-        want = prefix_at(terms, grid - k_first + inclusive).tobytes()
+        assert drawn == 2 * list(range(0, n, _BLOCK))
+        want = prefix_sums(array_blocks(terms), grid - k_first + inclusive).tobytes()
         for run in runs:
             assert run.n_grid.tobytes() == grid.tobytes()
             assert run.sums.tobytes() == want
             assert run.convention == ("inclusive" if inclusive else "exclusive")
+
+
+def test_misaligned_orbit_values_are_refused_not_broadcast():
+    """A block of orbit values shorter than its block of weights raises
+    ValueError, even one term that np.multiply would broadcast, and so
+    does an orbit-value array of another length."""
+    norm = NormalizerSpec(1.0, k0=1)
+    for short in (np.ones(1), np.ones(4)):
+        with pytest.raises(ValueError):
+            weighted_sums(np.ones(5), iter([short]))
+        with pytest.raises(ValueError):
+            hilbert_series(np.ones(5), iter([short]), norm)
+        with pytest.raises(ValueError):
+            abel_decompose(np.ones(5), iter([short]), norm, 5)
+    for other in (np.ones(1), np.ones(6)):
+        with pytest.raises(ValueError):
+            weighted_sums(np.ones(5), other)
 
 
 def test_run_grid_conventions():
@@ -431,7 +452,7 @@ def test_rotation_sums_match_the_trig_sum_engine(wspec, ispec, theta, x0, terms,
     system = SystemModel.rotation(theta)
     w = gen_weights(wspec, k_first, k_first + n)
     u = gen_indices(ispec, k_first, k_first + n)
-    run = weighted_sums(w, lambda i, j: orbit_eval(system, f, point, u[i:j]), k_first)
+    run = weighted_sums(w, map(partial(orbit_eval, system, f, point), array_blocks(u)), k_first)
     sizes = np.maximum.accumulate(np.abs(run.sums))
     c_l1 = sum(abs(c) for _, c in f.terms)
     top = max(abs(m) for m, _ in f.terms)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from ergosum import averages, harness
-from ergosum._kernels import _BLOCK, prefix_at
+from ergosum._kernels import _BLOCK, array_blocks, prefix_sums
 from ergosum.averages import orbit_terms, run_grid, storage_grid
 from ergosum.dynamics import OrbitPoint, SystemModel, orbit_eval
 from ergosum.indices import gen_indices
@@ -924,7 +924,7 @@ def test_far_doubling_config_exits_0(tmp_path, capsys, case, command):
     [(seed, got)] = harness._orbit_runs(plan, grid)
     u = gen_indices(harness._for_seed(plan.indices, seed), k_first, k_end)
     terms = gen_weights(plan.weights, k_first, k_end) * _window_values(plan.observable, seed, u)
-    assert got.sums.tobytes() == prefix_at(terms, grid - k_first).tobytes()
+    assert got.sums.tobytes() == prefix_sums(array_blocks(terms), grid - k_first).tobytes()
 
 
 # presets no other tier-1 test runs, at non-default params and seeds
@@ -1102,9 +1102,30 @@ def test_blocked_stage_sums_match_one_unblocked_pass(kind, case, monkeypatch):
     if plan.hilbert:
         terms = terms / plan.normalizer.values(np.arange(k_first, k_end))
     assert np.concatenate(fed).tobytes() == terms.tobytes()
-    want = prefix_at(terms, grid - k_first + plan.hilbert)
+    want = prefix_sums(array_blocks(terms), grid - k_first + plan.hilbert)
     assert got.sums.tobytes() == want.tobytes()
     assert got.convention == ("inclusive" if plan.hilbert else "exclusive")
+
+
+@pytest.mark.parametrize("kind", ["average_run", "hilbert_run"])
+def test_orbit_runs_hand_the_sums_sized_weights_and_one_orbit_eval_per_block(
+        kind, monkeypatch):
+    """What the benchmark's traced pass counts: the weights _orbit_runs
+    hands harness.weighted_sums or harness.hilbert_series have len() equal
+    to n_terms, and harness.orbit_eval, looked up when the run starts, is
+    called once per block."""
+    n_terms = 2 * _BLOCK + 5
+    plan, _ = harness._plan(cfg(**_stage_config(kind, "float_theta", n_terms)))
+    sums = "hilbert_series" if plan.hilbert else "weighted_sums"
+    sized, calls = [], []
+    real_sums, real_eval = getattr(harness, sums), harness.orbit_eval
+    monkeypatch.setattr(harness, sums, lambda w, *a: sized.append(len(w)) or real_sums(w, *a))
+    monkeypatch.setattr(harness, "orbit_eval",
+                        lambda *a: calls.append(a[-1].size) or real_eval(*a))
+    [(_, run)] = harness._orbit_runs(plan, run_grid(plan.k_first, n_terms, plan.hilbert))
+    assert sized == [n_terms]
+    assert calls == [_BLOCK, _BLOCK, 5]
+    assert run.n_grid[-1] == plan.k_first + n_terms - plan.hilbert
 
 
 def test_orbit_runs_drop_each_seeds_sums_before_the_next_draws(monkeypatch):

@@ -15,6 +15,7 @@ from ergosum._kernels import (
     MULMOD_MAX_DEN,
     _estimated_remainder,
     _fold,
+    array_blocks,
     chunk_sums,
     frac_of,
     frac_poly,
@@ -23,7 +24,6 @@ from ergosum._kernels import (
     mulmod,
     next_pow2,
     pairwise_sum,
-    prefix_at,
     prefix_sums,
 )
 
@@ -308,6 +308,11 @@ def test_pairwise_sum_complex():
     assert got.imag == pytest.approx(math.fsum(z.imag.tolist()), rel=1e-12)
 
 
+def prefix_at(terms, bounds):
+    """Prefix sums of one array at ``bounds``: prefix_sums over its slices."""
+    return prefix_sums(array_blocks(np.asarray(terms)), bounds)
+
+
 def test_prefix_at_matches_plain_accumulation():
     rng = np.random.default_rng(9)
     z = rng.standard_normal(300) + 1j * rng.standard_normal(300)
@@ -360,7 +365,7 @@ def test_prefix_at_across_chunk_edges():
 
 
 def _padded_prefix(terms, bounds):
-    """prefix_at's chunk scheme over a zero-padded copy of the terms."""
+    """prefix_sums' chunk scheme over a zero-padded copy of the terms."""
     rows = -(-terms.size // CHUNK)
     padded = np.zeros(rows * CHUNK, dtype=terms.dtype)
     padded[: terms.size] = terms
@@ -398,8 +403,8 @@ def test_prefix_at_matches_the_padded_reference(n, dtype):
 @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1])
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_prefix_sums_in_any_blocks_match_the_padded_reference(n, dtype):
-    """Whatever block_terms hands back, a view of one array, a fresh array
-    per block, a strided view or a read-only view, prefix_sums agrees bit
+    """Whatever the stream's blocks are, views of one array, a fresh array
+    per block, strided views or read-only views, prefix_sums agrees bit
     for bit with the chunk scheme over zero-padded terms at every end and
     at ends beside the chunk edge, for a leading -0.0 and inf/nan terms
     too, and leaves the caller's terms as they were."""
@@ -415,29 +420,31 @@ def test_prefix_sums_in_any_blocks_match_the_padded_reference(n, dtype):
     strided[::2] = z
     frozen = z.copy()
     frozen.flags.writeable = False
-    sources = (lambda i, j: z[i:j], lambda i, j: z[i:j].copy(),
-               lambda i, j: strided[2 * i : 2 * j : 2], lambda i, j: frozen[i:j])
+    streams = (lambda: array_blocks(z), lambda: (b.copy() for b in array_blocks(z)),
+               lambda: array_blocks(strided[::2]), lambda: array_blocks(frozen))
     ends = np.unique(np.concatenate([[1, n], rng.integers(1, n + 1, size=40),
                                      [e for e in (CHUNK - 1, CHUNK, CHUNK + 1)
                                       if e <= n]])).astype(np.int64)
     for bounds in (np.arange(1, n + 1, dtype=np.int64), ends):
         want = _padded_prefix(z, bounds).tobytes()
-        for block_terms in sources:
-            assert prefix_sums(block_terms, bounds).tobytes() == want
-    assert math.copysign(1.0, prefix_sums(sources[1], ends)[0].real) == -1.0
+        for blocks in streams:
+            assert prefix_sums(blocks(), bounds).tobytes() == want
+    assert math.copysign(1.0, prefix_sums(streams[1](), ends)[0].real) == -1.0
     assert z.tobytes() == kept
 
 
 def test_prefix_sums_asks_for_consecutive_blocks():
-    """block_terms is called once per _BLOCK terms, in order, up to the
-    last bound, for dense and sparse bounds alike."""
+    """prefix_sums draws one block per _BLOCK terms, in order, up to the
+    block that holds the last bound and none after it, for dense and
+    sparse bounds alike."""
     n = 3 * _BLOCK + 17
     z = np.random.default_rng(3).standard_normal(n)
-    for bounds in (np.arange(1, n + 1), [1, CHUNK + 1, n]):
-        calls = []
-        got = prefix_sums(lambda i, j: calls.append((i, j)) or z[i:j], bounds)
-        assert calls == [(0, _BLOCK), (_BLOCK, 2 * _BLOCK), (2 * _BLOCK, 3 * _BLOCK),
-                         (3 * _BLOCK, n)]
+    for bounds, drawn in ((np.arange(1, n + 1), 4), ([1, CHUNK + 1, n], 4),
+                          ([1, _BLOCK + 1], 2), ([_BLOCK], 1)):
+        starts = []
+        blocks = (starts.append(i) or z[i : i + _BLOCK] for i in range(0, n, _BLOCK))
+        got = prefix_sums(blocks, bounds)
+        assert starts == [i * _BLOCK for i in range(drawn)]
         assert got.tobytes() == _padded_prefix(z, np.asarray(bounds)).tobytes()
 
 
@@ -447,36 +454,72 @@ def test_prefix_sums_offset_shifts_the_bounds():
     n = 2 * _BLOCK + 7
     z = np.random.default_rng(5).standard_normal(n) + 1j
     for bounds in (np.arange(1, n + 1), np.array([1, 9, _BLOCK, _BLOCK + 1, n])):
-        want = prefix_sums(lambda i, j: z[i:j], bounds).tobytes()
+        want = prefix_sums(array_blocks(z), bounds).tobytes()
         for k in (-3, 1, 10**12):
-            assert prefix_sums(lambda i, j: z[i:j], bounds + k, k).tobytes() == want
+            assert prefix_sums(array_blocks(z), bounds + k, k).tobytes() == want
     with pytest.raises(ValueError):
-        prefix_sums(lambda i, j: z[i:j], [5, 9], 5)
+        prefix_sums(array_blocks(z), [5, 9], 5)
 
 
 def test_block_source_hands_over_blocks_in_prefix_sums_order():
-    """A BlockSource reports its term count, serves prefix_sums' blocks in
-    order with the sums of the whole array, and refuses a block out of
-    order, of the wrong size or past its iterator's end."""
+    """A BlockSource reports its term count, hands prefix_sums its blocks
+    in order with the sums of the whole array, and is read once: a second
+    pass finds its iterator spent."""
     n = 2 * _BLOCK + 9
     z = np.random.default_rng(4).standard_normal(n)
     source = BlockSource(n, (z[i : i + _BLOCK] for i in range(0, n, _BLOCK)))
     assert len(source) == n
-    assert prefix_sums(source.take, [5, n]).tobytes() == prefix_at(z, [5, n]).tobytes()
+    assert prefix_sums(source, [5, n]).tobytes() == prefix_at(z, [5, n]).tobytes()
+    with pytest.raises(ValueError, match="cannot give terms"):
+        prefix_sums(source, [5])
+
+
+def _stream(*sizes):
+    return [np.ones(m) for m in sizes]
+
+
+def test_prefix_sums_refuses_a_block_before_the_last_that_is_not_full():
+    """Every block before the last one needed holds exactly _BLOCK terms:
+    a shorter or longer one would move the chunk partition."""
+    for sizes in ((_BLOCK - 1, _BLOCK), (_BLOCK + 1, _BLOCK), (CHUNK, _BLOCK)):
+        with pytest.raises(ValueError, match=rf"cannot give terms \[0, {_BLOCK}\)"):
+            prefix_sums(_stream(*sizes), [_BLOCK + 5])
+
+
+def test_prefix_sums_refuses_a_stream_that_ends_early():
+    with pytest.raises(ValueError, match=rf"cannot give terms \[{_BLOCK}, {_BLOCK + 5}\)"):
+        prefix_sums(_stream(_BLOCK), [3, _BLOCK + 5])
+    with pytest.raises(ValueError, match=r"cannot give terms \[0, 7\)"):
+        prefix_sums(iter(()), [7])
+
+
+def test_prefix_sums_refuses_a_last_block_too_short_or_too_long():
+    """The last block needs the terms left, and holds at most _BLOCK."""
     with pytest.raises(ValueError):
-        source.take(n, n + 1)  # the iterator is spent
-    for bad in ([(_BLOCK, 2 * _BLOCK)], [(0, _BLOCK - 1)]):
-        source = BlockSource(n, (z[i : i + _BLOCK] for i in range(0, n, _BLOCK)))
-        with pytest.raises(ValueError):
-            for i, j in bad:
-                source.take(i, j)
+        prefix_sums(_stream(_BLOCK, 4), [_BLOCK + 5])
+    with pytest.raises(ValueError):
+        prefix_sums(_stream(_BLOCK + 1), [3])
+    with pytest.raises(ValueError):
+        prefix_sums([np.ones((1, 5))], [3])  # a 2-d block
+
+
+def test_prefix_sums_ignores_the_last_blocks_terms_past_the_last_bound():
+    """The last block may hold more terms than are left, as array slices
+    of a longer array do; the extra terms are never read."""
+    n = _BLOCK + 40
+    z = np.random.default_rng(6).standard_normal(n)
+    for bounds in ([1, _BLOCK + 3], [7, 1000]):
+        spoiled = z.copy()
+        spoiled[bounds[-1]:] = np.nan
+        want = _padded_prefix(z, np.asarray(bounds)).tobytes()
+        assert prefix_sums(array_blocks(spoiled), bounds).tobytes() == want
 
 
 def test_prefix_sums_feed_checks():
     """Bounds must be nonempty, strictly increasing integers >= 1."""
     for bad in ([], [0, 3], [3, 3], [4, 2]):
         with pytest.raises(ValueError):
-            prefix_sums(lambda i, j: np.ones(j - i), bad)
+            prefix_sums(_stream(5), bad)
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK,

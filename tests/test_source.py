@@ -99,6 +99,46 @@ def test_module_defines_nothing_unread(path):
     assert unread_definitions(path.read_text(encoding="utf-8"), read_elsewhere) == []
 
 
+# the modules that may call BLAS or LAPACK
+BLAS_USERS = {"scaling_fit"}
+
+
+def blas_uses(source: str) -> list[str]:
+    """The matrix products (@, @=) and the dot, matmul and linalg names
+    (np.dot, x.dot, np.matmul, np.linalg, an import of linalg) that the
+    source uses, in line order, each as the name or operator seen."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in ("dot", "matmul", "linalg"):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+            if any("linalg" in name.split(".") for name in names):
+                found.append((node.lineno, "linalg"))
+    return [name for _, name in sorted(found)]
+
+
+def test_blas_uses_are_found():
+    src = ("import numpy.linalg\nfrom numpy import linalg\nx = a @ b\nx @= a\n"
+           "y = np.dot(a, b) + a.dot(b) + np.matmul(a, b)\nz = np.linalg.norm(a)\n"
+           "@cache\ndef f(): return a * b\n")
+    assert blas_uses(src) == ["linalg", "linalg", "@", "@", "dot", "dot", "matmul",
+                              "linalg"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_only_the_fits_reach_blas(path):
+    """No module but those in BLAS_USERS uses a matrix product or numpy's
+    linalg, so every sum, series, slope and hull that reaches an output
+    has the same bits whatever the BLAS build and its thread count. ROADMAP
+    item 2a takes scaling_fit off BLAS_USERS when its fits stop solving
+    through LAPACK."""
+    if path.stem not in BLAS_USERS:
+        assert blas_uses(path.read_text(encoding="utf-8")) == []
+
+
 def package_imports(source: str) -> list[str]:
     """module.name for every name that an import anywhere in the source,
     nested ones too, takes from the ergosum package."""
