@@ -44,7 +44,7 @@ print(f"  log-log slope {ns.slope():.3f} (negative means the average dies)")
 # normalized grid as the ratios above
 rep = oscillation_report(run, BlockLadder.dyadic(2, 17), ns.grid)
 print(f"  sum of squared oscillations: {rep.cumulative_sq[-1]:.4f}, "
-      f"decomposition check passed = {rep.check_decomposition()['passed']}")
+      f"decomposition check passed = {rep.decomposition['passed']}")
 
 # a doubling-map start point is the seed of its binary digits, read 64 to
 # a draw; each orbit value is two draws and a shift. The orbit values can

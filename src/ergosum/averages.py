@@ -352,23 +352,15 @@ class NormalizedSeries:
     grid: NormalizedGrid
     ratios: np.ndarray
 
-    @property
-    def n_grid(self) -> np.ndarray:
-        return self.grid.n_grid
-
-    @property
-    def monotone_normalizer(self) -> bool:
-        return self.grid.monotone
-
     def value_at(self, N: int) -> float:
-        i = int(np.searchsorted(self.n_grid, N, side="right")) - 1
+        i = int(np.searchsorted(self.grid.n_grid, N, side="right")) - 1
         if i < 0:
             raise KeyError(f"no stored checkpoint at or below N = {N}")
         return float(self.ratios[i])
 
     def tail_max(self, n_tail: int) -> float:
-        i = int(np.searchsorted(self.n_grid, n_tail))
-        if i >= self.n_grid.size:
+        i = int(np.searchsorted(self.grid.n_grid, n_tail))
+        if i >= self.grid.n_grid.size:
             raise ValueError("tail start exceeds the stored grid")
         return float(self.ratios[i:].max())
 
@@ -386,7 +378,7 @@ class NormalizedSeries:
         if count == mask.size:
             xc, den, y = self.grid.xc, self.grid.xc_sq, np.log(self.ratios)
         else:
-            xc = _centred_regressor(self.n_grid[mask], self.grid.norm.gamma)
+            xc = _centred_regressor(self.grid.n_grid[mask], self.grid.norm.gamma)
             den, y = _dot(xc, xc), np.log(self.ratios[mask])
         if den == 0.0:
             return math.nan
@@ -572,6 +564,9 @@ class OscillationReport:
     with r = S_N / A(N) complex. cumulative_sq holds running sums of
     osc_j^2. grid_points records how many stored N realize each maximum
     (the oscillation is a grid statistic, a lower bound on the true sup).
+    decomposition checks |r(N)| <= anchor_j + osc_j at every stored N of each
+    block: "max_excess_ulps" is the largest excess in ulps of the right side
+    (0 if none), and "passed" says it is at most 8.
     """
 
     ladder_j: np.ndarray
@@ -580,21 +575,7 @@ class OscillationReport:
     osc: np.ndarray
     cumulative_sq: np.ndarray
     grid_points: np.ndarray
-    _abs_r: np.ndarray
-    _block_bound: np.ndarray
-
-    def check_decomposition(self) -> dict:
-        """Verify |r(N)| <= anchor_j + osc_j on every stored N of every
-        block, up to 8 last-place units of the right side."""
-        worst = 0.0
-        for j in range(self.osc.size):
-            lo, hi = self._block_bound[j], self._block_bound[j + 1]
-            if hi <= lo:
-                continue
-            bound = self.anchors[j] + self.osc[j]
-            excess = float(self._abs_r[lo:hi].max()) - bound
-            worst = max(worst, excess / max(np.spacing(bound), 5e-324))
-        return {"passed": bool(worst <= 8), "max_excess_ulps": worst}
+    decomposition: dict
 
 
 def ladder_positions(n_grid: np.ndarray, ladder_n: np.ndarray, k0: int) -> np.ndarray:
@@ -624,21 +605,22 @@ def oscillation_report(run: SeriesRun, ladder: BlockLadder,
     anchors = np.abs(r[pos[:-1] - lo_i])
     bound = pos - lo_i
     osc = np.zeros(ladder_n.size - 1, dtype=np.float64)
-    counts = np.zeros(ladder_n.size - 1, dtype=np.int64)
+    worst = 0.0
     for j in range(osc.size):
         seg = r[bound[j] + 1 : bound[j + 1] + 1]
-        counts[j] = seg.size
         if seg.size:
             osc[j] = float(np.abs(seg - r[bound[j]]).max())
+            top = anchors[j] + osc[j]
+            excess = float(np.abs(seg).max()) - top
+            worst = max(worst, excess / max(np.spacing(top), 5e-324))
     return OscillationReport(
         ladder_j=ladder.js(),
         ladder_n=ladder_n,
         anchors=anchors,
         osc=osc,
         cumulative_sq=np.cumsum(osc**2),
-        grid_points=counts,
-        _abs_r=np.abs(r),
-        _block_bound=bound + 1,
+        grid_points=np.diff(bound),
+        decomposition={"passed": bool(worst <= 8), "max_excess_ulps": worst},
     )
 
 

@@ -92,7 +92,7 @@ from .scaling_fit import (
 )
 from .trigsum import SCALED_GRID_CAP, SupEstimate, ThetaGrid, sup_envelope, sup_harmonic
 from .weights import _SEEDED as _SEEDED_WEIGHTS
-from .weights import WeightSpec, gen_weights, weight_blocks
+from .weights import WeightSpec, _past_precision, gen_weights, weight_blocks
 
 TOOL_VERSION = "0.1.0"
 
@@ -499,9 +499,9 @@ def _py(obj):
 
 
 def _fields_json(obj) -> dict:
-    """The JSON form of a spec or report in an output: its set public fields."""
+    """The JSON form of a spec or report in an output: its set fields."""
     return {f.name: getattr(obj, f.name) for f in fields(obj)
-            if not f.name.startswith("_") and getattr(obj, f.name) is not None}
+            if getattr(obj, f.name) is not None}
 
 
 def _json_bytes(obj) -> bytes:
@@ -510,17 +510,12 @@ def _json_bytes(obj) -> bytes:
 
 
 def _cell(v) -> str:
-    if isinstance(v, float):  # np.float64 too: most cells, so tested first
-        return repr(float(v))
-    if v is None:
-        return ""
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, numbers.Integral):
-        return str(int(v))
-    if isinstance(v, numbers.Real):
-        return repr(float(v))
-    return str(v)
+    """One CSV cell: a float by repr, None empty, an integer or a bool
+    (1 or 0) in decimal. Rows hold plain Python values, save seeds and
+    blocks, which a config built in Python may give as numpy integers."""
+    if isinstance(v, float):  # most cells, so tested first
+        return repr(v)
+    return "" if v is None else str(int(v))
 
 
 def _csv_text(rows) -> str:
@@ -673,7 +668,7 @@ def _decay_entry(ns, cps=None) -> dict:
     """Decay slope, ratios and tail maxima of a normalized series at the
     checkpoints cps (default: its decades and its last N)."""
     if not cps:
-        lo, hi = int(ns.n_grid[0]), int(ns.n_grid[-1])
+        lo, hi = int(ns.grid.n_grid[0]), int(ns.grid.n_grid[-1])
         cps = [10**e for e in range(1, 10) if lo <= 10**e <= hi]
         cps += [] if hi in cps else [hi]
     return {
@@ -690,11 +685,14 @@ _SERIES_COLUMNS = _SUM_COLUMNS + ["a_value", "ratio"]
 
 def _sum_rows(seed, n, sums, a_value=None):
     """CSV rows [seed, N, s_real, s_imag, s_abs] of one seed's sums at the
-    grid n, s_abs the scalar abs (np.abs can differ by an ulp). Given the
-    A(N) cells (None below k0), rows add A(N) and ratio = s_abs / A(N)."""
+    grid n, built from n.tolist() and sums.tolist(), so every cell is a
+    Python int or float. s_abs is Python's complex abs, which uses hypot
+    (np.abs can differ by an ulp). Given the A(N) cells (None below k0),
+    rows add A(N) and ratio = s_abs / A(N)."""
+    n, sums = n.tolist(), sums.tolist()
     if a_value is None:
-        return [[seed, int(k), s.real, s.imag, abs(s)] for k, s in zip(n, sums)]
-    return [[seed, int(k), s.real, s.imag, abs(s), a, None if a is None else abs(s) / a]
+        return [[seed, k, s.real, s.imag, abs(s)] for k, s in zip(n, sums)]
+    return [[seed, k, s.real, s.imag, abs(s), a, None if a is None else abs(s) / a]
             for k, s, a in zip(n, sums, a_value)]
 
 
@@ -732,8 +730,7 @@ def _average_stage(files, plan: _Plan, report_extra):
         csv_texts.append(_csv_text(_sum_rows(seed, n, run.sums[keep], a_value)))
         if ladder is not None:
             rep = oscillation_report(run, ladder, first)
-            osc_entries.append({"seed": seed, **_fields_json(rep),
-                                "decomposition": rep.check_decomposition()})
+            osc_entries.append({"seed": seed, **_fields_json(rep)})
             if len(osc_chart) < 4:
                 label = "osc" if seed is None else f"seed {seed}"
                 osc_chart.append((label, rep.ladder_j[:-1].tolist(), rep.osc.tolist()))
@@ -745,13 +742,13 @@ def _average_stage(files, plan: _Plan, report_extra):
                 run = None
             if beta is None:
                 entry = {"seed": seed, "k_first": plan.k_first, "n_max": n_max,
-                         "monotone_normalizer": ns.monotone_normalizer}
+                         "monotone_normalizer": ns.grid.monotone}
                 label = "ratio" if seed is None else f"seed {seed}"
             else:
                 entry, label = {"beta": beta}, f"beta {beta}"
             entries.append({**entry, **_decay_entry(ns, plan.checkpoints)})
             if len(chart) < len(_svg.PALETTE):
-                chart.append((label, ns.n_grid[chart_keep].tolist(),
+                chart.append((label, ns.grid.n_grid[chart_keep].tolist(),
                               ns.ratios[chart_keep].tolist()))
             ns = None
     if betas is None:
@@ -1061,12 +1058,14 @@ _PRESETS = {
         ("harmonic sup rows vs 30(|h| + 1/|h|)",
          "flat harmonic growth fit",
          "bounded series partial sums"),
-        # |h| < 1e307 keeps a huge integer out of float arithmetic, and a
-        # finite bound 30(|h| + 1/|h|) keeps every phase h log k finite
+        # |h| < 1e307 keeps a huge integer out of float arithmetic; preset plans
+        # skip the block iterators, so the phase rule is asked at the last k
         params={"h": (1.0, lambda h: is_real(h) and 0 < abs(h) < 1e307
-                      and math.isfinite(hlawka_bound(h)),
+                      and math.isfinite(hlawka_bound(h)) and not _past_precision(
+                          WeightSpec(kind="log_phase", h=float(h)), 100_000),
                       "must be a finite nonzero number with a finite bound "
-                      "30(|h| + 1/|h|)")}),
+                      "30(|h| + 1/|h|) and phases |h| log k below 2**36 for "
+                      "k <= 100000")}),
     "example4": _Preset(
         _example4, "random unimodular weights over dyadic blocks",
         ("two-variable H1 envelope fit",

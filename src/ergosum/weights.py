@@ -15,12 +15,15 @@ Polynomial phases are reduced exactly through the dyadic form of each
 coefficient (integer-coefficient polynomials give w_k = 1 exactly); power
 phases k**delta are evaluated in double precision, so their phase carries
 a k**delta * ulp rounding that no certificate bounds yet (ROADMAP item
-13 measures it far above the FFT allowance on example1).
+13 measures it far above the FFT allowance on example1); a range whose
+|phase| reaches 2**36, past which it keeps 16 fractional bits, is refused.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 import math
 
 import numpy as np
@@ -50,6 +53,11 @@ _MIN_OFFSET = {
 }
 
 _SEEDED = tuple(k for k, reads in _READS.items() if "seed" in reads)
+
+# families whose phase is computed in doubles, then reduced mod 1
+_PHASED = ("power_phase", "logpower_phase", "log_phase")
+# doubles from 2**36 on are 2**-16 apart or more: a weight keeps 4 digits
+_PHASE_LIMIT = 2.0**36
 
 
 @dataclass(frozen=True)
@@ -111,7 +119,7 @@ def weight_blocks(spec: WeightSpec, m: int, n: int):
     The arguments are checked when this is called, not when the first
     block is drawn, so a call that draws nothing validates a range. It
     raises ValueError unless 0 <= m < n, m >= spec.offset (the family's
-    first defined index) and no phase of w_k, k < n, overflows a double.
+    first defined index) and |phase| < 2**36 for every w_k, k < n.
 
     moebius sieves each block on its own with the primes up to
     sqrt(n - 1); every other kind is one elementwise call per block.
@@ -129,11 +137,27 @@ def _check_range(spec: WeightSpec, m: int, n: int) -> None:
         raise ValueError(
             f"{spec.kind} weights start at k = {spec.offset}; got range from {m}"
         )
-    # phases grow with k, so the last weight, evaluated alone, decides
-    if spec.kind in ("power_phase", "logpower_phase", "log_phase"):
-        with np.errstate(all="ignore"):
-            if not np.isfinite(_elementwise(spec, n - 1, n)).all():
-                raise ValueError(f"{spec.kind} phase overflows a double below k = {n}")
+    # |phase| grows with k: the last k decides, and bisection finds the first
+    if spec.kind in _PHASED and _past_precision(spec, n - 1):
+        k = bisect_left(range(n), True, spec.offset, key=partial(_past_precision, spec))
+        raise ValueError(f"{spec.kind} phase reaches 2**36, past double precision, from k = {k}")
+
+
+def _past_precision(spec: WeightSpec, k: int) -> bool:
+    """|phase(k)| >= _PHASE_LIMIT, which an overflowed phase, inf, passes."""
+    with np.errstate(all="ignore"):
+        return not abs(float(_phase(spec, np.array([k], dtype=np.int64))[0])) < _PHASE_LIMIT
+
+
+def _phase(spec: WeightSpec, k: np.ndarray) -> np.ndarray:
+    """The phase of a _PHASED family at the indices k, before its mod-1
+    reduction: k**delta, (log k)**delta or h log k in doubles."""
+    x = k.astype(np.float64)
+    if spec.kind == "power_phase":
+        return np.power(x, spec.delta)
+    if spec.kind == "logpower_phase":
+        return np.power(np.log(x), spec.delta)
+    return spec.h * np.log(x)
 
 
 def _elementwise(spec: WeightSpec, m: int, n: int) -> np.ndarray:
@@ -143,15 +167,8 @@ def _elementwise(spec: WeightSpec, m: int, n: int) -> np.ndarray:
         return np.ones(n - m, dtype=np.complex128)
     if kind == "polynomial_phase":
         return np.exp(2j * np.pi * frac_poly(spec.coeffs, k))
-    if kind == "power_phase":
-        phase = mod1(np.power(k.astype(np.float64), spec.delta))
-        return np.exp(2j * np.pi * phase)
-    if kind == "logpower_phase":
-        phase = mod1(np.power(np.log(k.astype(np.float64)), spec.delta))
-        return np.exp(2j * np.pi * phase)
-    if kind == "log_phase":
-        phase = mod1(spec.h * np.log(k.astype(np.float64)))
-        return np.exp(2j * np.pi * phase)
+    if kind in _PHASED:
+        return np.exp(2j * np.pi * mod1(_phase(spec, k)))
     if kind == "iid_uniform_phase":
         return np.exp(2j * np.pi * uniform01(spec.seed, k))
     if kind == "centered_cramer":

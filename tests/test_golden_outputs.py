@@ -6,9 +6,10 @@ seeds [1, 2] (random weights and the random prime model), one small
 config per base kind, and one more average run whose normalizer starts
 above its first stored N. Manifests are left out because they carry wall
 times and output paths; only the order of their stage timings is
-checked. Two deterministic presets are rerun with seeds, which they
-ignore. A change that alters an output on purpose records new digests
-and says why.
+checked. Every CSV cell the runs format must be a plain Python value.
+Two deterministic presets are rerun with seeds, which they ignore. A
+change that alters an output on purpose records new digests and says
+why.
 
 The same base-kind configs seed a one-field mutation test: whatever one
 field is replaced with, validate() returns diagnostics without raising,
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from ergosum import harness
 from ergosum.harness import ExperimentConfig, run, validate
 
 CONFIGS = {
@@ -143,7 +145,17 @@ def _golden():
 
 
 @pytest.mark.parametrize("name", list(CONFIGS))
-def test_outputs_match_golden_digests(tmp_path, name):
+def test_outputs_match_golden_digests(tmp_path, monkeypatch, name):
+    """The digests and stage timings, and the type of every CSV cell the
+    run formats: a plain Python float, int, bool or None, never a numpy
+    scalar."""
+    cell, cell_types = harness._cell, set()
+
+    def typed_cell(v):
+        cell_types.add(type(v))
+        return cell(v)
+
+    monkeypatch.setattr(harness, "_cell", typed_cell)
     # example1's default grid is too coarse for the Bernstein certificate
     with (pytest.warns(RuntimeWarning, match="grid too coarse") if name == "example1"
           else contextlib.nullcontext()):
@@ -151,6 +163,7 @@ def test_outputs_match_golden_digests(tmp_path, name):
             {"name": name, **CONFIGS[name], "output_dir": str(tmp_path)}))
     assert output_digests(tmp_path / name) == _golden()[name]
     assert list(manifest.wall_seconds) == WALL_KEYS[name]
+    assert cell_types and cell_types <= {float, int, bool, type(None)}
 
 
 @pytest.mark.parametrize("name", ["example3", "prime_question"])

@@ -300,6 +300,21 @@ def test_tiny_envelope_run_outputs(tmp_path):
         ["", "0", "48", *(harness._cell(getattr(est, c)) for c in columns), "0"])
 
 
+def test_numpy_integer_seeds_and_blocks_write_plain_int_bytes(tmp_path):
+    """A config built in Python may give its seeds and blocks as numpy
+    integers: it validates, and writes the envelope.csv of its plain-int
+    twin."""
+    for name, as_int in (("plain", int), ("numpy", np.int64)):
+        c = cfg(**tiny_envelope(name, output_dir=str(tmp_path),
+                                weights={"kind": "iid_uniform_phase"},
+                                seeds=[as_int(1), as_int(2)],
+                                blocks=[[as_int(0), as_int(24)], [as_int(24), as_int(48)]]))
+        assert validate(c) == []
+        run(c)
+    assert ((tmp_path / "numpy" / "envelope.csv").read_bytes()
+            == (tmp_path / "plain" / "envelope.csv").read_bytes())
+
+
 def test_tiny_fit_run_outputs(tmp_path):
     d = tiny_envelope(name="t_fit", output_dir=str(tmp_path))
     d["kind"] = "condition_fit"
@@ -625,7 +640,20 @@ INVALID_CLI_CONFIGS = {
         "weights: polynomial_phase coeffs must be finite real numbers"),
     "power_phase_overflows_on_range": (
         tiny_average(weights={"kind": "power_phase", "delta": 2**63}),
-        "weights: power_phase phase overflows a double below k = 201"),
+        "weights: power_phase phase reaches 2**36, past double precision, from k = 2"),
+    # phases whose reduction mod 1 keeps at most 16 bits: rounding noise
+    "power_phase_envelope_past_precision": (
+        tiny_envelope(weights={"kind": "power_phase", "delta": 4.5}, blocks=[[0, 65536]]),
+        "weights: power_phase phase reaches 2**36, past double precision, from k = 256"),
+    **{f"{kind}_average_past_precision": (
+        tiny_average(weights={"kind": kind, **param}, n_terms=100_000),
+        f"weights: {kind} phase reaches 2**36, past double precision, from k = {k}")
+       for kind, param, k in (("log_phase", {"h": 1e17}, 2),
+                              ("logpower_phase", {"delta": 20}, 33),
+                              ("power_phase", {"delta": 4.5}, 256))},
+    "example3_h_phase_past_precision": (
+        {"name": "p3", "preset": "example3", "params": {"h": 1e10}},
+        "params.h: must be a finite nonzero number"),
     # exact pairs and modes that must be integers, not read as such
     "theta0_float_numerator": (
         tiny_average(system={"kind": "rotation", "theta0": [1.5, 7]}),

@@ -209,6 +209,8 @@ def test_weight_blocks_check_their_range_when_called():
 
 def test_phase_overflow_is_refused_when_drawn():
     """A phase past the double range is refused by the draw itself, with
-    the line validate() reports, not handed over as NaN weights."""
-    with pytest.raises(ValueError, match="^power_phase phase overflows a double below k = 201$"):
+    the line validate() reports, not handed over as NaN weights: an
+    overflowed phase is inf, past the 2**36 limit from k = 2 on."""
+    with pytest.raises(ValueError, match=r"^power_phase phase reaches 2\*\*36, past double "
+                       r"precision, from k = 2$"):
         gen_weights(WeightSpec(kind="power_phase", delta=2**63), 0, 201)
