@@ -23,16 +23,86 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-FAMILIES = ("quadratic", "power", "power_plus_linear", "log_power", "log_linear")
+from ._kernels import is_int, is_real
+
+# x**e and its first two derivatives, as functions of (x, e)
+_POWER = (lambda x, e: np.power(x, e),
+          lambda x, e: e * np.power(x, e - 1.0),
+          lambda x, e: e * (e - 1.0) * np.power(x, e - 2.0))
+
+
+def _ends(g, a, b) -> float:
+    """min(-g(a), -g(b)): the minimum of -g on [a, b] when g is monotone."""
+    return float(min(-g(a), -g(b)))
+
+
+def _log_power_floor(pf, a, b) -> float:
+    # -f'' is decreasing once log x >= max(delta, 2)
+    if a <= 0 or math.log(a) < max(pf.delta, 2.0):
+        raise ValueError("log_power concavity floor certified only for log a >= max(delta, 2)")
+    return float(-pf.d2(b))
+
+
+@dataclass(frozen=True)
+class _Family:
+    """derivs holds f, f' and f'' as functions of (x, *params), params the
+    PhaseFunction fields named in reads; floor(pf, a, b) is a sound lower
+    bound for min over [a, b] of -f'', by default its endpoint minimum."""
+
+    reads: tuple[str, ...]
+    derivs: tuple[Callable, Callable, Callable]
+    floor: Callable = lambda pf, a, b: _ends(pf.d2, a, b)
+
+
+_TABLE = {
+    "quadratic": _Family(("c2", "c1"), (
+        lambda x, c2, c1: c2 * x * x + c1 * x,
+        lambda x, c2, c1: 2.0 * c2 * x + c1,
+        lambda x, c2, c1: np.full_like(x, 2.0 * c2))),
+    "power": _Family(("delta",), _POWER),
+    # f, f' and f'' from those of the two powers; the floor adds the
+    # endpoint minima of the two monotone terms of f''
+    "power_plus_linear": _Family(
+        ("theta", "d", "delta"),
+        tuple(lambda x, t, d, e, g=g: t * g(x, d) + g(x, e) for g in _POWER),
+        lambda pf, a, b: _ends(lambda x: pf.theta * _POWER[2](x, pf.d), a, b)
+        + _ends(lambda x: _POWER[2](x, pf.delta), a, b)),
+    "log_power": _Family(("delta",), (
+        lambda x, delta: np.power(np.log(x), delta),
+        lambda x, delta: delta * np.power(np.log(x), delta - 1.0) / x,
+        lambda x, delta: (delta * np.power(np.log(x), delta - 2.0)
+                          * ((delta - 1.0) - np.log(x)) / (x * x))), _log_power_floor),
+    "log_linear": _Family(("h", "theta"), (
+        lambda x, h, theta: h * np.log(x) + theta * x,
+        lambda x, h, theta: h / x + theta,
+        lambda x, h, theta: -h / (x * x))),
+}
+
+FAMILIES = tuple(_TABLE)
+
+# what a parameter must be, past a finite real number, in every family that reads it
+_RULES = {"delta": ("a finite real delta > 0", lambda v: v > 0),
+          "h": ("a finite real h != 0", lambda v: v != 0),
+          "d": ("an integer d >= 1", lambda v: is_int(v) and v >= 1)}
+
+
+def _derivative(n: int):
+    """The method x -> f^(n)(x) of a PhaseFunction, from its family's row."""
+    def evaluate(pf, x):
+        row = _TABLE[pf.kind]
+        params = [getattr(pf, name) for name in row.reads]
+        return row.derivs[n](np.asarray(x, dtype=np.float64), *params)
+    return evaluate
 
 
 @dataclass(frozen=True)
 class PhaseFunction:
-    """A closed-form phase family member with evaluators for f and its
-    derivatives.
+    """A member of one of the FAMILIES, each of which reads only its own
+    parameters; value, d1 and d2 evaluate f, f' and f'':
 
     quadratic:          f(x) = c2 x^2 + c1 x
     power:              f(x) = x^delta
@@ -50,97 +120,26 @@ class PhaseFunction:
     h: float | None = None
 
     def __post_init__(self):
-        if self.kind not in FAMILIES:
+        if self.kind not in _TABLE:
             raise ValueError(f"unknown phase family {self.kind!r}")
-        if self.kind in ("power", "power_plus_linear", "log_power"):
-            if self.delta is None or self.delta <= 0:
-                raise ValueError(f"{self.kind} requires delta > 0")
-        if self.kind == "power_plus_linear" and self.d < 1:
-            raise ValueError("power_plus_linear requires integer d >= 1")
-        if self.kind == "log_linear" and (self.h is None or self.h == 0):
-            raise ValueError("log_linear requires h != 0")
+        for name in _TABLE[self.kind].reads:
+            rule, holds = _RULES.get(name, (f"a finite real {name}", lambda v: True))
+            v = getattr(self, name)
+            if not (is_real(v) and -math.inf < v < math.inf and holds(v)):
+                raise ValueError(f"{self.kind} requires {rule}")
 
-    # -- evaluators ---------------------------------------------------------
-
-    def value(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if self.kind == "quadratic":
-            return self.c2 * x * x + self.c1 * x
-        if self.kind == "power":
-            return np.power(x, self.delta)
-        if self.kind == "power_plus_linear":
-            return self.theta * np.power(x, self.d) + np.power(x, self.delta)
-        if self.kind == "log_power":
-            return np.power(np.log(x), self.delta)
-        if self.kind == "log_linear":
-            return self.h * np.log(x) + self.theta * x
-        raise AssertionError(self.kind)
-
-    def d1(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if self.kind == "quadratic":
-            return 2.0 * self.c2 * x + self.c1
-        if self.kind == "power":
-            return self.delta * np.power(x, self.delta - 1.0)
-        if self.kind == "power_plus_linear":
-            return self.theta * self.d * np.power(x, self.d - 1) + self.delta * np.power(
-                x, self.delta - 1.0
-            )
-        if self.kind == "log_power":
-            return self.delta * np.power(np.log(x), self.delta - 1.0) / x
-        if self.kind == "log_linear":
-            return self.h / x + self.theta
-        raise AssertionError(self.kind)
-
-    def d2(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if self.kind == "quadratic":
-            return np.full_like(x, 2.0 * self.c2)
-        if self.kind == "power":
-            return self.delta * (self.delta - 1.0) * np.power(x, self.delta - 2.0)
-        if self.kind == "power_plus_linear":
-            lin = self.theta * self.d * (self.d - 1) * np.power(x, self.d - 2)
-            return lin + self.delta * (self.delta - 1.0) * np.power(x, self.delta - 2.0)
-        if self.kind == "log_power":
-            L = np.log(x)
-            return (
-                self.delta
-                * np.power(L, self.delta - 2.0)
-                * ((self.delta - 1.0) - L)
-                / (x * x)
-            )
-        if self.kind == "log_linear":
-            return -self.h / (x * x)
-        raise AssertionError(self.kind)
-
-    # -- concavity floor ----------------------------------------------------
+    value, d1, d2 = _derivative(0), _derivative(1), _derivative(2)
 
     def neg_d2_min(self, a: float, b: float) -> float:
-        """Sound lower bound for min over [a, b] of -f''.
-
-        Per family: constant (quadratic); endpoint minimum of a monotone
-        expression (power, log_linear); sum of endpoint minima of two
-        monotone terms (power_plus_linear, conservative); for log_power the
-        expression is provably decreasing once log x >= max(delta, 2), and
-        anything left of that is refused rather than guessed.
+        """Sound lower bound for min over [a, b] of -f'': the endpoint
+        minimum of a monotone -f'' (quadratic, power, log_linear), the sum
+        of the endpoint minima of two monotone terms (power_plus_linear,
+        conservative), and for log_power -f''(b), certified only once
+        log a >= max(delta, 2) and refused left of that rather than guessed.
         """
         if not a < b:
             raise ValueError("need a < b")
-        if self.kind == "quadratic":
-            return -2.0 * self.c2
-        if self.kind in ("power", "log_linear"):
-            return float(min(-self.d2(a), -self.d2(b)))
-        if self.kind == "power_plus_linear":
-            lin = lambda x: -self.theta * self.d * (self.d - 1) * x ** (self.d - 2)  # noqa: E731
-            pw = lambda x: -self.delta * (self.delta - 1.0) * x ** (self.delta - 2.0)  # noqa: E731
-            return float(min(lin(a), lin(b)) + min(pw(a), pw(b)))
-        if self.kind == "log_power":
-            if a <= 0 or math.log(a) < max(self.delta, 2.0):
-                raise ValueError(
-                    "log_power concavity floor certified only for log a >= max(delta, 2)"
-                )
-            return float(-self.d2(b))
-        raise AssertionError(self.kind)
+        return _TABLE[self.kind].floor(self, float(a), float(b))
 
 
 def van_der_corput_bound(pf: PhaseFunction, a: float, b: float, rho: float) -> float:
@@ -149,16 +148,16 @@ def van_der_corput_bound(pf: PhaseFunction, a: float, b: float, rho: float) -> f
         |sum_{a <= k <= b} exp(2 i pi f(k))| <= (|f'(b) - f'(a)| + 2) (4/sqrt(rho) + 3).
 
     The concavity floor is verified through the family's neg_d2_min; a
-    floor that cannot be certified raises. Linear phase terms shift f' by a
-    constant and vanish from the difference, so the value bounds the sum
-    uniformly over linear shifts of the phase.
+    floor that cannot be certified, NaN included, raises. Linear phase
+    terms shift f' by a constant and vanish from the difference, so the
+    value bounds the sum uniformly over linear shifts of the phase.
     """
     if not a < b:
         raise ValueError("need a < b")
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError("need rho > 0")
     floor = pf.neg_d2_min(a, b)
-    if floor < rho * (1.0 - 1e-12):
+    if not floor >= rho * (1.0 - 1e-12):
         raise ValueError(
             f"concavity precondition fails: min(-f'') = {floor:.6g} < rho = {rho:.6g}"
         )

@@ -41,7 +41,7 @@ import numpy as np
 from ._kernels import (_BLOCK, BlockSource, array_blocks, check_reads, frac_of, is_int,
                        is_real, next_pow2, pairwise_sum, prefix_sums)
 from .dynamics import SpectralMeasure
-from .trigsum import SCALED_GRID_CAP, ThetaGrid, _check_pair, eval_grid
+from .trigsum import DEFAULT_GRID_CAP, ThetaGrid, _check_pair, eval_grid
 
 # the optional fields each ladder kind reads
 _LADDER_READS = {"dyadic": (), "doubly_exponential": (),
@@ -637,7 +637,7 @@ def maximal_norm(weights, indices, norm: NormalizerSpec,
     next_pow2(D + 1)) points, D the index span of the terms up to the last
     N, where V_N adds up eval_grid over the prefix segments: every
     frequency of |V_N|^2 lies below L, so against a uniform density the
-    rule is exact. Raises ValueError if L would pass SCALED_GRID_CAP."""
+    rule is exact. L past DEFAULT_GRID_CAP raises ValueError before allocating."""
     w, u = _check_pair(weights, indices)
     ns = np.ascontiguousarray(n_grid, dtype=np.int64)
     if ns.size == 0 or np.any(ns[1:] <= ns[:-1]):
@@ -655,9 +655,9 @@ def maximal_norm(weights, indices, norm: NormalizerSpec,
         cells = measure.density.size
         span = int(u[: bounds[-1]].max()) - int(u[: bounds[-1]].min())
         points = max(1 << 16, cells, next_pow2(span + 1))
-        if points > SCALED_GRID_CAP:
+        if points > DEFAULT_GRID_CAP:
             raise ValueError(f"index span {span} needs a density grid of more "
-                             f"than {SCALED_GRID_CAP} points")
+                             f"than {DEFAULT_GRID_CAP} points")
         grid = ThetaGrid(points)
         dens = np.repeat(measure.density, grid.points // cells)
         v_n = np.zeros(grid.points, dtype=np.complex128)

@@ -83,6 +83,7 @@ from .indices import _SEEDED as _SEEDED_INDICES
 from .indices import IndexSpec, gen_indices, index_blocks, pi_count
 from .scaling_fit import (
     TEMPLATES,
+    _HARMONIC_TEMPLATES,
     EnvelopeSample,
     check_rows,
     fit_H1,
@@ -389,7 +390,7 @@ def _plan(config: ExperimentConfig) -> tuple[_Plan | None, list[str]]:
         check("indices", lambda: [index_blocks(ispec, m + 1, n + 1) for m, n in rows])
         if config.kind == "condition_fit":
             check("template", lambda: check_rows(config.template, rows))
-            harmonic = config.template.startswith("harmonic")
+            harmonic = config.template in _HARMONIC_TEMPLATES
         else:
             harmonic = config.harmonic is True
         plan = _Plan(wspec, ispec, seeds=config.seeds, rows=rows,

@@ -12,11 +12,11 @@ single long call bit for bit.
 
 Phase families reduce their phase mod 1 *before* the complex exponential.
 Polynomial phases are reduced exactly through the dyadic form of each
-coefficient (integer-coefficient polynomials give w_k = 1 exactly); power
-phases k**delta are evaluated in double precision, so their phase carries
-a k**delta * ulp rounding that no certificate bounds yet (ROADMAP item
-13 measures it far above the FFT allowance on example1); a range whose
-|phase| reaches 2**36, past which it keeps 16 fractional bits, is refused.
+coefficient (integer-coefficient polynomials give w_k = 1 exactly). The
+other phased kinds take f of an analytic_bounds.PhaseFunction family in
+doubles, with a |phase| * ulp rounding no certificate bounds yet (ROADMAP
+item 13); a range whose |phase| reaches 2**36, past which it keeps 16
+fractional bits, is refused.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import numpy as np
 
 from ._kernels import _BLOCK, check_reads, frac_poly, is_int, is_real, mod1
 from ._rng import cramer_indicator, uniform01
+from .analytic_bounds import PhaseFunction
 from .indices import primes_upto
 
 # the optional fields each kind reads
@@ -54,8 +55,9 @@ _MIN_OFFSET = {
 
 _SEEDED = tuple(k for k, reads in _READS.items() if "seed" in reads)
 
-# families whose phase is computed in doubles, then reduced mod 1
-_PHASED = ("power_phase", "logpower_phase", "log_phase")
+# the PhaseFunction family whose f is each kind's phase, computed in
+# doubles, then reduced mod 1; log_phase is log_linear with theta = 0
+_PHASED = {"power_phase": "power", "logpower_phase": "log_power", "log_phase": "log_linear"}
 # doubles from 2**36 on are 2**-16 apart or more: a weight keeps 4 digits
 _PHASE_LIMIT = 2.0**36
 
@@ -146,18 +148,13 @@ def _check_range(spec: WeightSpec, m: int, n: int) -> None:
 def _past_precision(spec: WeightSpec, k: int) -> bool:
     """|phase(k)| >= _PHASE_LIMIT, which an overflowed phase, inf, passes."""
     with np.errstate(all="ignore"):
-        return not abs(float(_phase(spec, np.array([k], dtype=np.int64))[0])) < _PHASE_LIMIT
+        return not abs(float(_phase(spec, k))) < _PHASE_LIMIT
 
 
-def _phase(spec: WeightSpec, k: np.ndarray) -> np.ndarray:
-    """The phase of a _PHASED family at the indices k, before its mod-1
-    reduction: k**delta, (log k)**delta or h log k in doubles."""
-    x = k.astype(np.float64)
-    if spec.kind == "power_phase":
-        return np.power(x, spec.delta)
-    if spec.kind == "logpower_phase":
-        return np.power(np.log(x), spec.delta)
-    return spec.h * np.log(x)
+def _phase(spec: WeightSpec, k) -> np.ndarray:
+    """The phase of a _PHASED kind at the index or indices k, before its mod-1
+    reduction: f of its PhaseFunction family, in doubles."""
+    return PhaseFunction(_PHASED[spec.kind], delta=spec.delta, h=spec.h).value(k)
 
 
 def _elementwise(spec: WeightSpec, m: int, n: int) -> np.ndarray:

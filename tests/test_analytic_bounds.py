@@ -95,6 +95,37 @@ def test_van_der_corput_dominates_square_root_phase_sums(a, b):
     assert brute_phase_sum(pf, a, b) <= van_der_corput_bound(pf, a, b, rho)
 
 
+@pytest.mark.parametrize("kw", [
+    {"kind": "power", "delta": math.nan},
+    {"kind": "power", "delta": math.inf},
+    {"kind": "log_power", "delta": math.nan},
+    {"kind": "power_plus_linear", "theta": 1.0, "d": 1.5, "delta": 0.5},
+    {"kind": "power_plus_linear", "theta": math.inf, "d": 2, "delta": 0.5},
+    {"kind": "quadratic", "c2": math.nan},
+    {"kind": "quadratic", "c2": -0.5, "c1": -math.inf},
+    {"kind": "log_linear", "h": math.nan},
+    {"kind": "log_linear", "h": 1.0, "theta": math.nan},
+], ids=["power_delta_nan", "power_delta_inf", "log_power_delta_nan", "d_not_integer",
+        "theta_inf", "c2_nan", "c1_inf", "h_nan", "log_linear_theta_nan"])
+def test_phase_function_refuses_parameters_it_cannot_evaluate(kw):
+    """Every parameter a family reads is a finite real number, d an integer."""
+    with pytest.raises(ValueError, match=f"^{kw['kind']} requires "):
+        PhaseFunction(**kw)
+
+
+@pytest.mark.parametrize("pf, a, b, rho", [
+    (PhaseFunction(kind="quadratic", c2=-0.5), 0.0, 10.0, math.nan),
+    (PhaseFunction(kind="power", delta=1.0), 0.0, 1.0, 0.5),
+    (PhaseFunction(kind="power", delta=0.5), -4.0, -1.0, 0.01),
+], ids=["rho_nan", "floor_nan_at_zero", "floor_nan_below_zero"])
+def test_van_der_corput_refuses_a_nan_rho_or_floor(pf, a, b, rho):
+    """A NaN rho, or a floor that evaluates to NaN (0 * inf for x**1 at 0,
+    a fractional power of a negative x), fails the precondition instead of
+    returning a bound."""
+    with np.errstate(all="ignore"), pytest.raises(ValueError):
+        van_der_corput_bound(pf, a, b, rho)
+
+
 def test_van_der_corput_textbook_checkpoint():
     # f(x) = -x^2/2 on [0, 10], rho = 1: (10 + 2)(4 + 3) = 84
     pf = PhaseFunction(kind="quadratic", c2=-0.5)

@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 
@@ -36,7 +37,7 @@ from ergosum.averages import (
 )
 from ergosum.dynamics import Observable, OrbitPoint, SpectralMeasure, SystemModel, orbit_eval
 from ergosum.indices import IndexSpec, gen_indices
-from ergosum.trigsum import SCALED_GRID_CAP, eval_sum, sup_envelope
+from ergosum.trigsum import DEFAULT_GRID_CAP, SCALED_GRID_CAP, eval_sum, sup_envelope
 from ergosum.weights import WeightSpec, gen_weights
 from ergosum.harness import _json_bytes, _fields_json
 
@@ -805,6 +806,21 @@ def test_spectral_norms_size_the_density_grid_from_the_index_span():
     # atoms need no grid
     atom = SpectralMeasure(atoms=((0.25, 1.0),))
     assert spectral_l2_norm(np.ones(2), far, 1.0, atom) == pytest.approx(2.0, rel=1e-15)
+
+
+def test_maximal_norm_refuses_a_density_grid_past_the_cap_before_allocating():
+    """A span of DEFAULT_GRID_CAP needs a grid of 2 DEFAULT_GRID_CAP points,
+    about 470 MB at 56 bytes a point: the norm raises with no grid made."""
+    far = np.array([0, DEFAULT_GRID_CAP], dtype=np.int64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="span"):
+            maximal_norm(np.ones(2), far, NormalizerSpec(0.0, k0=1), SpectralMeasure.uniform(),
+                         [1, 2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_maximal_norm_density_rejects_negative_indices():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ergosum import weights as weights_module
-from ergosum._kernels import _BLOCK
+from ergosum._kernels import _BLOCK, mod1
 from ergosum.weights import WeightSpec, gen_weights, weight_blocks
 
 import oracles
@@ -198,6 +198,39 @@ def test_moebius_blocks_match_the_whole_range_sieve(m, size):
     n = m + size
     want = np.array(oracles.moebius_table(_MOEBIUS_TOP)[m:n], dtype=np.complex128)
     assert gen_weights(WeightSpec(kind="moebius"), m, n).tobytes() == want.tobytes()
+
+
+# each phased kind's phase, written out from np.power and np.log
+_PHASES = {
+    "power_phase": lambda k, delta: np.power(k, delta),
+    "logpower_phase": lambda k, delta: np.power(np.log(k), delta),
+    "log_phase": lambda k, h: h * np.log(k),
+}
+
+
+@given(st.sampled_from(sorted(_PHASES)), st.integers(0, 10**6), st.integers(1, 2000), st.data())
+@settings(max_examples=60, deadline=None)
+def test_phased_weights_are_the_written_out_phase_bit_for_bit(kind, m, size, data):
+    """gen_weights of each phased kind is exp(2 i pi mod1(phase)) byte for
+    byte, for a drawn delta or h no larger than keeps |phase| < 2**36 on
+    the drawn range."""
+    m = max(m, weights_module._MIN_OFFSET.get(kind, 0))
+    n = m + size
+    # 0.95 * 36 log 2 is log of 2**34.2: the phase at n - 1 stays below that
+    room = 0.95 * 36 * math.log(2)
+    if kind == "log_phase":
+        top = math.exp(room) / max(math.log(n - 1), 1.0)
+        param = data.draw(st.floats(-top, top).filter(lambda h: h != 0), label="h")
+        spec = WeightSpec(kind=kind, h=param)
+    else:
+        base = max(n - 1, 2) if kind == "power_phase" else max(math.log(n - 1), math.e)
+        top = room / math.log(base)
+        param = data.draw(st.floats(0.0, top, exclude_min=True), label="delta")
+        spec = WeightSpec(kind=kind, delta=param)
+    phase = _PHASES[kind](np.arange(m, n, dtype=np.int64).astype(np.float64), param)
+    assert np.abs(phase).max() < 2**36
+    want = np.exp(2j * np.pi * mod1(phase))
+    assert gen_weights(spec, m, n).tobytes() == want.tobytes()
 
 
 def test_weight_blocks_check_their_range_when_called():
