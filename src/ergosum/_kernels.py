@@ -8,8 +8,9 @@ Three concerns live here:
 
 * fixed-shape chunked pairwise reductions, so every sum in the package is
   reproducible bit for bit regardless of how the work is batched; among
-  them prefix_sums, the one prefix-sum path: one loop over a stream of
-  blocks of terms, in-chunk running sums plus the running total of the
+  them prefix_sum_blocks, the one prefix-sum path: one loop over a stream
+  of blocks of terms that hands out the sums block by block (prefix_sums
+  joins them), in-chunk running sums plus the running total of the
   chunks before. Every block but the last holds _BLOCK terms, whole
   chunks, so block edges are chunk edges and the chunk partition, hence
   every bit, is the same whether the stream is array_blocks of one array
@@ -54,12 +55,15 @@ def is_real(v) -> bool:
 def check_reads(spec, reads: dict, what: str) -> None:
     """Raise ValueError unless spec.kind is a key of `reads`, the table of
     the optional fields each kind reads, and every other optional field of
-    the dataclass spec is unset: None, or empty where it defaults to ()."""
+    the dataclass spec is unset: None, a number equal to its numeric
+    default, or empty where it defaults to ()."""
     if spec.kind not in reads:
         raise ValueError(f"unknown {what} kind {spec.kind!r}")
     for f in fields(spec):
         v = getattr(spec, f.name)
         if f.default is MISSING or f.name in reads[spec.kind] or v is None:
+            continue
+        if is_real(f.default) and is_real(v) and v == f.default:
             continue
         if not (f.default == () and isinstance(v, (list, tuple)) and not v):
             raise ValueError(f"{spec.kind} reads no {f.name}")
@@ -101,28 +105,33 @@ def pairwise_sum(a: np.ndarray):
     return tree_reduce(chunk_sums(a))
 
 
-def prefix_sums(blocks, bounds, offset: int = 0) -> np.ndarray:
+def prefix_sum_blocks(blocks, bounds, offset: int = 0):
     """Prefix sums of a term sequence at exclusive end positions ``bounds -
-    offset`` (strictly increasing integers >= 1), taking the terms from
-    ``blocks``, an iterable of consecutive 1-d arrays: each block before
-    the last one needed holds exactly _BLOCK terms, and the last one at
-    least the terms left and at most _BLOCK, of which those past the last
-    bound are ignored (so array_blocks of a longer array will do). One
-    block's terms and their temporaries stay in cache, and no block past
-    the last bound is drawn. A missing or misshapen block raises
-    ValueError. The offset lets a caller pass a stored grid of N as it
-    is, with no shifted copy.
+    offset`` (strictly increasing integers >= 1), one block at a time: a
+    generator that, for each block of terms holding some end, yields the
+    sums at the ends inside it, in order, so that the yielded arrays
+    joined are prefix_sums. Each is a scratch buffer or a view of one,
+    reused for the next block: a reader copies what it keeps.
 
-    Element i of the result is sum(terms[:bounds[i] - offset]), assembled from a
-    fixed chunk partition: cumulative inside each chunk of CHUNK terms,
+    The terms come from ``blocks``, an iterable of consecutive 1-d arrays:
+    each block before the last one needed holds exactly _BLOCK terms, and
+    the last one at least the terms left and at most _BLOCK, of which
+    those past the last bound are ignored (so array_blocks of a longer
+    array will do). One block's terms and their temporaries stay in
+    cache, and no block past the last bound is drawn. A missing or
+    misshapen block raises ValueError. The offset lets a caller pass a
+    stored grid of N as it is, with no shifted copy.
+
+    The sum at an end b is sum(terms[:b - offset]), assembled from a fixed
+    chunk partition: cumulative inside each chunk of CHUNK terms,
     sequential across the totals of the chunks before it. Blocks hold
     whole chunks (bar the last), so block edges are chunk edges and the
     carried running total is that of the chunks summed so far: a bound's
     value is bit-identical whichever other bounds are asked for.
 
-    When every end 1..n is asked for, the in-chunk sums go straight into
-    the result; otherwise each block's go into one scratch buffer, from
-    which the bounds inside the block are read.
+    When every end 1..n is asked for, the block's in-chunk sums are
+    yielded as they are; otherwise the ends inside the block are read
+    from them.
     """
     bounds = np.asarray(bounds, dtype=np.int64)
     if bounds.ndim != 1 or bounds.size == 0 or bounds[0] - offset < 1 or np.any(
@@ -131,7 +140,7 @@ def prefix_sums(blocks, bounds, offset: int = 0) -> np.ndarray:
     n = int(bounds[-1]) - offset
     dense = bounds.size == n  # every end 1..n
     blocks = iter(blocks)
-    values = scratch = carry = None
+    scratch = carry = None
     done = 0
     for i in range(0, n, _BLOCK):
         m = min(_BLOCK, n - i)
@@ -139,10 +148,9 @@ def prefix_sums(blocks, bounds, offset: int = 0) -> np.ndarray:
         if block is None or np.ndim(block) != 1 or not m <= len(block) <= _BLOCK:
             raise ValueError(f"block source cannot give terms [{i}, {i + m})")
         terms = np.ascontiguousarray(block[:m])
-        if values is None:  # the first block is the longest
-            values = np.empty(bounds.size, dtype=terms.dtype)
-            scratch = None if dense else np.empty(m, dtype=terms.dtype)
-        out = values[i : i + m] if dense else scratch[:m]
+        if scratch is None:  # the first block is the longest
+            scratch = np.empty(m, dtype=terms.dtype)
+        out = scratch[:m]
         f = m - m % CHUNK
         rows = out[:f].reshape(-1, CHUNK)
         np.cumsum(terms[:f].reshape(-1, CHUNK), axis=1, out=rows)
@@ -159,10 +167,24 @@ def prefix_sums(blocks, bounds, offset: int = 0) -> np.ndarray:
             carry = totals[-1:].copy()
         if carry is not None:
             out[f:] += carry
-        if not dense:
-            stop = int(np.searchsorted(bounds, offset + i + m, side="right"))
-            values[done:stop] = out[bounds[done:stop] - (offset + 1 + i)]
-            done = stop
+        if dense:
+            yield out
+            continue
+        stop = int(np.searchsorted(bounds, offset + i + m, side="right"))
+        if stop > done:
+            yield out[bounds[done:stop] - (offset + 1 + i)]
+        done = stop
+
+
+def prefix_sums(blocks, bounds, offset: int = 0) -> np.ndarray:
+    """prefix_sum_blocks joined: element i is sum(terms[:bounds[i] -
+    offset]), with the same bits, checks and block rules."""
+    values, done = None, 0
+    for got in prefix_sum_blocks(blocks, bounds, offset):
+        if values is None:
+            values = np.empty(np.size(bounds), dtype=got.dtype)
+        values[done : done + got.size] = got
+        done += got.size
     return values
 
 

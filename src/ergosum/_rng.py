@@ -109,7 +109,7 @@ def _thinned(key: np.uint64, los: np.ndarray, want: np.ndarray) -> list:
     many candidates per row as the most any of them wants."""
     out = [None] * los.size
     widths = _widths(los)
-    for width in np.unique(widths):
+    for width in sorted(set(widths.tolist())):  # np.unique would import numpy.ma
         rows = np.flatnonzero(widths == width)
         lo, n = los[rows], int(want[rows].max())
         log_lo = np.log(lo.astype(np.float64))[:, None]

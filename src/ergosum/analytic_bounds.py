@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._kernels import is_int, is_real
+from ._kernels import check_reads, is_int, is_real
 
 # x**e and its first two derivatives, as functions of (x, e)
 _POWER = (lambda x, e: np.power(x, e),
@@ -83,6 +83,7 @@ _TABLE = {
 }
 
 FAMILIES = tuple(_TABLE)
+_READS = {kind: row.reads for kind, row in _TABLE.items()}
 
 # what a parameter must be, past a finite real number, in every family that reads it
 _RULES = {"delta": ("a finite real delta > 0", lambda v: v > 0),
@@ -102,7 +103,8 @@ def _derivative(n: int):
 @dataclass(frozen=True)
 class PhaseFunction:
     """A member of one of the FAMILIES, each of which reads only its own
-    parameters; value, d1 and d2 evaluate f, f' and f'':
+    parameters and refuses a value other than None or the default in any
+    other; value, d1 and d2 evaluate f, f' and f'':
 
     quadratic:          f(x) = c2 x^2 + c1 x
     power:              f(x) = x^delta
@@ -120,8 +122,7 @@ class PhaseFunction:
     h: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _TABLE:
-            raise ValueError(f"unknown phase family {self.kind!r}")
+        check_reads(self, _READS, "phase")
         for name in _TABLE[self.kind].reads:
             rule, holds = _RULES.get(name, (f"a finite real {name}", lambda v: True))
             v = getattr(self, name)
@@ -172,15 +173,16 @@ def nth_derivative_bound(n: int, lam: float, h: float, N: float) -> float:
 
     Valid shape for n >= 2 when 0 < lam <= |f^(n)| <= h*lam on a length-N
     range; the suppressed absolute constant means only ratios and scaling
-    against this envelope are meaningful, not literal domination.
+    against this envelope are meaningful, not literal domination. A NaN
+    lam, h or N fails its check.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError("need integer n >= 2")
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("need lam > 0")
-    if h < 1:
+    if not h >= 1:
         raise ValueError("need h >= 1")
-    if N < 1:
+    if not N >= 1:
         raise ValueError("need N >= 1")
     K = 2**n
     return float(
@@ -191,9 +193,12 @@ def nth_derivative_bound(n: int, lam: float, h: float, N: float) -> float:
 def power_derivative_range(delta: float, n: int, a: float, b: float) -> tuple[float, float]:
     """(lam, h) pinching |f^(n)| for f = x**delta on [a, b]:
     lam = min endpoint value, h = max/min. Monotone in x, so endpoints
-    suffice. Raises if the derivative vanishes (integer delta < n)."""
+    suffice. Raises if the derivative vanishes (integer delta < n), and
+    on a NaN or infinite delta."""
     if not 0 < a < b:
         raise ValueError("need 0 < a < b")
+    if not math.isfinite(delta):
+        raise ValueError("need a finite delta")
     coef = 1.0
     for i in range(n):
         coef *= delta - i

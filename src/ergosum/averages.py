@@ -38,8 +38,9 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from ._kernels import (_BLOCK, BlockSource, array_blocks, check_reads, frac_of, is_int,
-                       is_real, next_pow2, pairwise_sum, prefix_sums)
+from ._kernels import (_BLOCK, BlockSource, array_blocks, check_reads, chunk_sums, frac_of,
+                       is_int, is_real, next_pow2, pairwise_sum, prefix_sum_blocks,
+                       prefix_sums, tree_reduce)
 from .dynamics import SpectralMeasure
 from .trigsum import DEFAULT_GRID_CAP, ThetaGrid, _check_pair, eval_grid
 
@@ -186,22 +187,26 @@ class SeriesRun:
 
     convention "exclusive": sums[i] = sum over k in [k_first, n_grid[i]).
     convention "inclusive": sums[i] = sum over k in [k_first, n_grid[i]].
+
+    sums is None for a run whose sums went to block readers as they were
+    summed (weighted_sums' readers) and were not kept.
     """
 
     k_first: int
     n_grid: np.ndarray
-    sums: np.ndarray
+    sums: np.ndarray | None
     convention: str = "exclusive"
 
     def __post_init__(self):
         self.n_grid = np.ascontiguousarray(self.n_grid, dtype=np.int64)
-        self.sums = np.ascontiguousarray(self.sums, dtype=np.complex128)
         if self.convention not in ("exclusive", "inclusive"):
             raise ValueError("convention must be exclusive or inclusive")
         if self.n_grid.ndim != 1 or self.n_grid.size == 0:
             raise ValueError("empty run")
-        if self.n_grid.size != self.sums.size:
-            raise ValueError("grid and sums must align")
+        if self.sums is not None:
+            self.sums = np.ascontiguousarray(self.sums, dtype=np.complex128)
+            if self.n_grid.size != self.sums.size:
+                raise ValueError("grid and sums must align")
         if np.any(self.n_grid[1:] <= self.n_grid[:-1]):
             raise ValueError("stored grid must be strictly increasing")
         first_ok = self.k_first + (1 if self.convention == "exclusive" else 0)
@@ -213,6 +218,8 @@ class SeriesRun:
         return int(self.n_grid[-1])
 
     def sum_at(self, N: int) -> complex:
+        if self.sums is None:
+            raise ValueError("the run's sums went to block readers and were not kept")
         i = int(np.searchsorted(self.n_grid, N))
         if i >= self.n_grid.size or self.n_grid[i] != N:
             raise KeyError(f"N = {N} is not a stored checkpoint")
@@ -257,14 +264,27 @@ def _blocks(terms, size: int):
     return array_blocks(a)
 
 
+def read_blocks(blocks, readers) -> None:
+    """Hand each block of a run's stored sums to every reader in turn, as
+    reader(i, block) with i the block's first position in the stored
+    grid. The block is valid only during the call; a reader copies what
+    it keeps, and starts over when i is 0."""
+    i = 0
+    for block in blocks:
+        for read in readers:
+            read(i, block)
+        i += block.size
+
+
 def _orbit_run(weights, orbit_values, k_first: int, n_grid,
-               series: NormalizerSpec | None) -> SeriesRun:
+               series: NormalizerSpec | None, readers) -> SeriesRun:
     """Prefix sums of orbit_terms at bounds n_grid - k_first, one
-    prefix_sums block of weights and orbit values at a time, each block's
-    terms given its first k; given the normalizer of a series, its terms
-    are divided by A(k) and N is inclusive (bounds + 1). The weights are
-    an array or a BlockSource (its len() the term count), both read
-    through _blocks."""
+    prefix_sum_blocks block of weights and orbit values at a time, each
+    block's terms given its first k; given the normalizer of a series,
+    its terms are divided by A(k) and N is inclusive (bounds + 1). The
+    weights are an array or a BlockSource (its len() the term count),
+    both read through _blocks. Given readers, each block of sums goes to
+    them (read_blocks) and none is kept; else the run holds them all."""
     size = len(weights)
     weight_blocks, value_blocks = _blocks(weights, size), _blocks(orbit_values, size)
     if size == 0:
@@ -277,29 +297,32 @@ def _orbit_run(weights, orbit_values, k_first: int, n_grid,
         raise ValueError("stored N beyond the last term")
     terms = map(orbit_terms, weight_blocks, value_blocks, repeat(series),
                 range(k_first, k_first + size, _BLOCK))
-    return SeriesRun(k_first=k_first, n_grid=n_grid,
-                     sums=prefix_sums(terms, n_grid, offset),
+    if readers is None:
+        sums = prefix_sums(terms, n_grid, offset)
+    else:
+        sums = read_blocks(prefix_sum_blocks(terms, n_grid, offset), readers)
+    return SeriesRun(k_first=k_first, n_grid=n_grid, sums=sums,
                      convention="inclusive" if inclusive else "exclusive")
 
 
 def weighted_sums(weights, orbit_values, k_first: int = 0,
-                  n_grid: np.ndarray | None = None) -> SeriesRun:
+                  n_grid: np.ndarray | None = None, readers=None) -> SeriesRun:
     """Running sums S_N = sum_{k_first <= k < N} w_k * orbit_k on a stored
     grid (default run_grid: dense up to 10^6 then geometric). The weights
     are an array or a BlockSource of them (its len() the term count), and
     orbit_values an array aligned with them or an iterator of their
     blocks; given a BlockSource and an iterator, no term exists at full
-    length."""
-    return _orbit_run(weights, orbit_values, k_first, n_grid, None)
+    length. Given readers (see read_blocks), the sums go to them block by
+    block as they are summed, and the run keeps none (sums is None)."""
+    return _orbit_run(weights, orbit_values, k_first, n_grid, None, readers)
 
 
-def _centred_regressor(n: np.ndarray, gamma: float) -> np.ndarray:
-    """x - mean(x) for the slope's regressor x: log N, or log log N when
+def _regressor(n: np.ndarray, gamma: float) -> np.ndarray:
+    """The slope's regressor x at the stored N: log N, or log log N when
     gamma = 0 (log-scale normalizers)."""
     x = np.log(n.astype(np.float64))
     if gamma == 0.0:
-        x = np.log(x)
-    x -= x.mean()
+        np.log(x, out=x)
     return x
 
 
@@ -314,19 +337,22 @@ def _dot(u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> float:
 class NormalizedGrid:
     """The part of a stored grid a normalizer divides (N >= k0), with what
     every run on that grid shares: A(N), whether A is monotone there, and
-    the slope's centred regressor xc with its sum of squares. One is built
-    per stored grid and normalizer, not per run. Under gamma = 0 the
-    regressor is log log N, so build refuses a grid that holds N = 1.
+    the mean x_mean of the slope's regressor x with the sum of squares
+    xc_sq of its centred form xc = x - x_mean. xc itself is not kept:
+    xc_dot forms it chunk by chunk. One is built per stored grid and
+    normalizer, not per run. Under gamma = 0 the regressor is log log N,
+    so build refuses a grid that holds N = 1.
 
-    start is the index of the first N >= k0 in the stored grid; n_grid is
-    the stored grid from there on (a view)."""
+    stored is the stored grid it was built on, start the index of its
+    first N >= k0, and n_grid the stored grid from there on (a view)."""
 
+    stored: np.ndarray
     start: int
     n_grid: np.ndarray
     a: np.ndarray
     norm: NormalizerSpec
     monotone: bool
-    xc: np.ndarray
+    x_mean: float
     xc_sq: float
 
     @classmethod
@@ -339,18 +365,44 @@ class NormalizedGrid:
             raise ValueError("gamma = 0 slopes regress on log log N, undefined at "
                              "N = 1: raise k0 to 2")
         a = norm.values(n)
-        xc = _centred_regressor(n, norm.gamma)
-        return cls(start=start, n_grid=n, a=a, norm=norm,
+        xc = _regressor(n, norm.gamma)
+        x_mean = xc.mean()
+        xc -= x_mean
+        return cls(stored=n_grid, start=start, n_grid=n, a=a, norm=norm,
                    monotone=bool(np.all(a[1:] >= a[:-1])),
-                   xc=xc, xc_sq=_dot(xc, xc))
+                   x_mean=x_mean, xc_sq=_dot(xc, xc, out=xc))
+
+    def xc_dot(self, v: np.ndarray) -> float:
+        """_dot(xc, v, out=v), bit for bit, with xc formed _BLOCK stored N
+        at a time: blocks are whole chunks of the pairwise sum, so its
+        chunk sums and their tree are those of the whole array. The
+        products overwrite v."""
+        parts = []
+        for i in range(0, v.size, _BLOCK):
+            xc = _regressor(self.n_grid[i : i + _BLOCK], self.norm.gamma)
+            xc -= self.x_mean
+            parts.append(chunk_sums(np.multiply(xc, v[i : i + _BLOCK], out=v[i : i + _BLOCK])))
+        return float(tree_reduce(np.concatenate(parts)))
 
 
 @dataclass(eq=False)
 class NormalizedSeries:
-    """Ratios |S_N| / A(N) on a normalized grid, with tail and slope reports."""
+    """Ratios |S_N| / A(N) on a normalized grid, with tail and slope reports.
+
+    read is a block reader (read_blocks) that writes the ratios of each
+    block of a run's stored sums, so a series on a preallocated ratio
+    array can take a run's sums as they are summed."""
 
     grid: NormalizedGrid
     ratios: np.ndarray
+
+    def read(self, i: int, block: np.ndarray) -> None:
+        lo = max(self.grid.start - i, 0)  # the N below k0 have no ratio
+        if lo < block.size:
+            j = i + lo - self.grid.start
+            out = self.ratios[j : j + block.size - lo]
+            np.abs(block[lo:], out=out)
+            out /= self.grid.a[j : j + out.size]
 
     def value_at(self, N: int) -> float:
         i = int(np.searchsorted(self.grid.n_grid, N, side="right")) - 1
@@ -364,26 +416,30 @@ class NormalizedSeries:
             raise ValueError("tail start exceeds the stored grid")
         return float(self.ratios[i:].max())
 
-    def slope(self) -> float:
+    def slope(self, in_place: bool = False) -> float:
         """Least-squares slope of log ratio against log N, or against
-        log log N when gamma = 0 (log-scale normalizers). The grid's xc
-        serves when every ratio is positive; otherwise xc is recomputed on
-        the N with a positive ratio. No reduction here goes through BLAS:
-        both sums are pairwise sums, so the slope's bits do not depend on
-        the BLAS build or its thread count."""
+        log log N when gamma = 0 (log-scale normalizers). When every ratio
+        is positive the grid's xc serves, formed by xc_dot; otherwise xc is
+        recomputed on the N with a positive ratio. in_place takes the logs
+        in the ratio array itself, which then no longer holds the ratios.
+        No reduction here goes through BLAS: both sums are pairwise sums,
+        so the slope's bits do not depend on the BLAS build or its thread
+        count."""
         mask = self.ratios > 0.0
         count = int(np.count_nonzero(mask))
         if count < 2:
             return math.nan
         if count == mask.size:
-            xc, den, y = self.grid.xc, self.grid.xc_sq, np.log(self.ratios)
+            den = self.grid.xc_sq
+            y = np.log(self.ratios, out=self.ratios if in_place else None)
         else:
-            xc = _centred_regressor(self.grid.n_grid[mask], self.grid.norm.gamma)
+            xc = _regressor(self.grid.n_grid[mask], self.grid.norm.gamma)
+            xc -= xc.mean()
             den, y = _dot(xc, xc), np.log(self.ratios[mask])
         if den == 0.0:
             return math.nan
         y -= y.mean()
-        return _dot(xc, y, out=y) / den
+        return (self.grid.xc_dot(y) if count == mask.size else _dot(xc, y, out=y)) / den
 
 
 def _normalized_grid(run: SeriesRun, grid: NormalizedGrid | NormalizerSpec
@@ -404,9 +460,9 @@ def normalized_series(run: SeriesRun, grid: NormalizedGrid | NormalizerSpec
     ``grid`` is a NormalizedGrid built from the run's stored grid, shared
     by every run on it, or the NormalizerSpec to build one from."""
     grid = _normalized_grid(run, grid)
-    ratios = np.abs(run.sums[grid.start:])
-    ratios /= grid.a
-    return NormalizedSeries(grid=grid, ratios=ratios)
+    series = NormalizedSeries(grid=grid, ratios=np.empty(grid.n_grid.size))
+    read_blocks(array_blocks(run.sums), [series.read])
+    return series
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +483,7 @@ def hilbert_series(weights, orbit_values, norm: NormalizerSpec,
     (inclusive convention; default run_grid). The weights and orbit_values
     are taken as by weighted_sums."""
     k_first = norm.k0 if k_first is None else k_first  # A(k) raises below k0
-    return _orbit_run(weights, orbit_values, k_first, n_grid, norm)
+    return _orbit_run(weights, orbit_values, k_first, n_grid, norm, None)
 
 
 def _xy(points: np.ndarray) -> np.ndarray:
@@ -591,35 +647,70 @@ def ladder_positions(n_grid: np.ndarray, ladder_n: np.ndarray, k0: int) -> np.nd
     return pos
 
 
-def oscillation_report(run: SeriesRun, ladder: BlockLadder,
+class LadderMaxima:
+    """A block reader (read_blocks) of a run's stored sums that keeps, for
+    each ladder block j, what oscillation_report needs of r = S_N / A(N):
+    r(N_j), and the maxima over the block of |r(N) - r(N_j)| and of
+    |r(N)|. It starts over at each new run."""
+
+    def __init__(self, n_grid: np.ndarray, ladder: BlockLadder, grid: NormalizedGrid):
+        self.ladder, self.grid = ladder, grid
+        self.pos = ladder_positions(n_grid, ladder.values(), grid.norm.k0)
+        blocks = self.pos.size - 1
+        self.anchor_r = np.empty(blocks, dtype=np.complex128)
+        self.osc = np.empty(blocks)
+        self.abs_max = np.empty(blocks)
+
+    def __call__(self, i: int, block: np.ndarray) -> None:
+        pos = self.pos
+        if i == 0:
+            self.osc.fill(-math.inf)
+            self.abs_max.fill(-math.inf)
+        lo, hi = max(i, int(pos[0])), min(i + block.size, int(pos[-1]) + 1)
+        if lo >= hi:
+            return
+        start = self.grid.start
+        r = block[lo - i : hi - i] / self.grid.a[lo - start : hi - start]
+        at = slice(*np.searchsorted(pos[:-1], (lo, hi)))
+        self.anchor_r[at] = r[pos[:-1][at] - lo]
+        # blocks j whose N in (N_j, N_{j+1}] meet the stored positions [lo, hi)
+        for j in range(int(np.searchsorted(pos[1:], lo)),
+                       int(np.searchsorted(pos[:-1], hi - 1))):
+            seg = r[max(int(pos[j]) + 1, lo) - lo : min(int(pos[j + 1]) + 1, hi) - lo]
+            self.osc[j] = np.maximum(self.osc[j], np.abs(seg - self.anchor_r[j]).max())
+            self.abs_max[j] = np.maximum(self.abs_max[j], np.abs(seg).max())
+
+
+def oscillation_report(run, ladder: BlockLadder,
                        grid: NormalizedGrid | NormalizerSpec) -> OscillationReport:
     """Per-block oscillation maxima of the run divided by A(N), along a
-    ladder; ``grid`` is as for normalized_series.
+    ladder; ``grid`` is as for normalized_series. ``run`` is a SeriesRun,
+    whose sums are read here block by block, or the LadderMaxima on this
+    ladder and normalized grid that read a run's sums as they were summed.
 
     Every ladder value must be a stored checkpoint of the run."""
-    grid = _normalized_grid(run, grid)
-    ladder_n = ladder.values()
-    pos = ladder_positions(run.n_grid, ladder_n, grid.norm.k0)
-    lo_i, hi_i = int(pos[0]), int(pos[-1])
-    r = run.sums[lo_i : hi_i + 1] / grid.a[lo_i - grid.start : hi_i + 1 - grid.start]
-    anchors = np.abs(r[pos[:-1] - lo_i])
-    bound = pos - lo_i
-    osc = np.zeros(ladder_n.size - 1, dtype=np.float64)
+    if isinstance(run, LadderMaxima):
+        maxima = run
+        if maxima.ladder != ladder or maxima.grid is not grid:
+            raise ValueError("ladder maxima were read on another ladder or grid")
+    else:
+        grid = _normalized_grid(run, grid)
+        maxima = LadderMaxima(run.n_grid, ladder, grid)
+        read_blocks(array_blocks(run.sums), [maxima])
+    anchors = np.abs(maxima.anchor_r)
+    osc = maxima.osc.copy()
     worst = 0.0
     for j in range(osc.size):
-        seg = r[bound[j] + 1 : bound[j + 1] + 1]
-        if seg.size:
-            osc[j] = float(np.abs(seg - r[bound[j]]).max())
-            top = anchors[j] + osc[j]
-            excess = float(np.abs(seg).max()) - top
-            worst = max(worst, excess / max(np.spacing(top), 5e-324))
+        top = anchors[j] + osc[j]
+        excess = float(maxima.abs_max[j]) - top
+        worst = max(worst, excess / max(np.spacing(top), 5e-324))
     return OscillationReport(
         ladder_j=ladder.js(),
-        ladder_n=ladder_n,
+        ladder_n=ladder.values(),
         anchors=anchors,
         osc=osc,
         cumulative_sq=np.cumsum(osc**2),
-        grid_points=np.diff(bound),
+        grid_points=np.diff(maxima.pos),
         decomposition={"passed": bool(worst <= 8), "max_excess_ulps": worst},
     )
 

@@ -68,7 +68,9 @@ from ._kernels import _BLOCK, BlockSource, is_int, is_real
 from .analytic_bounds import hlawka_bound, power_phase_exponent, steep_power_phase_exponent
 from .averages import (
     BlockLadder,
+    LadderMaxima,
     NormalizedGrid,
+    NormalizedSeries,
     NormalizerSpec,
     cauchy_tail_report,
     hilbert_series,
@@ -556,8 +558,15 @@ def _thin_grid(n_grid: np.ndarray) -> np.ndarray:
 
 
 def _median(vals) -> float:
-    vals = [v for v in vals if v is not None and math.isfinite(v)]
-    return float(np.median(vals)) if vals else math.nan
+    """np.median of the finite values, to the bit, NaN if there are none,
+    without np.median's import of numpy.ma: the middle value, or the mean
+    of the two, summed from 0.0 as numpy's mean sums (so a zero median is
+    +0.0, where statistics.median can give -0.0)."""
+    vals = sorted(float(v) for v in vals if v is not None and math.isfinite(v))
+    if not vals:
+        return math.nan
+    h = len(vals) // 2
+    return 0.0 + vals[h] if len(vals) % 2 else (0.0 + vals[h - 1] + vals[h]) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -639,11 +648,13 @@ def _fit_stage(files, samples_by_seed, plan: _Plan):
     files["fit.json"] = _json_bytes(record)
 
 
-def _orbit_runs(plan: _Plan, grid: np.ndarray):
+def _orbit_runs(plan: _Plan, grid: np.ndarray, readers=None):
     """Per seed: (seed, SeriesRun) on the stored grid of the plan's n_terms
     terms w_k f(T^{u_k} x) from k_first on, from weighted_sums (running
     sums, exclusive N) or, for a hilbert plan, hilbert_series (the series
-    of the terms divided by A(k), inclusive N).
+    of the terms divided by A(k), inclusive N). Given readers, each seed's
+    running sums go to them block by block as they are summed, and its
+    run keeps none; a series keeps its sums, which its Cauchy hulls need.
 
     Each is handed the weights as a BlockSource over weight_blocks and the
     orbit values as orbit_eval mapped over index_blocks, so weights,
@@ -662,21 +673,21 @@ def _orbit_runs(plan: _Plan, grid: np.ndarray):
         values = map(partial(orbit_eval, plan.system, plan.observable, point),
                      index_blocks(_for_seed(plan.indices, seed), k_first, k_end))
         yield seed, (hilbert_series(w, values, norm, k_first, grid) if plan.hilbert
-                     else weighted_sums(w, values, k_first, grid))
+                     else weighted_sums(w, values, k_first, grid, readers))
 
 
 def _decay_entry(ns, cps=None) -> dict:
     """Decay slope, ratios and tail maxima of a normalized series at the
-    checkpoints cps (default: its decades and its last N)."""
+    checkpoints cps (default: its decades and its last N). The slope is
+    taken last, with its logs in the ratio array: the series' ratios are
+    gone afterwards."""
     if not cps:
         lo, hi = int(ns.grid.n_grid[0]), int(ns.grid.n_grid[-1])
         cps = [10**e for e in range(1, 10) if lo <= 10**e <= hi]
         cps += [] if hi in cps else [hi]
-    return {
-        "slope": ns.slope(),
-        "ratio_at": {str(c): ns.value_at(c) for c in cps},
-        "tail_max": {str(c): ns.tail_max(c) for c in cps},
-    }
+    ratio_at = {str(c): ns.value_at(c) for c in cps}
+    tail_max = {str(c): ns.tail_max(c) for c in cps}
+    return {"slope": ns.slope(in_place=True), "ratio_at": ratio_at, "tail_max": tail_max}
 
 
 # hseries.csv rows are _sum_rows; series.csv rows add A(N) and the ratio
@@ -705,53 +716,62 @@ def _average_stage(files, plan: _Plan, report_extra):
     normalizer, report.json adds report_extra, and a plan with a ladder
     adds an oscillation report under its normalizer. The stored grid, its
     CSV thinning, each normalized grid (N >= k0, which can be a strict
-    suffix; the plan's own when _plan built it) and the chart's thinning
-    of it are built once per stage. A seed's CSV rows and oscillation
-    report come first, and its run is dropped after its last
-    normalized_series, before the slopes (peak memory)."""
+    suffix; the plan's own, with its stored grid, when _plan built it)
+    and the chart's thinning of it are built once per stage.
+
+    Each seed's sums are read once, block by block as they are summed,
+    and never held whole (peak memory): the readers keep the CSV cells at
+    the thinned N, the ratios under each normalizer, in one array per
+    normalizer that every seed reuses, and the ladder maxima."""
     betas, ladder = plan.betas, plan.ladder
     norms = ([plan.normalizer] if betas is None
              else [NormalizerSpec(gamma=beta, k0=1) for beta in betas])
-    grid = run_grid(plan.k_first, plan.n_terms)
+    if plan.normed is None:
+        grid = run_grid(plan.k_first, plan.n_terms)
+        normed = [NormalizedGrid.build(grid, norm) for norm in norms]
+    else:
+        grid, normed = plan.normed.stored, [plan.normed]
     keep = _thin_grid(grid)
     n = grid[keep]
-    normed = ([plan.normed] if plan.normed is not None
-              else [NormalizedGrid.build(grid, norm) for norm in norms])
     chart_keeps = [_thin_grid(g.n_grid) for g in normed]
     # A(N) for N >= k0, None below (the grid is sorted, so those come first)
     first = normed[0]
     below = int(np.searchsorted(keep, first.start))
     a_value = [None] * below + first.a[keep[below:] - first.start].tolist()
+    cells = []
+
+    def read_cells(i, block):
+        lo, hi = np.searchsorted(keep, (i, i + block.size))
+        cells.append(block[keep[lo:hi] - i])
+
+    series = [NormalizedSeries(g, np.empty(g.n_grid.size)) for g in normed]
+    maxima = None if ladder is None else LadderMaxima(grid, ladder, first)
+    readers = [read_cells, *(ns.read for ns in series), *([] if maxima is None else [maxima])]
     csv_texts = []
     entries = []
     osc_entries = []
     chart = []
     osc_chart = []
-    for seed, run in _orbit_runs(plan, grid):
-        csv_texts.append(_csv_text(_sum_rows(seed, n, run.sums[keep], a_value)))
-        if ladder is not None:
-            rep = oscillation_report(run, ladder, first)
+    for seed, run in _orbit_runs(plan, grid, readers):
+        csv_texts.append(_csv_text(_sum_rows(seed, n, np.concatenate(cells), a_value)))
+        cells.clear()
+        if maxima is not None:
+            rep = oscillation_report(maxima, ladder, first)
             osc_entries.append({"seed": seed, **_fields_json(rep)})
             if len(osc_chart) < 4:
                 label = "osc" if seed is None else f"seed {seed}"
                 osc_chart.append((label, rep.ladder_j[:-1].tolist(), rep.osc.tolist()))
-            rep = None
-        n_max = run.n_max
-        for beta, g, chart_keep in zip(betas or [None], normed, chart_keeps):
-            ns = normalized_series(run, g)
-            if g is normed[-1]:
-                run = None
+        for beta, ns, chart_keep in zip(betas or [None], series, chart_keeps):
             if beta is None:
-                entry = {"seed": seed, "k_first": plan.k_first, "n_max": n_max,
+                entry = {"seed": seed, "k_first": plan.k_first, "n_max": run.n_max,
                          "monotone_normalizer": ns.grid.monotone}
                 label = "ratio" if seed is None else f"seed {seed}"
             else:
                 entry, label = {"beta": beta}, f"beta {beta}"
-            entries.append({**entry, **_decay_entry(ns, plan.checkpoints)})
             if len(chart) < len(_svg.PALETTE):
                 chart.append((label, ns.grid.n_grid[chart_keep].tolist(),
                               ns.ratios[chart_keep].tolist()))
-            ns = None
+            entries.append({**entry, **_decay_entry(ns, plan.checkpoints)})
     if betas is None:
         title, y_label = "normalized running sums", "|S_N| / A(N)"
         record = {

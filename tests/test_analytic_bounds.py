@@ -166,6 +166,35 @@ def test_power_derivative_range_brackets_truth():
         assert lam * (1 - 1e-12) <= d3 <= h * lam * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: power_derivative_range(math.nan, 2, 1.0, 2.0),
+    lambda: nth_derivative_bound(2, math.nan, 1.0, 100.0),
+    lambda: nth_derivative_bound(2, 1.0, math.nan, 100.0),
+    lambda: nth_derivative_bound(2, 1.0, 1.0, math.nan),
+], ids=["range_delta_nan", "nth_lam_nan", "nth_h_nan", "nth_N_nan"])
+def test_derivative_test_inputs_refuse_nan(call):
+    """A NaN input fails its check instead of giving (nan, nan) or nan."""
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("kw, field", [
+    ({"kind": "power", "delta": 0.5, "h": 3.0}, "h"),
+    ({"kind": "power", "delta": 0.5, "theta": 1.0}, "theta"),
+    ({"kind": "quadratic", "c2": -0.5, "d": 2}, "d"),
+    ({"kind": "log_power", "delta": 2.0, "c1": math.nan}, "c1"),
+    ({"kind": "log_linear", "h": 1.0, "delta": 0.5}, "delta"),
+], ids=["power_h", "power_theta", "quadratic_d", "log_power_c1_nan", "log_linear_delta"])
+def test_phase_function_refuses_fields_its_family_does_not_read(kw, field):
+    """A field the family ignores must be None or its default, in the
+    wording of the specs' check_reads; None and the defaults pass, as
+    weights._phase passes delta and h to every phased family."""
+    with pytest.raises(ValueError, match=f"^{kw['kind']} reads no {field}$"):
+        PhaseFunction(**kw)
+    PhaseFunction(kind="power", delta=0.5, h=None, c2=0, theta=0.0, d=1)
+    PhaseFunction(kind="log_linear", h=2.0, delta=None)
+
+
 def test_exponents_pinned():
     # 1 - delta/2 for the fractional range
     assert power_phase_exponent(0.5) == pytest.approx(0.75)

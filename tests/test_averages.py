@@ -18,7 +18,9 @@ from ergosum.averages import (
     DENSE_LIMIT,
     GRID_RATIO,
     BlockLadder,
+    LadderMaxima,
     NormalizedGrid,
+    NormalizedSeries,
     NormalizerSpec,
     SeriesRun,
     abel_decompose,
@@ -30,6 +32,7 @@ from ergosum.averages import (
     normalized_series,
     orbit_terms,
     oscillation_report,
+    read_blocks,
     run_grid,
     spectral_l2_norm,
     storage_grid,
@@ -298,6 +301,86 @@ def test_normalized_series_from_a_grid_or_a_spec(steps, shape, k0):
         for c in (k0, int(n[len(n) // 2]), run.n_max):
             assert ns.tail_max(c) == ratios[n >= c].max()
             assert ns.value_at(c) == ratios[n <= c][-1]
+
+
+def _oscillation_reference(run, ladder, norm):
+    """Anchors, maxima and worst excess in ulps over the complex ratios of
+    the whole ladder range, block by block, written out."""
+    pos = np.searchsorted(run.n_grid, ladder.values())
+    r = run.sums[pos[0] : pos[-1] + 1] / norm.values(run.n_grid[pos[0] : pos[-1] + 1])
+    at = pos - pos[0]
+    anchors = np.abs(r[at[:-1]])
+    osc, worst = np.zeros(at.size - 1), 0.0
+    for j in range(osc.size):
+        seg = r[at[j] + 1 : at[j + 1] + 1]
+        osc[j] = float(np.abs(seg - r[at[j]]).max())
+        top = anchors[j] + osc[j]
+        worst = max(worst, (float(np.abs(seg).max()) - top) / max(np.spacing(top), 5e-324))
+    return anchors, osc, worst
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=_BLOCK + 1, max_value=5 * _BLOCK // 2),
+       st.integers(min_value=0, max_value=3000),
+       st.sampled_from([(0.0, 0.0), (0.75, 0.0), (1.0, 1.0), (0.5, -1.0)]),
+       st.integers(min_value=2, max_value=40_000),
+       st.sampled_from(["steps", "phases", "spikes"]))
+@settings(max_examples=12, deadline=None)
+@example(seed=1, n_terms=_BLOCK + 1, k_first=0, shape=(0.0, 0.0), k0=2, terms="steps")
+def test_block_readers_match_the_array_forms(seed, n_terms, k_first, shape, k0, terms):
+    """Ratios, slope, tail maxima, values and the oscillation report are
+    the same bits whether a run's sums go to the block readers as they are
+    summed (weighted_sums' readers), are read from the stored array by
+    normalized_series and oscillation_report, are read in blocks cut
+    anywhere, or are written out whole.
+    Runs span two or three 2**16-N blocks at shifted offsets; gamma = 0
+    regresses on log log N; k0 can lie above the first stored N; and
+    integer steps of -1, 0 and 1 make some |S_N| exactly 0, so the slope's
+    masked path runs. Spikes at k = 2**m put the largest |r(N) - r(N_j)|
+    of a dyadic block first, where random terms put it last more often."""
+    rng = np.random.default_rng(seed)
+    if terms == "steps":
+        w = rng.integers(-1, 2, n_terms).astype(np.complex128)
+    elif terms == "phases":
+        w = np.exp(2j * np.pi * rng.random(n_terms)) * rng.exponential(1.0, n_terms)
+    else:
+        w = np.zeros(n_terms, dtype=np.complex128)
+        spikes = 2 ** np.arange(20) - k_first
+        w[spikes[(spikes >= 0) & (spikes < n_terms)]] = 1000.0
+    run = weighted_sums(w, np.ones(n_terms), k_first=k_first)
+    gamma, a = shape
+    j_hi = run.n_max.bit_length() - 1
+    k0 = min(max(k0, int(run.n_grid[0])), 1 << (j_hi - 1))  # two ladder values at least
+    norm = NormalizerSpec(gamma, a=a, k0=k0)
+    grid = NormalizedGrid.build(run.n_grid, norm)
+    ladder = BlockLadder.dyadic((k0 - 1).bit_length(), j_hi)
+    streamed = NormalizedSeries(grid, np.empty(grid.n_grid.size))
+    maxima = LadderMaxima(run.n_grid, ladder, grid)
+    kept = weighted_sums(w, np.ones(n_terms), k_first, run.n_grid, [streamed.read, maxima])
+    assert kept.sums is None and kept.n_grid.tobytes() == run.n_grid.tobytes()
+    # any partition will do: blocks that start or end at a ladder value,
+    # one-N blocks, and cuts anywhere
+    pos = np.searchsorted(run.n_grid, ladder.values())
+    cuts = np.unique(np.concatenate([pos, pos + 1, pos + 2, rng.integers(1, run.n_grid.size, 5)]))
+    split = NormalizedSeries(grid, np.empty(grid.n_grid.size))
+    split_maxima = LadderMaxima(run.n_grid, ladder, grid)
+    read_blocks(np.split(run.sums, cuts), [split.read, split_maxima])
+    n = grid.n_grid
+    ratios = np.abs(run.sums[grid.start :]) / norm.values(n)
+    slope = np.float64(_slope_reference(n, ratios, gamma)).tobytes()
+    for ns in (normalized_series(run, grid), streamed, split):
+        assert ns.ratios.tobytes() == ratios.tobytes()
+        for c in (k0, int(n[n.size // 2]), int(n[-1])):
+            assert ns.value_at(c) == ratios[n <= c][-1]
+            assert ns.tail_max(c) == ratios[n >= c].max()
+        assert np.float64(ns.slope(in_place=True)).tobytes() == slope
+    anchors, osc, worst = _oscillation_reference(run, ladder, norm)
+    for rep in (oscillation_report(run, ladder, grid), oscillation_report(maxima, ladder, grid),
+                oscillation_report(split_maxima, ladder, grid)):
+        assert rep.anchors.tobytes() == anchors.tobytes()
+        assert rep.osc.tobytes() == osc.tobytes()
+        assert rep.decomposition["max_excess_ulps"] == worst
+        assert rep.grid_points.tolist() == np.diff(ladder.values()).tolist()
 
 
 def test_normalized_series_rejects_a_grid_of_another_run():

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ergosum import averages, harness
 from ergosum._kernels import _BLOCK, array_blocks, prefix_sums
@@ -387,6 +389,43 @@ def test_import_validate_and_tail_sweep_leave_scipy_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "[]"
     assert json.loads((tmp_path / "t_avg" / "cauchy.json").read_text())["per_seed"]
+
+
+def test_a_preset_run_imports_no_numpy_ma(tmp_path):
+    """harness._median takes medians without np.median, and the random
+    prime model groups its blocks without np.unique: both import numpy.ma
+    in the middle of a run. example2 takes medians in its fit stage and
+    its average stage; the cramer_primes run draws from the model."""
+    primes = tiny_average(indices={"kind": "cramer_primes"}, seeds=[1], output_dir=str(tmp_path))
+    code = (
+        "import sys\n"
+        "from ergosum.harness import ExperimentConfig, run\n"
+        f"run(ExperimentConfig.from_dict({{'name': 'e2', 'preset': 'example2', "
+        f"'output_dir': {str(tmp_path)!r}}}))\n"
+        f"run(ExperimentConfig.from_dict({primes!r}))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
+    assert json.loads((tmp_path / "e2" / "fit.json").read_text())["aggregate"]["median_alpha"]
+
+
+@given(st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                          st.none()), max_size=9))
+def test_median_is_np_median_of_the_finite_values(vals):
+    """Bit for bit np.median of the finite values, NaN when there are none,
+    signed zeros included: np.median([-0.0]) is +0.0, and the mean of
+    -5e-324 and -0.0 is -0.0."""
+    finite = [v for v in vals if v is not None and math.isfinite(v)]
+    with np.errstate(over="ignore"):  # the mean of two doubles near the top
+        want = float(np.median(finite)) if finite else math.nan
+    assert np.array(harness._median(vals)).tobytes() == np.array(want).tobytes()
 
 
 def test_run_rejects_invalid_config(tmp_path):
@@ -1199,6 +1238,28 @@ def test_orbit_run_memory_does_not_grow_with_n_terms(tmp_path):
 
     small, large = peak(10**6), peak(16 * 10**6)
     assert large <= 1.1 * small + 4 * 2**20
+
+
+def test_orbit_run_peak_memory_holds_no_sums_array(tmp_path):
+    """The average stage reads each seed's sums block by block and keeps
+    the stored grid, A(N) and one ratio array: a one-seed 10^6-term
+    cramer_primes average_run peaks under tracemalloc at no more than 24
+    bytes per stored N plus 16 MiB. A complex array of the stored sums
+    alone is 16 bytes per N, and the slope's regressor and logs held
+    whole 8 more each."""
+    config = cfg(kind="average_run", name="mem", seeds=[1], output_dir=str(tmp_path),
+                 weights={"kind": "constant"}, indices={"kind": "cramer_primes"},
+                 system={"kind": "rotation", "theta0": [2, 7]},
+                 observable={"kind": "fourier_mode", "mode": 1},
+                 normalizer={"gamma": 1.0}, n_terms=10**6)
+    stored = run_grid(1, 10**6).size
+    tracemalloc.start()
+    try:
+        run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * stored + 16 * 2**20, peak / 2**20
 
 
 def _perfbench_spans():
