@@ -50,9 +50,7 @@ from .averages import (
     SeriesRun,
     NormalizedSeries,
     OscillationReport,
-    LadderMaxima,
     weighted_sums,
-    read_blocks,
     normalized_series,
     hilbert_partial,
     hilbert_series,

@@ -55,15 +55,12 @@ def is_real(v) -> bool:
 def check_reads(spec, reads: dict, what: str) -> None:
     """Raise ValueError unless spec.kind is a key of `reads`, the table of
     the optional fields each kind reads, and every other optional field of
-    the dataclass spec is unset: None, a number equal to its numeric
-    default, or empty where it defaults to ()."""
+    the dataclass spec is unset: None, or empty where it defaults to ()."""
     if spec.kind not in reads:
         raise ValueError(f"unknown {what} kind {spec.kind!r}")
     for f in fields(spec):
         v = getattr(spec, f.name)
         if f.default is MISSING or f.name in reads[spec.kind] or v is None:
-            continue
-        if is_real(f.default) and is_real(v) and v == f.default:
             continue
         if not (f.default == () and isinstance(v, (list, tuple)) and not v):
             raise ValueError(f"{spec.kind} reads no {f.name}")

@@ -22,12 +22,12 @@ that cannot be argued soundly raises instead of guessing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-from ._kernels import check_reads, is_int, is_real
+from ._kernels import is_int, is_real
 
 # x**e and its first two derivatives, as functions of (x, e)
 _POWER = (lambda x, e: np.power(x, e),
@@ -83,7 +83,6 @@ _TABLE = {
 }
 
 FAMILIES = tuple(_TABLE)
-_READS = {kind: row.reads for kind, row in _TABLE.items()}
 
 # what a parameter must be, past a finite real number, in every family that reads it
 _RULES = {"delta": ("a finite real delta > 0", lambda v: v > 0),
@@ -122,8 +121,14 @@ class PhaseFunction:
     h: float | None = None
 
     def __post_init__(self):
-        check_reads(self, _READS, "phase")
-        for name in _TABLE[self.kind].reads:
+        if self.kind not in _TABLE:
+            raise ValueError(f"unknown phase family {self.kind!r}")
+        reads = _TABLE[self.kind].reads
+        for f in fields(self)[1:]:  # a field the family ignores keeps its default
+            v = getattr(self, f.name)
+            if f.name not in reads and v is not None and not (is_real(v) and v == f.default):
+                raise ValueError(f"{self.kind} reads no {f.name}")
+        for name in reads:
             rule, holds = _RULES.get(name, (f"a finite real {name}", lambda v: True))
             v = getattr(self, name)
             if not (is_real(v) and -math.inf < v < math.inf and holds(v)):

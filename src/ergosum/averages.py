@@ -217,13 +217,19 @@ class SeriesRun:
     def n_max(self) -> int:
         return int(self.n_grid[-1])
 
-    def sum_at(self, N: int) -> complex:
+    def kept_sums(self) -> np.ndarray:
+        """sums, for every reader of a run's sums after the run: a run
+        whose sums went to block readers raises ValueError."""
         if self.sums is None:
             raise ValueError("the run's sums went to block readers and were not kept")
+        return self.sums
+
+    def sum_at(self, N: int) -> complex:
+        sums = self.kept_sums()
         i = int(np.searchsorted(self.n_grid, N))
         if i >= self.n_grid.size or self.n_grid[i] != N:
             raise KeyError(f"N = {N} is not a stored checkpoint")
-        return complex(self.sums[i])
+        return complex(sums[i])
 
 
 def orbit_terms(weights: np.ndarray, orbit_values: np.ndarray,
@@ -333,13 +339,27 @@ def _dot(u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> float:
     return float(pairwise_sum(np.multiply(u, v, out=out)))
 
 
+def _log_mean(r: np.ndarray) -> float:
+    """np.log(r).mean(), bit for bit, with no whole-array log: numpy sums a
+    contiguous float64 array pairwise, splitting a run of terms at half its
+    length rounded down to a multiple of 8, so each run of that split is
+    the sum of its own slice; runs of at most _BLOCK terms are summed so."""
+    def total(lo, hi):
+        if hi - lo <= _BLOCK:
+            return np.add.reduce(np.log(r[lo:hi]))
+        half = (hi - lo) // 2
+        half -= half % 8
+        return total(lo, lo + half) + total(lo + half, hi)
+    return total(0, r.size) / r.size
+
+
 @dataclass(eq=False)
 class NormalizedGrid:
     """The part of a stored grid a normalizer divides (N >= k0), with what
     every run on that grid shares: A(N), whether A is monotone there, and
     the mean x_mean of the slope's regressor x with the sum of squares
     xc_sq of its centred form xc = x - x_mean. xc itself is not kept:
-    xc_dot forms it chunk by chunk. One is built per stored grid and
+    xc_dot_logs forms it chunk by chunk. One is built per stored grid and
     normalizer, not per run. Under gamma = 0 the regressor is log log N,
     so build refuses a grid that holds N = 1.
 
@@ -372,16 +392,20 @@ class NormalizedGrid:
                    monotone=bool(np.all(a[1:] >= a[:-1])),
                    x_mean=x_mean, xc_sq=_dot(xc, xc, out=xc))
 
-    def xc_dot(self, v: np.ndarray) -> float:
-        """_dot(xc, v, out=v), bit for bit, with xc formed _BLOCK stored N
-        at a time: blocks are whole chunks of the pairwise sum, so its
-        chunk sums and their tree are those of the whole array. The
-        products overwrite v."""
+    def xc_dot_logs(self, r: np.ndarray) -> float:
+        """_dot(xc, y) for the centred logs y = log r - mean(log r) of
+        positive ratios r on this grid, bit for bit, with xc and y formed
+        _BLOCK stored N at a time: blocks are whole chunks of the pairwise
+        sum, so its chunk sums and their tree are those of the whole
+        array. r is left as it is."""
+        y_mean = _log_mean(r)
         parts = []
-        for i in range(0, v.size, _BLOCK):
+        for i in range(0, r.size, _BLOCK):
             xc = _regressor(self.n_grid[i : i + _BLOCK], self.norm.gamma)
             xc -= self.x_mean
-            parts.append(chunk_sums(np.multiply(xc, v[i : i + _BLOCK], out=v[i : i + _BLOCK])))
+            y = np.log(r[i : i + _BLOCK])
+            y -= y_mean
+            parts.append(chunk_sums(np.multiply(xc, y, out=y)))
         return float(tree_reduce(np.concatenate(parts)))
 
 
@@ -416,30 +440,29 @@ class NormalizedSeries:
             raise ValueError("tail start exceeds the stored grid")
         return float(self.ratios[i:].max())
 
-    def slope(self, in_place: bool = False) -> float:
+    def slope(self) -> float:
         """Least-squares slope of log ratio against log N, or against
         log log N when gamma = 0 (log-scale normalizers). When every ratio
-        is positive the grid's xc serves, formed by xc_dot; otherwise xc is
-        recomputed on the N with a positive ratio. in_place takes the logs
-        in the ratio array itself, which then no longer holds the ratios.
-        No reduction here goes through BLAS: both sums are pairwise sums,
-        so the slope's bits do not depend on the BLAS build or its thread
-        count."""
+        is positive the grid's xc serves, and xc_dot_logs forms it and the
+        logs block by block, so no whole-grid temporary is made; otherwise
+        xc is recomputed on the N with a positive ratio. The ratios are
+        left as they are. No reduction here goes through BLAS: both sums
+        are pairwise sums, so the slope's bits do not depend on the BLAS
+        build or its thread count."""
         mask = self.ratios > 0.0
         count = int(np.count_nonzero(mask))
         if count < 2:
             return math.nan
         if count == mask.size:
             den = self.grid.xc_sq
-            y = np.log(self.ratios, out=self.ratios if in_place else None)
-        else:
-            xc = _regressor(self.grid.n_grid[mask], self.grid.norm.gamma)
-            xc -= xc.mean()
-            den, y = _dot(xc, xc), np.log(self.ratios[mask])
+            return math.nan if den == 0.0 else self.grid.xc_dot_logs(self.ratios) / den
+        xc = _regressor(self.grid.n_grid[mask], self.grid.norm.gamma)
+        xc -= xc.mean()
+        den, y = _dot(xc, xc), np.log(self.ratios[mask])
         if den == 0.0:
             return math.nan
         y -= y.mean()
-        return (self.grid.xc_dot(y) if count == mask.size else _dot(xc, y, out=y)) / den
+        return _dot(xc, y, out=y) / den
 
 
 def _normalized_grid(run: SeriesRun, grid: NormalizedGrid | NormalizerSpec
@@ -459,9 +482,10 @@ def normalized_series(run: SeriesRun, grid: NormalizedGrid | NormalizerSpec
 
     ``grid`` is a NormalizedGrid built from the run's stored grid, shared
     by every run on it, or the NormalizerSpec to build one from."""
+    sums = run.kept_sums()
     grid = _normalized_grid(run, grid)
     series = NormalizedSeries(grid=grid, ratios=np.empty(grid.n_grid.size))
-    read_blocks(array_blocks(run.sums), [series.read])
+    read_blocks(array_blocks(sums), [series.read])
     return series
 
 
@@ -549,7 +573,7 @@ def cauchy_tail_report(run: SeriesRun, tail_starts) -> list[dict]:
     hull(S_next)'s vertices and the values in between. Each diameter comes
     from antipodal pairs, exact up to cross-product rounding (checked
     against brute force). Rows follow the order of ``tail_starts``."""
-    size = run.n_grid.size
+    sums, size = run.kept_sums(), run.n_grid.size
     pos = []
     for n0 in tail_starts:
         i = int(np.searchsorted(run.n_grid, int(n0)))
@@ -559,7 +583,7 @@ def cauchy_tail_report(run: SeriesRun, tail_starts) -> list[dict]:
     sup = {}
     hull, end = np.empty((0, 2)), size
     for i in sorted({i for _, i in pos}, reverse=True):
-        hull = _hull_vertices(np.concatenate([_xy(run.sums[i:end]), hull]))
+        hull = _hull_vertices(np.concatenate([_xy(sums[i:end]), hull]))
         sup[i], end = _vertex_diameter(hull), i
     return [{"N0": n0, "points": int(size - i), "sup_diff": sup[i]}
             for n0, i in pos]
@@ -694,9 +718,10 @@ def oscillation_report(run, ladder: BlockLadder,
         if maxima.ladder != ladder or maxima.grid is not grid:
             raise ValueError("ladder maxima were read on another ladder or grid")
     else:
+        sums = run.kept_sums()
         grid = _normalized_grid(run, grid)
         maxima = LadderMaxima(run.n_grid, ladder, grid)
-        read_blocks(array_blocks(run.sums), [maxima])
+        read_blocks(array_blocks(sums), [maxima])
     anchors = np.abs(maxima.anchor_r)
     osc = maxima.osc.copy()
     worst = 0.0

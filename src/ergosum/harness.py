@@ -678,16 +678,16 @@ def _orbit_runs(plan: _Plan, grid: np.ndarray, readers=None):
 
 def _decay_entry(ns, cps=None) -> dict:
     """Decay slope, ratios and tail maxima of a normalized series at the
-    checkpoints cps (default: its decades and its last N). The slope is
-    taken last, with its logs in the ratio array: the series' ratios are
-    gone afterwards."""
+    checkpoints cps (default: its decades and its last N)."""
     if not cps:
         lo, hi = int(ns.grid.n_grid[0]), int(ns.grid.n_grid[-1])
         cps = [10**e for e in range(1, 10) if lo <= 10**e <= hi]
         cps += [] if hi in cps else [hi]
-    ratio_at = {str(c): ns.value_at(c) for c in cps}
-    tail_max = {str(c): ns.tail_max(c) for c in cps}
-    return {"slope": ns.slope(in_place=True), "ratio_at": ratio_at, "tail_max": tail_max}
+    return {
+        "slope": ns.slope(),
+        "ratio_at": {str(c): ns.value_at(c) for c in cps},
+        "tail_max": {str(c): ns.tail_max(c) for c in cps},
+    }
 
 
 # hseries.csv rows are _sum_rows; series.csv rows add A(N) and the ratio
@@ -768,10 +768,10 @@ def _average_stage(files, plan: _Plan, report_extra):
                 label = "ratio" if seed is None else f"seed {seed}"
             else:
                 entry, label = {"beta": beta}, f"beta {beta}"
+            entries.append({**entry, **_decay_entry(ns, plan.checkpoints)})
             if len(chart) < len(_svg.PALETTE):
                 chart.append((label, ns.grid.n_grid[chart_keep].tolist(),
                               ns.ratios[chart_keep].tolist()))
-            entries.append({**entry, **_decay_entry(ns, plan.checkpoints)})
     if betas is None:
         title, y_label = "normalized running sums", "|S_N| / A(N)"
         record = {

@@ -23,6 +23,7 @@ from ergosum.averages import (
     NormalizedSeries,
     NormalizerSpec,
     SeriesRun,
+    _log_mean,
     abel_decompose,
     cauchy_tail_report,
     control_integral,
@@ -303,6 +304,29 @@ def test_normalized_series_from_a_grid_or_a_spec(steps, shape, k0):
             assert ns.value_at(c) == ratios[n <= c][-1]
 
 
+@pytest.mark.parametrize("size", [1, 7, 8, 129, 4096, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 13, 10**6])
+def test_log_mean_is_numpys_mean_of_the_logs(size):
+    """_log_mean sums the logs block by block on numpy's pairwise split,
+    so its bits are those of np.log(r).mean() at every depth of it."""
+    r = np.random.default_rng(size).lognormal(0.0, 3.0, size)
+    assert np.float64(_log_mean(r)).tobytes() == np.log(r).mean().tobytes()
+
+
+@pytest.mark.parametrize("read", [
+    lambda run: run.sum_at(8),
+    lambda run: normalized_series(run, NormalizerSpec(1.0, k0=1)),
+    lambda run: oscillation_report(run, BlockLadder.dyadic(1, 5), NormalizerSpec(1.0, k0=1)),
+    lambda run: cauchy_tail_report(run, [8]),
+], ids=["sum_at", "normalized_series", "oscillation_report", "cauchy_tail_report"])
+def test_a_run_whose_sums_went_to_readers_refuses_to_be_read(read):
+    """A run that fed its sums to block readers keeps none: every reader
+    of its sums says so, not an AttributeError or TypeError from None."""
+    run = weighted_sums(np.ones(40), np.ones(40), readers=[lambda i, block: None])
+    assert run.sums is None
+    with pytest.raises(ValueError, match="went to block readers and were not kept"):
+        read(run)
+
+
 def _oscillation_reference(run, ladder, norm):
     """Anchors, maxima and worst excess in ulps over the complex ratios of
     the whole ladder range, block by block, written out."""
@@ -373,7 +397,8 @@ def test_block_readers_match_the_array_forms(seed, n_terms, k_first, shape, k0, 
         for c in (k0, int(n[n.size // 2]), int(n[-1])):
             assert ns.value_at(c) == ratios[n <= c][-1]
             assert ns.tail_max(c) == ratios[n >= c].max()
-        assert np.float64(ns.slope(in_place=True)).tobytes() == slope
+        assert np.float64(ns.slope()).tobytes() == slope
+        assert ns.ratios.tobytes() == ratios.tobytes()  # the slope keeps them
     anchors, osc, worst = _oscillation_reference(run, ladder, norm)
     for rep in (oscillation_report(run, ladder, grid), oscillation_report(maxima, ladder, grid),
                 oscillation_report(split_maxima, ladder, grid)):
